@@ -10,9 +10,10 @@
 //!   and require the resumed output to be bit-identical (labels, MAP,
 //!   energy trace as raw IEEE-754 bits) to the uninterrupted run — per
 //!   backend, with and without an active fault plan;
-//! * **corruption rows** mutate a sealed envelope the three ways disk
-//!   goes bad (truncation, bit flip, future format version) and require
-//!   the typed rejection for each — loading never guesses;
+//! * **corruption rows** mutate a sealed checkpoint file the three ways
+//!   disk goes bad (truncation, bit flip, future format version), plus
+//!   the file a pre-v2 build would have left behind, and require the
+//!   typed rejection for each — loading never guesses;
 //! * the **retention row** writes more checkpoints than the store's
 //!   bound and requires exactly `retain` survivors on disk.
 
@@ -118,12 +119,12 @@ fn resume_row(dir: &Path, backend: &str, faulted: bool) -> CkptRow {
     }
 }
 
-/// Writes one genuine envelope to mutate. Returns its text.
+/// Writes one genuine checkpoint file to mutate. Returns its bytes.
 ///
 /// # Panics
 ///
 /// Panics if the donor job cannot run or its checkpoint file is gone.
-fn sealed_envelope(dir: &Path) -> String {
+fn sealed_envelope(dir: &Path) -> Vec<u8> {
     let key = "corruption-donor";
     let store = CheckpointStore::open(dir, 1).expect("store opens");
     let writer = store.writer(key, "donor".to_string());
@@ -137,40 +138,37 @@ fn sealed_envelope(dir: &Path) -> String {
         .latest(key)
         .expect("latest reads")
         .expect("donor checkpoint written");
-    std::fs::read_to_string(path).expect("donor file reads")
+    std::fs::read(path).expect("donor file reads")
 }
 
 /// # Panics
 ///
-/// Panics if the donor envelope has no payload digit to flip.
+/// Panics if the donor file does not open with the v2 version field.
 fn corruption_rows(dir: &Path) -> Vec<CkptRow> {
     let envelope = sealed_envelope(dir);
-    // A payload byte flip: change one alphanumeric character inside the
-    // payload string to a different one — layout stays valid, checksum
-    // does not.
-    let flipped = {
-        let start = envelope.find("\"payload\":\"").expect("payload field") + 11;
-        let offset = envelope[start..]
-            .char_indices()
-            .find(|(_, c)| c.is_ascii_digit())
-            .map(|(i, _)| start + i)
-            .expect("a digit inside the payload");
-        let mut bytes = envelope.clone().into_bytes();
-        bytes[offset] = if bytes[offset] == b'9' { b'8' } else { b'9' };
-        String::from_utf8(bytes).expect("still UTF-8")
-    };
+    // One flipped bit in the raw sections (the file's last byte): the
+    // header stays valid, the checksum does not.
+    let mut flipped = envelope.clone();
+    let last = flipped.len() - 1;
+    flipped[last] ^= 0x01;
+    let current = b"{\"version\":2";
+    assert!(envelope.starts_with(current), "donor is a v2 file");
+    let mut future = b"{\"version\":99".to_vec();
+    future.extend_from_slice(&envelope[current.len()..]);
+    // What the retired v1 format put on disk: same opening bytes, an
+    // escaped-JSON payload string where v2 has its length field.
+    let v1 = b"{\"version\":1,\"payload\":\"{\\\"meta\\\":\\\"donor\\\"}\",\
+               \"checksum\":\"0123456789abcdef\"}"
+        .to_vec();
     let cases = [
         (
             "truncated",
-            envelope[..envelope.len() / 2].to_string(),
+            envelope[..envelope.len() / 2].to_vec(),
             "truncated",
         ),
         ("bit-flip", flipped, "checksum-mismatch"),
-        (
-            "future version",
-            envelope.replacen("{\"version\":1", "{\"version\":99", 1),
-            "version-mismatch",
-        ),
+        ("future version", future, "version-mismatch"),
+        ("retired v1 file", v1, "version-mismatch"),
     ];
     cases
         .into_iter()
@@ -258,8 +256,8 @@ mod tests {
     #[test]
     fn quick_ladder_is_all_green() {
         let rows = run(true);
-        // 2 resume + 3 corruption + 1 retention.
-        assert_eq!(rows.len(), 6);
+        // 2 resume + 4 corruption + 1 retention.
+        assert_eq!(rows.len(), 7);
         for row in &rows {
             assert!(row.pass, "{}: {}", row.scenario, row.detail);
         }

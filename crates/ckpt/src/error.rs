@@ -17,28 +17,30 @@ pub enum CkptError {
         /// The OS error, stringified.
         message: String,
     },
-    /// The file ends before the envelope is complete — the classic
-    /// torn-write signature. (The store's temp-file-then-rename protocol
-    /// makes this unreachable for its own files; it shows up when a
-    /// checkpoint is copied or truncated out-of-band.)
+    /// The file ends before the header, or before the payload length the
+    /// header declares, is complete — the classic torn-write signature.
+    /// (The store's temp-file-then-rename protocol makes this
+    /// unreachable for its own files; it shows up when a checkpoint is
+    /// copied or truncated out-of-band.)
     Truncated,
-    /// The envelope deviates from the canonical layout at this byte
-    /// offset.
+    /// The header deviates from the canonical layout at this byte
+    /// offset (or bytes follow the declared payload, starting here).
     Malformed {
         /// Byte offset of the first unexpected character.
         offset: usize,
     },
-    /// The envelope's format version is not the one this build reads.
+    /// The header's format version is not the one this build reads
+    /// (a future format, or the retired v1 envelope).
     VersionMismatch {
         /// Version stamped in the file.
         found: u32,
         /// The only version this build supports.
         supported: u32,
     },
-    /// The payload does not hash to the envelope's checksum: the file
+    /// The payload does not hash to the header's checksum: the file
     /// was corrupted after it was sealed.
     ChecksumMismatch {
-        /// Checksum stored in the envelope (16 hex digits).
+        /// Checksum stored in the header (16 hex digits).
         stored: String,
         /// Checksum recomputed over the payload.
         computed: String,
@@ -84,7 +86,7 @@ impl std::fmt::Display for CkptError {
                 write!(f, "checkpoint file is truncated")
             }
             CkptError::Malformed { offset } => {
-                write!(f, "checkpoint envelope is malformed at byte {offset}")
+                write!(f, "checkpoint header is malformed at byte {offset}")
             }
             CkptError::VersionMismatch { found, supported } => {
                 write!(

@@ -5,13 +5,18 @@
 //! sweep boundaries (see `mogs_engine::ckpt`); this crate makes those
 //! captures *durable* and *trustworthy*:
 //!
-//! - [`encode`]/[`decode`] define the on-disk format: a versioned JSON
-//!   envelope whose payload is covered by an FNV-1a checksum, with every
-//!   `f64` carried as its exact IEEE-754 bit pattern and every `u64` as
-//!   hex — nothing is allowed to round, because the contract is that a
-//!   job interrupted at sweep *k* and resumed produces **bit-identical**
-//!   output to one that never stopped.
-//! - [`CheckpointStore`] files envelopes in a directory with atomic
+//! - [`encode`]/[`decode`] define the on-disk format (v2): a one-line
+//!   header carrying the version, the payload length and an FNV-1a
+//!   checksum over the raw payload bytes, then a small JSON head and
+//!   the bulk state as raw little-endian sections — label plane one
+//!   byte per site, every `f64` as its exact IEEE-754 bit pattern —
+//!   so a capture costs a plane copy and one hash pass, and nothing is
+//!   allowed to round, because the contract is that a job interrupted
+//!   at sweep *k* and resumed produces **bit-identical** output to one
+//!   that never stopped. Reads verify version → length → checksum →
+//!   state; there is one format and one reader, so a file from the
+//!   retired v1 format is a typed [`CkptError::VersionMismatch`].
+//! - [`CheckpointStore`] files checkpoints in a directory with atomic
 //!   temp-file-then-rename writes, per-key retention bounds, and a
 //!   [`scan`](CheckpointStore::scan) that a restarting service uses to
 //!   find every resumable job (and every corrupt file, with a typed
@@ -56,7 +61,6 @@ mod store;
 pub mod harness;
 
 pub use error::CkptError;
-pub use format::{
-    decode, encode, fnv1a, open_envelope, seal, verify_binding, Checkpoint, FORMAT_VERSION,
-};
+pub use format::{decode, encode, open_envelope, seal, verify_binding, Checkpoint, FORMAT_VERSION};
+pub use mogs_mrf::fnv1a;
 pub use store::{sanitize_key, CheckpointStore, GcReason, GcReport, ScanEntry, ScanReport};

@@ -5,7 +5,7 @@
 //! *key*; a capture at sweep cursor `k` lands in
 //! `<key>-<k padded to 8 digits>.ckpt`, so lexicographic filename order
 //! *is* progress order and "the latest checkpoint" needs no index file.
-//! Writes are crash-safe by construction: the envelope is written to a
+//! Writes are crash-safe by construction: the file is written to a
 //! `.tmp` sibling and atomically renamed into place, so a reader (or a
 //! recovery scan after a crash) only ever sees complete files — the
 //! worst a mid-write kill leaves behind is a `.tmp` orphan, which every
@@ -21,7 +21,7 @@ use std::sync::Arc;
 use mogs_engine::{CheckpointWriter, JobState};
 
 use crate::error::CkptError;
-use crate::format::{decode, encode, Checkpoint};
+use crate::format::{decode, encode_parts, Checkpoint};
 
 /// Filename suffix of a completed checkpoint.
 const CKPT_EXT: &str = ".ckpt";
@@ -115,10 +115,7 @@ impl CheckpointStore {
     /// [`CkptError::Io`] when the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>, retain: usize) -> Result<Self, CkptError> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|err| CkptError::Io {
-            op: "create-dir",
-            message: err.to_string(),
-        })?;
+        std::fs::create_dir_all(&dir).map_err(io_error("create-dir"))?;
         Ok(CheckpointStore {
             dir,
             retain: retain.max(1),
@@ -145,21 +142,21 @@ impl CheckpointStore {
     /// [`CkptError::Io`] when the write or rename fails. Retention
     /// pruning is best-effort: a failed delete never fails the save.
     pub fn save(&self, key: &str, checkpoint: &Checkpoint) -> Result<PathBuf, CkptError> {
-        let key = sanitize_key(key);
-        let name = format!("{key}-{:08}{CKPT_EXT}", checkpoint.state.next_sweep);
-        let path = self.dir.join(&name);
+        self.save_parts(&sanitize_key(key), &checkpoint.meta, &checkpoint.state)
+    }
+
+    /// [`save`](Self::save) over borrowed parts and an already-sanitized
+    /// key — the path the engine-facing writer takes every boundary.
+    fn save_parts(&self, key: &str, meta: &str, state: &JobState) -> Result<PathBuf, CkptError> {
+        let path = self
+            .dir
+            .join(format!("{key}-{:08}{CKPT_EXT}", state.next_sweep));
         let tmp = self
             .dir
-            .join(format!("{key}-{:08}{TMP_EXT}", checkpoint.state.next_sweep));
-        std::fs::write(&tmp, encode(checkpoint)).map_err(|err| CkptError::Io {
-            op: "write",
-            message: err.to_string(),
-        })?;
-        std::fs::rename(&tmp, &path).map_err(|err| CkptError::Io {
-            op: "rename",
-            message: err.to_string(),
-        })?;
-        self.prune(&key);
+            .join(format!("{key}-{:08}{TMP_EXT}", state.next_sweep));
+        std::fs::write(&tmp, encode_parts(meta, state)).map_err(io_error("write"))?;
+        std::fs::rename(&tmp, &path).map_err(io_error("rename"))?;
+        self.prune(key);
         Ok(path)
     }
 
@@ -170,11 +167,7 @@ impl CheckpointStore {
     /// [`CkptError::Io`] when the file cannot be read, or any decode
     /// error from [`decode`](crate::decode).
     pub fn load(&self, path: &Path) -> Result<Checkpoint, CkptError> {
-        let text = std::fs::read_to_string(path).map_err(|err| CkptError::Io {
-            op: "read",
-            message: err.to_string(),
-        })?;
-        decode(&text)
+        decode(&std::fs::read(path).map_err(io_error("read"))?)
     }
 
     /// The newest loadable checkpoint for `key`, or `None` when the key
@@ -219,23 +212,7 @@ impl CheckpointStore {
     /// [`CkptError::Io`] when the directory cannot be listed. Unreadable
     /// or corrupt *files* are reported in the result, not as an error.
     pub fn scan(&self) -> Result<ScanReport, CkptError> {
-        let mut names: Vec<String> = Vec::new();
-        let entries = std::fs::read_dir(&self.dir).map_err(|err| CkptError::Io {
-            op: "read-dir",
-            message: err.to_string(),
-        })?;
-        for entry in entries {
-            let entry = entry.map_err(|err| CkptError::Io {
-                op: "read-dir",
-                message: err.to_string(),
-            })?;
-            if let Some(name) = entry.file_name().to_str() {
-                if name.ends_with(CKPT_EXT) && !name.ends_with(TMP_EXT) {
-                    names.push(name.to_string());
-                }
-            }
-        }
-        names.sort();
+        let names = self.completed_names(|_| true)?;
         let mut report = ScanReport::default();
         let mut index = 0;
         while index < names.len() {
@@ -281,10 +258,7 @@ impl CheckpointStore {
         let files = self.files_for(&key)?;
         let count = files.len();
         for path in files {
-            std::fs::remove_file(&path).map_err(|err| CkptError::Io {
-                op: "remove",
-                message: err.to_string(),
-            })?;
+            std::fs::remove_file(&path).map_err(io_error("remove"))?;
         }
         Ok(count)
     }
@@ -301,10 +275,7 @@ impl CheckpointStore {
     /// [`CkptError::Io`] when the directory itself cannot be listed.
     pub fn gc(&self, max_age: std::time::Duration) -> Result<GcReport, CkptError> {
         let now = std::time::SystemTime::now();
-        let entries = std::fs::read_dir(&self.dir).map_err(|err| CkptError::Io {
-            op: "read-dir",
-            message: err.to_string(),
-        })?;
+        let entries = std::fs::read_dir(&self.dir).map_err(io_error("read-dir"))?;
         let mut report = GcReport::default();
         let discard = |path: PathBuf, reason: GcReason, report: &mut GcReport| {
             if std::fs::remove_file(&path).is_ok() {
@@ -312,10 +283,7 @@ impl CheckpointStore {
             }
         };
         for entry in entries {
-            let entry = entry.map_err(|err| CkptError::Io {
-                op: "read-dir",
-                message: err.to_string(),
-            })?;
+            let entry = entry.map_err(io_error("read-dir"))?;
             let Some(name) = entry.file_name().to_str().map(str::to_string) else {
                 continue;
             };
@@ -355,30 +323,27 @@ impl CheckpointStore {
         })
     }
 
-    /// The key's completed checkpoint files in ascending (oldest-first)
-    /// sweep order.
-    fn files_for(&self, sanitized_key: &str) -> Result<Vec<PathBuf>, CkptError> {
-        let entries = std::fs::read_dir(&self.dir).map_err(|err| CkptError::Io {
-            op: "read-dir",
-            message: err.to_string(),
-        })?;
+    /// Names of the completed checkpoint files `keep` accepts, sorted —
+    /// which groups them by key, oldest sweep first within a key.
+    fn completed_names(&self, keep: impl Fn(&str) -> bool) -> Result<Vec<String>, CkptError> {
         let mut names: Vec<String> = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|err| CkptError::Io {
-                op: "read-dir",
-                message: err.to_string(),
-            })?;
+        for entry in std::fs::read_dir(&self.dir).map_err(io_error("read-dir"))? {
+            let entry = entry.map_err(io_error("read-dir"))?;
             if let Some(name) = entry.file_name().to_str() {
-                if name.ends_with(CKPT_EXT)
-                    && !name.ends_with(TMP_EXT)
-                    && key_of(name) == sanitized_key
-                {
+                if name.ends_with(CKPT_EXT) && !name.ends_with(TMP_EXT) && keep(name) {
                     names.push(name.to_string());
                 }
             }
         }
         names.sort();
-        Ok(names.into_iter().map(|n| self.dir.join(n)).collect())
+        Ok(names)
+    }
+
+    /// The key's completed checkpoint files in ascending (oldest-first)
+    /// sweep order.
+    fn files_for(&self, sanitized_key: &str) -> Result<Vec<PathBuf>, CkptError> {
+        let names = self.completed_names(|name| key_of(name) == sanitized_key)?;
+        Ok(names.into_iter().map(|name| self.dir.join(name)).collect())
     }
 
     /// Best-effort deletion of the key's oldest files beyond the
@@ -392,6 +357,14 @@ impl CheckpointStore {
                 let _ = std::fs::remove_file(path);
             }
         }
+    }
+}
+
+/// Wraps an OS error from filesystem operation `op`.
+fn io_error(op: &'static str) -> impl Fn(std::io::Error) -> CkptError {
+    move |err| CkptError::Io {
+        op,
+        message: err.to_string(),
     }
 }
 
@@ -438,12 +411,8 @@ struct StoreWriter {
 
 impl CheckpointWriter for StoreWriter {
     fn write(&self, state: &JobState) -> Result<(), String> {
-        let checkpoint = Checkpoint {
-            meta: self.meta.clone(),
-            state: state.clone(),
-        };
         self.store
-            .save(&self.key, &checkpoint)
+            .save_parts(&self.key, &self.meta, state)
             .map(|_| ())
             .map_err(|err| err.to_string())
     }
@@ -453,6 +422,10 @@ impl CheckpointWriter for StoreWriter {
 mod tests {
     use super::*;
     use mogs_engine::StateBinding;
+
+    /// What a pre-v2 build left on disk.
+    const V1_ENVELOPE: &str =
+        "{\"version\":1,\"payload\":\"{}\",\"checksum\":\"0000000000000000\"}";
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -550,6 +523,10 @@ mod tests {
         // `rejected` while the older good one keeps the key resumable.
         let newer = dir.join("job-b-00000009.ckpt");
         std::fs::write(&newer, "garbage").expect("write corrupt");
+        // So must a file left behind by a v1 build: refused as the wrong
+        // version, never misparsed.
+        let v1 = dir.join("job-a-00000007.ckpt");
+        std::fs::write(&v1, V1_ENVELOPE).expect("write v1");
         // Leftover tmp files from a crash mid-write are invisible.
         std::fs::write(dir.join("job-c-00000001.ckpt.tmp"), "torn").expect("write tmp");
         let report = store.scan().expect("scan");
@@ -559,9 +536,15 @@ mod tests {
             .map(|e| (e.key.as_str(), e.checkpoint.state.next_sweep))
             .collect();
         assert_eq!(keys, vec![("job-a", 5), ("job-b", 1)]);
-        assert_eq!(report.rejected.len(), 1);
-        assert_eq!(report.rejected[0].0, newer);
-        assert_eq!(report.rejected[0].1.variant(), "malformed");
+        let rejected: Vec<(&PathBuf, &str)> = report
+            .rejected
+            .iter()
+            .map(|(path, err)| (path, err.variant()))
+            .collect();
+        assert_eq!(
+            rejected,
+            vec![(&v1, "version-mismatch"), (&newer, "malformed")]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -600,11 +583,11 @@ mod tests {
         let store = CheckpointStore::open(&dir, 8).expect("open");
         store.save("job-a", &ckpt_at(2)).expect("save");
         store.save("job-b", &ckpt_at(1)).expect("save");
-        std::fs::write(dir.join("job-c-00000009.ckpt"), "garbage").expect("write corrupt");
+        std::fs::write(dir.join("job-c-00000009.ckpt"), V1_ENVELOPE).expect("write v1");
         std::fs::write(dir.join("job-d-00000001.ckpt.tmp"), "torn").expect("write tmp");
         std::fs::write(dir.join("README"), "not a checkpoint").expect("write other");
 
-        // A generous age bound: only the corrupt file goes — fresh
+        // A generous age bound: only the unreadable v1 file goes — fresh
         // checkpoints and a possibly in-flight tmp write survive, and
         // non-checkpoint files are never touched.
         let report = store.gc(Duration::from_secs(3600)).expect("gc");

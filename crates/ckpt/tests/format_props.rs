@@ -1,22 +1,27 @@
-//! Property tests for the checkpoint wire format.
+//! Property tests for the checkpoint wire format (v2).
 //!
 //! The claims under test, over randomized job states:
 //!
 //! - encode → decode is the identity (bit-exact for every `f64`, hex-safe
-//!   for every `u64`);
-//! - any truncation of a valid envelope is `Truncated` — never a panic,
-//!   never a partial checkpoint;
-//! - any single-character corruption is caught by a *typed* error (or is
-//!   provably harmless, e.g. hex case in the checksum field: the decode
-//!   must then still equal the original);
-//! - version bumps and binding mismatches each surface as their own
-//!   variant, distinct from corruption.
+//!   for every `u64`), for whole-plane and shard-granular states alike;
+//! - arbitrary bytes in — bare or sealed under a valid header — come
+//!   back as a typed error or a valid value, never a panic;
+//! - any proper prefix of a valid file is `Truncated` — never a partial
+//!   checkpoint;
+//! - any single bit flipped after the header line is `ChecksumMismatch`,
+//!   and any single-byte corruption anywhere is caught by a *typed*
+//!   error (or is provably harmless, e.g. hex case in the checksum
+//!   field: the decode must then still equal the original);
+//! - section counts that disagree with the binding or with the bytes
+//!   present are a `State` error, whatever size they claim;
+//! - version bumps, retired v1 envelopes, and binding mismatches each
+//!   surface as their own variant, distinct from corruption.
 //!
 //! "Never partially restore" holds by construction — [`decode`] returns
 //! a complete [`Checkpoint`] or an error and mutates nothing — so these
 //! properties focus on the never-panic and right-variant halves.
 
-use mogs_ckpt::{decode, encode, verify_binding, Checkpoint, CkptError};
+use mogs_ckpt::{decode, encode, open_envelope, seal, verify_binding, Checkpoint, CkptError};
 use mogs_engine::prelude::UnitFault;
 use mogs_engine::{FaultState, JobState, ShardBinding, StateBinding};
 use mogs_mrf::Label;
@@ -108,24 +113,23 @@ fn arb_fault_state() -> impl Strategy<Value = Option<FaultState>> {
         )
 }
 
-/// Finite-energy states: safe to compare with `PartialEq` whole.
+/// Finite-energy states, safe to compare with `PartialEq` whole, whose
+/// bulk sections have the lengths their binding implies (the only kind
+/// the engine captures, and the only kind the decoder seats).
 fn arb_state() -> impl Strategy<Value = JobState> {
     (
-        (arb_binding(), 0usize..500),
-        (
-            prop::collection::vec(0u8..64, 0..64),
-            prop::collection::vec(-1e300f64..1e300, 0..16),
-        ),
-        ((0usize..2), prop::collection::vec(0u32..=u32::MAX, 0..32)),
+        (arb_binding(), 0usize..500, 0u64..=u64::MAX),
+        prop::collection::vec(-1e300f64..1e300, 0..16),
+        prop::bool::ANY,
         prop::collection::vec(arb_fault(), 0..6),
         arb_fault_state(),
         ((0usize..2), (0usize..3)),
     )
         .prop_map(
             |(
-                (binding, next_sweep),
-                (labels, energy_trace),
-                (hist_present, histograms),
+                (binding, next_sweep, fill),
+                energy_trace,
+                hist_present,
                 kernel_faults,
                 fault,
                 (sink_present, sink_pick),
@@ -138,12 +142,28 @@ fn arb_state() -> impl Strategy<Value = JobState> {
                     ][sink_pick]
                         .to_string()
                 });
+                // Cheap deterministic filler: the bulk bytes only need to
+                // vary, including through every byte value (0x0a too).
+                let mut word = fill | 1;
+                let mut next = move || {
+                    word ^= word << 13;
+                    word ^= word >> 7;
+                    word ^= word << 17;
+                    word
+                };
+                let owned = binding.shard.map_or(binding.sites, |shard| shard.owned);
+                let labels = (0..owned).map(|_| (next() % 64) as u8).collect();
+                let histograms = hist_present.then(|| {
+                    (0..binding.sites * binding.labels)
+                        .map(|_| next() as u32)
+                        .collect()
+                });
                 JobState {
                     binding,
                     next_sweep,
                     labels,
                     energy_trace,
-                    histograms: (hist_present == 1).then_some(histograms),
+                    histograms,
                     kernel_faults,
                     fault,
                     sink_state,
@@ -172,6 +192,15 @@ const TYPED: [&str; 5] = [
     "state",
 ];
 
+/// Offset of the first payload byte (one past the header's newline).
+fn header_len(encoded: &[u8]) -> usize {
+    encoded
+        .iter()
+        .position(|&b| b == b'\n')
+        .expect("header line")
+        + 1
+}
+
 proptest! {
     #[test]
     fn round_trip_is_the_identity(checkpoint in arb_checkpoint()) {
@@ -188,10 +217,26 @@ proptest! {
     ) {
         let mut checkpoint = checkpoint;
         checkpoint.state.energy_trace = bits.iter().copied().map(f64::from_bits).collect();
-        let decoded = decode(&encode(&checkpoint))
-            .map_err(|e| format!("decode failed: {e}"))?;
+        let encoded = encode(&checkpoint);
+        let decoded = decode(&encoded).map_err(|e| format!("decode failed: {e}"))?;
         let got: Vec<u64> = decoded.state.energy_trace.iter().map(|e| e.to_bits()).collect();
         prop_assert_eq!(got, bits);
+        prop_assert_eq!(encode(&decoded), encoded);
+    }
+
+    /// The trust boundary itself: whatever bytes sit in a `.ckpt` file,
+    /// bare or under a genuine header, decoding returns — a typed error
+    /// or a value — and never panics.
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(0u8..=255, 0..600)) {
+        for input in [bytes.clone(), seal(&bytes)] {
+            if let Err(err) = decode(&input) {
+                prop_assert!(TYPED.contains(&err.variant()), "untyped: {err}");
+            }
+        }
+        // Sealed bytes always pass the header layer.
+        let sealed = seal(&bytes);
+        prop_assert_eq!(open_envelope(&sealed), Ok(bytes.as_slice()));
     }
 
     #[test]
@@ -200,41 +245,41 @@ proptest! {
         cut in 0.0f64..1.0,
     ) {
         let encoded = encode(&checkpoint);
-        let mut end = ((encoded.len() as f64) * cut) as usize;
-        while !encoded.is_char_boundary(end) {
-            end -= 1;
-        }
-        // `end == len` would be the whole (valid) envelope.
-        if end < encoded.len() {
-            let err = decode(&encoded[..end])
-                .expect_err("a proper prefix must not decode");
-            prop_assert_eq!(err, CkptError::Truncated);
-        }
+        // `cut < 1.0`, so `end < len`: always a proper prefix.
+        let end = ((encoded.len() as f64) * cut) as usize;
+        prop_assert_eq!(decode(&encoded[..end]), Err(CkptError::Truncated));
     }
 
-    /// Single-character corruption anywhere in the envelope either
-    /// fails with one of the typed read errors or — when the flip is
-    /// semantically neutral, e.g. checksum hex case — decodes to
-    /// exactly the original. Nothing panics; nothing comes back
-    /// altered.
     #[test]
-    fn single_char_corruption_never_panics_or_corrupts(
+    fn any_bit_flip_after_the_header_is_a_checksum_mismatch(
         checkpoint in arb_checkpoint(),
         position in 0.0f64..1.0,
-        replacement in 0x21u8..0x7f,
+        bit in 0u32..8,
+    ) {
+        let mut corrupted = encode(&checkpoint);
+        let header = header_len(&corrupted);
+        let at = header + (((corrupted.len() - header) as f64) * position) as usize;
+        corrupted[at] ^= 1 << bit;
+        let err = decode(&corrupted).expect_err("bit rot must not decode");
+        prop_assert_eq!(err.variant(), "checksum-mismatch");
+    }
+
+    /// Single-byte corruption anywhere in the file, header included,
+    /// either fails with one of the typed read errors or — when the
+    /// change is semantically neutral, e.g. checksum hex case — decodes
+    /// to exactly the original. Nothing panics; nothing comes back
+    /// altered.
+    #[test]
+    fn single_byte_corruption_never_panics_or_corrupts(
+        checkpoint in arb_checkpoint(),
+        position in 0.0f64..1.0,
+        replacement in 0u8..=255,
     ) {
         let encoded = encode(&checkpoint);
-        let mut at = ((encoded.len() as f64) * position) as usize;
-        while !encoded.is_char_boundary(at) {
-            at -= 1;
-        }
-        let original_char = encoded[at..].chars().next().expect("in bounds");
-        let replacement = char::from(replacement);
-        if original_char != replacement {
-            let mut corrupted = String::with_capacity(encoded.len());
-            corrupted.push_str(&encoded[..at]);
-            corrupted.push(replacement);
-            corrupted.push_str(&encoded[at + original_char.len_utf8()..]);
+        let at = ((encoded.len() as f64) * position) as usize;
+        if encoded[at] != replacement {
+            let mut corrupted = encoded.clone();
+            corrupted[at] = replacement;
             match decode(&corrupted) {
                 Err(err) => prop_assert!(
                     TYPED.contains(&err.variant()),
@@ -246,21 +291,66 @@ proptest! {
         }
     }
 
+    /// A head whose section counts lie — about the binding or about the
+    /// bytes that follow — is refused as `State` however large the
+    /// claim: nothing is sized by a count before it is checked.
+    #[test]
+    fn lying_section_counts_are_a_state_error(
+        checkpoint in arb_checkpoint(),
+        which in 0usize..3,
+        claim in 0u64..(1 << 53),
+    ) {
+        let encoded = encode(&checkpoint);
+        let payload = open_envelope(&encoded).expect("opens");
+        let split = header_len(payload) - 1;
+        let head = std::str::from_utf8(&payload[..split]).expect("head is UTF-8");
+        let state = &checkpoint.state;
+        let (name, truth) = [
+            ("\"sections\":{\"labels\":", state.labels.len()),
+            ("\"energy_trace\":", state.energy_trace.len()),
+            ("\"histograms\":", state.histograms.as_ref().map_or(0, Vec::len)),
+        ][which];
+        let honest = format!("{name}{truth}");
+        // A null histogram count has no number to replace.
+        if claim != truth as u64 && head.contains(&honest) {
+            let at = head.rfind(&honest).expect("checked above");
+            let mut lying = head.as_bytes()[..at].to_vec();
+            lying.extend_from_slice(format!("{name}{claim}").as_bytes());
+            lying.extend_from_slice(&head.as_bytes()[at + honest.len()..]);
+            lying.extend_from_slice(&payload[split..]);
+            let err = decode(&seal(&lying)).expect_err("lying counts must not seat");
+            prop_assert_eq!(err.variant(), "state");
+        }
+    }
+
     #[test]
     fn version_bump_is_always_version_mismatch(
         checkpoint in arb_checkpoint(),
-        version in 2u32..1000,
+        version in 3u32..1000,
     ) {
         let encoded = encode(&checkpoint);
-        let bumped = encoded.replacen(
-            "{\"version\":1,",
-            &format!("{{\"version\":{version},"),
-            1,
-        );
-        let err = decode(&bumped).expect_err("future versions are rejected");
+        let mut bumped = format!("{{\"version\":{version}").into_bytes();
+        bumped.extend_from_slice(&encoded[b"{\"version\":2".len()..]);
         prop_assert_eq!(
-            err,
-            CkptError::VersionMismatch { found: version, supported: 1 }
+            decode(&bumped),
+            Err(CkptError::VersionMismatch { found: version, supported: 2 })
+        );
+    }
+
+    /// Whatever a v1 build left behind — its envelope opened with the
+    /// same `{"version":` bytes — is refused by version, not misparsed.
+    #[test]
+    fn a_v1_envelope_is_always_version_mismatch(
+        payload in prop::collection::vec(0x20u8..0x7f, 0..200),
+        checksum in 0u64..=u64::MAX,
+    ) {
+        let payload = String::from_utf8(payload).expect("printable ASCII");
+        let v1 = format!(
+            "{{\"version\":1,\"payload\":\"{payload}\",\"checksum\":\"{checksum:016x}\"}}"
+        );
+        prop_assert_eq!(
+            decode(v1.as_bytes()),
+            Err(CkptError::VersionMismatch { found: 1, supported: 2 })
         );
     }
 
@@ -281,4 +371,193 @@ proptest! {
         prop_assert_eq!(err.variant(), "binding-mismatch");
         prop_assert!(verify_binding(&state, &state.binding).is_ok());
     }
+}
+
+// ---------------------------------------------------------------------
+// Deterministic byte-boundary cases, exhaustive over one fully populated
+// file: what the properties above sample, these pin.
+// ---------------------------------------------------------------------
+
+/// A whole-plane state with every optional record present.
+fn demo_state() -> JobState {
+    JobState {
+        binding: StateBinding {
+            sites: 12,
+            width: 4,
+            height: 3,
+            labels: 3,
+            iterations: 10,
+            burn_in: 2,
+            threads: 2,
+            seed: 0xDEAD_BEEF_CAFE_F00D,
+            fingerprint: u64::MAX - 5,
+            kernel: "rsu-pool".to_string(),
+            track_modes: true,
+            record_energy: true,
+            shard: None,
+        },
+        next_sweep: 4,
+        labels: vec![0, 1, 2, 1, 0, 2, 2, 1, 0, 0, 1, 2],
+        energy_trace: vec![f64::NAN, -0.0, 3.5e-300, f64::NEG_INFINITY],
+        histograms: Some((0..36).map(|i| i * 0x0101_0101).collect()),
+        kernel_faults: vec![
+            None,
+            Some(UnitFault::Dead),
+            Some(UnitFault::Stuck(Label::new(2))),
+            Some(UnitFault::DarkCount { rate_per_ns: 0.125 }),
+        ],
+        fault: Some(FaultState {
+            cursor: 3,
+            quarantined: vec![false, true, false, false],
+            degraded: Some(mogs_engine::Degraded {
+                failed_over_at: 3,
+                units_lost: 2,
+            }),
+            poisoned: false,
+        }),
+        sink_state: Some("v=1;ring=\n3ff0000000000000".to_string()),
+    }
+}
+
+fn demo_bytes() -> Vec<u8> {
+    encode(&Checkpoint {
+        meta: "m\n\"eta\"".to_string(),
+        state: demo_state(),
+    })
+}
+
+/// Re-seals `encoded`'s payload after a textual edit of its head.
+fn reseal_with(encoded: &[u8], from: &str, to: &str) -> Vec<u8> {
+    let payload = open_envelope(encoded).expect("donor opens");
+    let split = header_len(payload) - 1;
+    let head = std::str::from_utf8(&payload[..split]).expect("head is UTF-8");
+    assert!(head.contains(from), "head has no {from}: {head}");
+    let mut edited = head.replacen(from, to, 1).into_bytes();
+    edited.extend_from_slice(&payload[split..]);
+    seal(&edited)
+}
+
+#[test]
+fn fully_populated_and_shard_states_round_trip_bit_exactly() {
+    // NaN defeats `PartialEq`; byte-identical re-encoding does not.
+    let encoded = demo_bytes();
+    let decoded = decode(&encoded).expect("decodes");
+    assert_eq!(encode(&decoded), encoded);
+    let bits =
+        |state: &JobState| -> Vec<u64> { state.energy_trace.iter().map(|e| e.to_bits()).collect() };
+    assert_eq!(bits(&decoded.state), bits(&demo_state()));
+    assert_eq!(decoded.state.histograms, demo_state().histograms);
+
+    let mut shard = demo_state();
+    shard.binding.shard = Some(ShardBinding {
+        shard: 1,
+        of: 3,
+        owned: 4,
+        sites_digest: 0xFEED_FACE_0123_4567,
+    });
+    shard.labels = vec![2, 0, 1, 1];
+    shard.histograms = None;
+    shard.energy_trace = vec![1.5];
+    let original = Checkpoint {
+        meta: String::new(),
+        state: shard,
+    };
+    assert_eq!(decode(&encode(&original)).expect("decodes"), original);
+}
+
+#[test]
+fn every_bit_after_the_header_is_checksummed() {
+    let encoded = demo_bytes();
+    for at in header_len(&encoded)..encoded.len() {
+        for bit in 0..8 {
+            let mut corrupted = encoded.clone();
+            corrupted[at] ^= 1 << bit;
+            let err = decode(&corrupted).expect_err("bit rot rejected");
+            assert_eq!(err.variant(), "checksum-mismatch", "byte {at} bit {bit}");
+        }
+    }
+}
+
+#[test]
+fn a_declared_length_beyond_the_file_is_truncated() {
+    let encoded = demo_bytes();
+    let payload = open_envelope(&encoded).expect("opens");
+    let header = std::str::from_utf8(&encoded[..header_len(&encoded)]).expect("ASCII header");
+    let mut lying = header
+        .replacen(
+            &format!("\"length\":{}", payload.len()),
+            "\"length\":18446744073709551615",
+            1,
+        )
+        .into_bytes();
+    lying.extend_from_slice(payload);
+    assert_eq!(decode(&lying), Err(CkptError::Truncated));
+}
+
+#[test]
+fn section_counts_must_agree_with_the_binding_and_the_bytes() {
+    let encoded = demo_bytes();
+    // Each lie is sealed under a valid header, so the header passes and
+    // the state layer must refuse — before sizing any buffer by the lie
+    // (the huge counts would abort the test if it did).
+    for (from, to, names) in [
+        ("{\"labels\":12,", "{\"labels\":13,", "label section"),
+        (
+            "{\"labels\":12,",
+            "{\"labels\":9007199254740992,",
+            "label section",
+        ),
+        (
+            "\"energy_trace\":4,",
+            "\"energy_trace\":5,",
+            "sections declare",
+        ),
+        (
+            "\"energy_trace\":4,",
+            "\"energy_trace\":4611686018427387904,",
+            "sections declare",
+        ),
+        (
+            "\"histograms\":36}",
+            "\"histograms\":35}",
+            "histogram section",
+        ),
+        (
+            "\"histograms\":36}",
+            "\"histograms\":null}",
+            "sections declare",
+        ),
+        ("{\"sites\":12,", "{\"sites\":13,", "label section"),
+    ] {
+        let err = decode(&reseal_with(&encoded, from, to)).expect_err("lie refused");
+        let CkptError::State { reason } = err else {
+            panic!("{from} -> {to}: expected a state error, got {err}");
+        };
+        assert!(reason.contains(names), "{from} -> {to}: {reason}");
+    }
+    // A shard state's label section is checked against `owned`.
+    let mut state = demo_state();
+    state.binding.shard = Some(ShardBinding {
+        shard: 0,
+        of: 2,
+        owned: 5,
+        sites_digest: 1,
+    });
+    let err = decode(&encode(&Checkpoint {
+        meta: String::new(),
+        state,
+    }))
+    .expect_err("12 labels under owned = 5");
+    assert_eq!(err.variant(), "state");
+}
+
+#[test]
+fn stuck_fault_label_out_of_range_is_rejected_not_panicked() {
+    let lying = reseal_with(
+        &demo_bytes(),
+        "{\"kind\":\"stuck\",\"label\":2}",
+        "{\"kind\":\"stuck\",\"label\":200}",
+    );
+    let err = decode(&lying).expect_err("label 200 does not fit in 6 bits");
+    assert_eq!(err.variant(), "state");
 }

@@ -16,9 +16,10 @@ const BUCKETS: usize = 32;
 /// A log₂-bucketed latency histogram over microseconds.
 ///
 /// `record` is a single relaxed fetch-add per bucket plus two for the
-/// count/total — cheap enough for per-sweep recording. Quantiles from
-/// power-of-two buckets are upper bounds, accurate to a factor of two;
-/// that resolution is plenty for spotting queueing collapse.
+/// count/total — cheap enough for per-sweep recording. Quantiles are
+/// interpolated inside their power-of-two bucket and clamped to the
+/// largest sample, so they are accurate to the bucket width and never
+/// exceed `max_us`.
 #[derive(Debug, Default)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
@@ -53,24 +54,30 @@ impl LatencyHistogram {
             .collect();
         let count = self.count.load(Ordering::Relaxed);
         let total_us = self.total_us.load(Ordering::Relaxed);
+        let max_us = self.max_us.load(Ordering::Relaxed);
         let quantile = |q: f64| -> u64 {
-            if count == 0 {
-                return 0;
-            }
-            let rank = (q * count as f64).ceil() as u64;
+            let rank = ((q * count as f64).ceil() as u64).max(1);
             let mut seen = 0;
             for (i, &c) in buckets.iter().enumerate() {
-                seen += c;
-                if seen >= rank.max(1) {
-                    // Upper bound of bucket i.
-                    return if i >= 63 {
-                        u64::MAX
+                if c > 0 && seen + c >= rank {
+                    // Bucket i holds [2^(i-1), 2^i - 1] (bucket 0 holds 0,
+                    // the last bucket is open-ended): interpolate by the
+                    // rank's position inside it, never past the largest
+                    // sample actually seen.
+                    let lo = if i == 0 { 0 } else { 1u64 << (i - 1) };
+                    let hi = if i == BUCKETS - 1 {
+                        max_us
                     } else {
-                        (1u64 << (i + 1)) - 1
+                        ((1u64 << i) - 1).min(max_us)
                     };
+                    let within = (rank - seen) as f64 / c as f64;
+                    let span = hi.saturating_sub(lo) as f64;
+                    return (lo + (within * span) as u64).min(max_us);
                 }
+                seen += c;
             }
-            self.max_us.load(Ordering::Relaxed)
+            // Empty histogram, or a snapshot racing a `record`.
+            max_us
         };
         HistogramSnapshot {
             count,
@@ -83,7 +90,7 @@ impl LatencyHistogram {
             p50_us: quantile(0.50),
             p90_us: quantile(0.90),
             p99_us: quantile(0.99),
-            max_us: self.max_us.load(Ordering::Relaxed),
+            max_us,
             buckets,
         }
     }
@@ -98,11 +105,11 @@ pub struct HistogramSnapshot {
     pub total_us: u64,
     /// Mean sample, microseconds.
     pub mean_us: f64,
-    /// Median upper bound, microseconds (bucket resolution).
+    /// Median estimate, microseconds (interpolated within its bucket).
     pub p50_us: u64,
-    /// 90th-percentile upper bound, microseconds.
+    /// 90th-percentile estimate, microseconds.
     pub p90_us: u64,
-    /// 99th-percentile upper bound, microseconds.
+    /// 99th-percentile estimate, microseconds.
     pub p99_us: u64,
     /// Largest recorded sample, microseconds.
     pub max_us: u64,
@@ -165,8 +172,9 @@ pub struct EngineMetrics {
     /// Wall time per phase (one independent group's fan-out, dispatch to
     /// drain — the engine's barrier granularity).
     pub phase_latency: LatencyHistogram,
-    /// Wall time per successful checkpoint write (serialize + durable
-    /// store), recorded on the scheduler thread at the sweep boundary.
+    /// Boundary stall per successful checkpoint (state capture +
+    /// serialize + durable store), recorded on the scheduler thread at
+    /// the sweep boundary.
     pub checkpoint_write_us: LatencyHistogram,
 }
 
@@ -321,6 +329,29 @@ mod tests {
         assert!(s.p50_us >= 9, "median bound {} too small", s.p50_us);
         assert!(s.p99_us >= 1000, "p99 bound {} too small", s.p99_us);
         assert_eq!(s.buckets.iter().sum::<u64>(), 5);
+    }
+
+    #[test]
+    fn quantiles_interpolate_within_the_bucket_and_never_exceed_max() {
+        // The BENCH_engine.json defect: bucket upper bounds reported
+        // p50 = 262 ms for jobs whose slowest sample was 137 ms.
+        let h = LatencyHistogram::new();
+        for _ in 0..10 {
+            h.record(Duration::from_micros(120_000));
+        }
+        h.record(Duration::from_micros(137_000));
+        let s = h.snapshot();
+        // Rank 6 of the 10 samples in [65536, 131071]: 0.6 of the way up.
+        assert_eq!(s.p50_us, 65_536 + 39_321);
+        assert_eq!(s.p90_us, 131_071);
+        // The top bucket's ceiling is the observed max, not 262143.
+        assert_eq!(s.p99_us, 137_000);
+        assert_eq!(s.max_us, 137_000);
+
+        let single = LatencyHistogram::new();
+        single.record(Duration::from_micros(1000));
+        let s = single.snapshot();
+        assert_eq!((s.p50_us, s.p90_us, s.p99_us), (1000, 1000, 1000));
     }
 
     #[test]

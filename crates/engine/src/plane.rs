@@ -94,6 +94,21 @@ impl LabelPlane {
         self.cells.iter().map(|c| unsafe { *c.get() }).collect()
     }
 
+    /// Copies the whole plane out as raw label values, one byte per
+    /// site — the checkpoint capture path, which wants the bytes and
+    /// not an intermediate `Vec<Label>`.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`LabelPlane::snapshot`]: the plane must be
+    /// quiescent.
+    pub(crate) unsafe fn snapshot_values(&self) -> Vec<u8> {
+        // SAFETY: quiescence (this fn's contract) means no worker is
+        // writing any cell, so every dereference reads a settled value.
+        let value = |cell: &UnsafeCell<Label>| unsafe { (*cell.get()).value() };
+        self.cells.iter().map(value).collect()
+    }
+
     /// Copies the whole plane into `out` (cleared first), reusing its
     /// allocation — the per-sweep path for jobs with observers, which
     /// must not allocate once the buffer reaches plane capacity.
@@ -132,6 +147,7 @@ mod tests {
             plane.write(0, Label::new(3));
             assert_eq!(plane.read(0), Label::new(3));
             assert_eq!(plane.snapshot(), vec![Label::new(3), Label::new(2)]);
+            assert_eq!(plane.snapshot_values(), vec![3, 2]);
         }
     }
 

@@ -88,8 +88,9 @@ pub(crate) struct SweepReport {
     /// The pool collapsed below the floor with no fallback: the job must
     /// fail with this error.
     pub(crate) fatal: Option<EngineError>,
-    /// Time spent durably writing a checkpoint at this boundary, when the
-    /// job's policy asked for one and the write succeeded.
+    /// The boundary stall a checkpoint cost — state capture plus the
+    /// durable write — when the job's policy asked for one and the write
+    /// succeeded.
     pub(crate) ckpt_write: Option<Duration>,
 }
 
@@ -572,10 +573,7 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     {
         // SAFETY: the scheduler calls this only at the quiescent sweep
         // boundary, with no outstanding chunks for this job.
-        let labels = unsafe { self.plane.snapshot() }
-            .iter()
-            .map(|label| label.value())
-            .collect();
+        let labels = unsafe { self.plane.snapshot_values() };
         let book = self.book.lock();
         let energy_trace = book.energy_trace.clone();
         let histograms = book.histograms.clone();
@@ -867,8 +865,10 @@ where
                 ckpt.policy.every_sweeps > 0 && next_sweep.is_multiple_of(ckpt.policy.every_sweeps);
             let on_stop = ckpt.policy.on_early_stop && report.decision == SweepDecision::Stop;
             if report.fatal.is_none() && (periodic || on_stop) && next_sweep < self.iterations {
-                let state = self.capture(next_sweep);
+                // The clock covers capture too: the sweep pays the whole
+                // boundary stall, not just the writer's share of it.
                 let start = Instant::now();
+                let state = self.capture(next_sweep);
                 if ckpt.writer.write(&state).is_ok() {
                     report.ckpt_write = Some(start.elapsed());
                 }

@@ -63,4 +63,4 @@ pub use grid::{Grid2D, Parity};
 pub use label::{Label, LabelKind, LabelSpace};
 pub use labeling::Labeling;
 pub use precision::EnergyQuantizer;
-pub use topology::Topology;
+pub use topology::{fnv1a, Topology};

@@ -162,32 +162,36 @@ impl Topology {
     }
 
     /// FNV-1a fingerprint of the canonical adjacency (site count,
-    /// offsets, neighbour lists). Two topologies fingerprint equal iff
-    /// they are the same interference graph; the lattice layout tag does
-    /// not participate, so `from_grid` and an equivalent `from_edges`
-    /// agree.
+    /// offsets, neighbour lists, each as 8 little-endian bytes). Two
+    /// topologies fingerprint equal iff they are the same interference
+    /// graph; the lattice layout tag does not participate, so
+    /// `from_grid` and an equivalent `from_edges` agree.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        let mut mix = |value: usize| {
-            let mut v = value as u64;
-            for _ in 0..8 {
-                hash ^= v & 0xff;
-                hash = hash.wrapping_mul(PRIME);
-                v >>= 8;
-            }
-        };
-        mix(self.len());
-        for &o in &self.offsets {
-            mix(o);
-        }
-        for &n in &self.neighbors {
-            mix(n);
-        }
-        hash
+        std::iter::once(&self.len())
+            .chain(&self.offsets)
+            .chain(&self.neighbors)
+            .fold(FNV_OFFSET, |hash, &value| {
+                fnv_fold(hash, &(value as u64).to_le_bytes())
+            })
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a 64-bit hash over `bytes`.
+fn fnv_fold(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a 64-bit hash of `bytes` — the workspace's one non-cryptographic
+/// digest: topology fingerprints, shard site-list digests, and the
+/// checkpoint payload checksum.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv_fold(FNV_OFFSET, bytes)
 }
 
 #[cfg(test)]
@@ -282,5 +286,20 @@ mod tests {
                 .expect("still valid")
                 .fingerprint()
         );
+    }
+
+    #[test]
+    fn digest_matches_the_published_fnv_vectors_and_the_fingerprint() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        // The fingerprint is the same digest over the adjacency words.
+        let topology = Topology::from_grid(Grid2D::new(3, 2), Neighborhood::FirstOrder);
+        let sites = topology.len();
+        let words = std::iter::once(&sites)
+            .chain(&topology.offsets)
+            .chain(&topology.neighbors);
+        let bytes: Vec<u8> = words.flat_map(|&w| (w as u64).to_le_bytes()).collect();
+        assert_eq!(topology.fingerprint(), fnv1a(&bytes));
     }
 }
