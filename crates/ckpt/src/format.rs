@@ -340,7 +340,14 @@ fn push_hex_u64(out: &mut String, value: u64) {
     out.push('"');
 }
 
-fn parse_hex_u64(parser: &mut Parser<'_>) -> Result<u64, de::Error> {
+/// Parses a `u64` carried as a 16-digit hex string — the workspace's one
+/// reader for integers the vendored JSON layer cannot carry as numbers.
+///
+/// # Errors
+///
+/// A parse error unless the next value is a string of exactly 16 hex
+/// digits.
+pub fn parse_hex_u64(parser: &mut Parser<'_>) -> Result<u64, de::Error> {
     let hex = parser.parse_string()?;
     if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(parser.error("expected a 16-digit hex string"));
@@ -351,7 +358,11 @@ fn parse_hex_u64(parser: &mut Parser<'_>) -> Result<u64, de::Error> {
 /// Walks one JSON object, handing each key to `field` with the parser
 /// positioned at its value. Keys `field` declines (returns `false`) are
 /// skipped, so a reader tolerates head fields it does not know.
-fn parse_object(
+///
+/// # Errors
+///
+/// A parse error on malformed JSON, or whatever `field` returns.
+pub fn parse_object(
     parser: &mut Parser<'_>,
     mut field: impl FnMut(&str, &mut Parser<'_>) -> Result<bool, de::Error>,
 ) -> Result<(), de::Error> {

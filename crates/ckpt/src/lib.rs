@@ -61,6 +61,9 @@ mod store;
 pub mod harness;
 
 pub use error::CkptError;
-pub use format::{decode, encode, open_envelope, seal, verify_binding, Checkpoint, FORMAT_VERSION};
+pub use format::{
+    decode, encode, open_envelope, parse_hex_u64, parse_object, seal, verify_binding, Checkpoint,
+    FORMAT_VERSION,
+};
 pub use mogs_mrf::fnv1a;
 pub use store::{sanitize_key, CheckpointStore, GcReason, GcReport, ScanEntry, ScanReport};

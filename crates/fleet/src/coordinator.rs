@@ -5,11 +5,18 @@
 //!
 //! The coordinator drives all workers through one color phase at a
 //! time: `Phase` out, `PhaseDone` (every owned site of the group) back,
-//! merged into the coordinator's **mirror plane**, then re-broadcast as
-//! `Halo` so every shard's plane holds the labels the next phase's
-//! gathers read. Phases are barriers; sweeps are sequences of phases;
-//! the mirror after phase `g` equals, bit for bit, the engine's plane
-//! at the same point.
+//! merged into the coordinator's **mirror plane**, then each worker is
+//! sent, as `Halo`, the labels of exactly the sites of that color in
+//! its shards' audited `halo_in` sets — read from the mirror — so every
+//! shard's plane holds the labels the next phase's gathers read.
+//! Phases are barriers; sweeps are sequences of phases; the mirror
+//! after phase `g` equals, bit for bit, the engine's plane at the same
+//! point.
+//!
+//! Bring-up is overlapped: every worker is launched first, the mirror
+//! runner is built (and the job's structure derived from it) while they
+//! boot, then every `Assign` goes out before any `AssignOk` is awaited,
+//! so the shards build concurrently.
 //!
 //! # The bit-identity argument
 //!
@@ -38,9 +45,9 @@
 //! [`FleetConfig::max_migrations`]; exhaustion is a typed
 //! [`FleetError::FleetCollapse`], never a hang.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::collections::VecDeque;
+use std::net::TcpListener;
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
@@ -54,12 +61,10 @@ use crate::error::{FleetError, FleetResult};
 use crate::exec::{build_shard, kernel_name, FleetStructure, ShardExec};
 use crate::partition::{partition, Partition};
 use crate::spec::FleetSpec;
-use crate::wire::{recv_to_coordinator, rpc_ping, send_to_worker, Conn, ToCoordinator, ToWorker};
+use crate::wire::{
+    recv_to_coordinator, rpc_ping, send_to_worker, Conn, ToCoordinator, ToWorker, Traffic,
+};
 use crate::worker::{worker_main, WORKER_ENV};
-
-/// What a successful spawn attempt yields: the established connection
-/// plus whichever process/thread handle the launcher produced.
-type SpawnedWorker = (Conn, Option<Child>, Option<JoinHandle<FleetResult<()>>>);
 
 /// Checkpoint key of the coordinator's whole-plane state.
 pub const COORD_KEY: &str = "fleet-coord";
@@ -200,6 +205,13 @@ pub struct FleetOutput {
     pub migrations: usize,
     /// Worker processes (or threads) launched over the run.
     pub workers_spawned: usize,
+    /// Frames sent and received on every worker stream of the run.
+    pub wire_frames: u64,
+    /// Bytes the coordinator wrote to its workers, length prefixes
+    /// included.
+    pub wire_bytes_out: u64,
+    /// Bytes the coordinator read from its workers.
+    pub wire_bytes_in: u64,
 }
 
 impl FleetOutput {
@@ -233,23 +245,29 @@ impl FleetOutput {
 /// migration budget runs out, `Checkpoint` on store or binding
 /// failures, `Unsupported` for structurally impossible configurations.
 pub fn run_fleet(spec: &FleetSpec, config: &FleetConfig) -> FleetResult<FleetOutput> {
-    let mut coordinator = Coordinator::launch(spec, config)?;
-    let result = coordinator.run();
-    coordinator.teardown(result.is_err());
-    result
+    // On any failure the coordinator is dropped here, and every slot
+    // reaps its worker on drop.
+    Coordinator::launch(spec, config)?.run()
 }
 
+/// The listening socket one worker is launched against. Every launch
+/// binds its own, so the connection it accepts provably belongs to the
+/// process it spawned — which lets a whole fleet boot concurrently.
 enum Listener {
     Tcp(TcpListener),
     Unix(UnixListener, PathBuf),
 }
 
 impl Listener {
+    /// Binds a non-blocking listener and returns it with its address in
+    /// [`crate::worker::connect`]'s format.
     fn bind(kind: TransportKind) -> FleetResult<(Self, String)> {
+        let configured = |e| FleetError::io("configuring listener", e);
         match kind {
             TransportKind::Tcp => {
                 let listener = TcpListener::bind("127.0.0.1:0")
                     .map_err(|e| FleetError::io("binding loopback listener", e))?;
+                listener.set_nonblocking(true).map_err(configured)?;
                 let addr = listener
                     .local_addr()
                     .map_err(|e| FleetError::io("reading listener address", e))?;
@@ -263,38 +281,28 @@ impl Listener {
                 let _ = std::fs::remove_file(&path);
                 let listener = UnixListener::bind(&path)
                     .map_err(|e| FleetError::io("binding unix listener", e))?;
+                listener.set_nonblocking(true).map_err(configured)?;
                 let addr = format!("unix:{}", path.display());
                 Ok((Listener::Unix(listener, path), addr))
             }
         }
     }
 
-    /// Accepts one connection within `deadline`, polling non-blocking.
+    /// Accepts the worker's connection within `deadline`, polling with a
+    /// doubling back-off (100 µs up to 5 ms) so a worker that is already
+    /// there costs no sleep quantum.
     fn accept(&self, deadline: Duration) -> FleetResult<Conn> {
         let start = std::time::Instant::now();
-        let set_nonblocking = |on: bool| -> std::io::Result<()> {
-            match self {
-                Listener::Tcp(l) => l.set_nonblocking(on),
-                Listener::Unix(l, _) => l.set_nonblocking(on),
-            }
-        };
-        set_nonblocking(true).map_err(|e| FleetError::io("configuring listener", e))?;
+        let mut pause = Duration::from_micros(100);
         loop {
-            let accepted: std::io::Result<Conn> = match self {
-                Listener::Tcp(l) => l.accept().map(|(s, _)| {
-                    let _ = TcpStream::set_nodelay(&s, true);
-                    Conn::Tcp(s)
-                }),
-                Listener::Unix(l, _) => l.accept().map(|(s, _): (UnixStream, _)| Conn::Unix(s)),
+            let accepted = match self {
+                Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::tcp(s)),
+                Listener::Unix(l, _) => l.accept().map(|(s, _)| Conn::unix(s)),
             };
             match accepted {
-                Ok(conn) => {
-                    let _ = set_nonblocking(false);
-                    return Ok(conn);
-                }
+                Ok(conn) => return Ok(conn),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if start.elapsed() > deadline {
-                        let _ = set_nonblocking(false);
                         return Err(FleetError::Spawn {
                             reason: format!(
                                 "worker did not connect within {} ms",
@@ -302,12 +310,10 @@ impl Listener {
                             ),
                         });
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    std::thread::sleep(pause);
+                    pause = (pause * 2).min(Duration::from_millis(5));
                 }
-                Err(e) => {
-                    let _ = set_nonblocking(false);
-                    return Err(FleetError::io("accepting worker connection", e));
-                }
+                Err(e) => return Err(FleetError::io("accepting worker connection", e)),
             }
         }
     }
@@ -329,6 +335,88 @@ struct Slot {
     alive: bool,
 }
 
+impl Slot {
+    /// Launches one worker against a listener of its own; the slot has
+    /// no connection until [`Slot::connect`] accepts it.
+    fn start(config: &FleetConfig, shards: &[usize]) -> FleetResult<(Listener, Slot)> {
+        let (listener, addr) = Listener::bind(config.transport)?;
+        let failed = |e: std::io::Error| FleetError::Spawn {
+            reason: format!("launching a {:?} worker: {e}", config.launcher),
+        };
+        let command = match &config.launcher {
+            Launcher::Program(path) => {
+                let mut command = Command::new(path);
+                command.arg(&addr);
+                Some(command)
+            }
+            Launcher::SelfExec => {
+                let mut command = Command::new(std::env::current_exe().map_err(failed)?);
+                command.env(WORKER_ENV, &addr);
+                Some(command)
+            }
+            Launcher::InProcess => None,
+        };
+        let (child, thread) = match command {
+            Some(mut command) => {
+                let child = command.stdin(Stdio::null()).spawn().map_err(failed)?;
+                (Some(child), None)
+            }
+            None => (None, Some(std::thread::spawn(move || worker_main(&addr)))),
+        };
+        let slot = Slot {
+            conn: None,
+            child,
+            thread,
+            shards: shards.to_vec(),
+            alive: true,
+        };
+        Ok((listener, slot))
+    }
+
+    /// Waits for the launched worker's connection.
+    fn connect(mut self, listener: &Listener, deadline: Duration) -> FleetResult<Slot> {
+        self.conn = Some(listener.accept(deadline)?);
+        Ok(self)
+    }
+
+    /// Launches one worker and waits for its connection, retrying with
+    /// exponential backoff.
+    fn spawn(config: &FleetConfig, shards: &[usize]) -> FleetResult<Slot> {
+        let mut attempt = 0u32;
+        loop {
+            let spawned = Slot::start(config, shards)
+                .and_then(|(listener, slot)| slot.connect(&listener, config.rpc_deadline));
+            match spawned {
+                Err(_) if attempt < config.max_retries => {
+                    std::thread::sleep(config.backoff_base.saturating_mul(1 << attempt.min(16)));
+                    attempt += 1;
+                }
+                settled => return settled,
+            }
+        }
+    }
+
+    /// Closes the stream, kills and waits the child, joins the thread
+    /// (a worker errors out promptly once its stream is gone).
+    fn shut_down(&mut self) {
+        self.alive = false;
+        self.conn = None;
+        if let Some(mut child) = self.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.shut_down();
+    }
+}
+
 struct Coordinator {
     spec: FleetSpec,
     config: FleetConfig,
@@ -342,16 +430,19 @@ struct Coordinator {
     hist: Vec<u32>,
     slots: Vec<Slot>,
     /// Owning slot per site (site → slot index), kept in sync with
-    /// every (re)assignment for halo filtering.
+    /// every (re)assignment; replies are checked against it.
     owner_slot: Vec<usize>,
-    listener: Listener,
-    addr: String,
+    /// `halo_sites[slot][group]`: the sites of that color the slot's
+    /// shards read but do not own — exactly what its `Halo` carries.
+    halo_sites: Vec<Vec<Vec<usize>>>,
     store: Option<CheckpointStore>,
     migrations: usize,
     workers_spawned: usize,
     degraded: Option<Degraded>,
     nonce: u64,
     start_sweep: usize,
+    /// Traffic of streams already closed; live ones are added on reap.
+    traffic: Traffic,
 }
 
 impl Coordinator {
@@ -373,18 +464,28 @@ impl Coordinator {
                 reason: "stop/resume requires a checkpoint store".to_string(),
             });
         }
-        let structure = FleetStructure::of(spec)?;
-        let partition = partition(&structure, config.workers)?;
-        let all_cells: Vec<(usize, usize)> = (0..structure.group_count())
-            .flat_map(|g| (0..structure.cells[g].len()).map(move |c| (g, c)))
+        // Every worker boots while the coordinator admits the job. An
+        // early return drops the started slots, which reaps them.
+        let started: Vec<FleetResult<(Listener, Slot)>> = (0..config.workers)
+            .map(|shard| Slot::start(config, &[shard]))
             .collect();
-        let reference = build_shard(spec, &all_cells)?;
+        // The mirror runner never phases, so the cheapest shard will do:
+        // whatever it owns, it carries the whole decomposition and plane.
+        let reference = build_shard(spec, &[(0, 0)])?;
+        let structure = FleetStructure::from_shard(spec, reference.as_ref())?;
+        let partition = partition(&structure, config.workers)?;
         let mirror = reference.snapshot();
         let store = match &config.checkpoint {
             Some(ck) => Some(CheckpointStore::open(&ck.dir, ck.retain)?),
             None => None,
         };
-        let (listener, addr) = Listener::bind(config.transport)?;
+        let mut slots = Vec::with_capacity(config.workers);
+        for (shard, started) in started.into_iter().enumerate() {
+            let connected = started
+                .and_then(|(listener, slot)| slot.connect(&listener, config.rpc_deadline))
+                .or_else(|_| Slot::spawn(config, &[shard]))?;
+            slots.push(connected);
+        }
         let sites = structure.sites;
         let labels = structure.labels;
         let mut coordinator = Coordinator {
@@ -396,28 +497,29 @@ impl Coordinator {
             mirror,
             energy_trace: Vec::new(),
             hist: vec![0u32; sites * labels],
-            slots: Vec::new(),
+            slots,
             owner_slot: vec![0; sites],
-            listener,
-            addr,
+            halo_sites: Vec::new(),
             store,
             migrations: 0,
-            workers_spawned: 0,
+            workers_spawned: config.workers,
             degraded: None,
             nonce: 0,
             start_sweep: 0,
+            traffic: Traffic::default(),
         };
         if config.resume {
             coordinator.load_resume()?;
         }
-        for shard in 0..config.workers {
-            let slot = coordinator.spawn_slot(vec![shard])?;
-            coordinator.slots.push(slot);
-        }
         coordinator.rebuild_owner_map();
+        // Every Assign goes out before any AssignOk is awaited, so the
+        // shards build concurrently.
         let (start, mirror) = (coordinator.start_sweep, coordinator.mirror.clone());
         for idx in 0..coordinator.slots.len() {
-            coordinator.assign_slot(idx, &mirror, start, &[])?;
+            coordinator.send_assign(idx, &mirror, start, &[])?;
+        }
+        for idx in 0..coordinator.slots.len() {
+            coordinator.await_assign_ok(idx)?;
         }
         Ok(coordinator)
     }
@@ -443,6 +545,8 @@ impl Coordinator {
         })
     }
 
+    /// Recomputes, from the slots' current shard lists, who owns each
+    /// site and which halo sites each slot is sent per color.
     fn rebuild_owner_map(&mut self) {
         for (idx, slot) in self.slots.iter().enumerate() {
             for &shard in &slot.shards {
@@ -451,6 +555,11 @@ impl Coordinator {
                 }
             }
         }
+        self.halo_sites = self
+            .slots
+            .iter()
+            .map(|slot| self.partition.halo_by_group(&self.structure, &slot.shards))
+            .collect();
     }
 
     fn live_slots(&self) -> Vec<usize> {
@@ -459,75 +568,16 @@ impl Coordinator {
             .collect()
     }
 
-    /// Launches one worker and waits for its connection, retrying with
-    /// exponential backoff.
-    fn spawn_slot(&mut self, shards: Vec<usize>) -> FleetResult<Slot> {
-        let mut attempt = 0u32;
-        loop {
-            match self.try_spawn() {
-                Ok((conn, child, thread)) => {
-                    self.workers_spawned += 1;
-                    return Ok(Slot {
-                        conn: Some(conn),
-                        child,
-                        thread,
-                        shards,
-                        alive: true,
-                    });
-                }
-                Err(err) if attempt < self.config.max_retries => {
-                    let backoff = self
-                        .config
-                        .backoff_base
-                        .saturating_mul(1 << attempt.min(16));
-                    std::thread::sleep(backoff);
-                    attempt += 1;
-                    let _ = err;
-                }
-                Err(err) => return Err(err),
-            }
-        }
+    fn owned_by(&self, idx: usize) -> usize {
+        let shards = &self.slots[idx].shards;
+        shards
+            .iter()
+            .map(|&s| self.partition.shards[s].owned.len())
+            .sum()
     }
 
-    fn try_spawn(&self) -> FleetResult<SpawnedWorker> {
-        match &self.config.launcher {
-            Launcher::Program(path) => {
-                let child = Command::new(path)
-                    .arg(&self.addr)
-                    .stdin(Stdio::null())
-                    .spawn()
-                    .map_err(|e| FleetError::Spawn {
-                        reason: format!("launching {}: {e}", path.display()),
-                    })?;
-                let conn = self.listener.accept(self.config.rpc_deadline)?;
-                Ok((conn, Some(child), None))
-            }
-            Launcher::SelfExec => {
-                let exe = std::env::current_exe().map_err(|e| FleetError::Spawn {
-                    reason: format!("resolving current executable: {e}"),
-                })?;
-                let child = Command::new(exe)
-                    .env(WORKER_ENV, &self.addr)
-                    .stdin(Stdio::null())
-                    .spawn()
-                    .map_err(|e| FleetError::Spawn {
-                        reason: format!("self-exec: {e}"),
-                    })?;
-                let conn = self.listener.accept(self.config.rpc_deadline)?;
-                Ok((conn, Some(child), None))
-            }
-            Launcher::InProcess => {
-                let addr = self.addr.clone();
-                let thread = std::thread::spawn(move || worker_main(&addr));
-                let conn = self.listener.accept(self.config.rpc_deadline)?;
-                Ok((conn, None, Some(thread)))
-            }
-        }
-    }
-
-    /// Sends a fresh `Assign` for everything `slot` owns and waits for
-    /// `AssignOk`, discarding stale replies from a superseded exchange.
-    fn assign_slot(
+    /// Sends a fresh `Assign` for everything slot `idx` owns.
+    fn send_assign(
         &mut self,
         idx: usize,
         plane: &[u8],
@@ -539,11 +589,6 @@ impl Coordinator {
             .iter()
             .flat_map(|&s| self.partition.shards[s].cells.iter().copied())
             .collect();
-        let expected_owned: usize = self.slots[idx]
-            .shards
-            .iter()
-            .map(|&s| self.partition.shards[s].owned.len())
-            .sum();
         let msg = ToWorker::Assign {
             spec: self.spec.clone(),
             cells,
@@ -551,7 +596,13 @@ impl Coordinator {
             resume_sweep,
             replay: replay.to_vec(),
         };
-        self.send_slot(idx, &msg)?;
+        self.send_slot(idx, &msg)
+    }
+
+    /// Waits for the `AssignOk` of slot `idx`, discarding stale replies
+    /// from a superseded exchange.
+    fn await_assign_ok(&mut self, idx: usize) -> FleetResult<()> {
+        let expected_owned = self.owned_by(idx);
         loop {
             match self.recv_slot(idx, "assign")? {
                 ToCoordinator::AssignOk { owned } => {
@@ -579,15 +630,18 @@ impl Coordinator {
         }
     }
 
-    fn send_slot(&mut self, idx: usize, msg: &ToWorker) -> FleetResult<()> {
-        let conn = self.slots[idx]
+    fn conn(&mut self, idx: usize) -> FleetResult<&mut Conn> {
+        self.slots[idx]
             .conn
             .as_mut()
-            .ok_or(FleetError::WorkerLost {
+            .ok_or_else(|| FleetError::WorkerLost {
                 slot: idx,
                 reason: "connection already torn down".to_string(),
-            })?;
-        send_to_worker(conn, msg).map_err(|e| match e {
+            })
+    }
+
+    fn send_slot(&mut self, idx: usize, msg: &ToWorker) -> FleetResult<()> {
+        send_to_worker(self.conn(idx)?, msg).map_err(|e| match e {
             FleetError::Io { context, source } => FleetError::WorkerLost {
                 slot: idx,
                 reason: format!("send failed while {context}: {source}"),
@@ -598,37 +652,23 @@ impl Coordinator {
 
     fn recv_slot(&mut self, idx: usize, rpc: &'static str) -> FleetResult<ToCoordinator> {
         let deadline = self.config.rpc_deadline;
-        let conn = self.slots[idx]
-            .conn
-            .as_mut()
-            .ok_or(FleetError::WorkerLost {
-                slot: idx,
-                reason: "connection already torn down".to_string(),
-            })?;
-        recv_to_coordinator(conn, Some(deadline), rpc)
+        recv_to_coordinator(self.conn(idx)?, Some(deadline), rpc)
     }
 
-    /// Reaps a condemned slot: closes the stream, kills and waits the
-    /// child, detaches the thread.
+    /// Reaps a condemned (or finished) slot, keeping its traffic count,
+    /// and returns the shards it held.
     fn reap(&mut self, idx: usize) -> Vec<usize> {
         let slot = &mut self.slots[idx];
-        slot.alive = false;
-        slot.conn = None;
-        if let Some(mut child) = slot.child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
+        if let Some(conn) = &slot.conn {
+            self.traffic.absorb(conn.traffic());
         }
-        if let Some(thread) = slot.thread.take() {
-            // The worker errors out promptly once its stream is gone.
-            let _ = thread.join();
-        }
+        slot.shut_down();
         std::mem::take(&mut slot.shards)
     }
 
-    fn collapse(&mut self, reason: String) -> FleetError {
-        for idx in 0..self.slots.len() {
-            self.reap(idx);
-        }
+    /// The migration budget is spent; the caller fails the job, and the
+    /// dropped coordinator reaps whoever is left.
+    fn collapse(&self, reason: String) -> FleetError {
         FleetError::FleetCollapse {
             migrations: self.migrations,
             max_migrations: self.config.max_migrations,
@@ -695,18 +735,15 @@ impl Coordinator {
             let shards = self.reap(failed);
             self.cross_check_boundary(&shards, boundary, sweep)?;
             let target = if self.config.respawn {
-                let slot = self.spawn_slot(shards)?;
-                self.slots[failed] = slot;
+                self.slots[failed] = Slot::spawn(&self.config, &shards)?;
+                self.workers_spawned += 1;
                 failed
             } else {
-                let Some(target) = self.live_slots().into_iter().min_by_key(|&i| {
-                    let owned: usize = self.slots[i]
-                        .shards
-                        .iter()
-                        .map(|&s| self.partition.shards[s].owned.len())
-                        .sum();
-                    (owned, i)
-                }) else {
+                let Some(target) = self
+                    .live_slots()
+                    .into_iter()
+                    .min_by_key(|&i| (self.owned_by(i), i))
+                else {
                     return Err(self.collapse(format!(
                         "slot {failed} died at sweep {sweep} with no survivors to adopt its shard"
                     )));
@@ -719,7 +756,10 @@ impl Coordinator {
                 target
             };
             self.rebuild_owner_map();
-            match self.assign_slot(target, boundary, sweep, replay) {
+            let assigned = self
+                .send_assign(target, boundary, sweep, replay)
+                .and_then(|()| self.await_assign_ok(target));
+            match assigned {
                 Ok(()) => return Ok(target),
                 Err(e) if e.is_migratable() => {
                     failed = target;
@@ -730,8 +770,9 @@ impl Coordinator {
     }
 
     /// Dispatches and collects one color phase across the fleet,
-    /// surviving worker deaths mid-phase. Returns the merged updates
-    /// (every site of the group, exactly once).
+    /// surviving worker deaths mid-phase, and merges the replies into
+    /// the mirror. Returns the phase's log entry: every site of the
+    /// group with its new label, exactly once.
     fn run_group(
         &mut self,
         sweep: usize,
@@ -774,30 +815,42 @@ impl Coordinator {
             pending.retain(|&x| x != target);
             pending.push_back(target);
         }
-        let mut collected: BTreeMap<usize, Vec<(usize, u8)>> = BTreeMap::new();
+        // One reply per slot. A slot that answers again after adopting
+        // a shard covers the union of its shards, replacing its entry.
+        let mut replies: Vec<Option<Vec<(usize, u8)>>> = vec![None; self.slots.len()];
         while let Some(idx) = pending.pop_front() {
             if !self.slots[idx].alive {
                 continue;
             }
             match self.recv_phase_done(idx, sweep, group) {
-                Ok(updates) => {
-                    collected.insert(idx, updates);
-                }
+                Ok(updates) => replies[idx] = Some(updates),
                 Err(e) if e.is_migratable() => {
                     let target = self.recover(idx, sweep, boundary, phase_log)?;
                     self.send_slot(target, &phase)?;
-                    // The fresh reply covers the union of the target's
-                    // shards; any earlier collection of it is subsumed.
-                    collected.remove(&target);
                     pending.retain(|&x| x != target);
                     pending.push_back(target);
                 }
                 Err(e) => return Err(e),
             }
         }
-        Ok(collected.into_values().flatten().collect())
+        let mut merged = Vec::with_capacity(replies.iter().flatten().map(Vec::len).sum());
+        for (idx, updates) in replies.into_iter().enumerate() {
+            // A slot that replied and was reaped afterwards is covered
+            // by whoever took its shards over.
+            let Some(updates) = updates.filter(|_| self.slots[idx].alive) else {
+                continue;
+            };
+            for &(site, label) in &updates {
+                self.mirror[site] = label;
+            }
+            merged.extend(updates);
+        }
+        Ok(merged)
     }
 
+    /// Receives slot `idx`'s reply to `Phase{sweep, group}`, checked
+    /// against the plane: every site must be one the slot owns, every
+    /// label inside the space.
     fn recv_phase_done(
         &mut self,
         idx: usize,
@@ -810,7 +863,21 @@ impl Coordinator {
                     sweep: s,
                     group: g,
                     updates,
-                } if (s, g) == (sweep, group) => return Ok(updates),
+                } if (s, g) == (sweep, group) => {
+                    let labels = self.structure.labels;
+                    let foreign = updates.iter().find(|&&(site, label)| {
+                        self.owner_slot.get(site) != Some(&idx) || usize::from(label) >= labels
+                    });
+                    if let Some((site, label)) = foreign {
+                        return Err(FleetError::Protocol {
+                            reason: format!(
+                                "slot {idx} reported ({site}, {label}), which is not a site \
+                                 it owns or not a label of the {labels}-label space"
+                            ),
+                        });
+                    }
+                    return Ok(updates);
+                }
                 // Replies from a superseded exchange; drop them.
                 ToCoordinator::PhaseDone { .. } | ToCoordinator::Pong { .. } => continue,
                 ToCoordinator::Fault { reason } => {
@@ -825,27 +892,27 @@ impl Coordinator {
         }
     }
 
-    /// Broadcasts the merged phase updates to every slot that does not
-    /// own them. A failed send condemns the slot like any other death —
-    /// its replacement is rebuilt from the boundary with the full log
-    /// (including this phase), so nothing is lost.
-    fn broadcast_halo(
+    /// Sends every live slot the freshly merged labels of its halo sites
+    /// of color `group` — nothing at all when it has none. A failed send
+    /// condemns the slot like any other death — its replacement is
+    /// rebuilt from the boundary with the full log (including this
+    /// phase), so nothing is lost.
+    fn send_halos(
         &mut self,
         sweep: usize,
-        updates: &[(usize, u8)],
+        group: usize,
         boundary: &[u8],
         phase_log: &[Vec<(usize, u8)>],
     ) -> FleetResult<()> {
         for idx in self.live_slots() {
-            let filtered: Vec<(usize, u8)> = updates
+            let updates: Vec<(usize, u8)> = self.halo_sites[idx][group]
                 .iter()
-                .filter(|&&(site, _)| self.owner_slot[site] != idx)
-                .copied()
+                .map(|&site| (site, self.mirror[site]))
                 .collect();
-            if filtered.is_empty() {
+            if updates.is_empty() {
                 continue;
             }
-            match self.send_slot(idx, &ToWorker::Halo { updates: filtered }) {
+            match self.send_slot(idx, &ToWorker::Halo { updates }) {
                 Ok(()) => {}
                 Err(e) if e.is_migratable() => {
                     self.recover(idx, sweep, boundary, phase_log)?;
@@ -864,14 +931,10 @@ impl Coordinator {
             self.nonce += 1;
             let nonce = self.nonce;
             let deadline = self.config.heartbeat;
-            let result = match self.slots[idx].conn.as_mut() {
-                Some(conn) => rpc_ping(conn, nonce, deadline),
-                None => Err(FleetError::WorkerLost {
-                    slot: idx,
-                    reason: "connection already torn down".to_string(),
-                }),
-            };
-            match result {
+            match self
+                .conn(idx)
+                .and_then(|conn| rpc_ping(conn, nonce, deadline))
+            {
                 Ok(()) => {}
                 Err(e) if e.is_migratable() => {
                     self.recover(idx, next_sweep, &boundary, &[])?;
@@ -997,12 +1060,9 @@ impl Coordinator {
             let boundary = self.mirror.clone();
             let mut phase_log: Vec<Vec<(usize, u8)>> = Vec::with_capacity(groups);
             for group in 0..groups {
-                let updates = self.run_group(sweep, group, &boundary, &phase_log)?;
-                for &(site, label) in &updates {
-                    self.mirror[site] = label;
-                }
-                phase_log.push(updates.clone());
-                self.broadcast_halo(sweep, &updates, &boundary, &phase_log)?;
+                let merged = self.run_group(sweep, group, &boundary, &phase_log)?;
+                phase_log.push(merged);
+                self.send_halos(sweep, group, &boundary, &phase_log)?;
             }
             completed = sweep + 1;
             // The engine's sweep-boundary bookkeeping, replicated on the
@@ -1054,6 +1114,9 @@ impl Coordinator {
             degraded: self.degraded,
             migrations: self.migrations,
             workers_spawned: self.workers_spawned,
+            wire_frames: self.traffic.frames,
+            wire_bytes_out: self.traffic.bytes_out,
+            wire_bytes_in: self.traffic.bytes_in,
         })
     }
 
@@ -1072,14 +1135,6 @@ impl Coordinator {
                 }
             }
             self.reap(idx);
-        }
-    }
-
-    fn teardown(&mut self, failed: bool) {
-        if failed {
-            for idx in 0..self.slots.len() {
-                self.reap(idx);
-            }
         }
     }
 }

@@ -266,7 +266,14 @@ impl FleetStructure {
     /// a typed refusal rather than trusted).
     pub fn of(spec: &FleetSpec) -> FleetResult<Self> {
         // Any single valid cell admits the job; (0, 0) always exists.
-        let probe = build_shard(spec, &[(0, 0)])?;
+        Self::from_shard(spec, build_shard(spec, &[(0, 0)])?.as_ref())
+    }
+
+    /// [`FleetStructure::of`] over a shard of `spec` that is already
+    /// built — every shard carries the whole decomposition, so the
+    /// coordinator derives the structure from its mirror runner instead
+    /// of admitting the job once more.
+    pub(crate) fn from_shard(spec: &FleetSpec, probe: &dyn ShardExec) -> FleetResult<Self> {
         let groups = probe.group_count();
         let mut cells = Vec::with_capacity(groups);
         let mut classes = Vec::with_capacity(groups);

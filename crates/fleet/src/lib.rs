@@ -3,7 +3,7 @@
 //! migration.
 //!
 //! The engine (`mogs-engine`) runs one job inside one process. This
-//! crate scales the same job across *processes*: a coordinator
+//! crate runs the same job across *processes*: a coordinator
 //! partitions the plane into chunk-aligned shards (audited by
 //! `mogs-audit`), drives N spawned workers over length-prefixed
 //! TCP/Unix-socket framing, and — the point of the crate — keeps the
@@ -20,8 +20,8 @@
 //!   ([`run_in_process`]) the repro harness compares against.
 //! - [`partition`]: chunk-aligned greedy partitioning with halo sets,
 //!   independently re-proved by `mogs_audit::verify_sharding`.
-//! - [`wire`]: the framed message protocol (hex-encoded integers and
-//!   f64 bit patterns — exact through the vendored JSON layer).
+//! - [`wire`]: the framed message protocol (a one-line JSON head, then
+//!   label columns and planes as raw little-endian sections).
 //! - [`worker`] / [`coordinator`]: the two protocol ends. Workers are
 //!   deliberately stateless-on-failure; all recovery decisions live in
 //!   the coordinator ([`run_fleet`]).

@@ -72,6 +72,34 @@ impl Partition {
     pub fn is_empty(&self) -> bool {
         self.shards.is_empty()
     }
+
+    /// The halo exchange sets of a worker holding `shards`: per color
+    /// group, ascending, the sites of that color its shards read
+    /// (`halo_in`) and none of them owns. After phase `g` the worker
+    /// needs the new labels of `result[g]` and of nothing else.
+    #[must_use]
+    pub fn halo_by_group(&self, structure: &FleetStructure, shards: &[usize]) -> Vec<Vec<usize>> {
+        let mut wanted = vec![false; self.owner.len()];
+        for &shard in shards {
+            for &site in &self.shards[shard].halo_in {
+                wanted[site] = !shards.contains(&self.owner[site]);
+            }
+        }
+        structure
+            .cells
+            .iter()
+            .map(|chunks| {
+                let mut sites: Vec<usize> = chunks
+                    .iter()
+                    .flatten()
+                    .copied()
+                    .filter(|&site| wanted[site])
+                    .collect();
+                sites.sort_unstable();
+                sites
+            })
+            .collect()
+    }
 }
 
 /// Splits the structure's cells into `shards` shards: greedy

@@ -4,11 +4,12 @@
 //! shard of the job *exactly* — workload, backend, sweep budget,
 //! chunking, seed. It crosses the wire in every `Assign` message and is
 //! stored as checkpoint `meta`, so the encoding follows the workspace's
-//! envelope discipline: `u64` values travel as hex strings (the vendored
-//! JSON parser routes numbers through `f64`, which cannot carry a full
-//! 64-bit seed), `f64` values travel as their IEEE-754 bit patterns
-//! (nothing is allowed to round), and only provably-small integers ride
-//! as plain JSON numbers.
+//! envelope discipline: `u64` values travel as 16-digit hex strings
+//! (the vendored JSON parser routes numbers through `f64`, which cannot
+//! carry a full 64-bit seed; `mogs_ckpt::parse_hex_u64` is the one
+//! reader), `f64` values travel as their IEEE-754 bit patterns (nothing
+//! is allowed to round), and only provably-small integers ride as plain
+//! JSON numbers.
 //!
 //! Workloads are *descriptions*, not data: both the demo field (the
 //! `mogs-ckpt` crash-harness Potts model) and the synthetic stereo pair
@@ -16,8 +17,9 @@
 //! that parse the same spec build bit-identical MRFs without shipping
 //! pixel planes around.
 
+use mogs_ckpt::{parse_hex_u64, parse_object};
 use serde::de::{self, Parser};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::error::{FleetError, FleetResult};
 
@@ -212,7 +214,7 @@ impl FleetSpec {
                     ",\"noise_sigma\":\"{:016x}\"",
                     noise_sigma.to_bits()
                 ));
-                out.push_str(&format!(",\"scene_seed\":\"{scene_seed:x}\""));
+                out.push_str(&format!(",\"scene_seed\":\"{scene_seed:016x}\""));
                 out.push('}');
             }
         }
@@ -229,7 +231,7 @@ impl FleetSpec {
         self.iterations.serialize_json(out);
         out.push_str(",\"threads\":");
         self.threads.serialize_json(out);
-        out.push_str(&format!(",\"seed\":\"{:x}\"", self.seed));
+        out.push_str(&format!(",\"seed\":\"{:016x}\"", self.seed));
         out.push_str(",\"burn_in\":");
         self.burn_in.serialize_json(out);
         out.push('}');
@@ -250,32 +252,24 @@ impl FleetSpec {
     }
 
     pub(crate) fn parse_value(parser: &mut Parser<'_>) -> Result<Self, de::Error> {
-        parser.expect_char('{')?;
         let mut workload = None;
         let mut backend = None;
         let mut iterations = None;
         let mut threads = None;
         let mut seed = None;
         let mut burn_in = None;
-        if !parser.consume_char('}') {
-            loop {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "workload" => workload = Some(parse_workload(parser)?),
-                    "backend" => backend = Some(parse_backend(parser)?),
-                    "iterations" => iterations = Some(usize::deserialize_json(parser)?),
-                    "threads" => threads = Some(usize::deserialize_json(parser)?),
-                    "seed" => seed = Some(parse_hex_u64(parser, "seed")?),
-                    "burn_in" => burn_in = Some(usize::deserialize_json(parser)?),
-                    _ => parser.skip_value()?,
-                }
-                if !parser.consume_char(',') {
-                    break;
-                }
+        parse_object(parser, |key, parser| {
+            match key {
+                "workload" => workload = Some(parse_workload(parser)?),
+                "backend" => backend = Some(parse_backend(parser)?),
+                "iterations" => iterations = Some(usize::deserialize_json(parser)?),
+                "threads" => threads = Some(usize::deserialize_json(parser)?),
+                "seed" => seed = Some(parse_hex_u64(parser)?),
+                "burn_in" => burn_in = Some(usize::deserialize_json(parser)?),
+                _ => return Ok(false),
             }
-            parser.expect_char('}')?;
-        }
+            Ok(true)
+        })?;
         Ok(FleetSpec {
             workload: workload.ok_or_else(|| parser.error("spec is missing 'workload'"))?,
             backend: backend.ok_or_else(|| parser.error("spec is missing 'backend'"))?,
@@ -287,28 +281,13 @@ impl FleetSpec {
     }
 }
 
-use serde::Deserialize;
-
 pub(crate) fn protocol(err: de::Error) -> FleetError {
     FleetError::Protocol {
         reason: err.to_string(),
     }
 }
 
-/// Parses a `u64` carried as a hex string.
-pub(crate) fn parse_hex_u64(parser: &mut Parser<'_>, what: &str) -> Result<u64, de::Error> {
-    let text = parser.parse_string()?;
-    u64::from_str_radix(&text, 16)
-        .map_err(|_| parser.error(&format!("{what} is not a hex u64: {text:?}")))
-}
-
-/// Parses an `f64` carried as its IEEE-754 bit pattern in hex.
-pub(crate) fn parse_hex_f64(parser: &mut Parser<'_>, what: &str) -> Result<f64, de::Error> {
-    parse_hex_u64(parser, what).map(f64::from_bits)
-}
-
 fn parse_workload(parser: &mut Parser<'_>) -> Result<Workload, de::Error> {
-    parser.expect_char('{')?;
     let mut kind = None;
     let mut width = None;
     let mut height = None;
@@ -316,26 +295,20 @@ fn parse_workload(parser: &mut Parser<'_>) -> Result<Workload, de::Error> {
     let mut disparity = None;
     let mut noise_sigma = None;
     let mut scene_seed = None;
-    if !parser.consume_char('}') {
-        loop {
-            let key = parser.parse_string()?;
-            parser.expect_char(':')?;
-            match key.as_str() {
-                "kind" => kind = Some(parser.parse_string()?),
-                "width" => width = Some(usize::deserialize_json(parser)?),
-                "height" => height = Some(usize::deserialize_json(parser)?),
-                "labels" => labels = Some(u16::deserialize_json(parser)?),
-                "disparity" => disparity = Some(u8::deserialize_json(parser)?),
-                "noise_sigma" => noise_sigma = Some(parse_hex_f64(parser, "noise_sigma")?),
-                "scene_seed" => scene_seed = Some(parse_hex_u64(parser, "scene_seed")?),
-                _ => parser.skip_value()?,
-            }
-            if !parser.consume_char(',') {
-                break;
-            }
+    parse_object(parser, |key, parser| {
+        match key {
+            "kind" => kind = Some(parser.parse_string()?),
+            "width" => width = Some(usize::deserialize_json(parser)?),
+            "height" => height = Some(usize::deserialize_json(parser)?),
+            "labels" => labels = Some(u16::deserialize_json(parser)?),
+            "disparity" => disparity = Some(u8::deserialize_json(parser)?),
+            // An `f64` travels as its IEEE-754 bit pattern.
+            "noise_sigma" => noise_sigma = Some(f64::from_bits(parse_hex_u64(parser)?)),
+            "scene_seed" => scene_seed = Some(parse_hex_u64(parser)?),
+            _ => return Ok(false),
         }
-        parser.expect_char('}')?;
-    }
+        Ok(true)
+    })?;
     let kind = kind.ok_or_else(|| parser.error("workload is missing 'kind'"))?;
     let width = width.ok_or_else(|| parser.error("workload is missing 'width'"))?;
     let height = height.ok_or_else(|| parser.error("workload is missing 'height'"))?;
@@ -360,24 +333,16 @@ fn parse_workload(parser: &mut Parser<'_>) -> Result<Workload, de::Error> {
 }
 
 fn parse_backend(parser: &mut Parser<'_>) -> Result<BackendKind, de::Error> {
-    parser.expect_char('{')?;
     let mut kind = None;
     let mut replicas = None;
-    if !parser.consume_char('}') {
-        loop {
-            let key = parser.parse_string()?;
-            parser.expect_char(':')?;
-            match key.as_str() {
-                "kind" => kind = Some(parser.parse_string()?),
-                "replicas" => replicas = Some(usize::deserialize_json(parser)?),
-                _ => parser.skip_value()?,
-            }
-            if !parser.consume_char(',') {
-                break;
-            }
+    parse_object(parser, |key, parser| {
+        match key {
+            "kind" => kind = Some(parser.parse_string()?),
+            "replicas" => replicas = Some(usize::deserialize_json(parser)?),
+            _ => return Ok(false),
         }
-        parser.expect_char('}')?;
-    }
+        Ok(true)
+    })?;
     match kind.as_deref() {
         Some("softmax") => Ok(BackendKind::Softmax),
         Some("rsu") => Ok(BackendKind::Rsu {

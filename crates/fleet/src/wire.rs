@@ -1,18 +1,46 @@
-//! Length-prefixed message framing over TCP or Unix-domain sockets.
+//! Length-prefixed message framing (format v2) over TCP or Unix-domain
+//! sockets.
 //!
-//! Every frame is an 8-digit ASCII-hex byte length followed by exactly
-//! that many bytes of UTF-8 JSON. The prefix is human-greppable in a
-//! packet capture, has no endianness, and makes truncation detectable:
-//! a reader that times out mid-frame knows the stream is torn and the
-//! peer condemned — frames are never resynchronized, because a worker
-//! whose stream desynced is indistinguishable from a dead one and is
-//! migrated the same way.
+//! ```text
+//! <8 hex digits: payload length><head JSON>\n<raw little-endian sections>
+//! ```
 //!
-//! Payloads follow the workspace envelope discipline (see
-//! [`crate::spec`]): hex strings for `u64`, IEEE-754 bit patterns for
-//! `f64`, plain numbers only for provably-small integers. Label planes
-//! travel as hex strings, two digits per site, so a 10⁴-site plane is a
-//! 20 kB frame rather than a 50 kB JSON array.
+//! The ASCII-hex length prefix is human-greppable in a packet capture,
+//! has no endianness, and makes truncation detectable: a reader that
+//! times out mid-frame knows the stream is torn and the peer condemned —
+//! frames are never resynchronized, because a worker whose stream
+//! desynced is indistinguishable from a dead one and is migrated the
+//! same way.
+//!
+//! The payload is a one-line JSON *head* — the message tag, sweep and
+//! group, the [`FleetSpec`], and the element count of every section —
+//! then `\n`, then the bulk data as raw sections in the order the head
+//! declares them: a `(site, label)` update list is two fixed-width
+//! columns (`u32` sites, then `u8` labels; no varints, no compression),
+//! planes and fault text are raw bytes, `(group, chunk)` cells are `u32`
+//! pairs, and a replay log is one update list per completed group. A
+//! site index fits `u32` because a plane has to fit one frame. Encoding
+//! is the head plus `extend_from_slice`; decoding is bounds-checked
+//! slicing. Inside the head the workspace envelope discipline holds
+//! (see [`crate::spec`]): `u64` as 16-digit hex, plain numbers only for
+//! provably-small integers.
+//!
+//! A reader verifies in trust order: the **length** prefix against
+//! [`FRAME_LIMIT`] before the payload buffer exists; the **head** line,
+//! which must end within [`HEAD_LIMIT`] bytes (bounding the JSON
+//! parser's recursion) and be UTF-8; every declared **count** against
+//! the bytes actually present — overflow-checked, before anything is
+//! allocated, with trailing bytes refused — and only then the
+//! **values**, whose range checks (site inside the plane, label inside
+//! the space) belong to whoever applies them. A frame-level violation
+//! is [`FleetError::Frame`], everything inside the payload
+//! [`FleetError::Protocol`].
+//!
+//! There is one format and one reader. The v1 hex/JSON frames are
+//! refused like any other garbage rather than dual-read: both ends of a
+//! stream are always the same build (workers are spawned by their
+//! coordinator), so a second decoder would be a second trust boundary
+//! to fuzz for a peer that cannot exist.
 //!
 //! Every function on the wire path returns [`FleetResult`] — enforced
 //! by the `fleet-wire-error` audit lint rule over `send_*`/`recv_*`/
@@ -23,63 +51,108 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
+use mogs_ckpt::{parse_hex_u64, parse_object};
 use serde::de::Parser;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{FleetError, FleetResult};
-use crate::spec::{parse_hex_u64, protocol, FleetSpec};
+use crate::spec::{protocol, FleetSpec};
 
 /// Upper bound on one frame's payload, far above any plane this
 /// workspace samples; anything larger is a corrupt prefix.
 pub const FRAME_LIMIT: usize = 64 << 20;
 
+/// Upper bound on a payload's JSON head line. Heads carry a tag, a
+/// spec, and a handful of counts — a few hundred bytes; the bound keeps
+/// the recursive JSON parser's depth independent of the frame size.
+pub const HEAD_LIMIT: usize = 4096;
+
+/// Frames and bytes one stream has moved, length prefixes included.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Traffic {
+    /// Frames sent plus frames received.
+    pub frames: u64,
+    /// Bytes written to the socket.
+    pub bytes_out: u64,
+    /// Bytes read from the socket.
+    pub bytes_in: u64,
+}
+
+impl Traffic {
+    /// Adds another stream's totals to this one.
+    pub fn absorb(&mut self, other: Traffic) {
+        self.frames += other.frames;
+        self.bytes_out += other.bytes_out;
+        self.bytes_in += other.bytes_in;
+    }
+}
+
+/// What a [`Conn`] needs of a socket; both families provide it.
+trait Socket: Read + Write + Send + std::fmt::Debug {
+    fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
+}
+
+impl Socket for TcpStream {
+    fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.set_read_timeout(timeout)
+    }
+}
+
+impl Socket for UnixStream {
+    fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.set_read_timeout(timeout)
+    }
+}
+
 /// One established coordinator↔worker stream.
 #[derive(Debug)]
-pub enum Conn {
-    /// Loopback TCP.
-    Tcp(TcpStream),
-    /// Unix-domain socket.
-    Unix(UnixStream),
+pub struct Conn {
+    stream: Box<dyn Socket>,
+    /// The read timeout the socket currently has, once one was applied.
+    read_timeout: Option<Option<Duration>>,
+    traffic: Traffic,
 }
 
 impl Conn {
-    /// Applies a read timeout to the underlying socket (`None` blocks
-    /// forever).
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Io`] if the socket rejects the option.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> FleetResult<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(timeout),
-            Conn::Unix(s) => s.set_read_timeout(timeout),
-        }
-        .map_err(|e| FleetError::io("setting read timeout", e))
+    /// Wraps a loopback TCP stream. Frames are written whole and
+    /// answered immediately, so Nagle's algorithm is switched off on
+    /// both ends.
+    #[must_use]
+    pub fn tcp(stream: TcpStream) -> Self {
+        let _ = stream.set_nodelay(true);
+        Self::new(Box::new(stream))
     }
-}
 
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
+    /// Wraps a Unix-domain stream.
+    #[must_use]
+    pub fn unix(stream: UnixStream) -> Self {
+        Self::new(Box::new(stream))
     }
-}
 
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
+    fn new(stream: Box<dyn Socket>) -> Self {
+        Conn {
+            stream,
+            read_timeout: None,
+            traffic: Traffic::default(),
         }
     }
 
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
+    /// What this stream has moved so far.
+    #[must_use]
+    pub fn traffic(&self) -> Traffic {
+        self.traffic
+    }
+
+    /// Applies a read timeout (`None` blocks forever); a no-op when the
+    /// socket already has it.
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> FleetResult<()> {
+        if self.read_timeout != Some(timeout) {
+            self.stream
+                .set_timeout(timeout)
+                .map_err(|e| FleetError::io("setting read timeout", e))?;
+            self.read_timeout = Some(timeout);
         }
+        Ok(())
     }
 }
 
@@ -110,8 +183,9 @@ pub enum ToWorker {
         /// Color group index.
         group: usize,
     },
-    /// Labels sampled by other shards this phase; no acknowledgement
-    /// (stream ordering sequences it before the next `Phase`).
+    /// Labels of the shard's halo sites sampled by other shards this
+    /// phase; no acknowledgement (stream ordering sequences it before
+    /// the next `Phase`).
     Halo {
         /// `(site, label)` updates.
         updates: Vec<(usize, u8)>,
@@ -158,48 +232,14 @@ pub enum ToCoordinator {
     Bye,
 }
 
-/// Encodes a label plane as hex, two digits per site.
-#[must_use]
-pub fn encode_plane(labels: &[u8]) -> String {
-    let mut out = String::with_capacity(labels.len() * 2);
-    for &l in labels {
-        out.push_str(&format!("{l:02x}"));
-    }
-    out
-}
-
-/// Decodes a hex label plane.
-///
-/// # Errors
-///
-/// [`FleetError::Protocol`] on odd length or a non-hex digit.
-pub fn decode_plane(text: &str) -> FleetResult<Vec<u8>> {
-    let bytes = text.as_bytes();
-    if !bytes.len().is_multiple_of(2) {
-        return Err(FleetError::Protocol {
-            reason: format!("plane hex has odd length {}", bytes.len()),
-        });
-    }
-    let mut out = Vec::with_capacity(bytes.len() / 2);
-    for pair in text.as_bytes().chunks_exact(2) {
-        let hex = std::str::from_utf8(pair).map_err(|_| FleetError::Protocol {
-            reason: "plane hex is not ASCII".to_string(),
-        })?;
-        let value = u8::from_str_radix(hex, 16).map_err(|_| FleetError::Protocol {
-            reason: format!("plane hex contains non-hex pair {hex:?}"),
-        })?;
-        out.push(value);
-    }
-    Ok(out)
-}
-
-/// Writes one frame: 8-hex-digit length prefix plus payload.
+/// Writes one frame: 8-hex-digit length prefix plus payload, in a single
+/// write.
 ///
 /// # Errors
 ///
 /// [`FleetError::Frame`] when the payload exceeds [`FRAME_LIMIT`],
 /// [`FleetError::Io`] on a socket failure.
-pub fn send_frame(conn: &mut Conn, payload: &str) -> FleetResult<()> {
+pub fn send_frame(conn: &mut Conn, payload: &[u8]) -> FleetResult<()> {
     if payload.len() > FRAME_LIMIT {
         return Err(FleetError::Frame {
             reason: format!("payload of {} bytes exceeds the frame limit", payload.len()),
@@ -207,27 +247,32 @@ pub fn send_frame(conn: &mut Conn, payload: &str) -> FleetResult<()> {
     }
     let mut frame = Vec::with_capacity(payload.len() + 8);
     frame.extend_from_slice(format!("{:08x}", payload.len()).as_bytes());
-    frame.extend_from_slice(payload.as_bytes());
-    conn.write_all(&frame)
-        .and_then(|()| conn.flush())
-        .map_err(|e| FleetError::io("sending frame", e))
+    frame.extend_from_slice(payload);
+    conn.stream
+        .write_all(&frame)
+        .and_then(|()| conn.stream.flush())
+        .map_err(|e| FleetError::io("sending frame", e))?;
+    conn.traffic.frames += 1;
+    conn.traffic.bytes_out += frame.len() as u64;
+    Ok(())
 }
 
-/// Reads one frame, honouring an optional deadline. A timeout — even
-/// mid-frame — returns [`FleetError::Deadline`]; the stream must then
-/// be condemned, never reused.
+/// Reads one frame's payload, honouring an optional deadline. A timeout
+/// — even mid-frame — returns [`FleetError::Deadline`]; the stream must
+/// then be condemned, never reused.
 ///
 /// # Errors
 ///
 /// [`FleetError::Deadline`] past the deadline, [`FleetError::Frame`]
-/// for a torn or malformed frame, [`FleetError::Io`] otherwise.
+/// for a torn, malformed or oversized frame, [`FleetError::Io`]
+/// otherwise.
 pub fn recv_frame(
     conn: &mut Conn,
     deadline: Option<Duration>,
     rpc: &'static str,
-) -> FleetResult<String> {
+) -> FleetResult<Vec<u8>> {
     conn.set_read_timeout(deadline)?;
-    let after_ms = deadline.map_or(0, |d| d.as_millis().min(u128::from(u64::MAX)) as u64);
+    let after_ms = deadline.map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
     let classify = move |e: std::io::Error| match e.kind() {
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
             FleetError::Deadline { rpc, after_ms }
@@ -238,33 +283,64 @@ pub fn recv_frame(
         _ => FleetError::io("receiving frame", e),
     };
     let mut prefix = [0u8; 8];
-    conn.read_exact(&mut prefix).map_err(classify)?;
-    let prefix = std::str::from_utf8(&prefix).map_err(|_| FleetError::Frame {
-        reason: "length prefix is not ASCII hex".to_string(),
-    })?;
-    let len = usize::from_str_radix(prefix, 16).map_err(|_| FleetError::Frame {
-        reason: format!("length prefix {prefix:?} is not hex"),
-    })?;
+    conn.stream.read_exact(&mut prefix).map_err(classify)?;
+    let len = std::str::from_utf8(&prefix)
+        .ok()
+        .filter(|text| text.bytes().all(|b| b.is_ascii_hexdigit()))
+        .and_then(|text| usize::from_str_radix(text, 16).ok())
+        .ok_or_else(|| FleetError::Frame {
+            reason: format!("length prefix {prefix:02x?} is not 8 hex digits"),
+        })?;
     if len > FRAME_LIMIT {
         return Err(FleetError::Frame {
             reason: format!("declared payload of {len} bytes exceeds the frame limit"),
         });
     }
     let mut payload = vec![0u8; len];
-    conn.read_exact(&mut payload).map_err(classify)?;
-    String::from_utf8(payload).map_err(|_| FleetError::Frame {
-        reason: "payload is not UTF-8".to_string(),
-    })
+    conn.stream.read_exact(&mut payload).map_err(classify)?;
+    conn.traffic.frames += 1;
+    conn.traffic.bytes_in += (len + 8) as u64;
+    Ok(payload)
 }
 
-fn write_updates(updates: &[(usize, u8)], out: &mut String) {
-    updates.serialize_json(out);
+/// Starts a payload: `{"t":"<tag>"`, ready for [`field`]s.
+fn head(tag: &str) -> String {
+    format!("{{\"t\":\"{tag}\"")
 }
 
-/// Serializes a coordinator → worker message.
+/// Appends `,"<key>":<value>` to a head under construction.
+fn field(head: &mut String, key: &str, value: &impl Serialize) {
+    head.push_str(",\"");
+    head.push_str(key);
+    head.push_str("\":");
+    value.serialize_json(head);
+}
+
+/// Closes the head line; the sections follow it.
+fn seal(mut head: String) -> Vec<u8> {
+    head.push_str("}\n");
+    head.into_bytes()
+}
+
+fn push_u32(out: &mut Vec<u8>, value: usize) {
+    // A plane has to fit one frame, so a real index always fits; one
+    // that does not is sent as `u32::MAX`, which every receiver's range
+    // check refuses.
+    out.extend_from_slice(&u32::try_from(value).unwrap_or(u32::MAX).to_le_bytes());
+}
+
+/// Appends an update list as its two columns: sites, then labels.
+fn push_updates(out: &mut Vec<u8>, updates: &[(usize, u8)]) {
+    out.reserve(updates.len() * 5);
+    for &(site, _) in updates {
+        push_u32(out, site);
+    }
+    out.extend(updates.iter().map(|&(_, label)| label));
+}
+
+/// Serializes a coordinator → worker message into a frame payload.
 #[must_use]
-pub fn encode_to_worker(msg: &ToWorker) -> String {
-    let mut out = String::with_capacity(64);
+pub fn encode_to_worker(msg: &ToWorker) -> Vec<u8> {
     match msg {
         ToWorker::Assign {
             spec,
@@ -273,290 +349,290 @@ pub fn encode_to_worker(msg: &ToWorker) -> String {
             resume_sweep,
             replay,
         } => {
-            out.push_str("{\"t\":\"assign\",\"spec\":");
-            spec.write_json(&mut out);
-            out.push_str(",\"cells\":");
-            cells.serialize_json(&mut out);
-            out.push_str(",\"plane\":");
-            match plane {
-                Some(p) => encode_plane(p).serialize_json(&mut out),
-                None => out.push_str("null"),
+            let mut h = head("assign");
+            h.push_str(",\"spec\":");
+            spec.write_json(&mut h);
+            field(&mut h, "resume_sweep", resume_sweep);
+            field(&mut h, "cells", &cells.len());
+            field(&mut h, "plane", &plane.as_ref().map(Vec::len));
+            let counts: Vec<usize> = replay.iter().map(Vec::len).collect();
+            field(&mut h, "replay", &counts);
+            let mut out = seal(h);
+            out.reserve(
+                cells.len() * 8
+                    + plane.as_ref().map_or(0, Vec::len)
+                    + counts.iter().sum::<usize>() * 5,
+            );
+            for &(group, chunk) in cells {
+                push_u32(&mut out, group);
+                push_u32(&mut out, chunk);
             }
-            out.push_str(",\"resume_sweep\":");
-            resume_sweep.serialize_json(&mut out);
-            out.push_str(",\"replay\":");
-            replay.serialize_json(&mut out);
-            out.push('}');
+            out.extend_from_slice(plane.as_deref().unwrap_or(&[]));
+            for updates in replay {
+                push_updates(&mut out, updates);
+            }
+            out
         }
         ToWorker::Phase { sweep, group } => {
-            out.push_str("{\"t\":\"phase\",\"sweep\":");
-            sweep.serialize_json(&mut out);
-            out.push_str(",\"group\":");
-            group.serialize_json(&mut out);
-            out.push('}');
+            let mut h = head("phase");
+            field(&mut h, "sweep", sweep);
+            field(&mut h, "group", group);
+            seal(h)
         }
         ToWorker::Halo { updates } => {
-            out.push_str("{\"t\":\"halo\",\"updates\":");
-            write_updates(updates, &mut out);
-            out.push('}');
+            let mut h = head("halo");
+            field(&mut h, "updates", &updates.len());
+            let mut out = seal(h);
+            push_updates(&mut out, updates);
+            out
         }
         ToWorker::Ping { nonce } => {
-            out.push_str(&format!("{{\"t\":\"ping\",\"nonce\":\"{nonce:x}\"}}"));
+            let mut h = head("ping");
+            field(&mut h, "nonce", &format!("{nonce:016x}"));
+            seal(h)
         }
-        ToWorker::Finish => out.push_str("{\"t\":\"finish\"}"),
+        ToWorker::Finish => seal(head("finish")),
     }
-    out
 }
 
-/// Serializes a worker → coordinator message.
+/// Serializes a worker → coordinator message into a frame payload.
 #[must_use]
-pub fn encode_to_coordinator(msg: &ToCoordinator) -> String {
-    let mut out = String::with_capacity(64);
+pub fn encode_to_coordinator(msg: &ToCoordinator) -> Vec<u8> {
     match msg {
         ToCoordinator::AssignOk { owned } => {
-            out.push_str("{\"t\":\"assign_ok\",\"owned\":");
-            owned.serialize_json(&mut out);
-            out.push('}');
+            let mut h = head("assign_ok");
+            field(&mut h, "owned", owned);
+            seal(h)
         }
         ToCoordinator::PhaseDone {
             sweep,
             group,
             updates,
         } => {
-            out.push_str("{\"t\":\"phase_done\",\"sweep\":");
-            sweep.serialize_json(&mut out);
-            out.push_str(",\"group\":");
-            group.serialize_json(&mut out);
-            out.push_str(",\"updates\":");
-            write_updates(updates, &mut out);
-            out.push('}');
+            let mut h = head("phase_done");
+            field(&mut h, "sweep", sweep);
+            field(&mut h, "group", group);
+            field(&mut h, "updates", &updates.len());
+            let mut out = seal(h);
+            push_updates(&mut out, updates);
+            out
         }
         ToCoordinator::Pong { nonce } => {
-            out.push_str(&format!("{{\"t\":\"pong\",\"nonce\":\"{nonce:x}\"}}"));
+            let mut h = head("pong");
+            field(&mut h, "nonce", &format!("{nonce:016x}"));
+            seal(h)
         }
         ToCoordinator::Fault { reason } => {
-            out.push_str("{\"t\":\"fault\",\"reason\":");
-            reason.serialize_json(&mut out);
-            out.push('}');
+            let mut h = head("fault");
+            field(&mut h, "reason", &reason.len());
+            let mut out = seal(h);
+            out.extend_from_slice(reason.as_bytes());
+            out
         }
-        ToCoordinator::Bye => out.push_str("{\"t\":\"bye\"}"),
+        ToCoordinator::Bye => seal(head("bye")),
     }
-    out
 }
 
-/// Reads the `{"t":"..."` head every message starts with, returning the
-/// tag. Encoders always emit the tag first; a frame that does not lead
-/// with it is a protocol violation, not something to resynchronize.
-fn parse_tag(parser: &mut Parser<'_>) -> Result<String, serde::de::Error> {
-    parser.expect_char('{')?;
-    let key = parser.parse_string()?;
-    if key != "t" {
-        return Err(parser.error(&format!(
-            "message must lead with its tag, found key {key:?}"
-        )));
-    }
-    parser.expect_char(':')?;
-    parser.parse_string()
+/// Every field any head carries; each message takes the ones it needs.
+#[derive(Default)]
+struct Head {
+    tag: Option<String>,
+    sweep: Option<usize>,
+    group: Option<usize>,
+    updates: Option<usize>,
+    nonce: Option<u64>,
+    owned: Option<usize>,
+    reason: Option<usize>,
+    spec: Option<FleetSpec>,
+    resume_sweep: Option<usize>,
+    cells: Option<usize>,
+    plane: Option<Option<usize>>,
+    replay: Option<Vec<usize>>,
 }
 
-/// Parses a coordinator → worker message.
+fn need<T>(value: Option<T>, what: &str) -> FleetResult<T> {
+    value.ok_or_else(|| FleetError::Protocol {
+        reason: format!("message is missing '{what}'"),
+    })
+}
+
+/// The raw sections after the head line, consumed front to back.
+struct Sections<'a>(&'a [u8]);
+
+impl<'a> Sections<'a> {
+    /// Takes `count` elements of `width` bytes. The declared count is
+    /// only ever compared against the bytes present, never allocated.
+    fn take(&mut self, count: usize, width: usize) -> FleetResult<&'a [u8]> {
+        let bytes = count
+            .checked_mul(width)
+            .filter(|&bytes| bytes <= self.0.len())
+            .ok_or_else(|| FleetError::Protocol {
+                reason: format!(
+                    "a section declares {count} x {width} bytes, the payload has {} left",
+                    self.0.len()
+                ),
+            })?;
+        let (section, rest) = self.0.split_at(bytes);
+        self.0 = rest;
+        Ok(section)
+    }
+
+    fn updates(&mut self, count: usize) -> FleetResult<Vec<(usize, u8)>> {
+        let sites = self.take(count, 4)?;
+        let labels = self.take(count, 1)?;
+        Ok(sites
+            .as_chunks::<4>()
+            .0
+            .iter()
+            .zip(labels)
+            .map(|(site, &label)| (u32::from_le_bytes(*site) as usize, label))
+            .collect())
+    }
+
+    fn finish(self) -> FleetResult<()> {
+        if self.0.is_empty() {
+            return Ok(());
+        }
+        Err(FleetError::Protocol {
+            reason: format!("{} trailing bytes after the last section", self.0.len()),
+        })
+    }
+}
+
+/// Splits a payload into its parsed head and its raw sections.
+fn open_payload(payload: &[u8]) -> FleetResult<(Head, Sections<'_>)> {
+    if payload.len() > FRAME_LIMIT {
+        return Err(FleetError::Frame {
+            reason: format!("payload of {} bytes exceeds the frame limit", payload.len()),
+        });
+    }
+    let window = &payload[..payload.len().min(HEAD_LIMIT)];
+    let split = window
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| FleetError::Protocol {
+            reason: format!("payload has no head line within {HEAD_LIMIT} bytes"),
+        })?;
+    let text = std::str::from_utf8(&payload[..split]).map_err(|_| FleetError::Protocol {
+        reason: "payload head is not UTF-8".to_string(),
+    })?;
+    let mut parser = Parser::new(text);
+    let mut head = Head::default();
+    parse_object(&mut parser, |key, parser| {
+        match key {
+            "t" => head.tag = Some(parser.parse_string()?),
+            "sweep" => head.sweep = Some(usize::deserialize_json(parser)?),
+            "group" => head.group = Some(usize::deserialize_json(parser)?),
+            "updates" => head.updates = Some(usize::deserialize_json(parser)?),
+            "nonce" => head.nonce = Some(parse_hex_u64(parser)?),
+            "owned" => head.owned = Some(usize::deserialize_json(parser)?),
+            "reason" => head.reason = Some(usize::deserialize_json(parser)?),
+            "spec" => head.spec = Some(FleetSpec::parse_value(parser)?),
+            "resume_sweep" => head.resume_sweep = Some(usize::deserialize_json(parser)?),
+            "cells" => head.cells = Some(usize::deserialize_json(parser)?),
+            "plane" => head.plane = Some(Option::deserialize_json(parser)?),
+            "replay" => head.replay = Some(Vec::deserialize_json(parser)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })
+    .and_then(|()| parser.expect_end())
+    .map_err(protocol)?;
+    Ok((head, Sections(&payload[split + 1..])))
+}
+
+/// Parses a coordinator → worker frame payload.
 ///
 /// # Errors
 ///
-/// [`FleetError::Protocol`] on malformed or unknown messages.
-pub fn parse_to_worker(payload: &str) -> FleetResult<ToWorker> {
-    let mut parser = Parser::new(payload);
-    let msg = parse_to_worker_value(&mut parser).map_err(protocol)?;
-    parser.expect_end().map_err(protocol)?;
-    Ok(msg)
-}
-
-#[allow(clippy::too_many_lines)]
-fn parse_to_worker_value(parser: &mut Parser<'_>) -> Result<ToWorker, serde::de::Error> {
-    let tag = parse_tag(parser)?;
-    match tag.as_str() {
-        "finish" => {
-            parser.expect_char('}')?;
-            Ok(ToWorker::Finish)
-        }
-        "ping" => {
-            let mut nonce = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "nonce" => nonce = Some(parse_hex_u64(parser, "nonce")?),
-                    _ => parser.skip_value()?,
-                }
-            }
-            parser.expect_char('}')?;
-            Ok(ToWorker::Ping {
-                nonce: nonce.ok_or_else(|| parser.error("ping is missing 'nonce'"))?,
-            })
-        }
-        "phase" => {
-            let mut sweep = None;
-            let mut group = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "sweep" => sweep = Some(usize::deserialize_json(parser)?),
-                    "group" => group = Some(usize::deserialize_json(parser)?),
-                    _ => parser.skip_value()?,
-                }
-            }
-            parser.expect_char('}')?;
-            Ok(ToWorker::Phase {
-                sweep: sweep.ok_or_else(|| parser.error("phase is missing 'sweep'"))?,
-                group: group.ok_or_else(|| parser.error("phase is missing 'group'"))?,
-            })
-        }
-        "halo" => {
-            let mut updates = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "updates" => updates = Some(Vec::<(usize, u8)>::deserialize_json(parser)?),
-                    _ => parser.skip_value()?,
-                }
-            }
-            parser.expect_char('}')?;
-            Ok(ToWorker::Halo {
-                updates: updates.ok_or_else(|| parser.error("halo is missing 'updates'"))?,
-            })
-        }
+/// [`FleetError::Protocol`] on malformed or unknown messages and on
+/// section counts that disagree with the bytes present;
+/// [`FleetError::Frame`] on a payload beyond [`FRAME_LIMIT`].
+pub fn parse_to_worker(payload: &[u8]) -> FleetResult<ToWorker> {
+    let (head, mut sections) = open_payload(payload)?;
+    let msg = match need(head.tag, "t")?.as_str() {
         "assign" => {
-            let mut spec = None;
-            let mut cells = None;
-            let mut plane = None;
-            let mut resume_sweep = None;
-            let mut replay = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "spec" => spec = Some(FleetSpec::parse_value(parser)?),
-                    "cells" => cells = Some(Vec::<(usize, usize)>::deserialize_json(parser)?),
-                    "plane" => {
-                        plane = if parser.consume_literal("null") {
-                            Some(None)
-                        } else {
-                            let text = parser.parse_string()?;
-                            let decoded = crate::wire::decode_plane(&text)
-                                .map_err(|e| parser.error(&e.to_string()))?;
-                            Some(Some(decoded))
-                        };
-                    }
-                    "resume_sweep" => resume_sweep = Some(usize::deserialize_json(parser)?),
-                    "replay" => {
-                        replay = Some(Vec::<Vec<(usize, u8)>>::deserialize_json(parser)?);
-                    }
-                    _ => parser.skip_value()?,
-                }
+            let cells = sections
+                .take(need(head.cells, "cells")?, 8)?
+                .as_chunks::<4>()
+                .0
+                .chunks_exact(2)
+                .map(|pair| {
+                    let [group, chunk] = [pair[0], pair[1]].map(u32::from_le_bytes);
+                    (group as usize, chunk as usize)
+                })
+                .collect();
+            let plane = match need(head.plane, "plane")? {
+                Some(sites) => Some(sections.take(sites, 1)?.to_vec()),
+                None => None,
+            };
+            let replay = need(head.replay, "replay")?
+                .into_iter()
+                .map(|count| sections.updates(count))
+                .collect::<FleetResult<_>>()?;
+            ToWorker::Assign {
+                spec: need(head.spec, "spec")?,
+                cells,
+                plane,
+                resume_sweep: need(head.resume_sweep, "resume_sweep")?,
+                replay,
             }
-            parser.expect_char('}')?;
-            Ok(ToWorker::Assign {
-                spec: spec.ok_or_else(|| parser.error("assign is missing 'spec'"))?,
-                cells: cells.ok_or_else(|| parser.error("assign is missing 'cells'"))?,
-                plane: plane.ok_or_else(|| parser.error("assign is missing 'plane'"))?,
-                resume_sweep: resume_sweep
-                    .ok_or_else(|| parser.error("assign is missing 'resume_sweep'"))?,
-                replay: replay.ok_or_else(|| parser.error("assign is missing 'replay'"))?,
+        }
+        "phase" => ToWorker::Phase {
+            sweep: need(head.sweep, "sweep")?,
+            group: need(head.group, "group")?,
+        },
+        "halo" => ToWorker::Halo {
+            updates: sections.updates(need(head.updates, "updates")?)?,
+        },
+        "ping" => ToWorker::Ping {
+            nonce: need(head.nonce, "nonce")?,
+        },
+        "finish" => ToWorker::Finish,
+        other => {
+            return Err(FleetError::Protocol {
+                reason: format!("unknown coordinator message {other:?}"),
             })
         }
-        other => Err(parser.error(&format!("unknown coordinator message {other:?}"))),
-    }
-}
-
-/// Parses a worker → coordinator message.
-///
-/// # Errors
-///
-/// [`FleetError::Protocol`] on malformed or unknown messages.
-pub fn parse_to_coordinator(payload: &str) -> FleetResult<ToCoordinator> {
-    let mut parser = Parser::new(payload);
-    let msg = parse_to_coordinator_value(&mut parser).map_err(protocol)?;
-    parser.expect_end().map_err(protocol)?;
+    };
+    sections.finish()?;
     Ok(msg)
 }
 
-fn parse_to_coordinator_value(parser: &mut Parser<'_>) -> Result<ToCoordinator, serde::de::Error> {
-    let tag = parse_tag(parser)?;
-    match tag.as_str() {
-        "bye" => {
-            parser.expect_char('}')?;
-            Ok(ToCoordinator::Bye)
-        }
-        "pong" => {
-            let mut nonce = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "nonce" => nonce = Some(parse_hex_u64(parser, "nonce")?),
-                    _ => parser.skip_value()?,
-                }
-            }
-            parser.expect_char('}')?;
-            Ok(ToCoordinator::Pong {
-                nonce: nonce.ok_or_else(|| parser.error("pong is missing 'nonce'"))?,
-            })
-        }
-        "assign_ok" => {
-            let mut owned = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "owned" => owned = Some(usize::deserialize_json(parser)?),
-                    _ => parser.skip_value()?,
-                }
-            }
-            parser.expect_char('}')?;
-            Ok(ToCoordinator::AssignOk {
-                owned: owned.ok_or_else(|| parser.error("assign_ok is missing 'owned'"))?,
-            })
-        }
-        "phase_done" => {
-            let mut sweep = None;
-            let mut group = None;
-            let mut updates = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "sweep" => sweep = Some(usize::deserialize_json(parser)?),
-                    "group" => group = Some(usize::deserialize_json(parser)?),
-                    "updates" => updates = Some(Vec::<(usize, u8)>::deserialize_json(parser)?),
-                    _ => parser.skip_value()?,
-                }
-            }
-            parser.expect_char('}')?;
-            Ok(ToCoordinator::PhaseDone {
-                sweep: sweep.ok_or_else(|| parser.error("phase_done is missing 'sweep'"))?,
-                group: group.ok_or_else(|| parser.error("phase_done is missing 'group'"))?,
-                updates: updates.ok_or_else(|| parser.error("phase_done is missing 'updates'"))?,
-            })
-        }
+/// Parses a worker → coordinator frame payload.
+///
+/// # Errors
+///
+/// As [`parse_to_worker`].
+pub fn parse_to_coordinator(payload: &[u8]) -> FleetResult<ToCoordinator> {
+    let (head, mut sections) = open_payload(payload)?;
+    let msg = match need(head.tag, "t")?.as_str() {
+        "assign_ok" => ToCoordinator::AssignOk {
+            owned: need(head.owned, "owned")?,
+        },
+        "phase_done" => ToCoordinator::PhaseDone {
+            sweep: need(head.sweep, "sweep")?,
+            group: need(head.group, "group")?,
+            updates: sections.updates(need(head.updates, "updates")?)?,
+        },
+        "pong" => ToCoordinator::Pong {
+            nonce: need(head.nonce, "nonce")?,
+        },
         "fault" => {
-            let mut reason = None;
-            while parser.consume_char(',') {
-                let key = parser.parse_string()?;
-                parser.expect_char(':')?;
-                match key.as_str() {
-                    "reason" => reason = Some(parser.parse_string()?),
-                    _ => parser.skip_value()?,
-                }
+            let text = sections.take(need(head.reason, "reason")?, 1)?;
+            ToCoordinator::Fault {
+                reason: String::from_utf8_lossy(text).into_owned(),
             }
-            parser.expect_char('}')?;
-            Ok(ToCoordinator::Fault {
-                reason: reason.ok_or_else(|| parser.error("fault is missing 'reason'"))?,
+        }
+        "bye" => ToCoordinator::Bye,
+        other => {
+            return Err(FleetError::Protocol {
+                reason: format!("unknown worker message {other:?}"),
             })
         }
-        other => Err(parser.error(&format!("unknown worker message {other:?}"))),
-    }
+    };
+    sections.finish()?;
+    Ok(msg)
 }
 
 /// Sends a coordinator → worker message.
@@ -624,152 +700,5 @@ pub fn rpc_ping(conn: &mut Conn, nonce: u64, deadline: Duration) -> FleetResult<
                 })
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::spec::{BackendKind, Workload};
-    use std::net::TcpListener;
-
-    fn pair() -> (Conn, Conn) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("addr");
-        let client = TcpStream::connect(addr).expect("connect");
-        let (server, _) = listener.accept().expect("accept");
-        (Conn::Tcp(client), Conn::Tcp(server))
-    }
-
-    fn sample_spec() -> FleetSpec {
-        FleetSpec {
-            workload: Workload::Demo {
-                width: 12,
-                height: 9,
-                labels: 5,
-            },
-            backend: BackendKind::Softmax,
-            iterations: 8,
-            threads: 3,
-            seed: u64::MAX,
-            burn_in: 2,
-        }
-    }
-
-    #[test]
-    fn frames_round_trip_over_tcp() {
-        let (mut a, mut b) = pair();
-        send_frame(&mut a, "hello fleet").expect("send");
-        let got = recv_frame(&mut b, Some(Duration::from_secs(2)), "test").expect("recv");
-        assert_eq!(got, "hello fleet");
-    }
-
-    #[test]
-    fn recv_deadline_is_typed() {
-        let (_a, mut b) = pair();
-        let err = recv_frame(&mut b, Some(Duration::from_millis(50)), "probe")
-            .expect_err("nothing was sent");
-        assert_eq!(err.variant(), "deadline");
-        assert!(err.is_migratable());
-    }
-
-    #[test]
-    fn closed_stream_is_a_frame_error() {
-        let (a, mut b) = pair();
-        drop(a);
-        let err =
-            recv_frame(&mut b, Some(Duration::from_secs(2)), "probe").expect_err("peer closed");
-        assert_eq!(err.variant(), "frame");
-    }
-
-    #[test]
-    fn every_worker_message_round_trips() {
-        let msgs = vec![
-            ToWorker::Assign {
-                spec: sample_spec(),
-                cells: vec![(0, 0), (1, 2)],
-                plane: Some(vec![0, 1, 4, 255]),
-                resume_sweep: 3,
-                replay: vec![vec![(0, 1), (9, 4)], vec![]],
-            },
-            ToWorker::Assign {
-                spec: sample_spec(),
-                cells: vec![(0, 1)],
-                plane: None,
-                resume_sweep: 0,
-                replay: vec![],
-            },
-            ToWorker::Phase { sweep: 7, group: 1 },
-            ToWorker::Halo {
-                updates: vec![(3, 2), (4, 0)],
-            },
-            ToWorker::Ping { nonce: u64::MAX },
-            ToWorker::Finish,
-        ];
-        for msg in msgs {
-            let text = encode_to_worker(&msg);
-            let back = parse_to_worker(&text).expect("parses");
-            assert_eq!(back, msg, "round trip: {text}");
-        }
-    }
-
-    #[test]
-    fn every_coordinator_message_round_trips() {
-        let msgs = vec![
-            ToCoordinator::AssignOk { owned: 54 },
-            ToCoordinator::PhaseDone {
-                sweep: 2,
-                group: 0,
-                updates: vec![(0, 0), (2, 3)],
-            },
-            ToCoordinator::Pong { nonce: 1 },
-            ToCoordinator::Fault {
-                reason: "unit \"q\" died".to_string(),
-            },
-            ToCoordinator::Bye,
-        ];
-        for msg in msgs {
-            let text = encode_to_coordinator(&msg);
-            let back = parse_to_coordinator(&text).expect("parses");
-            assert_eq!(back, msg, "round trip: {text}");
-        }
-    }
-
-    #[test]
-    fn plane_hex_round_trips_and_rejects_garbage() {
-        let plane: Vec<u8> = (0..=255).collect();
-        assert_eq!(decode_plane(&encode_plane(&plane)).expect("decodes"), plane);
-        assert!(decode_plane("abc").is_err(), "odd length");
-        assert!(decode_plane("zz").is_err(), "non-hex");
-    }
-
-    #[test]
-    fn ping_discards_stale_phase_done() {
-        let (mut coord, mut worker) = pair();
-        // A stale PhaseDone sits in the queue ahead of the pong.
-        send_to_coordinator(
-            &mut worker,
-            &ToCoordinator::PhaseDone {
-                sweep: 0,
-                group: 0,
-                updates: vec![],
-            },
-        )
-        .expect("stale send");
-        send_to_coordinator(&mut worker, &ToCoordinator::Pong { nonce: 42 }).expect("pong send");
-        // rpc_ping's own Ping will be ignored by this fake worker; the
-        // queued replies satisfy it.
-        rpc_ping(&mut coord, 42, Duration::from_secs(2)).expect("ping survives stale traffic");
-    }
-
-    #[test]
-    fn oversized_and_malformed_frames_are_rejected() {
-        let (mut a, mut b) = pair();
-        // A corrupt prefix claiming a huge frame.
-        a.write_all(b"ffffffff").expect("raw write");
-        a.flush().expect("flush");
-        let err = recv_frame(&mut b, Some(Duration::from_secs(2)), "probe")
-            .expect_err("oversized declaration");
-        assert_eq!(err.variant(), "frame");
     }
 }

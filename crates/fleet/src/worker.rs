@@ -8,6 +8,14 @@
 //! log, so catch-up is a pure function of the message), which is what
 //! makes shard migration and adoption the *same* code path as initial
 //! admission.
+//!
+//! Between `Assign`s the loop is three moves: `Phase` runs the owned
+//! chunks of one color and answers with every owned site of that color
+//! (the site lists are derived once, at `Assign`); `Halo` imports the
+//! labels other shards sampled on this shard's halo — the only foreign
+//! sites its gathers read, so the only ones it is sent; `Ping` echoes.
+//! A `Halo` naming a site outside the plane or a label outside the
+//! space fails the worker with the engine's typed `apply_updates` error.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -39,12 +47,12 @@ pub const WORKER_IDLE: Duration = Duration::from_secs(120);
 pub fn connect(addr: &str) -> FleetResult<Conn> {
     if let Some(tcp) = addr.strip_prefix("tcp:") {
         return TcpStream::connect(tcp)
-            .map(Conn::Tcp)
+            .map(Conn::tcp)
             .map_err(|e| FleetError::io(format!("connecting to {tcp}"), e));
     }
     if let Some(path) = addr.strip_prefix("unix:") {
         return UnixStream::connect(path)
-            .map(Conn::Unix)
+            .map(Conn::unix)
             .map_err(|e| FleetError::io(format!("connecting to {path}"), e));
     }
     Err(FleetError::Protocol {
@@ -77,8 +85,11 @@ pub fn run_worker(conn: &mut Conn) -> FleetResult<()> {
     }
 }
 
+/// An admitted shard plus its owned sites per group, in chunk order.
+type Admitted = (Box<dyn ShardExec>, Vec<Vec<usize>>);
+
 fn drive(conn: &mut Conn) -> FleetResult<()> {
-    let mut shard: Option<Box<dyn ShardExec>> = None;
+    let mut shard: Option<Admitted> = None;
     loop {
         match recv_to_worker(conn, Some(WORKER_IDLE))? {
             ToWorker::Assign {
@@ -100,20 +111,23 @@ fn drive(conn: &mut Conn) -> FleetResult<()> {
                     exec.run_phase(resume_sweep, group);
                     exec.apply_updates(updates)?;
                 }
-                let owned: usize = (0..exec.group_count())
-                    .map(|g| exec.owned_sites(g).len())
-                    .sum();
-                shard = Some(exec);
+                let sites: Vec<Vec<usize>> = (0..exec.group_count())
+                    .map(|g| exec.owned_sites(g))
+                    .collect();
+                let owned = sites.iter().map(Vec::len).sum();
+                shard = Some((exec, sites));
                 send_to_coordinator(conn, &ToCoordinator::AssignOk { owned })?;
             }
             ToWorker::Phase { sweep, group } => {
-                let exec = shard.as_mut().ok_or_else(|| FleetError::Protocol {
+                let (exec, sites) = shard.as_mut().ok_or_else(|| FleetError::Protocol {
                     reason: "phase before assign".to_string(),
                 })?;
+                let sites = sites.get(group).ok_or_else(|| FleetError::Protocol {
+                    reason: format!("phase names group {group}, the job has {}", sites.len()),
+                })?;
                 exec.run_phase(sweep, group);
-                let sites = exec.owned_sites(group);
-                let labels = exec.read_labels(&sites);
-                let updates: Vec<(usize, u8)> = sites.into_iter().zip(labels).collect();
+                let labels = exec.read_labels(sites);
+                let updates: Vec<(usize, u8)> = sites.iter().copied().zip(labels).collect();
                 send_to_coordinator(
                     conn,
                     &ToCoordinator::PhaseDone {
@@ -124,7 +138,7 @@ fn drive(conn: &mut Conn) -> FleetResult<()> {
                 )?;
             }
             ToWorker::Halo { updates } => {
-                let exec = shard.as_mut().ok_or_else(|| FleetError::Protocol {
+                let (exec, _) = shard.as_mut().ok_or_else(|| FleetError::Protocol {
                     reason: "halo before assign".to_string(),
                 })?;
                 exec.apply_updates(&updates)?;
@@ -204,7 +218,7 @@ mod tests {
         let addr = format!("tcp:{}", listener.local_addr().expect("addr"));
         let worker = std::thread::spawn(move || worker_main(&addr));
         let (stream, _) = listener.accept().expect("accept");
-        let mut conn = Conn::Tcp(stream);
+        let mut conn = Conn::tcp(stream);
         let deadline = Some(Duration::from_secs(10));
 
         // Assign the whole job as one shard.
@@ -276,7 +290,7 @@ mod tests {
         let addr = format!("tcp:{}", listener.local_addr().expect("addr"));
         let worker = std::thread::spawn(move || worker_main(&addr));
         let (stream, _) = listener.accept().expect("accept");
-        let mut conn = Conn::Tcp(stream);
+        let mut conn = Conn::tcp(stream);
         send_to_worker(&mut conn, &ToWorker::Phase { sweep: 0, group: 0 }).expect("phase");
         let reply =
             recv_to_coordinator(&mut conn, Some(Duration::from_secs(10)), "fault").expect("fault");

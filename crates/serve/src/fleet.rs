@@ -149,7 +149,8 @@ impl FleetRunner {
 fn render_output(id: u64, output: &FleetOutput) -> String {
     let mut body = format!(
         "{{\"id\":{id},\"state\":{},\"iterations_run\":{},\"finished\":{},\
-         \"migrations\":{},\"workers_spawned\":{},",
+         \"migrations\":{},\"workers_spawned\":{},\"wire_frames\":{},\
+         \"wire_bytes_out\":{},\"wire_bytes_in\":{},",
         if output.degraded.is_some() {
             "\"degraded\""
         } else {
@@ -159,6 +160,9 @@ fn render_output(id: u64, output: &FleetOutput) -> String {
         output.finished,
         output.migrations,
         output.workers_spawned,
+        output.wire_frames,
+        output.wire_bytes_out,
+        output.wire_bytes_in,
     );
     match output.degraded {
         Some(d) => body.push_str(&format!(
@@ -224,6 +228,8 @@ mod tests {
         let done = poll_done(&runner, 1);
         assert!(done.contains("\"state\":\"done\""), "{done}");
         assert!(done.contains("\"migrations\":0"), "{done}");
+        assert!(done.contains("\"wire_frames\":"), "{done}");
+        assert!(!done.contains("\"wire_bytes_in\":0,"), "{done}");
         let reference = run_in_process(&spec()).expect("engine runs");
         let labels = format!(
             "\"labels\":{}",
