@@ -42,7 +42,7 @@
 //! | `faults` | A12: fault injection, quarantine, and failover on every vision workload |
 //! | `serve-bench` | A13: HTTP serving front-end under closed-loop multi-tenant load (writes `BENCH_serve.json`) |
 //! | `ckpt` | A14: durable checkpoint ladder — bit-identical resume, corruption rejection, retention |
-//! | `fleet` | A15: multi-process fleet kill-ladder — migration survival + bit-identity (writes `BENCH_fleet.json`) |
+//! | `fleet` | A15: multi-process fleet kill-ladder — migration survival + bit-identity |
 
 use mogs_bench::experiments::{
     ablation, anneal, audit, ckpt, convergence, diag, energy, engine_bench, faults, fig7, fleet,
@@ -364,19 +364,6 @@ fn run(experiment: &str, quick: bool, graph: bool, out_dir: Option<&Path>) -> Re
                 .collect();
             if !failed.is_empty() {
                 return Err(format!("fleet ladder failed: {}", failed.join(", ")));
-            }
-            if let Some(p) = result.scaling.iter().find(|p| !p.bit_identical) {
-                return Err(format!(
-                    "{}-worker stereo scaling run diverged from the engine",
-                    p.workers
-                ));
-            }
-            if quick {
-                println!("quick mode: perf snapshot not written");
-            } else {
-                std::fs::write("BENCH_fleet.json", fleet::to_snapshot_json(&result))
-                    .map_err(|e| e.to_string())?;
-                println!("perf snapshot written to BENCH_fleet.json");
             }
         }
         other => return Err(format!("unknown experiment '{other}'")),

@@ -1,5 +1,6 @@
 //! A15: fleet kill-ladder — multi-process survival and bit-identity, as
-//! a `repro` gate, plus the 1→N scaling snapshot (`BENCH_fleet.json`).
+//! a `repro` gate. Fleet speed is the benchmark's `fleet2` row
+//! (`benchmark/`), not measured here.
 //!
 //! The `mogs-fleet` e2e suite proves the kill-ladder against spawned
 //! `fleet-worker` binaries; this experiment is the always-on CI face of
@@ -19,10 +20,7 @@
 //!   typed [`FleetError::FleetCollapse`] — never a hang or a wrong
 //!   answer;
 //! * the **restart row** stops the coordinator at a sweep boundary and
-//!   resumes from the durable checkpoints with a fresh one;
-//! * **scaling rows** time the stereo workload at 1, 2, and 4 workers
-//!   (each still bit-identical to the engine); the full run serializes
-//!   them as `BENCH_fleet.json`.
+//!   resumes from the durable checkpoints with a fresh one.
 //!
 //! Chaos rows need real processes to kill, so [`run`] uses
 //! [`Launcher::SelfExec`] — the `repro` binary re-executes itself as a
@@ -31,13 +29,11 @@
 //! launcher, which skips the chaos rows.
 
 use std::path::PathBuf;
-use std::time::Instant;
 
 use mogs_fleet::{
     run_fleet, run_in_process, BackendKind, ChaosPlan, FleetCheckpoint, FleetConfig, FleetError,
     FleetOutput, FleetSpec, KillAt, Launcher, TransportKind, Workload,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::report::render_table;
 
@@ -52,26 +48,11 @@ pub struct FleetRow {
     pub pass: bool,
 }
 
-/// One point of the 1→N scaling sweep on the stereo workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScalingPoint {
-    /// Worker processes in the fleet.
-    pub workers: usize,
-    /// Wall-clock time of the fleet run, milliseconds.
-    pub wall_ms: f64,
-    /// `wall_ms(1 worker) / wall_ms(this)`.
-    pub speedup: f64,
-    /// Whether the fleet output matched the engine bit for bit.
-    pub bit_identical: bool,
-}
-
 /// Everything `repro fleet` reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetLadder {
     /// Kill-ladder rows.
     pub rows: Vec<FleetRow>,
-    /// Stereo 1→N scaling points (empty only if the sweep was skipped).
-    pub scaling: Vec<ScalingPoint>,
 }
 
 /// The demo ladder spec: small enough for CI, large enough that every
@@ -88,24 +69,6 @@ fn demo_spec(backend: BackendKind) -> FleetSpec {
         threads: 2,
         seed: 0xFEE7_F1EE,
         burn_in: 3,
-    }
-}
-
-/// The scaling spec: the paper's stereo workload, sized by mode.
-fn stereo_spec(quick: bool) -> FleetSpec {
-    FleetSpec {
-        workload: Workload::Stereo {
-            width: if quick { 24 } else { 48 },
-            height: if quick { 16 } else { 32 },
-            disparity: 2,
-            noise_sigma: 0.05,
-            scene_seed: 7,
-        },
-        backend: BackendKind::Softmax,
-        iterations: if quick { 6 } else { 12 },
-        threads: 4,
-        seed: 0x57E2_E0FE,
-        burn_in: 2,
     }
 }
 
@@ -146,8 +109,7 @@ pub fn run(quick: bool) -> FleetLadder {
 
 /// Runs the ladder with an explicit launcher. An in-process launcher
 /// cannot be SIGKILLed, so the chaos rows (kill, degrade, rolling,
-/// collapse) are skipped for it; clean, restart, and scaling rows always
-/// run.
+/// collapse) are skipped for it; clean and restart rows always run.
 #[must_use]
 pub fn run_with_launcher(quick: bool, launcher: &Launcher) -> FleetLadder {
     let mut rows = Vec::new();
@@ -198,9 +160,7 @@ pub fn run_with_launcher(quick: bool, launcher: &Launcher) -> FleetLadder {
         "coordinator restart",
         restart_row(&demo_spec(BackendKind::Softmax), launcher),
     ));
-
-    let scaling = scaling_sweep(quick, launcher);
-    FleetLadder { rows, scaling }
+    FleetLadder { rows }
 }
 
 fn clean_row(spec: &FleetSpec, cfg: &FleetConfig) -> Result<String, String> {
@@ -346,44 +306,13 @@ fn restart_row(spec: &FleetSpec, launcher: &Launcher) -> Result<String, String> 
     }
 }
 
-fn scaling_sweep(quick: bool, launcher: &Launcher) -> Vec<ScalingPoint> {
-    let spec = stereo_spec(quick);
-    let mut points = Vec::new();
-    let mut base_ms = 0.0_f64;
-    for workers in [1usize, 2, 4] {
-        let cfg = config(workers, launcher);
-        let start = Instant::now();
-        let output = run_fleet(&spec, &cfg);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let bit_identical = output
-            .as_ref()
-            .ok()
-            .and_then(|o| identical(o, &spec).ok())
-            .unwrap_or(false);
-        if workers == 1 {
-            base_ms = wall_ms;
-        }
-        points.push(ScalingPoint {
-            workers,
-            wall_ms,
-            speedup: if wall_ms > 0.0 {
-                base_ms / wall_ms
-            } else {
-                0.0
-            },
-            bit_identical,
-        });
-    }
-    points
-}
-
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mogs-repro-fleet-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-/// Renders the ladder and the scaling table.
+/// Renders the ladder.
 #[must_use]
 pub fn render(result: &FleetLadder) -> String {
     let ladder: Vec<Vec<String>> = result
@@ -397,34 +326,10 @@ pub fn render(result: &FleetLadder) -> String {
             ]
         })
         .collect();
-    let mut s = String::from("A15: fleet kill-ladder (mogs-fleet)\n\n");
-    s.push_str(&render_table(&["scenario", "outcome", "gate"], &ladder));
-    if !result.scaling.is_empty() {
-        let rows: Vec<Vec<String>> = result
-            .scaling
-            .iter()
-            .map(|p| {
-                vec![
-                    p.workers.to_string(),
-                    format!("{:.1}", p.wall_ms),
-                    format!("{:.2}x", p.speedup),
-                    if p.bit_identical { "yes" } else { "NO" }.to_string(),
-                ]
-            })
-            .collect();
-        s.push_str("\nstereo scaling (wall time includes process spawn + framing):\n\n");
-        s.push_str(&render_table(
-            &["workers", "wall ms", "speedup", "bit-identical"],
-            &rows,
-        ));
-    }
-    s
-}
-
-/// Serializes the scaling sweep as the `BENCH_fleet.json` payload.
-#[must_use]
-pub fn to_snapshot_json(result: &FleetLadder) -> String {
-    serde::json::to_string(&result.scaling)
+    format!(
+        "A15: fleet kill-ladder (mogs-fleet)\n\n{}",
+        render_table(&["scenario", "outcome", "gate"], &ladder)
+    )
 }
 
 #[cfg(test)]
@@ -443,15 +348,6 @@ mod tests {
         for row in &result.rows {
             assert!(row.pass, "{}: {}", row.scenario, row.detail);
         }
-        assert_eq!(result.scaling.len(), 3);
-        for point in &result.scaling {
-            assert!(point.bit_identical, "{} workers diverged", point.workers);
-        }
-        let text = render(&result);
-        assert!(text.contains("fleet kill-ladder"));
-        assert!(text.contains("stereo scaling"));
-        let json = to_snapshot_json(&result);
-        let back: Vec<ScalingPoint> = serde::json::from_str(&json).expect("parse back");
-        assert_eq!(back, result.scaling);
+        assert!(render(&result).contains("fleet kill-ladder"));
     }
 }

@@ -286,7 +286,7 @@ impl Engine {
         S: SingletonPotential + 'static,
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        let typed = TypedJob::try_new(spec.into_job())?;
+        let (typed, _) = TypedJob::try_new(spec.into_job())?;
         let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
         Ok(Pending {
             id,

@@ -43,7 +43,7 @@ use mogs_gibbs::{LabelSampler, TemperatureSchedule};
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::field::DIAGONAL_WEIGHT;
 use mogs_mrf::label::MAX_LABELS;
-use mogs_mrf::{Label, MarkovRandomField, Neighborhood};
+use mogs_mrf::{Label, MarkovRandomField, Neighborhood, Topology};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -136,6 +136,14 @@ struct Bookkeeping {
     snapshot: Vec<Label>,
 }
 
+/// What admission proved: the field's interference topology and the
+/// schedule certificate independently verified against it.
+#[derive(Debug, Clone)]
+pub(crate) struct Admission {
+    pub(crate) topology: Topology,
+    pub(crate) certificate: ScheduleCertificate,
+}
+
 /// A fully prepared, monomorphized job.
 pub(crate) struct TypedJob<S: SingletonPotential, L: LabelSampler> {
     mrf: MarkovRandomField<S>,
@@ -208,11 +216,14 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     /// not validate against the field;
     /// [`EngineError::InvalidSpec`] if an attached health policy has an
     /// out-of-range field.
-    pub(crate) fn try_new(mut job: InferenceJob<S, L>) -> Result<Self, EngineError>
+    ///
+    /// Returns the admission alongside the job: the shard runner keeps
+    /// it (the fleet partitions against it), the engine drops it.
+    pub(crate) fn try_new(mut job: InferenceJob<S, L>) -> Result<(Self, Admission), EngineError>
     where
         L: SweepKernel,
     {
-        let (groups, fingerprint) = Self::admit(&mut job)?;
+        let admission = Self::admit(&mut job)?;
         let labels = match job.initial.take() {
             Some(labels) => {
                 job.mrf
@@ -222,7 +233,10 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
             }
             None => job.mrf.uniform_labeling(),
         };
-        TypedJob::build(job, groups, labels, fingerprint, None)
+        let groups = admission.certificate.classes().to_vec();
+        let fingerprint = admission.certificate.fingerprint();
+        let typed = TypedJob::build(job, groups, labels, fingerprint, None)?;
+        Ok((typed, admission))
     }
 
     /// Prepares a job seeded from a checkpoint instead of an initial
@@ -245,7 +259,9 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     where
         L: SweepKernel,
     {
-        let (groups, fingerprint) = Self::admit(&mut job)?;
+        let Admission { certificate, .. } = Self::admit(&mut job)?;
+        let fingerprint = certificate.fingerprint();
+        let groups = certificate.into_classes();
         // A resumed job's labeling comes from the checkpoint; any initial
         // labeling on the spec was consumed by the original run.
         job.initial.take();
@@ -270,9 +286,8 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
 
     /// The shared admission pass: validates the health policy and label
     /// space, then colors and independently re-verifies the sweep
-    /// schedule. Returns the proved color classes and the adjacency
-    /// fingerprint of the topology they were proved against.
-    fn admit(job: &mut InferenceJob<S, L>) -> Result<(Vec<Vec<usize>>, u64), EngineError>
+    /// schedule against the field's interference topology.
+    fn admit(job: &mut InferenceJob<S, L>) -> Result<Admission, EngineError>
     where
         L: SweepKernel,
     {
@@ -309,8 +324,10 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
         if !report.is_clean() {
             return Err(EngineError::Schedule(AuditError { report }));
         }
-        let fingerprint = certificate.fingerprint();
-        Ok((certificate.into_classes(), fingerprint))
+        Ok(Admission {
+            topology,
+            certificate,
+        })
     }
 
     /// [`TypedJob::try_new`] for callers that know the job is well-formed
@@ -325,7 +342,7 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     where
         L: SweepKernel,
     {
-        TypedJob::try_new(job).expect("job must pass admission")
+        TypedJob::try_new(job).expect("job must pass admission").0
     }
 
     /// Builds the prepared job from already-audited parts. Private on
@@ -620,11 +637,53 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
         self.mrf.space().count()
     }
 
-    /// Total field energy of `labels` under this job's MRF (shard-runner
-    /// access; the fleet coordinator records the engine's energy trace
-    /// without holding the generic field type itself).
-    pub(crate) fn field_energy(&self, labels: &[Label]) -> f64 {
-        self.mrf.total_energy(labels)
+    /// Total field energy of the current plane, read in place and
+    /// summed from the job's own tables in
+    /// [`MarkovRandomField::total_energy`]'s exact term order — per site
+    /// the singleton, the right and down neighbours, then the
+    /// `DIAGONAL_WEIGHT`ed down-left and down-right ones. The tables hold
+    /// the very f64s `total_energy` would compute, so the sum is the same
+    /// bit for bit; above [`SINGLETON_CACHE_CAP`] the singleton is
+    /// evaluated directly, as there.
+    ///
+    /// # Safety
+    ///
+    /// The plane must be quiescent — no chunk of this job outstanding —
+    /// as at the scheduler's sweep boundary or behind a shard runner's
+    /// single ownership.
+    pub(crate) unsafe fn plane_energy(&self) -> f64 {
+        let m = self.mrf.space().count();
+        // SAFETY: quiescence (this fn's contract) means no cell is
+        // written while it is read.
+        let at = |site: usize| unsafe { self.plane.read(site) };
+        let prior =
+            |own: usize, n: usize| self.prior_table[(usize::from(at(n).value()) << 6) | own];
+        let mut e = 0.0;
+        for site in 0..self.plane.len() {
+            let label = at(site);
+            let own = usize::from(label.value());
+            e += match &self.singleton_table {
+                Some(table) => table[site * m + own],
+                None => self.mrf.singleton().energy(site, label),
+            };
+            let [_, right, _, down] = self.axis[site];
+            if right != NO_NEIGHBOR {
+                e += prior(own, right);
+            }
+            if down != NO_NEIGHBOR {
+                e += prior(own, down);
+            }
+            if let Some(diag) = &self.diag {
+                let [_, _, down_left, down_right] = diag[site];
+                if down_left != NO_NEIGHBOR {
+                    e += DIAGONAL_WEIGHT * prior(own, down_left);
+                }
+                if down_right != NO_NEIGHBOR {
+                    e += DIAGONAL_WEIGHT * prior(own, down_right);
+                }
+            }
+        }
+        e
     }
 
     /// The dynamic read/write-set recorder, for tests that drive phases
@@ -797,23 +856,20 @@ where
         // Matches the chain: samples count once `iteration + 1 > burn_in`.
         let wants_hist = book.histograms.is_some() && iteration + 1 > self.burn_in;
         let wants_energy = self.record_energy || sink_wants_energy;
-        let mut energy = None;
-        if wants_energy || wants_hist || sink_wants_labels {
+        // SAFETY: the scheduler calls this only with no outstanding
+        // chunks for this job, so the plane is quiescent.
+        let energy = wants_energy.then(|| unsafe { self.plane_energy() });
+        if let Some(e) = energy.filter(|_| self.record_energy) {
+            book.energy_trace.push(e);
+        }
+        if wants_hist || sink_wants_labels {
             let Bookkeeping {
-                energy_trace,
                 histograms,
                 snapshot,
+                ..
             } = &mut *book;
-            // SAFETY: the scheduler calls this only with no outstanding
-            // chunks for this job, so the plane is quiescent.
+            // SAFETY: quiescent, as above.
             unsafe { self.plane.snapshot_into(snapshot) };
-            if wants_energy {
-                let e = self.mrf.total_energy(snapshot);
-                if self.record_energy {
-                    energy_trace.push(e);
-                }
-                energy = Some(e);
-            }
             if wants_hist {
                 if let Some(hist) = histograms {
                     let m = self.mrf.space().count();

@@ -32,12 +32,13 @@
 //! schedule certificate that admits the job here plus the sharding
 //! obligations of `mogs_audit::sharding`.
 
+use mogs_audit::ScheduleCertificate;
 use mogs_gibbs::kernel::{KernelArena, SweepKernel};
 use mogs_mrf::energy::SingletonPotential;
-use mogs_mrf::Label;
+use mogs_mrf::{Label, Topology};
 
 use crate::error::EngineError;
-use crate::runner::{ErasedJob, TypedJob};
+use crate::runner::{Admission, ErasedJob, TypedJob};
 use crate::spec::JobSpec;
 
 /// The number of chunks the engine splits a group of `group_len` sites
@@ -55,14 +56,21 @@ pub fn chunk_count(group_len: usize, threads: usize) -> usize {
 
 /// One job shard, executable phase by phase in a worker process.
 ///
-/// Construction re-runs full engine admission (label-space check,
-/// certificate coloring, independent verification), then pins the owned
-/// `(group, chunk)` cells. The spec must be *plain*: sinks, fault
-/// plans, health policies, and checkpoint writers are sweep-boundary
-/// machinery owned by the fleet coordinator, not by shards, and are
-/// rejected at construction.
+/// Two steps, so a fleet pays admission once per process: construction
+/// runs full engine admission (label-space check, certificate coloring,
+/// independent verification) and builds the tables and plane; then
+/// [`pin`](Self::pin) selects the owned `(group, chunk)` cells — and
+/// may be called again, which is how an adopting worker takes on a
+/// second shard without re-admitting the job. An unpinned runner owns
+/// nothing: it phases no chunks but seats, reads and prices whole
+/// planes (the fleet coordinator's mirror). The spec must be *plain*:
+/// sinks, fault plans, health policies, and checkpoint writers are
+/// sweep-boundary machinery owned by the fleet coordinator, not by
+/// shards, and are rejected at construction.
 pub struct ShardRunner<S: SingletonPotential, L: SweepKernel> {
     job: TypedJob<S, L>,
+    /// The topology and certificate admission proved the job under.
+    admission: Admission,
     /// Owned chunk ids per group, sorted ascending.
     owned: Vec<Vec<usize>>,
     arena: KernelArena,
@@ -73,16 +81,15 @@ where
     S: SingletonPotential + 'static,
     L: SweepKernel + Clone + Send + Sync + 'static,
 {
-    /// Admits `spec` and pins the shard to `chunks` (global
-    /// `(group, chunk)` cells; order and duplicates are normalized).
+    /// Admits `spec` and, unless `chunks` is empty, [`pin`](Self::pin)s
+    /// the shard to them.
     ///
     /// # Errors
     ///
     /// Everything [`Engine::submit`](crate::Engine::submit) admission
-    /// reports, plus [`EngineError::InvalidSpec`]:
-    /// - field `"shard"` for an out-of-range or empty cell list,
-    /// - field `"spec"` when the spec carries a sink, fault plan,
-    ///   health policy, or checkpoint writer.
+    /// reports, everything [`pin`](Self::pin) reports, plus
+    /// [`EngineError::InvalidSpec`] (field `"spec"`) when the spec
+    /// carries a sink, fault plan, health policy, or checkpoint writer.
     pub fn try_new(spec: JobSpec<S, L>, chunks: &[(usize, usize)]) -> Result<Self, EngineError> {
         let job = spec.into_job();
         if job.sink.is_some()
@@ -97,16 +104,38 @@ where
                     .to_string(),
             });
         }
-        let typed = TypedJob::try_new(job)?;
-        let mut owned = vec![Vec::new(); typed.group_count()];
+        let (job, admission) = TypedJob::try_new(job)?;
+        let mut runner = ShardRunner {
+            owned: vec![Vec::new(); job.group_count()],
+            job,
+            admission,
+            arena: KernelArena::new(),
+        };
+        if !chunks.is_empty() {
+            runner.pin(chunks)?;
+        }
+        Ok(runner)
+    }
+
+    /// Pins the shard to `chunks` (global `(group, chunk)` cells; order
+    /// and duplicates are normalized), replacing whatever it owned. The
+    /// plane is untouched: a re-pinned shard seats its new boundary.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidSpec`] (field `"shard"`) for an
+    /// out-of-range or empty cell list; the old pinning is kept.
+    pub fn pin(&mut self, chunks: &[(usize, usize)]) -> Result<(), EngineError> {
+        let invalid = |reason: String| EngineError::InvalidSpec {
+            field: "shard",
+            reason,
+        };
+        let mut owned = vec![Vec::new(); self.group_count()];
         for &(group, chunk) in chunks {
-            if group >= typed.group_count() || chunk >= typed.chunks_in_group(group) {
-                return Err(EngineError::InvalidSpec {
-                    field: "shard",
-                    reason: format!(
-                        "cell ({group}, {chunk}) is outside the job's phase decomposition"
-                    ),
-                });
+            if group >= self.group_count() || chunk >= self.chunks_in_group(group) {
+                return Err(invalid(format!(
+                    "cell ({group}, {chunk}) is outside the job's phase decomposition"
+                )));
             }
             owned[group].push(chunk);
         }
@@ -115,16 +144,24 @@ where
             list.dedup();
         }
         if owned.iter().all(Vec::is_empty) {
-            return Err(EngineError::InvalidSpec {
-                field: "shard",
-                reason: "a shard must own at least one chunk".to_string(),
-            });
+            return Err(invalid("a shard must own at least one chunk".to_string()));
         }
-        Ok(ShardRunner {
-            job: typed,
-            owned,
-            arena: KernelArena::new(),
-        })
+        self.owned = owned;
+        Ok(())
+    }
+
+    /// The interference topology the job was admitted under — the graph
+    /// the fleet partitions and audits halos against.
+    #[must_use]
+    pub fn topology(&self) -> &Topology {
+        &self.admission.topology
+    }
+
+    /// The schedule certificate admission verified against
+    /// [`topology`](Self::topology).
+    #[must_use]
+    pub fn certificate(&self) -> &ScheduleCertificate {
+        &self.admission.certificate
     }
 
     /// Number of color groups per sweep.
@@ -181,14 +218,14 @@ where
     }
 
     /// Total field energy of the current plane — what the engine appends
-    /// to the energy trace at each sweep boundary. The fleet coordinator
+    /// to the energy trace at each sweep boundary, from the same tables
+    /// and bit for bit the field's `total_energy`. The fleet coordinator
     /// calls this on its mirror runner after seating the merged plane.
     #[must_use]
     pub fn plane_energy(&self) -> f64 {
         // SAFETY: `&self` with single ownership — quiescent by
         // construction.
-        let snapshot = unsafe { self.job.plane().snapshot() };
-        self.job.field_energy(&snapshot)
+        unsafe { self.job.plane_energy() }
     }
 
     /// Runs the owned chunks of `group` for sweep `iteration`, in
@@ -448,9 +485,16 @@ mod tests {
     fn out_of_range_cells_and_inputs_are_rejected() {
         let err = ShardRunner::try_new(spec(3), &[(99, 0)]).expect_err("bad group");
         assert_eq!(err.variant(), "invalid-spec");
-        let err = ShardRunner::try_new(spec(3), &[]).expect_err("empty shard");
+        let mut runner = ShardRunner::try_new(spec(3), &[]).expect("admits unpinned");
+        assert!(
+            runner.owned_sites(0).is_empty(),
+            "an unpinned runner owns nothing"
+        );
+        let err = runner.pin(&[]).expect_err("empty shard");
         assert_eq!(err.variant(), "invalid-spec");
-        let mut runner = ShardRunner::try_new(spec(3), &[(0, 0)]).expect("admits");
+        let err = runner.pin(&[(0, 99)]).expect_err("bad chunk");
+        assert_eq!(err.variant(), "invalid-spec");
+        runner.pin(&[(0, 0)]).expect("pins");
         assert!(runner.seat(&[0u8; 3]).is_err(), "short plane");
         assert!(runner.seat(&[9u8; 24]).is_err(), "label outside space");
         assert!(runner.apply_updates(&[(999, 0)]).is_err(), "site outside");
@@ -458,5 +502,53 @@ mod tests {
         let plane = vec![1u8; 24];
         runner.seat(&plane).expect("valid plane");
         assert_eq!(runner.snapshot(), plane);
+    }
+
+    #[test]
+    fn admission_carries_the_fields_own_topology() {
+        // A second-order field: the diagonals must be in the topology the
+        // certificate was proved against, not just in the gather tables.
+        let grid = Grid2D::new(7, 5);
+        let mrf = MarkovRandomField::builder(grid, LabelSpace::scalar(3))
+            .neighborhood(mogs_mrf::Neighborhood::SecondOrder)
+            .prior(SmoothnessPrior::potts(0.7))
+            .singleton(|_s: usize, _l: Label| 0.0)
+            .build();
+        let neighborhood = mrf.neighborhood();
+        let job = JobSpec::builder(mrf, SoftmaxGibbs::new())
+            .threads(2)
+            .build()
+            .expect("builds");
+        let runner = ShardRunner::try_new(job, &[]).expect("admits");
+        let expected = Topology::from_grid(grid, neighborhood);
+        assert_eq!(runner.topology(), &expected);
+        assert_eq!(runner.topology().fingerprint(), expected.fingerprint());
+        assert_eq!(runner.certificate().fingerprint(), expected.fingerprint());
+        assert_eq!(runner.group_count(), 4, "second order is 4-colored");
+    }
+
+    #[test]
+    fn repinning_matches_a_fresh_shard() {
+        let probe = ShardRunner::try_new(spec(3), &[]).expect("admits");
+        let cells = all_cells(&probe);
+        let (first, rest) = cells.split_at(1);
+        let mut runner = ShardRunner::try_new(spec(3), first).expect("admits");
+        runner.run_phase(0, 0);
+        // Adopt the rest: re-pin, seat the pristine plane, run again.
+        runner.pin(&cells).expect("re-pins");
+        runner.seat(&probe.snapshot()).expect("seats");
+        let mut fresh = ShardRunner::try_new(spec(3), rest).expect("admits");
+        fresh.pin(&cells).expect("pins");
+        for sweep in 0..3 {
+            for group in 0..runner.group_count() {
+                runner.run_phase(sweep, group);
+                fresh.run_phase(sweep, group);
+            }
+        }
+        assert_eq!(runner.snapshot(), fresh.snapshot());
+        assert_eq!(
+            runner.plane_energy().to_bits(),
+            fresh.plane_energy().to_bits()
+        );
     }
 }

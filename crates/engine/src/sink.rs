@@ -29,7 +29,7 @@ use mogs_mrf::Label;
 /// What a sink asks the engine to compute before each observation.
 ///
 /// Declared once per job (cached at admission); the engine skips the
-/// label-plane snapshot and the `total_energy` pass entirely when no
+/// label-plane snapshot and the energy pass entirely when no
 /// consumer needs them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SinkNeeds {

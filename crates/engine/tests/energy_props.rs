@@ -1,0 +1,144 @@
+//! The table-driven plane energy equals `MarkovRandomField::total_energy`
+//! bit for bit.
+//!
+//! The engine prices a plane from its own singleton and prior tables —
+//! at every sweep boundary (`record_energy`) and on a fleet mirror
+//! (`ShardRunner::plane_energy`) — instead of re-evaluating the field
+//! per edge. The energy trace is part of the bit-identity contract, so
+//! the two must agree in every bit, not within a tolerance:
+//!
+//! - first- and second-order fields, Potts, squared-difference and
+//!   truncated-quadratic priors, `M` ∈ {1, 2, 5, 49, 64}, 1×N and odd
+//!   sizes, random labelings — through the shard runner and through an
+//!   engine run's last energy-trace entry;
+//! - a field above the singleton-cache cap, where the singleton is
+//!   evaluated directly instead of read from the table.
+
+use mogs_engine::prelude::*;
+use mogs_gibbs::SoftmaxGibbs;
+use mogs_mrf::energy::SingletonPotential;
+use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, Neighborhood, SmoothnessPrior};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const LABEL_COUNTS: [u16; 5] = [1, 2, 5, 49, 64];
+
+fn prior(kind: usize) -> SmoothnessPrior {
+    match kind {
+        0 => SmoothnessPrior::potts(0.7),
+        1 => SmoothnessPrior::squared_difference(0.13),
+        _ => SmoothnessPrior::truncated_quadratic(0.31, 40.0),
+    }
+}
+
+/// A field whose singletons have no short binary form, so any change in
+/// summation order would show in the low bits.
+fn field(
+    width: usize,
+    height: usize,
+    labels: u16,
+    prior_kind: usize,
+    second_order: bool,
+) -> MarkovRandomField<impl SingletonPotential + Clone + 'static> {
+    let neighborhood = if second_order {
+        Neighborhood::SecondOrder
+    } else {
+        Neighborhood::FirstOrder
+    };
+    MarkovRandomField::builder(Grid2D::new(width, height), LabelSpace::scalar(labels))
+        .neighborhood(neighborhood)
+        .prior(prior(prior_kind))
+        .singleton(|site: usize, label: Label| {
+            (site as f64 * 0.731 + f64::from(label.value()) * 1.37).sin() * 3.3
+        })
+        .build()
+}
+
+fn random_plane(sites: usize, labels: u16, seed: u64) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    // audit:allow(lossy-cast) — labels <= 64, so every draw fits a u8.
+    (0..sites).map(|_| rng.gen_range(0..labels) as u8).collect()
+}
+
+/// The shard runner's energy of `plane` and the field's, as bit patterns.
+fn both_energies<S>(mrf: &MarkovRandomField<S>, plane: &[u8]) -> (u64, u64)
+where
+    S: SingletonPotential + Clone + 'static,
+{
+    // One chunk per group: admission refuses more chunks than a tiny
+    // field's groups have sites, and the energy does not depend on it.
+    let spec = JobSpec::builder(mrf.clone(), SoftmaxGibbs::new())
+        .threads(1)
+        .build()
+        .expect("valid spec");
+    let mut runner = ShardRunner::try_new(spec, &[]).expect("admits");
+    runner.seat(plane).expect("plane fits the field");
+    let labels: Vec<Label> = plane.iter().map(|&l| Label::new(l)).collect();
+    (
+        runner.plane_energy().to_bits(),
+        mrf.total_energy(&labels).to_bits(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn table_energy_is_total_energy_bit_for_bit(
+        width in 1usize..12,
+        height in 1usize..12,
+        m in 0usize..5,
+        prior_kind in 0usize..3,
+        second_order in prop::bool::ANY,
+        seed in 0u64..u64::MAX,
+    ) {
+        let labels = LABEL_COUNTS[m];
+        let mrf = field(width, height, labels, prior_kind, second_order);
+        for salt in 0..4 {
+            let plane = random_plane(width * height, labels, seed ^ salt);
+            let (table, field) = both_energies(&mrf, &plane);
+            prop_assert_eq!(table, field);
+        }
+    }
+
+    #[test]
+    fn engine_energy_trace_is_total_energy_bit_for_bit(
+        width in 1usize..10,
+        height in 1usize..10,
+        m in 0usize..5,
+        prior_kind in 0usize..3,
+        second_order in prop::bool::ANY,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mrf = field(width, height, LABEL_COUNTS[m], prior_kind, second_order);
+        let spec = JobSpec::builder(mrf.clone(), SoftmaxGibbs::new())
+            .threads(1)
+            .seed(seed)
+            .iterations(3)
+            .record_energy(true)
+            .build()
+            .expect("valid spec");
+        let engine = Engine::with_default_config();
+        let out = engine.submit(spec).expect("admits").wait();
+        engine.shutdown();
+        let last = out.energy_trace.last().copied().expect("trace recorded");
+        prop_assert_eq!(last.to_bits(), mrf.total_energy(&out.labels).to_bits());
+    }
+}
+
+/// Above `SINGLETON_CACHE_CAP` (2²² `sites × labels` entries) the runner
+/// has no singleton table and evaluates the potential in place.
+#[test]
+fn uncached_singletons_are_total_energy_bit_for_bit() {
+    // 300 × 225 sites × 64 labels = 4,320,000 > 4,194,304.
+    for (prior_kind, second_order) in [(1, true), (2, false)] {
+        let mrf = field(300, 225, 64, prior_kind, second_order);
+        let plane = random_plane(300 * 225, 64, 0xCA9);
+        let (table, field) = both_energies(&mrf, &plane);
+        assert_eq!(
+            table, field,
+            "prior {prior_kind}, second order {second_order}"
+        );
+    }
+}

@@ -1,21 +1,24 @@
-//! The fleet worker binary: `fleet-worker <addr>` connects to a
-//! coordinator (`tcp:host:port` or `unix:/path`) and speaks the shard
-//! protocol until told to finish. Spawned by the coordinator's
-//! `Launcher::Program` path; exits nonzero on any protocol or shard
-//! failure so process supervisors see the death.
+//! `fleet-worker <addr> <spec>`: connects to a coordinator (`tcp:host:port`
+//! or `unix:/path`), admits `spec` (`FleetSpec::encode` text) and speaks the
+//! shard protocol until told to finish. Spawned by `Launcher::Program`; exits
+//! nonzero on any protocol or shard failure so process supervisors see it.
 
 use std::io::Write as _;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let Some(addr) = std::env::args().nth(1) else {
+    let mut args = std::env::args().skip(1);
+    let Some(addr) = args.next() else {
         let _ = writeln!(
             std::io::stderr(),
-            "usage: fleet-worker <tcp:host:port | unix:/path>"
+            "usage: fleet-worker <tcp:host:port | unix:/path> <spec>"
         );
         return ExitCode::from(2);
     };
-    match mogs_fleet::worker_main(&addr) {
+    // A missing spec fails admission after connecting: the coordinator
+    // gets a typed fault rather than a no-show.
+    let spec = args.next().unwrap_or_default();
+    match mogs_fleet::worker_main(&addr, &spec) {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             let _ = writeln!(std::io::stderr(), "fleet worker failed: {err}");

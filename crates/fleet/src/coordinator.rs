@@ -13,10 +13,10 @@
 //! after phase `g` equals, bit for bit, the engine's plane at the same
 //! point.
 //!
-//! Bring-up is overlapped: every worker is launched first, the mirror
-//! runner is built (and the job's structure derived from it) while they
-//! boot, then every `Assign` goes out before any `AssignOk` is awaited,
-//! so the shards build concurrently.
+//! Bring-up pays admission once per process, all in parallel: workers
+//! admit their launch spec as they connect while the coordinator admits
+//! its unpinned mirror and reads the job's structure off it. Every
+//! `Assign` (digest + cells) goes out before any `AssignOk` is awaited.
 //!
 //! # The bit-identity argument
 //!
@@ -27,9 +27,9 @@
 //! 2. the sharding audit proves halos carry *exactly* the cross-shard
 //!    adjacency, so a shard's plane holds the same neighbour labels the
 //!    engine's plane would at every phase boundary;
-//! 3. migration re-admits a shard as a pure function of (boundary
-//!    plane, phase replay log) — both already bit-exact — and re-runs
-//!    the interrupted phase from its own streams.
+//! 3. migration re-pins a shard as a pure function of (boundary plane,
+//!    phase replay log) — both already bit-exact — and re-runs the
+//!    interrupted phase from its own streams.
 //!
 //! Draws depend on nothing else, so kill-and-migrate cannot change a
 //! single label. The A15 repro ladder checks this end to end.
@@ -64,7 +64,7 @@ use crate::spec::FleetSpec;
 use crate::wire::{
     recv_to_coordinator, rpc_ping, send_to_worker, Conn, ToCoordinator, ToWorker, Traffic,
 };
-use crate::worker::{worker_main, WORKER_ENV};
+use crate::worker::{worker_main, SPEC_ENV, WORKER_ENV};
 
 /// Checkpoint key of the coordinator's whole-plane state.
 pub const COORD_KEY: &str = "fleet-coord";
@@ -78,11 +78,13 @@ pub fn shard_key(shard: usize) -> String {
 /// How worker processes are brought up.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Launcher {
-    /// Spawn this binary with the coordinator address as `argv[1]`
-    /// (the `fleet-worker` helper, or anything speaking the protocol).
+    /// Spawn this binary with the coordinator address as `argv[1]` and
+    /// the spec as `argv[2]` (the `fleet-worker` helper, or anything
+    /// speaking the protocol).
     Program(PathBuf),
-    /// Re-exec the current executable with [`WORKER_ENV`] set; the
-    /// binary must call [`crate::maybe_run_worker`] first thing.
+    /// Re-exec the current executable with [`WORKER_ENV`] and
+    /// [`SPEC_ENV`] set; the binary must call
+    /// [`crate::maybe_run_worker`] first thing.
     SelfExec,
     /// A thread in this process speaking the same protocol over a real
     /// socket. No process isolation — chaos kills are unsupported.
@@ -336,22 +338,27 @@ struct Slot {
 }
 
 impl Slot {
-    /// Launches one worker against a listener of its own; the slot has
-    /// no connection until [`Slot::connect`] accepts it.
-    fn start(config: &FleetConfig, shards: &[usize]) -> FleetResult<(Listener, Slot)> {
+    /// Launches one worker for `spec` against a listener of its own; the
+    /// slot has no connection until [`Slot::connect`] accepts it.
+    fn start(
+        config: &FleetConfig,
+        spec: &FleetSpec,
+        shards: &[usize],
+    ) -> FleetResult<(Listener, Slot)> {
         let (listener, addr) = Listener::bind(config.transport)?;
+        let spec = spec.encode();
         let failed = |e: std::io::Error| FleetError::Spawn {
             reason: format!("launching a {:?} worker: {e}", config.launcher),
         };
         let command = match &config.launcher {
             Launcher::Program(path) => {
                 let mut command = Command::new(path);
-                command.arg(&addr);
+                command.arg(&addr).arg(&spec);
                 Some(command)
             }
             Launcher::SelfExec => {
                 let mut command = Command::new(std::env::current_exe().map_err(failed)?);
-                command.env(WORKER_ENV, &addr);
+                command.env(WORKER_ENV, &addr).env(SPEC_ENV, &spec);
                 Some(command)
             }
             Launcher::InProcess => None,
@@ -361,7 +368,10 @@ impl Slot {
                 let child = command.stdin(Stdio::null()).spawn().map_err(failed)?;
                 (Some(child), None)
             }
-            None => (None, Some(std::thread::spawn(move || worker_main(&addr)))),
+            None => (
+                None,
+                Some(std::thread::spawn(move || worker_main(&addr, &spec))),
+            ),
         };
         let slot = Slot {
             conn: None,
@@ -381,10 +391,10 @@ impl Slot {
 
     /// Launches one worker and waits for its connection, retrying with
     /// exponential backoff.
-    fn spawn(config: &FleetConfig, shards: &[usize]) -> FleetResult<Slot> {
+    fn spawn(config: &FleetConfig, spec: &FleetSpec, shards: &[usize]) -> FleetResult<Slot> {
         let mut attempt = 0u32;
         loop {
-            let spawned = Slot::start(config, shards)
+            let spawned = Slot::start(config, spec, shards)
                 .and_then(|(listener, slot)| slot.connect(&listener, config.rpc_deadline));
             match spawned {
                 Err(_) if attempt < config.max_retries => {
@@ -422,8 +432,8 @@ struct Coordinator {
     config: FleetConfig,
     structure: FleetStructure,
     partition: Partition,
-    /// Full-plane mirror runner: never phases, only seats the merged
-    /// plane to compute the engine's exact per-sweep energy.
+    /// Unpinned mirror runner: never phases, only seats the merged plane
+    /// to price it with the engine's own tables each sweep.
     reference: Box<dyn ShardExec>,
     mirror: Vec<u8>,
     energy_trace: Vec<f64>,
@@ -464,15 +474,13 @@ impl Coordinator {
                 reason: "stop/resume requires a checkpoint store".to_string(),
             });
         }
-        // Every worker boots while the coordinator admits the job. An
+        // Every worker admits the job while the coordinator does. An
         // early return drops the started slots, which reaps them.
         let started: Vec<FleetResult<(Listener, Slot)>> = (0..config.workers)
-            .map(|shard| Slot::start(config, &[shard]))
+            .map(|shard| Slot::start(config, spec, &[shard]))
             .collect();
-        // The mirror runner never phases, so the cheapest shard will do:
-        // whatever it owns, it carries the whole decomposition and plane.
-        let reference = build_shard(spec, &[(0, 0)])?;
-        let structure = FleetStructure::from_shard(spec, reference.as_ref())?;
+        let reference = build_shard(spec, &[])?;
+        let structure = reference.structure();
         let partition = partition(&structure, config.workers)?;
         let mirror = reference.snapshot();
         let store = match &config.checkpoint {
@@ -483,7 +491,7 @@ impl Coordinator {
         for (shard, started) in started.into_iter().enumerate() {
             let connected = started
                 .and_then(|(listener, slot)| slot.connect(&listener, config.rpc_deadline))
-                .or_else(|_| Slot::spawn(config, &[shard]))?;
+                .or_else(|_| Slot::spawn(config, spec, &[shard]))?;
             slots.push(connected);
         }
         let sites = structure.sites;
@@ -512,11 +520,12 @@ impl Coordinator {
             coordinator.load_resume()?;
         }
         coordinator.rebuild_owner_map();
-        // Every Assign goes out before any AssignOk is awaited, so the
-        // shards build concurrently.
-        let (start, mirror) = (coordinator.start_sweep, coordinator.mirror.clone());
+        // Every Assign goes out before any AssignOk is awaited. A fresh
+        // job's workers already hold the admission plane.
+        let start = coordinator.start_sweep;
+        let plane = config.resume.then(|| coordinator.mirror.clone());
         for idx in 0..coordinator.slots.len() {
-            coordinator.send_assign(idx, &mirror, start, &[])?;
+            coordinator.send_assign(idx, plane.as_deref(), start, &[])?;
         }
         for idx in 0..coordinator.slots.len() {
             coordinator.await_assign_ok(idx)?;
@@ -580,7 +589,7 @@ impl Coordinator {
     fn send_assign(
         &mut self,
         idx: usize,
-        plane: &[u8],
+        plane: Option<&[u8]>,
         resume_sweep: usize,
         replay: &[Vec<(usize, u8)>],
     ) -> FleetResult<()> {
@@ -590,9 +599,9 @@ impl Coordinator {
             .flat_map(|&s| self.partition.shards[s].cells.iter().copied())
             .collect();
         let msg = ToWorker::Assign {
-            spec: self.spec.clone(),
+            digest: self.spec.digest(),
             cells,
-            plane: Some(plane.to_vec()),
+            plane: plane.map(<[u8]>::to_vec),
             resume_sweep,
             replay: replay.to_vec(),
         };
@@ -735,7 +744,7 @@ impl Coordinator {
             let shards = self.reap(failed);
             self.cross_check_boundary(&shards, boundary, sweep)?;
             let target = if self.config.respawn {
-                self.slots[failed] = Slot::spawn(&self.config, &shards)?;
+                self.slots[failed] = Slot::spawn(&self.config, &self.spec, &shards)?;
                 self.workers_spawned += 1;
                 failed
             } else {
@@ -757,7 +766,7 @@ impl Coordinator {
             };
             self.rebuild_owner_map();
             let assigned = self
-                .send_assign(target, boundary, sweep, replay)
+                .send_assign(target, Some(boundary), sweep, replay)
                 .and_then(|()| self.await_assign_ok(target));
             match assigned {
                 Ok(()) => return Ok(target),

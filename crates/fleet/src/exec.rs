@@ -6,18 +6,16 @@
 //! list into a `Box<dyn ShardExec>` — one concrete object per workload
 //! and backend, all driven identically by the worker loop and the
 //! coordinator's mirror — and [`FleetStructure`] captures the job's
-//! phase decomposition (groups, chunks, topology, certificate) so the
-//! partitioner and the sharding audit agree with the engine about every
-//! cell boundary.
+//! phase decomposition (groups, chunks, and the topology and certificate
+//! admission proved) so the partitioner and the sharding audit agree
+//! with the engine about every cell boundary.
 
-use mogs_audit::{verify_certificate, Chunking, ScheduleCertificate};
+use mogs_audit::ScheduleCertificate;
 use mogs_ckpt::harness::DEMO_MAX_ENERGY;
 use mogs_engine::{BackendSampler, Engine, JobOutput, JobSpec, ShardRunner};
 use mogs_gibbs::kernel::SweepKernel;
 use mogs_mrf::energy::SingletonPotential;
-use mogs_mrf::{
-    Grid2D, Label, LabelSpace, MarkovRandomField, Neighborhood, SmoothnessPrior, Topology,
-};
+use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior, Topology};
 use mogs_vision::stereo::{StereoConfig, StereoMatching};
 use mogs_vision::synthetic;
 
@@ -31,10 +29,6 @@ use crate::spec::{FleetSpec, Workload};
 pub trait ShardExec {
     /// Number of color groups per sweep.
     fn group_count(&self) -> usize;
-    /// Number of chunks in one group under the reference split.
-    fn chunks_in_group(&self, group: usize) -> usize;
-    /// The sites of one `(group, chunk)` cell.
-    fn cell_sites(&self, group: usize, chunk: usize) -> Vec<usize>;
     /// Total sites in the plane.
     fn site_count(&self) -> usize;
     /// Labels in the label space.
@@ -43,6 +37,11 @@ pub trait ShardExec {
     fn owned_sites(&self, group: usize) -> Vec<usize>;
     /// Runs the owned chunks of `group` for sweep `iteration`.
     fn run_phase(&mut self, iteration: usize, group: usize);
+    /// Re-pins the shard to `cells`, keeping the admitted job.
+    fn pin(&mut self, cells: &[(usize, usize)]) -> FleetResult<()>;
+    /// The job's structure, read off this shard's admission — the
+    /// field's own topology and verified certificate, nothing re-proved.
+    fn structure(&self) -> FleetStructure;
     /// Seats a full plane of raw labels.
     fn seat(&mut self, labels: &[u8]) -> FleetResult<()>;
     /// Imports halo or replay updates.
@@ -63,12 +62,6 @@ where
     fn group_count(&self) -> usize {
         ShardRunner::group_count(self)
     }
-    fn chunks_in_group(&self, group: usize) -> usize {
-        ShardRunner::chunks_in_group(self, group)
-    }
-    fn cell_sites(&self, group: usize, chunk: usize) -> Vec<usize> {
-        ShardRunner::cell_sites(self, group, chunk).to_vec()
-    }
     fn site_count(&self) -> usize {
         ShardRunner::site_count(self)
     }
@@ -80,6 +73,25 @@ where
     }
     fn run_phase(&mut self, iteration: usize, group: usize) {
         ShardRunner::run_phase(self, iteration, group);
+    }
+    fn pin(&mut self, cells: &[(usize, usize)]) -> FleetResult<()> {
+        ShardRunner::pin(self, cells).map_err(FleetError::from)
+    }
+    fn structure(&self) -> FleetStructure {
+        let cells = (0..self.group_count())
+            .map(|g| {
+                (0..self.chunks_in_group(g))
+                    .map(|c| self.cell_sites(g, c).to_vec())
+                    .collect()
+            })
+            .collect();
+        FleetStructure {
+            topology: self.topology().clone(),
+            certificate: self.certificate().clone(),
+            cells,
+            sites: self.site_count(),
+            labels: self.label_count(),
+        }
     }
     fn seat(&mut self, labels: &[u8]) -> FleetResult<()> {
         ShardRunner::seat(self, labels).map_err(FleetError::from)
@@ -165,8 +177,9 @@ fn stereo_job_spec(
     Ok(JobSpec::from(job))
 }
 
-/// Builds the shard of `spec` pinned to `cells` — the worker-side (and
-/// coordinator-mirror) entry point.
+/// Admits `spec` and pins the shard to `cells` — unpinned when `cells`
+/// is empty, as a worker's runner is until its first `Assign` and the
+/// coordinator's mirror always is.
 ///
 /// # Errors
 ///
@@ -250,66 +263,16 @@ pub struct FleetStructure {
     pub sites: usize,
     /// Labels in the label space.
     pub labels: usize,
-    /// The spec's deterministic chunk count.
-    pub threads: usize,
 }
 
 impl FleetStructure {
-    /// Derives the structure of `spec` and proves the certificate clean
-    /// with the independent verifier.
+    /// Admits `spec` and reads its structure off the admission.
     ///
     /// # Errors
     ///
-    /// [`FleetError::Spec`] on admission failure;
-    /// [`FleetError::Partition`] if the certificate fails independent
-    /// verification (a workspace bug, not a caller error — surfaced as
-    /// a typed refusal rather than trusted).
+    /// [`FleetError::Spec`] on admission failure.
     pub fn of(spec: &FleetSpec) -> FleetResult<Self> {
-        // Any single valid cell admits the job; (0, 0) always exists.
-        Self::from_shard(spec, build_shard(spec, &[(0, 0)])?.as_ref())
-    }
-
-    /// [`FleetStructure::of`] over a shard of `spec` that is already
-    /// built — every shard carries the whole decomposition, so the
-    /// coordinator derives the structure from its mirror runner instead
-    /// of admitting the job once more.
-    pub(crate) fn from_shard(spec: &FleetSpec, probe: &dyn ShardExec) -> FleetResult<Self> {
-        let groups = probe.group_count();
-        let mut cells = Vec::with_capacity(groups);
-        let mut classes = Vec::with_capacity(groups);
-        for g in 0..groups {
-            let chunk_lists: Vec<Vec<usize>> = (0..probe.chunks_in_group(g))
-                .map(|c| probe.cell_sites(g, c))
-                .collect();
-            classes.push(chunk_lists.concat());
-            cells.push(chunk_lists);
-        }
-        let (width, height) = spec.workload.dims();
-        let topology = Topology::from_grid(Grid2D::new(width, height), Neighborhood::FirstOrder);
-        let certificate = ScheduleCertificate::from_classes(
-            &topology,
-            classes,
-            Chunking::Uniform {
-                threads: spec.threads,
-            },
-        );
-        let report = verify_certificate(&topology, &certificate);
-        if !report.is_clean() {
-            return Err(FleetError::Partition {
-                reason: format!(
-                    "schedule certificate failed verification: {}",
-                    report.summary()
-                ),
-            });
-        }
-        Ok(FleetStructure {
-            topology,
-            certificate,
-            cells,
-            sites: probe.site_count(),
-            labels: probe.label_count(),
-            threads: spec.threads,
-        })
+        Ok(build_shard(spec, &[])?.structure())
     }
 
     /// Number of color groups.
@@ -329,6 +292,7 @@ impl FleetStructure {
 mod tests {
     use super::*;
     use crate::spec::BackendKind;
+    use mogs_mrf::Neighborhood;
 
     fn demo_spec() -> FleetSpec {
         FleetSpec {
@@ -360,6 +324,10 @@ mod tests {
             .sum();
         assert_eq!(covered, 48, "cells must cover the plane exactly");
         assert_eq!(structure.certificate.sites(), 48);
+        // The admission's own topology (the demo field is first order).
+        let expected = Topology::from_grid(Grid2D::new(8, 6), Neighborhood::FirstOrder);
+        assert_eq!(structure.topology, expected);
+        assert_eq!(structure.certificate.fingerprint(), expected.fingerprint());
     }
 
     #[test]
@@ -406,6 +374,11 @@ mod tests {
         let structure = FleetStructure::of(&spec).expect("structure derives");
         assert_eq!(structure.sites, 120);
         assert_eq!(structure.labels, 5);
+        let scene = synthetic::stereo_pair(12, 10, 2, 2.0, 17);
+        let app = StereoMatching::new(&scene.left, &scene.right, StereoConfig::default());
+        let expected = Topology::from_grid(*app.mrf().grid(), app.mrf().neighborhood());
+        assert_eq!(structure.topology.fingerprint(), expected.fingerprint());
+        assert_eq!(structure.certificate.fingerprint(), expected.fingerprint());
         let out = run_in_process(&spec).expect("engine runs stereo");
         assert_eq!(out.iterations_run, 3);
         assert_eq!(out.energy_trace.len(), 3);

@@ -13,8 +13,8 @@
 //! # Layers
 //!
 //! - [`spec`]: the process-portable job description ([`FleetSpec`]) —
-//!   everything a worker needs to rebuild its shard from a single
-//!   message.
+//!   everything a worker needs to admit the job, handed over at launch
+//!   (an `Assign` names it by digest).
 //! - [`exec`]: shard construction ([`build_shard`]) on top of
 //!   `mogs_engine::ShardRunner`, plus the in-process reference path
 //!   ([`run_in_process`]) the repro harness compares against.
@@ -62,4 +62,4 @@ pub use error::{FleetError, FleetResult};
 pub use exec::{build_shard, run_in_process, FleetStructure, ShardExec};
 pub use partition::{partition, Partition, ShardAssignment};
 pub use spec::{BackendKind, FleetSpec, Workload};
-pub use worker::{maybe_run_worker, worker_main, WORKER_ENV};
+pub use worker::{maybe_run_worker, worker_main, SPEC_ENV, WORKER_ENV};

@@ -2,8 +2,9 @@
 //!
 //! A [`FleetSpec`] is everything a worker process needs to rebuild its
 //! shard of the job *exactly* — workload, backend, sweep budget,
-//! chunking, seed. It crosses the wire in every `Assign` message and is
-//! stored as checkpoint `meta`, so the encoding follows the workspace's
+//! chunking, seed. It rides every worker launch (an `Assign` names it
+//! by [`digest`](FleetSpec::digest)) and is stored as checkpoint
+//! `meta`, so the encoding follows the workspace's
 //! envelope discipline: `u64` values travel as 16-digit hex strings
 //! (the vendored JSON parser routes numbers through `f64`, which cannot
 //! carry a full 64-bit seed; `mogs_ckpt::parse_hex_u64` is the one
@@ -17,7 +18,8 @@
 //! that parse the same spec build bit-identical MRFs without shipping
 //! pixel planes around.
 
-use mogs_ckpt::{parse_hex_u64, parse_object};
+use mogs_ckpt::{fnv1a, parse_hex_u64, parse_object};
+use mogs_mrf::label::MAX_LABELS;
 use serde::de::{self, Parser};
 use serde::{Deserialize, Serialize};
 
@@ -93,16 +95,6 @@ impl Workload {
         let (w, h) = self.dims();
         w * h
     }
-
-    /// Labels in the label space.
-    #[must_use]
-    pub fn label_count(&self) -> usize {
-        match *self {
-            Workload::Demo { labels, .. } => usize::from(labels),
-            // Stereo uses the paper's 5-disparity space.
-            Workload::Stereo { .. } => 5,
-        }
-    }
 }
 
 /// The complete, self-contained description of one fleet job.
@@ -144,8 +136,10 @@ impl FleetSpec {
         }
         match self.workload {
             Workload::Demo { labels, .. } => {
-                if labels == 0 {
-                    return Err(spec("demo label space must be non-empty".to_string()));
+                if labels == 0 || labels > MAX_LABELS {
+                    return Err(spec(format!(
+                        "demo label space of {labels} is outside 1..={MAX_LABELS}"
+                    )));
                 }
             }
             Workload::Stereo {
@@ -173,7 +167,7 @@ impl FleetSpec {
         Ok(())
     }
 
-    /// Encodes the spec as its wire/meta JSON text.
+    /// Encodes the spec as its launch/meta JSON text.
     #[must_use]
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(160);
@@ -181,7 +175,7 @@ impl FleetSpec {
         out
     }
 
-    pub(crate) fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut String) {
         out.push_str("{\"workload\":");
         match &self.workload {
             Workload::Demo {
@@ -237,6 +231,13 @@ impl FleetSpec {
         out.push('}');
     }
 
+    /// FNV-1a of [`encode`](Self::encode): what an `Assign` names the
+    /// job by, checked against the spec the worker was launched with.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        fnv1a(self.encode().as_bytes())
+    }
+
     /// Parses a spec from its JSON text and validates it.
     ///
     /// # Errors
@@ -251,7 +252,7 @@ impl FleetSpec {
         Ok(spec)
     }
 
-    pub(crate) fn parse_value(parser: &mut Parser<'_>) -> Result<Self, de::Error> {
+    fn parse_value(parser: &mut Parser<'_>) -> Result<Self, de::Error> {
         let mut workload = None;
         let mut backend = None;
         let mut iterations = None;

@@ -13,7 +13,7 @@
 //! same way.
 //!
 //! The payload is a one-line JSON *head* — the message tag, sweep and
-//! group, the [`FleetSpec`], and the element count of every section —
+//! group, the spec digest, and the element count of every section —
 //! then `\n`, then the bulk data as raw sections in the order the head
 //! declares them: a `(site, label)` update list is two fixed-width
 //! columns (`u32` sites, then `u8` labels; no varints, no compression),
@@ -56,14 +56,14 @@ use serde::de::Parser;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{FleetError, FleetResult};
-use crate::spec::{protocol, FleetSpec};
+use crate::spec::protocol;
 
 /// Upper bound on one frame's payload, far above any plane this
 /// workspace samples; anything larger is a corrupt prefix.
 pub const FRAME_LIMIT: usize = 64 << 20;
 
 /// Upper bound on a payload's JSON head line. Heads carry a tag, a
-/// spec, and a handful of counts — a few hundred bytes; the bound keeps
+/// digest, and a handful of counts — a few hundred bytes; the bound keeps
 /// the recursive JSON parser's depth independent of the frame size.
 pub const HEAD_LIMIT: usize = 4096;
 
@@ -159,17 +159,17 @@ impl Conn {
 /// Coordinator → worker messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ToWorker {
-    /// (Re)admits a shard: build the job, pin the cells, seat the plane,
-    /// replay the completed phases of the resume sweep.
+    /// (Re)pins the runner the worker admitted at launch: pin the cells,
+    /// seat the plane, replay the completed phases of the resume sweep.
     Assign {
-        /// The full job description.
-        spec: FleetSpec,
+        /// The launch spec's digest; any other is refused.
+        digest: u64,
         /// Owned `(group, chunk)` cells.
         cells: Vec<(usize, usize)>,
-        /// Sweep-boundary plane to seat; `None` keeps the admission
-        /// plane (fresh start only).
+        /// Sweep-boundary plane to seat; `None` keeps the runner's plane
+        /// (a fresh start, on the admission plane).
         plane: Option<Vec<u8>>,
-        /// First sweep the shard runs after (re)admission.
+        /// First sweep the shard runs after the (re)pin.
         resume_sweep: usize,
         /// Per-group update logs of the resume sweep's completed phases:
         /// the shard runs its own chunks of group `i`, then applies
@@ -343,15 +343,14 @@ fn push_updates(out: &mut Vec<u8>, updates: &[(usize, u8)]) {
 pub fn encode_to_worker(msg: &ToWorker) -> Vec<u8> {
     match msg {
         ToWorker::Assign {
-            spec,
+            digest,
             cells,
             plane,
             resume_sweep,
             replay,
         } => {
             let mut h = head("assign");
-            h.push_str(",\"spec\":");
-            spec.write_json(&mut h);
+            field(&mut h, "digest", &format!("{digest:016x}"));
             field(&mut h, "resume_sweep", resume_sweep);
             field(&mut h, "cells", &cells.len());
             field(&mut h, "plane", &plane.as_ref().map(Vec::len));
@@ -443,7 +442,7 @@ struct Head {
     nonce: Option<u64>,
     owned: Option<usize>,
     reason: Option<usize>,
-    spec: Option<FleetSpec>,
+    digest: Option<u64>,
     resume_sweep: Option<usize>,
     cells: Option<usize>,
     plane: Option<Option<usize>>,
@@ -527,7 +526,7 @@ fn open_payload(payload: &[u8]) -> FleetResult<(Head, Sections<'_>)> {
             "nonce" => head.nonce = Some(parse_hex_u64(parser)?),
             "owned" => head.owned = Some(usize::deserialize_json(parser)?),
             "reason" => head.reason = Some(usize::deserialize_json(parser)?),
-            "spec" => head.spec = Some(FleetSpec::parse_value(parser)?),
+            "digest" => head.digest = Some(parse_hex_u64(parser)?),
             "resume_sweep" => head.resume_sweep = Some(usize::deserialize_json(parser)?),
             "cells" => head.cells = Some(usize::deserialize_json(parser)?),
             "plane" => head.plane = Some(Option::deserialize_json(parser)?),
@@ -571,7 +570,7 @@ pub fn parse_to_worker(payload: &[u8]) -> FleetResult<ToWorker> {
                 .map(|count| sections.updates(count))
                 .collect::<FleetResult<_>>()?;
             ToWorker::Assign {
-                spec: need(head.spec, "spec")?,
+                digest: need(head.digest, "digest")?,
                 cells,
                 plane,
                 resume_sweep: need(head.resume_sweep, "resume_sweep")?,

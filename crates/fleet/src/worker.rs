@@ -1,21 +1,18 @@
 //! The worker side of the fleet protocol.
 //!
-//! A worker is deliberately dumb: it holds at most one shard, does
-//! exactly what the coordinator's last `Assign` told it to, and never
-//! makes a recovery decision. All robustness lives in the coordinator —
-//! a worker that receives a second `Assign` simply rebuilds its runner
-//! from scratch (the message carries the boundary plane and the replay
-//! log, so catch-up is a pure function of the message), which is what
-//! makes shard migration and adoption the *same* code path as initial
-//! admission.
+//! A worker is deliberately dumb: one runner, no recovery decisions.
+//! Its job rides the launch (`fleet-worker`'s `argv[2]`, [`SPEC_ENV`], a
+//! thread's closure), so it admits as it connects, while the coordinator
+//! admits its mirror. An `Assign` names the job by digest (a mismatch is
+//! a typed `Protocol` error), pins the runner to cells, seats the
+//! boundary plane and replays the completed phases, so migration and
+//! adoption (a re-pin) are the *same* code path as bring-up.
 //!
-//! Between `Assign`s the loop is three moves: `Phase` runs the owned
-//! chunks of one color and answers with every owned site of that color
-//! (the site lists are derived once, at `Assign`); `Halo` imports the
-//! labels other shards sampled on this shard's halo — the only foreign
-//! sites its gathers read, so the only ones it is sent; `Ping` echoes.
-//! A `Halo` naming a site outside the plane or a label outside the
-//! space fails the worker with the engine's typed `apply_updates` error.
+//! Then `Phase` runs the owned chunks of one color and answers with its
+//! owned sites of that color (listed once, at `Assign`); `Halo` imports
+//! the foreign labels this shard's gathers read; `Ping` echoes. A `Halo`
+//! site or label out of range fails the worker with the engine's typed
+//! `apply_updates` error.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -23,13 +20,17 @@ use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
 use crate::error::{FleetError, FleetResult};
-use crate::exec::{build_shard, ShardExec};
+use crate::exec::build_shard;
+use crate::spec::FleetSpec;
 use crate::wire::{recv_to_worker, send_to_coordinator, Conn, ToCoordinator, ToWorker};
 
 /// Environment variable the self-exec launcher sets: when present, the
 /// process is a worker and must connect to its value (an address in
 /// [`connect`]'s format) instead of running its own `main`.
 pub const WORKER_ENV: &str = "MOGS_FLEET_WORKER";
+
+/// The self-exec launcher's second variable: the job, as [`FleetSpec::encode`] text.
+pub const SPEC_ENV: &str = "MOGS_FLEET_SPEC";
 
 /// How long a worker waits for the next coordinator message before
 /// concluding the coordinator is gone and exiting. Generous: the
@@ -60,16 +61,17 @@ pub fn connect(addr: &str) -> FleetResult<Conn> {
     })
 }
 
-/// Runs the worker protocol over an established connection until the
-/// coordinator says `Finish` (or the stream dies).
+/// Admits the job `spec` describes (its [`FleetSpec::encode`] text),
+/// then runs the worker protocol over an established connection until
+/// the coordinator says `Finish` (or the stream dies).
 ///
 /// # Errors
 ///
-/// Any [`FleetError`] from the wire or from shard admission; a
+/// Any [`FleetError`] from the spec, from admission or from the wire; a
 /// best-effort `Fault` message is sent before returning so the
 /// coordinator can log *why*, though it never needs to trust it.
-pub fn run_worker(conn: &mut Conn) -> FleetResult<()> {
-    match drive(conn) {
+pub fn run_worker(conn: &mut Conn, spec: &str) -> FleetResult<()> {
+    match drive(conn, spec) {
         Ok(()) => Ok(()),
         Err(err) => {
             // Best-effort courtesy; the coordinator treats the
@@ -85,21 +87,33 @@ pub fn run_worker(conn: &mut Conn) -> FleetResult<()> {
     }
 }
 
-/// An admitted shard plus its owned sites per group, in chunk order.
-type Admitted = (Box<dyn ShardExec>, Vec<Vec<usize>>);
-
-fn drive(conn: &mut Conn) -> FleetResult<()> {
-    let mut shard: Option<Admitted> = None;
+fn drive(conn: &mut Conn, spec: &str) -> FleetResult<()> {
+    let spec = FleetSpec::parse(spec)?;
+    let digest = spec.digest();
+    let mut exec = build_shard(&spec, &[])?;
+    // Owned sites per group, in chunk order; `None` until an `Assign`.
+    let mut owned: Option<Vec<Vec<usize>>> = None;
+    let unassigned = |what: &str| FleetError::Protocol {
+        reason: format!("{what} before assign"),
+    };
     loop {
         match recv_to_worker(conn, Some(WORKER_IDLE))? {
             ToWorker::Assign {
-                spec,
+                digest: named,
                 cells,
                 plane,
                 resume_sweep,
                 replay,
             } => {
-                let mut exec = build_shard(&spec, &cells)?;
+                if named != digest {
+                    return Err(FleetError::Protocol {
+                        reason: format!(
+                            "assign names spec digest {named:016x}, this worker was launched \
+                             with {digest:016x}"
+                        ),
+                    });
+                }
+                exec.pin(&cells)?;
                 if let Some(plane) = plane {
                     exec.seat(&plane)?;
                 }
@@ -114,14 +128,12 @@ fn drive(conn: &mut Conn) -> FleetResult<()> {
                 let sites: Vec<Vec<usize>> = (0..exec.group_count())
                     .map(|g| exec.owned_sites(g))
                     .collect();
-                let owned = sites.iter().map(Vec::len).sum();
-                shard = Some((exec, sites));
-                send_to_coordinator(conn, &ToCoordinator::AssignOk { owned })?;
+                let count = sites.iter().map(Vec::len).sum();
+                owned = Some(sites);
+                send_to_coordinator(conn, &ToCoordinator::AssignOk { owned: count })?;
             }
             ToWorker::Phase { sweep, group } => {
-                let (exec, sites) = shard.as_mut().ok_or_else(|| FleetError::Protocol {
-                    reason: "phase before assign".to_string(),
-                })?;
+                let sites = owned.as_ref().ok_or_else(|| unassigned("phase"))?;
                 let sites = sites.get(group).ok_or_else(|| FleetError::Protocol {
                     reason: format!("phase names group {group}, the job has {}", sites.len()),
                 })?;
@@ -138,9 +150,7 @@ fn drive(conn: &mut Conn) -> FleetResult<()> {
                 )?;
             }
             ToWorker::Halo { updates } => {
-                let (exec, _) = shard.as_mut().ok_or_else(|| FleetError::Protocol {
-                    reason: "halo before assign".to_string(),
-                })?;
+                owned.as_ref().ok_or_else(|| unassigned("halo"))?;
                 exec.apply_updates(&updates)?;
             }
             ToWorker::Ping { nonce } => {
@@ -154,20 +164,21 @@ fn drive(conn: &mut Conn) -> FleetResult<()> {
     }
 }
 
-/// Full worker entry point: connect, run, report.
+/// Full worker entry point: connect, admit `spec`, run, report.
 ///
 /// # Errors
 ///
 /// See [`connect`] and [`run_worker`].
-pub fn worker_main(addr: &str) -> FleetResult<()> {
+pub fn worker_main(addr: &str, spec: &str) -> FleetResult<()> {
     let mut conn = connect(addr)?;
-    run_worker(&mut conn)
+    run_worker(&mut conn, spec)
 }
 
 /// The self-exec hook: when [`WORKER_ENV`] is set, the current process
-/// is a fleet worker — run the protocol and return `true` (the caller
-/// must then exit without running its own logic). Binaries that may act
-/// as self-exec fleet hosts call this first thing in `main`.
+/// is a fleet worker for the job in [`SPEC_ENV`] — run the protocol and
+/// return `true` (the caller must then exit without running its own
+/// logic). Binaries that may act as self-exec fleet hosts call this
+/// first thing in `main`.
 ///
 /// # Errors
 ///
@@ -177,7 +188,9 @@ pub fn maybe_run_worker() -> FleetResult<bool> {
     let Ok(addr) = std::env::var(WORKER_ENV) else {
         return Ok(false);
     };
-    match worker_main(&addr) {
+    // A missing spec faults after connecting: typed, not a no-show.
+    let spec = std::env::var(SPEC_ENV).unwrap_or_default();
+    match worker_main(&addr, &spec) {
         Ok(()) => Ok(true),
         Err(err) => {
             // Keep the diagnostic on the worker's stderr; the
@@ -216,7 +229,7 @@ mod tests {
     fn worker_protocol_end_to_end() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = format!("tcp:{}", listener.local_addr().expect("addr"));
-        let worker = std::thread::spawn(move || worker_main(&addr));
+        let worker = std::thread::spawn(move || worker_main(&addr, &spec().encode()));
         let (stream, _) = listener.accept().expect("accept");
         let mut conn = Conn::tcp(stream);
         let deadline = Some(Duration::from_secs(10));
@@ -229,8 +242,8 @@ mod tests {
         send_to_worker(
             &mut conn,
             &ToWorker::Assign {
-                spec: spec(),
-                cells,
+                digest: spec().digest(),
+                cells: cells.clone(),
                 plane: None,
                 resume_sweep: 0,
                 replay: vec![],
@@ -262,10 +275,7 @@ mod tests {
 
         // Match against the engine's state after one sweep: reuse the
         // shard path in-process for the expectation.
-        let all_cells: Vec<(usize, usize)> = (0..structure.group_count())
-            .flat_map(|g| (0..structure.cells[g].len()).map(move |c| (g, c)))
-            .collect();
-        let mut reference = build_shard(&spec(), &all_cells).expect("reference");
+        let mut reference = build_shard(&spec(), &cells).expect("reference");
         for group in 0..reference.group_count() {
             reference.run_phase(0, group);
         }
@@ -288,7 +298,7 @@ mod tests {
     fn phase_before_assign_is_a_protocol_fault() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = format!("tcp:{}", listener.local_addr().expect("addr"));
-        let worker = std::thread::spawn(move || worker_main(&addr));
+        let worker = std::thread::spawn(move || worker_main(&addr, &spec().encode()));
         let (stream, _) = listener.accept().expect("accept");
         let mut conn = Conn::tcp(stream);
         send_to_worker(&mut conn, &ToWorker::Phase { sweep: 0, group: 0 }).expect("phase");

@@ -12,14 +12,27 @@
 //!   bit-identical over real worker processes.
 //! - **On the socket**: a `fleet2`-shaped run moves at most 5 B per
 //!   owned-or-halo site per phase plus 1 KB, and no `Halo` passes 4 KB.
+//! - **Bring-up**: a worker admits the spec it was launched with; an
+//!   `Assign` naming another spec's digest is a typed `Protocol` error,
+//!   a launch spec the worker cannot admit is a typed error well inside
+//!   `rpc_deadline`, and an adopting worker re-pins its live runner and
+//!   stays bit-identical. `Topology` clones and equality are what they
+//!   were before the fingerprint became a field.
 
 use std::collections::BTreeSet;
+use std::net::TcpListener;
 use std::path::PathBuf;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
+use mogs_fleet::wire::{recv_to_coordinator, send_to_worker, Conn, ToCoordinator, ToWorker};
 use mogs_fleet::{
-    build_shard, partition, run_fleet, run_in_process, BackendKind, ChaosPlan, FleetConfig,
-    FleetSpec, FleetStructure, KillAt, Launcher, Partition, Workload,
+    build_shard, partition, run_fleet, run_in_process, worker_main, BackendKind, ChaosPlan,
+    FleetConfig, FleetResult, FleetSpec, FleetStructure, KillAt, Launcher, Partition, Workload,
 };
+use mogs_mrf::{Grid2D, Neighborhood, Topology};
+
+const PATIENT: Option<Duration> = Some(Duration::from_secs(10));
 
 fn demo_spec() -> FleetSpec {
     FleetSpec {
@@ -295,4 +308,238 @@ fn replies_naming_foreign_sites_or_labels_are_refused() {
             .expect("fake worker exits once the coordinator is gone");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A thread worker launched with `spec` text, and the coordinator end
+/// of its stream.
+fn launch(spec: &str) -> (Conn, JoinHandle<FleetResult<()>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = format!("tcp:{}", listener.local_addr().expect("addr"));
+    let spec = spec.to_string();
+    let worker = std::thread::spawn(move || worker_main(&addr, &spec));
+    (Conn::tcp(listener.accept().expect("accept").0), worker)
+}
+
+fn assign(
+    digest: u64,
+    cells: &[(usize, usize)],
+    plane: Option<Vec<u8>>,
+    resume_sweep: usize,
+    replay: Vec<Vec<(usize, u8)>>,
+) -> ToWorker {
+    ToWorker::Assign {
+        digest,
+        cells: cells.to_vec(),
+        plane,
+        resume_sweep,
+        replay,
+    }
+}
+
+/// One `Phase` through a live worker; returns its `PhaseDone` updates.
+fn phase(conn: &mut Conn, sweep: usize, group: usize) -> Vec<(usize, u8)> {
+    send_to_worker(conn, &ToWorker::Phase { sweep, group }).expect("phase");
+    match recv_to_coordinator(conn, PATIENT, "phase").expect("phase done") {
+        ToCoordinator::PhaseDone { updates, .. } => updates,
+        other => panic!("expected phase_done, got {other:?}"),
+    }
+}
+
+#[test]
+fn assign_naming_another_spec_is_a_typed_protocol_error() {
+    let spec = demo_spec();
+    let mut other = spec.clone();
+    other.seed += 1;
+    assert_ne!(spec.digest(), other.digest());
+    let (mut conn, worker) = launch(&spec.encode());
+    send_to_worker(
+        &mut conn,
+        &assign(other.digest(), &[(0, 0)], None, 0, vec![]),
+    )
+    .expect("send");
+    let reply = recv_to_coordinator(&mut conn, PATIENT, "assign").expect("fault");
+    let ToCoordinator::Fault { reason } = reply else {
+        panic!("expected a fault, got {reply:?}");
+    };
+    assert!(reason.contains("digest"), "{reason}");
+    let err = worker.join().expect("join").expect_err("worker must fail");
+    assert_eq!(err.variant(), "protocol", "{err}");
+}
+
+#[test]
+fn unadmittable_launch_specs_fail_typed_within_the_deadline() {
+    // A valid spec engine admission refuses (more chunks than a 2-site
+    // field's groups have sites), one that fails validation (65 > 64
+    // labels, which `LabelSpace` would panic on), JSON that is no spec,
+    // and no spec at all.
+    let mut tiny = demo_spec();
+    tiny.workload = Workload::Demo {
+        width: 2,
+        height: 1,
+        labels: 2,
+    };
+    let mut too_wide = demo_spec();
+    too_wide.workload = Workload::Demo {
+        width: 14,
+        height: 9,
+        labels: 65,
+    };
+    let texts = [
+        tiny.encode(),
+        too_wide.encode(),
+        "{\"t\":1}".into(),
+        String::new(),
+    ];
+    for text in texts {
+        let started = Instant::now();
+        let (mut conn, worker) = launch(&text);
+        // The worker may already be gone; the reply is what counts.
+        let _ = send_to_worker(&mut conn, &assign(0, &[(0, 0)], None, 0, vec![]));
+        match recv_to_coordinator(&mut conn, PATIENT, "assign") {
+            Ok(ToCoordinator::Fault { .. }) => {}
+            Ok(other) => panic!("{text:?}: expected a fault, got {other:?}"),
+            Err(e) => assert!(["io", "frame"].contains(&e.variant()), "{text:?}: {e}"),
+        }
+        let err = worker.join().expect("join").expect_err("worker must fail");
+        assert!(["spec", "protocol"].contains(&err.variant()), "{err}");
+        assert!(started.elapsed() < Duration::from_secs(5), "{text:?} hung");
+    }
+
+    // Through the coordinator, over a real worker process handed a spec
+    // it cannot parse: launch fails typed, well inside `rpc_deadline`.
+    let dir = std::env::temp_dir().join(format!("mogs-fleet-badspec-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let script = dir.join("worker.sh");
+    let body = format!(
+        "#!/bin/sh\nexec {} \"$1\" not-a-spec\n",
+        env!("CARGO_BIN_EXE_fleet-worker")
+    );
+    std::fs::write(&script, body).expect("script");
+    use std::os::unix::fs::PermissionsExt;
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+    let mut config = FleetConfig::new(2);
+    config.launcher = Launcher::Program(script);
+    let started = Instant::now();
+    let err = run_fleet(&demo_spec(), &config).expect_err("workers cannot admit");
+    assert!(started.elapsed() < config.rpc_deadline, "{err}");
+    assert!(
+        ["worker-lost", "io", "frame"].contains(&err.variant()),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shard 1 dies mid-sweep and the worker holding shard 0 adopts it: a
+/// second `Assign` re-pins the same live runner to both shards, seats
+/// the sweep boundary and replays the completed phase.
+#[test]
+fn adoption_repins_a_live_worker_bit_identically() {
+    let spec = demo_spec();
+    let structure = FleetStructure::of(&spec).expect("structure");
+    let parts = partition(&structure, 2).expect("partition");
+    let want: Vec<u8> = run_in_process(&spec)
+        .expect("engine runs")
+        .labels
+        .iter()
+        .map(|l| l.value())
+        .collect();
+    let (mut conn, worker) = launch(&spec.encode());
+    send_to_worker(
+        &mut conn,
+        &assign(spec.digest(), &parts.shards[0].cells, None, 0, vec![]),
+    )
+    .expect("assign");
+    let owned = parts.shards[0].owned.len();
+    assert_eq!(
+        recv_to_coordinator(&mut conn, PATIENT, "assign").expect("assign ok"),
+        ToCoordinator::AssignOk { owned }
+    );
+    let mut other = build_shard(&spec, &parts.shards[1].cells).expect("shard admits");
+    let mut mirror = other.snapshot();
+    let groups = structure.group_count();
+    let (die_sweep, die_group) = (2, 1);
+    let mut boundary = Vec::new();
+    let mut log: Vec<Vec<(usize, u8)>> = Vec::new();
+    for sweep in 0..=die_sweep {
+        if sweep == die_sweep {
+            boundary = mirror.clone();
+        }
+        for group in 0..groups {
+            if (sweep, group) == (die_sweep, die_group) {
+                break;
+            }
+            let mine = phase(&mut conn, sweep, group);
+            other.run_phase(sweep, group);
+            let sites = other.owned_sites(group);
+            let theirs: Vec<(usize, u8)> = sites
+                .iter()
+                .copied()
+                .zip(other.read_labels(&sites))
+                .collect();
+            for &(site, label) in mine.iter().chain(&theirs) {
+                mirror[site] = label;
+            }
+            let halo = ToWorker::Halo {
+                updates: theirs.clone(),
+            };
+            send_to_worker(&mut conn, &halo).expect("halo");
+            other.apply_updates(&mine).expect("halo applies");
+            if sweep == die_sweep {
+                log.push(mine.into_iter().chain(theirs).collect());
+            }
+        }
+    }
+    let all: Vec<(usize, usize)> = parts.shards.iter().flat_map(|s| s.cells.clone()).collect();
+    let adopt = assign(spec.digest(), &all, Some(boundary), die_sweep, log);
+    send_to_worker(&mut conn, &adopt).expect("adopt");
+    assert_eq!(
+        recv_to_coordinator(&mut conn, PATIENT, "assign").expect("assign ok"),
+        ToCoordinator::AssignOk {
+            owned: structure.sites
+        }
+    );
+    for sweep in die_sweep..spec.iterations {
+        let first = if sweep == die_sweep { die_group } else { 0 };
+        for group in first..groups {
+            for (site, label) in phase(&mut conn, sweep, group) {
+                mirror[site] = label;
+            }
+        }
+    }
+    assert_eq!(
+        mirror, want,
+        "the re-pinned worker diverged from the engine"
+    );
+    send_to_worker(&mut conn, &ToWorker::Finish).expect("finish");
+    assert_eq!(
+        recv_to_coordinator(&mut conn, PATIENT, "finish").expect("bye"),
+        ToCoordinator::Bye
+    );
+    worker.join().expect("join").expect("worker exits cleanly");
+}
+
+#[test]
+fn topology_clones_and_equality_are_unchanged() {
+    let grid = Grid2D::new(7, 5);
+    let first = Topology::from_grid(grid, Neighborhood::FirstOrder);
+    let clone = first.clone();
+    assert_eq!(clone, first);
+    assert_eq!(clone.fingerprint(), first.fingerprint());
+    assert_eq!(Topology::from_grid(grid, Neighborhood::FirstOrder), first);
+    let second = Topology::from_grid(grid, Neighborhood::SecondOrder);
+    assert_ne!(second, first);
+    assert_ne!(second.fingerprint(), first.fingerprint());
+    // The same graph from an edge list fingerprints equal, and — as
+    // before — the lattice layout still takes part in equality.
+    let edges: Vec<(usize, usize)> = (0..grid.len())
+        .flat_map(|s| first.neighbors(s).iter().map(move |&n| (s, n)))
+        .filter(|&(s, n)| n > s)
+        .collect();
+    let flat = Topology::from_edges(grid.len(), &edges).expect("grid edges");
+    assert_eq!(flat.fingerprint(), first.fingerprint());
+    assert_ne!(flat, first);
+    // The fleet's structure holds a clone of the admission's topology.
+    let structure = FleetStructure::of(&demo_spec()).expect("structure");
+    let demo = Topology::from_grid(Grid2D::new(14, 9), Neighborhood::FirstOrder);
+    assert_eq!(structure.topology, demo);
 }

@@ -4,7 +4,10 @@
 //!
 //! - every message round-trips through `encode_to_*` / `parse_to_*`,
 //!   including empty update lists, lists past 2¹⁶ entries, `plane: None`
-//!   and `u64::MAX` seeds and nonces;
+//!   and `u64::MAX` digests and nonces;
+//! - every `FleetSpec` that passes `validate` survives `encode` →
+//!   `parse` with its digest — the `Assign` check depends on it — and
+//!   every other is refused as `Spec`;
 //! - arbitrary bytes in — bare, or behind a genuine head — come back as
 //!   `FleetError::Frame`/`Protocol` or a valid message, never a panic;
 //! - every proper prefix of a valid payload is a typed error, never a
@@ -34,19 +37,26 @@ use proptest::prelude::*;
 /// The variants a byte-level violation may surface as.
 const TYPED: [&str; 2] = ["frame", "protocol"];
 
+/// Specs on both sides of `validate`: zero counts, label spaces and
+/// disparities out of range, and `noise_sigma` either a plain value or
+/// arbitrary IEEE-754 bits (NaN, infinities, −0.0, subnormals).
 fn arb_spec() -> impl Strategy<Value = FleetSpec> {
     (
         prop::bool::ANY,
-        ((1usize..300), (1usize..300), (1u16..64)),
-        ((1u8..5), (0.0f64..9.0), 0u64..=u64::MAX),
-        ((1usize..100), (1usize..9), (0usize..9), (1usize..5)),
+        ((0usize..300), (1usize..300), (0u16..72)),
+        (
+            (0u8..6),
+            (prop::bool::ANY, (0.0f64..9.0), 0u64..=u64::MAX),
+            0u64..=u64::MAX,
+        ),
+        ((0usize..100), (0usize..9), (0usize..9), (0usize..5)),
         0u64..=u64::MAX,
     )
         .prop_map(
             |(
                 stereo,
                 (width, height, labels),
-                (disparity, noise_sigma, scene_seed),
+                (disparity, (raw, sigma, bits), scene_seed),
                 (iterations, threads, burn_in, replicas),
                 seed,
             )| FleetSpec {
@@ -55,7 +65,7 @@ fn arb_spec() -> impl Strategy<Value = FleetSpec> {
                         width,
                         height,
                         disparity,
-                        noise_sigma,
+                        noise_sigma: if raw { f64::from_bits(bits) } else { sigma },
                         scene_seed,
                     }
                 } else {
@@ -65,10 +75,10 @@ fn arb_spec() -> impl Strategy<Value = FleetSpec> {
                         labels,
                     }
                 },
-                backend: if replicas > 2 {
-                    BackendKind::Rsu { replicas }
-                } else {
+                backend: if replicas == 1 {
                     BackendKind::Softmax
+                } else {
+                    BackendKind::Rsu { replicas }
                 },
                 iterations,
                 threads,
@@ -102,7 +112,7 @@ fn arb_to_worker() -> impl Strategy<Value = ToWorker> {
             |(kind, spec, cells, (seat, plane), replay, (sweep, group, updates, nonce))| match kind
             {
                 0 => ToWorker::Assign {
-                    spec,
+                    digest: spec.digest(),
                     cells,
                     plane: seat.then_some(plane),
                     resume_sweep: sweep,
@@ -158,6 +168,22 @@ proptest! {
     fn every_coordinator_message_round_trips(msg in arb_to_coordinator()) {
         let payload = encode_to_coordinator(&msg);
         prop_assert_eq!(parse_to_coordinator(&payload).map_err(|e| e.to_string()), Ok(msg));
+    }
+
+    /// The codec every launch and checkpoint `meta` rides: a spec that
+    /// passes `validate` comes back from `parse(encode())` equal and with
+    /// the same digest (a `noise_sigma` bit that drifted, `-0.0` say,
+    /// would fail every `Assign`); any other is refused as `Spec`.
+    #[test]
+    fn every_spec_round_trips_with_its_digest(spec in arb_spec()) {
+        let parsed = FleetSpec::parse(&spec.encode());
+        if spec.validate().is_ok() {
+            let parsed = parsed.map_err(|e| e.to_string())?;
+            prop_assert_eq!(parsed.digest(), spec.digest());
+            prop_assert_eq!(parsed, spec);
+        } else {
+            prop_assert_eq!(parsed.err().map(|e| e.variant()), Some("spec"));
+        }
     }
 
     /// The trust boundary itself: whatever bytes arrive in a frame, bare
@@ -247,14 +273,14 @@ fn edge_shapes_round_trip() {
     let long: Vec<(usize, u8)> = (0..70_000).map(|i| (i * 3, (i % 251) as u8)).collect();
     let down = [
         ToWorker::Assign {
-            spec: sample_spec(),
+            digest: u64::MAX,
             cells: vec![],
             plane: None,
             resume_sweep: 0,
             replay: vec![],
         },
         ToWorker::Assign {
-            spec: sample_spec(),
+            digest: sample_spec().digest(),
             cells: vec![(0, 0), (1, 2)],
             plane: Some(vec![]),
             resume_sweep: 3,
@@ -464,10 +490,11 @@ fn out_of_range_halo_fails_the_worker_typed() {
     for bad in [(24usize, 0u8), (u32::MAX as usize, 0), (3, 3), (0, 255)] {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = format!("tcp:{}", listener.local_addr().expect("addr"));
-        let worker = std::thread::spawn(move || worker_main(&addr));
+        let text = spec.encode();
+        let worker = std::thread::spawn(move || worker_main(&addr, &text));
         let mut conn = Conn::tcp(listener.accept().expect("accept").0);
         let assign = ToWorker::Assign {
-            spec: spec.clone(),
+            digest: spec.digest(),
             cells: cells.clone(),
             plane: None,
             resume_sweep: 0,

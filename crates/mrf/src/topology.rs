@@ -37,6 +37,10 @@ pub struct Topology {
     /// The originating lattice, when there is one — used only to render
     /// sites as `(x, y)` coordinates in audit reports.
     layout: Option<Grid2D>,
+    /// [`Topology::fingerprint`], hashed once at construction: the
+    /// adjacency is immutable, and admission, certificate binding and
+    /// the sharding audit all ask for it.
+    fingerprint: u64,
 }
 
 impl Topology {
@@ -60,11 +64,7 @@ impl Topology {
             neighbors.extend_from_slice(&row);
             offsets.push(neighbors.len());
         }
-        Topology {
-            offsets,
-            neighbors,
-            layout: Some(grid),
-        }
+        Topology::seal(offsets, neighbors, Some(grid))
     }
 
     /// A topology over `sites` vertices from an undirected edge list.
@@ -101,11 +101,24 @@ impl Topology {
             neighbors.extend_from_slice(row);
             offsets.push(neighbors.len());
         }
-        Ok(Topology {
+        Ok(Topology::seal(offsets, neighbors, None))
+    }
+
+    /// Both constructors' tail: fingerprints the finished adjacency.
+    fn seal(offsets: Vec<usize>, neighbors: Vec<usize>, layout: Option<Grid2D>) -> Self {
+        let sites = offsets.len() - 1;
+        let fingerprint = std::iter::once(&sites)
+            .chain(&offsets)
+            .chain(&neighbors)
+            .fold(FNV_OFFSET, |hash, &value| {
+                fnv_fold(hash, &(value as u64).to_le_bytes())
+            });
+        Topology {
             offsets,
             neighbors,
-            layout: None,
-        })
+            layout,
+            fingerprint,
+        }
     }
 
     /// Number of sites.
@@ -165,15 +178,11 @@ impl Topology {
     /// offsets, neighbour lists, each as 8 little-endian bytes). Two
     /// topologies fingerprint equal iff they are the same interference
     /// graph; the lattice layout tag does not participate, so
-    /// `from_grid` and an equivalent `from_edges` agree.
+    /// `from_grid` and an equivalent `from_edges` agree. Computed once,
+    /// at construction.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        std::iter::once(&self.len())
-            .chain(&self.offsets)
-            .chain(&self.neighbors)
-            .fold(FNV_OFFSET, |hash, &value| {
-                fnv_fold(hash, &(value as u64).to_le_bytes())
-            })
+        self.fingerprint
     }
 }
 
