@@ -35,7 +35,7 @@
 //! | `restore` | A7: image restoration quality |
 //! | `converge` | A8: multi-chain R-hat + cycle-level accelerator sim |
 //! | `anneal` | A9: temperature-schedule ablation |
-//! | `engine-bench` | A10: persistent engine vs one-shot sweep throughput (writes `BENCH_engine.json`) |
+//! | `engine-bench` | A10: persistent engine vs one-shot sweep, bit-identity gates for both backends |
 //! | `diag` | A11: streaming diagnostics + early stop on all workloads (writes JSON + PGM maps with out_dir) |
 //! | `diag-overhead` | A11: sink overhead (bare vs NullSink vs full diagnostics) |
 //! | `audit` | schedule-interference audit of every vision workload |
@@ -214,8 +214,8 @@ fn run(experiment: &str, quick: bool, graph: bool, out_dir: Option<&Path>) -> Re
         }
         "engine-bench" => {
             // Quick mode shrinks the problem so CI can run the
-            // correctness gates; it must never overwrite the committed
-            // perf snapshot with numbers from a toy problem.
+            // correctness gates. Throughput is measured by the benchmark
+            // package's `seg-large` and `motion-rsu` workloads, not here.
             let result = if quick {
                 engine_bench::run(96, 6, 2016)
             } else {
@@ -227,16 +227,6 @@ fn run(experiment: &str, quick: bool, graph: bool, out_dir: Option<&Path>) -> Re
             }
             if !result.rsu_pool_bit_identical {
                 return Err("RSU-pool engine diverged from its per-site reference".to_owned());
-            }
-            if quick {
-                println!("quick mode: perf snapshot not written");
-            } else {
-                // The machine-readable perf snapshot lands in the current
-                // directory (the repo root under `cargo run`), so
-                // successive commits can be diffed.
-                std::fs::write("BENCH_engine.json", engine_bench::to_snapshot_json(&result))
-                    .map_err(|e| e.to_string())?;
-                println!("perf snapshot written to BENCH_engine.json");
             }
         }
         "diag" => {

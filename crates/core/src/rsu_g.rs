@@ -18,7 +18,7 @@ use crate::variants::RsuVariant;
 use mogs_gibbs::kernel::{KernelScratch, SweepKernel, UnitFault};
 use mogs_gibbs::LabelSampler;
 use mogs_mrf::label::MAX_LABELS;
-use mogs_mrf::precision::EnergyQuantizer;
+use mogs_mrf::precision::{EnergyQuantizer, ENERGY_MAX};
 use mogs_mrf::Label;
 use mogs_ret::circuit::{RetCircuit, RetCircuitConfig};
 use rand::rngs::StdRng;
@@ -288,17 +288,50 @@ impl RsuG {
 pub struct RsuGSampler {
     quantizer: EnergyQuantizer,
     map: IntensityMap,
+    /// [`candidate_span`] of `quantizer` and `map`, kept in step with both.
+    candidate_span: f64,
     ttf: TtfRegister,
     base_rate_per_code: f64,
     fault: Option<UnitFault>,
+}
+
+/// How far above its row's minimum an energy can sit and still light an
+/// LED. Quantized energies above the map's cutoff read code 0, and
+/// `e > min + (cutoff + 1) / scale` quantizes above the cutoff: the half
+/// quantum beyond the rounding boundary absorbs the f64 error of forming
+/// `min + span` and `e - min`. A map with LUT[255] lit has no dark
+/// energies, so its span is infinite (DESIGN §11).
+fn candidate_span(quantizer: &EnergyQuantizer, map: &IntensityMap) -> f64 {
+    let cutoff = map.cutoff_energy();
+    if cutoff == ENERGY_MAX {
+        f64::INFINITY
+    } else {
+        (f64::from(cutoff) + 1.0) / quantizer.scale()
+    }
+}
+
+/// The row minimum as `fold(INFINITY, f64::min)` finds it (NaN skipped),
+/// over four independent accumulators so the compares pipeline; the two
+/// can differ only in the sign of a zero minimum, which no code sees.
+#[inline]
+fn row_min(row: &[f64]) -> f64 {
+    let min = |acc: f64, e: f64| if e < acc { e } else { acc };
+    let mut blocks = row.chunks_exact(4);
+    let acc = (&mut blocks).fold([f64::INFINITY; 4], |acc, b| {
+        std::array::from_fn(|k| min(acc[k], b[k]))
+    });
+    let rest = acc.iter().chain(blocks.remainder());
+    rest.fold(f64::INFINITY, |acc, &e| min(acc, e))
 }
 
 impl RsuGSampler {
     /// Creates a sampler whose LUT realizes temperature `t_model` for
     /// model energies quantized with `quantizer`.
     pub fn new(quantizer: EnergyQuantizer, t_model: f64) -> Self {
+        let map = IntensityMap::boltzmann(t_model * quantizer.scale());
         RsuGSampler {
-            map: IntensityMap::boltzmann(t_model * quantizer.scale()),
+            candidate_span: candidate_span(&quantizer, &map),
+            map,
             quantizer,
             ttf: TtfRegister::at_1ghz(),
             base_rate_per_code: 0.04,
@@ -325,6 +358,7 @@ impl RsuGSampler {
 
     /// Overrides the intensity map (precision ablations).
     pub fn with_map(mut self, map: IntensityMap) -> Self {
+        self.candidate_span = candidate_span(&self.quantizer, &map);
         self.map = map;
         self
     }
@@ -332,29 +366,22 @@ impl RsuGSampler {
     /// The intensity codes this sampler would assign to a set of model
     /// energies (exposed for fidelity analysis).
     pub fn codes(&self, energies: &[f64]) -> Vec<u8> {
-        let min = energies.iter().copied().fold(f64::INFINITY, f64::min);
+        let min = row_min(energies);
         energies
             .iter()
             .map(|e| self.map.lookup(self.quantizer.quantize(e - min)))
             .collect()
     }
 
-    /// Fills `codes` with the intensity codes of one site's energy row:
-    /// the RNG-free front half of [`LabelSampler::sample_label`]
-    /// (min-shift, 8-bit quantization, LUT), batched so a sweep kernel
-    /// can run it over a whole chunk before any draw happens.
-    pub fn fill_codes(&self, energies: &[f64], codes: &mut [u8]) {
-        let min = energies.iter().copied().fold(f64::INFINITY, f64::min);
-        for (c, e) in codes.iter_mut().zip(energies) {
-            *c = self.map.lookup(self.quantizer.quantize(e - min));
-        }
-    }
-
-    /// The first-to-fire tournament over precomputed intensity codes: the
-    /// RNG-consuming back half of [`LabelSampler::sample_label`],
-    /// bit-identical to it given the codes [`RsuGSampler::fill_codes`]
-    /// produces (zero codes draw nothing; ties keep the earlier label;
-    /// an all-saturated window keeps `current`).
+    /// One first-to-fire tournament over a site's energy row: the RSU-G
+    /// draw behind [`LabelSampler::sample_label`], both chunk kernels and
+    /// [`RsuGSampler::probe_distribution`].
+    ///
+    /// In label order, each non-zero code draws one exponential firing
+    /// time captured by the TTF register; zero codes (LEDs off) draw
+    /// nothing, ties keep the earlier label, and an all-saturated window
+    /// keeps `current`. Labels a candidate mask proves dark are skipped
+    /// unquantized, which moves neither the labels nor the RNG stream.
     ///
     /// An injected [`UnitFault`] changes the outcome the way the device
     /// would: a dead unit keeps `current`, a stuck unit returns its
@@ -362,9 +389,13 @@ impl RsuGSampler {
     /// fault draws one spurious firing time *before* the tournament —
     /// if it beats every real label the draw lands on a uniformly
     /// random label.
-    pub fn draw_from_codes<R: Rng + ?Sized>(
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row holds more than [`MAX_LABELS`] energies.
+    pub fn draw_row<R: Rng + ?Sized>(
         &self,
-        codes: &[u8],
+        energies: &[f64],
         current: Label,
         rng: &mut R,
     ) -> Label {
@@ -373,10 +404,31 @@ impl RsuGSampler {
             Some(UnitFault::Stuck(label)) => return label,
             _ => {}
         }
+        assert!(
+            energies.len() <= usize::from(MAX_LABELS),
+            "an RSU-G row holds at most {MAX_LABELS} labels"
+        );
         let dark = self.dark_reading(rng);
+        let min = row_min(energies);
+        // Bit `m` is set unless label `m` is provably dark. `e > limit` is
+        // false for a NaN energy (and for every label when `limit` is
+        // NaN), so those stay candidates: the reference maps NaN to LUT[0].
+        // Whole blocks of eight unroll into runs of independent compares.
+        let limit = min + self.candidate_span;
+        let lit = |bits: u64, (k, &e): (usize, &f64)| bits | ((u64::from(e > limit) ^ 1) << k);
+        let mut blocks = energies.chunks_exact(8);
+        let mut candidates = (&mut blocks).enumerate().fold(0, |mask, (b, block)| {
+            mask | (block.iter().enumerate().fold(0, lit) << (8 * b))
+        });
+        let base = energies.len() - blocks.remainder().len();
+        let tail = blocks.remainder().iter().enumerate();
+        candidates = tail.fold(candidates, |bits, (k, e)| lit(bits, (base + k, e)));
         let mut best_label = current;
         let mut best = TtfReading::Saturated;
-        for (m, &code) in codes.iter().enumerate() {
+        while candidates != 0 {
+            let m = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            let code = self.map.lookup(self.quantizer.quantize(energies[m] - min));
             if code == 0 {
                 continue;
             }
@@ -389,7 +441,7 @@ impl RsuGSampler {
             }
         }
         if dark < best {
-            return Label::new(rng.gen_range(0..codes.len().max(1)) as u8);
+            return Label::new(rng.gen_range(0..energies.len().max(1)) as u8);
         }
         best_label
     }
@@ -424,8 +476,6 @@ impl RsuGSampler {
     /// peaked distribution. From the worst label the impostor's mass
     /// lands where a healthy unit puts almost none.
     pub fn probe_distribution(&self, energies: &[f64], draws: u32, seed: u64) -> Vec<f64> {
-        let mut codes = vec![0u8; energies.len()];
-        self.fill_codes(energies, &mut codes);
         let worst = energies
             .iter()
             .enumerate()
@@ -435,7 +485,7 @@ impl RsuGSampler {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut counts = vec![0u64; usize::from(MAX_LABELS)];
         for _ in 0..draws {
-            let label = self.draw_from_codes(&codes, current, &mut rng);
+            let label = self.draw_row(energies, current, &mut rng);
             counts[usize::from(label.value())] += 1;
         }
         let total = f64::from(draws.max(1));
@@ -443,11 +493,9 @@ impl RsuGSampler {
     }
 }
 
-/// The RSU-G sampler batched over a chunk: one RNG-free pass quantizes
-/// every (site, label) energy and resolves it through the intensity LUT
-/// into the scratch code buffer, then a sequential pass runs the
-/// first-to-fire tournament per site in chunk order — consuming the RNG
-/// exactly as the per-site path does (zero-code labels draw nothing).
+/// The RSU-G sampler over a chunk: one [`RsuGSampler::draw_row`] per site
+/// in chunk order, so the RNG is consumed exactly as the per-site path
+/// consumes it.
 impl SweepKernel for RsuGSampler {
     fn sample_chunk<R: Rng + ?Sized>(
         &mut self,
@@ -456,21 +504,13 @@ impl SweepKernel for RsuGSampler {
         _temperature: f64,
         current: &[Label],
         out: &mut [Label],
-        scratch: &mut KernelScratch,
+        _scratch: &mut KernelScratch,
         rng: &mut R,
     ) {
         debug_assert_eq!(energies.len(), current.len() * m);
         debug_assert_eq!(out.len(), current.len());
-        let sites = current.len();
-        let codes = scratch.codes_mut(sites * m);
-        for j in 0..sites {
-            self.fill_codes(
-                &energies[j * m..(j + 1) * m],
-                &mut codes[j * m..(j + 1) * m],
-            );
-        }
         for (j, (&cur, slot)) in current.iter().zip(out.iter_mut()).enumerate() {
-            *slot = self.draw_from_codes(&codes[j * m..(j + 1) * m], cur, rng);
+            *slot = self.draw_row(&energies[j * m..(j + 1) * m], cur, rng);
         }
     }
 
@@ -496,33 +536,7 @@ impl LabelSampler for RsuGSampler {
         current: Label,
         rng: &mut R,
     ) -> Label {
-        match self.fault {
-            Some(UnitFault::Dead) => return current,
-            Some(UnitFault::Stuck(label)) => return label,
-            _ => {}
-        }
-        let dark = self.dark_reading(rng);
-        let mut best_label = current;
-        let mut best = TtfReading::Saturated;
-        let min = energies.iter().copied().fold(f64::INFINITY, f64::min);
-        for (m, e) in energies.iter().enumerate() {
-            let q = self.quantizer.quantize(e - min);
-            let code = self.map.lookup(q);
-            if code == 0 {
-                continue;
-            }
-            let rate = f64::from(code) * self.base_rate_per_code;
-            let ttf = -(1.0 - rng.gen::<f64>()).ln() / rate;
-            let reading = self.ttf.capture(Some(ttf));
-            if reading < best {
-                best = reading;
-                best_label = Label::new(m as u8);
-            }
-        }
-        if dark < best {
-            return Label::new(rng.gen_range(0..energies.len().max(1)) as u8);
-        }
-        best_label
+        self.draw_row(energies, current, rng)
     }
 
     fn name(&self) -> &'static str {

@@ -113,29 +113,19 @@ impl SweepKernel for RsuPool<RsuGSampler> {
         _temperature: f64,
         current: &[Label],
         out: &mut [Label],
-        scratch: &mut KernelScratch,
+        _scratch: &mut KernelScratch,
         rng: &mut R,
     ) {
-        let sites = current.len();
         let k = self.rotation.len();
-        // Pass A: every site's energy row through its serving unit's
-        // quantizer + intensity LUT. Unit assignment must match the
-        // per-site path exactly: site `j` of the chunk lands on live
-        // unit `rotation[(next + j) % k]`, because the reference rotates
-        // once per draw. The codes pass is RNG-free, so hoisting it out
-        // of the draw loop leaves the RNG stream untouched.
-        let codes = scratch.codes_mut(sites * m);
-        for (j, row) in energies.chunks_exact(m).enumerate() {
-            self.units[self.rotation[(self.next + j) % k]]
-                .fill_codes(row, &mut codes[j * m..(j + 1) * m]);
-        }
-        // Pass B: first-to-fire tournaments in site order, consuming RNG
-        // draws in the same sequence the per-site loop would.
-        for (j, (cur, slot)) in current.iter().zip(out.iter_mut()).enumerate() {
+        // Site `j` of the chunk lands on live unit
+        // `rotation[(next + j) % k]`, because the per-site path rotates
+        // once per draw; drawing in site order consumes the RNG in the
+        // same sequence.
+        for (j, (&cur, slot)) in current.iter().zip(out.iter_mut()).enumerate() {
             let unit = &self.units[self.rotation[(self.next + j) % k]];
-            *slot = unit.draw_from_codes(&codes[j * m..(j + 1) * m], *cur, rng);
+            *slot = unit.draw_row(&energies[j * m..(j + 1) * m], cur, rng);
         }
-        self.next = (self.next + sites) % k;
+        self.next = (self.next + current.len()) % k;
     }
 
     fn unit_count(&self) -> usize {
@@ -446,7 +436,7 @@ mod tests {
             .collect();
 
         let mut out = vec![Label::new(0); sites];
-        let mut scratch = KernelScratch::default();
+        let mut scratch = KernelScratch::new();
         batched.sample_chunk(
             &energies,
             m,

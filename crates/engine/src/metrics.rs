@@ -333,8 +333,8 @@ mod tests {
 
     #[test]
     fn quantiles_interpolate_within_the_bucket_and_never_exceed_max() {
-        // The BENCH_engine.json defect: bucket upper bounds reported
-        // p50 = 262 ms for jobs whose slowest sample was 137 ms.
+        // Reporting bucket upper bounds gave p50 = 262 ms for jobs whose
+        // slowest sample was 137 ms.
         let h = LatencyHistogram::new();
         for _ in 0..10 {
             h.record(Duration::from_micros(120_000));

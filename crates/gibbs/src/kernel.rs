@@ -14,9 +14,9 @@
 //!
 //! `sample_chunk` must be **bit-identical** to the per-site reference
 //! loop (the trait's default body): same labels out, same RNG consumption
-//! order and count. Batched implementations split the work into RNG-free
-//! evaluation passes (softmax weights, RSU intensity codes) followed by a
-//! sequential per-site draw pass that consumes the RNG exactly as the
+//! order and count. Batched implementations may reorder or skip RNG-free
+//! work (softmax weights, RSU intensity codes of labels that cannot
+//! fire) but draw sites in chunk order, consuming the RNG exactly as the
 //! per-site path would. The engine's correctness gate (`repro
 //! engine-bench`, the kernel-identity proptests) holds every
 //! implementation to this.
@@ -53,30 +53,18 @@ pub enum UnitFault {
     },
 }
 
-/// Reusable kernel-internal buffers (weights, intensity codes), owned by
-/// the caller and grown on demand.
-///
-/// Separate from [`KernelArena`] so a kernel can borrow the scratch
-/// mutably while reading the arena's energy/label buffers.
+/// Caller-owned kernel-internal buffers, split from [`KernelArena`] so a
+/// kernel can borrow it mutably while reading the arena. Empty: the
+/// softmax and RSU-G kernels both draw each row in one fused pass over
+/// stack storage, but the slot stays in the `sample_chunk` ABI.
 #[derive(Debug, Default, Clone)]
-pub struct KernelScratch {
-    /// Intensity codes, `site`-major rows of `m` (RSU-G kernels).
-    pub codes: Vec<u8>,
-}
+pub struct KernelScratch;
 
 impl KernelScratch {
-    /// An empty scratch; buffers grow on first use.
+    /// An empty scratch.
     #[must_use]
     pub fn new() -> Self {
-        KernelScratch::default()
-    }
-
-    /// Grows the code buffer to at least `len` entries and returns it.
-    pub fn codes_mut(&mut self, len: usize) -> &mut [u8] {
-        if self.codes.len() < len {
-            self.codes.resize(len, 0);
-        }
-        &mut self.codes[..len]
+        KernelScratch
     }
 }
 

@@ -51,19 +51,24 @@ impl EnergyQuantizer {
         self.scale
     }
 
-    /// Quantizes one energy, saturating at 255. Negative energies clamp to
-    /// zero (the hardware datapath is unsigned).
+    /// Quantizes one energy: `energy · scale` rounded half away from zero,
+    /// saturating at 255; negative energies and NaN read 0 (the hardware
+    /// datapath is unsigned). Rounds inline because `f64::round` is a libm
+    /// call on baseline x86-64, with the same result for every input.
+    #[inline]
     pub fn quantize(&self, energy: f64) -> u8 {
-        let scaled = (energy * self.scale).round();
-        if scaled <= 0.0 {
-            0
-        } else if scaled >= f64::from(ENERGY_MAX) {
+        let v = energy * self.scale;
+        if v >= f64::from(ENERGY_MAX) - 0.5 {
             ENERGY_MAX
-        } else {
+        } else if v >= 0.5 {
             // audit:allow(lossy-cast) — float-to-int has no From path; the
-            // two guards above pin `scaled` inside (0, 255), so the cast
-            // is exact for the rounded value.
-            scaled as u8
+            // guards pin `v` inside [0.5, 254.5), so the cast truncates
+            // and `v - t` is exact (the low bits of `v` itself).
+            let t = v as u8;
+            t + u8::from(v - f64::from(t) >= 0.5)
+        } else {
+            // Below one half, negative, or NaN.
+            0
         }
     }
 

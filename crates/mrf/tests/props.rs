@@ -169,3 +169,71 @@ proptest! {
         let _ = Labeling::read(std::io::Cursor::new(bytes)); // may Err, must not panic
     }
 }
+
+/// The `f64::round` formula `quantize` used to be, as the oracle.
+fn round_formula(q: &EnergyQuantizer, energy: f64) -> u8 {
+    let scaled = (energy * q.scale()).round();
+    if scaled <= 0.0 {
+        0
+    } else if scaled >= 255.0 {
+        255
+    } else {
+        scaled as u8
+    }
+}
+
+#[test]
+fn quantize_equals_the_round_formula() {
+    let mut edges = vec![
+        0.499_999_999_999_999_94,
+        0.5,
+        254.5,
+        254.5f64.next_up(),
+        254.5f64.next_down(),
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        -0.5,
+        -3.7,
+        -1e300,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+    ];
+    for k in 0..256u32 {
+        let tie = f64::from(k) + 0.5;
+        edges.extend([tie, tie.next_down(), tie.next_up()]);
+    }
+    let scales = [1.0, 3.0, 8.0, 16.0, 0.37, 255.0 / 7.0];
+    for scale in scales {
+        let q = EnergyQuantizer::new(scale);
+        for &v in &edges {
+            // At scale 1 each edge is hit exactly; elsewhere the
+            // product lands near it.
+            for e in [v, v / scale] {
+                assert_eq!(q.quantize(e), round_formula(&q, e), "e={e:e} scale={scale}");
+            }
+        }
+    }
+    // 10⁶ random values: raw bit patterns (every magnitude, NaN, inf)
+    // and values spread over the 8-bit range, from SplitMix64.
+    let mut state = 0x5EED_0025_u64;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for i in 0..1_000_000 {
+        let bits = next();
+        let q = EnergyQuantizer::new(scales[i % scales.len()]);
+        let e = if i % 2 == 0 {
+            f64::from_bits(bits)
+        } else {
+            (bits >> 11) as f64 / (1u64 << 53) as f64 * 300.0 - 20.0
+        };
+        assert_eq!(q.quantize(e), round_formula(&q, e), "e={e:e}");
+    }
+}
