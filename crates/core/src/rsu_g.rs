@@ -12,8 +12,8 @@
 //! DESIGN.md (A1, A3).
 
 use crate::energy_unit::{EnergyUnit, EnergyUnitConfig};
-use crate::intensity::IntensityMap;
-use crate::ttf::{TtfReading, TtfRegister};
+use crate::intensity::{IntensityMap, CODE_MAX};
+use crate::ttf::{TtfReading, TtfRegister, TTF_TICKS};
 use crate::variants::RsuVariant;
 use mogs_gibbs::kernel::{KernelScratch, SweepKernel, UnitFault};
 use mogs_gibbs::LabelSampler;
@@ -23,6 +23,8 @@ use mogs_mrf::Label;
 use mogs_ret::circuit::{RetCircuit, RetCircuitConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// How the unit's RET stage produces TTF samples.
 #[derive(Debug, Clone, Default)]
@@ -291,8 +293,97 @@ pub struct RsuGSampler {
     /// [`candidate_span`] of `quantizer` and `map`, kept in step with both.
     candidate_span: f64,
     ttf: TtfRegister,
-    base_rate_per_code: f64,
+    /// The tournament's thresholds for `ttf` at [`SAMPLER_BASE_RATE`].
+    ticks: Arc<TickTable>,
     fault: Option<UnitFault>,
+}
+
+/// The sampler's exponential rate per intensity-code unit (ns⁻¹).
+const SAMPLER_BASE_RATE: f64 = 0.04;
+
+/// 2⁵³: one past the largest raw draw `next_u64() >> 11`, and the
+/// threshold of a tick no draw reaches.
+const RAW_END: u64 = 1 << 53;
+
+const TICKS: usize = TTF_TICKS as usize;
+
+/// The raw register value the f64 tournament captures for raw draw `raw`
+/// at firing rate `rate`: `gen::<f64>()` is `raw · 2⁻⁵³`, so this is the
+/// exponential draw `-(1 - u).ln() / rate` through [`TtfRegister::capture`].
+fn f64_tick(ttf: &TtfRegister, rate: f64, raw: u64) -> u8 {
+    let u = raw as f64 * (1.0 / RAW_END as f64);
+    ttf.capture(Some(-(1.0 - u).ln() / rate)).raw()
+}
+
+/// Per-code tick thresholds: `0[c][k]` is the smallest raw draw whose
+/// [`f64_tick`] at code `c` is ≥ `k` ([`RAW_END`] if none is), so a draw's
+/// tick is the largest `k` with `0[c][k] ≤ raw`, and column 255 is the
+/// saturated reading. Row 0 is unused: code 0 draws nothing.
+struct TickTable([[u64; TICKS]; CODE_MAX as usize + 1]);
+
+impl TickTable {
+    /// Bisects [`f64_tick`] itself for every edge, so the table is exact
+    /// wherever the tick is monotone in the raw draw (DESIGN §11).
+    fn build(ttf: &TtfRegister) -> Self {
+        let mut table = [[RAW_END; TICKS]; CODE_MAX as usize + 1];
+        for (code, row) in table.iter_mut().enumerate().skip(1) {
+            let rate = code as f64 * SAMPLER_BASE_RATE;
+            row[0] = 0;
+            for (k, edge) in row.iter_mut().enumerate().skip(1) {
+                // u ≥ 1 − exp(−k · tick · rate) fires at or after tick k.
+                let x = k as f64 * ttf.tick_ns() * rate;
+                let guess = (-(-x).exp_m1() * RAW_END as f64) as u64;
+                *edge = first_reaching(|raw| usize::from(f64_tick(ttf, rate, raw)) >= k, guess);
+            }
+        }
+        TickTable(table)
+    }
+
+    /// The table of [`TtfRegister::at_1ghz`], built once per process and
+    /// shared by every sampler [`RsuGSampler::new`] makes.
+    fn shared_default() -> Arc<TickTable> {
+        static DEFAULT: OnceLock<Arc<TickTable>> = OnceLock::new();
+        Arc::clone(DEFAULT.get_or_init(|| Arc::new(TickTable::build(&TtfRegister::at_1ghz()))))
+    }
+}
+
+impl fmt::Debug for TickTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("TickTable")
+    }
+}
+
+/// The smallest raw draw in `0..=RAW_END` at which `reaches` holds, for a
+/// predicate false at 0 and taken as true at [`RAW_END`]: gallops out from
+/// `guess` until the edge is bracketed, then bisects.
+fn first_reaching(reaches: impl Fn(u64) -> bool, guess: u64) -> u64 {
+    let guess = guess.clamp(1, RAW_END - 1);
+    let (mut lo, mut hi);
+    let mut step = 1;
+    if reaches(guess) {
+        hi = guess;
+        while step < hi && reaches(hi - step) {
+            hi -= step;
+            step *= 2;
+        }
+        lo = hi.saturating_sub(step);
+    } else {
+        lo = guess;
+        while lo + step < RAW_END && !reaches(lo + step) {
+            lo += step;
+            step *= 2;
+        }
+        hi = (lo + step).min(RAW_END);
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if reaches(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
 }
 
 /// How far above its row's minimum an energy can sit and still light an
@@ -334,7 +425,7 @@ impl RsuGSampler {
             map,
             quantizer,
             ttf: TtfRegister::at_1ghz(),
-            base_rate_per_code: 0.04,
+            ticks: TickTable::shared_default(),
             fault: None,
         }
     }
@@ -350,10 +441,24 @@ impl RsuGSampler {
         self.fault
     }
 
-    /// Overrides the TTF register (clock/window ablations).
+    /// Overrides the TTF register (clock/window ablations), building the
+    /// register's own tick table.
     pub fn with_ttf(mut self, ttf: TtfRegister) -> Self {
+        self.ticks = Arc::new(TickTable::build(&ttf));
         self.ttf = ttf;
         self
+    }
+
+    /// The tournament's thresholds for intensity code `code`: entry `k` is
+    /// the smallest raw draw `next_u64() >> 11` that captures at tick ≥ `k`
+    /// (2⁵³ when none does; entry 255 is saturation). Samplers built by
+    /// [`RsuGSampler::new`] share one table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `code` exceeds [`CODE_MAX`].
+    pub fn tick_thresholds(&self, code: u8) -> &[u64; TICKS] {
+        &self.ticks.0[usize::from(code)]
     }
 
     /// Overrides the intensity map (precision ablations).
@@ -381,7 +486,9 @@ impl RsuGSampler {
     /// time captured by the TTF register; zero codes (LEDs off) draw
     /// nothing, ties keep the earlier label, and an all-saturated window
     /// keeps `current`. Labels a candidate mask proves dark are skipped
-    /// unquantized, which moves neither the labels nor the RNG stream.
+    /// unquantized, which moves neither the labels nor the RNG stream. The
+    /// captured tick is read off [`RsuGSampler::tick_thresholds`] with the
+    /// raw draw, which equals the f64 capture bit for bit (DESIGN §11).
     ///
     /// An injected [`UnitFault`] changes the outcome the way the device
     /// would: a dead unit keeps `current`, a stuck unit returns its
@@ -423,8 +530,8 @@ impl RsuGSampler {
         let base = energies.len() - blocks.remainder().len();
         let tail = blocks.remainder().iter().enumerate();
         candidates = tail.fold(candidates, |bits, (k, e)| lit(bits, (base + k, e)));
-        let mut best_label = current;
-        let mut best = TtfReading::Saturated;
+        let mut best_m = usize::from(current.value());
+        let mut best_tick = TICKS - 1;
         while candidates != 0 {
             let m = candidates.trailing_zeros() as usize;
             candidates &= candidates - 1;
@@ -432,31 +539,35 @@ impl RsuGSampler {
             if code == 0 {
                 continue;
             }
-            let rate = f64::from(code) * self.base_rate_per_code;
-            let ttf = -(1.0 - rng.gen::<f64>()).ln() / rate;
-            let reading = self.ttf.capture(Some(ttf));
-            if reading < best {
-                best = reading;
-                best_label = Label::new(m as u8);
+            // The one u64 `gen::<f64>()` would consume; its tick is the
+            // largest `k` with `row[k] ≤ raw`, found without branching.
+            let raw = rng.next_u64() >> 11;
+            let row = &self.ticks.0[usize::from(code)];
+            let mut tick = 0;
+            for step in [128, 64, 32, 16, 8, 4, 2, 1] {
+                tick += usize::from(row[tick + step] <= raw) * step;
             }
+            let wins = tick < best_tick;
+            best_tick = if wins { tick } else { best_tick };
+            best_m = if wins { m } else { best_m };
         }
-        if dark < best {
+        if usize::from(dark) < best_tick {
             return Label::new(rng.gen_range(0..energies.len().max(1)) as u8);
         }
-        best_label
+        Label::new(best_m as u8)
     }
 
-    /// Draws the spurious dark-count firing time for this window, if a
-    /// dark-count fault is injected. Consumes RNG only when faulted, so
-    /// the healthy path stays bit-identical to a fault-free sampler.
-    fn dark_reading<R: Rng + ?Sized>(&self, rng: &mut R) -> TtfReading {
-        if let Some(UnitFault::DarkCount { rate_per_ns }) = self.fault {
-            if rate_per_ns > 0.0 {
-                let ttf = -(1.0 - rng.gen::<f64>()).ln() / rate_per_ns;
-                return self.ttf.capture(Some(ttf));
+    /// Draws the spurious dark-count firing time for this window as a raw
+    /// register value, if a dark-count fault is injected. Consumes RNG only
+    /// when faulted, so the healthy path stays bit-identical to a
+    /// fault-free sampler.
+    fn dark_reading<R: Rng + ?Sized>(&self, rng: &mut R) -> u8 {
+        match self.fault {
+            Some(UnitFault::DarkCount { rate_per_ns }) if rate_per_ns > 0.0 => {
+                f64_tick(&self.ttf, rate_per_ns, rng.next_u64() >> 11)
             }
+            _ => TtfReading::Saturated.raw(),
         }
-        TtfReading::Saturated
     }
 
     /// Empirical label distribution of this unit over `draws` repeated

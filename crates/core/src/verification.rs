@@ -9,7 +9,7 @@
 use crate::energy_unit::{EnergyUnit, EnergyUnitConfig};
 use crate::intensity::IntensityMap;
 use crate::isa::pack_neighbors;
-use crate::ttf::{TtfReading, TtfRegister};
+use crate::ttf::TtfRegister;
 use mogs_mrf::label::LabelKind;
 
 /// One energy-datapath vector: inputs and the expected 8-bit energy.
@@ -174,10 +174,7 @@ pub const TTF_VECTORS_1GHZ: [(f64, u8); 6] = [
 pub fn check_ttf_vectors() -> Option<(f64, u8, u8)> {
     let reg = TtfRegister::at_1ghz();
     for (t, expected) in TTF_VECTORS_1GHZ {
-        let got = match reg.capture(Some(t)) {
-            TtfReading::Ticks(v) => v,
-            TtfReading::Saturated => u8::MAX,
-        };
+        let got = reg.capture(Some(t)).raw();
         if got != expected {
             return Some((t, expected, got));
         }

@@ -1,7 +1,8 @@
 //! Property test: the fused RSU-G draw (`RsuGSampler::draw_row` behind
 //! `sample_label`, both chunk kernels and `probe_distribution`) is
 //! bit-identical to the tournament it replaced — same labels out, same
-//! RNG state afterwards — on adversarial rows, maps, scales and faults.
+//! RNG state afterwards — on adversarial rows, maps, scales, TTF
+//! registers and faults.
 //!
 //! [`Reference`] keeps the replaced arithmetic verbatim: an `f64::round`
 //! quantizer, every label through the LUT, one draw per non-zero code.
@@ -155,10 +156,19 @@ fn unit(rng: &mut StdRng) -> (RsuGSampler, Reference) {
         _ => None,
     };
     sampler.set_fault(fault);
+    // Half the units get their own register, so their own tick table.
+    let ttf = match rng.gen_range(0..4) {
+        0 => TtfRegister::new(1.0 / 0.59),
+        1 => TtfRegister::new(rng.gen_range(0.25..4.0)),
+        _ => TtfRegister::at_1ghz(),
+    };
+    if ttf != TtfRegister::at_1ghz() {
+        sampler = sampler.with_ttf(ttf);
+    }
     let reference = Reference {
         scale,
         map,
-        ttf: TtfRegister::at_1ghz(),
+        ttf,
         base_rate_per_code: 0.04,
         fault,
     };
