@@ -40,7 +40,7 @@
 //! | `diag-overhead` | A11: sink overhead (bare vs NullSink vs full diagnostics) |
 //! | `audit` | schedule-interference audit of every vision workload |
 //! | `faults` | A12: fault injection, quarantine, and failover on every vision workload |
-//! | `serve-bench` | A13: HTTP serving front-end under closed-loop multi-tenant load (writes `BENCH_serve.json`) |
+//! | `serve-bench` | A13: HTTP serving front-end under closed-loop multi-tenant load |
 //! | `ckpt` | A14: durable checkpoint ladder — bit-identical resume, corruption rejection, retention |
 //! | `fleet` | A15: multi-process fleet kill-ladder — migration survival + bit-identity |
 
@@ -304,7 +304,7 @@ fn run(experiment: &str, quick: bool, graph: bool, out_dir: Option<&Path>) -> Re
         }
         "serve-bench" => {
             // Quick mode is the CI smoke: a shorter load phase at the
-            // acceptance floor of 64 clients, no snapshot written.
+            // acceptance floor of 64 clients.
             let result = if quick {
                 serve_bench::run(64, std::time::Duration::from_secs(2), 2016)
             } else {
@@ -322,13 +322,6 @@ fn run(experiment: &str, quick: bool, graph: bool, out_dir: Option<&Path>) -> Re
             }
             if result.jobs_completed == 0 {
                 return Err("no jobs completed during the load phase".to_owned());
-            }
-            if quick {
-                println!("quick mode: perf snapshot not written");
-            } else {
-                std::fs::write("BENCH_serve.json", serve_bench::to_snapshot_json(&result))
-                    .map_err(|e| e.to_string())?;
-                println!("perf snapshot written to BENCH_serve.json");
             }
         }
         "ckpt" => {

@@ -45,7 +45,6 @@ use mogs_serve::{
     http_request, ClientResponse, HttpClient, JobRequest, Priority, ServeConfig, Server,
     TenantQuota, TenantRegistry,
 };
-use serde::{Deserialize, Serialize};
 
 /// Tenant names the clients round-robin over. The last one is
 /// registered at batch priority so the batch admission gate is live
@@ -58,9 +57,8 @@ const SIDE: usize = 32;
 /// per-request table construction, small enough for closed-loop rates.
 const ITERATIONS: usize = 60;
 
-/// Outcome of one load run. Serializes to the `BENCH_serve.json` perf
-/// snapshot `repro serve-bench` drops at the repo root.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Outcome of one load run.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeBenchResult {
     /// Concurrent closed-loop clients.
     pub clients: usize,
@@ -575,18 +573,12 @@ pub fn render(result: &ServeBenchResult) -> String {
     )
 }
 
-/// Serializes the machine-readable `BENCH_serve.json` snapshot.
-#[must_use]
-pub fn to_snapshot_json(result: &ServeBenchResult) -> String {
-    serde::json::to_string(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn short_run_completes_jobs_without_wedges_and_round_trips() {
+    fn short_run_completes_jobs_without_wedges() {
         let result = run(8, Duration::from_millis(600), 9);
         assert!(
             result.bit_identical,
@@ -608,9 +600,5 @@ mod tests {
         assert!(text.contains("saturation throughput"));
         assert!(text.contains("transport comparison"));
         assert!(text.contains("table construction"));
-        let json = to_snapshot_json(&result);
-        assert!(json.contains("\"jobs_per_sec\""));
-        let back: ServeBenchResult = serde::json::from_str(&json).expect("parse back");
-        assert_eq!(back, result);
     }
 }

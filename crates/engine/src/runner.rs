@@ -173,7 +173,7 @@ pub(crate) struct TypedJob<S: SingletonPotential, L: LabelSampler> {
     /// therefore contributes a contiguous `m`-row added element-wise to
     /// the energy row, which the gather loop vectorizes. (Label values
     /// fit in 6 bits; unfilled slots are never read.)
-    prior_table: Vec<f64>,
+    prior_table: Box<[f64; 64 * 64]>,
     /// Cached singleton energies, `site * m + label_index`, when the
     /// problem fits [`SINGLETON_CACHE_CAP`].
     singleton_table: Option<Vec<f64>>,
@@ -417,7 +417,7 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
         // Both energy terms are pure functions of their arguments, so the
         // cached values are the exact f64s the reference computes in place.
         let space = job.mrf.space();
-        let mut prior_table = vec![0.0f64; 64 * 64];
+        let mut prior_table = Box::new([0.0f64; 64 * 64]);
         for own in space.labels() {
             for neighbor in space.labels() {
                 prior_table[(usize::from(neighbor.value()) << 6) | usize::from(own.value())] =
@@ -694,6 +694,89 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     }
 }
 
+/// Pass 1 of [`ErasedJob::run_chunk`]: accumulates each chunk site's
+/// row of conditional energies into `energies` and stages its current
+/// label in `current`. `W` is the row width, fixed at compile time for
+/// the small label counts; `W == 0` reads it from `m` at run time.
+///
+/// Every instance performs `site_energy`'s per-slot f64 operations in
+/// its order: the singleton seeds the row (from `stab`, or already in
+/// `energies` when there is no table), then each present axis
+/// neighbour's prior row is added in left/right/up/down order, then each
+/// present diagonal's, weighted by [`DIAGONAL_WEIGHT`]. The width changes
+/// only the loop shape, never a bit of the result.
+///
+/// # Safety
+///
+/// `sites` must be one chunk of one conditionally independent group of
+/// the phase being run, with no other thread writing any of its sites or
+/// their neighbours (see the `plane` module docs).
+#[allow(clippy::too_many_arguments)] // the pass reads five tables; bundling them hides nothing
+unsafe fn gather<const W: usize>(
+    m: usize,
+    sites: &[usize],
+    axis: &[[usize; 4]],
+    diag: Option<&[[usize; 4]]>,
+    plane: &LabelPlane,
+    stab: Option<&[f64]>,
+    ptab: &[f64; 64 * 64],
+    energies: &mut [f64],
+    current: &mut [Label],
+    #[cfg(feature = "shadow-audit")] (shadow, clock): (
+        &mogs_audit::shadow::ShadowPlane,
+        mogs_audit::shadow::TaskClock,
+    ),
+) {
+    let w = if W == 0 { m } else { W };
+    // The prior row a neighbour contributes, masked to the table's
+    // 6-bit row index.
+    let row = |n: usize| {
+        #[cfg(feature = "shadow-audit")]
+        shadow.record_neighbor_read(n, clock);
+        // SAFETY: `n` neighbours a site of this chunk, so it lies in
+        // another independent group and no thread writes it this phase.
+        let idx = usize::from(unsafe { plane.read(n) }.value()) & 63;
+        &ptab[idx << 6..(idx << 6) + w]
+    };
+    // Fixed widths accumulate in a stack row and store it once; the
+    // runtime width accumulates in the arena row itself.
+    let mut local = [0.0f64; W];
+    let rows = energies.chunks_exact_mut(w).zip(current);
+    for (&site, (erow, cur)) in sites.iter().zip(rows) {
+        if W > 0 && stab.is_none() {
+            local.copy_from_slice(erow);
+        }
+        let acc: &mut [f64] = if W == 0 { &mut *erow } else { &mut local };
+        if let Some(stab) = stab {
+            acc.copy_from_slice(&stab[site * w..site * w + w]);
+        }
+        for &n in &axis[site] {
+            if n != NO_NEIGHBOR {
+                for (slot, &p) in acc.iter_mut().zip(row(n)) {
+                    *slot += p;
+                }
+            }
+        }
+        if let Some(diag) = diag {
+            for &n in &diag[site] {
+                if n != NO_NEIGHBOR {
+                    for (slot, &p) in acc.iter_mut().zip(row(n)) {
+                        *slot += DIAGONAL_WEIGHT * p;
+                    }
+                }
+            }
+        }
+        if W > 0 {
+            erow.copy_from_slice(&local);
+        }
+        #[cfg(feature = "shadow-audit")]
+        shadow.record_own_read(site, clock);
+        // SAFETY: `site` belongs to this chunk alone and has not been
+        // written yet in this phase, so the read cannot race.
+        *cur = unsafe { plane.read(site) };
+    }
+}
+
 impl<S, L> ErasedJob for TypedJob<S, L>
 where
     S: SingletonPotential + 'static,
@@ -745,90 +828,51 @@ where
         let mut sampler = self.sampler.lock().clone();
         let temperature = self.schedule.temperature(iteration);
         let space = self.mrf.space();
-        let singleton = self.mrf.singleton();
         let m = space.count();
-        let diag = self.diag.as_deref();
-        let ptab = self.prior_table.as_slice();
         let stab = self.singleton_table.as_deref();
         arena.prepare(count, m);
-        // Pass 1 (RNG-free): gather every site's neighbour labels and
-        // accumulate its `m` conditional energies into the arena's
-        // site-major SoA rows. Separating this from the draws is
-        // bit-neutral: sites of one chunk share a conditionally
+        let energies = &mut arena.energies[..count * m];
+        // Above the singleton cache cap the rows are seeded here and the
+        // gather adds onto them.
+        if stab.is_none() {
+            for (erow, &site) in energies.chunks_exact_mut(m).zip(chunk_sites) {
+                for (slot, label) in erow.iter_mut().zip(space.labels()) {
+                    *slot = self.mrf.singleton().energy(site, label);
+                }
+            }
+        }
+        // Pass 1 (RNG-free), compiled per small row width so each row
+        // operation is a fixed-length body. Separating it from the draws
+        // is bit-neutral: sites of one chunk share a conditionally
         // independent group, so nothing read here is written this phase,
         // and the pass consumes no randomness.
-        //
-        // SAFETY (all plane accesses below): `chunk_sites` is one chunk of
-        // one conditionally independent group. Sites written this phase are
-        // never neighbours of each other, so every `read` targets either a
-        // cell no thread writes this phase (axis/diagonal neighbours live
-        // in other groups) or this chunk's own yet-unwritten site; every
-        // `write` targets a site owned exclusively by this chunk. See the
-        // `plane` module docs for the full argument.
-        for (j, &site) in chunk_sites.iter().enumerate() {
-            // Gather neighbour labels once per site — pre-masked to the
-            // prior table's 6-bit row width so the inner loops index a
-            // fixed-size row without bounds checks.
-            let mut axis_idx = [0usize; 4];
-            let mut axis_n = 0;
-            for &n in &self.axis[site] {
-                if n != NO_NEIGHBOR {
-                    #[cfg(feature = "shadow-audit")]
-                    self.shadow.record_neighbor_read(n, clock);
-                    // SAFETY: `n` neighbours `site`, so it lies in another
-                    // independent group and no thread writes it this phase.
-                    axis_idx[axis_n] = usize::from(unsafe { self.plane.read(n) }.value()) & 63;
-                    axis_n += 1;
-                }
-            }
-            let mut diag_idx = [0usize; 4];
-            let mut diag_n = 0;
-            if let Some(diag) = diag {
-                for &n in &diag[site] {
-                    if n != NO_NEIGHBOR {
-                        #[cfg(feature = "shadow-audit")]
-                        self.shadow.record_neighbor_read(n, clock);
-                        // SAFETY: as for the axis neighbours — diagonal
-                        // neighbours of a second-order group live in other
-                        // groups, unwritten this phase.
-                        diag_idx[diag_n] = usize::from(unsafe { self.plane.read(n) }.value()) & 63;
-                        diag_n += 1;
-                    }
-                }
-            }
-            // Same f64 accumulation order as `site_energy` for every slot:
-            // the singleton seeds the row, then each axis neighbour adds
-            // its (neighbour-major, contiguous) prior row element-wise,
-            // then the diagonals weighted — the per-slot operation
-            // sequence is identical to the reference's label-major loop,
-            // only the loop nest is transposed so each pass is a
-            // branch-free vectorizable row operation.
-            let erow = &mut arena.energies[j * m..j * m + m];
-            match stab {
-                Some(stab) => erow.copy_from_slice(&stab[site * m..site * m + m]),
-                None => {
-                    for (slot, label) in erow.iter_mut().zip(space.labels()) {
-                        *slot = singleton.energy(site, label);
-                    }
-                }
-            }
-            for &idx in &axis_idx[..axis_n] {
-                let row = &ptab[(idx << 6)..(idx << 6) + m];
-                for (slot, &p) in erow.iter_mut().zip(row) {
-                    *slot += p;
-                }
-            }
-            for &idx in &diag_idx[..diag_n] {
-                let row = &ptab[(idx << 6)..(idx << 6) + m];
-                for (slot, &p) in erow.iter_mut().zip(row) {
-                    *slot += DIAGONAL_WEIGHT * p;
-                }
-            }
-            #[cfg(feature = "shadow-audit")]
-            self.shadow.record_own_read(site, clock);
-            // SAFETY: `site` belongs to this chunk alone and has not been
-            // written yet in this phase, so the read cannot race.
-            arena.current[j] = unsafe { self.plane.read(site) };
+        let gather = match m {
+            1 => gather::<1>,
+            2 => gather::<2>,
+            3 => gather::<3>,
+            4 => gather::<4>,
+            5 => gather::<5>,
+            6 => gather::<6>,
+            7 => gather::<7>,
+            8 => gather::<8>,
+            _ => gather::<0>,
+        };
+        // SAFETY: `chunk_sites` is one chunk of one conditionally
+        // independent group of the phase being run, as `gather` requires.
+        unsafe {
+            gather(
+                m,
+                chunk_sites,
+                &self.axis,
+                self.diag.as_deref(),
+                &self.plane,
+                stab,
+                &self.prior_table,
+                energies,
+                &mut arena.current[..count],
+                #[cfg(feature = "shadow-audit")]
+                (&self.shadow, clock),
+            );
         }
         // Pass 2: the kernel draws every label from the staged rows,
         // consuming the RNG site by site in chunk order — bit-identical to
