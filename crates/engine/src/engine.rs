@@ -278,15 +278,25 @@ impl Engine {
         Engine::new(EngineConfig::default())
     }
 
-    /// Runs admission (the `mogs-audit` schedule check, label-space and
-    /// labeling validation) and builds the type-erased job. A rejection
-    /// happens before any label plane exists.
-    fn prepare<S, L>(&self, spec: JobSpec<S, L>) -> Result<Pending, EngineError>
+    /// Runs admission (the shape's verified schedule, label-space and
+    /// labeling validation) and builds the type-erased job — fresh, or
+    /// continuing from `resume`. A rejection happens before any label
+    /// plane exists.
+    fn prepare<S, L>(
+        &self,
+        spec: JobSpec<S, L>,
+        resume: Option<&JobState>,
+    ) -> Result<Pending, EngineError>
     where
         S: SingletonPotential + 'static,
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        let (typed, _) = TypedJob::try_new(spec.into_job())?;
+        let (typed, shared) = TypedJob::try_new(spec.into_job(), resume)?;
+        if shared {
+            self.metrics
+                .admissions_shared
+                .fetch_add(1, Ordering::Relaxed);
+        }
         let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
         Ok(Pending {
             id,
@@ -297,10 +307,12 @@ impl Engine {
 
     /// Submits a job that continues from a checkpointed [`JobState`]
     /// instead of an initial labeling, blocking while the queue is full.
-    /// The spec is audited from scratch exactly as [`Engine::submit`]
-    /// does; the state is then validated against the rebuilt job — its
-    /// binding must match the spec, its label plane must validate, and
-    /// its fault/diagnostics records must be re-seatable — before the
+    /// The spec is admitted exactly as [`Engine::submit`] admits it — on
+    /// its shape's cached, already-verified schedule, or through a fresh
+    /// colour-and-verify pass — before anything in the state is trusted;
+    /// the state is then validated against the rebuilt job — its binding
+    /// must match the spec, its label plane must validate, and its
+    /// fault/diagnostics records must be re-seatable — before the
     /// scheduler picks up at the checkpoint's sweep cursor. A resumed
     /// run is bit-identical to the uninterrupted one from that cursor
     /// on (chunk RNG streams are derived from `(seed, sweep)`, never
@@ -320,7 +332,7 @@ impl Engine {
         S: SingletonPotential + 'static,
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        let pending = self.prepare_resumed(job.into(), state).inspect_err(|_| {
+        let pending = self.prepare(job.into(), Some(state)).inspect_err(|_| {
             self.metrics.jobs_denied.fetch_add(1, Ordering::Relaxed);
         })?;
         let handle = Engine::handle_for(&pending);
@@ -331,26 +343,6 @@ impl Engine {
             .checkpoints_restored
             .fetch_add(1, Ordering::Relaxed);
         Ok(handle)
-    }
-
-    /// [`Engine::prepare`] for a resumed job: same admission audit, then
-    /// the checkpoint state is validated and seated.
-    fn prepare_resumed<S, L>(
-        &self,
-        spec: JobSpec<S, L>,
-        state: &JobState,
-    ) -> Result<Pending, EngineError>
-    where
-        S: SingletonPotential + 'static,
-        L: SweepKernel + Clone + Send + Sync + 'static,
-    {
-        let typed = TypedJob::try_resume(spec.into_job(), state)?;
-        let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        Ok(Pending {
-            id,
-            job: Arc::new(typed),
-            shared: HandleShared::new(),
-        })
     }
 
     fn handle_for(pending: &Pending) -> JobHandle {
@@ -376,7 +368,7 @@ impl Engine {
         S: SingletonPotential + 'static,
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        let pending = self.prepare(job.into()).inspect_err(|_| {
+        let pending = self.prepare(job.into(), None).inspect_err(|_| {
             self.metrics.jobs_denied.fetch_add(1, Ordering::Relaxed);
         })?;
         let handle = Engine::handle_for(&pending);
@@ -401,7 +393,7 @@ impl Engine {
         S: SingletonPotential + 'static,
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        let pending = self.prepare(job.into()).map_err(|err| {
+        let pending = self.prepare(job.into(), None).map_err(|err| {
             self.metrics.jobs_denied.fetch_add(1, Ordering::Relaxed);
             TrySubmitError::Engine(err)
         })?;

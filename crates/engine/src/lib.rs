@@ -80,12 +80,13 @@
 //! [`McmcChain`](mogs_gibbs::McmcChain) with `threads >= 2` — no matter
 //! how many OS workers the engine runs or how many jobs share them. The
 //! speedup comes from *not redoing invariant work*: neighbour tables are
-//! built once per job instead of div/mod per (site, label) visit, labels
-//! update in place in a shared plane (provably race-free within a phase;
-//! see `plane`) instead of snapshot-and-merge, energies accumulate into a
-//! per-worker [`KernelArena`](mogs_gibbs::KernelArena) in `site_energy`'s
-//! exact f64 operation order, and whole chunks are drawn at once through
-//! the [`SweepKernel`](mogs_gibbs::SweepKernel) batched kernels.
+//! built once per grid shape instead of div/mod per (site, label) visit,
+//! labels update in place in a shared plane (provably race-free within a
+//! phase; see `plane`) instead of snapshot-and-merge, energies accumulate
+//! into a per-worker [`KernelArena`](mogs_gibbs::KernelArena) in
+//! `site_energy`'s exact f64 operation order, and whole chunks are drawn
+//! at once through the [`SweepKernel`](mogs_gibbs::SweepKernel) batched
+//! kernels.
 
 mod backend;
 pub mod ckpt;

@@ -154,6 +154,9 @@ pub struct EngineMetrics {
     pub checkpoints_written: AtomicU64,
     /// Jobs admitted from a checkpointed state through `Engine::resume`.
     pub checkpoints_restored: AtomicU64,
+    /// Jobs whose admission reused their grid shape's cached, already
+    /// verified schedule and neighbour tables.
+    pub admissions_shared: AtomicU64,
     /// Full sweeps (every site updated once) across all jobs.
     pub sweeps_completed: AtomicU64,
     /// Individual site updates across all jobs.
@@ -196,6 +199,7 @@ impl EngineMetrics {
             units_quarantined: AtomicU64::new(0),
             checkpoints_written: AtomicU64::new(0),
             checkpoints_restored: AtomicU64::new(0),
+            admissions_shared: AtomicU64::new(0),
             sweeps_completed: AtomicU64::new(0),
             site_updates: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
@@ -229,6 +233,7 @@ impl EngineMetrics {
             units_quarantined: self.units_quarantined.load(Ordering::Relaxed),
             checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
             checkpoints_restored: self.checkpoints_restored.load(Ordering::Relaxed),
+            admissions_shared: self.admissions_shared.load(Ordering::Relaxed),
             sweeps_completed: sweeps,
             site_updates: updates,
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
@@ -281,6 +286,8 @@ pub struct MetricsSnapshot {
     pub checkpoints_written: u64,
     /// Jobs admitted from a checkpointed state.
     pub checkpoints_restored: u64,
+    /// Jobs admitted on their grid shape's cached, verified schedule.
+    pub admissions_shared: u64,
     /// Full sweeps across all jobs.
     pub sweeps_completed: u64,
     /// Site updates across all jobs.

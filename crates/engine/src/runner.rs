@@ -2,12 +2,20 @@
 //!
 //! The scheduler and workers handle jobs through the object-safe
 //! [`ErasedJob`] trait; [`TypedJob`] monomorphizes it per singleton/sampler
-//! pair. A typed job precomputes what the reference sweep recomputes per
-//! site visit — the conditionally independent groups, their chunk
-//! boundaries, every site's neighbour indices, the pairwise prior-energy
-//! table, and (when it fits) the per-site singleton energies — so the
-//! per-update cost is the sampler draw plus `M` fused table-lookup
-//! accumulations.
+//! pair. A typed job reads from tables what the reference sweep
+//! recomputes per site visit, so the per-update cost is the sampler draw
+//! plus `M` fused table-lookup accumulations. Few of those tables belong
+//! to the job itself:
+//!
+//! - the verified schedule — the conditionally independent groups and
+//!   their chunk boundaries — and every site's neighbour indices live in
+//!   one [`Prepared`] admission entry, shared by every job on the same
+//!   `(grid, neighbourhood, threads)` shape;
+//! - the per-site singleton energies (when they fit) live in the field,
+//!   shared by every clone of it
+//!   ([`MarkovRandomField::singleton_table`]);
+//! - only the 64 × 64 pairwise prior-energy table and the label plane
+//!   are built per job.
 //!
 //! # Bit-identity with the reference sweep
 //!
@@ -30,10 +38,10 @@
 //!   up-left/up-right/down-left/down-right order.
 //!
 //! What changes is only *where the work happens*: neighbour coordinates
-//! come from a table built once per job instead of div/mod per (site,
-//! label) visit, energies land in a stack buffer instead of a heap `Vec`,
-//! and updates go straight into the shared [`LabelPlane`] instead of
-//! per-thread update lists merged after a snapshot copy.
+//! come from a table built once per grid shape instead of div/mod per
+//! (site, label) visit, energies land in a stack buffer instead of a
+//! heap `Vec`, and updates go straight into the shared [`LabelPlane`]
+//! instead of per-thread update lists merged after a snapshot copy.
 
 use mogs_audit::{
     color_schedule, verify_certificate, AuditError, Chunking, GridTopology, ScheduleCertificate,
@@ -43,7 +51,7 @@ use mogs_gibbs::{LabelSampler, TemperatureSchedule};
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::field::DIAGONAL_WEIGHT;
 use mogs_mrf::label::MAX_LABELS;
-use mogs_mrf::{Label, MarkovRandomField, Neighborhood, Topology};
+use mogs_mrf::{Grid2D, Label, MarkovRandomField, Neighborhood, Topology};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,9 +69,21 @@ use crate::sink::{DiagSink, JobStartInfo, SinkNeeds, SweepDecision, SweepObserva
 /// Sentinel for "no neighbour on this side" in the precomputed tables.
 const NO_NEIGHBOR: usize = usize::MAX;
 
-/// Upper bound on `sites × labels` for caching singleton energies
-/// (8 bytes per entry, so at most 32 MiB per job).
-const SINGLETON_CACHE_CAP: usize = 1 << 22;
+/// Shapes the process-wide admission cache holds. A 320×320 first-order
+/// entry is ~8 MB (CSR topology, certificate classes, axis table), so
+/// four stay near the 32 MiB one field's singleton table may take, and
+/// cover the few shapes a process runs at once: a benchmark or a fleet
+/// worker runs one.
+const ADMISSION_CACHE_ENTRIES: usize = 4;
+
+/// A shape: `(grid, neighbourhood, threads)`. It determines an admission
+/// exactly: the topology is a pure function of grid and neighbourhood,
+/// and the greedy schedule of topology and `threads`, so no fingerprint
+/// is needed to look one up.
+type ShapeKey = (Grid2D, Neighborhood, usize);
+
+/// The admitted shapes, oldest first.
+static ADMISSIONS: Mutex<Vec<(ShapeKey, Arc<Prepared>)>> = Mutex::new(Vec::new());
 
 /// Per-iteration sweep seed, matching `McmcChain::step`.
 #[inline]
@@ -136,12 +156,90 @@ struct Bookkeeping {
     snapshot: Vec<Label>,
 }
 
-/// What admission proved: the field's interference topology and the
-/// schedule certificate independently verified against it.
-#[derive(Debug, Clone)]
-pub(crate) struct Admission {
+/// What admission proved and built for one field shape: the interference
+/// topology, the schedule certificate independently verified against it
+/// — its classes are the phase groups — and the neighbour tables. Shared
+/// read-only by every job admitted on the shape, so evicting it from the
+/// cache never touches a running job.
+#[derive(Debug)]
+pub(crate) struct Prepared {
     pub(crate) topology: Topology,
     pub(crate) certificate: ScheduleCertificate,
+    /// Axis neighbours per site, `neighbors4` order, `NO_NEIGHBOR` filled.
+    axis: Vec<[usize; 4]>,
+    /// Diagonal neighbours per site for second-order fields.
+    diag: Option<Vec<[usize; 4]>>,
+}
+
+impl Prepared {
+    /// The shape's admission, and whether it came from the cache. A
+    /// `groups` override is untrusted input: it always takes the full
+    /// colour-and-verify path and is never cached. A miss is built and
+    /// verified outside the lock, so admissions of other shapes never
+    /// wait on it, and only a verified entry becomes visible.
+    fn shared(
+        grid: Grid2D,
+        neighborhood: Neighborhood,
+        threads: usize,
+        groups: Option<Vec<Vec<usize>>>,
+    ) -> Result<(Arc<Self>, bool), EngineError> {
+        if groups.is_some() {
+            return Ok((
+                Arc::new(Self::admit(grid, neighborhood, threads, groups)?),
+                false,
+            ));
+        }
+        let key = (grid, neighborhood, threads);
+        if let Some((_, hit)) = ADMISSIONS.lock().iter().find(|(k, _)| *k == key) {
+            return Ok((Arc::clone(hit), true));
+        }
+        let fresh = Arc::new(Self::admit(grid, neighborhood, threads, None)?);
+        let mut cache = ADMISSIONS.lock();
+        cache.retain(|(k, _)| *k != key);
+        if cache.len() == ADMISSION_CACHE_ENTRIES {
+            cache.remove(0);
+        }
+        cache.push((key, Arc::clone(&fresh)));
+        Ok((fresh, false))
+    }
+
+    /// Admission is certificate-based: the shape's interference graph is
+    /// colored by the untrusted greedy scheduler — which on a ≥2×2 grid
+    /// reproduces the historical checkerboard / block-color phases
+    /// exactly — or wrapped from an explicit `groups` override, and the
+    /// independent `verify_certificate` pass re-proves every unsafe-plane
+    /// invariant against the raw adjacency before any table is built.
+    fn admit(
+        grid: Grid2D,
+        neighborhood: Neighborhood,
+        threads: usize,
+        groups: Option<Vec<Vec<usize>>>,
+    ) -> Result<Self, EngineError> {
+        let topology = GridTopology::new(grid, neighborhood).sparse();
+        let certificate = match groups {
+            Some(groups) => {
+                ScheduleCertificate::from_classes(&topology, groups, Chunking::Uniform { threads })
+            }
+            None => color_schedule(&topology, threads),
+        };
+        let report = verify_certificate(&topology, &certificate);
+        if !report.is_clean() {
+            return Err(EngineError::Schedule(AuditError { report }));
+        }
+        let pack = |slots: [Option<usize>; 4]| slots.map(|n| n.unwrap_or(NO_NEIGHBOR));
+        let axis = grid.sites().map(|s| pack(grid.neighbors4(s))).collect();
+        let diag = (neighborhood == Neighborhood::SecondOrder).then(|| {
+            grid.sites()
+                .map(|s| pack(grid.neighbors_diagonal(s)))
+                .collect()
+        });
+        Ok(Prepared {
+            topology,
+            certificate,
+            axis,
+            diag,
+        })
+    }
 }
 
 /// A fully prepared, monomorphized job.
@@ -162,11 +260,9 @@ pub(crate) struct TypedJob<S: SingletonPotential, L: LabelSampler> {
     seed: u64,
     burn_in: usize,
     record_energy: bool,
-    groups: Vec<Vec<usize>>,
-    /// Axis neighbours per site, `neighbors4` order, `NO_NEIGHBOR` filled.
-    axis: Vec<[usize; 4]>,
-    /// Diagonal neighbours per site for second-order fields.
-    diag: Option<Vec<[usize; 4]>>,
+    /// The shape's shared admission: the verified schedule, whose
+    /// classes are the phase groups, and the neighbour tables.
+    admission: Arc<Prepared>,
     /// Pairwise prior energies, *neighbour-major*: entry
     /// `neighbour.value() << 6 | own.value()` is the energy of labelling
     /// this site `own` next to a `neighbour`-labelled site. One neighbour
@@ -174,9 +270,6 @@ pub(crate) struct TypedJob<S: SingletonPotential, L: LabelSampler> {
     /// the energy row, which the gather loop vectorizes. (Label values
     /// fit in 6 bits; unfilled slots are never read.)
     prior_table: Box<[f64; 64 * 64]>,
-    /// Cached singleton energies, `site * m + label_index`, when the
-    /// problem fits [`SINGLETON_CACHE_CAP`].
-    singleton_table: Option<Vec<f64>>,
     /// Dynamic read/write-set recorder cross-checking the static audit
     /// verdict (tests only; never compiled into release paths).
     #[cfg(feature = "shadow-audit")]
@@ -198,12 +291,20 @@ pub(crate) struct TypedJob<S: SingletonPotential, L: LabelSampler> {
 }
 
 impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
-    /// Prepares a job: audits it, builds the neighbour tables, and seats
-    /// the initial labeling in the shared plane.
+    /// Prepares a job: admits it, validates its starting labeling, and
+    /// seats that labeling in the shared plane. A fresh job starts from
+    /// the spec's initial labeling (all zeros when it has none). Given a
+    /// checkpointed `resume` state, the job starts from the state's
+    /// labeling at its sweep cursor, once the state has been validated
+    /// against the rebuilt job (binding match, label validity,
+    /// accumulator shapes); nothing in a checkpoint is trusted before the
+    /// spec it claims to continue has been admitted.
     ///
-    /// Admission order matters: the schedule audit runs *before* the
+    /// Admission order matters: the schedule is verified *before* the
     /// label plane is constructed, so a rejected job never allocates —
-    /// let alone touches — shared mutable state.
+    /// let alone touches — shared mutable state. The returned flag is
+    /// true when the verified schedule and neighbour tables came from the
+    /// shape's cached [`Prepared`] entry.
     ///
     /// # Errors
     ///
@@ -212,82 +313,15 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     /// (derived from the field, or the job's explicit `groups` override)
     /// fails the `mogs-audit` interference check — including
     /// `threads == 0`, which the audit reports as a zero-chunk schedule;
-    /// [`EngineError::Labeling`] if an explicit initial labeling does
-    /// not validate against the field;
-    /// [`EngineError::InvalidSpec`] if an attached health policy has an
-    /// out-of-range field.
-    ///
-    /// Returns the admission alongside the job: the shard runner keeps
-    /// it (the fleet partitions against it), the engine drops it.
-    pub(crate) fn try_new(mut job: InferenceJob<S, L>) -> Result<(Self, Admission), EngineError>
-    where
-        L: SweepKernel,
-    {
-        let admission = Self::admit(&mut job)?;
-        let labels = match job.initial.take() {
-            Some(labels) => {
-                job.mrf
-                    .validate_labeling(&labels)
-                    .map_err(EngineError::Labeling)?;
-                labels
-            }
-            None => job.mrf.uniform_labeling(),
-        };
-        let groups = admission.certificate.classes().to_vec();
-        let fingerprint = admission.certificate.fingerprint();
-        let typed = TypedJob::build(job, groups, labels, fingerprint, None)?;
-        Ok((typed, admission))
-    }
-
-    /// Prepares a job seeded from a checkpoint instead of an initial
-    /// labeling. Admission is identical to [`TypedJob::try_new`] — the
-    /// spec is audited from scratch; nothing in the checkpoint is
-    /// trusted until the spec it claims to continue has re-proved its
-    /// schedule — then the state is validated against the rebuilt job
-    /// (binding match, label validity, accumulator shapes) before any
-    /// of it is seated.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`TypedJob::try_new`] reports, plus
-    /// [`EngineError::InvalidSpec`] (field `"checkpoint"`) when the
-    /// state does not belong to this spec or is internally misshapen.
-    pub(crate) fn try_resume(
+    /// [`EngineError::Labeling`] if the starting labeling does not
+    /// validate against the field; [`EngineError::InvalidSpec`] if an
+    /// attached health policy has an out-of-range field, or (field
+    /// `"checkpoint"`) when the `resume` state does not belong to this
+    /// spec or is internally misshapen.
+    pub(crate) fn try_new(
         mut job: InferenceJob<S, L>,
-        state: &JobState,
-    ) -> Result<Self, EngineError>
-    where
-        L: SweepKernel,
-    {
-        let Admission { certificate, .. } = Self::admit(&mut job)?;
-        let fingerprint = certificate.fingerprint();
-        let groups = certificate.into_classes();
-        // A resumed job's labeling comes from the checkpoint; any initial
-        // labeling on the spec was consumed by the original run.
-        job.initial.take();
-        let m = job.mrf.space().count();
-        let mut labels = Vec::with_capacity(state.labels.len());
-        for &value in &state.labels {
-            if usize::from(value) >= m {
-                return Err(EngineError::InvalidSpec {
-                    field: "checkpoint",
-                    reason: format!(
-                        "checkpointed label {value} is outside the job's {m}-label space"
-                    ),
-                });
-            }
-            labels.push(Label::new(value));
-        }
-        job.mrf
-            .validate_labeling(&labels)
-            .map_err(EngineError::Labeling)?;
-        TypedJob::build(job, groups, labels, fingerprint, Some(state))
-    }
-
-    /// The shared admission pass: validates the health policy and label
-    /// space, then colors and independently re-verifies the sweep
-    /// schedule against the field's interference topology.
-    fn admit(job: &mut InferenceJob<S, L>) -> Result<Admission, EngineError>
+        resume: Option<&JobState>,
+    ) -> Result<(Self, bool), EngineError>
     where
         L: SweepKernel,
     {
@@ -301,33 +335,48 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
                 max: usize::from(MAX_LABELS),
             });
         }
-        // Admission is certificate-based: the field's interference graph
-        // (grid or, in time, any sparse topology) is colored by the
-        // untrusted greedy scheduler — which on a ≥2×2 grid reproduces
-        // the historical checkerboard / block-color phases exactly — or
-        // wrapped from the job's explicit `groups` override, and the
-        // independent `verify_certificate` pass re-proves every unsafe-
-        // plane invariant against the raw adjacency before any plane is
-        // allocated.
-        let topology = GridTopology::new(*job.mrf.grid(), job.mrf.neighborhood()).sparse();
-        let certificate = match job.groups.take() {
-            Some(groups) => ScheduleCertificate::from_classes(
-                &topology,
-                groups,
-                Chunking::Uniform {
-                    threads: job.threads,
-                },
-            ),
-            None => color_schedule(&topology, job.threads),
+        let (admission, shared) = Prepared::shared(
+            *job.mrf.grid(),
+            job.mrf.neighborhood(),
+            job.threads,
+            job.groups.take(),
+        )?;
+        // A resumed job's labeling comes from the checkpoint; any initial
+        // labeling on the spec was consumed by the original run.
+        let initial = job.initial.take();
+        let labels = match resume {
+            None => initial.unwrap_or_else(|| job.mrf.uniform_labeling()),
+            Some(state) => {
+                if let Some(value) = state.labels.iter().find(|&&v| usize::from(v) >= m) {
+                    return Err(EngineError::InvalidSpec {
+                        field: "checkpoint",
+                        reason: format!(
+                            "checkpointed label {value} is outside the job's {m}-label space"
+                        ),
+                    });
+                }
+                state
+                    .labels
+                    .iter()
+                    .map(|&value| Label::new(value))
+                    .collect()
+            }
         };
-        let report = verify_certificate(&topology, &certificate);
-        if !report.is_clean() {
-            return Err(EngineError::Schedule(AuditError { report }));
-        }
-        Ok(Admission {
-            topology,
-            certificate,
-        })
+        job.mrf
+            .validate_labeling(&labels)
+            .map_err(EngineError::Labeling)?;
+        Ok((TypedJob::build(job, admission, labels, resume)?, shared))
+    }
+
+    /// The shape admission this job runs under (shard-runner access: the
+    /// fleet partitions against its topology and certificate).
+    pub(crate) fn admission(&self) -> &Prepared {
+        &self.admission
+    }
+
+    /// The phase groups: the verified certificate's classes.
+    fn groups(&self) -> &[Vec<usize>] {
+        self.admission.certificate.classes()
     }
 
     /// [`TypedJob::try_new`] for callers that know the job is well-formed
@@ -342,7 +391,9 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     where
         L: SweepKernel,
     {
-        TypedJob::try_new(job).expect("job must pass admission").0
+        TypedJob::try_new(job, None)
+            .expect("job must pass admission")
+            .0
     }
 
     /// Builds the prepared job from already-audited parts. Private on
@@ -352,9 +403,8 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     /// door deliberately, then runs it serially.)
     fn build(
         mut job: InferenceJob<S, L>,
-        groups: Vec<Vec<usize>>,
+        admission: Arc<Prepared>,
         labels: Vec<Label>,
-        fingerprint: u64,
         resume: Option<&JobState>,
     ) -> Result<Self, EngineError>
     where
@@ -371,7 +421,7 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
             burn_in: job.burn_in,
             threads: job.threads,
             seed: job.seed,
-            fingerprint,
+            fingerprint: admission.certificate.fingerprint(),
             kernel: job.sampler.name().to_string(),
             track_modes: job.track_modes,
             record_energy: job.record_energy,
@@ -399,23 +449,11 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
                     reason: format!("diagnostics sink rejected its checkpointed state: {reason}"),
                 })?;
         }
-        let pack = |slots: [Option<usize>; 4]| {
-            let mut out = [NO_NEIGHBOR; 4];
-            for (slot, n) in out.iter_mut().zip(slots) {
-                if let Some(n) = n {
-                    *slot = n;
-                }
-            }
-            out
-        };
-        let axis: Vec<[usize; 4]> = grid.sites().map(|s| pack(grid.neighbors4(s))).collect();
-        let diag = (job.mrf.neighborhood() == Neighborhood::SecondOrder).then(|| {
-            grid.sites()
-                .map(|s| pack(grid.neighbors_diagonal(s)))
-                .collect()
-        });
         // Both energy terms are pure functions of their arguments, so the
         // cached values are the exact f64s the reference computes in place.
+        // The field's shared singleton table is filled here, on the
+        // admitting thread, so no sweep phase pays for it.
+        job.mrf.singleton_table();
         let space = job.mrf.space();
         let mut prior_table = Box::new([0.0f64; 64 * 64]);
         for own in space.labels() {
@@ -424,17 +462,6 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
                     job.mrf.prior().energy(space, own, neighbor);
             }
         }
-        let singleton_table = (labels.len() * m <= SINGLETON_CACHE_CAP).then(|| {
-            let mut table = Vec::with_capacity(labels.len() * m);
-            for site in 0..labels.len() {
-                table.extend(
-                    space
-                        .labels()
-                        .map(|label| job.mrf.singleton().energy(site, label)),
-                );
-            }
-            table
-        });
         let (energy_trace, histograms) = match resume {
             Some(state) => (state.energy_trace.clone(), state.histograms.clone()),
             None => (
@@ -468,10 +495,7 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
         };
         Ok(TypedJob {
             prior_table,
-            singleton_table,
-            groups,
-            axis,
-            diag,
+            admission,
             #[cfg(feature = "shadow-audit")]
             shadow: mogs_audit::shadow::ShadowPlane::new(labels.len()),
             plane: LabelPlane::new(labels),
@@ -612,7 +636,7 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
 
     /// The reference chunk width for one group.
     fn chunk_size(&self, group: usize) -> usize {
-        self.groups[group].len().div_ceil(self.threads).max(1)
+        self.groups()[group].len().div_ceil(self.threads).max(1)
     }
 
     /// The sites of one chunk of one group, in the reference split.
@@ -620,7 +644,7 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     /// per-shard phases must walk exactly the chunks the full engine
     /// would.
     pub(crate) fn chunk_sites(&self, group: usize, chunk: usize) -> &[usize] {
-        let sites = &self.groups[group];
+        let sites = &self.groups()[group];
         let size = self.chunk_size(group);
         let start = chunk * size;
         &sites[start..(start + size).min(sites.len())]
@@ -643,8 +667,9 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     /// the singleton, the right and down neighbours, then the
     /// `DIAGONAL_WEIGHT`ed down-left and down-right ones. The tables hold
     /// the very f64s `total_energy` would compute, so the sum is the same
-    /// bit for bit; above [`SINGLETON_CACHE_CAP`] the singleton is
-    /// evaluated directly, as there.
+    /// bit for bit; above
+    /// [`SINGLETON_CACHE_CAP`](mogs_mrf::field::SINGLETON_CACHE_CAP) the
+    /// singleton is evaluated directly, as there.
     ///
     /// # Safety
     ///
@@ -653,6 +678,8 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     /// single ownership.
     pub(crate) unsafe fn plane_energy(&self) -> f64 {
         let m = self.mrf.space().count();
+        let stab = self.mrf.singleton_table();
+        let Prepared { axis, diag, .. } = &*self.admission;
         // SAFETY: quiescence (this fn's contract) means no cell is
         // written while it is read.
         let at = |site: usize| unsafe { self.plane.read(site) };
@@ -662,18 +689,18 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
         for site in 0..self.plane.len() {
             let label = at(site);
             let own = usize::from(label.value());
-            e += match &self.singleton_table {
+            e += match stab {
                 Some(table) => table[site * m + own],
                 None => self.mrf.singleton().energy(site, label),
             };
-            let [_, right, _, down] = self.axis[site];
+            let [_, right, _, down] = axis[site];
             if right != NO_NEIGHBOR {
                 e += prior(own, right);
             }
             if down != NO_NEIGHBOR {
                 e += prior(own, down);
             }
-            if let Some(diag) = &self.diag {
+            if let Some(diag) = diag {
                 let [_, _, down_left, down_right] = diag[site];
                 if down_left != NO_NEIGHBOR {
                     e += DIAGONAL_WEIGHT * prior(own, down_left);
@@ -787,11 +814,11 @@ where
     }
 
     fn group_count(&self) -> usize {
-        self.groups.len()
+        self.groups().len()
     }
 
     fn chunks_in_group(&self, group: usize) -> usize {
-        self.groups[group].len().div_ceil(self.chunk_size(group))
+        self.groups()[group].len().div_ceil(self.chunk_size(group))
     }
 
     fn site_count(&self) -> usize {
@@ -799,16 +826,15 @@ where
     }
 
     fn run_chunk(&self, iteration: usize, group: usize, chunk: usize, arena: &mut KernelArena) {
-        let sites = &self.groups[group];
-        let size = self.chunk_size(group);
-        let start = chunk * size;
-        let chunk_sites = &sites[start..(start + size).min(sites.len())];
+        let chunk_sites = self.chunk_sites(group, chunk);
         let count = chunk_sites.len();
+        #[cfg(feature = "shadow-audit")]
+        let phase = iteration * self.group_count() + group;
         #[cfg(feature = "shadow-audit")]
         // audit:allow(lossy-cast) — usize -> u64 is value-preserving; the
         // epoch is the barrier-ordered phase counter the happens-before
         // checker keys every access on.
-        let (epoch64, task64) = ((iteration * self.groups.len() + group) as u64, chunk as u64);
+        let (epoch64, task64) = (phase as u64, chunk as u64);
         #[cfg(feature = "shadow-audit")]
         let clock = mogs_audit::shadow::TaskClock {
             epoch: epoch64,
@@ -829,7 +855,7 @@ where
         let temperature = self.schedule.temperature(iteration);
         let space = self.mrf.space();
         let m = space.count();
-        let stab = self.singleton_table.as_deref();
+        let stab = self.mrf.singleton_table();
         arena.prepare(count, m);
         let energies = &mut arena.energies[..count * m];
         // Above the singleton cache cap the rows are seeded here and the
@@ -863,8 +889,8 @@ where
             gather(
                 m,
                 chunk_sites,
-                &self.axis,
-                self.diag.as_deref(),
+                &self.admission.axis,
+                self.admission.diag.as_deref(),
                 &self.plane,
                 stab,
                 &self.prior_table,
@@ -1071,7 +1097,7 @@ mod tests {
                 (0..typed.chunks_in_group(g))
                     .map(|c| {
                         let size = typed.chunk_size(g);
-                        let len = typed.groups[g].len();
+                        let len = typed.groups()[g].len();
                         (c * size..((c + 1) * size).min(len)).len()
                     })
                     .sum::<usize>()
@@ -1150,7 +1176,8 @@ mod tests {
         assert_eq!(state.next_sweep, 3);
         assert_eq!(state.energy_trace.len(), 3);
 
-        let resumed = TypedJob::try_resume(spec(), &state).expect("state belongs to this spec");
+        let (resumed, _) =
+            TypedJob::try_new(spec(), Some(&state)).expect("state belongs to this spec");
         assert_eq!(resumed.start_iteration(), 3);
         run_sweeps(&resumed, 3, 8);
         let out = resumed.finalize(false, false, 8);
@@ -1173,33 +1200,33 @@ mod tests {
         let state = first.capture(2);
 
         // A spec with a different seed is a different job.
-        let err = TypedJob::try_resume(spec(99), &state).expect_err("foreign binding");
+        let err = TypedJob::try_new(spec(99), Some(&state)).expect_err("foreign binding");
         assert_eq!(err.variant(), "invalid-spec");
 
         // A cursor outside the sweep budget cannot be resumed.
         let mut zeroed = state.clone();
         zeroed.next_sweep = 0;
-        let err = TypedJob::try_resume(spec(11), &zeroed).expect_err("cursor 0");
+        let err = TypedJob::try_new(spec(11), Some(&zeroed)).expect_err("cursor 0");
         assert_eq!(err.variant(), "invalid-spec");
         let mut done = state.clone();
         done.next_sweep = 6;
-        let err = TypedJob::try_resume(spec(11), &done).expect_err("nothing left to run");
+        let err = TypedJob::try_new(spec(11), Some(&done)).expect_err("nothing left to run");
         assert_eq!(err.variant(), "invalid-spec");
 
         // A label outside the job's space is rejected before seating.
         let mut torn = state.clone();
         torn.labels[0] = 63;
-        let err = TypedJob::try_resume(spec(11), &torn).expect_err("label out of space");
+        let err = TypedJob::try_new(spec(11), Some(&torn)).expect_err("label out of space");
         assert_eq!(err.variant(), "invalid-spec");
 
         // A misshapen energy trace is rejected.
         let mut trace = state.clone();
         trace.energy_trace.pop();
-        let err = TypedJob::try_resume(spec(11), &trace).expect_err("short trace");
+        let err = TypedJob::try_new(spec(11), Some(&trace)).expect_err("short trace");
         assert_eq!(err.variant(), "invalid-spec");
 
         // The untampered state still resumes.
-        assert!(TypedJob::try_resume(spec(11), &state).is_ok());
+        assert!(TypedJob::try_new(spec(11), Some(&state)).is_ok());
     }
 
     #[test]
@@ -1217,7 +1244,7 @@ mod tests {
         corrupted[to].push(1);
         let mut bad = job(7, 5);
         bad.groups = Some(corrupted);
-        let err = TypedJob::try_new(bad).expect_err("corrupted schedule must be rejected");
+        let err = TypedJob::try_new(bad, None).expect_err("corrupted schedule must be rejected");
         let EngineError::Schedule(err) = err else {
             panic!("wrong rejection: {err}");
         };
@@ -1277,9 +1304,18 @@ mod tests {
             .position(|g| g.contains(&0))
             .expect("site 0 is scheduled");
         corrupted[to].push(1);
+        let clean = Prepared::admit(*mrf.grid(), mrf.neighborhood(), 3, None).expect("clean shape");
+        let certificate = ScheduleCertificate::from_classes(
+            &clean.topology,
+            corrupted,
+            Chunking::Uniform { threads: 3 },
+        );
+        let forced = Arc::new(Prepared {
+            certificate,
+            ..clean
+        });
         let labels = mrf.uniform_labeling();
-        let bad =
-            TypedJob::build(job(6, 4), corrupted, labels, 0, None).expect("forced build is clean");
+        let bad = TypedJob::build(job(6, 4), forced, labels, None).expect("forced build is clean");
         let report = replay_first_iteration(&bad);
         assert!(
             report.findings.iter().any(|f| matches!(

@@ -38,7 +38,7 @@ use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Label, Topology};
 
 use crate::error::EngineError;
-use crate::runner::{Admission, ErasedJob, TypedJob};
+use crate::runner::{ErasedJob, TypedJob};
 use crate::spec::JobSpec;
 
 /// The number of chunks the engine splits a group of `group_len` sites
@@ -57,8 +57,9 @@ pub fn chunk_count(group_len: usize, threads: usize) -> usize {
 /// One job shard, executable phase by phase in a worker process.
 ///
 /// Two steps, so a fleet pays admission once per process: construction
-/// runs full engine admission (label-space check, certificate coloring,
-/// independent verification) and builds the tables and plane; then
+/// runs engine admission (label-space check, then the shape's shared
+/// schedule and neighbour tables, coloured and verified on the shape's
+/// first admission in the process) and seats the plane; then
 /// [`pin`](Self::pin) selects the owned `(group, chunk)` cells — and
 /// may be called again, which is how an adopting worker takes on a
 /// second shard without re-admitting the job. An unpinned runner owns
@@ -69,8 +70,6 @@ pub fn chunk_count(group_len: usize, threads: usize) -> usize {
 /// shards, and are rejected at construction.
 pub struct ShardRunner<S: SingletonPotential, L: SweepKernel> {
     job: TypedJob<S, L>,
-    /// The topology and certificate admission proved the job under.
-    admission: Admission,
     /// Owned chunk ids per group, sorted ascending.
     owned: Vec<Vec<usize>>,
     arena: KernelArena,
@@ -104,11 +103,10 @@ where
                     .to_string(),
             });
         }
-        let (job, admission) = TypedJob::try_new(job)?;
+        let (job, _) = TypedJob::try_new(job, None)?;
         let mut runner = ShardRunner {
             owned: vec![Vec::new(); job.group_count()],
             job,
-            admission,
             arena: KernelArena::new(),
         };
         if !chunks.is_empty() {
@@ -154,14 +152,14 @@ where
     /// the fleet partitions and audits halos against.
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        &self.admission.topology
+        &self.job.admission().topology
     }
 
     /// The schedule certificate admission verified against
     /// [`topology`](Self::topology).
     #[must_use]
     pub fn certificate(&self) -> &ScheduleCertificate {
-        &self.admission.certificate
+        &self.job.admission().certificate
     }
 
     /// Number of color groups per sweep.

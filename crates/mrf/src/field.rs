@@ -7,6 +7,8 @@
 //! parameterize a Gibbs draw, and exactly what an RSU-G computes in
 //! hardware.
 
+use std::sync::{Arc, OnceLock};
+
 use crate::energy::{SingletonPotential, SmoothnessPrior};
 use crate::error::MrfError;
 use crate::grid::Grid2D;
@@ -31,6 +33,23 @@ pub enum Neighborhood {
 /// Weight applied to diagonal doubletons in a second-order field.
 pub const DIAGONAL_WEIGHT: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
+/// Upper bound on `sites × labels` for the dense singleton table
+/// (8 bytes per entry, so at most 32 MiB per field).
+pub const SINGLETON_CACHE_CAP: usize = 1 << 22;
+
+/// The lazily filled dense singleton table, one allocation shared by
+/// every clone of a field. Its `Debug` form says only whether it is
+/// filled, never the entries.
+#[derive(Clone, Default)]
+struct SingletonTable(Arc<OnceLock<Vec<f64>>>);
+
+impl std::fmt::Debug for SingletonTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let filled = self.0.get().is_some();
+        f.write_str(if filled { "filled" } else { "empty" })
+    }
+}
+
 /// A first- or second-order MRF with a smoothness prior.
 ///
 /// Generic over the singleton potential so application models monomorphize;
@@ -43,6 +62,7 @@ pub struct MarkovRandomField<S> {
     prior: SmoothnessPrior,
     temperature: f64,
     neighborhood: Neighborhood,
+    singleton_table: SingletonTable,
 }
 
 impl MarkovRandomField<()> {
@@ -143,6 +163,7 @@ impl<S: SingletonPotential> MrfBuilderWithSingleton<S> {
             prior: self.inner.prior,
             temperature: self.inner.temperature,
             neighborhood: self.inner.neighborhood,
+            singleton_table: SingletonTable::default(),
         }
     }
 }
@@ -166,6 +187,25 @@ impl<S: SingletonPotential> MarkovRandomField<S> {
     /// The singleton potential.
     pub fn singleton(&self) -> &S {
         &self.singleton
+    }
+
+    /// Every singleton energy, `site * M + label_index`, or `None` when
+    /// `sites × labels` exceeds [`SINGLETON_CACHE_CAP`]. Built on first
+    /// call and shared by every clone of this field: the potential is a
+    /// pure function of its arguments and the field has no `&mut` API,
+    /// so the entries are the exact f64s `singleton().energy` returns.
+    pub fn singleton_table(&self) -> Option<&[f64]> {
+        let (sites, m) = (self.grid.len(), self.space.count());
+        (sites * m <= SINGLETON_CACHE_CAP).then(|| {
+            let table = self.singleton_table.0.get_or_init(|| {
+                let mut table = Vec::with_capacity(sites * m);
+                for site in 0..sites {
+                    table.extend(self.space.labels().map(|l| self.singleton.energy(site, l)));
+                }
+                table
+            });
+            table.as_slice()
+        })
     }
 
     /// The temperature `T`.

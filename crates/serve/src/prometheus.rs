@@ -181,6 +181,12 @@ fn encode_engine(out: &mut String, m: &MetricsSnapshot) {
         "Jobs admitted through resume from a captured state.",
         m.checkpoints_restored,
     );
+    counter(
+        out,
+        "mogs_engine_admissions_shared_total",
+        "Jobs admitted on their grid shape's cached, already verified schedule.",
+        m.admissions_shared,
+    );
     histogram(
         out,
         "mogs_engine_checkpoint_write_seconds",
@@ -641,6 +647,25 @@ mogs_engine_checkpoint_write_seconds_count 2
         assert!(text.contains("tenant=\"beta\\\"co\""));
         assert!(text.contains("mogs_serve_jobs_rejected_quota_total{tenant=\"acme\"} 0\n"));
         assert!(text.contains("mogs_serve_jobs_evicted_total 3\n"));
+    }
+
+    #[test]
+    fn shared_admissions_render_as_a_counter() {
+        let m = mogs_engine::EngineMetrics::new();
+        m.admissions_shared
+            .fetch_add(3, std::sync::atomic::Ordering::Relaxed);
+        let mut out = String::new();
+        encode_engine(&mut out, &m.snapshot());
+        validate_exposition(&out).expect("exposition must validate");
+        let expected = "\
+# HELP mogs_engine_admissions_shared_total Jobs admitted on their grid shape's cached, already verified schedule.
+# TYPE mogs_engine_admissions_shared_total counter
+mogs_engine_admissions_shared_total 3
+";
+        assert!(
+            out.contains(expected),
+            "missing shared-admission family in:\n{out}"
+        );
     }
 
     #[test]

@@ -13,14 +13,17 @@
 //! Wedge avoidance, the property the lifecycle test and `serve-bench`
 //! drive: a worker can never be parked indefinitely. Reads carry
 //! [`ServeConfig::read_timeout`] (an idle keep-alive connection is
-//! closed, not waited on), request handling is non-blocking end to end
-//! (the job store polls handles, it never calls `wait()`), oversized
+//! closed, not waited on), one request may take no longer than that from
+//! its first byte (a client dripping bytes is cut off within twice the
+//! timeout), writes carry the same timeout (a client that never reads
+//! cannot park a worker in a response), request handling is non-blocking
+//! end to end (the job store polls handles, it never calls `wait()`), oversized
 //! bodies are refused *before* they are read and the connection is
 //! closed since its framing is unsound, and malformed requests get a
 //! typed 4xx while the worker moves on. See DESIGN §13 for how
 //! `conn_workers` should be sized against the engine's own pool.
 
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -62,8 +65,9 @@ pub struct ServeConfig {
     pub batch_queue_ceiling: u64,
     /// Terminal jobs retained for polling before oldest-first eviction.
     pub max_terminal_retained: usize,
-    /// Per-read socket timeout; bounds how long an idle keep-alive
-    /// connection can hold a worker.
+    /// Socket read and write timeout, and the budget for one request
+    /// from its first byte; bounds how long an idle, slow, or non-reading
+    /// client can hold a worker.
     pub read_timeout: Duration,
     /// Requests served on one connection before it is closed, bounding
     /// how long any single client can occupy a worker.
@@ -273,10 +277,42 @@ impl Drop for Server {
     }
 }
 
+/// A connection's read half that bounds each request as a whole: the
+/// first byte of a request arms a deadline one `timeout` away, and past
+/// it every further read fails `TimedOut`. The socket's per-read timeout
+/// still bounds the read in flight, so a client dripping bytes holds a
+/// worker for at most twice `timeout`. The check reads the clock, not a
+/// socket option, so it costs no syscall.
+struct RequestDeadline {
+    stream: TcpStream,
+    timeout: Duration,
+    deadline: Option<Instant>,
+}
+
+impl Read for RequestDeadline {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+        {
+            return Err(std::io::Error::new(
+                ErrorKind::TimedOut,
+                "request exceeded the read timeout",
+            ));
+        }
+        let n = self.stream.read(buf)?;
+        if n > 0 && self.deadline.is_none() {
+            self.deadline = Some(Instant::now() + self.timeout);
+        }
+        Ok(n)
+    }
+}
+
 /// Serves one connection until close, timeout, error, or the request
 /// cap.
 fn serve_connection(stream: TcpStream, router: &Router, config: &ServeConfig) {
     if stream.set_read_timeout(Some(config.read_timeout)).is_err()
+        || stream.set_write_timeout(Some(config.read_timeout)).is_err()
         || stream.set_nodelay(true).is_err()
     {
         return;
@@ -284,13 +320,19 @@ fn serve_connection(stream: TcpStream, router: &Router, config: &ServeConfig) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(RequestDeadline {
+        stream: read_half,
+        timeout: config.read_timeout,
+        deadline: None,
+    });
     let mut write_half = stream;
     let limits = Limits {
         max_header_bytes: config.max_header_bytes,
         max_body_bytes: config.max_body_bytes,
     };
     for served in 0.. {
+        // Each request's deadline is armed by its own first byte.
+        reader.get_mut().deadline = None;
         let start = Instant::now();
         let (response, close_after) = match read_request(&mut reader, limits) {
             // Clean close or idle timeout — nothing to respond to.
