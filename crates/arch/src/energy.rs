@@ -7,6 +7,8 @@
 //! accelerator budget adds DRAM-interface and control estimates to the
 //! RSU array so the comparison is not unfairly optimistic.
 
+#![deny(clippy::as_conversions)]
+
 use crate::accelerator::Accelerator;
 use crate::gpu::GpuModel;
 use crate::kernel::KernelVariant;

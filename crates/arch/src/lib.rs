@@ -40,6 +40,8 @@
 //! assert!(baseline / rsu > 2.5, "RSU-G1 speedup {}", baseline / rsu);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 pub mod accel_sim;
 pub mod accelerator;
 pub mod cpu;

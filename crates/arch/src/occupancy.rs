@@ -9,6 +9,8 @@
 //! resident warps, the `M`-cycle RSU-G latency disappears behind other
 //! warps' issue slots, exactly like a long-latency memory instruction.
 
+#![deny(clippy::as_conversions)]
+
 use crate::kernel::KernelVariant;
 use crate::workload::VisionApp;
 

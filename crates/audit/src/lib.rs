@@ -1,14 +1,14 @@
 //! `mogs-audit` — static analysis for the MOGS inference runtime.
 //!
-//! Two analyzers, one purpose: turn the prose arguments that justify the
-//! engine's `unsafe` label-plane path into machine-checked facts.
+//! One purpose: turn the prose arguments that justify the engine's
+//! `unsafe` label-plane path into machine-checked facts.
 //!
-//! * [`schedule`] — the **schedule interference checker**. From an
-//!   interference graph (a grid topology or any sparse
-//!   [`Topology`](mogs_mrf::Topology)) and a sweep schedule it verifies
-//!   the three invariants the in-place plane update requires (no
-//!   neighbouring sites in one phase, chunks partition each group
-//!   exactly, every site covered once per sweep), returning a typed
+//! * [`schedule`] — the **schedule interference checker**. From a sparse
+//!   interference graph ([`Topology`](mogs_mrf::Topology); a grid is
+//!   [`Topology::from_grid`](mogs_mrf::Topology::from_grid)) and a sweep
+//!   schedule it verifies the three invariants the in-place plane update
+//!   requires (no neighbouring sites in one phase, chunks partition each
+//!   group exactly, every site covered once per sweep), returning a typed
 //!   [`AuditReport`]. `mogs-engine` runs it at job admission;
 //!   `repro audit` runs it over the seed vision workloads.
 //! * [`certificate`] — the **general-graph schedule prover**. A greedy
@@ -22,21 +22,14 @@
 //!   exact, aligned to the certificate's deterministic RNG cells, and
 //!   haloed with precisely the cross-shard adjacency — the three facts
 //!   the fleet's bit-identity argument stands on.
-//! * [`lint`] — the **workspace source linter** (`cargo run -p
-//!   mogs-audit -- lint`). A dependency-light lexer-based pass enforcing
-//!   project rules rustc and clippy cannot: `// SAFETY:` comments on
-//!   `unsafe` blocks and impls, no `unwrap`/`expect` in library code,
-//!   no `as` casts in allowlisted hot-path modules, `# Panics` docs on
-//!   panicking public functions, and no float `==` in the physics
-//!   crates.
 //!
 //! The optional `shadow` feature adds [`shadow::ShadowPlane`], a dynamic
 //! happens-before checker tests use to cross-check the static verdict
 //! against the access pattern a sweep actually performs.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 pub mod certificate;
-pub mod lexer;
-pub mod lint;
 pub mod report;
 pub mod schedule;
 #[cfg(feature = "shadow")]
@@ -47,5 +40,5 @@ pub use certificate::{
     color_schedule, verify_certificate, Obligation, ScheduleCertificate, CERTIFICATE_VERSION,
 };
 pub use report::{AuditError, AuditReport, AuditStats, SiteCoord, Violation};
-pub use schedule::{check_graph_schedule, check_schedule, Chunking, GridTopology, SweepSchedule};
+pub use schedule::{check_graph_schedule, Chunking, SweepSchedule};
 pub use sharding::{verify_sharding, ShardingReport, ShardingStats, ShardingViolation};

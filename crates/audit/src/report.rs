@@ -163,28 +163,6 @@ pub enum Violation {
     },
 }
 
-impl Violation {
-    /// Whether a dynamic replay of the schedule (see
-    /// `shadow::replay_schedule`) would observe this violation as an
-    /// access-pattern anomaly. Chunk-shape violations that leave the
-    /// actual access pattern sound — underflow, empty chunks, extra
-    /// chunk lists, out-of-bounds ends that clamping covers, and sites
-    /// outside the grid entirely — are statically rejected but
-    /// dynamically invisible.
-    #[must_use]
-    pub fn is_dynamically_observable(&self) -> bool {
-        matches!(
-            self,
-            Violation::NeighborsSharePhase { .. }
-                | Violation::SiteUncovered { .. }
-                | Violation::SiteRepeated { .. }
-                | Violation::ChunkOverlap { .. }
-                | Violation::ChunkGap { .. }
-                | Violation::ZeroChunks
-        )
-    }
-}
-
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -313,16 +291,6 @@ impl AuditReport {
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// True when at least one violation would also surface as an
-    /// access-pattern anomaly under dynamic replay — the bridge the
-    /// shadow-plane cross-check tests.
-    #[must_use]
-    pub fn predicts_dynamic_findings(&self) -> bool {
-        self.violations
-            .iter()
-            .any(Violation::is_dynamically_observable)
     }
 
     /// One-line verdict.

@@ -10,92 +10,15 @@
 //!    no gap, none empty, and as many chunks as the job asked for);
 //! 3. every grid site is covered exactly once per sweep.
 //!
-//! [`check_schedule`] verifies all three from the grid topology and the
-//! sweep schedule alone — before any plane is allocated, let alone
-//! written — and returns a typed [`AuditReport`] naming the offending
-//! sites instead of leaving the invariants as prose.
+//! [`check_graph_schedule`] verifies all three from the interference
+//! graph (a grid's is [`Topology::from_grid`]) and the sweep schedule
+//! alone — before any plane is allocated, let alone written — and
+//! returns a typed [`AuditReport`] naming the offending sites instead of
+//! leaving the invariants as prose.
 
-use mogs_mrf::{Grid2D, Neighborhood, Parity, Topology};
+use mogs_mrf::Topology;
 
 use crate::report::{AuditReport, AuditStats, SiteCoord, Violation};
-
-/// The interference graph of an MRF grid: sites are vertices, and two
-/// sites interfere when one's Gibbs update reads the other's label — i.e.
-/// they are neighbours under the field's clique [`Neighborhood`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridTopology {
-    grid: Grid2D,
-    neighborhood: Neighborhood,
-}
-
-impl GridTopology {
-    /// Topology of `grid` under `neighborhood` cliques.
-    #[must_use]
-    pub fn new(grid: Grid2D, neighborhood: Neighborhood) -> Self {
-        GridTopology { grid, neighborhood }
-    }
-
-    /// 4-neighbour (first-order) topology.
-    #[must_use]
-    pub fn first_order(grid: Grid2D) -> Self {
-        GridTopology::new(grid, Neighborhood::FirstOrder)
-    }
-
-    /// 8-neighbour (second-order) topology.
-    #[must_use]
-    pub fn second_order(grid: Grid2D) -> Self {
-        GridTopology::new(grid, Neighborhood::SecondOrder)
-    }
-
-    /// The underlying lattice.
-    #[must_use]
-    pub fn grid(&self) -> &Grid2D {
-        &self.grid
-    }
-
-    /// The clique neighbourhood.
-    #[must_use]
-    pub fn neighborhood(&self) -> Neighborhood {
-        self.neighborhood
-    }
-
-    /// Number of sites.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.grid.len()
-    }
-
-    /// Whether the grid has no sites (never true for a constructed grid).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.grid.is_empty()
-    }
-
-    /// The interference neighbours of `site`: axis neighbours, plus the
-    /// diagonals for a second-order topology.
-    pub fn neighbors(&self, site: usize) -> impl Iterator<Item = usize> + '_ {
-        let axis = self.grid.neighbors4(site);
-        let diag = match self.neighborhood {
-            Neighborhood::FirstOrder => [None; 4],
-            Neighborhood::SecondOrder => self.grid.neighbors_diagonal(site),
-        };
-        axis.into_iter().chain(diag).flatten()
-    }
-
-    /// A site with its grid coordinates attached.
-    #[must_use]
-    pub fn coord(&self, site: usize) -> SiteCoord {
-        let (x, y) = self.grid.coords(site);
-        SiteCoord { site, x, y }
-    }
-
-    /// The same interference graph as a CSR sparse [`Topology`] — the
-    /// form the general-graph prover and certificate verifier work over.
-    #[must_use]
-    pub fn sparse(&self) -> Topology {
-        Topology::from_grid(self.grid, self.neighborhood)
-    }
-}
 
 /// How each phase group is split into worker chunks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,25 +74,6 @@ impl SweepSchedule {
         SweepSchedule { groups, chunking }
     }
 
-    /// The colored-sweep schedule for `topology`: checkerboard parities
-    /// for a first-order field, 2×2-block colours for second order — the
-    /// same groups, in the same order with the same site order, as
-    /// `MarkovRandomField::independent_groups`.
-    #[must_use]
-    pub fn colored(topology: &GridTopology, threads: usize) -> Self {
-        let grid = topology.grid();
-        let groups: Vec<Vec<usize>> = match topology.neighborhood() {
-            Neighborhood::FirstOrder => Parity::BOTH
-                .into_iter()
-                .map(|p| grid.sites_of_parity(p).collect())
-                .collect(),
-            Neighborhood::SecondOrder => (0..4)
-                .map(|c| grid.sites_of_block_color(c).collect())
-                .collect(),
-        };
-        SweepSchedule::uniform(groups, threads)
-    }
-
     /// The phase groups, in sweep order.
     #[must_use]
     pub fn groups(&self) -> &[Vec<usize>] {
@@ -210,25 +114,13 @@ impl SweepSchedule {
     }
 }
 
-/// Verifies the three unsafe-plane invariants of `schedule` against a
-/// grid `topology`, returning every violation found (never panicking).
-///
-/// This is the grid-shaped entry point the engine has used since PR 2;
-/// it is now a thin wrapper over [`check_graph_schedule`] on the grid's
-/// sparse interference graph.
-#[must_use]
-pub fn check_schedule(topology: &GridTopology, schedule: &SweepSchedule) -> AuditReport {
-    check_graph_schedule(&topology.sparse(), schedule)
-}
-
 /// Verifies the three unsafe-plane invariants of `schedule` against an
 /// arbitrary sparse interference graph, returning every violation found
 /// (never panicking).
 ///
-/// The invariants are exactly the grid checker's, restated for a general
-/// graph: no two sites adjacent in `topology` may update in the same
-/// phase group; the chunks of each group must partition it exactly; and
-/// every site must be covered exactly once per sweep.
+/// The invariants: no two sites adjacent in `topology` may update in
+/// the same phase group; the chunks of each group must partition it
+/// exactly; and every site must be covered exactly once per sweep.
 #[must_use]
 pub fn check_graph_schedule(topology: &Topology, schedule: &SweepSchedule) -> AuditReport {
     let n = topology.len();
@@ -371,10 +263,27 @@ pub fn check_graph_schedule(topology: &Topology, schedule: &SweepSchedule) -> Au
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certificate::color_schedule;
+    use mogs_mrf::{Grid2D, Neighborhood};
 
-    fn checkerboard(w: usize, h: usize, threads: usize) -> (GridTopology, SweepSchedule) {
-        let topology = GridTopology::first_order(Grid2D::new(w, h));
-        let schedule = SweepSchedule::colored(&topology, threads);
+    fn first_order(w: usize, h: usize) -> Topology {
+        Topology::from_grid(Grid2D::new(w, h), Neighborhood::FirstOrder)
+    }
+
+    fn second_order(w: usize, h: usize) -> Topology {
+        Topology::from_grid(Grid2D::new(w, h), Neighborhood::SecondOrder)
+    }
+
+    /// The greedy colouring of `topology` (the checkerboard on a
+    /// first-order grid, the 2×2 block colours on a second-order one)
+    /// with the uniform `threads`-way split.
+    fn colored(topology: &Topology, threads: usize) -> SweepSchedule {
+        SweepSchedule::uniform(color_schedule(topology, threads).into_classes(), threads)
+    }
+
+    fn checkerboard(w: usize, h: usize, threads: usize) -> (Topology, SweepSchedule) {
+        let topology = first_order(w, h);
+        let schedule = colored(&topology, threads);
         (topology, schedule)
     }
 
@@ -382,7 +291,7 @@ mod tests {
     fn checkerboard_schedules_are_clean() {
         for (w, h, t) in [(1, 1, 1), (2, 2, 1), (8, 8, 3), (7, 5, 4), (50, 67, 12)] {
             let (topology, schedule) = checkerboard(w, h, t);
-            let report = check_schedule(&topology, &schedule);
+            let report = check_graph_schedule(&topology, &schedule);
             assert!(report.is_clean(), "{w}x{h} t={t}: {report}");
             assert_eq!(report.stats.sites, w * h);
         }
@@ -390,9 +299,9 @@ mod tests {
 
     #[test]
     fn block_color_schedules_are_clean_for_second_order() {
-        let topology = GridTopology::second_order(Grid2D::new(9, 6));
-        let schedule = SweepSchedule::colored(&topology, 2);
-        let report = check_schedule(&topology, &schedule);
+        let topology = second_order(9, 6);
+        let schedule = colored(&topology, 2);
+        let report = check_graph_schedule(&topology, &schedule);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.stats.groups, 4);
         // 8-neighbour interference graph of a 9x6 grid:
@@ -404,10 +313,9 @@ mod tests {
     fn checkerboard_under_second_order_topology_races_on_diagonals() {
         // The parity schedule is only valid for first-order fields: under
         // an 8-neighbourhood, same-parity sites touch diagonally.
-        let topology = GridTopology::second_order(Grid2D::new(4, 4));
-        let first = GridTopology::first_order(*topology.grid());
-        let schedule = SweepSchedule::colored(&first, 2);
-        let report = check_schedule(&topology, &schedule);
+        let topology = second_order(4, 4);
+        let schedule = colored(&first_order(4, 4), 2);
+        let report = check_graph_schedule(&topology, &schedule);
         assert!(report
             .violations
             .iter()
@@ -416,10 +324,10 @@ mod tests {
 
     #[test]
     fn adjacent_pair_in_one_group_is_caught_with_coordinates() {
-        let topology = GridTopology::first_order(Grid2D::new(3, 1));
+        let topology = first_order(3, 1);
         // Sites 0 and 1 are horizontal neighbours.
         let schedule = SweepSchedule::uniform(vec![vec![0, 1], vec![2]], 1);
-        let report = check_schedule(&topology, &schedule);
+        let report = check_graph_schedule(&topology, &schedule);
         assert_eq!(
             report.violations,
             vec![Violation::NeighborsSharePhase {
@@ -440,10 +348,10 @@ mod tests {
 
     #[test]
     fn uncovered_and_repeated_sites_are_caught() {
-        let topology = GridTopology::first_order(Grid2D::new(2, 2));
+        let topology = first_order(2, 2);
         // Site 3 missing; site 0 listed in both groups.
         let schedule = SweepSchedule::uniform(vec![vec![0], vec![1, 2, 0]], 1);
-        let report = check_schedule(&topology, &schedule);
+        let report = check_graph_schedule(&topology, &schedule);
         assert!(report.violations.contains(&Violation::SiteUncovered {
             site: SiteCoord {
                 site: 3,
@@ -463,9 +371,9 @@ mod tests {
 
     #[test]
     fn out_of_range_site_is_caught_not_panicked_on() {
-        let topology = GridTopology::first_order(Grid2D::new(2, 1));
+        let topology = first_order(2, 1);
         let schedule = SweepSchedule::uniform(vec![vec![0, 99], vec![1]], 1);
-        let report = check_schedule(&topology, &schedule);
+        let report = check_graph_schedule(&topology, &schedule);
         assert!(report.violations.contains(&Violation::SiteOutOfRange {
             group: 0,
             site: 99,
@@ -477,7 +385,7 @@ mod tests {
     fn chunk_underflow_is_flagged() {
         // 2x1 grid: each parity group has one site; 3 chunks cannot run.
         let (topology, schedule) = checkerboard(2, 1, 3);
-        let report = check_schedule(&topology, &schedule);
+        let report = check_graph_schedule(&topology, &schedule);
         assert!(report.violations.iter().all(|v| matches!(
             v,
             Violation::ChunkUnderflow {
@@ -493,7 +401,7 @@ mod tests {
     #[test]
     fn zero_threads_is_flagged() {
         let (topology, schedule) = checkerboard(2, 2, 0);
-        let report = check_schedule(&topology, &schedule);
+        let report = check_graph_schedule(&topology, &schedule);
         assert!(report.violations.contains(&Violation::ZeroChunks));
     }
 
@@ -512,20 +420,20 @@ mod tests {
 
     #[test]
     fn explicit_chunks_partitioning_exactly_are_clean() {
-        let topology = GridTopology::first_order(Grid2D::new(4, 1));
+        let topology = first_order(4, 1);
         let groups = vec![vec![0, 2], vec![1, 3]];
         let ranges = vec![vec![(0, 1), (1, 2)], vec![(0, 2)]];
-        let report = check_schedule(&topology, &SweepSchedule::explicit(groups, ranges));
+        let report = check_graph_schedule(&topology, &SweepSchedule::explicit(groups, ranges));
         assert!(report.is_clean(), "{report}");
     }
 
     #[test]
     fn overlapping_and_gapped_chunks_are_caught() {
-        let topology = GridTopology::first_order(Grid2D::new(4, 1));
+        let topology = first_order(4, 1);
         let groups = vec![vec![0, 2], vec![1, 3]];
         // Group 0: overlap at offset 0..1; group 1: gap, ends early.
         let ranges = vec![vec![(0, 1), (0, 2)], vec![(0, 1)]];
-        let report = check_schedule(&topology, &SweepSchedule::explicit(groups, ranges));
+        let report = check_graph_schedule(&topology, &SweepSchedule::explicit(groups, ranges));
         assert!(report
             .violations
             .iter()
@@ -538,10 +446,10 @@ mod tests {
 
     #[test]
     fn empty_and_out_of_bounds_chunks_are_caught() {
-        let topology = GridTopology::first_order(Grid2D::new(2, 1));
+        let topology = first_order(2, 1);
         let groups = vec![vec![0], vec![1]];
         let ranges = vec![vec![(0, 0), (0, 1)], vec![(0, 5)]];
-        let report = check_schedule(&topology, &SweepSchedule::explicit(groups, ranges));
+        let report = check_graph_schedule(&topology, &SweepSchedule::explicit(groups, ranges));
         assert!(report
             .violations
             .iter()
@@ -554,9 +462,9 @@ mod tests {
 
     #[test]
     fn chunk_list_count_mismatch_is_caught() {
-        let topology = GridTopology::first_order(Grid2D::new(2, 1));
+        let topology = first_order(2, 1);
         let schedule = SweepSchedule::explicit(vec![vec![0], vec![1]], vec![vec![(0, 1)]]);
-        let report = check_schedule(&topology, &schedule);
+        let report = check_graph_schedule(&topology, &schedule);
         assert!(report.violations.iter().any(|v| matches!(
             v,
             Violation::ChunkListMismatch {

@@ -315,14 +315,18 @@ pub fn replay_schedule(topology: &Topology, schedule: &SweepSchedule) -> ShadowR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::GridTopology;
-    use mogs_mrf::Grid2D;
+    use crate::certificate::color_schedule;
+    use mogs_mrf::{Grid2D, Neighborhood};
+
+    fn first_order(w: usize, h: usize) -> Topology {
+        Topology::from_grid(Grid2D::new(w, h), Neighborhood::FirstOrder)
+    }
 
     #[test]
     fn valid_checkerboard_replay_is_clean() {
-        let topology = GridTopology::first_order(Grid2D::new(6, 5));
-        let schedule = SweepSchedule::colored(&topology, 3);
-        let report = replay_schedule(&topology.sparse(), &schedule);
+        let topology = first_order(6, 5);
+        let schedule = SweepSchedule::uniform(color_schedule(&topology, 3).into_classes(), 3);
+        let report = replay_schedule(&topology, &schedule);
         assert!(report.is_clean(), "{:?}", report.findings);
     }
 
@@ -338,9 +342,9 @@ mod tests {
 
     #[test]
     fn adjacent_pair_in_one_phase_is_observed_as_conflict() {
-        let topology = GridTopology::first_order(Grid2D::new(3, 1));
+        let topology = first_order(3, 1);
         let schedule = SweepSchedule::uniform(vec![vec![0, 1], vec![2]], 1);
-        let report = replay_schedule(&topology.sparse(), &schedule);
+        let report = replay_schedule(&topology, &schedule);
         assert!(report.findings.iter().any(|f| matches!(
             f,
             ShadowFinding::PhaseConflict { site, epoch: 0, .. } if *site == 0 || *site == 1
@@ -377,13 +381,13 @@ mod tests {
 
     #[test]
     fn gap_and_overlap_show_up_as_coverage_anomalies() {
-        let topology = GridTopology::first_order(Grid2D::new(4, 1));
+        let topology = first_order(4, 1);
         let groups = vec![vec![0, 2], vec![1, 3]];
         // Group 0 chunked with an overlap (site 0 twice), group 1 with a
         // gap (site 3 never visited).
         let ranges = vec![vec![(0, 1), (0, 2)], vec![(0, 1)]];
         let schedule = SweepSchedule::explicit(groups, ranges);
-        let report = replay_schedule(&topology.sparse(), &schedule);
+        let report = replay_schedule(&topology, &schedule);
         assert!(report.findings.contains(&ShadowFinding::DoubleWrite {
             site: 0,
             epoch: 0,
@@ -419,7 +423,7 @@ mod tests {
 
     #[test]
     fn checker_resets_between_sweeps() {
-        let topology = GridTopology::first_order(Grid2D::new(2, 2)).sparse();
+        let topology = first_order(2, 2);
         let schedule = SweepSchedule::uniform(vec![vec![0, 3], vec![1, 2]], 1);
         let shadow = ShadowPlane::new(topology.len());
         shadow.record_write(0, TaskClock { epoch: 0, task: 0 });

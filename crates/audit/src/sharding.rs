@@ -308,13 +308,12 @@ pub fn verify_sharding(
 mod tests {
     use super::*;
     use crate::certificate::color_schedule;
-    use crate::schedule::GridTopology;
     use mogs_mrf::{Grid2D, Neighborhood};
 
     const THREADS: usize = 3;
 
     fn fixture() -> (Topology, ScheduleCertificate) {
-        let topology = GridTopology::new(Grid2D::new(6, 4), Neighborhood::FirstOrder).sparse();
+        let topology = Topology::from_grid(Grid2D::new(6, 4), Neighborhood::FirstOrder);
         let certificate = color_schedule(&topology, THREADS);
         (topology, certificate)
     }
@@ -436,7 +435,7 @@ mod tests {
         )));
 
         // Foreign certificate short-circuits.
-        let other = GridTopology::new(Grid2D::new(5, 5), Neighborhood::FirstOrder).sparse();
+        let other = Topology::from_grid(Grid2D::new(5, 5), Neighborhood::FirstOrder);
         let foreign = color_schedule(&other, THREADS);
         let report = verify_sharding(&topology, &foreign, &shards, &halos);
         assert_eq!(report.violations.len(), 1);

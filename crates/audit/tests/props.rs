@@ -5,24 +5,47 @@
 //! (under the `shadow` feature) the dynamic recorder agrees with the
 //! static verdict on both directions the design promises.
 
-use mogs_audit::{check_schedule, GridTopology, SweepSchedule, Violation};
-use mogs_mrf::Grid2D;
+use mogs_audit::{check_graph_schedule, color_schedule, SweepSchedule, Violation};
+use mogs_mrf::{Grid2D, Neighborhood, Parity, Topology};
 use proptest::prelude::*;
 
-fn topology(w: usize, h: usize, second_order: bool) -> GridTopology {
+fn topology(w: usize, h: usize, second_order: bool) -> Topology {
+    let order = if second_order {
+        Neighborhood::SecondOrder
+    } else {
+        Neighborhood::FirstOrder
+    };
+    Topology::from_grid(Grid2D::new(w, h), order)
+}
+
+/// The greedy colouring with the uniform `threads`-way split — on a
+/// ≥2×2 grid, the checkerboard (first order) or 2×2 block colours
+/// (second order).
+fn colored(topology: &Topology, threads: usize) -> SweepSchedule {
+    SweepSchedule::uniform(color_schedule(topology, threads).into_classes(), threads)
+}
+
+/// The engine's historical grid schedule, built from the grid itself:
+/// parity classes for first order, block colours for second order.
+fn grid_groups(w: usize, h: usize, second_order: bool) -> Vec<Vec<usize>> {
     let grid = Grid2D::new(w, h);
     if second_order {
-        GridTopology::second_order(grid)
+        (0..4)
+            .map(|c| grid.sites_of_block_color(c).collect())
+            .collect()
     } else {
-        GridTopology::first_order(grid)
+        Parity::BOTH
+            .into_iter()
+            .map(|p| grid.sites_of_parity(p).collect())
+            .collect()
     }
 }
 
 /// The colored groups with one site moved from its own phase into another
 /// phase (where at least one of its neighbours lives). Returns the groups
 /// and the moved site.
-fn move_one_site(topology: &GridTopology, site_pick: usize) -> (Vec<Vec<usize>>, usize) {
-    let mut groups = SweepSchedule::colored(topology, 1).into_groups();
+fn move_one_site(topology: &Topology, site_pick: usize) -> (Vec<Vec<usize>>, usize) {
+    let mut groups = colored(topology, 1).into_groups();
     let site = site_pick % topology.len();
     let from = groups
         .iter()
@@ -49,13 +72,13 @@ proptest! {
         second_order in proptest::bool::ANY,
     ) {
         let topology = topology(w, h, second_order);
-        let schedule = SweepSchedule::colored(&topology, threads);
+        let schedule = colored(&topology, threads);
         let underflow = schedule
             .groups()
             .iter()
             .enumerate()
             .any(|(g, sites)| !sites.is_empty() && schedule.chunk_ranges(g).len() < threads);
-        let report = check_schedule(&topology, &schedule);
+        let report = check_graph_schedule(&topology, &schedule);
         if underflow {
             prop_assert!(!report.is_clean());
             prop_assert!(
@@ -84,7 +107,7 @@ proptest! {
     ) {
         let topology = topology(w, h, second_order);
         let (groups, site) = move_one_site(&topology, site_pick);
-        let report = check_schedule(&topology, &SweepSchedule::uniform(groups, 1));
+        let report = check_graph_schedule(&topology, &SweepSchedule::uniform(groups, 1));
         prop_assert!(!report.is_clean());
         prop_assert!(
             report.violations.iter().any(|v| matches!(
@@ -105,12 +128,12 @@ proptest! {
         second_order in proptest::bool::ANY,
     ) {
         let topology = topology(w, h, second_order);
-        let mut groups = SweepSchedule::colored(&topology, 1).into_groups();
+        let mut groups = colored(&topology, 1).into_groups();
         let site = site_pick % topology.len();
         for g in &mut groups {
             g.retain(|&s| s != site);
         }
-        let report = check_schedule(&topology, &SweepSchedule::uniform(groups, 1));
+        let report = check_graph_schedule(&topology, &SweepSchedule::uniform(groups, 1));
         prop_assert!(report
             .violations
             .iter()
@@ -127,7 +150,7 @@ proptest! {
         second_order in proptest::bool::ANY,
     ) {
         let topology = topology(w, h, second_order);
-        let mut groups = SweepSchedule::colored(&topology, 1).into_groups();
+        let mut groups = colored(&topology, 1).into_groups();
         let site = site_pick % topology.len();
         let from = groups
             .iter()
@@ -135,7 +158,7 @@ proptest! {
             .expect("colored schedules cover every site");
         let to = (from + 1) % groups.len();
         groups[to].push(site);
-        let report = check_schedule(&topology, &SweepSchedule::uniform(groups, 1));
+        let report = check_graph_schedule(&topology, &SweepSchedule::uniform(groups, 1));
         prop_assert!(report
             .violations
             .iter()
@@ -154,7 +177,7 @@ proptest! {
         second_order in proptest::bool::ANY,
     ) {
         let topology = topology(w, h, second_order);
-        let clean = SweepSchedule::colored(&topology, 1);
+        let clean = colored(&topology, 1);
         let groups = clean.groups().to_vec();
         let mut ranges: Vec<Vec<(usize, usize)>> =
             (0..groups.len()).map(|g| clean.chunk_ranges(g)).collect();
@@ -165,7 +188,7 @@ proptest! {
             1 => vec![(0, 1), (0, len)],      // overlap: site 0 twice
             _ => vec![(0, 0), (0, len)],      // empty leading chunk
         };
-        let report = check_schedule(&topology, &SweepSchedule::explicit(groups, ranges));
+        let report = check_graph_schedule(&topology, &SweepSchedule::explicit(groups, ranges));
         prop_assert!(!report.is_clean());
         let expected = match mode {
             0 => report
@@ -414,17 +437,17 @@ mod certificate_props {
         /// The grid degeneracy argument, as a property: on any ≥2×2
         /// grid, greedy coloring of the sparse topology reproduces the
         /// engine's historical parity / block-color schedule exactly —
-        /// same classes, same order, same sites in the same order.
+        /// same classes, same order, same sites in the same order. The
+        /// range covers every grid the schedule properties above draw,
+        /// so their greedy `colored` schedules are the grid schedules.
         #[test]
         fn greedy_coloring_degenerates_to_grid_schedule(
-            w in 2usize..12,
-            h in 2usize..12,
+            w in 2usize..24,
+            h in 2usize..24,
             second_order in proptest::bool::ANY,
         ) {
-            let grid_topology = topology(w, h, second_order);
-            let cert = color_schedule(&grid_topology.sparse(), 1);
-            let reference = SweepSchedule::colored(&grid_topology, 1);
-            prop_assert_eq!(cert.classes(), reference.groups());
+            let cert = color_schedule(&topology(w, h, second_order), 1);
+            prop_assert_eq!(cert.classes(), &grid_groups(w, h, second_order)[..]);
         }
     }
 }
@@ -450,9 +473,9 @@ mod shadow_agreement {
             second_order in proptest::bool::ANY,
         ) {
             let topology = topology(w, h, second_order);
-            let schedule = SweepSchedule::colored(&topology, threads);
-            prop_assert!(check_schedule(&topology, &schedule).is_clean());
-            let replay = replay_schedule(&topology.sparse(), &schedule);
+            let schedule = colored(&topology, threads);
+            prop_assert!(check_graph_schedule(&topology, &schedule).is_clean());
+            let replay = replay_schedule(&topology, &schedule);
             prop_assert!(replay.is_clean(), "{:?}", replay.findings);
         }
 
@@ -469,8 +492,8 @@ mod shadow_agreement {
             let topology = topology(w, h, second_order);
             let (groups, _site) = move_one_site(&topology, site_pick);
             let schedule = SweepSchedule::uniform(groups, 1);
-            let static_report = check_schedule(&topology, &schedule);
-            let replay = replay_schedule(&topology.sparse(), &schedule);
+            let static_report = check_graph_schedule(&topology, &schedule);
+            let replay = replay_schedule(&topology, &schedule);
             prop_assert!(!static_report.is_clean());
             prop_assert!(replay
                 .findings
@@ -488,14 +511,14 @@ mod shadow_agreement {
             second_order in proptest::bool::ANY,
         ) {
             let topology = topology(w, h, second_order);
-            let mut groups = SweepSchedule::colored(&topology, 1).into_groups();
+            let mut groups = colored(&topology, 1).into_groups();
             let site = site_pick % topology.len();
             for g in &mut groups {
                 g.retain(|&s| s != site);
             }
             let schedule = SweepSchedule::uniform(groups, 1);
-            prop_assert!(!check_schedule(&topology, &schedule).is_clean());
-            let replay = replay_schedule(&topology.sparse(), &schedule);
+            prop_assert!(!check_graph_schedule(&topology, &schedule).is_clean());
+            let replay = replay_schedule(&topology, &schedule);
             prop_assert!(replay
                 .findings
                 .contains(&ShadowFinding::NeverWritten { site }));

@@ -44,6 +44,8 @@
 //! | `ckpt` | A14: durable checkpoint ladder — bit-identical resume, corruption rejection, retention |
 //! | `fleet` | A15: multi-process fleet kill-ladder — migration survival + bit-identity |
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 use mogs_bench::experiments::{
     ablation, anneal, audit, ckpt, convergence, diag, energy, engine_bench, faults, fig7, fleet,
     paper_tables, proto_ratio, quality, restore, serve_bench, table1, wearout,

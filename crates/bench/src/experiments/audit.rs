@@ -12,8 +12,8 @@
 
 use crate::report::render_table;
 use mogs_audit::{
-    check_schedule, color_schedule, verify_certificate, AuditReport, GridTopology,
-    ScheduleCertificate, SweepSchedule,
+    check_graph_schedule, color_schedule, verify_certificate, AuditReport, ScheduleCertificate,
+    SweepSchedule,
 };
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, MarkovRandomField, Neighborhood, Topology};
@@ -54,14 +54,14 @@ fn audit_field<S: SingletonPotential>(
     mrf: &MarkovRandomField<S>,
     rows: &mut Vec<AuditRow>,
 ) {
-    let topology = GridTopology::new(*mrf.grid(), mrf.neighborhood());
+    let topology = Topology::from_grid(*mrf.grid(), mrf.neighborhood());
     for threads in THREAD_COUNTS {
         let schedule = SweepSchedule::uniform(mrf.independent_groups(), threads);
         rows.push(AuditRow {
             workload,
             neighborhood: mrf.neighborhood(),
             threads,
-            report: check_schedule(&topology, &schedule),
+            report: check_graph_schedule(&topology, &schedule),
         });
     }
 }
@@ -224,7 +224,7 @@ pub fn run_graph(seed: u64) -> Vec<GraphAuditRow> {
     ] {
         audit_graph(
             name.to_owned(),
-            &GridTopology::new(Grid2D::new(28, 28), order).sparse(),
+            &Topology::from_grid(Grid2D::new(28, 28), order),
             &mut rows,
         );
     }

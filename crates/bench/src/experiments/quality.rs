@@ -129,12 +129,13 @@ impl<L: LabelSampler + Clone + Send + Sync> SamplerRun for L {
         seed: u64,
     ) -> (Vec<mogs_mrf::Label>, f64) {
         let r = app.run(self.clone(), iterations, seed);
-        (
-            r.map_estimate.unwrap_or(r.labels),
-            // audit:allow(unwrap-expect) — the quality grid always runs with
-            // energy recording on, so the trace holds at least one entry.
-            *r.energy_trace.last().unwrap(),
-        )
+        #[expect(
+            clippy::unwrap_used,
+            reason = "the quality grid always runs with energy recording on, \
+                      so the trace holds at least one entry"
+        )]
+        let energy = *r.energy_trace.last().unwrap();
+        (r.map_estimate.unwrap_or(r.labels), energy)
     }
     fn run_motion(
         &self,
@@ -143,12 +144,13 @@ impl<L: LabelSampler + Clone + Send + Sync> SamplerRun for L {
         seed: u64,
     ) -> (Vec<mogs_mrf::Label>, f64) {
         let r = app.run(self.clone(), iterations, seed);
-        (
-            r.map_estimate.unwrap_or(r.labels),
-            // audit:allow(unwrap-expect) — the quality grid always runs with
-            // energy recording on, so the trace holds at least one entry.
-            *r.energy_trace.last().unwrap(),
-        )
+        #[expect(
+            clippy::unwrap_used,
+            reason = "the quality grid always runs with energy recording on, \
+                      so the trace holds at least one entry"
+        )]
+        let energy = *r.energy_trace.last().unwrap();
+        (r.map_estimate.unwrap_or(r.labels), energy)
     }
     fn run_stereo(
         &self,
@@ -157,12 +159,13 @@ impl<L: LabelSampler + Clone + Send + Sync> SamplerRun for L {
         seed: u64,
     ) -> (Vec<mogs_mrf::Label>, f64) {
         let r = app.run(self.clone(), iterations, seed);
-        (
-            r.map_estimate.unwrap_or(r.labels),
-            // audit:allow(unwrap-expect) — the quality grid always runs with
-            // energy recording on, so the trace holds at least one entry.
-            *r.energy_trace.last().unwrap(),
-        )
+        #[expect(
+            clippy::unwrap_used,
+            reason = "the quality grid always runs with energy recording on, \
+                      so the trace holds at least one entry"
+        )]
+        let energy = *r.energy_trace.last().unwrap();
+        (r.map_estimate.unwrap_or(r.labels), energy)
     }
 }
 

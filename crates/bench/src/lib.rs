@@ -7,5 +7,7 @@
 //! them as aligned text tables so `repro <id>` output can be diffed
 //! against EXPERIMENTS.md.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 pub mod experiments;
 pub mod report;

@@ -8,6 +8,8 @@
 //! it survives to completion — the parent only cares about the
 //! checkpoint files left behind.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 use std::time::Duration;
 
 use mogs_ckpt::harness::{backend_from_arg, demo_spec, run_one, DEMO_KEY};

@@ -53,6 +53,8 @@
 //! # Ok::<(), mogs_ckpt::CkptError>(())
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 mod error;
 mod format;
 mod store;

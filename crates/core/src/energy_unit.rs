@@ -14,6 +14,8 @@
 //! right-shifts stand in for the pre-factored weights so each term fits its
 //! share of the 8-bit budget.
 
+#![deny(clippy::as_conversions)]
+
 use mogs_mrf::label::LabelKind;
 
 /// Configuration of the energy datapath.

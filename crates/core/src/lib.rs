@@ -54,6 +54,9 @@
 //! assert_eq!(sample.cycles, 7 + 4); // 7 + (M-1) for RSU-G1
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod area;
 pub mod energy_unit;
 pub mod intensity;

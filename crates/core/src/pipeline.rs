@@ -76,7 +76,10 @@ pub fn simulate_site(config: &PipelineConfig, labels: u32) -> SiteTiming {
         // This cycle, each lane issues one evaluation if its round-robin
         // circuit is quiescent.
         let mut any_issued = false;
-        #[allow(clippy::needless_range_loop)] // lane indexes two arrays jointly
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "lane indexes two arrays jointly"
+        )]
         for lane in 0..lanes {
             if issued >= labels {
                 break;

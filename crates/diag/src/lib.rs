@@ -38,6 +38,8 @@
 //! so stop points may vary run to run. Tests therefore pin outcome
 //! properties (stopped early, energy within tolerance), not stop sweeps.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 mod marginals;
 mod policy;
 mod report;

@@ -217,9 +217,11 @@ impl Engine {
                     // the hot path never allocates.
                     let mut arena = KernelArena::new();
                     while let Ok(task) = task_rx.recv() {
-                        // audit:allow(catch-unwind) — the engine's one
-                        // intentional panic-isolation boundary: a panicking
-                        // kernel must fail its *job*, never the worker pool.
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "the engine's one intentional panic-isolation boundary: \
+                                      a panicking kernel must fail its *job*, never the worker pool"
+                        )]
                         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             task.job
                                 .run_chunk(task.iteration, task.group, task.chunk, &mut arena);

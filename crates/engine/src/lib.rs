@@ -88,6 +88,8 @@
 //! at once through the [`SweepKernel`](mogs_gibbs::SweepKernel) batched
 //! kernels.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 mod backend;
 pub mod ckpt;
 mod engine;

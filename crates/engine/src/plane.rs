@@ -18,7 +18,7 @@
 //! plane with provably disjoint writes — the in-place update is
 //! bit-identical to the snapshot-based reference.
 //!
-//! This argument is no longer prose-only: `mogs_audit::check_schedule`
+//! This argument is no longer prose-only: `mogs_audit::verify_certificate`
 //! verifies the three load-bearing premises — phase groups are
 //! independent sets of the site interference graph, chunks partition each
 //! group exactly, every site is covered once per sweep — at job
@@ -26,6 +26,8 @@
 //! typed [`mogs_audit::AuditReport`] before any plane is constructed.
 //! The `shadow-audit` feature additionally cross-checks the verdict
 //! dynamically by recording per-phase read/write sets in tests.
+
+#![deny(clippy::as_conversions)]
 
 use std::cell::UnsafeCell;
 

@@ -43,9 +43,9 @@
 //! heap `Vec`, and updates go straight into the shared [`LabelPlane`]
 //! instead of per-thread update lists merged after a snapshot copy.
 
-use mogs_audit::{
-    color_schedule, verify_certificate, AuditError, Chunking, GridTopology, ScheduleCertificate,
-};
+#![deny(clippy::as_conversions)]
+
+use mogs_audit::{color_schedule, verify_certificate, AuditError, Chunking, ScheduleCertificate};
 use mogs_gibbs::kernel::{KernelArena, SweepKernel};
 use mogs_gibbs::{LabelSampler, TemperatureSchedule};
 use mogs_mrf::energy::SingletonPotential;
@@ -88,9 +88,13 @@ static ADMISSIONS: Mutex<Vec<(ShapeKey, Arc<Prepared>)>> = Mutex::new(Vec::new()
 /// Per-iteration sweep seed, matching `McmcChain::step`.
 #[inline]
 pub(crate) fn sweep_seed(seed: u64, iteration: usize) -> u64 {
-    // audit:allow(lossy-cast) — usize -> u64 is value-preserving on every
-    // supported target; the reference seed formula is cast-for-cast.
-    seed.wrapping_add((iteration as u64).wrapping_mul(0xA24B_AED4_963E_E407))
+    #[expect(
+        clippy::as_conversions,
+        reason = "usize -> u64 is value-preserving on every supported target; \
+                  the reference seed formula is cast-for-cast"
+    )]
+    let iteration = iteration as u64;
+    seed.wrapping_add(iteration.wrapping_mul(0xA24B_AED4_963E_E407))
 }
 
 /// What one quiescent sweep boundary decided and did: the diagnostics
@@ -215,7 +219,7 @@ impl Prepared {
         threads: usize,
         groups: Option<Vec<Vec<usize>>>,
     ) -> Result<Self, EngineError> {
-        let topology = GridTopology::new(grid, neighborhood).sparse();
+        let topology = Topology::from_grid(grid, neighborhood);
         let certificate = match groups {
             Some(groups) => {
                 ScheduleCertificate::from_classes(&topology, groups, Chunking::Uniform { threads })
@@ -738,7 +742,10 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
 /// `sites` must be one chunk of one conditionally independent group of
 /// the phase being run, with no other thread writing any of its sites or
 /// their neighbours (see the `plane` module docs).
-#[allow(clippy::too_many_arguments)] // the pass reads five tables; bundling them hides nothing
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the pass reads five tables; bundling them hides nothing"
+)]
 unsafe fn gather<const W: usize>(
     m: usize,
     sites: &[usize],
@@ -831,9 +838,11 @@ where
         #[cfg(feature = "shadow-audit")]
         let phase = iteration * self.group_count() + group;
         #[cfg(feature = "shadow-audit")]
-        // audit:allow(lossy-cast) — usize -> u64 is value-preserving; the
-        // epoch is the barrier-ordered phase counter the happens-before
-        // checker keys every access on.
+        #[expect(
+            clippy::as_conversions,
+            reason = "usize -> u64 is value-preserving; the epoch is the barrier-ordered \
+                      phase counter the happens-before checker keys every access on"
+        )]
         let (epoch64, task64) = (phase as u64, chunk as u64);
         #[cfg(feature = "shadow-audit")]
         let clock = mogs_audit::shadow::TaskClock {
@@ -841,8 +850,11 @@ where
             task: task64,
         };
         let sweep = sweep_seed(self.seed, iteration);
-        // audit:allow(lossy-cast) — usize -> u64 is value-preserving; this
-        // must reproduce the reference chunk-seed formula bit for bit.
+        #[expect(
+            clippy::as_conversions,
+            reason = "usize -> u64 is value-preserving; this must reproduce the \
+                      reference chunk-seed formula bit for bit"
+        )]
         let (chunk64, group64) = (chunk as u64, group as u64);
         let mut rng = StdRng::seed_from_u64(
             sweep ^ chunk64.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (group64 << 32),
@@ -1021,10 +1033,13 @@ where
                             .max_by_key(|(_, c)| **c)
                             .map(|(i, _)| i)
                             .unwrap_or(0);
-                        // audit:allow(lossy-cast) — `best` indexes a row of
-                        // `m <= MAX_LABELS (64)` entries, checked at
-                        // admission, so it always fits a u8.
-                        Label::new(best as u8)
+                        #[expect(
+                            clippy::as_conversions,
+                            reason = "`best` indexes a row of `m <= MAX_LABELS (64)` \
+                                      entries, checked at admission, so it always fits a u8"
+                        )]
+                        let best = best as u8;
+                        Label::new(best)
                     })
                     .collect()
             })

@@ -5,10 +5,12 @@
 //! that puts neighbours in one phase is rejected before any label
 //! plane is allocated.
 
-use mogs_audit::{color_schedule, verify_certificate, GridTopology};
+use mogs_audit::{color_schedule, verify_certificate};
 use mogs_engine::prelude::*;
 use mogs_mrf::energy::SingletonPotential;
-use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, Neighborhood, SmoothnessPrior};
+use mogs_mrf::{
+    Grid2D, Label, LabelSpace, MarkovRandomField, Neighborhood, SmoothnessPrior, Topology,
+};
 
 /// A deterministic field; two calls with the same arguments build
 /// identical fields.
@@ -50,7 +52,7 @@ fn greedy_certificate_reproduces_the_reference_grid_schedule() {
     for order in [Neighborhood::FirstOrder, Neighborhood::SecondOrder] {
         for (width, height) in [(2, 2), (3, 5), (7, 4), (9, 9), (12, 10)] {
             let mrf = field(width, height, order);
-            let topology = GridTopology::new(Grid2D::new(width, height), order).sparse();
+            let topology = Topology::from_grid(Grid2D::new(width, height), order);
             let certificate = color_schedule(&topology, 1);
             assert!(
                 verify_certificate(&topology, &certificate).is_clean(),

@@ -57,7 +57,6 @@ fn field(
 
 fn random_plane(sites: usize, labels: u16, seed: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
-    // audit:allow(lossy-cast) — labels <= 64, so every draw fits a u8.
     (0..sites).map(|_| rng.gen_range(0..labels) as u8).collect()
 }
 

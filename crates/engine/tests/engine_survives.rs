@@ -25,7 +25,6 @@ const M: usize = 4;
 
 /// A small deterministic field shared by every scenario.
 fn field() -> MarkovRandomField<impl SingletonPotential + Clone + 'static> {
-    // audit:allow(lossy-cast) — M = 4 fits u16.
     MarkovRandomField::builder(Grid2D::new(8, 8), LabelSpace::scalar(M as u16))
         .prior(SmoothnessPrior::potts(0.6))
         .temperature(2.5)
@@ -228,7 +227,6 @@ impl SweepKernel for BrittleKernel {
         if self.dead.get(unit).copied()? {
             dist[0] = 1.0;
         } else {
-            // audit:allow(lossy-cast) — probe rows have 8 entries.
             dist.fill(1.0 / energies.len() as f64);
         }
         Some(dist)

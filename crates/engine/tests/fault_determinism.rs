@@ -22,7 +22,6 @@ fn field(
     height: usize,
     m: usize,
 ) -> MarkovRandomField<impl SingletonPotential + Clone + 'static> {
-    // audit:allow(lossy-cast) — m <= 64 fits u16.
     MarkovRandomField::builder(Grid2D::new(width, height), LabelSpace::scalar(m as u16))
         .prior(SmoothnessPrior::potts(0.6))
         .temperature(2.5)

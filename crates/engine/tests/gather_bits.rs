@@ -45,8 +45,6 @@ impl LabelSampler for BitsKernel {
         for e in energies {
             h = mix(h ^ e.to_bits());
         }
-        // audit:allow(lossy-cast) — the modulus is at most 64, so the
-        // label index fits a u8; usize -> u64 is value-preserving.
         Label::new((h % energies.len() as u64) as u8)
     }
 
@@ -82,14 +80,11 @@ fn field(
     } else {
         Neighborhood::FirstOrder
     };
-    // audit:allow(lossy-cast) — m <= 10 fits u16.
     MarkovRandomField::builder(Grid2D::new(width, height), LabelSpace::scalar(m as u16))
         .prior(prior)
         .neighborhood(order)
         .temperature(1.3)
         .singleton(|site: usize, label: Label| {
-            // audit:allow(lossy-cast) — usize -> u64 is value-preserving
-            // and a 53-bit integer is exact in f64.
             let h = mix(site as u64 ^ (u64::from(label.value()) << 40));
             (h >> 11) as f64 * (3.7 / (1u64 << 53) as f64)
         })
@@ -112,13 +107,12 @@ fn exact_chunks(groups: &[Vec<usize>], want: usize) -> usize {
 
 /// The chain's per-iteration sweep-seed derivation.
 fn sweep_seed(seed: u64, iteration: usize) -> u64 {
-    // audit:allow(lossy-cast) — usize -> u64 is value-preserving.
     seed.wrapping_add((iteration as u64).wrapping_mul(0xA24B_AED4_963E_E407))
 }
 
 /// Runs one configuration through the engine and through
 /// `colored_sweep`, and requires the same labels.
-#[allow(clippy::too_many_arguments)] // one case of the coverage grid
+#[expect(clippy::too_many_arguments, reason = "one case of the coverage grid")]
 fn assert_bits_match(
     engine: &Engine,
     width: usize,
@@ -131,7 +125,6 @@ fn assert_bits_match(
 ) {
     let mrf = field(width, height, m, second_order, prior);
     let threads = exact_chunks(&mrf.independent_groups(), chunks);
-    // audit:allow(lossy-cast) — usize -> u64 is value-preserving.
     let seed = 0x5EED ^ (m * 131 + width * 17 + chunks) as u64;
     let mut reference = mrf.uniform_labeling();
     for iteration in 0..iterations {

@@ -24,7 +24,6 @@ fn field(
     } else {
         Neighborhood::FirstOrder
     };
-    // audit:allow(lossy-cast) — m <= 64 fits u16.
     MarkovRandomField::builder(Grid2D::new(width, height), LabelSpace::scalar(m as u16))
         .prior(SmoothnessPrior::potts(0.7))
         .neighborhood(order)
@@ -61,7 +60,7 @@ fn exact_chunks(groups: &[Vec<usize>], want: usize) -> usize {
 
 /// Runs one (backend, config) pair through the engine and through the
 /// reference sweep and requires bit-identical labelings.
-#[allow(clippy::too_many_arguments)] // mirrors the proptest case tuple
+#[expect(clippy::too_many_arguments, reason = "mirrors the proptest case tuple")]
 fn assert_engine_matches_reference(
     backend: Backend,
     width: usize,

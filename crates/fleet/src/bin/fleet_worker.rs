@@ -3,6 +3,8 @@
 //! shard protocol until told to finish. Spawned by `Launcher::Program`; exits
 //! nonzero on any protocol or shard failure so process supervisors see it.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 use std::io::Write as _;
 use std::process::ExitCode;
 

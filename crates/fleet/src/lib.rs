@@ -46,6 +46,8 @@
 //! assert!(output.bit_identical_to(&reference));
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 pub mod coordinator;
 pub mod error;
 pub mod exec;

@@ -89,7 +89,8 @@ impl Workload {
         }
     }
 
-    /// Sites in the plane.
+    /// Sites in the plane. Cannot overflow on a validated spec
+    /// ([`FleetSpec::validate`] refuses such dimensions).
     #[must_use]
     pub fn sites(&self) -> usize {
         let (w, h) = self.dims();
@@ -127,6 +128,13 @@ impl FleetSpec {
         let (w, h) = self.workload.dims();
         if w == 0 || h == 0 {
             return Err(spec(format!("workload grid {w}x{h} has no sites")));
+        }
+        // Every site index crosses the wire as a `u32`.
+        let sites = w.checked_mul(h);
+        if sites.is_none_or(|n| u32::try_from(n - 1).is_err()) {
+            return Err(spec(format!(
+                "workload grid {w}x{h} has more sites than a u32 site index can name"
+            )));
         }
         if self.iterations == 0 {
             return Err(spec("iterations must be at least 1".to_string()));

@@ -42,9 +42,9 @@
 //! coordinator), so a second decoder would be a second trust boundary
 //! to fuzz for a peer that cannot exist.
 //!
-//! Every function on the wire path returns [`FleetResult`] — enforced
-//! by the `fleet-wire-error` audit lint rule over `send_*`/`recv_*`/
-//! `rpc_*` names.
+//! Every function on the wire path returns [`FleetResult`], and the
+//! types keep it so: a [`Conn`]'s socket is private to this module, and
+//! only [`send_frame`] and [`recv_frame`] touch it.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -137,7 +137,10 @@ pub trait SweepKernel: LabelSampler {
     /// conditional energies; `out[j]` receives the label drawn for the
     /// chunk's `j`-th site. Implementations consume `rng` site by site in
     /// chunk order, exactly like the reference loop.
-    #[allow(clippy::too_many_arguments)] // the kernel ABI: buffers are flat slices on purpose
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the kernel ABI: buffers are flat slices on purpose"
+    )]
     fn sample_chunk<R: Rng + ?Sized>(
         &mut self,
         energies: &[f64],
@@ -228,6 +231,12 @@ pub trait SweepKernel: LabelSampler {
 /// weight is exactly `exp(-0.0/T) = 1.0` by IEEE-754, so the `exp` call
 /// is skipped for it (at least one of the `M` exponentials per site).
 impl SweepKernel for crate::sampler::SoftmaxGibbs {
+    #[expect(
+        clippy::as_conversions,
+        reason = "array lengths must be const-evaluable and u16 -> usize widening is exact; \
+                  label indices are bounded by `m <= MAX_LABELS (64)`, so they always fit a \
+                  u8 (the reference scan, cast for cast)"
+    )]
     fn sample_chunk<R: Rng + ?Sized>(
         &mut self,
         energies: &[f64],
@@ -246,8 +255,6 @@ impl SweepKernel for crate::sampler::SoftmaxGibbs {
         // temperature would break either step, so those rows take the
         // reference arithmetic unshortened.
         let shortcut = temperature > 0.0;
-        // audit:allow(lossy-cast) — array lengths must be const-evaluable
-        // and u16 -> usize widening is exact.
         let mut weights = [0.0f64; MAX_LABELS as usize];
         for (j, (&cur, slot)) in current.iter().zip(out.iter_mut()).enumerate() {
             let row = &energies[j * m..(j + 1) * m];
@@ -270,9 +277,6 @@ impl SweepKernel for crate::sampler::SoftmaxGibbs {
                 continue;
             }
             let mut u = rng.gen::<f64>() * total;
-            // audit:allow(lossy-cast) — label indices are bounded by
-            // `m <= MAX_LABELS (64)`, so they always fit a u8; this is the
-            // reference scan cast for cast.
             *slot = 'drawn: {
                 for (l, w) in weights[..m].iter().enumerate() {
                     if u < *w {
@@ -409,8 +413,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE);
             let energies: Vec<f64> =
                 (0..sites * m).map(|_| rng.gen_range(-4.0..12.0)).collect();
+            #[expect(clippy::as_conversions, reason = "m <= 64 fits u8")]
             let current: Vec<Label> = (0..sites)
-                // audit:allow(lossy-cast) — m <= 64 fits u8.
                 .map(|_| Label::new(rng.gen_range(0..m) as u8))
                 .collect();
             assert_bit_identical(

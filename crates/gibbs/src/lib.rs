@@ -40,6 +40,8 @@
 //! assert_eq!(chain.labels().len(), 64);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 pub mod chain;
 pub mod diagnostics;
 pub mod dist;

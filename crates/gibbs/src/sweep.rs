@@ -205,7 +205,14 @@ pub fn colored_sweep_with_scratch<S, L>(
     );
 }
 
-#[allow(clippy::too_many_arguments)]
+/// # Panics
+///
+/// Panics if `labels.len()` differs from the grid size or `threads == 0`,
+/// and re-panics when a sweep worker panicked.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the public sweep's parameters plus its phase groups"
+)]
 fn sweep_groups<S, L>(
     mrf: &MarkovRandomField<S>,
     labels: &mut [Label],
@@ -260,13 +267,12 @@ fn sweep_groups<S, L>(
             }
             updates = handles
                 .into_iter()
-                // audit:allow(unwrap-expect) — join fails only when the
-                // worker panicked; re-panicking here just propagates it.
+                // Join fails only when the worker panicked; re-panicking
+                // here just propagates it.
                 .map(|h| h.join().expect("sweep worker"))
                 .collect();
         })
-        // audit:allow(unwrap-expect) — the scope errs only on a worker
-        // panic, which this propagates.
+        // The scope errs only on a worker panic, which this propagates.
         .expect("scoped threads");
         for (site, label) in updates.into_iter().flatten() {
             labels[site] = label;

@@ -59,6 +59,9 @@ impl SmoothnessPrior {
         Self::new(weight, DoubletonKind::Potts)
     }
 
+    /// # Panics
+    ///
+    /// Panics if `weight` is negative or non-finite.
     fn new(weight: f64, kind: DoubletonKind) -> Self {
         assert!(
             weight.is_finite() && weight >= 0.0,

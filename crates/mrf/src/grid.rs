@@ -6,6 +6,8 @@
 //! other parity, which exposes the parallelism both the GPU baselines and
 //! the RSU-augmented sweeps exploit.
 
+#![deny(clippy::as_conversions)]
+
 use serde::{Deserialize, Serialize};
 
 /// Checkerboard colour of a site.

@@ -7,6 +7,8 @@
 //! estimation, where a label is a `(dx, dy)` displacement in a search
 //! window.
 
+#![deny(clippy::as_conversions)]
+
 use crate::error::MrfError;
 use serde::{Deserialize, Serialize};
 

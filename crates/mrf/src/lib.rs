@@ -47,6 +47,8 @@
 //! assert_eq!(energies.len(), 2);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 pub mod energy;
 pub mod error;
 pub mod field;

@@ -7,6 +7,8 @@
 //! recommends *collapsing* redundant labels before execution. This module
 //! provides the float→fixed quantizer and the collapsing analysis.
 
+#![deny(clippy::as_conversions)]
+
 use crate::label::Label;
 
 /// Maximum representable quantized energy (8 bits).
@@ -61,9 +63,12 @@ impl EnergyQuantizer {
         if v >= f64::from(ENERGY_MAX) - 0.5 {
             ENERGY_MAX
         } else if v >= 0.5 {
-            // audit:allow(lossy-cast) — float-to-int has no From path; the
-            // guards pin `v` inside [0.5, 254.5), so the cast truncates
-            // and `v - t` is exact (the low bits of `v` itself).
+            #[expect(
+                clippy::as_conversions,
+                reason = "float-to-int has no From path; the guards pin `v` inside \
+                          [0.5, 254.5), so the cast truncates and `v - t` is exact \
+                          (the low bits of `v` itself)"
+            )]
             let t = v as u8;
             t + u8::from(v - f64::from(t) >= 0.5)
         } else {

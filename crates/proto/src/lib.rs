@@ -23,6 +23,8 @@
 //! meaningless (~2 µs per sample, 60 s per image-iteration through the
 //! proprietary laser-controller interface).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 pub mod controller;
 pub mod experiments;
 pub mod rig;

@@ -355,8 +355,8 @@ impl crate::exponential::ExponentialSampler for RetCircuit {
                 let db = (self.effective_rate(b) - rate).abs();
                 da.total_cmp(&db)
             })
-            // audit:allow(unwrap-expect) — the code range 1..16 is never
-            // empty, so min_by always yields a value.
+            // The code range 1..16 is never empty, so min_by always
+            // yields a value.
             .expect("code range is non-empty");
         if rate < 0.5 * self.effective_rate(1) {
             return None;

@@ -53,6 +53,9 @@
 //! assert!(ttf.is_some());
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod chromophore;
 pub mod circuit;
 pub mod ctmc;

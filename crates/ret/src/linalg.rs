@@ -36,6 +36,10 @@ impl Matrix {
     }
 
     /// `y = A x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != n`.
     pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n);
         let mut y = vec![0.0; self.n];
@@ -79,8 +83,9 @@ impl Matrix {
             let inv = 1.0 / a[col * n + col];
             for r in col + 1..n {
                 let f = a[r * n + col] * inv;
-                // audit:allow(float-eq) — exact-zero test: it only skips
-                // row updates that would be arithmetic no-ops.
+                // Exact-zero test (`float_cmp` exempts comparisons with
+                // zero): it only skips row updates that would be
+                // arithmetic no-ops.
                 if f == 0.0 {
                     continue;
                 }
@@ -104,6 +109,10 @@ impl Matrix {
     /// Valid for generator-like matrices (non-negative off-diagonals). Picks
     /// `q ≥ max |A_ii|`, forms the stochastic-ish `P = I + A/q` and sums the
     /// Poisson-weighted series until the truncated tail is below `tol`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != n` or `t` is negative.
     pub(crate) fn expm_action(&self, t: f64, v: &[f64], tol: f64) -> Vec<f64> {
         assert_eq!(v.len(), self.n);
         assert!(t >= 0.0, "time must be non-negative");

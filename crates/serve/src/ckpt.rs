@@ -133,7 +133,10 @@ pub(crate) fn recover(
     report
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "recovery threads the router's shared state through one entry"
+)]
 fn resume_entry(
     ckpt_store: &CheckpointStore,
     policy: CheckpointPolicy,

@@ -15,9 +15,9 @@
 //! Both are ordinary values routed out of the existing
 //! [`TrySubmitError`](mogs_engine::TrySubmitError) path — an admission
 //! failure is never a panic. Handlers return
-//! `Result<Response, ServeError>` (the `mogs-audit` lint enforces this
-//! shape for every `handle_*` function) and the router renders the
-//! error into its response exactly once.
+//! `Result<Response, ServeError>` (the router's `match` will not compile
+//! with any other arm type) and the router renders the error into its
+//! response exactly once.
 
 use mogs_engine::EngineError;
 

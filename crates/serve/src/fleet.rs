@@ -28,6 +28,7 @@ use parking_lot::Mutex;
 
 use crate::error::ServeError;
 use crate::http::Response;
+use crate::jobspec::MAX_ITERATIONS;
 
 /// Fleet backend configuration carried by
 /// [`ServeConfig`](crate::ServeConfig).
@@ -73,12 +74,20 @@ impl FleetRunner {
     }
 
     /// `POST /v1/fleet/jobs`: parse the [`FleetSpec`] body, enforce the
-    /// site cap and the single-flight slot, and launch the coordinator
-    /// on its own thread.
+    /// sweep bound, the site cap and the single-flight slot, and launch
+    /// the coordinator on its own thread.
     pub fn submit(&self, body: &str, retry_after_s: u64) -> Result<Response, ServeError> {
         let spec = FleetSpec::parse(body).map_err(|err| ServeError::BadRequest {
             reason: format!("fleet spec: {err}"),
         })?;
+        if spec.iterations > MAX_ITERATIONS {
+            return Err(ServeError::BadRequest {
+                reason: format!(
+                    "fleet job of {} iterations exceeds the bound of {MAX_ITERATIONS}",
+                    spec.iterations
+                ),
+            });
+        }
         let sites = spec.workload.sites();
         if sites > self.setup.max_sites {
             return Err(ServeError::BadRequest {

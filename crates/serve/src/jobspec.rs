@@ -62,6 +62,10 @@ impl Workload {
     }
 }
 
+/// The largest sweep budget either job route accepts (`POST /v1/jobs`
+/// and `POST /v1/fleet/jobs`, which has no cancel).
+pub const MAX_ITERATIONS: usize = 1 << 20;
+
 /// One parsed and sanity-checked job request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
@@ -163,7 +167,7 @@ impl JobRequest {
                     "height" => req.height = usize_field(&mut p, "height", 1, 1 << 14)?,
                     "labels" => req.labels = usize_field(&mut p, "labels", 1, 64)? as u16,
                     "iterations" => {
-                        req.iterations = usize_field(&mut p, "iterations", 1, 1 << 20)?;
+                        req.iterations = usize_field(&mut p, "iterations", 1, MAX_ITERATIONS)?;
                     }
                     "seed" => {
                         let n = p.parse_number().map_err(bad)?;

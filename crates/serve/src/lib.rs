@@ -59,6 +59,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
 
 pub mod ckpt;
 pub mod client;

@@ -1,13 +1,14 @@
 //! Request routing: one `handle_*` function per endpoint, all returning
 //! `Result<Response, ServeError>`.
 //!
-//! The `mogs-audit` `serve-handler-error` rule pins this shape: a
-//! handler surfaces failures as typed [`ServeError`] values — rendered
-//! into a response exactly once, in [`Router::handle`] — and never
-//! unwraps request input. The router owns no threads and no sockets;
-//! it is a pure `Request -> Response` function over the shared engine,
-//! tenant registry, job store, and metrics, which is what makes every
-//! endpoint testable without a listener.
+//! [`Router::handle`]'s `match` pins this shape: every routed arm must
+//! have the type of its `Err(ServeError::…)` fallbacks, so a handler
+//! surfaces failures as typed [`ServeError`] values — rendered into a
+//! response exactly once, in `handle` — and never unwraps request input.
+//! The router owns no threads and no sockets; it is a pure
+//! `Request -> Response` function over the shared engine, tenant
+//! registry, job store, and metrics, which is what makes every endpoint
+//! testable without a listener.
 //!
 //! Admission order in [`handle_submit`](Router::handle_submit) is the
 //! quota-vs-backpressure decision table from DESIGN §13:
@@ -533,6 +534,40 @@ mod tests {
                 .status,
             404
         );
+    }
+
+    #[test]
+    fn fleet_route_refuses_overflowing_grids_and_unbounded_sweeps_and_stays_free() {
+        let router = test_router(8).with_fleet(crate::fleet::FleetRunner::new(
+            crate::fleet::FleetSetup::default(),
+        ));
+        let spec = |width: usize, height: usize, iterations: usize| mogs_fleet::FleetSpec {
+            workload: mogs_fleet::Workload::Demo {
+                width,
+                height,
+                labels: 3,
+            },
+            backend: mogs_fleet::BackendKind::Softmax,
+            iterations,
+            threads: 2,
+            seed: 17,
+            burn_in: 1,
+        };
+        // 2^33 x 2^31 overflows the site count; 274177 x 67280421310721
+        // is 2^64 + 1, which a wrapping product reads as one site; 2^52
+        // sweeps would hold the single-flight slot indefinitely.
+        for bad in [
+            spec(1 << 33, 1 << 31, 3),
+            spec(274_177, 67_280_421_310_721, 3),
+            spec(6, 4, 1 << 52),
+        ] {
+            let refused = router.handle(&request("POST", "/v1/fleet/jobs", &bad.encode()));
+            assert_eq!(refused.status, 400, "{}", body_text(&refused));
+        }
+        // Nothing was admitted: the slot takes the next job.
+        let accepted = router.handle(&request("POST", "/v1/fleet/jobs", &spec(6, 4, 3).encode()));
+        assert_eq!(accepted.status, 202, "{}", body_text(&accepted));
+        assert!(body_text(&accepted).contains("\"id\":1"));
     }
 
     #[test]

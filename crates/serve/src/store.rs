@@ -190,7 +190,10 @@ impl JobStore {
     /// Registers an admitted job under an id from [`reserve`].
     ///
     /// [`reserve`]: JobStore::reserve
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one parameter per stored-job field"
+    )]
     pub fn insert_reserved(
         &self,
         id: u64,
@@ -222,7 +225,10 @@ impl JobStore {
 
     /// Registers a job re-admitted from a checkpoint under its original
     /// serve id, bumping the id counter past it.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one parameter per stored-job field"
+    )]
     pub fn insert_recovered(
         &self,
         id: u64,

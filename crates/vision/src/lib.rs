@@ -41,6 +41,8 @@
 //! assert!(accuracy > 0.8, "accuracy {accuracy}");
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
+
 pub mod image;
 pub mod metrics;
 pub mod motion;
