@@ -17,6 +17,7 @@ use crate::ttf::{TtfReading, TtfRegister, TTF_TICKS};
 use crate::variants::RsuVariant;
 use mogs_gibbs::kernel::{KernelScratch, SweepKernel, UnitFault};
 use mogs_gibbs::LabelSampler;
+use mogs_mrf::field::FIXED_SHIFT_MAX;
 use mogs_mrf::label::MAX_LABELS;
 use mogs_mrf::precision::{EnergyQuantizer, ENERGY_MAX};
 use mogs_mrf::Label;
@@ -506,36 +507,111 @@ impl RsuGSampler {
         current: Label,
         rng: &mut R,
     ) -> Label {
+        self.tournament(energies.len(), current, rng, || {
+            let min = row_min(energies);
+            // Bit `m` is set unless label `m` is provably dark. `e > limit`
+            // is false for a NaN energy (and for every label when `limit`
+            // is NaN), so those stay candidates: the reference maps NaN to
+            // LUT[0]. Whole blocks of eight unroll into runs of
+            // independent compares.
+            let limit = min + self.candidate_span;
+            let lit = |bits: u64, (k, &e): (usize, &f64)| bits | ((u64::from(e > limit) ^ 1) << k);
+            let mut blocks = energies.chunks_exact(8);
+            let mut candidates = (&mut blocks).enumerate().fold(0, |mask, (b, block)| {
+                mask | (block.iter().enumerate().fold(0, lit) << (8 * b))
+            });
+            let base = energies.len() - blocks.remainder().len();
+            let tail = blocks.remainder().iter().enumerate();
+            candidates = tail.fold(candidates, |bits, (k, e)| lit(bits, (base + k, e)));
+            (candidates, move |m: usize| energies[m] - min)
+        })
+    }
+
+    /// [`RsuGSampler::draw_row`] over a row of exact fixed-point energies
+    /// in units of `2^-shift` (see [`SweepKernel::sample_fixed_chunk`]):
+    /// the same labels and RNG stream as `draw_row` on the row scaled by
+    /// `2^-shift`. The minimum is taken in `i16` and label `m` is a
+    /// candidate when its offset `d = e − min` is at most
+    /// `⌊span · 2^shift⌋`, where `span` is the f64 path's candidate span;
+    /// `d · 2^-shift` is exactly `draw_row`'s `e − min`, so each code is
+    /// the one `draw_row` reads (DESIGN §11).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row holds more than [`MAX_LABELS`] energies or
+    /// `shift` exceeds [`FIXED_SHIFT_MAX`].
+    pub fn draw_fixed_row<R: Rng + ?Sized>(
+        &self,
+        row: &[i16],
+        shift: u32,
+        current: Label,
+        rng: &mut R,
+    ) -> Label {
+        assert!(
+            shift <= FIXED_SHIFT_MAX,
+            "fixed-point unit finer than 2^-16"
+        );
+        self.tournament(row.len(), current, rng, || {
+            let min = row.iter().copied().min().unwrap_or(0);
+            // `e ≥ min`, so the wrapped difference read as u16 is exact.
+            let offset = move |e: i16| e.wrapping_sub(min) as u16;
+            let scale = f64::from(1u32 << shift);
+            // The cast floors the non-negative product and saturates an
+            // infinite span at u16::MAX, above every offset.
+            let limit = (self.candidate_span * scale) as u16;
+            let mut flags = [0u8; MAX_LABELS as usize];
+            for (flag, &e) in flags.iter_mut().zip(row) {
+                *flag = u8::from(offset(e) <= limit);
+            }
+            // Eight 0/1 bytes gather into one byte of the mask: the
+            // multiply moves byte `i`'s low bit to bit `56 + i`.
+            let (blocks, _) = flags[..row.len().div_ceil(8) * 8].as_chunks::<8>();
+            let candidates = blocks.iter().enumerate().fold(0, |mask, (b, block)| {
+                let bits = u64::from_le_bytes(*block).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+                mask | (bits << (8 * b))
+            });
+            let unit = scale.recip();
+            (candidates, move |m: usize| f64::from(offset(row[m])) * unit)
+        })
+    }
+
+    /// The tournament tail both row entries share: fault handling, the
+    /// dark-count draw, then one draw per lit candidate in label order.
+    /// `prepare` runs once the row is known to be drawn and returns the
+    /// candidate mask and each label's energy above the row minimum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`MAX_LABELS`].
+    #[inline]
+    fn tournament<R, F>(
+        &self,
+        len: usize,
+        current: Label,
+        rng: &mut R,
+        prepare: impl FnOnce() -> (u64, F),
+    ) -> Label
+    where
+        R: Rng + ?Sized,
+        F: Fn(usize) -> f64,
+    {
         match self.fault {
             Some(UnitFault::Dead) => return current,
             Some(UnitFault::Stuck(label)) => return label,
             _ => {}
         }
         assert!(
-            energies.len() <= usize::from(MAX_LABELS),
+            len <= usize::from(MAX_LABELS),
             "an RSU-G row holds at most {MAX_LABELS} labels"
         );
         let dark = self.dark_reading(rng);
-        let min = row_min(energies);
-        // Bit `m` is set unless label `m` is provably dark. `e > limit` is
-        // false for a NaN energy (and for every label when `limit` is
-        // NaN), so those stay candidates: the reference maps NaN to LUT[0].
-        // Whole blocks of eight unroll into runs of independent compares.
-        let limit = min + self.candidate_span;
-        let lit = |bits: u64, (k, &e): (usize, &f64)| bits | ((u64::from(e > limit) ^ 1) << k);
-        let mut blocks = energies.chunks_exact(8);
-        let mut candidates = (&mut blocks).enumerate().fold(0, |mask, (b, block)| {
-            mask | (block.iter().enumerate().fold(0, lit) << (8 * b))
-        });
-        let base = energies.len() - blocks.remainder().len();
-        let tail = blocks.remainder().iter().enumerate();
-        candidates = tail.fold(candidates, |bits, (k, e)| lit(bits, (base + k, e)));
+        let (mut candidates, offset) = prepare();
         let mut best_m = usize::from(current.value());
         let mut best_tick = TICKS - 1;
         while candidates != 0 {
             let m = candidates.trailing_zeros() as usize;
             candidates &= candidates - 1;
-            let code = self.map.lookup(self.quantizer.quantize(energies[m] - min));
+            let code = self.map.lookup(self.quantizer.quantize(offset(m)));
             if code == 0 {
                 continue;
             }
@@ -552,7 +628,7 @@ impl RsuGSampler {
             best_m = if wins { m } else { best_m };
         }
         if usize::from(dark) < best_tick {
-            return Label::new(rng.gen_range(0..energies.len().max(1)) as u8);
+            return Label::new(rng.gen_range(0..len.max(1)) as u8);
         }
         Label::new(best_m as u8)
     }
@@ -604,9 +680,9 @@ impl RsuGSampler {
     }
 }
 
-/// The RSU-G sampler over a chunk: one [`RsuGSampler::draw_row`] per site
-/// in chunk order, so the RNG is consumed exactly as the per-site path
-/// consumes it.
+/// The RSU-G sampler over a chunk: one [`RsuGSampler::draw_row`] (or
+/// [`RsuGSampler::draw_fixed_row`]) per site in chunk order, so the RNG
+/// is consumed exactly as the per-site path consumes it.
 impl SweepKernel for RsuGSampler {
     fn sample_chunk<R: Rng + ?Sized>(
         &mut self,
@@ -622,6 +698,25 @@ impl SweepKernel for RsuGSampler {
         debug_assert_eq!(out.len(), current.len());
         for (j, (&cur, slot)) in current.iter().zip(out.iter_mut()).enumerate() {
             *slot = self.draw_row(&energies[j * m..(j + 1) * m], cur, rng);
+        }
+    }
+
+    fn wants_fixed_rows(&self) -> bool {
+        true
+    }
+
+    fn sample_fixed_chunk<R: Rng + ?Sized>(
+        &mut self,
+        rows: &[i16],
+        m: usize,
+        shift: u32,
+        _temperature: f64,
+        current: &[Label],
+        out: &mut [Label],
+        rng: &mut R,
+    ) {
+        for (j, (&cur, slot)) in current.iter().zip(out.iter_mut()).enumerate() {
+            *slot = self.draw_fixed_row(&rows[j * m..(j + 1) * m], shift, cur, rng);
         }
     }
 

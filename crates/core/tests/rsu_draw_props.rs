@@ -1,5 +1,6 @@
 //! Property test: the fused RSU-G draw (`RsuGSampler::draw_row` behind
-//! `sample_label`, both chunk kernels and `probe_distribution`) is
+//! `sample_label`, both chunk kernels and `probe_distribution`, and its
+//! fixed-point twin `draw_fixed_row` behind both fixed chunk kernels) is
 //! bit-identical to the tournament it replaced — same labels out, same
 //! RNG state afterwards — on adversarial rows, maps, scales, TTF
 //! registers and faults.
@@ -212,6 +213,33 @@ fn row(rng: &mut StdRng, m: usize) -> Vec<f64> {
     row
 }
 
+/// A fixed-point row of `m` labels in units of `2^-k`: offsets around
+/// a random base that land on, and one unit either side of, the
+/// quantizer's rounding ties `(q + 0.5) / scale`, ordinary offsets, the
+/// base itself, and the `i16` extremes (offsets up to 65,535 units).
+fn fixed_row(rng: &mut StdRng, m: usize, k: u32, scale: f64) -> Vec<i16> {
+    let base = rng.gen_range(-20_000i32..20_000);
+    let units = f64::from(1u32 << k);
+    let clamp = |v: i32| v.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16;
+    let mut row: Vec<i16> = (0..m)
+        .map(|_| match rng.gen_range(0..10) {
+            0..=3 => {
+                let tie = (f64::from(rng.gen_range(0u16..256)) + 0.5) / scale * units;
+                clamp(base + tie.floor() as i32 + rng.gen_range(-1..=1))
+            }
+            4..=6 => clamp(base + rng.gen_range(0..(300.0 * units / scale) as i32 + 2)),
+            7 => clamp(base),
+            8 => i16::MIN,
+            _ => i16::MAX,
+        })
+        .collect();
+    if rng.gen_range(0..2) == 0 {
+        let at = rng.gen_range(0..m);
+        row[at] = clamp(base);
+    }
+    row
+}
+
 fn labels(rng: &mut StdRng, n: usize, m: usize) -> Vec<Label> {
     (0..n)
         .map(|_| Label::new(rng.gen_range(0..m) as u8))
@@ -254,6 +282,81 @@ proptest! {
         let next = rng_ref.gen::<u64>();
         prop_assert_eq!(rng_new.gen::<u64>(), next);
         prop_assert_eq!(rng_chunk.gen::<u64>(), next);
+    }
+
+    /// The fixed-point entry (`draw_fixed_row` and the single-unit fixed
+    /// chunk) against the reference on the same rows scaled to f64, for
+    /// every shift 0..=16, row by row, with the RNG compared at the end.
+    #[test]
+    fn fixed_row_draw_matches_the_reference_tournament(
+        seed in 0u64..u64::MAX,
+        m in 1usize..=64,
+        sites in 1usize..12,
+        k in 0u32..=16,
+    ) {
+        let mut gen = StdRng::seed_from_u64(seed);
+        let (sampler, reference) = unit(&mut gen);
+        let rows: Vec<i16> = (0..sites).flat_map(|_| fixed_row(&mut gen, m, k, reference.scale)).collect();
+        let energies: Vec<f64> = rows.iter().map(|&u| f64::from(u) * 0.5f64.powi(k as i32)).collect();
+        let current = labels(&mut gen, sites, m);
+
+        let mut rng_ref = StdRng::seed_from_u64(seed ^ 0xF1ED);
+        let mut rng_new = rng_ref.clone();
+        let mut rng_chunk = rng_ref.clone();
+        let mut expect = Vec::with_capacity(sites);
+        for (j, (row, e)) in rows.chunks_exact(m).zip(energies.chunks_exact(m)).enumerate() {
+            let want = reference.sample_label(e, current[j], &mut rng_ref);
+            prop_assert_eq!(sampler.draw_fixed_row(row, k, current[j], &mut rng_new), want);
+            expect.push(want);
+        }
+        let mut out = vec![Label::new(0); sites];
+        sampler.clone().sample_fixed_chunk(&rows, m, k, 1.0, &current, &mut out, &mut rng_chunk);
+        prop_assert_eq!(out, expect);
+        let next = rng_ref.gen::<u64>();
+        prop_assert_eq!(rng_new.gen::<u64>(), next);
+        prop_assert_eq!(rng_chunk.gen::<u64>(), next);
+    }
+
+    /// A pool's fixed chunk against its f64 chunk on the same rows, with
+    /// a quarantined subset and a skewed rotation: same labels, same RNG
+    /// state, and the same pool state (rotation included) afterwards.
+    #[test]
+    fn pooled_fixed_chunk_matches_the_pooled_f64_chunk(
+        seed in 0u64..u64::MAX,
+        m in 1usize..=64,
+        sites in 1usize..24,
+        replicas in 1usize..6,
+        skew in 0usize..11,
+        k in 0u32..=16,
+    ) {
+        let mut gen = StdRng::seed_from_u64(seed);
+        let (units, references): (Vec<_>, Vec<_>) = (0..replicas).map(|_| unit(&mut gen)).unzip();
+        let mut pool = RsuPool::from_units(units);
+        let mut live: Vec<bool> = (0..replicas).map(|_| gen.gen_range(0..3) > 0).collect();
+        live[gen.gen_range(0..replicas)] = true;
+        prop_assert!(pool.set_live_units(&live) > 0);
+        let skew_row = row(&mut gen, m);
+        let mut skew_rng = StdRng::seed_from_u64(seed ^ 0x5CE7);
+        for _ in 0..skew {
+            let _ = pool.sample_label(&skew_row, 1.0, Label::new(0), &mut skew_rng);
+        }
+        let scale = references[0].scale;
+        let rows: Vec<i16> = (0..sites).flat_map(|_| fixed_row(&mut gen, m, k, scale)).collect();
+        let energies: Vec<f64> = rows.iter().map(|&u| f64::from(u) * 0.5f64.powi(k as i32)).collect();
+        let current = labels(&mut gen, sites, m);
+
+        let mut f64_pool = pool.clone();
+        let mut rng_f64 = StdRng::seed_from_u64(seed ^ 0x9002);
+        let mut rng_fixed = rng_f64.clone();
+        let mut want = vec![Label::new(0); sites];
+        f64_pool.sample_chunk(
+            &energies, m, 1.0, &current, &mut want, &mut KernelScratch::new(), &mut rng_f64,
+        );
+        let mut got = vec![Label::new(0); sites];
+        pool.sample_fixed_chunk(&rows, m, k, 1.0, &current, &mut got, &mut rng_fixed);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(rng_fixed.gen::<u64>(), rng_f64.gen::<u64>());
+        prop_assert_eq!(format!("{pool:?}"), format!("{f64_pool:?}"), "pool state diverged");
     }
 
     /// The health monitor's probe against the reference probe.

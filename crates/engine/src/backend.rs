@@ -105,6 +105,23 @@ impl<U: LabelSampler> LabelSampler for RsuPool<U> {
     }
 }
 
+impl RsuPool<RsuGSampler> {
+    /// `out[j] = draw(unit, j, current[j])` on live unit `rotation[(next +
+    /// j) % k]`, rotating per draw like the per-site path, in RNG order.
+    fn draw_rotating(
+        &mut self,
+        current: &[Label],
+        out: &mut [Label],
+        mut draw: impl FnMut(&RsuGSampler, usize, Label) -> Label,
+    ) {
+        let k = self.rotation.len();
+        for (j, (&cur, slot)) in current.iter().zip(out.iter_mut()).enumerate() {
+            *slot = draw(&self.units[self.rotation[(self.next + j) % k]], j, cur);
+        }
+        self.next = (self.next + current.len()) % k;
+    }
+}
+
 impl SweepKernel for RsuPool<RsuGSampler> {
     fn sample_chunk<R: Rng + ?Sized>(
         &mut self,
@@ -116,16 +133,28 @@ impl SweepKernel for RsuPool<RsuGSampler> {
         _scratch: &mut KernelScratch,
         rng: &mut R,
     ) {
-        let k = self.rotation.len();
-        // Site `j` of the chunk lands on live unit
-        // `rotation[(next + j) % k]`, because the per-site path rotates
-        // once per draw; drawing in site order consumes the RNG in the
-        // same sequence.
-        for (j, (&cur, slot)) in current.iter().zip(out.iter_mut()).enumerate() {
-            let unit = &self.units[self.rotation[(self.next + j) % k]];
-            *slot = unit.draw_row(&energies[j * m..(j + 1) * m], cur, rng);
-        }
-        self.next = (self.next + current.len()) % k;
+        self.draw_rotating(current, out, |unit, j, cur| {
+            unit.draw_row(&energies[j * m..(j + 1) * m], cur, rng)
+        });
+    }
+
+    fn wants_fixed_rows(&self) -> bool {
+        true
+    }
+
+    fn sample_fixed_chunk<R: Rng + ?Sized>(
+        &mut self,
+        rows: &[i16],
+        m: usize,
+        shift: u32,
+        _temperature: f64,
+        current: &[Label],
+        out: &mut [Label],
+        rng: &mut R,
+    ) {
+        self.draw_rotating(current, out, |unit, j, cur| {
+            unit.draw_fixed_row(&rows[j * m..(j + 1) * m], shift, cur, rng)
+        });
     }
 
     fn unit_count(&self) -> usize {
@@ -167,6 +196,10 @@ impl SweepKernel for RsuPool<RsuGSampler> {
     }
 }
 
+/// The most units an RSU-G pool may hold: every phase clones the pool,
+/// and a job description must not ask for an unsurvivable allocation.
+pub const MAX_REPLICAS: usize = 1024;
+
 /// Which sampler family a job should run on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Backend {
@@ -174,7 +207,7 @@ pub enum Backend {
     Softmax,
     /// A pool of emulated RSU-G units sharing the site stream.
     RsuG {
-        /// Units in the pool.
+        /// Units in the pool, `1..=MAX_REPLICAS`.
         replicas: usize,
     },
 }
@@ -200,9 +233,9 @@ impl BackendSampler {
         match backend {
             Backend::Softmax => Ok(BackendSampler::Softmax(SoftmaxGibbs::new())),
             Backend::RsuG { replicas } => {
-                if replicas == 0 {
+                if !(1..=MAX_REPLICAS).contains(&replicas) {
                     return Err(EngineError::Backend {
-                        reason: "RSU-G pool needs at least one replica".to_string(),
+                        reason: format!("RSU-G pool of {replicas} not in 1..={MAX_REPLICAS}"),
                     });
                 }
                 if !(temperature.is_finite() && temperature > 0.0) {
@@ -221,6 +254,17 @@ impl BackendSampler {
     }
 }
 
+/// Forwards a method call to whichever sampler a [`BackendSampler`]
+/// holds.
+macro_rules! forward {
+    ($self:expr, $s:ident => $call:expr) => {
+        match $self {
+            BackendSampler::Softmax($s) => $call,
+            BackendSampler::RsuPool($s) => $call,
+        }
+    };
+}
+
 impl LabelSampler for BackendSampler {
     fn sample_label<R: Rng + ?Sized>(
         &mut self,
@@ -229,24 +273,15 @@ impl LabelSampler for BackendSampler {
         current: Label,
         rng: &mut R,
     ) -> Label {
-        match self {
-            BackendSampler::Softmax(s) => s.sample_label(energies, temperature, current, rng),
-            BackendSampler::RsuPool(s) => s.sample_label(energies, temperature, current, rng),
-        }
+        forward!(self, s => s.sample_label(energies, temperature, current, rng))
     }
 
     fn name(&self) -> &'static str {
-        match self {
-            BackendSampler::Softmax(s) => s.name(),
-            BackendSampler::RsuPool(s) => s.name(),
-        }
+        forward!(self, s => s.name())
     }
 
     fn conditional_probabilities(&self, energies: &[f64], temperature: f64) -> Option<Vec<f64>> {
-        match self {
-            BackendSampler::Softmax(s) => s.conditional_probabilities(energies, temperature),
-            BackendSampler::RsuPool(s) => s.conditional_probabilities(energies, temperature),
-        }
+        forward!(self, s => s.conditional_probabilities(energies, temperature))
     }
 }
 
@@ -261,49 +296,44 @@ impl SweepKernel for BackendSampler {
         scratch: &mut KernelScratch,
         rng: &mut R,
     ) {
-        match self {
-            BackendSampler::Softmax(s) => {
-                s.sample_chunk(energies, m, temperature, current, out, scratch, rng);
-            }
-            BackendSampler::RsuPool(s) => {
-                s.sample_chunk(energies, m, temperature, current, out, scratch, rng);
-            }
-        }
+        forward!(self, s => s.sample_chunk(energies, m, temperature, current, out, scratch, rng));
+    }
+
+    fn wants_fixed_rows(&self) -> bool {
+        forward!(self, s => s.wants_fixed_rows())
+    }
+
+    fn sample_fixed_chunk<R: Rng + ?Sized>(
+        &mut self,
+        rows: &[i16],
+        m: usize,
+        shift: u32,
+        temperature: f64,
+        current: &[Label],
+        out: &mut [Label],
+        rng: &mut R,
+    ) {
+        forward!(self, s => s.sample_fixed_chunk(rows, m, shift, temperature, current, out, rng));
     }
 
     fn unit_count(&self) -> usize {
-        match self {
-            BackendSampler::Softmax(s) => s.unit_count(),
-            BackendSampler::RsuPool(s) => s.unit_count(),
-        }
+        forward!(self, s => s.unit_count())
     }
 
     fn inject_unit_fault(&mut self, unit: usize, fault: UnitFault) -> bool {
-        match self {
-            BackendSampler::Softmax(s) => s.inject_unit_fault(unit, fault),
-            BackendSampler::RsuPool(s) => s.inject_unit_fault(unit, fault),
-        }
+        forward!(self, s => s.inject_unit_fault(unit, fault))
     }
 
     fn set_live_units(&mut self, live: &[bool]) -> usize {
-        match self {
-            BackendSampler::Softmax(s) => s.set_live_units(live),
-            BackendSampler::RsuPool(s) => s.set_live_units(live),
-        }
+        forward!(self, s => s.set_live_units(live))
     }
 
     fn probe_unit(&self, unit: usize, energies: &[f64], draws: u32, seed: u64) -> Option<Vec<f64>> {
-        match self {
-            BackendSampler::Softmax(s) => s.probe_unit(unit, energies, draws, seed),
-            BackendSampler::RsuPool(s) => s.probe_unit(unit, energies, draws, seed),
-        }
+        forward!(self, s => s.probe_unit(unit, energies, draws, seed))
     }
 
     fn unit_faults(&self) -> Vec<Option<UnitFault>> {
-        match self {
-            BackendSampler::Softmax(s) => s.unit_faults(),
-            BackendSampler::RsuPool(s) => s.unit_faults(),
-        }
+        forward!(self, s => s.unit_faults())
     }
 
     /// Failing over swaps the RSU pool for the exact softmax sampler;
@@ -396,8 +426,11 @@ mod tests {
 
     #[test]
     fn try_new_reports_bad_backends_as_engine_errors() {
-        let err = BackendSampler::try_new(Backend::RsuG { replicas: 0 }, 4.0).unwrap_err();
-        assert_eq!(err.variant(), "backend");
+        // Past the bound, `vec![unit; replicas]` aborts or overflows.
+        for replicas in [0, MAX_REPLICAS + 1, 1 << 40, usize::MAX] {
+            let err = BackendSampler::try_new(Backend::RsuG { replicas }, 4.0).unwrap_err();
+            assert_eq!(err.variant(), "backend");
+        }
         let err = BackendSampler::try_new(Backend::RsuG { replicas: 2 }, 0.0).unwrap_err();
         assert_eq!(err.variant(), "backend");
         assert!(BackendSampler::try_new(Backend::Softmax, 0.0).is_ok());

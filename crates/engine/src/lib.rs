@@ -105,7 +105,7 @@ pub mod shard;
 pub mod sink;
 mod spec;
 
-pub use backend::{Backend, BackendSampler, RsuPool};
+pub use backend::{Backend, BackendSampler, RsuPool, MAX_REPLICAS};
 pub use ckpt::{
     CheckpointPolicy, CheckpointSpec, CheckpointWriter, FaultState, JobState, ShardBinding,
     StateBinding,

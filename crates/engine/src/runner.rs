@@ -56,6 +56,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use std::ops::{AddAssign, Mul};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -458,14 +459,10 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
         // The field's shared singleton table is filled here, on the
         // admitting thread, so no sweep phase pays for it.
         job.mrf.singleton_table();
-        let space = job.mrf.space();
-        let mut prior_table = Box::new([0.0f64; 64 * 64]);
-        for own in space.labels() {
-            for neighbor in space.labels() {
-                prior_table[(usize::from(neighbor.value()) << 6) | usize::from(own.value())] =
-                    job.mrf.prior().energy(space, own, neighbor);
-            }
+        if job.sampler.wants_fixed_rows() {
+            job.mrf.fixed_rows();
         }
+        let prior_table = job.mrf.prior_table();
         let (energy_trace, histograms) = match resume {
             Some(state) => (state.energy_trace.clone(), state.histograms.clone()),
             None => (
@@ -725,89 +722,132 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     }
 }
 
-/// Pass 1 of [`ErasedJob::run_chunk`]: accumulates each chunk site's
-/// row of conditional energies into `energies` and stages its current
-/// label in `current`. `W` is the row width, fixed at compile time for
-/// the small label counts; `W == 0` reads it from `m` at run time.
-///
-/// Every instance performs `site_energy`'s per-slot f64 operations in
-/// its order: the singleton seeds the row (from `stab`, or already in
-/// `energies` when there is no table), then each present axis
-/// neighbour's prior row is added in left/right/up/down order, then each
-/// present diagonal's, weighted by [`DIAGONAL_WEIGHT`]. The width changes
-/// only the loop shape, never a bit of the result.
-///
-/// # Safety
-///
-/// `sites` must be one chunk of one conditionally independent group of
-/// the phase being run, with no other thread writing any of its sites or
-/// their neighbours (see the `plane` module docs).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the pass reads five tables; bundling them hides nothing"
-)]
-unsafe fn gather<const W: usize>(
-    m: usize,
-    sites: &[usize],
-    axis: &[[usize; 4]],
-    diag: Option<&[[usize; 4]]>,
-    plane: &LabelPlane,
-    stab: Option<&[f64]>,
-    ptab: &[f64; 64 * 64],
-    energies: &mut [f64],
-    current: &mut [Label],
-    #[cfg(feature = "shadow-audit")] (shadow, clock): (
-        &mogs_audit::shadow::ShadowPlane,
-        mogs_audit::shadow::TaskClock,
-    ),
-) {
-    let w = if W == 0 { m } else { W };
-    // The prior row a neighbour contributes, masked to the table's
-    // 6-bit row index.
-    let row = |n: usize| {
-        #[cfg(feature = "shadow-audit")]
-        shadow.record_neighbor_read(n, clock);
-        // SAFETY: `n` neighbours a site of this chunk, so it lies in
-        // another independent group and no thread writes it this phase.
-        let idx = usize::from(unsafe { plane.read(n) }.value()) & 63;
-        &ptab[idx << 6..(idx << 6) + w]
-    };
-    // Fixed widths accumulate in a stack row and store it once; the
-    // runtime width accumulates in the arena row itself.
-    let mut local = [0.0f64; W];
-    let rows = energies.chunks_exact_mut(w).zip(current);
-    for (&site, (erow, cur)) in sites.iter().zip(rows) {
-        if W > 0 && stab.is_none() {
-            local.copy_from_slice(erow);
-        }
-        let acc: &mut [f64] = if W == 0 { &mut *erow } else { &mut local };
-        if let Some(stab) = stab {
-            acc.copy_from_slice(&stab[site * w..site * w + w]);
-        }
-        for &n in &axis[site] {
-            if n != NO_NEIGHBOR {
-                for (slot, &p) in acc.iter_mut().zip(row(n)) {
-                    *slot += p;
-                }
+/// A gathered energy type: `f64`, or `i16` on the fixed-point path.
+trait Energy: Copy + Default + AddAssign + Mul<Output = Self> {}
+impl<T: Copy + Default + AddAssign + Mul<Output = T>> Energy for T {}
+
+/// A gather's singleton rows (`None`: the arena rows come seeded), prior
+/// rows, and diagonal neighbours with their weight.
+type Tables<'a, T> = (
+    Option<&'a [T]>,
+    &'a [T; 64 * 64],
+    Option<(&'a [[usize; 4]], T)>,
+);
+
+/// The shadow recorder's stamp for a chunk's plane accesses, if built.
+#[cfg(feature = "shadow-audit")]
+type Clock = mogs_audit::shadow::TaskClock;
+#[cfg(not(feature = "shadow-audit"))]
+type Clock = ();
+
+impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
+    /// Pass 1 of [`ErasedJob::run_chunk`], through the
+    /// [`TypedJob::gather_w`] instance compiled for this job's row width.
+    ///
+    /// # Safety
+    ///
+    /// As for [`TypedJob::gather_w`].
+    unsafe fn gather<T: Energy>(
+        &self,
+        sites: &[usize],
+        tables: Tables<'_, T>,
+        energies: &mut [T],
+        current: &mut [Label],
+        clock: Clock,
+    ) {
+        let gather = match self.label_count() {
+            1 => Self::gather_w::<T, 1>,
+            2 => Self::gather_w::<T, 2>,
+            3 => Self::gather_w::<T, 3>,
+            4 => Self::gather_w::<T, 4>,
+            5 => Self::gather_w::<T, 5>,
+            6 => Self::gather_w::<T, 6>,
+            7 => Self::gather_w::<T, 7>,
+            8 => Self::gather_w::<T, 8>,
+            _ => Self::gather_w::<T, 0>,
+        };
+        // SAFETY: this fn's contract is `gather_w`'s.
+        unsafe { gather(self, sites, tables, energies, current, clock) };
+    }
+
+    /// Accumulates each chunk site's row of conditional energies into
+    /// `energies` and stages its current label in `current`. `W` is the
+    /// row width, fixed at compile time for the small label counts;
+    /// `W == 0` reads it at run time. `T` is `f64`, or `i16` for a
+    /// field's exact [`FixedRows`](mogs_mrf::FixedRows) (DESIGN §11).
+    ///
+    /// Every instance performs `site_energy`'s per-slot operations in its
+    /// order: the singleton seeds the row (from `stab`, or already in
+    /// `energies` when there is no table), then each present axis
+    /// neighbour's prior row is added in left/right/up/down order, then
+    /// each present diagonal's, times the weight `diag` carries
+    /// ([`DIAGONAL_WEIGHT`]). The width changes only the loop shape,
+    /// never a bit of the result.
+    ///
+    /// # Safety
+    ///
+    /// `sites` must be one chunk of one conditionally independent group
+    /// of the phase being run, with no other thread writing any of its
+    /// sites or their neighbours (see the `plane` module docs).
+    unsafe fn gather_w<T: Energy, const W: usize>(
+        &self,
+        sites: &[usize],
+        (stab, ptab, diag): Tables<'_, T>,
+        energies: &mut [T],
+        current: &mut [Label],
+        clock: Clock,
+    ) {
+        #[cfg(not(feature = "shadow-audit"))]
+        let () = clock;
+        let w = if W == 0 { self.label_count() } else { W };
+        let (axis, plane) = (&self.admission.axis[..], &self.plane);
+        // The prior row a neighbour contributes, masked to the table's
+        // 6-bit row index.
+        let row = |n: usize| {
+            #[cfg(feature = "shadow-audit")]
+            self.shadow.record_neighbor_read(n, clock);
+            // SAFETY: `n` neighbours a site of this chunk, so it lies in
+            // another independent group and no thread writes it this phase.
+            let idx = usize::from(unsafe { plane.read(n) }.value()) & 63;
+            &ptab[idx << 6..(idx << 6) + w]
+        };
+        // Fixed widths accumulate in a stack row and store it once; the
+        // runtime width accumulates in the arena row itself.
+        let mut local = [T::default(); W];
+        let rows = energies.chunks_exact_mut(w).zip(current);
+        for (&site, (erow, cur)) in sites.iter().zip(rows) {
+            if W > 0 && stab.is_none() {
+                local.copy_from_slice(erow);
             }
-        }
-        if let Some(diag) = diag {
-            for &n in &diag[site] {
+            let acc: &mut [T] = if W == 0 { &mut *erow } else { &mut local };
+            if let Some(stab) = stab {
+                acc.copy_from_slice(&stab[site * w..site * w + w]);
+            }
+            for &n in &axis[site] {
                 if n != NO_NEIGHBOR {
                     for (slot, &p) in acc.iter_mut().zip(row(n)) {
-                        *slot += DIAGONAL_WEIGHT * p;
+                        *slot += p;
                     }
                 }
             }
+            if let Some((diag, weight)) = diag {
+                for &n in &diag[site] {
+                    if n != NO_NEIGHBOR {
+                        for (slot, &p) in acc.iter_mut().zip(row(n)) {
+                            *slot += weight * p;
+                        }
+                    }
+                }
+            }
+            if W > 0 {
+                erow.copy_from_slice(&local);
+            }
+            #[cfg(feature = "shadow-audit")]
+            self.shadow.record_own_read(site, clock);
+            // SAFETY: `site` belongs to this chunk alone and has not been
+            // written yet in this phase, so the read cannot race.
+            *cur = unsafe { plane.read(site) };
         }
-        if W > 0 {
-            erow.copy_from_slice(&local);
-        }
-        #[cfg(feature = "shadow-audit")]
-        shadow.record_own_read(site, clock);
-        // SAFETY: `site` belongs to this chunk alone and has not been
-        // written yet in this phase, so the read cannot race.
-        *cur = unsafe { plane.read(site) };
     }
 }
 
@@ -849,6 +889,8 @@ where
             epoch: epoch64,
             task: task64,
         };
+        #[cfg(not(feature = "shadow-audit"))]
+        let clock = ();
         let sweep = sweep_seed(self.seed, iteration);
         #[expect(
             clippy::as_conversions,
@@ -867,56 +909,39 @@ where
         let temperature = self.schedule.temperature(iteration);
         let space = self.mrf.space();
         let m = space.count();
-        let stab = self.mrf.singleton_table();
         arena.prepare(count, m);
-        let energies = &mut arena.energies[..count * m];
-        // Above the singleton cache cap the rows are seeded here and the
-        // gather adds onto them.
-        if stab.is_none() {
-            for (erow, &site) in energies.chunks_exact_mut(m).zip(chunk_sites) {
-                for (slot, label) in erow.iter_mut().zip(space.labels()) {
-                    *slot = self.mrf.singleton().energy(site, label);
+        // Pass 1 (RNG-free), then pass 2: the kernel draws every label
+        // from the staged rows, consuming the RNG site by site in chunk
+        // order — bit-identical to the per-site reference loop by the
+        // `SweepKernel` contract. A field with exact fixed-point rows
+        // gathers them in `i16` when this phase's sampler takes them.
+        let fixed = sampler.wants_fixed_rows().then(|| self.mrf.fixed_rows());
+        let current = &mut arena.current[..count];
+        let out = &mut arena.out[..count];
+        if let Some(fixed) = fixed.flatten() {
+            let rows = &mut arena.fixed[..count * m];
+            let tables = (Some(&fixed.singleton[..]), &*fixed.prior, None);
+            // SAFETY: `chunk_sites` is one chunk of one conditionally
+            // independent group of the phase being run.
+            unsafe { self.gather(chunk_sites, tables, rows, current, clock) };
+            sampler.sample_fixed_chunk(rows, m, fixed.shift, temperature, current, out, &mut rng);
+        } else {
+            let stab = self.mrf.singleton_table();
+            let energies = &mut arena.energies[..count * m];
+            // Above the singleton cache cap the rows are seeded here and
+            // the gather adds onto them.
+            if stab.is_none() {
+                for (erow, &site) in energies.chunks_exact_mut(m).zip(chunk_sites) {
+                    for (slot, label) in erow.iter_mut().zip(space.labels()) {
+                        *slot = self.mrf.singleton().energy(site, label);
+                    }
                 }
             }
-        }
-        // Pass 1 (RNG-free), compiled per small row width so each row
-        // operation is a fixed-length body. Separating it from the draws
-        // is bit-neutral: sites of one chunk share a conditionally
-        // independent group, so nothing read here is written this phase,
-        // and the pass consumes no randomness.
-        let gather = match m {
-            1 => gather::<1>,
-            2 => gather::<2>,
-            3 => gather::<3>,
-            4 => gather::<4>,
-            5 => gather::<5>,
-            6 => gather::<6>,
-            7 => gather::<7>,
-            8 => gather::<8>,
-            _ => gather::<0>,
-        };
-        // SAFETY: `chunk_sites` is one chunk of one conditionally
-        // independent group of the phase being run, as `gather` requires.
-        unsafe {
-            gather(
-                m,
-                chunk_sites,
-                &self.admission.axis,
-                self.admission.diag.as_deref(),
-                &self.plane,
-                stab,
-                &self.prior_table,
-                energies,
-                &mut arena.current[..count],
-                #[cfg(feature = "shadow-audit")]
-                (&self.shadow, clock),
-            );
-        }
-        // Pass 2: the kernel draws every label from the staged rows,
-        // consuming the RNG site by site in chunk order — bit-identical to
-        // the per-site reference loop by the `SweepKernel` contract.
-        {
-            let (energies, current, out, scratch) = arena.split(count, m);
+            let diag = self.admission.diag.as_deref().map(|d| (d, DIAGONAL_WEIGHT));
+            let tables = (stab, &*self.prior_table, diag);
+            // SAFETY: as above.
+            unsafe { self.gather(chunk_sites, tables, energies, current, clock) };
+            let scratch = &mut arena.scratch;
             sampler.sample_chunk(energies, m, temperature, current, out, scratch, &mut rng);
         }
         // Pass 3: publish the drawn labels.

@@ -32,7 +32,7 @@ pub enum BackendKind {
     Softmax,
     /// Emulated RSU-G pool.
     Rsu {
-        /// Units in the pool.
+        /// Units in the pool, `1..=mogs_engine::MAX_REPLICAS`.
         replicas: usize,
     },
 }
@@ -168,8 +168,8 @@ impl FleetSpec {
             }
         }
         if let BackendKind::Rsu { replicas } = self.backend {
-            if replicas == 0 {
-                return Err(spec("RSU pool needs at least one replica".to_string()));
+            if !(1..=mogs_engine::MAX_REPLICAS).contains(&replicas) {
+                return Err(spec(format!("RSU pool size {replicas} is out of range")));
             }
         }
         Ok(())

@@ -8,7 +8,10 @@
 //! chunk into one flat structure-of-arrays buffer (`site`-major rows of
 //! `m`), and the kernel draws every label in one pass, reusing
 //! caller-owned scratch ([`KernelArena`]) so the inner loops are
-//! branch-light and allocation-free.
+//! branch-light and allocation-free. A kernel may also opt in to the
+//! same rows as exact fixed-point integers
+//! ([`SweepKernel::sample_fixed_chunk`]) for fields whose energies are
+//! small dyadic rationals.
 //!
 //! # Bit-identity contract
 //!
@@ -69,15 +72,18 @@ impl KernelScratch {
 }
 
 /// Per-worker scratch arena for chunk-batched sweeps: the energy
-/// structure-of-arrays, the chunk's current and output labels, and the
-/// kernel-internal [`KernelScratch`]. One arena lives on each engine
-/// worker thread and is reused across phases and jobs, so the hot path
-/// never allocates after warm-up.
+/// structure-of-arrays (f64 and fixed-point), the chunk's current and
+/// output labels, and the kernel-internal [`KernelScratch`]. One arena
+/// lives on each engine worker thread and is reused across phases and
+/// jobs, so the hot path never allocates after warm-up.
 #[derive(Debug, Default, Clone)]
 pub struct KernelArena {
     /// Conditional energies, `site`-major: entry `j * m + l` is label `l`
     /// of the chunk's `j`-th site.
     pub energies: Vec<f64>,
+    /// The same rows as exact fixed-point integers, for kernels that take
+    /// them ([`SweepKernel::sample_fixed_chunk`]).
+    pub fixed: Vec<i16>,
     /// The chunk's pre-phase labels, one per site.
     pub current: Vec<Label>,
     /// The kernel's drawn labels, one per site.
@@ -100,27 +106,12 @@ impl KernelArena {
         let cells = sites * m;
         if self.energies.len() < cells {
             self.energies.resize(cells, 0.0);
+            self.fixed.resize(cells, 0);
         }
         if self.current.len() < sites {
             self.current.resize(sites, Label::new(0));
             self.out.resize(self.current.len(), Label::new(0));
         }
-    }
-
-    /// Splits the arena into the borrows `sample_chunk` wants: energies
-    /// and current labels (shared), output labels and scratch (mutable),
-    /// each trimmed to the chunk's `sites` × `m` shape.
-    pub fn split(
-        &mut self,
-        sites: usize,
-        m: usize,
-    ) -> (&[f64], &[Label], &mut [Label], &mut KernelScratch) {
-        (
-            &self.energies[..sites * m],
-            &self.current[..sites],
-            &mut self.out[..sites],
-            &mut self.scratch,
-        )
     }
 }
 
@@ -156,6 +147,46 @@ pub trait SweepKernel: LabelSampler {
         debug_assert_eq!(out.len(), current.len());
         for (j, (&cur, slot)) in current.iter().zip(out.iter_mut()).enumerate() {
             *slot = self.sample_label(&energies[j * m..(j + 1) * m], temperature, cur, rng);
+        }
+    }
+
+    /// Whether the engine may hand this kernel exact fixed-point rows
+    /// through [`SweepKernel::sample_fixed_chunk`] when the field has
+    /// them ([`MarkovRandomField::fixed_rows`]). The default declines, so
+    /// the kernel only ever sees f64 rows.
+    ///
+    /// [`MarkovRandomField::fixed_rows`]: mogs_mrf::MarkovRandomField::fixed_rows
+    fn wants_fixed_rows(&self) -> bool {
+        false
+    }
+
+    /// [`SweepKernel::sample_chunk`] over exact fixed-point rows: entry
+    /// `j * m + l` of `rows` is the conditional energy in units of
+    /// `2^-shift`: times `2^-shift`, it is the f64 energy bit for bit.
+    /// Implementations must draw exactly what `sample_chunk` draws from
+    /// the scaled rows, labels and RNG stream both; the default body
+    /// scales each row and draws it with `sample_label`.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the kernel ABI: buffers are flat slices on purpose"
+    )]
+    fn sample_fixed_chunk<R: Rng + ?Sized>(
+        &mut self,
+        rows: &[i16],
+        m: usize,
+        shift: u32,
+        temperature: f64,
+        current: &[Label],
+        out: &mut [Label],
+        rng: &mut R,
+    ) {
+        let unit = 1.0 / f64::from(1u32 << shift);
+        let mut row = [0.0f64; MAX_LABELS as usize];
+        for (j, (&cur, slot)) in current.iter().zip(out.iter_mut()).enumerate() {
+            for (e, &units) in row.iter_mut().zip(&rows[j * m..(j + 1) * m]) {
+                *e = f64::from(units) * unit;
+            }
+            *slot = self.sample_label(&row[..m], temperature, cur, rng);
         }
     }
 
@@ -368,10 +399,8 @@ mod tests {
         assert!(arena.energies.len() >= 40);
         arena.prepare(3, 2);
         assert!(arena.energies.len() >= 40, "arena must never shrink");
-        let (e, c, o, _) = arena.split(3, 2);
-        assert_eq!(e.len(), 6);
-        assert_eq!(c.len(), 3);
-        assert_eq!(o.len(), 3);
+        assert_eq!(arena.fixed.len(), arena.energies.len());
+        assert!(arena.current.len() >= 10 && arena.out.len() >= 10);
     }
 
     #[test]

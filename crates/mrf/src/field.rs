@@ -37,16 +37,80 @@ pub const DIAGONAL_WEIGHT: f64 = std::f64::consts::FRAC_1_SQRT_2;
 /// (8 bytes per entry, so at most 32 MiB per field).
 pub const SINGLETON_CACHE_CAP: usize = 1 << 22;
 
-/// The lazily filled dense singleton table, one allocation shared by
-/// every clone of a field. Its `Debug` form says only whether it is
-/// filled, never the entries.
+/// `2^-FIXED_SHIFT_MAX` is the finest unit the `i16` row path takes.
+pub const FIXED_SHIFT_MAX: u32 = 16;
+
+/// The lazily filled dense singleton table and its fixed-point form,
+/// each filled on first use and shared by every clone of a field. Its
+/// `Debug` form says only whether the f64 table is filled.
 #[derive(Clone, Default)]
-struct SingletonTable(Arc<OnceLock<Vec<f64>>>);
+struct SingletonTable(Arc<(OnceLock<Vec<f64>>, FixedCell)>);
+
+/// The fixed-point form, once derived: `None` when the field is refused.
+type FixedCell = OnceLock<Option<FixedRows>>;
 
 impl std::fmt::Debug for SingletonTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let filled = self.0.get().is_some();
+        let filled = self.0 .0.get().is_some();
         f.write_str(if filled { "filled" } else { "empty" })
+    }
+}
+
+/// A first-order field's energies as exact `i16` multiples of
+/// `2^-shift`, in the f64 tables' layouts. Every row sum fits `i16`, so
+/// an integer row times `2^-shift` is the f64 row bit for bit (DESIGN
+/// §11). Built only by [`MarkovRandomField::fixed_rows`].
+#[derive(Debug)]
+#[non_exhaustive]
+pub struct FixedRows {
+    /// Entries are integer multiples of `2^-shift`, `shift ≤ FIXED_SHIFT_MAX`.
+    pub shift: u32,
+    /// Singleton energies in units, `site * M + label_index`.
+    pub singleton: Vec<i16>,
+    /// Prior energies in units, like [`MarkovRandomField::prior_table`].
+    pub prior: Box<[i16; 64 * 64]>,
+}
+
+impl FixedRows {
+    /// The exact fixed-point form of `singleton` and `prior`, or `None`
+    /// unless every entry is an integer multiple of `2^-k`, `k ≤
+    /// FIXED_SHIFT_MAX`, and the worst-case row `max|singleton| +
+    /// 4·max|prior|` fits `i16` in units of `2^-k`.
+    fn derive(singleton: &[f64], prior: &[f64; 64 * 64]) -> Option<Self> {
+        // The least such `k` and the largest magnitude. A normal `v` is
+        // `mantissa · 2^(exp - 1075)`, integral after `1075 - exp -
+        // trailing_zeros(mantissa)` doublings; +0 needs none. −0,
+        // subnormals, infinities and NaN are refused.
+        let scan = |values: &[f64]| {
+            values.iter().try_fold((0, 0.0f64), |(k, max), &v| {
+                let (bits, exp) = (v.to_bits(), (v.to_bits() >> 52) & 0x7ff);
+                let zeros = u64::from((bits | 1 << 52).trailing_zeros());
+                let need = match exp {
+                    _ if bits == 0 => 0,
+                    0 | 0x7ff => return None,
+                    _ => 1075u64.saturating_sub(exp + zeros),
+                };
+                Some((need.max(k), max.max(v.abs())))
+            })
+        };
+        let ((k_s, max_s), (k_p, max_p)) = (scan(singleton)?, scan(prior)?);
+        let k = k_s.max(k_p);
+        let shift = u32::try_from(k).ok().filter(|&k| k <= FIXED_SHIFT_MAX)?;
+        let scale = f64::from(1u32 << shift);
+        if (max_s + 4.0 * max_p) * scale > f64::from(i16::MAX) {
+            return None;
+        }
+        #[expect(
+            clippy::as_conversions,
+            reason = "float-to-int has no From path; `v·2^shift` is integral and within \
+                      ±i16::MAX by the checks above, so the cast is exact"
+        )]
+        let units = |v: f64| (v * scale) as i16;
+        Some(FixedRows {
+            shift,
+            singleton: singleton.iter().map(|&v| units(v)).collect(),
+            prior: Box::new(prior.map(units)),
+        })
     }
 }
 
@@ -197,7 +261,7 @@ impl<S: SingletonPotential> MarkovRandomField<S> {
     pub fn singleton_table(&self) -> Option<&[f64]> {
         let (sites, m) = (self.grid.len(), self.space.count());
         (sites * m <= SINGLETON_CACHE_CAP).then(|| {
-            let table = self.singleton_table.0.get_or_init(|| {
+            let table = self.singleton_table.0 .0.get_or_init(|| {
                 let mut table = Vec::with_capacity(sites * m);
                 for site in 0..sites {
                     table.extend(self.space.labels().map(|l| self.singleton.energy(site, l)));
@@ -206,6 +270,34 @@ impl<S: SingletonPotential> MarkovRandomField<S> {
             });
             table.as_slice()
         })
+    }
+
+    /// Pairwise prior energies, neighbour-major: entry `neighbour << 6 |
+    /// own` is the energy of labelling a site `own` next to a
+    /// `neighbour`-labelled one. Slots outside the label space hold 0.
+    pub fn prior_table(&self) -> Box<[f64; 64 * 64]> {
+        let mut table = Box::new([0.0f64; 64 * 64]);
+        for own in self.space.labels() {
+            for neighbor in self.space.labels() {
+                table[(usize::from(neighbor.value()) << 6) | usize::from(own.value())] =
+                    self.prior.energy(&self.space, own, neighbor);
+            }
+        }
+        table
+    }
+
+    /// The field's exact fixed-point energies, derived once from the f64
+    /// tables and shared by every clone, or `None` for a second-order
+    /// field, one above [`SINGLETON_CACHE_CAP`], or one [`FixedRows`] refuses.
+    pub fn fixed_rows(&self) -> Option<&FixedRows> {
+        if self.neighborhood != Neighborhood::FirstOrder {
+            return None;
+        }
+        let singleton = self.singleton_table()?;
+        let (_, fixed) = &*self.singleton_table.0;
+        fixed
+            .get_or_init(|| FixedRows::derive(singleton, &self.prior_table()))
+            .as_ref()
     }
 
     /// The temperature `T`.

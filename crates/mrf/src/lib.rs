@@ -60,7 +60,7 @@ pub mod topology;
 
 pub use energy::{DoubletonKind, SingletonPotential, SmoothnessPrior};
 pub use error::MrfError;
-pub use field::{MarkovRandomField, MrfBuilder, Neighborhood};
+pub use field::{FixedRows, MarkovRandomField, MrfBuilder, Neighborhood};
 pub use grid::{Grid2D, Parity};
 pub use label::{Label, LabelKind, LabelSpace};
 pub use labeling::Labeling;

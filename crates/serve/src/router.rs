@@ -571,6 +571,35 @@ mod tests {
     }
 
     #[test]
+    fn fleet_route_refuses_unbounded_rsu_pools_and_stays_free() {
+        let router = test_router(8).with_fleet(crate::fleet::FleetRunner::new(
+            crate::fleet::FleetSetup::default(),
+        ));
+        let spec = |replicas: usize| mogs_fleet::FleetSpec {
+            workload: mogs_fleet::Workload::Demo {
+                width: 6,
+                height: 4,
+                labels: 3,
+            },
+            backend: mogs_fleet::BackendKind::Rsu { replicas },
+            iterations: 3,
+            threads: 2,
+            seed: 17,
+            burn_in: 1,
+        };
+        // 2^40 units would abort the process allocating the pool, and
+        // usize::MAX would overflow its capacity.
+        for replicas in [0, mogs_engine::MAX_REPLICAS + 1, 1 << 40, usize::MAX] {
+            let refused =
+                router.handle(&request("POST", "/v1/fleet/jobs", &spec(replicas).encode()));
+            assert_eq!(refused.status, 400, "{}", body_text(&refused));
+        }
+        let accepted = router.handle(&request("POST", "/v1/fleet/jobs", &spec(2).encode()));
+        assert_eq!(accepted.status, 202, "{}", body_text(&accepted));
+        assert!(body_text(&accepted).contains("\"id\":1"));
+    }
+
+    #[test]
     fn unknown_tenant_is_403_and_malformed_body_is_400() {
         let router = test_router(8);
         let forbidden = router.handle(&request(

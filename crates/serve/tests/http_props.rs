@@ -17,14 +17,15 @@
 //!   panic;
 //! - `FleetSpec::parse` on arbitrary strings returns a spec or an error,
 //!   and `FleetRunner::submit` on them, or on a spec with any `u64`
-//!   width, height and sweep budget, answers a typed `BadRequest` or
-//!   `Backpressure` (the single-flight slot is held), never a panic —
-//!   `Backpressure` exactly when the spec is within the site cap and
-//!   the sweep bound.
+//!   width, height, sweep budget and RSU pool size, answers a typed
+//!   `BadRequest` or `Backpressure` (the single-flight slot is held),
+//!   never a panic or an abort — `Backpressure` exactly when the spec
+//!   is within the site cap, the sweep bound and the replica bound.
 
 use std::io::Cursor;
 use std::sync::OnceLock;
 
+use mogs_engine::MAX_REPLICAS;
 use mogs_fleet::{BackendKind, FleetError, FleetSpec, Workload};
 use mogs_serve::http::read_request;
 use mogs_serve::jobspec::MAX_ITERATIONS;
@@ -164,6 +165,21 @@ fn fleet_spec(width: usize, height: usize, iterations: usize) -> FleetSpec {
     }
 }
 
+fn rsu_fleet_spec(width: usize, height: usize, iterations: usize, replicas: usize) -> FleetSpec {
+    FleetSpec {
+        workload: Workload::Demo {
+            width,
+            height,
+            labels: 3,
+        },
+        backend: BackendKind::Rsu { replicas },
+        iterations,
+        threads: 2,
+        seed: 17,
+        burn_in: 1,
+    }
+}
+
 const FLEET_MAX_SITES: usize = 1 << 16;
 
 /// One process-wide runner whose single-flight slot is held by a job
@@ -265,9 +281,22 @@ proptest! {
         width in arb_edge_u64(),
         height in arb_edge_u64(),
         iterations in arb_edge_u64(),
+        rsu in prop::bool::ANY,
+        replicas in arb_edge_u64(),
     ) {
         let [w, h, n] = [width, height, iterations].map(|v| usize::try_from(v).unwrap_or(usize::MAX));
-        let body = fleet_spec(w, h, n).encode();
+        let r = rsu.then(|| usize::try_from(replicas).unwrap_or(usize::MAX));
+        let body = match r {
+            None => fleet_spec(w, h, n).encode(),
+            Some(r) => rsu_fleet_spec(w, h, n, r).encode(),
+        };
+        let pool_ok = r.is_none_or(|r| (1..=MAX_REPLICAS).contains(&r));
+        if !pool_ok {
+            prop_assert!(
+                matches!(FleetSpec::parse(&body), Err(FleetError::Spec { .. })),
+                "{}", body
+            );
+        }
         let sites = w.checked_mul(h);
         if sites.is_none_or(|s| s > 1 << 32) {
             // Overflowing, or past what a u32 site index can name.
@@ -277,7 +306,8 @@ proptest! {
             );
         }
         let admissible = sites.is_some_and(|s| (1..=FLEET_MAX_SITES).contains(&s))
-            && (1..=MAX_ITERATIONS).contains(&n);
+            && (1..=MAX_ITERATIONS).contains(&n)
+            && pool_ok;
         match busy_fleet().submit(&body, 1) {
             Ok(response) => prop_assert!(false, "{body} launched: {}", response.status),
             Err(err) => {
