@@ -2,7 +2,8 @@
 //!
 //! Three configurations of the same 128×128 `M = 5` segmentation job:
 //! no sink, a [`NullSink`] (measures the observation plumbing alone —
-//! the acceptance target is within noise, ≤2% of `engine_throughput`),
+//! the acceptance target is within noise, ≤2% of the `bare` run; engine
+//! speed itself is the benchmark's `seg-large` row),
 //! and the full `mogs-diag` sink in observe-only mode (per-sweep energy
 //! plus stride-1 label marginals — the honest price of live
 //! diagnostics).

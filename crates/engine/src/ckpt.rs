@@ -221,7 +221,7 @@ pub struct JobState {
 ///
 /// Implementations (the `mogs-ckpt` store) own serialization and
 /// durability. A write failure is reported but must not fail the job:
-/// the scheduler treats it as "this boundary produced no checkpoint" and
+/// the engine treats it as "this boundary produced no checkpoint" and
 /// keeps sweeping.
 pub trait CheckpointWriter: Send + Sync {
     /// Persists one captured state.

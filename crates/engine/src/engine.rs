@@ -2,38 +2,43 @@
 //!
 //! One [`Engine`] owns `workers` long-lived OS threads plus a scheduler
 //! thread, all started once at construction — submitting a job spawns
-//! nothing. Jobs flow through three channels:
+//! nothing. Tasks go out, finished jobs come back:
 //!
 //! ```text
-//! submit() ──bounded──▶ scheduler ──unbounded──▶ workers
-//!                           ▲                       │
-//!                           └──────completions──────┘
+//! submit() ──bounded──▶ scheduler ──tasks──▶ workers ⟲ next phase
+//!                           ▲                   │
+//!                           └──finished jobs────┘
 //! ```
 //!
-//! The scheduler owns all job bookkeeping: it admits jobs (at most
-//! `max_active_jobs` concurrently), decomposes each sweep into the field's
-//! conditionally independent group phases, fans every phase out as one
-//! task per chunk, and advances a job only when its phase fully drains —
-//! preserving the reference sweep's phase barriers and therefore its
-//! bit-exact results. Backpressure falls out of the bounded submission
-//! channel: once `queue_capacity` jobs wait and `max_active_jobs` run,
+//! The scheduler admits jobs (at most `max_active_jobs` concurrently),
+//! dispatches each one's first phase and runs the watchdog; it hears of
+//! a job again only when the job finishes. A sweep runs as the field's
+//! conditionally independent group phases, each fanned out as one task
+//! per chunk. Each job carries its own phase state, and the worker whose
+//! chunk drains a phase advances the job: it closes out the sweep,
+//! retries or fails a panicked phase, and finishes the job or sends the
+//! next phase's chunks `1..` to the pool and runs chunk 0 itself. Phases
+//! stay barriers, so results stay bit-exact, with no thread in between.
+//! Backpressure falls out of the bounded submission channel: once
+//! `queue_capacity` jobs wait and `max_active_jobs` run,
 //! [`Engine::submit`] blocks and [`Engine::try_submit`] returns the job
 //! back. Dropping (or [`Engine::shutdown`]-ing) the engine closes the
-//! queue, drains every admitted job, then joins all threads.
+//! queue, drains every admitted job, stops the workers, then joins all
+//! threads.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
 use mogs_gibbs::kernel::{KernelArena, SweepKernel};
 use mogs_mrf::energy::SingletonPotential;
+use parking_lot::Mutex;
 
 use crate::ckpt::JobState;
 use crate::error::EngineError;
-use crate::job::{HandleShared, JobHandle, JobId, JobOutput};
+use crate::job::{HandleShared, JobHandle, JobId};
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::runner::{ErasedJob, TypedJob};
 use crate::sink::SweepDecision;
@@ -52,12 +57,11 @@ pub struct EngineConfig {
     pub max_active_jobs: usize,
     /// Watchdog deadline for one (iteration, group) phase: a phase whose
     /// chunks have not all completed within it fails its job with
-    /// [`EngineError::WatchdogTimeout`] so the scheduler stays
-    /// responsive. `None` (the default) disarms the watchdog — phase
-    /// wall-clock depends on load, so opt in with a deadline sized to
-    /// the deployment. A wedged worker thread stays occupied until its
-    /// chunk returns; the watchdog frees the *scheduler*, not the
-    /// thread.
+    /// [`EngineError::WatchdogTimeout`], freeing its caller. `None` (the
+    /// default) disarms the watchdog — phase wall-clock depends on load,
+    /// so opt in with a deadline sized to the deployment. A wedged
+    /// worker thread stays occupied until its chunk returns; the
+    /// watchdog frees the *caller*, not the thread.
     pub phase_deadline: Option<Duration>,
     /// Panicked phases are retried this many times (with a small
     /// doubling backoff) before the job fails with
@@ -78,30 +82,23 @@ impl Default for EngineConfig {
     }
 }
 
-/// A job travelling from `submit` to the scheduler.
-struct Pending {
-    id: JobId,
-    job: Arc<dyn ErasedJob>,
-    shared: Arc<HandleShared>,
-}
-
 /// A job rejected by [`Engine::try_submit`], resubmittable without
 /// re-preparing its neighbour tables.
 pub struct PreparedJob {
-    pending: Pending,
+    run: Arc<Run>,
 }
 
 impl PreparedJob {
     /// The id the job will keep across resubmission.
     pub fn id(&self) -> JobId {
-        self.pending.id
+        self.run.id
     }
 }
 
 impl std::fmt::Debug for PreparedJob {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedJob")
-            .field("id", &self.pending.id)
+            .field("id", &self.run.id)
             .finish()
     }
 }
@@ -142,26 +139,23 @@ impl std::error::Error for TrySubmitError {
 
 /// One chunk of one group phase, executed by a worker.
 struct Task {
-    id: JobId,
-    job: Arc<dyn ErasedJob>,
+    run: Arc<Run>,
     iteration: usize,
     group: usize,
     chunk: usize,
 }
 
-/// Worker → scheduler: one task finished (perhaps by panicking).
-struct TaskDone {
+/// A job from submission on: queued, then shared by its tasks in flight.
+/// The worker that drains a phase advances the job under `phase`.
+struct Run {
     id: JobId,
-    /// The panic payload when the task's kernel panicked instead of
-    /// completing; the worker itself survived.
-    panicked: Option<String>,
+    job: Box<dyn ErasedJob>,
+    shared: Arc<HandleShared>,
+    phase: Mutex<Phase>,
 }
 
-/// Scheduler-side state of an admitted job.
-struct ActiveJob {
-    id: JobId,
-    job: Arc<dyn ErasedJob>,
-    shared: Arc<HandleShared>,
+/// Where a job stands between phases.
+struct Phase {
     iteration: usize,
     group: usize,
     /// Tasks of the current phase still running on workers.
@@ -173,16 +167,33 @@ struct ActiveJob {
     panicked: Option<String>,
     /// Panicked-phase retries burned so far; reset on a clean phase.
     retries: usize,
+    /// Admission time; the sweep and phase clocks restart as they go.
     started: Instant,
     iteration_started: Instant,
     phase_started: Instant,
+    /// The job is finished, or the watchdog reaped it: straggler chunks
+    /// that return later book nothing.
+    closed: bool,
+}
+
+/// What the scheduler and every worker hold to dispatch and retire jobs.
+#[derive(Clone)]
+struct Pool {
+    /// Chunk tasks; `None` stops the worker that receives it.
+    tasks: Sender<Option<Task>>,
+    /// Ids of finished jobs, back to the scheduler.
+    finished: Sender<JobId>,
+    metrics: Arc<EngineMetrics>,
+    max_phase_retries: usize,
 }
 
 /// The persistent inference runtime.
 pub struct Engine {
-    submissions: Option<Sender<Pending>>,
+    submissions: Option<Sender<Arc<Run>>>,
     scheduler: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    /// The task channel, to stop the workers after the drain.
+    tasks: Sender<Option<Task>>,
     metrics: Arc<EngineMetrics>,
     next_id: std::sync::atomic::AtomicU64,
 }
@@ -204,72 +215,34 @@ impl Engine {
             "need at least one active job slot"
         );
         let metrics = Arc::new(EngineMetrics::new());
-        let (sub_tx, sub_rx) = channel::bounded::<Pending>(config.queue_capacity);
-        let (task_tx, task_rx) = channel::unbounded::<Task>();
-        let (done_tx, done_rx) = channel::unbounded::<TaskDone>();
+        let (sub_tx, sub_rx) = channel::bounded::<Arc<Run>>(config.queue_capacity);
+        let (task_tx, task_rx) = channel::unbounded::<Option<Task>>();
+        let (finished_tx, finished_rx) = channel::unbounded::<JobId>();
+        let pool = Pool {
+            tasks: task_tx.clone(),
+            finished: finished_tx,
+            metrics: Arc::clone(&metrics),
+            max_phase_retries: config.max_phase_retries,
+        };
         let workers = (0..config.workers)
             .map(|_| {
                 let task_rx = task_rx.clone();
-                let done_tx = done_tx.clone();
-                std::thread::spawn(move || {
-                    // One kernel arena per worker, reused across every
-                    // phase and job this worker ever runs: after warm-up
-                    // the hot path never allocates.
-                    let mut arena = KernelArena::new();
-                    while let Ok(task) = task_rx.recv() {
-                        #[expect(
-                            clippy::disallowed_methods,
-                            reason = "the engine's one intentional panic-isolation boundary: \
-                                      a panicking kernel must fail its *job*, never the worker pool"
-                        )]
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            task.job
-                                .run_chunk(task.iteration, task.group, task.chunk, &mut arena);
-                        }));
-                        let panicked = result.err().map(|payload| {
-                            // The unwound arena may hold torn scratch state;
-                            // rebuild it so nothing leaks across the boundary.
-                            arena = KernelArena::new();
-                            panic_message(payload.as_ref())
-                        });
-                        if done_tx
-                            .send(TaskDone {
-                                id: task.id,
-                                panicked,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                })
+                let pool = pool.clone();
+                std::thread::spawn(move || worker_loop(&task_rx, &pool))
             })
             .collect();
-        // The scheduler owns its ends; the workers' clones above keep the
-        // task/done channels alive until everyone exits.
         drop(task_rx);
-        drop(done_tx);
         let scheduler = {
-            let metrics = Arc::clone(&metrics);
-            let max_active = config.max_active_jobs;
-            let phase_deadline = config.phase_deadline;
-            let max_phase_retries = config.max_phase_retries;
+            let (max_active, phase_deadline) = (config.max_active_jobs, config.phase_deadline);
             std::thread::spawn(move || {
-                scheduler_loop(
-                    sub_rx,
-                    task_tx,
-                    done_rx,
-                    metrics,
-                    max_active,
-                    phase_deadline,
-                    max_phase_retries,
-                );
+                scheduler_loop(&sub_rx, &finished_rx, &pool, max_active, phase_deadline);
             })
         };
         Engine {
             submissions: Some(sub_tx),
             scheduler: Some(scheduler),
             workers,
+            tasks: task_tx,
             metrics,
             next_id: std::sync::atomic::AtomicU64::new(0),
         }
@@ -288,7 +261,7 @@ impl Engine {
         &self,
         spec: JobSpec<S, L>,
         resume: Option<&JobState>,
-    ) -> Result<Pending, EngineError>
+    ) -> Result<Arc<Run>, EngineError>
     where
         S: SingletonPotential + 'static,
         L: SweepKernel + Clone + Send + Sync + 'static,
@@ -299,12 +272,26 @@ impl Engine {
                 .admissions_shared
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        Ok(Pending {
-            id,
-            job: Arc::new(typed),
+        let now = Instant::now();
+        Ok(Arc::new(Run {
+            id: JobId(self.next_id.fetch_add(1, Ordering::Relaxed)),
+            phase: Mutex::new(Phase {
+                // A fresh job starts at sweep 0; a resumed one at its
+                // checkpoint's cursor.
+                iteration: typed.start_iteration(),
+                group: 0,
+                outstanding: 0,
+                early_stopped: false,
+                panicked: None,
+                retries: 0,
+                started: now,
+                iteration_started: now,
+                phase_started: now,
+                closed: false,
+            }),
+            job: Box::new(typed),
             shared: HandleShared::new(),
-        })
+        }))
     }
 
     /// Submits a job that continues from a checkpointed [`JobState`]
@@ -334,12 +321,12 @@ impl Engine {
         S: SingletonPotential + 'static,
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        let pending = self.prepare(job.into(), Some(state)).inspect_err(|_| {
+        let run = self.prepare(job.into(), Some(state)).inspect_err(|_| {
             self.metrics.jobs_denied.fetch_add(1, Ordering::Relaxed);
         })?;
-        let handle = Engine::handle_for(&pending);
+        let handle = Engine::handle_for(&run);
         let sender = self.submissions.as_ref().ok_or(EngineError::ShutDown)?;
-        sender.send(pending).map_err(|_| EngineError::ShutDown)?;
+        sender.send(run).map_err(|_| EngineError::ShutDown)?;
         self.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .checkpoints_restored
@@ -347,10 +334,10 @@ impl Engine {
         Ok(handle)
     }
 
-    fn handle_for(pending: &Pending) -> JobHandle {
+    fn handle_for(run: &Run) -> JobHandle {
         JobHandle {
-            id: pending.id,
-            shared: Arc::clone(&pending.shared),
+            id: run.id,
+            shared: Arc::clone(&run.shared),
         }
     }
 
@@ -370,12 +357,12 @@ impl Engine {
         S: SingletonPotential + 'static,
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        let pending = self.prepare(job.into(), None).inspect_err(|_| {
+        let run = self.prepare(job.into(), None).inspect_err(|_| {
             self.metrics.jobs_denied.fetch_add(1, Ordering::Relaxed);
         })?;
-        let handle = Engine::handle_for(&pending);
+        let handle = Engine::handle_for(&run);
         let sender = self.submissions.as_ref().ok_or(EngineError::ShutDown)?;
-        sender.send(pending).map_err(|_| EngineError::ShutDown)?;
+        sender.send(run).map_err(|_| EngineError::ShutDown)?;
         self.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
         Ok(handle)
     }
@@ -395,11 +382,11 @@ impl Engine {
         S: SingletonPotential + 'static,
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        let pending = self.prepare(job.into(), None).map_err(|err| {
+        let run = self.prepare(job.into(), None).map_err(|err| {
             self.metrics.jobs_denied.fetch_add(1, Ordering::Relaxed);
             TrySubmitError::Engine(err)
         })?;
-        self.try_send(pending)
+        self.try_send(run)
     }
 
     /// Retries a job bounced by [`Engine::try_submit`].
@@ -408,23 +395,23 @@ impl Engine {
     ///
     /// Same as [`Engine::try_submit`].
     pub fn try_resubmit(&self, job: PreparedJob) -> Result<JobHandle, TrySubmitError> {
-        self.try_send(job.pending)
+        self.try_send(job.run)
     }
 
-    fn try_send(&self, pending: Pending) -> Result<JobHandle, TrySubmitError> {
-        let handle = Engine::handle_for(&pending);
+    fn try_send(&self, run: Arc<Run>) -> Result<JobHandle, TrySubmitError> {
+        let handle = Engine::handle_for(&run);
         let sender = self
             .submissions
             .as_ref()
             .ok_or(TrySubmitError::Engine(EngineError::ShutDown))?;
-        match sender.try_send(pending) {
+        match sender.try_send(run) {
             Ok(()) => {
                 self.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
                 Ok(handle)
             }
-            Err(TrySendError::Full(pending)) => {
+            Err(TrySendError::Full(run)) => {
                 self.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-                Err(TrySubmitError::Full(PreparedJob { pending }))
+                Err(TrySubmitError::Full(PreparedJob { run }))
             }
             Err(TrySendError::Disconnected(_)) => {
                 Err(TrySubmitError::Engine(EngineError::ShutDown))
@@ -444,11 +431,15 @@ impl Engine {
     }
 
     fn close_and_join(&mut self) {
-        // Closing the submission channel lets the scheduler drain and
-        // exit; dropping its task sender then stops the workers.
+        // Closing the submission channel lets the scheduler drain every
+        // admitted job and exit; then the workers are stopped. Workers
+        // hold task senders themselves, so the pool never closes alone.
         drop(self.submissions.take());
         if let Some(scheduler) = self.scheduler.take() {
             let _ = scheduler.join();
+        }
+        for _ in 0..self.workers.len() {
+            let _ = self.tasks.send(None);
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -490,146 +481,165 @@ fn watchdog_tick(deadline: Duration) -> Duration {
 }
 
 /// Backoff before the `retries`-th re-dispatch of a panicked phase:
-/// 1 ms doubling, capped at 8 ms (the scheduler sleeps, so the cap keeps
-/// other active jobs responsive).
+/// 1 ms doubling, capped at 8 ms. The draining worker sleeps; other jobs
+/// run on the rest of the pool.
 fn retry_backoff(retries: usize) -> Duration {
     Duration::from_millis(1u64 << retries.clamp(1, 4).saturating_sub(1))
 }
 
 /// What `advance` left the job doing.
 enum Advanced {
-    /// A phase was dispatched; the job stays active.
-    Dispatched,
+    /// A phase was dispatched; its chunk 0 is the caller's to run.
+    Dispatched(Task),
     /// The job reached a terminal success state (completed, cancelled,
     /// or early-stopped).
     Done,
-    /// The fault plane declared the job unrecoverable at a boundary.
+    /// The job failed: a fatal sweep boundary or an unrecoverable panic.
     Failed(EngineError),
 }
 
-/// The scheduler: admits jobs, fans out phases, advances on completions,
-/// retries or fails panicked phases, and abandons overdue ones.
+/// A worker: runs chunks and advances every job whose phase it drains,
+/// running that job's next chunk 0 itself. One kernel arena per worker,
+/// reused across every phase and job it ever runs: after warm-up the hot
+/// path never allocates.
+fn worker_loop(task_rx: &Receiver<Option<Task>>, pool: &Pool) {
+    let mut arena = KernelArena::new();
+    let mut next = None;
+    while let Some(task) = next.take().or_else(|| task_rx.recv().ok().flatten()) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the engine's one intentional panic-isolation boundary: \
+                      a panicking kernel must fail its *job*, never the worker pool"
+        )]
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            task.run
+                .job
+                .run_chunk(task.iteration, task.group, task.chunk, &mut arena);
+        }));
+        let panicked = result.err().map(|payload| {
+            // The unwound arena may hold torn scratch state; rebuild it
+            // so nothing leaks across the boundary.
+            arena = KernelArena::new();
+            panic_message(payload.as_ref())
+        });
+        next = complete(&task.run, panicked, pool);
+    }
+}
+
+/// Books one finished chunk against its job's phase. The worker that
+/// drains the phase advances the job: it records the phase latency,
+/// resolves a panicked phase (retry or fail), closes out the sweep, and
+/// finishes the job or dispatches its next phase, whose chunk 0 it gets
+/// back to run.
+fn complete(run: &Arc<Run>, panicked: Option<String>, pool: &Pool) -> Option<Task> {
+    let mut phase = run.phase.lock();
+    if phase.closed {
+        return None;
+    }
+    if let Some(message) = panicked {
+        phase.panicked.get_or_insert(message);
+    }
+    phase.outstanding -= 1;
+    if phase.outstanding > 0 {
+        return None;
+    }
+    pool.metrics
+        .phase_latency
+        .record(phase.phase_started.elapsed());
+    let step = match phase.panicked.take() {
+        Some(message) => resolve_panicked_phase(run, &mut phase, message, pool),
+        None => {
+            phase.retries = 0;
+            phase.group += 1;
+            advance(run, &mut phase, pool)
+        }
+    };
+    settle(run, &mut phase, step, pool)
+}
+
+/// The scheduler: admits queued jobs while fewer than `max_active` run,
+/// hears back only when one finishes, and reaps overdue phases. Returns
+/// once the queue is closed and every admitted job has finished.
 fn scheduler_loop(
-    sub_rx: Receiver<Pending>,
-    task_tx: Sender<Task>,
-    done_rx: Receiver<TaskDone>,
-    metrics: Arc<EngineMetrics>,
+    sub_rx: &Receiver<Arc<Run>>,
+    finished_rx: &Receiver<JobId>,
+    pool: &Pool,
     max_active: usize,
     phase_deadline: Option<Duration>,
-    max_phase_retries: usize,
 ) {
-    let mut active: HashMap<JobId, ActiveJob> = HashMap::new();
+    let mut active: Vec<Arc<Run>> = Vec::new();
     let mut open = true;
     loop {
-        // Admit while there is room, without blocking.
-        while open && active.len() < max_active {
-            match sub_rx.try_recv() {
-                Ok(pending) => admit(pending, &mut active, &task_tx, &metrics),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    open = false;
-                    break;
-                }
-            }
+        while let Ok(id) = finished_rx.try_recv() {
+            active.retain(|run| run.id != id);
         }
-        let depth = sub_rx.len() as u64;
-        metrics.queue_depth.store(depth, Ordering::Relaxed);
-        metrics.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
-        if active.is_empty() {
-            if !open {
-                return;
-            }
-            // Idle: block for the next submission.
-            match sub_rx.recv() {
-                Ok(pending) => admit(pending, &mut active, &task_tx, &metrics),
-                Err(_) => open = false,
-            }
-            continue;
+        if let Some(deadline) = phase_deadline {
+            check_watchdog(&mut active, deadline, pool);
         }
-        // Busy: block for the next task completion, waking on the
-        // watchdog tick when a phase deadline is armed.
-        let done = match phase_deadline {
-            Some(deadline) => match done_rx.recv_timeout(watchdog_tick(deadline)) {
-                Ok(done) => Some(done),
-                Err(RecvTimeoutError::Timeout) => None,
-                // All workers died; nothing can make progress.
-                Err(RecvTimeoutError::Disconnected) => return,
-            },
-            None => match done_rx.recv() {
-                Ok(done) => Some(done),
-                Err(_) => return,
-            },
-        };
-        let Some(done) = done else {
-            check_watchdog(&mut active, &metrics, phase_deadline);
-            continue;
-        };
-        let finished_phase = {
-            // An absent entry is a job the watchdog already abandoned;
-            // its straggler completions drain here, ignored.
-            let Some(entry) = active.get_mut(&done.id) else {
-                continue;
-            };
-            if let Some(message) = done.panicked {
-                entry.panicked.get_or_insert(message);
-            }
-            entry.outstanding -= 1;
-            entry.outstanding == 0
-        };
-        if finished_phase {
-            // The entry was present two lines up; a vanished key
-            // would be a scheduler bug, not a recoverable state,
-            // but skipping is strictly safer than unwinding here.
-            let Some(mut entry) = active.remove(&done.id) else {
-                continue;
-            };
-            metrics.phase_latency.record(entry.phase_started.elapsed());
-            if let Some(message) = entry.panicked.take() {
-                let retries = max_phase_retries;
-                resolve_panicked_phase(entry, message, &mut active, &task_tx, &metrics, retries);
-                continue;
-            }
-            entry.retries = 0;
-            entry.group += 1;
-            match advance(&mut entry, &task_tx, &metrics) {
-                Advanced::Done => finish(entry, &metrics),
-                Advanced::Failed(err) => finish_failed(entry, &metrics, err),
-                Advanced::Dispatched => {
-                    active.insert(done.id, entry);
+        // Wake on the watchdog tick only while a phase could overrun.
+        let tick = phase_deadline
+            .filter(|_| !active.is_empty())
+            .map(watchdog_tick);
+        if open && active.len() < max_active {
+            match wait(sub_rx, tick) {
+                Ok(run) => {
+                    // Take as many jobs as there are free slots, and write
+                    // the gauge as they leave the queue, before any is
+                    // admitted: a job may finish before `admit` returns.
+                    let batch: Vec<Arc<Run>> = std::iter::once(run)
+                        .chain(std::iter::from_fn(|| sub_rx.try_recv().ok()))
+                        .take(max_active - active.len())
+                        .collect();
+                    let depth = sub_rx.len() as u64;
+                    pool.metrics.queue_depth.store(depth, Ordering::Relaxed);
+                    pool.metrics
+                        .queue_depth_hwm
+                        .fetch_max(depth, Ordering::Relaxed);
+                    for run in batch {
+                        admit(&run, pool);
+                        active.push(run);
+                    }
                 }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => open = false,
             }
+        } else if active.is_empty() {
+            return;
+        } else if let Ok(id) = wait(finished_rx, tick) {
+            active.retain(|run| run.id != id);
         }
     }
 }
 
-/// Fails every job whose current phase has been running past the
-/// deadline. The abandoned job's in-flight chunks drain as stragglers;
-/// a truly wedged chunk keeps its worker thread occupied (the watchdog
-/// frees the scheduler and the caller, not the OS thread).
-fn check_watchdog(
-    active: &mut HashMap<JobId, ActiveJob>,
-    metrics: &EngineMetrics,
-    phase_deadline: Option<Duration>,
-) {
-    let Some(deadline) = phase_deadline else {
-        return;
-    };
-    let overdue: Vec<JobId> = active
-        .iter()
-        .filter(|(_, e)| e.outstanding > 0 && e.phase_started.elapsed() > deadline)
-        .map(|(&id, _)| id)
-        .collect();
-    for id in overdue {
-        let Some(entry) = active.remove(&id) else {
-            continue;
+/// Blocks for the next message, for at most `tick` when one is given.
+fn wait<T>(rx: &Receiver<T>, tick: Option<Duration>) -> Result<T, RecvTimeoutError> {
+    match tick {
+        Some(tick) => rx.recv_timeout(tick),
+        None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+    }
+}
+
+/// Fails every job whose current phase has run past the deadline and
+/// drops it from `active`. It is closed under its lock, so its in-flight
+/// chunks return as stragglers that book nothing; a truly wedged chunk
+/// keeps its worker thread occupied (the watchdog frees the caller, not
+/// the OS thread). A job whose lock is held is being advanced, not stuck.
+fn check_watchdog(active: &mut Vec<Arc<Run>>, deadline: Duration, pool: &Pool) {
+    active.retain(|run| {
+        let Some(mut phase) = run.phase.try_lock() else {
+            return true;
         };
+        if phase.closed || phase.outstanding == 0 || phase.phase_started.elapsed() <= deadline {
+            return true;
+        }
         let err = EngineError::WatchdogTimeout {
-            iteration: entry.iteration,
-            group: entry.group,
+            iteration: phase.iteration,
+            group: phase.group,
             deadline_ms: u64::try_from(deadline.as_millis()).unwrap_or(u64::MAX),
         };
-        finish_failed(entry, metrics, err);
-    }
+        settle(run, &mut phase, Advanced::Failed(err), pool);
+        false
+    });
 }
 
 /// Resolves a fully drained phase that saw at least one panic: retry it
@@ -642,119 +652,84 @@ fn check_watchdog(
 /// liveness over replaying the exact healthy-path draw sequence; the
 /// bit-identity contract applies to panic-free runs.
 fn resolve_panicked_phase(
-    mut entry: ActiveJob,
+    run: &Arc<Run>,
+    phase: &mut Phase,
     message: String,
-    active: &mut HashMap<JobId, ActiveJob>,
-    task_tx: &Sender<Task>,
-    metrics: &EngineMetrics,
-    max_phase_retries: usize,
-) {
-    let cancelled = entry.shared.cancel.load(Ordering::Acquire);
-    if entry.retries < max_phase_retries && !cancelled {
-        entry.retries += 1;
-        metrics.phase_retries.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(retry_backoff(entry.retries));
-        if dispatch_phase(&mut entry, task_tx) {
-            active.insert(entry.id, entry);
-        } else {
-            // Worker pool is gone; the dispatch marked the job cancelled.
-            finish(entry, metrics);
-        }
-    } else if cancelled {
+    pool: &Pool,
+) -> Advanced {
+    if run.shared.cancel.load(Ordering::Acquire) {
         // The user already asked for cancellation; honour it rather than
         // burning retries on a job nobody wants.
-        finish(entry, metrics);
-    } else {
-        metrics.jobs_panicked.fetch_add(1, Ordering::Relaxed);
-        let err = EngineError::WorkerPanicked {
-            iteration: entry.iteration,
-            group: entry.group,
-            retries: entry.retries,
-            message,
-        };
-        finish_failed(entry, metrics, err);
+        return Advanced::Done;
     }
+    if phase.retries < pool.max_phase_retries {
+        phase.retries += 1;
+        pool.metrics.phase_retries.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(retry_backoff(phase.retries));
+        return dispatch_phase(run, phase, pool);
+    }
+    pool.metrics.jobs_panicked.fetch_add(1, Ordering::Relaxed);
+    Advanced::Failed(EngineError::WorkerPanicked {
+        iteration: phase.iteration,
+        group: phase.group,
+        retries: phase.retries,
+        message,
+    })
 }
 
-/// Registers a new job and dispatches its first phase.
-fn admit(
-    pending: Pending,
-    active: &mut HashMap<JobId, ActiveJob>,
-    task_tx: &Sender<Task>,
-    metrics: &EngineMetrics,
-) {
-    let Pending { id, job, shared } = pending;
-    shared.set_running();
-    metrics.active_jobs.fetch_add(1, Ordering::Relaxed);
+/// Starts a queued job's clocks and dispatches its first phase, chunk 0
+/// included: the scheduler runs no chunks.
+fn admit(run: &Arc<Run>, pool: &Pool) {
+    run.shared.set_running();
+    pool.metrics.active_jobs.fetch_add(1, Ordering::Relaxed);
+    let mut phase = run.phase.lock();
     let now = Instant::now();
-    // A fresh job starts at sweep 0; a resumed one at its checkpoint's
-    // cursor.
-    let start_iteration = job.start_iteration();
-    let mut entry = ActiveJob {
-        id,
-        job,
-        shared,
-        iteration: start_iteration,
-        group: 0,
-        outstanding: 0,
-        early_stopped: false,
-        panicked: None,
-        retries: 0,
-        started: now,
-        iteration_started: now,
-        phase_started: now,
-    };
-    match advance(&mut entry, task_tx, metrics) {
-        Advanced::Done => finish(entry, metrics),
-        Advanced::Failed(err) => finish_failed(entry, metrics, err),
-        Advanced::Dispatched => {
-            active.insert(id, entry);
-        }
+    (phase.started, phase.iteration_started) = (now, now);
+    let step = advance(run, &mut phase, pool);
+    if let Some(first) = settle(run, &mut phase, step, pool) {
+        let _ = pool.tasks.send(Some(first));
     }
 }
 
-/// Fans the job's current (iteration, group) phase out as one task per
-/// chunk. Returns `false` when the worker pool is gone (the job is
-/// marked cancelled so the caller can finish it).
-fn dispatch_phase(entry: &mut ActiveJob, task_tx: &Sender<Task>) -> bool {
-    let chunks = entry.job.chunks_in_group(entry.group);
-    entry.phase_started = Instant::now();
-    for chunk in 0..chunks {
-        let task = Task {
-            id: entry.id,
-            job: Arc::clone(&entry.job),
-            iteration: entry.iteration,
-            group: entry.group,
-            chunk,
-        };
-        if task_tx.send(task).is_err() {
-            // Worker pool is gone; treat as cancellation.
-            entry.shared.cancel.store(true, Ordering::Release);
-            return false;
-        }
+/// Fans the job's current (iteration, group) phase out: chunks `1..` to
+/// the pool, chunk 0 back to the caller. Sends cannot fail while a job
+/// is live: the workers hold the task channel open until shutdown stops
+/// them after the drain.
+fn dispatch_phase(run: &Arc<Run>, phase: &mut Phase, pool: &Pool) -> Advanced {
+    let chunks = run.job.chunks_in_group(phase.group);
+    phase.phase_started = Instant::now();
+    phase.outstanding = chunks;
+    let task = |chunk| Task {
+        run: Arc::clone(run),
+        iteration: phase.iteration,
+        group: phase.group,
+        chunk,
+    };
+    for chunk in 1..chunks {
+        let _ = pool.tasks.send(Some(task(chunk)));
     }
-    entry.outstanding = chunks;
-    true
+    Advanced::Dispatched(task(0))
 }
 
 /// Drives a job forward from a phase boundary: closes out finished
 /// iterations (running the sweep's fault/health boundary protocol),
 /// honours cancellation and sink early-stops, and dispatches the next
 /// non-empty phase.
-fn advance(entry: &mut ActiveJob, task_tx: &Sender<Task>, metrics: &EngineMetrics) -> Advanced {
+fn advance(run: &Arc<Run>, phase: &mut Phase, pool: &Pool) -> Advanced {
+    let (job, metrics) = (&run.job, &pool.metrics);
     loop {
-        if entry.shared.cancel.load(Ordering::Acquire) {
+        if run.shared.cancel.load(Ordering::Acquire) {
             return Advanced::Done;
         }
-        if entry.group == entry.job.group_count() {
-            let report = entry.job.end_iteration(entry.iteration);
+        if phase.group == job.group_count() {
+            let report = job.end_iteration(phase.iteration);
             metrics.sweeps_completed.fetch_add(1, Ordering::Relaxed);
             metrics
                 .site_updates
-                .fetch_add(entry.job.site_count() as u64, Ordering::Relaxed);
+                .fetch_add(job.site_count() as u64, Ordering::Relaxed);
             metrics
                 .sweep_latency
-                .record(entry.iteration_started.elapsed());
+                .record(phase.iteration_started.elapsed());
             metrics
                 .units_quarantined
                 .fetch_add(report.quarantined_now, Ordering::Relaxed);
@@ -765,63 +740,72 @@ fn advance(entry: &mut ActiveJob, task_tx: &Sender<Task>, metrics: &EngineMetric
                 metrics.checkpoints_written.fetch_add(1, Ordering::Relaxed);
                 metrics.checkpoint_write_us.record(wrote);
             }
-            entry.iteration += 1;
-            entry.group = 0;
-            entry.iteration_started = Instant::now();
+            phase.iteration += 1;
+            phase.group = 0;
+            phase.iteration_started = Instant::now();
             if let Some(err) = report.fatal {
                 return Advanced::Failed(err);
             }
-            if report.decision == SweepDecision::Stop && entry.iteration < entry.job.iterations() {
+            if report.decision == SweepDecision::Stop && phase.iteration < job.iterations() {
                 // The sink called convergence: stop through the existing
                 // cancellation path (same flag, same phase-boundary
                 // check), remembering it was a diagnostics stop.
-                entry.early_stopped = true;
-                entry.shared.cancel.store(true, Ordering::Release);
+                phase.early_stopped = true;
+                run.shared.cancel.store(true, Ordering::Release);
                 return Advanced::Done;
             }
         }
-        if entry.iteration == entry.job.iterations() {
+        if phase.iteration == job.iterations() {
             return Advanced::Done;
         }
-        let chunks = entry.job.chunks_in_group(entry.group);
-        if chunks == 0 {
-            entry.group += 1;
+        if job.chunks_in_group(phase.group) == 0 {
+            phase.group += 1;
             continue;
         }
-        if !dispatch_phase(entry, task_tx) {
-            return Advanced::Done;
+        return dispatch_phase(run, phase, pool);
+    }
+}
+
+/// Publishes the output or error of a job that `advance` left terminal,
+/// updates counters and tells the scheduler; hands back the chunk 0 of a
+/// dispatched phase.
+fn settle(run: &Run, phase: &mut Phase, step: Advanced, pool: &Pool) -> Option<Task> {
+    let metrics = &pool.metrics;
+    let outcome = match step {
+        Advanced::Dispatched(first) => return Some(first),
+        Advanced::Done => {
+            // An early stop travels through the cancel flag (set by
+            // `advance`); report it as a convergence stop, not a user
+            // cancel.
+            let cancelled = run.shared.cancel.load(Ordering::Acquire) && !phase.early_stopped;
+            let counter = if phase.early_stopped {
+                &metrics.jobs_early_stopped
+            } else if cancelled {
+                &metrics.jobs_cancelled
+            } else {
+                &metrics.jobs_completed
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            Ok(run
+                .job
+                .finalize(cancelled, phase.early_stopped, phase.iteration))
         }
-        return Advanced::Dispatched;
-    }
-}
-
-/// Publishes a finished job's output and updates counters.
-fn finish(entry: ActiveJob, metrics: &EngineMetrics) {
-    // An early stop travels through the cancel flag (set by `advance`);
-    // report it as a convergence stop, not a user cancel.
-    let cancelled = entry.shared.cancel.load(Ordering::Acquire) && !entry.early_stopped;
-    let output: JobOutput = entry
-        .job
-        .finalize(cancelled, entry.early_stopped, entry.iteration);
+        // Deliberately no `finalize`: after a watchdog abandonment the
+        // job's straggler chunks may still be mutating the label plane,
+        // so only the typed error is surfaced.
+        Advanced::Failed(err) => {
+            metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
+            Err(err)
+        }
+    };
+    phase.closed = true;
     metrics.active_jobs.fetch_sub(1, Ordering::Relaxed);
-    if entry.early_stopped {
-        metrics.jobs_early_stopped.fetch_add(1, Ordering::Relaxed);
-    } else if cancelled {
-        metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
-    } else {
-        metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
+    metrics.job_wall_time.record(phase.started.elapsed());
+    match outcome {
+        Ok(output) => run.shared.finish(output),
+        Err(err) => run.shared.finish_err(err),
     }
-    metrics.job_wall_time.record(entry.started.elapsed());
-    entry.shared.finish(output);
-}
-
-/// Publishes a failed job's error and updates counters. Deliberately
-/// never calls `finalize`: after a watchdog abandonment the job's
-/// straggler chunks may still be mutating the label plane, so the
-/// output side stays untouched and only the typed error is surfaced.
-fn finish_failed(entry: ActiveJob, metrics: &EngineMetrics, err: EngineError) {
-    metrics.active_jobs.fetch_sub(1, Ordering::Relaxed);
-    metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-    metrics.job_wall_time.record(entry.started.elapsed());
-    entry.shared.finish_err(err);
+    // The scheduler outlives every job it admitted.
+    let _ = pool.finished.send(run.id);
+    None
 }

@@ -62,7 +62,7 @@ pub enum EngineError {
     },
     /// A phase exceeded the engine's watchdog deadline
     /// ([`EngineConfig::phase_deadline`](crate::EngineConfig)); the job
-    /// was abandoned to keep the scheduler responsive.
+    /// was abandoned to free its caller.
     WatchdogTimeout {
         /// Sweep the overdue phase belonged to.
         iteration: usize,

@@ -226,11 +226,11 @@ pub enum JobStatus {
     Finished,
 }
 
-/// State shared between a [`JobHandle`] and the scheduler.
+/// State shared between a [`JobHandle`] and the engine.
 #[derive(Debug)]
 pub(crate) struct HandleShared {
-    /// Set by [`JobHandle::cancel`]; the scheduler polls it at every
-    /// phase boundary.
+    /// Set by [`JobHandle::cancel`]; the engine polls it at every phase
+    /// boundary.
     pub(crate) cancel: AtomicBool,
     pub(crate) state: Mutex<HandleState>,
     pub(crate) done: Condvar,
@@ -291,7 +291,7 @@ impl JobHandle {
         self.id
     }
 
-    /// Requests cancellation. The scheduler honours it at the next phase
+    /// Requests cancellation. The engine honours it at the next phase
     /// boundary; the handle's `wait` then returns a `cancelled` output
     /// holding the labeling as of the last completed phase.
     pub fn cancel(&self) {
@@ -331,7 +331,7 @@ impl JobHandle {
     /// Blocks until the job finishes and returns its output.
     ///
     /// This is the *blocking* half of the retrieval API: the calling
-    /// thread parks on the job's condition variable until the scheduler
+    /// thread parks on the job's condition variable until the engine
     /// publishes a terminal state. Services multiplexing many jobs over
     /// few threads should use the non-blocking [`JobHandle::poll`]
     /// instead.

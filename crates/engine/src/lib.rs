@@ -11,8 +11,9 @@
 //!
 //! - [`Engine`] owns a worker pool and scheduler, started once. Jobs are
 //!   decomposed into (iteration, group, chunk) phase tasks and executed by
-//!   the long-lived workers; phase barriers preserve the reference
-//!   sweeps's blocked-Gibbs semantics exactly.
+//!   the long-lived workers, and the worker that drains a phase advances
+//!   the job; phase barriers preserve the reference sweeps's
+//!   blocked-Gibbs semantics exactly.
 //! - [`JobSpec`] describes one inference — field, sampler kernel,
 //!   annealing schedule, iteration budget, seed — through a builder that
 //!   validates at [`build()`](JobSpecBuilder::build). (The older
@@ -38,7 +39,7 @@
 //!   live-unit floor the job fails over to the exact backend mid-flight
 //!   and completes [`Degraded`]. Workers isolate kernel panics
 //!   (`catch_unwind`), panicked phases retry with backoff, and an
-//!   optional per-phase watchdog keeps the scheduler responsive.
+//!   optional per-phase watchdog frees the callers of stuck jobs.
 //!
 //! Downstream crates should import from [`prelude`].
 //!
@@ -62,7 +63,7 @@
 //! # Streaming diagnostics
 //!
 //! A job may carry a [`DiagSink`] observer, called once per completed
-//! sweep at the scheduler's quiescent point with whatever the sink's
+//! sweep at the job's quiescent point with whatever the sink's
 //! declared [`SinkNeeds`] ask for (post-sweep energy, stride-sampled
 //! label snapshots served from a preallocated buffer). The sink's
 //! [`SweepDecision`] feeds the existing cancellation path, so a

@@ -161,7 +161,8 @@ pub struct EngineMetrics {
     pub sweeps_completed: AtomicU64,
     /// Individual site updates across all jobs.
     pub site_updates: AtomicU64,
-    /// Gauge: jobs waiting in the submission queue.
+    /// Gauge: jobs waiting in the submission queue, written each time
+    /// the scheduler takes a job from it.
     pub queue_depth: AtomicU64,
     /// High-water mark of the submission queue depth over the engine's
     /// lifetime (how close the bounded queue came to backpressure).
@@ -176,8 +177,8 @@ pub struct EngineMetrics {
     /// drain — the engine's barrier granularity).
     pub phase_latency: LatencyHistogram,
     /// Boundary stall per successful checkpoint (state capture +
-    /// serialize + durable store), recorded on the scheduler thread at
-    /// the sweep boundary.
+    /// serialize + durable store), recorded by the worker that closes
+    /// the sweep.
     pub checkpoint_write_us: LatencyHistogram,
 }
 

@@ -89,7 +89,7 @@ impl LabelPlane {
     /// # Safety
     ///
     /// The plane must be quiescent: no worker may hold an outstanding task
-    /// for this job (the scheduler calls this only between phases).
+    /// for this job (the engine calls this only between phases).
     pub(crate) unsafe fn snapshot(&self) -> Vec<Label> {
         // SAFETY: quiescence (this fn's contract) means no worker is
         // writing any cell, so every dereference reads a settled value.

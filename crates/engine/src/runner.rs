@@ -101,7 +101,7 @@ pub(crate) fn sweep_seed(seed: u64, iteration: usize) -> u64 {
 /// What one quiescent sweep boundary decided and did: the diagnostics
 /// sink's continue/stop verdict plus the fault plane's actions (events
 /// injected silently; quarantines, failover, and fatal collapse are
-/// reported so the scheduler can account for them).
+/// reported so the engine can account for them).
 #[derive(Debug)]
 pub(crate) struct SweepReport {
     /// The diagnostics sink's verdict for this boundary.
@@ -143,7 +143,7 @@ pub(crate) trait ErasedJob: Send + Sync {
     fn end_iteration(&self, iteration: usize) -> SweepReport;
     /// Packages the output after `iterations_run` completed sweeps.
     fn finalize(&self, cancelled: bool, early_stopped: bool, iterations_run: usize) -> JobOutput;
-    /// The sweep the scheduler should start from: 0 for a fresh job, the
+    /// The sweep the engine should start from: 0 for a fresh job, the
     /// checkpoint's cursor for a resumed one.
     fn start_iteration(&self) -> usize {
         0
@@ -613,8 +613,9 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     where
         L: SweepKernel,
     {
-        // SAFETY: the scheduler calls this only at the quiescent sweep
-        // boundary, with no outstanding chunks for this job.
+        // SAFETY: the engine calls this only at the quiescent sweep
+        // boundary (the worker that drained the sweep's last phase, under
+        // the job's phase lock), with no outstanding chunks for this job.
         let labels = unsafe { self.plane.snapshot_values() };
         let book = self.book.lock();
         let energy_trace = book.energy_trace.clone();
@@ -675,7 +676,7 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     /// # Safety
     ///
     /// The plane must be quiescent — no chunk of this job outstanding —
-    /// as at the scheduler's sweep boundary or behind a shard runner's
+    /// as at the engine's sweep boundary or behind a shard runner's
     /// single ownership.
     pub(crate) unsafe fn plane_energy(&self) -> f64 {
         let m = self.mrf.space().count();
@@ -963,8 +964,9 @@ where
         // Matches the chain: samples count once `iteration + 1 > burn_in`.
         let wants_hist = book.histograms.is_some() && iteration + 1 > self.burn_in;
         let wants_energy = self.record_energy || sink_wants_energy;
-        // SAFETY: the scheduler calls this only with no outstanding
-        // chunks for this job, so the plane is quiescent.
+        // SAFETY: the engine calls this only from the worker that drained
+        // the sweep's last phase, under the job's phase lock, with no
+        // outstanding chunks for this job, so the plane is quiescent.
         let energy = wants_energy.then(|| unsafe { self.plane_energy() });
         if let Some(e) = energy.filter(|_| self.record_energy) {
             book.energy_trace.push(e);

@@ -1,20 +1,21 @@
 //! The sweep-boundary observer contract for streaming diagnostics.
 //!
 //! A [`DiagSink`] attached to an [`InferenceJob`](crate::InferenceJob)
-//! is called by the scheduler once per completed sweep, at the same
-//! quiescent point where the energy trace and mode histograms are
-//! updated. The contract is built for bounded overhead:
+//! is called once per completed sweep, by the worker that drained the
+//! sweep's last phase, at the same quiescent point where the energy
+//! trace and mode histograms are updated. The contract is built for
+//! bounded overhead:
 //!
 //! - the sink declares up front, via [`DiagSink::needs`], whether it
 //!   wants the sweep energy and how often (if ever) it wants a label
 //!   snapshot — the engine computes neither unless something asks;
 //! - label snapshots are served from a buffer preallocated at job
 //!   admission, so observation allocates nothing on the sweep path;
-//! - the observation runs on the scheduler thread between phases, never
-//!   on the workers' chunk hot loop.
+//! - the observation runs between phases, never inside the chunk hot
+//!   loop.
 //!
 //! The sink's return value is how early stopping reaches the engine:
-//! [`SweepDecision::Stop`] makes the scheduler set the job's shared
+//! [`SweepDecision::Stop`] makes the engine set the job's shared
 //! cancellation flag — the *existing* cancellation path, honoured at the
 //! next phase boundary — and mark the output
 //! [`early_stopped`](crate::JobOutput::early_stopped) so callers can
@@ -87,12 +88,12 @@ pub struct SweepObservation<'a> {
     pub labels: Option<&'a [Label]>,
 }
 
-/// What the scheduler should do with the job after an observation.
+/// What the engine should do with the job after an observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepDecision {
     /// Keep sweeping.
     Continue,
-    /// Stop the job at this sweep boundary: the scheduler raises the
+    /// Stop the job at this sweep boundary: the engine raises the
     /// job's shared cancellation flag and the output is finalized with
     /// `early_stopped = true`.
     Stop,
@@ -101,10 +102,11 @@ pub enum SweepDecision {
 /// A streaming observer of one job's sweeps.
 ///
 /// Implementations must be `Send + Sync`: observations arrive from the
-/// scheduler thread while the owner of the sink may inspect it from
-/// another, so interior state wants a lock or atomics. Calls are never
-/// concurrent *per job* (the scheduler serializes sweep boundaries), but
-/// one sink value may be shared across jobs.
+/// worker that drains each sweep's last phase while the owner of the
+/// sink may inspect it from another thread, so interior state wants a
+/// lock or atomics. Calls are never concurrent *per job* (the job's
+/// phase lock serializes sweep boundaries), but one sink value may be
+/// shared across jobs. A slow `on_sweep` stalls only its own job.
 pub trait DiagSink: Send + Sync {
     /// What to compute before each observation. Read once at admission.
     fn needs(&self) -> SinkNeeds {

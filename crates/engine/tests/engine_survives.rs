@@ -392,3 +392,90 @@ fn an_all_dead_pool_without_a_fallback_fails_typed() {
     engine_accepts_fresh_work(&engine);
     engine.shutdown();
 }
+
+/// Counts its `sample_chunk` calls and blocks inside every one past any
+/// deadline the test arms, so its job never leaves phase 0.
+#[derive(Clone)]
+struct CountingSleeper {
+    inner: SoftmaxGibbs,
+    nap: Duration,
+    calls: Arc<AtomicUsize>,
+}
+
+impl LabelSampler for CountingSleeper {
+    fn name(&self) -> &'static str {
+        "counting-sleeper"
+    }
+
+    fn sample_label<R: Rng + ?Sized>(
+        &mut self,
+        energies: &[f64],
+        temperature: f64,
+        current: Label,
+        rng: &mut R,
+    ) -> Label {
+        self.inner.sample_label(energies, temperature, current, rng)
+    }
+}
+
+impl SweepKernel for CountingSleeper {
+    fn sample_chunk<R: Rng + ?Sized>(
+        &mut self,
+        energies: &[f64],
+        m: usize,
+        temperature: f64,
+        current: &[Label],
+        out: &mut [Label],
+        scratch: &mut KernelScratch,
+        rng: &mut R,
+    ) {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(self.nap);
+        self.inner
+            .sample_chunk(energies, m, temperature, current, out, scratch, rng);
+    }
+}
+
+#[test]
+fn a_reaped_jobs_stragglers_never_advance_it() {
+    let nap = Duration::from_millis(300);
+    let engine = Engine::new(EngineConfig {
+        workers: 2,
+        phase_deadline: Some(Duration::from_millis(25)),
+        ..EngineConfig::default()
+    });
+    let calls = Arc::new(AtomicUsize::new(0));
+    let err = engine
+        .submit(job_on(CountingSleeper {
+            inner: SoftmaxGibbs::new(),
+            nap,
+            calls: Arc::clone(&calls),
+        }))
+        .expect("admission accepts the job")
+        .wait_result()
+        .expect_err("a wedged phase must trip the watchdog");
+    assert!(
+        matches!(
+            err,
+            EngineError::WatchdogTimeout {
+                iteration: 0,
+                group: 0,
+                ..
+            }
+        ),
+        "got {err:?}"
+    );
+    // Both chunks of phase 0 (two chunks, two workers) are asleep. Let
+    // them wake and return as stragglers, with time to spare for any
+    // phase they might wrongly dispatch to start.
+    std::thread::sleep(nap + Duration::from_millis(200));
+    let phase0_chunks = 2;
+    assert_eq!(calls.load(Ordering::SeqCst), phase0_chunks);
+    let metrics = engine.metrics();
+    assert_eq!(metrics.sweeps_completed, 0);
+    assert_eq!(metrics.jobs_completed, 0);
+    assert_eq!(metrics.jobs_failed, 1);
+    engine_accepts_fresh_work(&engine);
+    engine.shutdown();
+    assert_eq!(calls.load(Ordering::SeqCst), phase0_chunks);
+}
