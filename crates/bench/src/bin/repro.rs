@@ -4,9 +4,7 @@
 //! `repro all [--quick] [--graph] [out_dir]`.
 //!
 //! `--quick` shrinks the problem sizes where an experiment supports it
-//! (currently `engine-bench`) so correctness gates — the engine's
-//! bit-identity contract for both backends — run in CI time. Quick runs
-//! never overwrite the committed perf snapshots.
+//! (currently `faults`) so its survival gate runs in CI time.
 //!
 //! `--graph` extends `audit` with the general-graph certificate corpus
 //! (random sparse, disconnected, star, clique, grids-as-2-coloring):
@@ -35,26 +33,26 @@
 //! | `restore` | A7: image restoration quality |
 //! | `converge` | A8: multi-chain R-hat + cycle-level accelerator sim |
 //! | `anneal` | A9: temperature-schedule ablation |
-//! | `engine-bench` | A10: persistent engine vs one-shot sweep, bit-identity gates for both backends |
 //! | `diag` | A11: streaming diagnostics + early stop on all workloads (writes JSON + PGM maps with out_dir) |
 //! | `diag-overhead` | A11: sink overhead (bare vs NullSink vs full diagnostics) |
 //! | `audit` | schedule-interference audit of every vision workload |
 //! | `faults` | A12: fault injection, quarantine, and failover on every vision workload |
-//! | `serve-bench` | A13: HTTP serving front-end under closed-loop multi-tenant load |
-//! | `ckpt` | A14: durable checkpoint ladder — bit-identical resume, corruption rejection, retention |
-//! | `fleet` | A15: multi-process fleet kill-ladder — migration survival + bit-identity |
+//!
+//! A10 and A13–A15 (engine, serving, checkpoint and fleet contracts) have
+//! no subcommand: their crates' test suites and the benchmark package
+//! hold them (DESIGN §5 names each holder).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
 
 use mogs_bench::experiments::{
-    ablation, anneal, audit, ckpt, convergence, diag, energy, engine_bench, faults, fig7, fleet,
-    paper_tables, proto_ratio, quality, restore, serve_bench, table1, wearout,
+    ablation, anneal, audit, convergence, diag, energy, faults, fig7, paper_tables, proto_ratio,
+    quality, restore, table1, wearout,
 };
 use mogs_bench::report::render_table;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const EXPERIMENTS: [&str; 25] = [
+const EXPERIMENTS: [&str; 21] = [
     "table1",
     "table2",
     "table3",
@@ -72,25 +70,13 @@ const EXPERIMENTS: [&str; 25] = [
     "restore",
     "converge",
     "anneal",
-    "engine-bench",
     "diag",
     "diag-overhead",
     "audit",
     "faults",
-    "serve-bench",
-    "ckpt",
-    "fleet",
 ];
 
 fn main() -> ExitCode {
-    // The fleet experiment launches workers by re-executing this binary
-    // (`Launcher::SelfExec`): when the worker env var is set, this
-    // process is one of those workers, not a repro run.
-    match mogs_fleet::maybe_run_worker() {
-        Ok(false) => {}
-        Ok(true) => return ExitCode::SUCCESS,
-        Err(_) => return ExitCode::FAILURE,
-    }
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let quick = {
         let before = args.len();
@@ -214,23 +200,6 @@ fn run(experiment: &str, quick: bool, graph: bool, out_dir: Option<&Path>) -> Re
             let rows = anneal::run(80, 7);
             emit(anneal::render(&rows))?;
         }
-        "engine-bench" => {
-            // Quick mode shrinks the problem so CI can run the
-            // correctness gates. Throughput is measured by the benchmark
-            // package's `seg-large` and `motion-rsu` workloads, not here.
-            let result = if quick {
-                engine_bench::run(96, 6, 2016)
-            } else {
-                engine_bench::run(320, 12, 2016)
-            };
-            emit(engine_bench::render(&result))?;
-            if !result.bit_identical {
-                return Err("softmax engine diverged from the reference sweep".to_owned());
-            }
-            if !result.rsu_pool_bit_identical {
-                return Err("RSU-pool engine diverged from its per-site reference".to_owned());
-            }
-        }
         "diag" => {
             let rows = diag::run(out_dir, 2016).map_err(|e| e.to_string())?;
             emit(diag::render(&rows))?;
@@ -303,53 +272,6 @@ fn run(experiment: &str, quick: bool, graph: bool, out_dir: Option<&Path>) -> Re
                 return Err("an empty fault plane perturbed the labeling".to_owned());
             }
             println!("zero-fault bit-identity: ok");
-        }
-        "serve-bench" => {
-            // Quick mode is the CI smoke: a shorter load phase at the
-            // acceptance floor of 64 clients.
-            let result = if quick {
-                serve_bench::run(64, std::time::Duration::from_secs(2), 2016)
-            } else {
-                serve_bench::run(96, std::time::Duration::from_secs(5), 2016)
-            };
-            emit(serve_bench::render(&result))?;
-            if !result.bit_identical {
-                return Err("served label map diverged from the direct engine path".to_owned());
-            }
-            if result.transport_errors > 0 {
-                return Err(format!(
-                    "{} transport error(s) — a wedged connection worker or lost job",
-                    result.transport_errors
-                ));
-            }
-            if result.jobs_completed == 0 {
-                return Err("no jobs completed during the load phase".to_owned());
-            }
-        }
-        "ckpt" => {
-            let rows = ckpt::run(quick);
-            emit(ckpt::render(&rows))?;
-            let failed: Vec<String> = rows
-                .iter()
-                .filter(|r| !r.pass)
-                .map(|r| format!("{} ({})", r.scenario, r.detail))
-                .collect();
-            if !failed.is_empty() {
-                return Err(format!("checkpoint ladder failed: {}", failed.join(", ")));
-            }
-        }
-        "fleet" => {
-            let result = fleet::run(quick);
-            emit(fleet::render(&result))?;
-            let failed: Vec<String> = result
-                .rows
-                .iter()
-                .filter(|r| !r.pass)
-                .map(|r| format!("{} ({})", r.scenario, r.detail))
-                .collect();
-            if !failed.is_empty() {
-                return Err(format!("fleet ladder failed: {}", failed.join(", ")));
-            }
         }
         other => return Err(format!("unknown experiment '{other}'")),
     }

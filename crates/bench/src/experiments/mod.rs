@@ -4,18 +4,14 @@
 pub mod ablation;
 pub mod anneal;
 pub mod audit;
-pub mod ckpt;
 pub mod convergence;
 pub mod diag;
 pub mod energy;
-pub mod engine_bench;
 pub mod faults;
 pub mod fig7;
-pub mod fleet;
 pub mod paper_tables;
 pub mod proto_ratio;
 pub mod quality;
 pub mod restore;
-pub mod serve_bench;
 pub mod table1;
 pub mod wearout;

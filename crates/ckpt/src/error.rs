@@ -1,8 +1,7 @@
 //! The crate's one error type.
 //!
 //! Every way a checkpoint can fail to load is a distinct variant, so
-//! callers (the serve recovery scan, the repro ladder, operators reading
-//! logs) can tell "the disk bit-rotted" from "someone pointed a resume at
+//! callers (the serve recovery scan, tests, operators reading logs) can tell "the disk bit-rotted" from "someone pointed a resume at
 //! the wrong problem" without string matching. Loading never panics and
 //! never partially restores: a decode either yields a complete
 //! [`Checkpoint`](crate::Checkpoint) or one of these.

@@ -174,7 +174,7 @@ pub fn open_envelope(input: &[u8]) -> Result<&[u8], CkptError> {
 ///
 /// The engine re-validates at [`Engine::resume`](mogs_engine::Engine),
 /// but callers that want to *select* among checkpoints (the serve
-/// recovery scan, the repro ladder) use this to get the typed
+/// recovery scan) use this to get the typed
 /// [`CkptError::BindingMismatch`] without constructing a job.
 ///
 /// # Errors

@@ -1,8 +1,7 @@
-//! Shared demo job for the crate's crash-recovery tests and the repro
-//! ladder.
+//! Shared demo job for the crate's crash-recovery tests.
 //!
-//! The crashee binary (`src/bin/crashee.rs`), the in-process side of the
-//! kill/restore integration test, and the `repro ckpt` scenarios all
+//! The crashee binary (`src/bin/crashee.rs`) and the in-process side of
+//! the kill/restore integration test (`tests/crash_recovery.rs`) both
 //! need to build *exactly the same* job — bit-identity across processes
 //! only means something when the spec is provably shared. This module is
 //! that single definition: a deterministic Potts field with a synthetic

@@ -126,6 +126,11 @@ fn softmax_killed_mid_job_resumes_bit_identically() {
 }
 
 #[test]
+fn softmax_under_fault_plan_killed_mid_job_resumes_bit_identically() {
+    crash_then_resume("softmax", "fault");
+}
+
+#[test]
 fn rsu_pool_killed_mid_job_resumes_bit_identically() {
     crash_then_resume("rsu", "nofault");
 }

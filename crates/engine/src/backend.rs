@@ -8,7 +8,7 @@
 //! part would exhibit it. [`BackendSampler`] packages the runtime choice
 //! between the exact software sampler and the pool behind one type, which
 //! keeps job types uniform in code that selects the backend from
-//! configuration (`repro engine-bench`).
+//! configuration (the serve and fleet job specs, the benchmark).
 
 use crate::error::EngineError;
 use mogs_core::rsu_g::RsuGSampler;

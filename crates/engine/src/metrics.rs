@@ -2,8 +2,8 @@
 //!
 //! Workers and the scheduler record into atomics; [`EngineMetrics::snapshot`]
 //! reads them without stopping the engine and packages the result as a
-//! serde-serializable [`MetricsSnapshot`] (printed as JSON by
-//! `repro engine-bench`).
+//! serde-serializable [`MetricsSnapshot`] (served on `/metrics` by
+//! `mogs-serve`, read by the benchmark's `--trace 1` layer table).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};

@@ -3,7 +3,9 @@
 //! across grid shapes, label-space sizes, chunk counts, and seeds.
 //!
 //! This is the determinism contract from the crate docs, held under
-//! random configuration instead of a handful of fixed ones.
+//! random configuration instead of a handful of fixed ones. A dyadic
+//! prior weight puts first-order fields on the RSU pool's fixed-point
+//! `i16` row path; a non-dyadic one keeps them on the f64 rows.
 
 use mogs_engine::prelude::*;
 use mogs_gibbs::colored_sweep;
@@ -12,12 +14,15 @@ use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, Neighborhood, Smoot
 use proptest::prelude::*;
 
 /// A deterministic field parameterised by the proptest case; two calls
-/// with the same arguments build identical fields.
+/// with the same arguments build identical fields. `dyadic` picks a
+/// prior weight of 0.75 (exact in `i16` units, so first-order fields
+/// get fixed rows) over 0.7 (refused fixed rows).
 fn field(
     width: usize,
     height: usize,
     m: usize,
     second_order: bool,
+    dyadic: bool,
 ) -> MarkovRandomField<impl SingletonPotential + Clone + 'static> {
     let order = if second_order {
         Neighborhood::SecondOrder
@@ -25,7 +30,7 @@ fn field(
         Neighborhood::FirstOrder
     };
     MarkovRandomField::builder(Grid2D::new(width, height), LabelSpace::scalar(m as u16))
-        .prior(SmoothnessPrior::potts(0.7))
+        .prior(SmoothnessPrior::potts(if dyadic { 0.75 } else { 0.7 }))
         .neighborhood(order)
         .temperature(2.0)
         .singleton(move |site: usize, label: Label| {
@@ -67,12 +72,19 @@ fn assert_engine_matches_reference(
     height: usize,
     m: usize,
     second_order: bool,
+    dyadic: bool,
     threads: usize,
     iterations: usize,
     seed: u64,
 ) {
     let sampler = BackendSampler::try_new(backend, 2.0).expect("well-formed backend");
-    let mrf = field(width, height, m, second_order);
+    let mrf = field(width, height, m, second_order, dyadic);
+    if dyadic && !second_order {
+        assert!(
+            mrf.fixed_rows().is_some(),
+            "a dyadic first-order field must take the fixed-row path"
+        );
+    }
     let threads = exact_chunks(&mrf.independent_groups(), threads);
     let mut reference = mrf.uniform_labeling();
     for iteration in 0..iterations {
@@ -91,7 +103,7 @@ fn assert_engine_matches_reference(
         max_active_jobs: 1,
         ..EngineConfig::default()
     });
-    let spec = JobSpec::builder(field(width, height, m, second_order), sampler)
+    let spec = JobSpec::builder(field(width, height, m, second_order, dyadic), sampler)
         .threads(threads)
         .seed(seed)
         .iterations(iterations)
@@ -118,15 +130,16 @@ proptest! {
         threads in 1usize..6,
         iterations in 1usize..4,
         second_order in proptest::bool::ANY,
+        dyadic in proptest::bool::ANY,
         replicas in 1usize..5,
         seed in 0u64..u64::MAX,
     ) {
         assert_engine_matches_reference(
-            Backend::Softmax, width, height, m, second_order,
+            Backend::Softmax, width, height, m, second_order, dyadic,
             threads, iterations, seed,
         );
         assert_engine_matches_reference(
-            Backend::RsuG { replicas }, width, height, m, second_order,
+            Backend::RsuG { replicas }, width, height, m, second_order, dyadic,
             threads, iterations, seed,
         );
     }

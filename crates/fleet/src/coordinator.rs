@@ -32,7 +32,7 @@
 //!    interrupted phase from its own streams.
 //!
 //! Draws depend on nothing else, so kill-and-migrate cannot change a
-//! single label. The A15 repro ladder checks this end to end.
+//! single label. `tests/fleet_e2e.rs` checks this end to end.
 //!
 //! # Failure handling
 //!
@@ -102,7 +102,7 @@ pub enum TransportKind {
 
 /// One scripted worker kill, executed by the coordinator immediately
 /// after dispatching `Phase{sweep, group}` — deterministic mid-phase
-/// death for the repro ladder.
+/// death for the kill-ladder tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillAt {
     /// Sweep index of the kill.

@@ -6,7 +6,7 @@
 //! dead worker is not a bad partition, and a job that exhausted its
 //! migration budget fails with [`FleetError::FleetCollapse`] — the one
 //! variant that means "the robustness machinery itself gave up", which
-//! callers (and the A15 repro ladder) match on by name.
+//! callers (and the kill-ladder tests) match on by name.
 
 use std::fmt;
 
@@ -96,7 +96,7 @@ pub enum FleetError {
 }
 
 impl FleetError {
-    /// Stable machine-readable variant name (metrics labels, repro
+    /// Stable machine-readable variant name (metrics labels, test
     /// assertions).
     #[must_use]
     pub fn variant(&self) -> &'static str {

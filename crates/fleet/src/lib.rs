@@ -17,7 +17,7 @@
 //!   (an `Assign` names it by digest).
 //! - [`exec`]: shard construction ([`build_shard`]) on top of
 //!   `mogs_engine::ShardRunner`, plus the in-process reference path
-//!   ([`run_in_process`]) the repro harness compares against.
+//!   ([`run_in_process`]) the kill-ladder tests compare against.
 //! - [`partition`]: chunk-aligned greedy partitioning with halo sets,
 //!   independently re-proved by `mogs_audit::verify_sharding`.
 //! - [`wire`]: the framed message protocol (a one-line JSON head, then

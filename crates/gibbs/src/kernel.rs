@@ -20,9 +20,9 @@
 //! order and count. Batched implementations may reorder or skip RNG-free
 //! work (softmax weights, RSU intensity codes of labels that cannot
 //! fire) but draw sites in chunk order, consuming the RNG exactly as the
-//! per-site path would. The engine's correctness gate (`repro
-//! engine-bench`, the kernel-identity proptests) holds every
-//! implementation to this.
+//! per-site path would. The engine's `kernel_identity` and
+//! `engine_runtime` tests hold every implementation to this, and
+//! `gather_bits` and `fixed_rows` hold the rows the kernel draws from.
 
 use crate::sampler::LabelSampler;
 use mogs_mrf::label::MAX_LABELS;

@@ -2,18 +2,14 @@
 //!
 //! This is the test-and-bench counterpart of the server — just enough
 //! protocol to drive [`Server`](crate::Server) over loopback from the
-//! lifecycle integration test and the `repro serve-bench` closed-loop
-//! clients:
+//! integration tests and the benchmark's closed-loop clients:
 //!
 //! * [`http_request`] opens a fresh connection per request
-//!   (`Connection: close`) — trivially wedge-free, no state, and the
-//!   historical baseline `serve-bench` still measures;
+//!   (`Connection: close`) — trivially wedge-free and stateless;
 //! * [`HttpClient`] keeps one connection alive across requests,
 //!   reconnecting transparently when the server closes it (idle
 //!   timeout, per-connection request cap) and counting how often it
-//!   had to — `serve-bench` reports the two side by side, since the
-//!   connect-per-request tax (socket setup, slow-start, TIME_WAIT
-//!   churn) is pure protocol overhead a real client would not pay.
+//!   had to (`serve_lifecycle` pins the reconnect at the cap).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};

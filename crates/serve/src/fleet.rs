@@ -12,14 +12,16 @@
 //! A fleet job spans worker *processes* (here: the in-process launcher,
 //! so the serving host needs no helper binary on disk), so the backend
 //! is deliberately conservative: **one fleet job in flight at a time**,
-//! a site cap on the spec, and the coordinator running on its own
+//! a site cap on the spec, finished jobs kept for polling only up to
+//! `ServeConfig::max_terminal_retained` (oldest evicted first, like the
+//! engine job store), and the coordinator running on its own
 //! thread — a fleet submission never parks a connection worker, and a
 //! busy backend answers 503 with `Retry-After` like any other
 //! backpressure. Results are bit-identical to the engine path for the
 //! same spec; that is the fleet crate's contract, not this module's
 //! problem.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::JoinHandle;
 
@@ -55,21 +57,61 @@ enum FleetJob {
     Failed(String),
 }
 
+/// The job table: every job by id, and the settled ones oldest first.
+struct FleetJobs {
+    jobs: HashMap<u64, FleetJob>,
+    settled: VecDeque<u64>,
+    max_settled: usize,
+}
+
+impl FleetJobs {
+    /// Turns a finished `Running` entry into `Done` or `Failed`, then
+    /// evicts the oldest settled jobs beyond `max_settled`. Running jobs
+    /// are never evicted.
+    fn settle(&mut self, id: u64) {
+        let settled = match self.jobs.remove(&id) {
+            Some(FleetJob::Running(handle)) if handle.is_finished() => match handle.join() {
+                Ok(Ok(output)) => FleetJob::Done(Box::new(output)),
+                Ok(Err(err)) => FleetJob::Failed(err.to_string()),
+                Err(_) => FleetJob::Failed("fleet coordinator thread panicked".to_string()),
+            },
+            Some(job) => {
+                self.jobs.insert(id, job);
+                return;
+            }
+            None => return,
+        };
+        self.jobs.insert(id, settled);
+        self.settled.push_back(id);
+        while self.settled.len() > self.max_settled {
+            if let Some(oldest) = self.settled.pop_front() {
+                self.jobs.remove(&oldest);
+            }
+        }
+    }
+}
+
 /// The single-flight fleet job table behind the two fleet routes.
 pub struct FleetRunner {
     setup: FleetSetup,
     next_id: AtomicU64,
-    jobs: Mutex<HashMap<u64, FleetJob>>,
+    jobs: Mutex<FleetJobs>,
 }
 
 impl FleetRunner {
-    /// A runner with no jobs yet.
+    /// A runner with no jobs yet that keeps at most `max_settled`
+    /// finished jobs for polling, evicting the oldest first (the server
+    /// passes [`ServeConfig::max_terminal_retained`](crate::ServeConfig)).
     #[must_use]
-    pub fn new(setup: FleetSetup) -> Self {
+    pub fn new(setup: FleetSetup, max_settled: usize) -> Self {
         FleetRunner {
             setup,
             next_id: AtomicU64::new(0),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(FleetJobs {
+                jobs: HashMap::new(),
+                settled: VecDeque::new(),
+                max_settled: max_settled.max(1),
+            }),
         }
     }
 
@@ -98,10 +140,22 @@ impl FleetRunner {
             });
         }
         let mut jobs = self.jobs.lock();
-        let busy = jobs
+        // Settle whatever finished, polled or not, so the table stays
+        // bounded; a job still running after that holds the slot.
+        let running: Vec<u64> = jobs
+            .jobs
+            .iter()
+            .filter(|(_, job)| matches!(job, FleetJob::Running(_)))
+            .map(|(&id, _)| id)
+            .collect();
+        for id in running {
+            jobs.settle(id);
+        }
+        if jobs
+            .jobs
             .values()
-            .any(|job| matches!(job, FleetJob::Running(handle) if !handle.is_finished()));
-        if busy {
+            .any(|job| matches!(job, FleetJob::Running(_)))
+        {
             return Err(ServeError::Backpressure { retry_after_s });
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
@@ -117,7 +171,7 @@ impl FleetRunner {
                 variant: "fleet-spawn".to_string(),
                 message: format!("spawning the coordinator thread: {err}"),
             })?;
-        jobs.insert(id, FleetJob::Running(handle));
+        jobs.jobs.insert(id, FleetJob::Running(handle));
         Ok(Response::json(
             202,
             format!("{{\"id\":{id},\"state\":\"running\",\"workers\":{workers}}}"),
@@ -126,22 +180,14 @@ impl FleetRunner {
 
     /// `GET /v1/fleet/jobs/{id}`: settle a finished coordinator thread
     /// and report the job's state (terminal replies carry the labels).
+    /// An evicted or unknown id is 404.
     pub fn status(&self, id: u64) -> Result<Response, ServeError> {
         let mut jobs = self.jobs.lock();
-        let job = jobs.get_mut(&id).ok_or_else(|| ServeError::NotFound {
+        jobs.settle(id);
+        let job = jobs.jobs.get(&id).ok_or_else(|| ServeError::NotFound {
             what: format!("fleet job {id}"),
         })?;
-        // Settle: a finished Running entry becomes Done or Failed.
-        let current = std::mem::replace(job, FleetJob::Failed("settling".to_string()));
-        *job = match current {
-            FleetJob::Running(handle) if handle.is_finished() => match handle.join() {
-                Ok(Ok(output)) => FleetJob::Done(Box::new(output)),
-                Ok(Err(err)) => FleetJob::Failed(err.to_string()),
-                Err(_) => FleetJob::Failed("fleet coordinator thread panicked".to_string()),
-            },
-            other => other,
-        };
-        match &*job {
+        match job {
             FleetJob::Running(_) => Ok(Response::json(
                 200,
                 format!("{{\"id\":{id},\"state\":\"running\"}}"),
@@ -230,7 +276,7 @@ mod tests {
 
     #[test]
     fn submit_poll_and_labels_match_the_engine() {
-        let runner = FleetRunner::new(FleetSetup::default());
+        let runner = FleetRunner::new(FleetSetup::default(), 8);
         let accepted = runner.submit(&spec().encode(), 1).expect("submitted");
         assert_eq!(accepted.status, 202);
         assert!(body(&accepted).contains("\"id\":1"));
@@ -255,7 +301,7 @@ mod tests {
 
     #[test]
     fn backend_is_single_flight() {
-        let runner = FleetRunner::new(FleetSetup::default());
+        let runner = FleetRunner::new(FleetSetup::default(), 8);
         let mut slow = spec();
         slow.iterations = 200;
         runner.submit(&slow.encode(), 7).expect("first job fits");
@@ -272,10 +318,13 @@ mod tests {
 
     #[test]
     fn bad_specs_and_oversize_jobs_are_400_and_unknown_ids_404() {
-        let runner = FleetRunner::new(FleetSetup {
-            workers: 2,
-            max_sites: 10,
-        });
+        let runner = FleetRunner::new(
+            FleetSetup {
+                workers: 2,
+                max_sites: 10,
+            },
+            8,
+        );
         assert!(matches!(
             runner.submit("{not json", 1),
             Err(ServeError::BadRequest { .. })
@@ -288,5 +337,18 @@ mod tests {
             runner.status(99),
             Err(ServeError::NotFound { .. })
         ));
+    }
+
+    #[test]
+    fn settled_jobs_beyond_the_cap_are_evicted_oldest_first() {
+        let runner = FleetRunner::new(FleetSetup::default(), 2);
+        for id in 1..=3 {
+            runner.submit(&spec().encode(), 1).expect("slot free");
+            poll_done(&runner, id);
+        }
+        assert!(matches!(runner.status(1), Err(ServeError::NotFound { .. })));
+        for id in 2..=3 {
+            assert!(body(&runner.status(id).expect("retained")).contains("\"labels\":"));
+        }
     }
 }

@@ -15,9 +15,10 @@
 //! [`JobSpec::builder`](mogs_engine::JobSpec), and admits it via
 //! [`Engine::try_submit`] — so a served job is *bit-identical* to the
 //! direct engine path for the same spec, the property the lifecycle
-//! test and `repro serve-bench` both pin. This construction (scene
-//! synthesis + MRF build per request) is also the serving path's
-//! dominant per-job cost; see the bottleneck note `serve-bench` prints.
+//! test pins. This construction (scene synthesis + MRF build per
+//! request) is also a large per-job cost on small jobs; the benchmark's
+//! `serve-small` row reads it as `vision.model_build_ms` under
+//! `--trace 1`.
 
 use std::sync::Arc;
 
@@ -252,7 +253,7 @@ impl JobRequest {
     }
 
     /// Builds the segmentation model this request describes — exposed
-    /// so the lifecycle test and `serve-bench` can run the *direct*
+    /// so the lifecycle test and the benchmark can run the *direct*
     /// engine path on the identical model and compare label maps bit
     /// for bit.
     pub fn segmentation(&self) -> Segmentation {

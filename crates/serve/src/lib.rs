@@ -54,8 +54,7 @@
 //! the same spec: dispatch reconstructs exactly the job the workload's
 //! own `engine_job` constructor produces (same seed, same deterministic
 //! chunk count), and the engine's determinism contract does the rest.
-//! The `serve_lifecycle` integration test and `repro serve-bench` both
-//! pin this.
+//! The `serve_lifecycle` integration test pins this.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

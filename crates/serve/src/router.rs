@@ -475,6 +475,35 @@ mod tests {
     }
 
     #[test]
+    fn batch_tenant_at_the_queue_ceiling_is_503_and_gives_its_slot_back() {
+        let mut router = test_router(8);
+        // An idle engine's queue depth of 0 already meets a zero ceiling.
+        router.batch_queue_ceiling = 0;
+        let batch = TenantQuota {
+            max_in_flight: 1,
+            max_sites_per_job: 4096,
+            priority: Priority::Batch,
+        };
+        router.tenants.register("nightly", batch);
+        let body =
+            r#"{"tenant":"nightly","workload":"segmentation","width":8,"height":8,"iterations":4}"#;
+        let refused = router.handle(&request("POST", "/v1/jobs", body));
+        assert_eq!(refused.status, 503, "{}", body_text(&refused));
+        assert_eq!(refused.header_value("Retry-After"), Some("1"));
+        // Had the refusal kept the tenant's one in-flight slot, the same
+        // tenant reconfigured as interactive would now get a 429.
+        router.tenants.register(
+            "nightly",
+            TenantQuota {
+                priority: Priority::Interactive,
+                ..batch
+            },
+        );
+        let admitted = router.handle(&request("POST", "/v1/jobs", body));
+        assert_eq!(admitted.status, 201, "{}", body_text(&admitted));
+    }
+
+    #[test]
     fn unknown_routes_and_methods_are_typed() {
         let router = test_router(8);
         assert_eq!(router.handle(&request("GET", "/nope", "")).status, 404);
@@ -501,6 +530,7 @@ mod tests {
         // Backend on: submit, poll to terminal, read the labels back.
         let router = test_router(8).with_fleet(crate::fleet::FleetRunner::new(
             crate::fleet::FleetSetup::default(),
+            8,
         ));
         let spec = mogs_fleet::FleetSpec {
             workload: mogs_fleet::Workload::Demo {
@@ -540,6 +570,7 @@ mod tests {
     fn fleet_route_refuses_overflowing_grids_and_unbounded_sweeps_and_stays_free() {
         let router = test_router(8).with_fleet(crate::fleet::FleetRunner::new(
             crate::fleet::FleetSetup::default(),
+            8,
         ));
         let spec = |width: usize, height: usize, iterations: usize| mogs_fleet::FleetSpec {
             workload: mogs_fleet::Workload::Demo {
@@ -574,6 +605,7 @@ mod tests {
     fn fleet_route_refuses_unbounded_rsu_pools_and_stays_free() {
         let router = test_router(8).with_fleet(crate::fleet::FleetRunner::new(
             crate::fleet::FleetSetup::default(),
+            8,
         ));
         let spec = |replicas: usize| mogs_fleet::FleetSpec {
             workload: mogs_fleet::Workload::Demo {

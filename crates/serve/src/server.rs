@@ -10,8 +10,8 @@
 //! at the socket layer, mirroring the engine's bounded job queue one
 //! level up.
 //!
-//! Wedge avoidance, the property the lifecycle test and `serve-bench`
-//! drive: a worker can never be parked indefinitely. Reads carry
+//! Wedge avoidance, the property the lifecycle and slow-client tests and
+//! the benchmark's `serve-small` load drive: a worker can never be parked indefinitely. Reads carry
 //! [`ServeConfig::read_timeout`] (an idle keep-alive connection is
 //! closed, not waited on), one request may take no longer than that from
 //! its first byte (a client dripping bytes is cut off within twice the
@@ -149,7 +149,10 @@ impl Server {
         )
         .with_retry_jitter(config.retry_jitter_s);
         if let Some(setup) = &config.fleet {
-            router = router.with_fleet(FleetRunner::new(setup.clone()));
+            router = router.with_fleet(FleetRunner::new(
+                setup.clone(),
+                config.max_terminal_retained,
+            ));
         }
         // Recovery runs before the first connection worker spawns, so
         // every resumed job is re-admitted (and its serve id reclaimed)

@@ -188,10 +188,13 @@ const FLEET_MAX_SITES: usize = 1 << 16;
 fn busy_fleet() -> &'static FleetRunner {
     static RUNNER: OnceLock<FleetRunner> = OnceLock::new();
     RUNNER.get_or_init(|| {
-        let runner = FleetRunner::new(FleetSetup {
-            workers: 1,
-            max_sites: FLEET_MAX_SITES,
-        });
+        let runner = FleetRunner::new(
+            FleetSetup {
+                workers: 1,
+                max_sites: FLEET_MAX_SITES,
+            },
+            1,
+        );
         let slow = fleet_spec(6, 4, MAX_ITERATIONS).encode();
         runner.submit(&slow, 1).expect("the slot starts free");
         runner

@@ -12,7 +12,9 @@
 //!   503, both with `Retry-After`;
 //! * malformed JSON and oversized bodies get their 4xx without wedging
 //!   the connection pool — follow-up requests on fresh connections
-//!   still succeed.
+//!   still succeed;
+//! * a keep-alive client rides through the server's per-connection
+//!   request cap by reconnecting, with no failed request.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -21,8 +23,8 @@ use std::time::{Duration, Instant};
 use mogs_engine::{Engine, EngineConfig};
 use mogs_gibbs::SoftmaxGibbs;
 use mogs_serve::{
-    http_request, ClientResponse, JobRequest, Priority, ServeConfig, Server, TenantQuota,
-    TenantRegistry,
+    http_request, ClientResponse, HttpClient, JobRequest, Priority, ServeConfig, Server,
+    TenantQuota, TenantRegistry,
 };
 
 fn engine(queue_capacity: usize, max_active_jobs: usize) -> Arc<Engine> {
@@ -332,5 +334,31 @@ fn metrics_endpoint_is_valid_prometheus_with_both_layers() {
     assert!(text.contains("# TYPE mogs_engine_phase_latency_seconds histogram"));
     assert!(text.contains("mogs_serve_requests_total{tenant=\"acme\"}"));
     assert!(text.contains("# TYPE mogs_serve_request_latency_seconds histogram"));
+    server.shutdown();
+}
+
+#[test]
+fn keep_alive_client_reconnects_at_the_request_cap_without_an_error() {
+    let config = ServeConfig {
+        keep_alive_max_requests: 2,
+        ..ServeConfig::default()
+    };
+    let server = serve(engine(4, 1), TenantRegistry::new(), config);
+    let mut client = HttpClient::new(server.local_addr());
+    for n in 1..=5 {
+        let response = client.request("GET", "/metrics", None).expect("GET");
+        assert_eq!(
+            response.status,
+            200,
+            "request {n}: {}",
+            response.body_text()
+        );
+    }
+    // The server closes each connection after its second request, so
+    // five requests need connections for 1–2, 3–4 and 5.
+    assert_eq!(client.connections_opened(), 3);
+    // Closing the client lets its connection worker exit now instead of
+    // at the read timeout.
+    drop(client);
     server.shutdown();
 }
