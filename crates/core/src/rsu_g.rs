@@ -713,6 +713,7 @@ impl SweepKernel for RsuGSampler {
         _temperature: f64,
         current: &[Label],
         out: &mut [Label],
+        _scratch: &mut KernelScratch,
         rng: &mut R,
     ) {
         for (j, (&cur, slot)) in current.iter().zip(out.iter_mut()).enumerate() {

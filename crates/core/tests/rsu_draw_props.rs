@@ -310,7 +310,9 @@ proptest! {
             expect.push(want);
         }
         let mut out = vec![Label::new(0); sites];
-        sampler.clone().sample_fixed_chunk(&rows, m, k, 1.0, &current, &mut out, &mut rng_chunk);
+        sampler.clone().sample_fixed_chunk(
+            &rows, m, k, 1.0, &current, &mut out, &mut KernelScratch::new(), &mut rng_chunk,
+        );
         prop_assert_eq!(out, expect);
         let next = rng_ref.gen::<u64>();
         prop_assert_eq!(rng_new.gen::<u64>(), next);
@@ -353,7 +355,9 @@ proptest! {
             &energies, m, 1.0, &current, &mut want, &mut KernelScratch::new(), &mut rng_f64,
         );
         let mut got = vec![Label::new(0); sites];
-        pool.sample_fixed_chunk(&rows, m, k, 1.0, &current, &mut got, &mut rng_fixed);
+        pool.sample_fixed_chunk(
+            &rows, m, k, 1.0, &current, &mut got, &mut KernelScratch::new(), &mut rng_fixed,
+        );
         prop_assert_eq!(got, want);
         prop_assert_eq!(rng_fixed.gen::<u64>(), rng_f64.gen::<u64>());
         prop_assert_eq!(format!("{pool:?}"), format!("{f64_pool:?}"), "pool state diverged");

@@ -150,6 +150,7 @@ impl SweepKernel for RsuPool<RsuGSampler> {
         _temperature: f64,
         current: &[Label],
         out: &mut [Label],
+        _scratch: &mut KernelScratch,
         rng: &mut R,
     ) {
         self.draw_rotating(current, out, |unit, j, cur| {
@@ -311,9 +312,10 @@ impl SweepKernel for BackendSampler {
         temperature: f64,
         current: &[Label],
         out: &mut [Label],
+        scratch: &mut KernelScratch,
         rng: &mut R,
     ) {
-        forward!(self, s => s.sample_fixed_chunk(rows, m, shift, temperature, current, out, rng));
+        forward!(self, s => s.sample_fixed_chunk(rows, m, shift, temperature, current, out, scratch, rng));
     }
 
     fn unit_count(&self) -> usize {

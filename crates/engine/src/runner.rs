@@ -919,13 +919,23 @@ where
         let fixed = sampler.wants_fixed_rows().then(|| self.mrf.fixed_rows());
         let current = &mut arena.current[..count];
         let out = &mut arena.out[..count];
+        let scratch = &mut arena.scratch;
         if let Some(fixed) = fixed.flatten() {
             let rows = &mut arena.fixed[..count * m];
             let tables = (Some(&fixed.singleton[..]), &*fixed.prior, None);
             // SAFETY: `chunk_sites` is one chunk of one conditionally
             // independent group of the phase being run.
             unsafe { self.gather(chunk_sites, tables, rows, current, clock) };
-            sampler.sample_fixed_chunk(rows, m, fixed.shift, temperature, current, out, &mut rng);
+            sampler.sample_fixed_chunk(
+                rows,
+                m,
+                fixed.shift,
+                temperature,
+                current,
+                out,
+                scratch,
+                &mut rng,
+            );
         } else {
             let stab = self.mrf.singleton_table();
             let energies = &mut arena.energies[..count * m];
@@ -942,7 +952,6 @@ where
             let tables = (stab, &*self.prior_table, diag);
             // SAFETY: as above.
             unsafe { self.gather(chunk_sites, tables, energies, current, clock) };
-            let scratch = &mut arena.scratch;
             sampler.sample_chunk(energies, m, temperature, current, out, scratch, &mut rng);
         }
         // Pass 3: publish the drawn labels.

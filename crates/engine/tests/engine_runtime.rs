@@ -552,3 +552,122 @@ fn sink_does_not_perturb_results_and_stop_at_budget_counts_as_completed() {
     assert_eq!(engine.metrics().jobs_completed, 2);
     engine.shutdown();
 }
+
+/// A dyadic first-order field: every energy is a multiple of `2^-3`, so
+/// a softmax job draws from its fixed-point rows.
+fn dyadic_field(side: usize) -> MarkovRandomField<impl SingletonPotential> {
+    MarkovRandomField::builder(Grid2D::new(side, side), LabelSpace::scalar(6))
+        .prior(SmoothnessPrior::potts(0.75))
+        .temperature(1.0)
+        .singleton(|site: usize, label: Label| {
+            f64::from((site as u32 * 7 + u32::from(label.value()) * 5) % 23) / 8.0
+        })
+        .build()
+}
+
+/// A sink that keeps every sweep's labels.
+#[derive(Debug, Default)]
+struct SweepLabels(std::sync::Mutex<Vec<Vec<Label>>>);
+
+impl DiagSink for SweepLabels {
+    fn needs(&self) -> SinkNeeds {
+        SinkNeeds {
+            energy: false,
+            labels_stride: 1,
+        }
+    }
+
+    fn on_sweep(&self, obs: &SweepObservation<'_>) -> SweepDecision {
+        let labels = obs.labels.expect("stride 1 carries labels").to_vec();
+        self.0.lock().unwrap().push(labels);
+        SweepDecision::Continue
+    }
+}
+
+#[test]
+fn annealed_softmax_job_on_fixed_rows_matches_the_reference_sweep_by_sweep() {
+    let mrf = dyadic_field(12);
+    assert!(mrf.fixed_rows().is_some(), "the field must take fixed rows");
+    let schedule = TemperatureSchedule::geometric(6.0, 0.6, 0.3);
+    let (threads, seed, iterations) = (4, 0xA11E, 9);
+    let mut reference = mrf.uniform_labeling();
+    let mut expect = Vec::new();
+    for iteration in 0..iterations {
+        colored_sweep(
+            &mrf,
+            &mut reference,
+            &SoftmaxGibbs::new(),
+            schedule.temperature(iteration),
+            threads,
+            sweep_seed(seed, iteration),
+        );
+        expect.push(reference.clone());
+    }
+    let engine = Engine::new(EngineConfig {
+        workers: 2,
+        ..EngineConfig::default()
+    });
+    let sink = std::sync::Arc::new(SweepLabels::default());
+    let spec = JobSpec::builder(dyadic_field(12), SoftmaxGibbs::new())
+        .schedule(schedule)
+        .threads(threads)
+        .seed(seed)
+        .iterations(iterations)
+        .sink(std::sync::Arc::clone(&sink) as std::sync::Arc<dyn DiagSink>)
+        .build()
+        .expect("valid spec");
+    let out = engine.submit(spec).expect("engine running").wait();
+    engine.shutdown();
+    let sweeps = sink.0.lock().unwrap();
+    for (iteration, (got, want)) in sweeps.iter().zip(&expect).enumerate() {
+        assert_eq!(got, want, "sweep {iteration} diverged from the reference");
+    }
+    assert_eq!(sweeps.len(), iterations);
+    assert_eq!(out.labels, reference);
+}
+
+#[test]
+fn concurrent_softmax_jobs_at_different_temperatures_match_their_solo_runs() {
+    let job = |temperature: f64| {
+        JobSpec::builder(dyadic_field(32), SoftmaxGibbs::new())
+            .schedule(TemperatureSchedule::constant(temperature))
+            .threads(4)
+            .seed(0x7E3)
+            .iterations(24)
+            .record_energy(false)
+            .build()
+            .expect("valid spec")
+    };
+    let config = EngineConfig {
+        workers: 2,
+        max_active_jobs: 2,
+        ..EngineConfig::default()
+    };
+    let (cold, hot) = (0.375, 3.0);
+    let solo = |temperature| {
+        let engine = Engine::new(config.clone());
+        let out = engine
+            .submit(job(temperature))
+            .expect("engine running")
+            .wait();
+        engine.shutdown();
+        out.labels
+    };
+    let (solo_cold, solo_hot) = (solo(cold), solo(hot));
+    assert_ne!(solo_cold, solo_hot, "the temperatures must matter");
+    // One engine runs both at once, so a worker's scratch switches
+    // between the two keys mid-stream.
+    let engine = Engine::new(config);
+    let a = engine.submit(job(cold)).expect("engine running");
+    let b = engine.submit(job(hot)).expect("engine running");
+    let (a, b) = (a.wait(), b.wait());
+    engine.shutdown();
+    assert_eq!(
+        a.labels, solo_cold,
+        "the T = {cold} job diverged from its solo run"
+    );
+    assert_eq!(
+        b.labels, solo_hot,
+        "the T = {hot} job diverged from its solo run"
+    );
+}

@@ -59,6 +59,7 @@ impl SweepKernel for BitsKernel {
         temperature: f64,
         current: &[Label],
         out: &mut [Label],
+        _scratch: &mut KernelScratch,
         rng: &mut R,
     ) {
         let unit = 0.5f64.powi(shift as i32);

@@ -56,18 +56,46 @@ pub enum UnitFault {
     },
 }
 
-/// Caller-owned kernel-internal buffers, split from [`KernelArena`] so a
-/// kernel can borrow it mutably while reading the arena. Empty: the
-/// softmax and RSU-G kernels both draw each row in one fused pass over
-/// stack storage, but the slot stays in the `sample_chunk` ABI.
+/// Caller-owned kernel-internal state, split from [`KernelArena`] so a
+/// kernel can borrow it mutably while reading the arena: the softmax
+/// [`SweepKernel::sample_fixed_chunk`] table, entry `d` =
+/// `exp(-(d · 2^-shift) / T)`, keyed by `(shift, T)` and emptied when a
+/// chunk brings another key; it grows to the largest gap seen (≤ 2^16
+/// entries, 512 KiB).
 #[derive(Debug, Default, Clone)]
-pub struct KernelScratch;
+pub struct KernelScratch {
+    gaps: Vec<f64>,
+    shift: u32,
+    temperature: f64,
+}
 
 impl KernelScratch {
     /// An empty scratch.
     #[must_use]
     pub fn new() -> Self {
-        KernelScratch
+        KernelScratch::default()
+    }
+
+    /// Keys the gap table to `(shift, temperature)`, emptying it on a
+    /// change of either (compared by bits).
+    fn key_gaps(&mut self, shift: u32, temperature: f64) {
+        if (self.shift, self.temperature.to_bits()) != (shift, temperature.to_bits()) {
+            self.gaps.clear();
+            (self.shift, self.temperature) = (shift, temperature);
+        }
+    }
+
+    /// The keyed gap table, grown to cover gaps `0..=gap`.
+    fn gap_weights(&mut self, gap: u16) -> &[f64] {
+        let have = self.gaps.len();
+        if usize::from(gap) >= have {
+            let unit = 1.0 / f64::from(1u32 << self.shift);
+            let t = self.temperature;
+            let grow = (0..=u32::from(gap)).skip(have);
+            self.gaps
+                .extend(grow.map(|d| (-(f64::from(d) * unit) / t).exp()));
+        }
+        &self.gaps
     }
 }
 
@@ -164,8 +192,9 @@ pub trait SweepKernel: LabelSampler {
     /// `j * m + l` of `rows` is the conditional energy in units of
     /// `2^-shift`: times `2^-shift`, it is the f64 energy bit for bit.
     /// Implementations must draw exactly what `sample_chunk` draws from
-    /// the scaled rows, labels and RNG stream both; the default body
-    /// scales each row and draws it with `sample_label`.
+    /// the scaled rows, labels and RNG stream both, whatever `scratch`
+    /// holds from earlier chunks; the default body scales each row and
+    /// draws it with `sample_label`.
     #[expect(
         clippy::too_many_arguments,
         reason = "the kernel ABI: buffers are flat slices on purpose"
@@ -178,8 +207,10 @@ pub trait SweepKernel: LabelSampler {
         temperature: f64,
         current: &[Label],
         out: &mut [Label],
+        scratch: &mut KernelScratch,
         rng: &mut R,
     ) {
+        let _ = scratch;
         let unit = 1.0 / f64::from(1u32 << shift);
         let mut row = [0.0f64; MAX_LABELS as usize];
         for (j, (&cur, slot)) in current.iter().zip(out.iter_mut()).enumerate() {
@@ -264,9 +295,7 @@ pub trait SweepKernel: LabelSampler {
 impl SweepKernel for crate::sampler::SoftmaxGibbs {
     #[expect(
         clippy::as_conversions,
-        reason = "array lengths must be const-evaluable and u16 -> usize widening is exact; \
-                  label indices are bounded by `m <= MAX_LABELS (64)`, so they always fit a \
-                  u8 (the reference scan, cast for cast)"
+        reason = "array lengths must be const-evaluable and u16 -> usize widening is exact"
     )]
     fn sample_chunk<R: Rng + ?Sized>(
         &mut self,
@@ -300,23 +329,42 @@ impl SweepKernel for crate::sampler::SoftmaxGibbs {
                 };
                 total += *w;
             }
-            if total <= 0.0 {
-                // Degenerate row (all weights underflowed): keep the
-                // current label without consuming the RNG, like the
-                // reference.
-                *slot = cur;
-                continue;
+            *slot = Self::draw_weighted(&weights[..m], total, cur, rng);
+        }
+    }
+
+    fn wants_fixed_rows(&self) -> bool {
+        true
+    }
+
+    /// Label weights are `table[e − min]`: the f64 `e − min` is exactly
+    /// that gap times `2^-shift`, so each entry is `sample_chunk`'s own
+    /// weight at any temperature, bit for bit (DESIGN §11).
+    fn sample_fixed_chunk<R: Rng + ?Sized>(
+        &mut self,
+        rows: &[i16],
+        m: usize,
+        shift: u32,
+        temperature: f64,
+        current: &[Label],
+        out: &mut [Label],
+        scratch: &mut KernelScratch,
+        rng: &mut R,
+    ) {
+        scratch.key_gaps(shift, temperature);
+        let mut weights = [0.0f64; MAX_LABELS as usize];
+        for (j, (&cur, slot)) in current.iter().zip(out.iter_mut()).enumerate() {
+            let row = &rows[j * m..(j + 1) * m];
+            let (lo, hi) = row
+                .iter()
+                .fold((i16::MAX, i16::MIN), |(lo, hi), &e| (lo.min(e), hi.max(e)));
+            let table = scratch.gap_weights(hi.abs_diff(lo));
+            let mut total = 0.0;
+            for (w, &e) in weights[..m].iter_mut().zip(row) {
+                *w = table[usize::from(e.abs_diff(lo))];
+                total += *w;
             }
-            let mut u = rng.gen::<f64>() * total;
-            *slot = 'drawn: {
-                for (l, w) in weights[..m].iter().enumerate() {
-                    if u < *w {
-                        break 'drawn Label::new(l as u8);
-                    }
-                    u -= w;
-                }
-                Label::new((m - 1) as u8)
-            };
+            *slot = Self::draw_weighted(&weights[..m], total, cur, rng);
         }
     }
 }
@@ -423,6 +471,38 @@ mod tests {
     }
 
     #[test]
+    fn softmax_degenerate_nan_rows_keep_the_label_and_the_rng() {
+        // An all-`+∞` row and a row holding a NaN sum to a NaN total:
+        // both paths keep `current` and draw nothing.
+        for row in [[f64::INFINITY; 3], [0.0, f64::NAN, 1.0]] {
+            let current = Label::new(1);
+            let fresh = StdRng::seed_from_u64(3).gen::<u64>();
+            let mut rng = StdRng::seed_from_u64(3);
+            let drawn = SoftmaxGibbs::new().sample_label(&row, 1.0, current, &mut rng);
+            assert_eq!(
+                (drawn, rng.gen::<u64>()),
+                (current, fresh),
+                "sample_label on {row:?}"
+            );
+            let (mut out, mut rng) = ([Label::new(0)], StdRng::seed_from_u64(3));
+            SoftmaxGibbs::new().sample_chunk(
+                &row,
+                3,
+                1.0,
+                &[current],
+                &mut out,
+                &mut KernelScratch::new(),
+                &mut rng,
+            );
+            assert_eq!(
+                (out[0], rng.gen::<u64>()),
+                (current, fresh),
+                "sample_chunk on {row:?}"
+            );
+        }
+    }
+
+    #[test]
     fn metropolis_default_body_is_the_reference() {
         let energies = vec![0.5, 1.5, 0.0, 2.0, 1.0, 0.25];
         let current = vec![Label::new(0), Label::new(1), Label::new(0)];
@@ -449,6 +529,65 @@ mod tests {
             assert_bit_identical(
                 &SoftmaxGibbs::new(), &energies, m, temperature, &current, seed,
             );
+        }
+    }
+
+    thread_local! {
+        /// One scratch for every case, so a table left keyed to an earlier
+        /// case's `(shift, T)`, or one too short for this case, shows.
+        static SHARED: std::cell::RefCell<KernelScratch> =
+            std::cell::RefCell::new(KernelScratch::new());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn softmax_fixed_chunk_matches_the_f64_chunk(
+            sites in 1usize..24,
+            m in 1usize..=64,
+            shift in 0u32..=16,
+            which_t in 0usize..10,
+            span in 0u32..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let temperature =
+                [1e-300, 0.25, 1.5, 4.0, 1e300, f64::INFINITY, 0.0, -0.0, -1.0, f64::NAN][which_t];
+            // Rows from a narrow band up to the whole `i16` range, with
+            // both extremes planted in some rows (a gap of 65,535).
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xF1ED);
+            let width = [16i32, 600, 6_000, 65_535][span as usize];
+            let mut rows: Vec<i16> = (0..sites)
+                .flat_map(|_| {
+                    let lo = rng.gen_range(-32_768..=32_767 - width);
+                    (0..m).map(|_| rng.gen_range(lo..=lo + width)).collect::<Vec<i32>>()
+                })
+                .map(|v| i16::try_from(v).expect("in range"))
+                .collect();
+            if span == 3 && m > 1 {
+                rows[0] = i16::MIN;
+                rows[m - 1] = i16::MAX;
+            }
+            #[expect(clippy::as_conversions, reason = "m <= 64 fits u8")]
+            let current: Vec<Label> = (0..sites)
+                .map(|_| Label::new(rng.gen_range(0..m) as u8))
+                .collect();
+            let unit = 1.0 / f64::from(1u32 << shift);
+            let energies: Vec<f64> = rows.iter().map(|&u| f64::from(u) * unit).collect();
+            let (mut want, mut got) = (vec![Label::new(0); sites], vec![Label::new(0); sites]);
+            let mut rng_f64 = StdRng::seed_from_u64(seed);
+            let mut rng_fixed = StdRng::seed_from_u64(seed);
+            SoftmaxGibbs::new().sample_chunk(
+                &energies, m, temperature, &current, &mut want,
+                &mut KernelScratch::new(), &mut rng_f64,
+            );
+            SHARED.with_borrow_mut(|scratch| {
+                SoftmaxGibbs::new().sample_fixed_chunk(
+                    &rows, m, shift, temperature, &current, &mut got, scratch, &mut rng_fixed,
+                );
+            });
+            prop_assert_eq!(&got, &want, "labels at shift {}, T {}", shift, temperature);
+            prop_assert_eq!(rng_fixed.gen::<u64>(), rng_f64.gen::<u64>(), "RNG state");
         }
     }
 }

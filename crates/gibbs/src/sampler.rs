@@ -67,6 +67,29 @@ impl SoftmaxGibbs {
         let total: f64 = weights.iter().sum();
         weights.into_iter().map(|w| w / total).collect()
     }
+
+    /// The inverse-CDF tail every softmax draw shares: one uniform scaled
+    /// by `total` (the weights' in-order sum), walked down `weights`.
+    /// A degenerate row — `total` zero, or NaN from an all-`+∞` row or a
+    /// NaN energy — keeps `current` and consumes no randomness.
+    pub(crate) fn draw_weighted<R: Rng + ?Sized>(
+        weights: &[f64],
+        total: f64,
+        current: Label,
+        rng: &mut R,
+    ) -> Label {
+        if total.is_nan() || total <= 0.0 {
+            return current;
+        }
+        let mut u = rng.gen::<f64>() * total;
+        for (m, w) in weights.iter().enumerate() {
+            if u < *w {
+                return Label::new(m as u8);
+            }
+            u -= w;
+        }
+        Label::new((weights.len() - 1) as u8)
+    }
 }
 
 impl LabelSampler for SoftmaxGibbs {
@@ -87,17 +110,7 @@ impl LabelSampler for SoftmaxGibbs {
             *w = (-(e - min) / temperature).exp();
             total += *w;
         }
-        if total <= 0.0 {
-            return current;
-        }
-        let mut u = rng.gen::<f64>() * total;
-        for (m, w) in weights[..energies.len()].iter().enumerate() {
-            if u < *w {
-                return Label::new(m as u8);
-            }
-            u -= w;
-        }
-        Label::new((energies.len() - 1) as u8)
+        SoftmaxGibbs::draw_weighted(&weights[..energies.len()], total, current, rng)
     }
 
     fn name(&self) -> &'static str {

@@ -289,6 +289,10 @@ impl<S: SingletonPotential> MarkovRandomField<S> {
     /// The field's exact fixed-point energies, derived once from the f64
     /// tables and shared by every clone, or `None` for a second-order
     /// field, one above [`SINGLETON_CACHE_CAP`], or one [`FixedRows`] refuses.
+    /// The engine derives them when admitting a job whose kernel opts in
+    /// (the RSU-G and softmax kernels do): RSU-G draws from the integer
+    /// rows directly, softmax reads each weight from a table indexed by
+    /// the row's integer energy gaps.
     pub fn fixed_rows(&self) -> Option<&FixedRows> {
         if self.neighborhood != Neighborhood::FirstOrder {
             return None;
