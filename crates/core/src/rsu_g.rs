@@ -296,6 +296,9 @@ pub struct RsuGSampler {
     ttf: TtfRegister,
     /// The tournament's thresholds for `ttf` at [`SAMPLER_BASE_RATE`].
     ticks: Arc<TickTable>,
+    /// Fixed-row intensity codes of `quantizer` and `map`, shared by
+    /// clones and reset by [`RsuGSampler::with_map`].
+    codes: Arc<CodeTables>,
     fault: Option<UnitFault>,
 }
 
@@ -316,18 +319,33 @@ fn f64_tick(ttf: &TtfRegister, rate: f64, raw: u64) -> u8 {
     ttf.capture(Some(-(1.0 - u).ln() / rate)).raw()
 }
 
-/// Per-code tick thresholds: `0[c][k]` is the smallest raw draw whose
+/// A [`TickTable`] guide bucket is the top ten bits of a 53-bit raw draw.
+const GUIDE_BITS: u32 = 10;
+
+/// The raw-draw bits below a guide bucket's.
+const GUIDE_SHIFT: u32 = 53 - GUIDE_BITS;
+
+/// A guide entry whose bucket the 8-step search must resolve.
+const WIDE: u8 = u8::MAX;
+
+/// Per-code tick thresholds: `edges[c][k]` is the smallest raw draw whose
 /// [`f64_tick`] at code `c` is ≥ `k` ([`RAW_END`] if none is), so a draw's
-/// tick is the largest `k` with `0[c][k] ≤ raw`, and column 255 is the
-/// saturated reading. Row 0 is unused: code 0 draws nothing.
-struct TickTable([[u64; TICKS]; CODE_MAX as usize + 1]);
+/// tick is the largest `k` with `edges[c][k] ≤ raw`, and column 255 is the
+/// saturated reading. `guide[c][b]` is the tick at the first raw draw of
+/// bucket `b = raw >> GUIDE_SHIFT`, or [`WIDE`] unless every draw in the
+/// bucket reads that tick or the next. Row 0 is unused: code 0 draws
+/// nothing.
+struct TickTable {
+    edges: [[u64; TICKS]; CODE_MAX as usize + 1],
+    guide: [[u8; 1 << GUIDE_BITS]; CODE_MAX as usize + 1],
+}
 
 impl TickTable {
     /// Bisects [`f64_tick`] itself for every edge, so the table is exact
     /// wherever the tick is monotone in the raw draw (DESIGN §11).
     fn build(ttf: &TtfRegister) -> Self {
-        let mut table = [[RAW_END; TICKS]; CODE_MAX as usize + 1];
-        for (code, row) in table.iter_mut().enumerate().skip(1) {
+        let mut edges = [[RAW_END; TICKS]; CODE_MAX as usize + 1];
+        for (code, row) in edges.iter_mut().enumerate().skip(1) {
             let rate = code as f64 * SAMPLER_BASE_RATE;
             row[0] = 0;
             for (k, edge) in row.iter_mut().enumerate().skip(1) {
@@ -337,7 +355,35 @@ impl TickTable {
                 *edge = first_reaching(|raw| usize::from(f64_tick(ttf, rate, raw)) >= k, guess);
             }
         }
-        TickTable(table)
+        // On a non-decreasing row the search is monotone in the draw, so
+        // a bucket whose last draw reads at most one tick past its first
+        // holds only those two ticks, told apart by one edge.
+        let guide = std::array::from_fn(|code| {
+            let row = &edges[code];
+            let sorted = row.is_sorted();
+            std::array::from_fn(|bucket| {
+                let first = (bucket as u64) << GUIDE_SHIFT;
+                let lo = search(row, first);
+                let hi = search(row, first + (1 << GUIDE_SHIFT) - 1);
+                if sorted && lo < TICKS - 1 && hi <= lo + 1 {
+                    lo as u8
+                } else {
+                    WIDE
+                }
+            })
+        });
+        TickTable { edges, guide }
+    }
+
+    /// The tick a lit code's raw draw captures: the guide's bucket and
+    /// one edge compare, or the 8-step search where the guide is [`WIDE`].
+    #[inline]
+    fn tick(&self, code: u8, raw: u64) -> usize {
+        let row = &self.edges[usize::from(code)];
+        match self.guide[usize::from(code)][(raw >> GUIDE_SHIFT) as usize] {
+            WIDE => search(row, raw),
+            lo => usize::from(lo) + usize::from(row[usize::from(lo) + 1] <= raw),
+        }
     }
 
     /// The table of [`TtfRegister::at_1ghz`], built once per process and
@@ -351,6 +397,29 @@ impl TickTable {
 impl fmt::Debug for TickTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("TickTable")
+    }
+}
+
+/// The largest `k` with `row[k] ≤ raw` on a non-decreasing threshold row
+/// (`row[0] = 0`), in eight halvings without branching.
+#[inline]
+fn search(row: &[u64; TICKS], raw: u64) -> usize {
+    let mut tick = 0;
+    for step in [128, 64, 32, 16, 8, 4, 2, 1] {
+        tick += usize::from(row[tick + step] <= raw) * step;
+    }
+    tick
+}
+
+/// A sampler's fixed-row code tables, one per shift, each built on first
+/// use: entry `d` is the intensity code of a label `d · 2^-shift` above
+/// its row's minimum, for every candidate offset `d`.
+#[derive(Default)]
+struct CodeTables([OnceLock<Box<[u8]>>; FIXED_SHIFT_MAX as usize + 1]);
+
+impl fmt::Debug for CodeTables {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("CodeTables")
     }
 }
 
@@ -427,6 +496,7 @@ impl RsuGSampler {
             quantizer,
             ttf: TtfRegister::at_1ghz(),
             ticks: TickTable::shared_default(),
+            codes: Arc::default(),
             fault: None,
         }
     }
@@ -459,12 +529,13 @@ impl RsuGSampler {
     ///
     /// Panics if `code` exceeds [`CODE_MAX`].
     pub fn tick_thresholds(&self, code: u8) -> &[u64; TICKS] {
-        &self.ticks.0[usize::from(code)]
+        &self.ticks.edges[usize::from(code)]
     }
 
     /// Overrides the intensity map (precision ablations).
     pub fn with_map(mut self, map: IntensityMap) -> Self {
         self.candidate_span = candidate_span(&self.quantizer, &map);
+        self.codes = Arc::default();
         self.map = map;
         self
     }
@@ -489,7 +560,8 @@ impl RsuGSampler {
     /// keeps `current`. Labels a candidate mask proves dark are skipped
     /// unquantized, which moves neither the labels nor the RNG stream. The
     /// captured tick is read off [`RsuGSampler::tick_thresholds`] with the
-    /// raw draw, which equals the f64 capture bit for bit (DESIGN §11).
+    /// raw draw, through a guide keyed by its top ten bits, which equals
+    /// the f64 capture bit for bit (DESIGN §11).
     ///
     /// An injected [`UnitFault`] changes the outcome the way the device
     /// would: a dead unit keeps `current`, a stuck unit returns its
@@ -523,7 +595,9 @@ impl RsuGSampler {
             let base = energies.len() - blocks.remainder().len();
             let tail = blocks.remainder().iter().enumerate();
             candidates = tail.fold(candidates, |bits, (k, e)| lit(bits, (base + k, e)));
-            (candidates, move |m: usize| energies[m] - min)
+            let code_of =
+                move |m: usize| self.map.lookup(self.quantizer.quantize(energies[m] - min));
+            (candidates, code_of)
         })
     }
 
@@ -533,8 +607,9 @@ impl RsuGSampler {
     /// `2^-shift`. The minimum is taken in `i16` and label `m` is a
     /// candidate when its offset `d = e − min` is at most
     /// `⌊span · 2^shift⌋`, where `span` is the f64 path's candidate span;
-    /// `d · 2^-shift` is exactly `draw_row`'s `e − min`, so each code is
-    /// the one `draw_row` reads (DESIGN §11).
+    /// `d · 2^-shift` is exactly `draw_row`'s `e − min`, so each code,
+    /// read from a per-shift table indexed by `d`, is the one `draw_row`
+    /// reads (DESIGN §11).
     ///
     /// # Panics
     ///
@@ -555,10 +630,9 @@ impl RsuGSampler {
             let min = row.iter().copied().min().unwrap_or(0);
             // `e ≥ min`, so the wrapped difference read as u16 is exact.
             let offset = move |e: i16| e.wrapping_sub(min) as u16;
-            let scale = f64::from(1u32 << shift);
-            // The cast floors the non-negative product and saturates an
-            // infinite span at u16::MAX, above every offset.
-            let limit = (self.candidate_span * scale) as u16;
+            // Offsets past the code table are provably dark.
+            let codes = self.fixed_codes(shift);
+            let limit = (codes.len() - 1) as u16;
             let mut flags = [0u8; MAX_LABELS as usize];
             for (flag, &e) in flags.iter_mut().zip(row) {
                 *flag = u8::from(offset(e) <= limit);
@@ -570,15 +644,36 @@ impl RsuGSampler {
                 let bits = u64::from_le_bytes(*block).wrapping_mul(0x0102_0408_1020_4080) >> 56;
                 mask | (bits << (8 * b))
             });
+            (candidates, move |m: usize| {
+                codes[usize::from(offset(row[m]))]
+            })
+        })
+    }
+
+    /// The code table for offsets `0..=⌊span · 2^shift⌋` (capped at
+    /// `u16::MAX`), where `span` is the f64 path's candidate span: entry
+    /// `d` is `draw_row`'s code for an energy `d · 2^-shift` above the row
+    /// minimum, and `2^-shift` is exact (DESIGN §11).
+    fn fixed_codes(&self, shift: u32) -> &[u8] {
+        self.codes.0[shift as usize].get_or_init(|| {
+            let scale = f64::from(1u32 << shift);
+            // The cast floors the non-negative product and saturates an
+            // infinite span at u16::MAX, above every offset.
+            let limit = (self.candidate_span * scale) as u16;
             let unit = scale.recip();
-            (candidates, move |m: usize| f64::from(offset(row[m])) * unit)
+            (0..=limit)
+                .map(|d| {
+                    self.map
+                        .lookup(self.quantizer.quantize(f64::from(d) * unit))
+                })
+                .collect()
         })
     }
 
     /// The tournament tail both row entries share: fault handling, the
     /// dark-count draw, then one draw per lit candidate in label order.
     /// `prepare` runs once the row is known to be drawn and returns the
-    /// candidate mask and each label's energy above the row minimum.
+    /// candidate mask and each candidate label's intensity code.
     ///
     /// # Panics
     ///
@@ -593,7 +688,7 @@ impl RsuGSampler {
     ) -> Label
     where
         R: Rng + ?Sized,
-        F: Fn(usize) -> f64,
+        F: Fn(usize) -> u8,
     {
         match self.fault {
             Some(UnitFault::Dead) => return current,
@@ -605,24 +700,18 @@ impl RsuGSampler {
             "an RSU-G row holds at most {MAX_LABELS} labels"
         );
         let dark = self.dark_reading(rng);
-        let (mut candidates, offset) = prepare();
+        let (mut candidates, code_of) = prepare();
         let mut best_m = usize::from(current.value());
         let mut best_tick = TICKS - 1;
         while candidates != 0 {
             let m = candidates.trailing_zeros() as usize;
             candidates &= candidates - 1;
-            let code = self.map.lookup(self.quantizer.quantize(offset(m)));
+            let code = code_of(m);
             if code == 0 {
                 continue;
             }
-            // The one u64 `gen::<f64>()` would consume; its tick is the
-            // largest `k` with `row[k] ≤ raw`, found without branching.
-            let raw = rng.next_u64() >> 11;
-            let row = &self.ticks.0[usize::from(code)];
-            let mut tick = 0;
-            for step in [128, 64, 32, 16, 8, 4, 2, 1] {
-                tick += usize::from(row[tick + step] <= raw) * step;
-            }
+            // The one u64 `gen::<f64>()` would consume, read as a tick.
+            let tick = self.ticks.tick(code, rng.next_u64() >> 11);
             let wins = tick < best_tick;
             best_tick = if wins { tick } else { best_tick };
             best_m = if wins { m } else { best_m };
@@ -998,6 +1087,116 @@ mod tests {
             rng_b.gen::<u64>(),
             "RNG consumption diverged"
         );
+    }
+
+    #[test]
+    fn guided_ticks_equal_the_search_at_every_edge_and_bucket_end() {
+        let registers = [
+            TtfRegister::at_1ghz(),
+            TtfRegister::new(1.0 / 0.59),
+            TtfRegister::new(2.5),
+        ];
+        for ttf in registers {
+            let table = TickTable::build(&ttf);
+            let mut guided = 0;
+            for code in 1..=CODE_MAX {
+                let row = &table.edges[usize::from(code)];
+                let buckets = (0..1u64 << GUIDE_BITS)
+                    .flat_map(|b| [b << GUIDE_SHIFT, ((b + 1) << GUIDE_SHIFT) - 1]);
+                let edges = row[1..]
+                    .iter()
+                    .filter(|&&edge| edge < RAW_END)
+                    .flat_map(|&edge| [edge - 1, edge]);
+                for raw in buckets.chain(edges) {
+                    assert_eq!(
+                        table.tick(code, raw),
+                        search(row, raw),
+                        "code {code}, raw {raw:#x}, period {}",
+                        ttf.tick_ns()
+                    );
+                }
+                guided += table.guide[usize::from(code)]
+                    .iter()
+                    .filter(|&&lo| lo != WIDE)
+                    .count();
+            }
+            // Most buckets hold one or two ticks; the search is the
+            // exception, not the rule.
+            assert!(guided > 15 * 1024 * 3 / 4, "{guided} guided buckets");
+        }
+    }
+
+    /// A map of each family `rsu_draw_props` draws units from.
+    fn map_family(family: usize, t8: f64, rng: &mut StdRng) -> IntensityMap {
+        let mut table = [0u8; crate::intensity::LUT_ENTRIES];
+        match family {
+            // Random, non-monotone.
+            0 => table.iter_mut().for_each(|c| *c = rng.gen_range(0..=15)),
+            // Sparse, non-monotone, dark at the top.
+            1 => {
+                for _ in 0..4 {
+                    table[rng.gen_range(0usize..200)] = rng.gen_range(1..=15);
+                }
+            }
+            // All LEDs off.
+            2 => {}
+            // LUT[255] lit: no energy is dark.
+            3 => {
+                table.iter_mut().for_each(|c| *c = rng.gen_range(0..=3));
+                table[255] = 9;
+            }
+            _ => return IntensityMap::boltzmann(t8),
+        }
+        IntensityMap::from_entries(table)
+    }
+
+    #[test]
+    fn code_tables_hold_the_quantized_code_of_every_candidate_offset() {
+        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        for family in 0..5 {
+            for scale in [1.0, 3.0, 8.0, 16.0] {
+                let quantizer = EnergyQuantizer::new(scale);
+                let map = map_family(family, 1.5 * scale, &mut rng);
+                let sampler = RsuGSampler::new(quantizer, 1.5).with_map(map.clone());
+                for shift in 0..=FIXED_SHIFT_MAX {
+                    let unit = f64::from(1u32 << shift);
+                    let codes = sampler.fixed_codes(shift);
+                    let limit = (candidate_span(&quantizer, &map) * unit).min(65_535.0);
+                    assert_eq!(codes.len(), limit as usize + 1, "shift {shift}");
+                    for (d, &code) in codes.iter().enumerate() {
+                        let expect = map.lookup(quantizer.quantize(d as f64 / unit));
+                        assert_eq!(code, expect, "family {family}, shift {shift}, d {d}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn with_map_rebuilds_the_code_tables_its_clones_share() {
+        let m = 7;
+        let shift = 3;
+        let mut gen = StdRng::seed_from_u64(31);
+        let rows: Vec<i16> = (0..40 * m).map(|_| gen.gen_range(0..120)).collect();
+        let draw = |sampler: &RsuGSampler, seed: u64| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let labels: Vec<Label> = rows
+                .chunks(m)
+                .map(|row| sampler.draw_fixed_row(row, shift, Label::new(0), &mut rng))
+                .collect();
+            (labels, rng.gen::<u64>())
+        };
+        let quantizer = EnergyQuantizer::new(8.0);
+        let original = RsuGSampler::new(quantizer, 1.5);
+        let before = draw(&original, 1);
+        let other = map_family(0, 12.0, &mut gen);
+        let swapped = original.clone().with_map(other.clone());
+        let fresh = RsuGSampler::new(quantizer, 1.5).with_map(other);
+        for seed in 1..4 {
+            assert_eq!(draw(&swapped, seed), draw(&fresh, seed), "seed {seed}");
+        }
+        assert_ne!(draw(&swapped, 1), before, "the maps must draw apart");
+        assert_eq!(draw(&original, 1), before, "the original keeps its map");
     }
 
     #[test]

@@ -227,9 +227,10 @@ impl BackendSampler {
     /// Builds the sampler for `backend`, reporting invalid backend
     /// descriptions as [`EngineError::Backend`].
     ///
-    /// RSU-G units use the workspace's standard emulation setup (8.0
-    /// energy-quantizer range, the paper's `T` as the unit model
-    /// temperature), matching the reference experiments.
+    /// RSU-G units use the workspace's standard emulation setup, matching
+    /// the reference experiments: an energy-quantizer *scale* of 8.0
+    /// (model energy `e` becomes `round(8e)`, which saturates at 255 from
+    /// `e ≈ 31.8`) and the paper's `T` as the unit model temperature.
     pub fn try_new(backend: Backend, temperature: f64) -> Result<Self, EngineError> {
         match backend {
             Backend::Softmax => Ok(BackendSampler::Softmax(SoftmaxGibbs::new())),

@@ -115,6 +115,35 @@ impl FaultPlan {
     pub fn len(&self) -> usize {
         self.events.len()
     }
+
+    /// Validates the plan against a `labels`-label space the way
+    /// `JobSpec::build` validates specs.
+    pub(crate) fn validate(&self, labels: usize) -> Result<(), EngineError> {
+        check_stuck_labels(self.events.iter().map(|e| e.fault), labels, "fault_plan")
+    }
+}
+
+/// Refuses a stuck unit whose latched label lies outside a `labels`-label
+/// space: the unit would write that label into the job's label plane.
+pub(crate) fn check_stuck_labels(
+    faults: impl IntoIterator<Item = UnitFault>,
+    labels: usize,
+    field: &'static str,
+) -> Result<(), EngineError> {
+    for fault in faults {
+        if let UnitFault::Stuck(label) = fault {
+            if usize::from(label.value()) >= labels {
+                return Err(EngineError::InvalidSpec {
+                    field,
+                    reason: format!(
+                        "stuck unit latches label {} outside the {labels}-label space",
+                        label.value()
+                    ),
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A job that survived backend failover: the RSU pool fell below the

@@ -320,7 +320,8 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     /// `threads == 0`, which the audit reports as a zero-chunk schedule;
     /// [`EngineError::Labeling`] if the starting labeling does not
     /// validate against the field; [`EngineError::InvalidSpec`] if an
-    /// attached health policy has an out-of-range field, or (field
+    /// attached health policy has an out-of-range field or the fault plan
+    /// sticks a unit on a label outside the label space, or (field
     /// `"checkpoint"`) when the `resume` state does not belong to this
     /// spec or is internally misshapen.
     pub(crate) fn try_new(
@@ -339,6 +340,9 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
                 count: m,
                 max: usize::from(MAX_LABELS),
             });
+        }
+        if let Some(plan) = &job.fault_plan {
+            plan.validate(m)?;
         }
         let (admission, shared) = Prepared::shared(
             *job.mrf.grid(),
@@ -524,8 +528,9 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
 
     /// State-vs-spec checks that must pass before a resumed job fires
     /// `on_start` or touches the sampler: the binding must match, the
-    /// cursor must point inside the sweep budget, and every optional
-    /// record must be present exactly when the spec implies it.
+    /// cursor must point inside the sweep budget, every optional record
+    /// must be present exactly when the spec implies it, and no
+    /// checkpointed stuck unit may latch a label outside the label space.
     fn validate_resume(
         job: &InferenceJob<S, L>,
         state: &JobState,
@@ -586,6 +591,11 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
                     .to_string()
             }));
         }
+        crate::fault::check_stuck_labels(
+            state.kernel_faults.iter().flatten().copied(),
+            binding.labels,
+            "checkpoint",
+        )?;
         if !wants_fault && state.kernel_faults.iter().any(Option::is_some) {
             return Err(invalid(
                 "state carries injected device faults but the spec has no fault runtime to own them"

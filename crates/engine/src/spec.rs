@@ -199,8 +199,9 @@ impl<S: SingletonPotential, L: LabelSampler> JobSpecBuilder<S, L> {
     /// # Errors
     ///
     /// [`EngineError::InvalidSpec`] for a zero iteration budget, a zero
-    /// chunk count, an empty explicit group override, or an
-    /// out-of-range health policy field;
+    /// chunk count, an empty explicit group override, an out-of-range
+    /// health policy field, or a fault plan that sticks a unit on a
+    /// label outside the field's label space;
     /// [`EngineError::LabelSpace`] when the field's label space is empty
     /// or exceeds [`MAX_LABELS`]; [`EngineError::Labeling`] when an
     /// explicit initial labeling does not fit the field.
@@ -240,6 +241,9 @@ impl<S: SingletonPotential, L: LabelSampler> JobSpecBuilder<S, L> {
         }
         if let Some(policy) = &job.health {
             policy.validate()?;
+        }
+        if let Some(plan) = &job.fault_plan {
+            plan.validate(m)?;
         }
         Ok(JobSpec { job })
     }

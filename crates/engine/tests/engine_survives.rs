@@ -479,3 +479,118 @@ fn a_reaped_jobs_stragglers_never_advance_it() {
     engine.shutdown();
     assert_eq!(calls.load(Ordering::SeqCst), phase0_chunks);
 }
+
+/// A plan that sticks unit 0 on `label` before the first sweep.
+fn stuck_at(label: u8) -> FaultPlan {
+    FaultPlan::new(vec![FaultEvent {
+        sweep: 0,
+        unit: 0,
+        fault: UnitFault::Stuck(Label::new(label)),
+    }])
+}
+
+/// A one-unit RSU-G pool over [`field`].
+fn one_unit_pool() -> BackendSampler {
+    BackendSampler::try_new(Backend::RsuG { replicas: 1 }, 2.5).expect("one positive replica")
+}
+
+/// The field a refused spec or state was reported under.
+fn invalid_field(err: &EngineError) -> &'static str {
+    match err {
+        EngineError::InvalidSpec { field, .. } => field,
+        other => panic!("expected InvalidSpec, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_stuck_label_outside_the_label_space_is_refused_at_build_and_admission() {
+    for label in [M as u8, 40] {
+        let err = JobSpec::builder(field(), one_unit_pool())
+            .fault_plan(stuck_at(label))
+            .build()
+            .expect_err("a unit stuck outside the label space must not validate");
+        assert_eq!(invalid_field(&err), "fault_plan");
+    }
+    // A legacy job skips the builder; admission refuses it the same way.
+    let engine = Engine::with_default_config();
+    let mut legacy = InferenceJob::new(field(), one_unit_pool());
+    legacy.fault_plan = Some(stuck_at(M as u8));
+    let err = engine
+        .submit(legacy)
+        .expect_err("admission refuses an out-of-space stuck label");
+    assert_eq!(invalid_field(&err), "fault_plan");
+    // The top label itself is a fault the job survives.
+    let out = engine
+        .submit(
+            JobSpec::builder(field(), one_unit_pool())
+                .iterations(3)
+                .track_modes(true)
+                .fault_plan(stuck_at(M as u8 - 1))
+                .build()
+                .expect("a unit stuck on label M - 1 is valid"),
+        )
+        .expect("admission accepts the job")
+        .wait_result()
+        .expect("the stuck unit's job completes");
+    assert!(out.labels.iter().all(|l| usize::from(l.value()) == M - 1));
+    engine.shutdown();
+}
+
+/// Keeps every captured state in memory.
+#[derive(Default)]
+struct Captured(std::sync::Mutex<Vec<JobState>>);
+
+impl CheckpointWriter for Captured {
+    fn write(&self, state: &JobState) -> Result<(), String> {
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push(state.clone());
+        Ok(())
+    }
+}
+
+#[test]
+fn a_checkpointed_stuck_label_outside_the_label_space_is_refused_at_resume() {
+    let spec = || {
+        JobSpec::builder(field(), one_unit_pool())
+            .iterations(4)
+            .track_modes(true)
+            .fault_plan(FaultPlan::none())
+    };
+    let engine = Engine::with_default_config();
+    let captured = Arc::new(Captured::default());
+    let writer: Arc<dyn CheckpointWriter> = captured.clone();
+    let checkpointed = spec()
+        .checkpoint(CheckpointPolicy::every(2), writer)
+        .build()
+        .expect("valid spec");
+    engine
+        .submit(checkpointed)
+        .expect("admission accepts the job")
+        .wait_result()
+        .expect("the healthy job completes");
+    let mut state = captured
+        .0
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .first()
+        .cloned()
+        .expect("a checkpoint at sweep 2");
+    assert_eq!(state.kernel_faults, vec![None]);
+    state.kernel_faults[0] = Some(UnitFault::Stuck(Label::new(M as u8)));
+    let Err(err) = engine.resume(spec().build().expect("valid spec"), &state) else {
+        // The seated job panics outside the workers' isolation boundary
+        // and never drains, so dropping the engine would wait forever.
+        std::mem::forget(engine);
+        panic!("a checkpoint seated a unit stuck outside the label space");
+    };
+    assert_eq!(invalid_field(&err), "checkpoint");
+    state.kernel_faults[0] = Some(UnitFault::Stuck(Label::new(M as u8 - 1)));
+    engine
+        .resume(spec().build().expect("valid spec"), &state)
+        .expect("a unit stuck on label M - 1 re-seats")
+        .wait_result()
+        .expect("the resumed job completes");
+    engine.shutdown();
+}
