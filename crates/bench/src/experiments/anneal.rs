@@ -9,7 +9,8 @@
 //! the posterior interpretation.
 
 use crate::report::render_table;
-use mogs_gibbs::chain::{ChainConfig, McmcChain};
+use mogs_engine::{Engine, InferenceJob};
+use mogs_gibbs::chain::ChainConfig;
 use mogs_gibbs::schedule::TemperatureSchedule;
 use mogs_gibbs::SoftmaxGibbs;
 use mogs_vision::metrics::label_accuracy;
@@ -28,15 +29,16 @@ pub struct AnnealRow {
     pub accuracy: f64,
 }
 
-/// Runs the schedule comparison.
+/// Runs the schedule comparison, one engine job per schedule.
 ///
 /// # Panics
 ///
-/// Panics if a chain finishes without recording an energy trace (it always
-/// records the initial energy).
+/// Panics if the engine refuses or fails a job, or `iterations` is zero
+/// (the energy trace is then empty).
 pub fn run(iterations: usize, seed: u64) -> Vec<AnnealRow> {
     let scene = synthetic::region_scene(32, 32, 5, 7.0, seed);
     let app = Segmentation::new(scene.image.clone(), SegmentationConfig::default());
+    let engine = Engine::with_default_config();
     let schedules: [(&str, TemperatureSchedule, bool); 3] = [
         (
             "constant T=4 (+ mode tracking)",
@@ -61,19 +63,25 @@ pub fn run(iterations: usize, seed: u64) -> Vec<AnnealRow> {
                 schedule,
                 burn_in: if track_modes { iterations / 4 } else { 0 },
                 track_modes,
-                rao_blackwell: false,
-                threads: 1,
+                threads: 2,
                 seed,
             };
-            let mut chain = McmcChain::new(app.mrf(), SoftmaxGibbs::new(), config);
-            chain.run(iterations);
-            let final_energy = *chain
-                .energy_trace()
+            let job = InferenceJob::from_chain_config(
+                app.mrf().clone(),
+                SoftmaxGibbs::new(),
+                config,
+                iterations,
+            );
+            let result = engine
+                .submit(job)
+                .expect("engine accepts the schedule's job")
+                .wait()
+                .into_chain_result();
+            let final_energy = *result
+                .energy_trace
                 .last()
-                .expect("chain records the initial energy");
-            let labels = chain
-                .map_estimate()
-                .unwrap_or_else(|| chain.labels().to_vec());
+                .expect("every sweep records its energy");
+            let labels = result.map_estimate.unwrap_or(result.labels);
             AnnealRow {
                 schedule: name.to_owned(),
                 final_energy,

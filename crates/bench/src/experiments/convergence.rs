@@ -5,17 +5,22 @@ use crate::report::render_table;
 use mogs_arch::accel_sim::{AccelSim, AccelSimConfig};
 use mogs_arch::accelerator::Accelerator;
 use mogs_arch::workload::{ImageSize, Workload};
+use mogs_engine::{run_chains_on_engine, Engine};
 use mogs_gibbs::chain::ChainConfig;
-use mogs_gibbs::multichain::run_chains;
 use mogs_gibbs::SoftmaxGibbs;
 use mogs_vision::segmentation::{Segmentation, SegmentationConfig};
 use mogs_vision::synthetic;
 
-/// Runs four independent segmentation chains at several lengths and
-/// renders the R̂ trajectory.
+/// Runs four independent segmentation chains at several lengths on one
+/// engine and renders the R̂ trajectory.
+///
+/// # Panics
+///
+/// Panics if the engine refuses or fails a chain.
 pub fn render_r_hat(seed: u64) -> String {
     let scene = synthetic::region_scene(24, 24, 5, 7.0, seed);
     let app = Segmentation::new(scene.image.clone(), SegmentationConfig::default());
+    let engine = Engine::with_default_config();
     let mut rows = Vec::new();
     for iterations in [10usize, 20, 40, 80] {
         let config = ChainConfig {
@@ -24,7 +29,15 @@ pub fn render_r_hat(seed: u64) -> String {
             track_modes: false,
             ..ChainConfig::default()
         };
-        let result = run_chains(app.mrf(), &SoftmaxGibbs::new(), config, 4, iterations);
+        let result = run_chains_on_engine(
+            &engine,
+            app.mrf(),
+            &SoftmaxGibbs::new(),
+            config,
+            4,
+            iterations,
+        )
+        .expect("well-formed multi-chain run");
         rows.push(vec![
             iterations.to_string(),
             format!("{:.3}", result.r_hat),
@@ -82,12 +95,10 @@ pub fn render_accel_sim() -> String {
 /// Renders the parallel-tempering study: a frustrated Potts model where a
 /// plain cold chain freezes and a replica ladder keeps moving.
 pub fn render_tempering(seed: u64) -> String {
-    use mogs_gibbs::sweep::sequential_sweep;
-    use mogs_gibbs::tempering::{TemperedChains, TemperingConfig};
+    use mogs_gibbs::sweep::{colored_sweep, sweep_seed};
+    use mogs_gibbs::tempering::{TemperedChains, TemperingConfig, CHUNKS};
     use mogs_mrf::energy::ZeroSingleton;
     use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     let mrf = MarkovRandomField::builder(Grid2D::new(16, 16), LabelSpace::scalar(4))
         .prior(SmoothnessPrior::potts(2.0))
@@ -98,11 +109,12 @@ pub fn render_tempering(seed: u64) -> String {
         .collect();
     let iterations = 50;
 
+    // The plain chain is the ladder's coldest replica alone: the same
+    // reference sweep at the same chunk count.
     let mut plain = frustrated.clone();
-    let mut sampler = SoftmaxGibbs::new();
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..iterations {
-        sequential_sweep(&mrf, &mut plain, &mut sampler, 0.4, &mut rng);
+    for iteration in 0..iterations {
+        let sweep = sweep_seed(seed, iteration);
+        colored_sweep(&mrf, &mut plain, &SoftmaxGibbs::new(), 0.4, CHUNKS, sweep);
     }
     let plain_energy = mrf.total_energy(&plain);
 
@@ -138,16 +150,21 @@ pub fn render_tempering(seed: u64) -> String {
 
 /// Renders the coarse-to-fine pyramid study: accuracy per full-resolution
 /// iteration budget, flat vs pyramid.
+///
+/// # Panics
+///
+/// Panics if the engine refuses or fails a job.
 pub fn render_pyramid(seed: u64) -> String {
     use mogs_vision::metrics::label_accuracy;
     use mogs_vision::pyramid::{segment_coarse_to_fine, PyramidSchedule};
 
     let scene = synthetic::region_scene(48, 48, 5, 7.0, seed);
     let config = SegmentationConfig::default();
+    let engine = Engine::with_default_config();
     let mut rows = Vec::new();
     for fine_iters in [4usize, 8, 16] {
         let flat_app = Segmentation::new(scene.image.clone(), config.clone());
-        let flat = flat_app.run(SoftmaxGibbs::new(), fine_iters, seed);
+        let flat = flat_app.run(&engine, SoftmaxGibbs::new(), fine_iters, seed);
         let flat_acc = label_accuracy(
             flat.map_estimate.as_ref().unwrap_or(&flat.labels),
             &scene.truth,
@@ -155,8 +172,14 @@ pub fn render_pyramid(seed: u64) -> String {
         let schedule = PyramidSchedule {
             iterations: vec![20, 12, fine_iters],
         };
-        let pyramid =
-            segment_coarse_to_fine(&scene.image, &config, SoftmaxGibbs::new(), &schedule, seed);
+        let pyramid = segment_coarse_to_fine(
+            &engine,
+            &scene.image,
+            &config,
+            SoftmaxGibbs::new(),
+            &schedule,
+            seed,
+        );
         let pyr_acc = label_accuracy(
             pyramid.map_estimate.as_ref().unwrap_or(&pyramid.labels),
             &scene.truth,

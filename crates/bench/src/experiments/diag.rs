@@ -211,7 +211,6 @@ fn chain_config(temperature: f64, seed: u64) -> ChainConfig {
         schedule: TemperatureSchedule::constant(temperature),
         burn_in: 16,
         track_modes: false,
-        rao_blackwell: false,
         threads: THREADS,
         seed,
     }

@@ -8,8 +8,10 @@
 
 use crate::report::render_table;
 use mogs_core::rsu_g::RsuGSampler;
-use mogs_gibbs::{LabelSampler, Metropolis, SoftmaxGibbs};
+use mogs_engine::Engine;
+use mogs_gibbs::{ChainResult, Metropolis, SoftmaxGibbs};
 use mogs_mrf::precision::EnergyQuantizer;
+use mogs_mrf::Label;
 use mogs_vision::metrics::{label_accuracy, mean_endpoint_error};
 use mogs_vision::motion::{MotionConfig, MotionEstimation};
 use mogs_vision::segmentation::{Segmentation, SegmentationConfig};
@@ -37,136 +39,117 @@ fn rsu_sampler(temperature: f64) -> RsuGSampler {
     RsuGSampler::new(EnergyQuantizer::new(8.0), temperature)
 }
 
-/// Runs the full comparison grid on small scenes.
+/// The reported labeling (marginal MAP; mode tracking is always on for
+/// the vision apps) and the chain's final energy.
+///
+/// # Panics
+///
+/// Panics if the chain ran no sweep (the energy trace is then empty).
+fn map_and_energy(r: ChainResult) -> (Vec<Label>, f64) {
+    let energy = *r
+        .energy_trace
+        .last()
+        .expect("every sweep records its energy");
+    (r.map_estimate.unwrap_or(r.labels), energy)
+}
+
+/// Runs the full comparison grid on small scenes, every chain on one
+/// engine.
 pub fn run(iterations: usize, seed: u64) -> Vec<QualityCell> {
+    let engine = Engine::with_default_config();
     let mut cells = Vec::new();
+    let mut push = |app: &'static str, sampler: &'static str, quality: f64, final_energy: f64| {
+        cells.push(QualityCell {
+            app,
+            sampler,
+            quality,
+            final_energy,
+        });
+    };
 
     // Segmentation: 5 regions, moderate noise.
-    let seg_scene = synthetic::region_scene(28, 28, 5, 6.0, seed);
-    let seg_config = SegmentationConfig::default();
-    let seg_t = seg_config.temperature;
-    let seg = Segmentation::new(seg_scene.image.clone(), seg_config);
-    let mut run_seg = |name: &'static str, sampler: Box<dyn SamplerRun>| {
-        let result = sampler.run_seg(&seg, iterations, seed);
-        cells.push(QualityCell {
-            app: "segmentation",
-            sampler: name,
-            quality: label_accuracy(result.0.as_ref(), &seg_scene.truth),
-            final_energy: result.1,
-        });
-    };
-    run_seg("softmax-gibbs", Box::new(SoftmaxGibbs::new()));
-    run_seg("rsu-g", Box::new(rsu_sampler(seg_t)));
-    run_seg("metropolis", Box::new(Metropolis::new()));
+    let scene = synthetic::region_scene(28, 28, 5, 6.0, seed);
+    let config = SegmentationConfig::default();
+    let t = config.temperature;
+    let seg = Segmentation::new(scene.image.clone(), config);
+    for (name, result) in [
+        (
+            "softmax-gibbs",
+            seg.run(&engine, SoftmaxGibbs::new(), iterations, seed),
+        ),
+        ("rsu-g", seg.run(&engine, rsu_sampler(t), iterations, seed)),
+        (
+            "metropolis",
+            seg.run(&engine, Metropolis::new(), iterations, seed),
+        ),
+    ] {
+        let (labels, energy) = map_and_energy(result);
+        push(
+            "segmentation",
+            name,
+            label_accuracy(&labels, &scene.truth),
+            energy,
+        );
+    }
 
     // Motion: constant translation under noise.
-    let motion_scene = synthetic::translated_pair(24, 24, 2, -1, 2.0, seed ^ 1);
-    let motion_config = MotionConfig::default();
-    let motion_t = motion_config.temperature;
-    let motion = MotionEstimation::new(&motion_scene.frame1, &motion_scene.frame2, motion_config);
-    let mut run_motion = |name: &'static str, sampler: Box<dyn SamplerRun>| {
-        let (labels, energy) = sampler.run_motion(&motion, iterations, seed);
+    let scene = synthetic::translated_pair(24, 24, 2, -1, 2.0, seed ^ 1);
+    let config = MotionConfig::default();
+    let t = config.temperature;
+    let motion = MotionEstimation::new(&scene.frame1, &scene.frame2, config);
+    for (name, result) in [
+        (
+            "softmax-gibbs",
+            motion.run(&engine, SoftmaxGibbs::new(), iterations, seed),
+        ),
+        (
+            "rsu-g",
+            motion.run(&engine, rsu_sampler(t), iterations, seed),
+        ),
+        (
+            "metropolis",
+            motion.run(&engine, Metropolis::new(), iterations, seed),
+        ),
+    ] {
+        let (labels, energy) = map_and_energy(result);
         let flow = motion.flow_field(&labels);
-        cells.push(QualityCell {
-            app: "motion",
-            sampler: name,
-            quality: -mean_endpoint_error(&flow, motion_scene.flow),
-            final_energy: energy,
-        });
-    };
-    run_motion("softmax-gibbs", Box::new(SoftmaxGibbs::new()));
-    run_motion("rsu-g", Box::new(rsu_sampler(motion_t)));
-    run_motion("metropolis", Box::new(Metropolis::new()));
+        push(
+            "motion",
+            name,
+            -mean_endpoint_error(&flow, scene.flow),
+            energy,
+        );
+    }
 
     // Stereo: foreground plane at disparity 3.
-    let stereo_scene = synthetic::stereo_pair(28, 28, 3, 2.0, seed ^ 2);
-    let stereo_config = StereoConfig::default();
-    let stereo_t = stereo_config.temperature;
-    let stereo = StereoMatching::new(&stereo_scene.left, &stereo_scene.right, stereo_config);
-    let mut run_stereo = |name: &'static str, sampler: Box<dyn SamplerRun>| {
-        let (labels, energy) = sampler.run_stereo(&stereo, iterations, seed);
-        cells.push(QualityCell {
-            app: "stereo",
-            sampler: name,
-            quality: label_accuracy(&labels, &stereo_scene.truth),
-            final_energy: energy,
-        });
-    };
-    run_stereo("softmax-gibbs", Box::new(SoftmaxGibbs::new()));
-    run_stereo("rsu-g", Box::new(rsu_sampler(stereo_t)));
-    run_stereo("metropolis", Box::new(Metropolis::new()));
+    let scene = synthetic::stereo_pair(28, 28, 3, 2.0, seed ^ 2);
+    let config = StereoConfig::default();
+    let t = config.temperature;
+    let stereo = StereoMatching::new(&scene.left, &scene.right, config);
+    for (name, result) in [
+        (
+            "softmax-gibbs",
+            stereo.run(&engine, SoftmaxGibbs::new(), iterations, seed),
+        ),
+        (
+            "rsu-g",
+            stereo.run(&engine, rsu_sampler(t), iterations, seed),
+        ),
+        (
+            "metropolis",
+            stereo.run(&engine, Metropolis::new(), iterations, seed),
+        ),
+    ] {
+        let (labels, energy) = map_and_energy(result);
+        push(
+            "stereo",
+            name,
+            label_accuracy(&labels, &scene.truth),
+            energy,
+        );
+    }
 
     cells
-}
-
-/// Object-safe adapter so the three sampler types can share the run grid.
-trait SamplerRun {
-    fn run_seg(
-        &self,
-        app: &Segmentation,
-        iterations: usize,
-        seed: u64,
-    ) -> (Vec<mogs_mrf::Label>, f64);
-    fn run_motion(
-        &self,
-        app: &MotionEstimation,
-        iterations: usize,
-        seed: u64,
-    ) -> (Vec<mogs_mrf::Label>, f64);
-    fn run_stereo(
-        &self,
-        app: &StereoMatching,
-        iterations: usize,
-        seed: u64,
-    ) -> (Vec<mogs_mrf::Label>, f64);
-}
-
-impl<L: LabelSampler + Clone + Send + Sync> SamplerRun for L {
-    fn run_seg(
-        &self,
-        app: &Segmentation,
-        iterations: usize,
-        seed: u64,
-    ) -> (Vec<mogs_mrf::Label>, f64) {
-        let r = app.run(self.clone(), iterations, seed);
-        #[expect(
-            clippy::unwrap_used,
-            reason = "the quality grid always runs with energy recording on, \
-                      so the trace holds at least one entry"
-        )]
-        let energy = *r.energy_trace.last().unwrap();
-        (r.map_estimate.unwrap_or(r.labels), energy)
-    }
-    fn run_motion(
-        &self,
-        app: &MotionEstimation,
-        iterations: usize,
-        seed: u64,
-    ) -> (Vec<mogs_mrf::Label>, f64) {
-        let r = app.run(self.clone(), iterations, seed);
-        #[expect(
-            clippy::unwrap_used,
-            reason = "the quality grid always runs with energy recording on, \
-                      so the trace holds at least one entry"
-        )]
-        let energy = *r.energy_trace.last().unwrap();
-        (r.map_estimate.unwrap_or(r.labels), energy)
-    }
-    fn run_stereo(
-        &self,
-        app: &StereoMatching,
-        iterations: usize,
-        seed: u64,
-    ) -> (Vec<mogs_mrf::Label>, f64) {
-        let r = app.run(self.clone(), iterations, seed);
-        #[expect(
-            clippy::unwrap_used,
-            reason = "the quality grid always runs with energy recording on, \
-                      so the trace holds at least one entry"
-        )]
-        let energy = *r.energy_trace.last().unwrap();
-        (r.map_estimate.unwrap_or(r.labels), energy)
-    }
 }
 
 /// Renders the comparison grid.

@@ -3,6 +3,7 @@
 
 use crate::report::render_table;
 use mogs_core::rsu_g::RsuGSampler;
+use mogs_engine::Engine;
 use mogs_gibbs::SoftmaxGibbs;
 use mogs_mrf::precision::EnergyQuantizer;
 use mogs_vision::image::GrayImage;
@@ -25,8 +26,8 @@ pub struct RestoreRow {
 ///
 /// # Panics
 ///
-/// Panics if a run returns no MAP estimate (mode tracking is always on
-/// for the restoration apps).
+/// Panics if the engine refuses or fails a job, or a run returns no MAP
+/// estimate (mode tracking is always on for the restoration apps).
 pub fn run(iterations: usize, seed: u64) -> Vec<RestoreRow> {
     // Card values deliberately off the 8-level reconstruction grid so even
     // a perfect labeling leaves finite quantization PSNR.
@@ -40,6 +41,7 @@ pub fn run(iterations: usize, seed: u64) -> Vec<RestoreRow> {
     });
     let noisy_psnr = Restoration::psnr(&clean, &noisy);
 
+    let engine = Engine::with_default_config();
     let mut rows = Vec::new();
     let configs = [
         ("truncated prior", RestorationConfig::default()),
@@ -54,7 +56,7 @@ pub fn run(iterations: usize, seed: u64) -> Vec<RestoreRow> {
     for (prior_name, config) in configs {
         let t = config.temperature;
         let app = Restoration::new(&noisy, config);
-        let software = app.run(SoftmaxGibbs::new(), iterations, seed);
+        let software = app.run(&engine, SoftmaxGibbs::new(), iterations, seed);
         rows.push(RestoreRow {
             setup: format!("{prior_name} / softmax-gibbs"),
             noisy_psnr,
@@ -64,6 +66,7 @@ pub fn run(iterations: usize, seed: u64) -> Vec<RestoreRow> {
             ),
         });
         let hardware = app.run(
+            &engine,
             RsuGSampler::new(EnergyQuantizer::new(8.0), t),
             iterations,
             seed,

@@ -149,7 +149,6 @@ mod tests {
             schedule: TemperatureSchedule::constant(0.8),
             burn_in: 4,
             track_modes: false,
-            rao_blackwell: false,
             threads: 2,
             seed: 33,
         }

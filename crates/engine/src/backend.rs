@@ -98,11 +98,6 @@ impl<U: LabelSampler> LabelSampler for RsuPool<U> {
     fn name(&self) -> &'static str {
         "rsu-pool"
     }
-
-    fn conditional_probabilities(&self, energies: &[f64], temperature: f64) -> Option<Vec<f64>> {
-        // The unit that will serve the next draw speaks for the pool.
-        self.units[self.rotation[self.next]].conditional_probabilities(energies, temperature)
-    }
 }
 
 impl RsuPool<RsuGSampler> {
@@ -281,10 +276,6 @@ impl LabelSampler for BackendSampler {
     fn name(&self) -> &'static str {
         forward!(self, s => s.name())
     }
-
-    fn conditional_probabilities(&self, energies: &[f64], temperature: f64) -> Option<Vec<f64>> {
-        forward!(self, s => s.conditional_probabilities(energies, temperature))
-    }
 }
 
 impl SweepKernel for BackendSampler {
@@ -398,7 +389,6 @@ mod tests {
         assert_eq!(soft.name(), "softmax-gibbs");
         let pool = BackendSampler::try_new(Backend::RsuG { replicas: 4 }, 4.0).expect("valid");
         assert_eq!(pool.name(), "rsu-pool");
-        assert!(soft.conditional_probabilities(&[0.0, 1.0], 1.0).is_some());
     }
 
     #[test]

@@ -502,28 +502,77 @@ enum Advanced {
 /// running that job's next chunk 0 itself. One kernel arena per worker,
 /// reused across every phase and job it ever runs: after warm-up the hot
 /// path never allocates.
+///
+/// Everything a worker does for a job runs inside one panic-isolation
+/// boundary: the chunk, and the booking that may close out the sweep
+/// (diagnostics sink, checkpoint writer, fault runtime) or finish the job
+/// (the sink's `on_finish`). A panicking chunk is booked against its
+/// phase, which retries it or fails the job; a panic while booking fails
+/// the job at once. Either way the worker lives on and the job's caller
+/// gets [`EngineError::WorkerPanicked`].
 fn worker_loop(task_rx: &Receiver<Option<Task>>, pool: &Pool) {
     let mut arena = KernelArena::new();
     let mut next = None;
-    while let Some(task) = next.take().or_else(|| task_rx.recv().ok().flatten()) {
+    // A chunk that panicked, still to be booked against its phase.
+    let mut unbooked: Option<(Task, String)> = None;
+    loop {
+        let (task, chunk_panic) = match unbooked.take() {
+            Some((task, message)) => (task, Some(message)),
+            None => match next.take().or_else(|| task_rx.recv().ok().flatten()) {
+                Some(task) => (task, None),
+                None => return,
+            },
+        };
+        let mut booking = chunk_panic.is_some();
         #[expect(
             clippy::disallowed_methods,
             reason = "the engine's one intentional panic-isolation boundary: \
-                      a panicking kernel must fail its *job*, never the worker pool"
+                      a panicking kernel or sweep boundary must fail its *job*, \
+                      never the worker pool"
         )]
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            task.run
-                .job
-                .run_chunk(task.iteration, task.group, task.chunk, &mut arena);
+            if !booking {
+                task.run
+                    .job
+                    .run_chunk(task.iteration, task.group, task.chunk, &mut arena);
+                booking = true;
+            }
+            complete(&task.run, chunk_panic, pool)
         }));
-        let panicked = result.err().map(|payload| {
-            // The unwound arena may hold torn scratch state; rebuild it
-            // so nothing leaks across the boundary.
-            arena = KernelArena::new();
-            panic_message(payload.as_ref())
-        });
-        next = complete(&task.run, panicked, pool);
+        next = match result {
+            Ok(next) => next,
+            Err(payload) => {
+                // The unwound arena may hold torn scratch state; rebuild
+                // it so nothing leaks across the boundary.
+                arena = KernelArena::new();
+                let message = panic_message(payload.as_ref());
+                if booking {
+                    fail_panicked_boundary(&task.run, message, pool);
+                } else {
+                    unbooked = Some((task, message));
+                }
+                None
+            }
+        };
     }
+}
+
+/// Fails a job whose phase-boundary work panicked on the draining worker.
+/// The unwind released the phase lock; a job the watchdog already closed
+/// is left as is.
+fn fail_panicked_boundary(run: &Arc<Run>, message: String, pool: &Pool) {
+    let mut phase = run.phase.lock();
+    if phase.closed {
+        return;
+    }
+    pool.metrics.jobs_panicked.fetch_add(1, Ordering::Relaxed);
+    let err = EngineError::WorkerPanicked {
+        iteration: phase.iteration,
+        group: phase.group,
+        retries: phase.retries,
+        message,
+    };
+    settle(run, &mut phase, Advanced::Failed(err), pool);
 }
 
 /// Books one finished chunk against its job's phase. The worker that
@@ -778,6 +827,11 @@ fn settle(run: &Run, phase: &mut Phase, step: Advanced, pool: &Pool) -> Option<T
             // `advance`); report it as a convergence stop, not a user
             // cancel.
             let cancelled = run.shared.cancel.load(Ordering::Acquire) && !phase.early_stopped;
+            // Finalize before counting: a sink panicking in `on_finish`
+            // fails the job, and must not count it completed as well.
+            let output = run
+                .job
+                .finalize(cancelled, phase.early_stopped, phase.iteration);
             let counter = if phase.early_stopped {
                 &metrics.jobs_early_stopped
             } else if cancelled {
@@ -786,9 +840,7 @@ fn settle(run: &Run, phase: &mut Phase, step: Advanced, pool: &Pool) -> Option<T
                 &metrics.jobs_completed
             };
             counter.fetch_add(1, Ordering::Relaxed);
-            Ok(run
-                .job
-                .finalize(cancelled, phase.early_stopped, phase.iteration))
+            Ok(output)
         }
         // Deliberately no `finalize`: after a watchdog abandonment the
         // job's straggler chunks may still be mutating the label plane,

@@ -5,12 +5,12 @@
 //! and a seed — so it can travel through the engine's bounded queue to the
 //! persistent worker pool. Submission returns a [`JobHandle`] for
 //! cancellation and result retrieval; completion yields a [`JobOutput`]
-//! convertible to the reference path's [`ChainResult`].
+//! convertible to a [`ChainResult`].
 //!
 //! Jobs are described through the validated [`JobSpec`](crate::JobSpec)
 //! builder (the deprecated `with_*` setters were removed after their one
-//! grace release); [`InferenceJob::from_chain_config`] remains for
-//! reproducing a reference chain bit for bit.
+//! grace release), or from a [`ChainConfig`] with
+//! [`InferenceJob::from_chain_config`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -28,10 +28,10 @@ use crate::sink::DiagSink;
 /// iteration the field's conditionally independent groups are swept one
 /// after another, each group split into `threads` site chunks with their
 /// own derived RNG stream. For the same `seed` and `threads`, the result
-/// is bit-identical to `mogs_gibbs::colored_sweep` (and to
-/// [`McmcChain`](mogs_gibbs::McmcChain) with `threads >= 2`) regardless of
-/// how many worker threads the engine actually has — `threads` here names
-/// the deterministic chunking, not OS-level parallelism.
+/// is bit-identical to `mogs_gibbs::colored_sweep` looped with
+/// [`sweep_seed`](mogs_gibbs::sweep::sweep_seed) regardless of how many
+/// worker threads the engine actually has — `threads` here names the
+/// deterministic chunking, not OS-level parallelism.
 #[derive(Clone)]
 pub struct InferenceJob<S: SingletonPotential, L: LabelSampler> {
     /// The field to sample.
@@ -54,8 +54,7 @@ pub struct InferenceJob<S: SingletonPotential, L: LabelSampler> {
     pub track_modes: bool,
     /// Record the total energy after every iteration.
     pub record_energy: bool,
-    /// Starting labeling; defaults to the all-zero labeling like
-    /// `McmcChain::new`.
+    /// Starting labeling (a warm start); `None` is the all-zero labeling.
     pub initial: Option<Vec<Label>>,
     /// Explicit sweep phase groups overriding the field's own
     /// [`independent_groups`](MarkovRandomField::independent_groups).
@@ -110,30 +109,15 @@ impl<S: SingletonPotential, L: LabelSampler> InferenceJob<S, L> {
         }
     }
 
-    /// Builds a job that reproduces `McmcChain::new(mrf, sampler, config)`
-    /// followed by `run(iterations)`, bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.threads < 2` (the chain's single-threaded path
-    /// uses a persistent sequential RNG the phase-parallel engine cannot
-    /// reproduce) or if `config.rao_blackwell && config.track_modes` (the
-    /// engine tracks hard label counts only).
+    /// Builds the job that runs the chain `config` describes for
+    /// `iterations` sweeps from the all-zero labeling. A zero chunk
+    /// count is refused, typed, at admission.
     pub fn from_chain_config(
         mrf: MarkovRandomField<S>,
         sampler: L,
         config: ChainConfig,
         iterations: usize,
     ) -> Self {
-        assert!(
-            config.threads >= 2,
-            "engine parity with McmcChain requires threads >= 2 \
-             (threads == 1 selects the chain's sequential-sweep path)"
-        );
-        assert!(
-            !(config.rao_blackwell && config.track_modes),
-            "the engine tracks hard label counts only; disable rao_blackwell"
-        );
         InferenceJob {
             mrf,
             sampler,
@@ -194,7 +178,7 @@ pub struct JobOutput {
 }
 
 impl JobOutput {
-    /// Repackages the output as the reference path's [`ChainResult`].
+    /// Repackages the output as a [`ChainResult`].
     pub fn into_chain_result(self) -> ChainResult {
         ChainResult {
             labels: self.labels,

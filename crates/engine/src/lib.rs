@@ -1,13 +1,12 @@
 //! mogs-engine: a persistent, tile-sharded MRF inference runtime.
 //!
-//! The free functions in `mogs_gibbs::sweep` are exact but pay per call:
-//! every sweep spawns scoped threads, snapshots the labeling per phase,
-//! and collects updates into per-thread lists that are merged afterwards.
-//! That is the right shape for a one-shot reference; a system serving many
-//! inference requests (the paper's accelerator serves whole *batches* of
-//! MRF problems across its RSU-G array) wants the machinery to persist.
-//!
-//! This crate provides that runtime:
+//! The free functions in `mogs_gibbs::sweep` are the exact reference: one
+//! thread, one chunk after another, every neighbour looked up by div/mod
+//! per (site, label). That is the right shape for a reference; a system
+//! serving many inference requests (the paper's accelerator serves whole
+//! *batches* of MRF problems across its RSU-G array) wants parallel
+//! machinery that persists. This crate is that machinery, and every chain
+//! in the workspace runs on it:
 //!
 //! - [`Engine`] owns a worker pool and scheduler, started once. Jobs are
 //!   decomposed into (iteration, group, chunk) phase tasks and executed by
@@ -37,8 +36,9 @@
 //!   boundaries, a [`HealthPolicy`] probes units between sweeps and
 //!   quarantines drifted ones, and when the pool collapses under the
 //!   live-unit floor the job fails over to the exact backend mid-flight
-//!   and completes [`Degraded`]. Workers isolate kernel panics
-//!   (`catch_unwind`), panicked phases retry with backoff, and an
+//!   and completes [`Degraded`]. Workers isolate kernel and sweep
+//!   boundary panics (`catch_unwind`), panicked phases retry with
+//!   backoff, a panicking sink fails only its own job, and an
 //!   optional per-phase watchdog frees the callers of stuck jobs.
 //!
 //! Downstream crates should import from [`prelude`].
@@ -77,13 +77,13 @@
 //!
 //! For a fixed job `seed` and `threads` (chunk count), the engine's
 //! labeling is **bit-identical** to `mogs_gibbs::colored_sweep` driven
-//! with the chain's per-iteration seed formula — and therefore to
-//! [`McmcChain`](mogs_gibbs::McmcChain) with `threads >= 2` — no matter
-//! how many OS workers the engine runs or how many jobs share them. The
-//! speedup comes from *not redoing invariant work*: neighbour tables are
-//! built once per grid shape instead of div/mod per (site, label) visit,
-//! labels update in place in a shared plane (provably race-free within a
-//! phase; see `plane`) instead of snapshot-and-merge, energies accumulate
+//! with [`sweep_seed`](mogs_gibbs::sweep::sweep_seed) — no matter how
+//! many OS workers the engine runs or how many jobs share them. The
+//! speedup comes from running a phase's chunks on many workers at once
+//! and from *not redoing invariant work*: neighbour tables are built once
+//! per grid shape instead of div/mod per (site, label) visit, workers
+//! update one shared label plane in place (provably race-free within a
+//! phase; see `plane`), energies accumulate
 //! into a per-worker [`KernelArena`](mogs_gibbs::KernelArena) in
 //! `site_energy`'s exact f64 operation order, and whole chunks are drawn
 //! at once through the [`SweepKernel`](mogs_gibbs::SweepKernel) batched
@@ -116,7 +116,7 @@ pub use error::EngineError;
 pub use fault::{Degraded, FaultEvent, FaultPlan, HealthPolicy};
 pub use job::{InferenceJob, JobHandle, JobId, JobOutput, JobStatus};
 pub use metrics::{EngineMetrics, HistogramSnapshot, LatencyHistogram, MetricsSnapshot};
-pub use multichain::run_chains_on_engine;
+pub use multichain::{run_chains_on_engine, MultiChainResult};
 pub use shard::ShardRunner;
 pub use sink::{DiagSink, JobStartInfo, NullSink, SinkNeeds, SweepDecision, SweepObservation};
 pub use spec::{JobSpec, JobSpecBuilder};
@@ -141,7 +141,7 @@ pub mod prelude {
     pub use crate::fault::{Degraded, FaultEvent, FaultPlan, HealthPolicy};
     pub use crate::job::{InferenceJob, JobHandle, JobId, JobOutput, JobStatus};
     pub use crate::metrics::{EngineMetrics, MetricsSnapshot};
-    pub use crate::multichain::run_chains_on_engine;
+    pub use crate::multichain::{run_chains_on_engine, MultiChainResult};
     pub use crate::shard::ShardRunner;
     pub use crate::sink::{
         DiagSink, JobStartInfo, NullSink, SinkNeeds, SweepDecision, SweepObservation,

@@ -19,16 +19,16 @@
 //!
 //! # Bit-identity with the reference sweep
 //!
-//! `run_chunk(iteration, group, chunk)` reproduces exactly what the chunk
-//! thread of `mogs_gibbs::colored_sweep` does for that (group, chunk):
+//! `run_chunk(iteration, group, chunk)` reproduces exactly what
+//! `mogs_gibbs::colored_sweep` does for that (group, chunk):
 //!
 //! - groups come from [`MarkovRandomField::independent_groups`], in the
 //!   same order with the same site order;
 //! - the chunk split is `sites.chunks(len.div_ceil(threads).max(1))`;
 //! - the chunk RNG is seeded
 //!   `sweep_seed ^ chunk·0x9E3779B97F4A7C15 ^ (group << 32)` where
-//!   `sweep_seed = seed + iteration·0xA24BAED4963EE407` (the
-//!   [`McmcChain`](mogs_gibbs::McmcChain) per-iteration formula);
+//!   `sweep_seed = seed + iteration·0xA24BAED4963EE407`
+//!   ([`sweep_seed`](mogs_gibbs::sweep::sweep_seed));
 //! - the sampler is cloned fresh from the pristine job sampler per
 //!   (chunk, group), as the reference does;
 //! - conditional energies accumulate in `site_energy`'s exact f64
@@ -47,6 +47,7 @@
 
 use mogs_audit::{color_schedule, verify_certificate, AuditError, Chunking, ScheduleCertificate};
 use mogs_gibbs::kernel::{KernelArena, SweepKernel};
+use mogs_gibbs::sweep::sweep_seed;
 use mogs_gibbs::{LabelSampler, TemperatureSchedule};
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::field::DIAGONAL_WEIGHT;
@@ -85,18 +86,6 @@ type ShapeKey = (Grid2D, Neighborhood, usize);
 
 /// The admitted shapes, oldest first.
 static ADMISSIONS: Mutex<Vec<(ShapeKey, Arc<Prepared>)>> = Mutex::new(Vec::new());
-
-/// Per-iteration sweep seed, matching `McmcChain::step`.
-#[inline]
-pub(crate) fn sweep_seed(seed: u64, iteration: usize) -> u64 {
-    #[expect(
-        clippy::as_conversions,
-        reason = "usize -> u64 is value-preserving on every supported target; \
-                  the reference seed formula is cast-for-cast"
-    )]
-    let iteration = iteration as u64;
-    seed.wrapping_add(iteration.wrapping_mul(0xA24B_AED4_963E_E407))
-}
 
 /// What one quiescent sweep boundary decided and did: the diagnostics
 /// sink's continue/stop verdict plus the fault plane's actions (events
@@ -1066,8 +1055,8 @@ where
         let labels = unsafe { self.plane.snapshot() };
         let book = self.book.lock();
         let m = self.mrf.space().count();
-        // Same mode rule (and `max_by_key` last-max tie-break) as
-        // `McmcChain::map_estimate`.
+        // The mode rule: the most counted label, ties to the highest
+        // (`max_by_key` keeps the last maximum).
         let map_estimate = if iterations_run > self.burn_in {
             book.histograms.as_ref().map(|hist| {
                 (0..labels.len())

@@ -4,13 +4,18 @@
 
 use std::time::Duration;
 
+#[path = "support/reference_chain.rs"]
+mod reference_chain;
+
 use mogs_audit::Violation;
 use mogs_engine::prelude::*;
+use mogs_gibbs::sweep::sweep_seed;
 use mogs_gibbs::{
-    checkerboard_sweep, colored_sweep, ChainConfig, McmcChain, SoftmaxGibbs, TemperatureSchedule,
+    checkerboard_sweep, colored_sweep, ChainConfig, SoftmaxGibbs, TemperatureSchedule,
 };
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, Neighborhood, SmoothnessPrior};
+use reference_chain::reference_chain;
 
 /// A deterministic test field; two calls build identical fields.
 fn field(order: Neighborhood) -> MarkovRandomField<impl SingletonPotential> {
@@ -26,11 +31,6 @@ fn field(order: Neighborhood) -> MarkovRandomField<impl SingletonPotential> {
             }
         })
         .build()
-}
-
-/// The chain's per-iteration sweep-seed derivation.
-fn sweep_seed(seed: u64, iteration: usize) -> u64 {
-    seed.wrapping_add((iteration as u64).wrapping_mul(0xA24B_AED4_963E_E407))
 }
 
 #[test]
@@ -105,15 +105,12 @@ fn engine_reproduces_a_multithreaded_chain_including_modes_and_energies() {
         schedule: TemperatureSchedule::constant(2.0),
         burn_in: 3,
         track_modes: true,
-        rao_blackwell: false,
         threads: 2,
         seed: 99,
     };
     let iterations = 10;
     let mrf = field(Neighborhood::FirstOrder);
-    let mut chain = McmcChain::new(&mrf, SoftmaxGibbs::new(), config);
-    chain.run(iterations);
-    let reference = chain.result();
+    let reference = reference_chain(&mrf, &SoftmaxGibbs::new(), config, iterations);
 
     let engine = Engine::with_default_config();
     let job = InferenceJob::from_chain_config(

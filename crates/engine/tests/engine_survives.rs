@@ -7,8 +7,9 @@
 //! The hostile kernels live here, not in the library: `PoisonKernel`
 //! panics inside `sample_chunk`, `SleepyKernel` blocks past the phase
 //! watchdog, and `BrittleKernel` exposes addressable units with no
-//! exact fallback so a pool collapse has nowhere to fail over to.
-//! Expect panic backtraces in this suite's stderr — they are the test
+//! exact fallback so a pool collapse has nowhere to fail over to, and
+//! `PanickySink` panics at a sweep boundary or at finish, on the worker
+//! that drains the job's last phase. Expect panic backtraces in this suite's stderr — they are the test
 //! stimulus, caught by the workers' isolation boundary.
 
 use mogs_engine::prelude::*;
@@ -18,7 +19,7 @@ use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior};
 use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 const M: usize = 4;
@@ -580,8 +581,8 @@ fn a_checkpointed_stuck_label_outside_the_label_space_is_refused_at_resume() {
     assert_eq!(state.kernel_faults, vec![None]);
     state.kernel_faults[0] = Some(UnitFault::Stuck(Label::new(M as u8)));
     let Err(err) = engine.resume(spec().build().expect("valid spec"), &state) else {
-        // The seated job panics outside the workers' isolation boundary
-        // and never drains, so dropping the engine would wait forever.
+        // A job seated with a label outside the space is in an undefined
+        // state; leak the engine rather than wait on it.
         std::mem::forget(engine);
         panic!("a checkpoint seated a unit stuck outside the label space");
     };
@@ -593,4 +594,89 @@ fn a_checkpointed_stuck_label_outside_the_label_space_is_refused_at_resume() {
         .wait_result()
         .expect("the resumed job completes");
     engine.shutdown();
+}
+
+/// A diagnostics sink that panics in `on_sweep` once `panic_at_sweep`
+/// sweeps have completed, or in `on_finish`.
+struct PanickySink {
+    panic_at_sweep: Option<usize>,
+}
+
+impl DiagSink for PanickySink {
+    fn on_sweep(&self, obs: &SweepObservation<'_>) -> SweepDecision {
+        if Some(obs.iteration) == self.panic_at_sweep {
+            panic!("sink panicked at sweep {}", obs.iteration);
+        }
+        SweepDecision::Continue
+    }
+
+    fn on_finish(&self, _output: &JobOutput) {
+        if self.panic_at_sweep.is_none() {
+            panic!("sink panicked at finish");
+        }
+    }
+}
+
+/// Runs a job carrying `sink` on a one-worker engine, then a healthy job.
+/// The first must fail with `WorkerPanicked` carrying the sink's message,
+/// the second must complete, and the counters must book one panicked,
+/// failed job. The engine lives on its own thread and reports through a
+/// channel, so an engine that wedges fails this by timeout instead of
+/// hanging the suite (the wedged thread is then left behind).
+fn sink_panic_fails_only_its_job(sink: PanickySink, message: &str) {
+    let (tx, rx) = mpsc::channel();
+    let owner = std::thread::spawn(move || {
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        let spec = JobSpec::builder(field(), SoftmaxGibbs::new())
+            .threads(2)
+            .seed(11)
+            .iterations(6)
+            .sink(Arc::new(sink))
+            .build()
+            .expect("valid spec");
+        let first = engine.submit(spec).expect("admitted").wait_result();
+        let second = engine
+            .submit(job_on(SoftmaxGibbs::new()))
+            .map(JobHandle::wait_result);
+        let _ = tx.send((first, second, engine.metrics()));
+    });
+    let (first, second, metrics) = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a sink panic must fail its job, not wedge the only worker");
+    owner.join().expect("the engine shut down cleanly");
+    match first {
+        Err(EngineError::WorkerPanicked { message: got, .. }) => {
+            assert!(got.contains(message), "{got}");
+        }
+        other => panic!("expected WorkerPanicked, got {other:?}"),
+    }
+    let second = second.expect("accepted").expect("the next job completes");
+    assert_eq!(second.iterations_run, 6);
+    assert_eq!(
+        (
+            metrics.jobs_panicked,
+            metrics.jobs_failed,
+            metrics.jobs_completed
+        ),
+        (1, 1, 1)
+    );
+}
+
+#[test]
+fn a_sink_panicking_at_a_sweep_boundary_fails_its_job_and_spares_the_worker() {
+    let sink = PanickySink {
+        panic_at_sweep: Some(2),
+    };
+    sink_panic_fails_only_its_job(sink, "sink panicked at sweep 2");
+}
+
+#[test]
+fn a_sink_panicking_at_finish_fails_its_job_and_spares_the_worker() {
+    let sink = PanickySink {
+        panic_at_sweep: None,
+    };
+    sink_panic_fails_only_its_job(sink, "sink panicked at finish");
 }

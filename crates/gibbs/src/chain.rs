@@ -1,18 +1,15 @@
-//! The MCMC chain driver.
+//! What one MCMC chain is asked to do, and what it returns.
 //!
-//! Runs full-grid sweeps for a configured number of iterations, applying a
+//! A chain runs full-grid sweeps for a number of iterations, applying a
 //! temperature schedule, recording the energy trace, and (optionally)
-//! tracking per-site label histograms so the **marginal MAP** estimate —
-//! the per-pixel mode over post-burn-in samples, the quantity the paper's
-//! vision applications report — can be extracted at the end.
+//! counting per-site labels so the **marginal MAP** estimate — the
+//! per-pixel mode over post-burn-in samples, the quantity the paper's
+//! vision applications report — can be extracted at the end. The engine
+//! (`mogs-engine`) runs every chain; these are its plain-data inputs and
+//! outputs.
 
-use crate::sampler::LabelSampler;
 use crate::schedule::TemperatureSchedule;
-use crate::sweep::{colored_sweep_with_scratch, sequential_sweep, SweepScratch};
-use mogs_mrf::energy::SingletonPotential;
-use mogs_mrf::{Label, MarkovRandomField};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use mogs_mrf::Label;
 
 /// Configuration for an MCMC run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,13 +21,9 @@ pub struct ChainConfig {
     /// Whether to accumulate per-site label histograms (costs `sites × M`
     /// counters).
     pub track_modes: bool,
-    /// Rao–Blackwellized mode tracking: accumulate each site's exact full
-    /// conditional distribution (when the sampler exposes one) instead of
-    /// counting sampled labels. Lower-variance marginals for the same
-    /// iterations; silently falls back to counting for samplers without
-    /// closed-form conditionals (e.g. the RSU-G hardware model).
-    pub rao_blackwell: bool,
-    /// Number of worker threads; 1 selects the sequential sweep.
+    /// Deterministic chunk count per colour group: each chunk draws from
+    /// its own seeded stream, so `(seed, threads)` fixes the result bit
+    /// for bit whatever the number of OS threads. At least 1.
     pub threads: usize,
     /// Master RNG seed; every sweep derives its streams from this.
     pub seed: u64,
@@ -42,14 +35,13 @@ impl Default for ChainConfig {
             schedule: TemperatureSchedule::default(),
             burn_in: 0,
             track_modes: true,
-            rao_blackwell: false,
-            threads: 1,
+            threads: 2,
             seed: 0,
         }
     }
 }
 
-/// Summary of a finished run (see [`McmcChain::result`]).
+/// Summary of a finished run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChainResult {
     /// The final labeling (the last MCMC sample).
@@ -60,372 +52,4 @@ pub struct ChainResult {
     pub energy_trace: Vec<f64>,
     /// Iterations executed.
     pub iterations: usize,
-}
-
-/// An in-progress MCMC chain over a borrowed field.
-#[derive(Debug)]
-pub struct McmcChain<'a, S, L> {
-    mrf: &'a MarkovRandomField<S>,
-    sampler: L,
-    config: ChainConfig,
-    labels: Vec<Label>,
-    histograms: Option<Vec<u32>>,
-    /// Soft (probability-mass) histograms for Rao–Blackwellized tracking.
-    soft_histograms: Option<Vec<f64>>,
-    energy_trace: Vec<f64>,
-    iteration: usize,
-    rng: StdRng,
-    /// Reused sweep buffers — one snapshot allocation for the chain's
-    /// whole life instead of one per parity phase.
-    scratch: SweepScratch,
-}
-
-impl<'a, S, L> McmcChain<'a, S, L>
-where
-    S: SingletonPotential + Sync,
-    L: LabelSampler + Clone + Send + Sync,
-{
-    /// Creates a chain starting from the all-zero labeling.
-    pub fn new(mrf: &'a MarkovRandomField<S>, sampler: L, config: ChainConfig) -> Self {
-        let labels = mrf.uniform_labeling();
-        Self::with_initial(mrf, sampler, config, labels)
-    }
-
-    /// Creates a chain from an explicit initial labeling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the labeling does not validate against the field.
-    pub fn with_initial(
-        mrf: &'a MarkovRandomField<S>,
-        sampler: L,
-        config: ChainConfig,
-        labels: Vec<Label>,
-    ) -> Self {
-        mrf.validate_labeling(&labels)
-            .expect("initial labeling must fit the field");
-        assert!(config.threads > 0, "need at least one thread");
-        let histograms = config
-            .track_modes
-            .then(|| vec![0u32; mrf.grid().len() * mrf.space().count()]);
-        let soft_histograms = (config.track_modes && config.rao_blackwell)
-            .then(|| vec![0.0f64; mrf.grid().len() * mrf.space().count()]);
-        McmcChain {
-            mrf,
-            sampler,
-            rng: StdRng::seed_from_u64(config.seed),
-            config,
-            labels,
-            histograms,
-            soft_histograms,
-            energy_trace: Vec::new(),
-            iteration: 0,
-            scratch: SweepScratch::new(),
-        }
-    }
-
-    /// The current labeling.
-    pub fn labels(&self) -> &[Label] {
-        &self.labels
-    }
-
-    /// Iterations completed so far.
-    pub fn iteration(&self) -> usize {
-        self.iteration
-    }
-
-    /// The energy recorded after each completed iteration.
-    pub fn energy_trace(&self) -> &[f64] {
-        &self.energy_trace
-    }
-
-    /// Executes one full MCMC iteration (every site updated once).
-    pub fn step(&mut self) {
-        let t = self.config.schedule.temperature(self.iteration);
-        if self.config.threads == 1 {
-            sequential_sweep(
-                self.mrf,
-                &mut self.labels,
-                &mut self.sampler,
-                t,
-                &mut self.rng,
-            );
-        } else {
-            let sweep_seed = self
-                .config
-                .seed
-                .wrapping_add((self.iteration as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-            colored_sweep_with_scratch(
-                self.mrf,
-                &mut self.labels,
-                &self.sampler,
-                t,
-                self.config.threads,
-                sweep_seed,
-                &mut self.scratch,
-            );
-        }
-        self.iteration += 1;
-        self.energy_trace.push(self.mrf.total_energy(&self.labels));
-        if self.iteration > self.config.burn_in {
-            if let Some(hist) = &mut self.histograms {
-                let m = self.mrf.space().count();
-                for (site, label) in self.labels.iter().enumerate() {
-                    hist[site * m + usize::from(label.value())] += 1;
-                }
-            }
-            if let Some(soft) = &mut self.soft_histograms {
-                // Rao–Blackwell: accumulate p(xᵢ | x₋ᵢ⁽ᵗ⁾) per site when
-                // the sampler can provide it exactly.
-                let m = self.mrf.space().count();
-                let mut energies = vec![0.0; m];
-                for site in self.mrf.grid().sites() {
-                    self.mrf
-                        .conditional_energies_into(&self.labels, site, &mut energies);
-                    if let Some(p) = self.sampler.conditional_probabilities(&energies, t) {
-                        for (slot, prob) in soft[site * m..(site + 1) * m].iter_mut().zip(&p) {
-                            *slot += prob;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs `n` iterations.
-    pub fn run(&mut self, n: usize) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
-    /// The marginal MAP estimate so far (per-site histogram mode), if mode
-    /// tracking is enabled and at least one post-burn-in sample exists.
-    pub fn map_estimate(&self) -> Option<Vec<Label>> {
-        if self.iteration <= self.config.burn_in {
-            return None;
-        }
-        let m = self.mrf.space().count();
-        // Prefer the Rao–Blackwellized soft histogram when it holds mass
-        // (the sampler provided conditionals); otherwise use label counts.
-        if let Some(soft) = &self.soft_histograms {
-            if soft.iter().any(|&v| v > 0.0) {
-                return Some(
-                    (0..self.mrf.grid().len())
-                        .map(|site| {
-                            let row = &soft[site * m..(site + 1) * m];
-                            let best = row
-                                .iter()
-                                .enumerate()
-                                .max_by(|a, b| a.1.total_cmp(b.1))
-                                .map(|(i, _)| i)
-                                .unwrap_or(0);
-                            Label::new(best as u8)
-                        })
-                        .collect(),
-                );
-            }
-        }
-        let hist = self.histograms.as_ref()?;
-        Some(
-            (0..self.mrf.grid().len())
-                .map(|site| {
-                    let row = &hist[site * m..(site + 1) * m];
-                    let best = row
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(_, c)| **c)
-                        .map(|(i, _)| i)
-                        .unwrap_or(0);
-                    Label::new(best as u8)
-                })
-                .collect(),
-        )
-    }
-
-    /// Consumes the chain into a [`ChainResult`].
-    pub fn result(self) -> ChainResult {
-        let map_estimate = self.map_estimate();
-        ChainResult {
-            map_estimate,
-            labels: self.labels,
-            energy_trace: self.energy_trace,
-            iterations: self.iteration,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sampler::SoftmaxGibbs;
-    use mogs_mrf::{Grid2D, LabelSpace, SmoothnessPrior};
-
-    fn striped_mrf(width: usize, height: usize) -> MarkovRandomField<impl SingletonPotential> {
-        MarkovRandomField::builder(Grid2D::new(width, height), LabelSpace::scalar(2))
-            .prior(SmoothnessPrior::potts(0.4))
-            .singleton(move |site: usize, label: Label| {
-                let want = if (site % width) < width / 2 { 0 } else { 1 };
-                if label.value() == want {
-                    0.0
-                } else {
-                    2.5
-                }
-            })
-            .build()
-    }
-
-    #[test]
-    fn chain_reduces_energy() {
-        let mrf = striped_mrf(10, 10);
-        let mut chain = McmcChain::new(&mrf, SoftmaxGibbs::new(), ChainConfig::default());
-        chain.run(30);
-        let trace = chain.energy_trace();
-        assert_eq!(trace.len(), 30);
-        assert!(trace[29] < trace[0]);
-    }
-
-    #[test]
-    fn map_estimate_beats_single_sample_noise() {
-        let mrf = striped_mrf(10, 10);
-        let config = ChainConfig {
-            burn_in: 10,
-            seed: 3,
-            ..ChainConfig::default()
-        };
-        let mut chain = McmcChain::new(&mrf, SoftmaxGibbs::new(), config);
-        chain.run(60);
-        let map = chain.map_estimate().expect("modes tracked");
-        let accuracy = |labels: &[Label]| {
-            labels
-                .iter()
-                .enumerate()
-                .filter(|(site, l)| {
-                    let want = if (site % 10) < 5 { 0 } else { 1 };
-                    l.value() == want
-                })
-                .count() as f64
-                / labels.len() as f64
-        };
-        assert!(accuracy(&map) > 0.95, "MAP accuracy {}", accuracy(&map));
-    }
-
-    #[test]
-    fn burn_in_defers_mode_tracking() {
-        let mrf = striped_mrf(6, 6);
-        let config = ChainConfig {
-            burn_in: 5,
-            ..ChainConfig::default()
-        };
-        let mut chain = McmcChain::new(&mrf, SoftmaxGibbs::new(), config);
-        chain.run(3);
-        assert!(
-            chain.map_estimate().is_none(),
-            "no samples before burn-in completes"
-        );
-        chain.run(5);
-        assert!(chain.map_estimate().is_some());
-    }
-
-    #[test]
-    fn parallel_chain_matches_quality() {
-        let mrf = striped_mrf(10, 10);
-        let config = ChainConfig {
-            threads: 4,
-            seed: 9,
-            ..ChainConfig::default()
-        };
-        let mut chain = McmcChain::new(&mrf, SoftmaxGibbs::new(), config);
-        chain.run(40);
-        let e_seq = {
-            let mut c = McmcChain::new(
-                &mrf,
-                SoftmaxGibbs::new(),
-                ChainConfig {
-                    seed: 9,
-                    ..ChainConfig::default()
-                },
-            );
-            c.run(40);
-            *c.energy_trace().last().unwrap()
-        };
-        let e_par = *chain.energy_trace().last().unwrap();
-        // Same model, both converged: energies should be in the same band.
-        assert!((e_par - e_seq).abs() < 0.5 * e_seq.abs().max(20.0));
-    }
-
-    #[test]
-    fn result_captures_everything() {
-        let mrf = striped_mrf(6, 6);
-        let mut chain = McmcChain::new(&mrf, SoftmaxGibbs::new(), ChainConfig::default());
-        chain.run(5);
-        let result = chain.result();
-        assert_eq!(result.iterations, 5);
-        assert_eq!(result.energy_trace.len(), 5);
-        assert_eq!(result.labels.len(), 36);
-        assert!(result.map_estimate.is_some());
-    }
-
-    #[test]
-    fn rao_blackwell_map_matches_or_beats_counting_on_short_runs() {
-        // Same model, same short budget: the RB estimator's lower variance
-        // should give an equally good or better MAP.
-        let mrf = striped_mrf(10, 10);
-        let accuracy = |labels: &[Label]| {
-            labels
-                .iter()
-                .enumerate()
-                .filter(|(site, l)| {
-                    let want = if (site % 10) < 5 { 0 } else { 1 };
-                    l.value() == want
-                })
-                .count() as f64
-                / labels.len() as f64
-        };
-        let run = |rao_blackwell: bool| {
-            let config = ChainConfig {
-                burn_in: 2,
-                rao_blackwell,
-                seed: 11,
-                ..ChainConfig::default()
-            };
-            let mut chain = McmcChain::new(&mrf, SoftmaxGibbs::new(), config);
-            chain.run(8);
-            accuracy(&chain.map_estimate().expect("tracked"))
-        };
-        let counted = run(false);
-        let rb = run(true);
-        assert!(rb >= counted - 0.02, "RB {rb} vs counted {counted}");
-        assert!(rb > 0.9, "RB accuracy {rb}");
-    }
-
-    #[test]
-    fn rao_blackwell_falls_back_without_conditionals() {
-        // Metropolis has no closed-form conditional: the soft histogram
-        // stays empty and the count-based estimate is returned.
-        let mrf = striped_mrf(6, 6);
-        let config = ChainConfig {
-            rao_blackwell: true,
-            seed: 3,
-            ..ChainConfig::default()
-        };
-        let mut chain = McmcChain::new(&mrf, crate::sampler::Metropolis::new(), config);
-        chain.run(5);
-        assert!(
-            chain.map_estimate().is_some(),
-            "fallback must still produce a MAP"
-        );
-    }
-
-    #[test]
-    fn disabled_mode_tracking_returns_none() {
-        let mrf = striped_mrf(6, 6);
-        let config = ChainConfig {
-            track_modes: false,
-            ..ChainConfig::default()
-        };
-        let mut chain = McmcChain::new(&mrf, SoftmaxGibbs::new(), config);
-        chain.run(5);
-        assert!(chain.map_estimate().is_none());
-    }
 }

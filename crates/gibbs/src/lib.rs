@@ -17,9 +17,14 @@
 //!   layer over [`LabelSampler`](sampler::LabelSampler): evaluate a whole
 //!   chunk of same-phase sites from a flat energy buffer, then draw every
 //!   label, bit-identically to the per-site loop. The engine's hot path.
-//! * [`sweep`] — sequential and checkerboard-parallel full-grid sweeps.
-//! * [`chain`] — the MCMC driver: iterations, annealing, marginal-MAP mode
-//!   tracking, energy traces.
+//! * [`sweep`] — the reference full-grid sweeps: checkerboard and
+//!   colour-group schedules, each group cut into deterministic chunks
+//!   with their own RNG streams, run serially. The engine
+//!   (`mogs-engine`) is held bit-identical to them.
+//! * [`chain`] — what a chain is asked to do ([`ChainConfig`]) and what
+//!   it returns ([`ChainResult`]); the engine runs every chain.
+//! * [`tempering`] — parallel tempering, a ladder of replicas swept with
+//!   the reference sweep and swapped at every iteration.
 //! * [`schedule`] — temperature schedules (constant, geometric annealing).
 //! * [`diagnostics`] — autocorrelation, effective sample size, convergence
 //!   checks.
@@ -27,17 +32,19 @@
 //! ## Example: sampling a two-label field
 //!
 //! ```
-//! use mogs_gibbs::{chain::{ChainConfig, McmcChain}, sampler::SoftmaxGibbs};
+//! use mogs_gibbs::{colored_sweep, sweep::sweep_seed, SoftmaxGibbs};
 //! use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior};
 //!
 //! let mrf = MarkovRandomField::builder(Grid2D::new(8, 8), LabelSpace::scalar(2))
 //!     .prior(SmoothnessPrior::potts(0.8))
 //!     .singleton(|_s: usize, _l: Label| 0.0)
 //!     .build();
-//! let config = ChainConfig { seed: 42, ..ChainConfig::default() };
-//! let mut chain = McmcChain::new(&mrf, SoftmaxGibbs::new(), config);
-//! chain.run(10);
-//! assert_eq!(chain.labels().len(), 64);
+//! let mut labels = mrf.uniform_labeling();
+//! for iteration in 0..10 {
+//!     // Two deterministic chunks per colour group, seed 42.
+//!     colored_sweep(&mrf, &mut labels, &SoftmaxGibbs::new(), 1.0, 2, sweep_seed(42, iteration));
+//! }
+//! assert_eq!(labels.len(), 64);
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
@@ -46,16 +53,14 @@ pub mod chain;
 pub mod diagnostics;
 pub mod dist;
 pub mod kernel;
-pub mod multichain;
 pub mod sampler;
 pub mod schedule;
 pub mod sweep;
 pub mod tempering;
 
-pub use chain::{ChainConfig, ChainResult, McmcChain};
+pub use chain::{ChainConfig, ChainResult};
 pub use kernel::{KernelArena, KernelScratch, SweepKernel, UnitFault};
-pub use multichain::{run_chains, MultiChainResult};
 pub use sampler::{LabelSampler, Metropolis, SoftmaxGibbs};
 pub use schedule::TemperatureSchedule;
-pub use sweep::{checkerboard_sweep, colored_sweep, sequential_sweep};
+pub use sweep::{checkerboard_sweep, colored_sweep};
 pub use tempering::{TemperedChains, TemperingConfig};

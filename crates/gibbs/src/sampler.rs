@@ -27,19 +27,6 @@ pub trait LabelSampler {
 
     /// A short human-readable name for reports.
     fn name(&self) -> &'static str;
-
-    /// The exact conditional probabilities this sampler draws from, when
-    /// it can compute them in closed form (`None` otherwise).
-    ///
-    /// Samplers that expose this enable **Rao–Blackwellized** marginal
-    /// estimation: accumulating the full conditional distribution at every
-    /// visit has strictly lower variance than counting the sampled labels,
-    /// so the marginal MAP stabilizes in fewer iterations. Hardware
-    /// samplers (RSU-G) return `None` — the physical draw is all they
-    /// emit, which is exactly the trade the paper makes.
-    fn conditional_probabilities(&self, _energies: &[f64], _temperature: f64) -> Option<Vec<f64>> {
-        None
-    }
 }
 
 /// Exact Gibbs sampling: normalize `exp(-E/T)` and draw by inverse CDF.
@@ -115,10 +102,6 @@ impl LabelSampler for SoftmaxGibbs {
 
     fn name(&self) -> &'static str {
         "softmax-gibbs"
-    }
-
-    fn conditional_probabilities(&self, energies: &[f64], temperature: f64) -> Option<Vec<f64>> {
-        Some(SoftmaxGibbs::probabilities(energies, temperature))
     }
 }
 

@@ -1,59 +1,38 @@
-//! Full-grid MCMC sweeps: sequential and checkerboard-parallel.
+//! Full-grid MCMC sweeps: the one reference for the engine's hot loop.
 //!
 //! One MCMC iteration updates every random variable once (paper §4.2). In a
 //! first-order MRF, all sites of one checkerboard colour are conditionally
-//! independent given the other colour, so they can be updated concurrently —
-//! the parallelism the paper's GPU baselines and RSU arrays exploit. The
-//! parallel sweep here uses scoped threads over per-thread sampler clones
-//! and deterministically seeded RNG streams, so results are reproducible
-//! for a fixed seed and thread count.
+//! independent given the other colour, so they could be updated
+//! concurrently — the parallelism the paper's GPU baselines and RSU arrays
+//! exploit, and the engine's. The sweeps here run serially: each colour
+//! group is cut into `threads` deterministic chunks, and each chunk draws
+//! with its own sampler clone and its own seeded RNG stream, in chunk
+//! order on the calling thread. Same-group sites never neighbour each
+//! other, so updating them in place reads exactly the labels a parallel
+//! update would, and the result is bit-identical to the engine for the
+//! same seed and chunk count.
 
 use crate::sampler::LabelSampler;
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Label, MarkovRandomField, Parity};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-/// Updates every site once, in row-major order, in place.
-///
-/// # Panics
-///
-/// Panics if `labels.len()` differs from the grid size.
-pub fn sequential_sweep<S, L, R>(
-    mrf: &MarkovRandomField<S>,
-    labels: &mut [Label],
-    sampler: &mut L,
-    temperature: f64,
-    rng: &mut R,
-) where
-    S: SingletonPotential,
-    L: LabelSampler,
-    R: Rng + ?Sized,
-{
-    assert_eq!(
-        labels.len(),
-        mrf.grid().len(),
-        "labeling must cover the grid"
-    );
-    let m = mrf.space().count();
-    let mut energies = vec![0.0; m];
-    for site in mrf.grid().sites() {
-        mrf.conditional_energies_into(labels, site, &mut energies);
-        labels[site] = sampler.sample_label(&energies, temperature, labels[site], rng);
-    }
+/// Per-iteration sweep seed of a chain seeded `seed`: iteration `t`
+/// sweeps with `seed + t·0xA24BAED4963EE407`. The engine and every
+/// reference loop derive their sweeps' streams from it.
+#[must_use]
+#[inline]
+pub fn sweep_seed(seed: u64, iteration: usize) -> u64 {
+    seed.wrapping_add((iteration as u64).wrapping_mul(0xA24B_AED4_963E_E407))
 }
 
 /// Reusable buffers for repeated [`checkerboard_sweep`]/[`colored_sweep`]
-/// calls.
-///
-/// Each parity phase of a parallel sweep needs an immutable snapshot of
-/// the pre-phase labeling for neighbour reads. Allocating that snapshot
-/// per phase (`labels.to_vec()`) dominates allocator traffic in the hot
-/// loop of a long chain; a `SweepScratch` owns one snapshot buffer and
-/// reuses it across phases and sweeps.
+/// calls: the per-site energy row, allocated once for a long chain
+/// instead of once per sweep.
 #[derive(Debug, Default, Clone)]
 pub struct SweepScratch {
-    snapshot: Vec<Label>,
+    energies: Vec<f64>,
 }
 
 impl SweepScratch {
@@ -62,23 +41,16 @@ impl SweepScratch {
     pub fn new() -> Self {
         SweepScratch::default()
     }
-
-    /// Refreshes the snapshot buffer from `labels` and returns it.
-    fn refresh(&mut self, labels: &[Label]) -> &[Label] {
-        self.snapshot.clear();
-        self.snapshot.extend_from_slice(labels);
-        &self.snapshot
-    }
 }
 
 /// Updates every site once using the checkerboard schedule: all even-parity
-/// sites (in parallel across `threads`), then all odd-parity sites.
+/// sites, then all odd-parity sites, each parity cut into `threads` chunks.
 ///
 /// Valid for first-order fields; for a field of either order use
 /// [`colored_sweep`], which derives the independent groups from the
 /// field's neighbourhood (two parities or four block colours).
 ///
-/// Each (thread, parity) pair gets an RNG seeded as `seed ⊕ f(thread,
+/// Each (chunk, parity) pair gets an RNG seeded as `seed ⊕ f(chunk,
 /// parity)`, so the sweep is deterministic for fixed `seed` and `threads`.
 ///
 /// # Panics
@@ -92,8 +64,8 @@ pub fn checkerboard_sweep<S, L>(
     threads: usize,
     seed: u64,
 ) where
-    S: SingletonPotential + Sync,
-    L: LabelSampler + Clone + Send + Sync,
+    S: SingletonPotential,
+    L: LabelSampler + Clone,
 {
     let mut scratch = SweepScratch::new();
     checkerboard_sweep_with_scratch(
@@ -123,8 +95,8 @@ pub fn checkerboard_sweep_with_scratch<S, L>(
     seed: u64,
     scratch: &mut SweepScratch,
 ) where
-    S: SingletonPotential + Sync,
-    L: LabelSampler + Clone + Send + Sync,
+    S: SingletonPotential,
+    L: LabelSampler + Clone,
 {
     let groups: Vec<Vec<usize>> = Parity::BOTH
         .into_iter()
@@ -158,39 +130,8 @@ pub fn colored_sweep<S, L>(
     threads: usize,
     seed: u64,
 ) where
-    S: SingletonPotential + Sync,
-    L: LabelSampler + Clone + Send + Sync,
-{
-    let mut scratch = SweepScratch::new();
-    colored_sweep_with_scratch(
-        mrf,
-        labels,
-        sampler,
-        temperature,
-        threads,
-        seed,
-        &mut scratch,
-    );
-}
-
-/// [`colored_sweep`] with caller-owned scratch buffers, for hot loops that
-/// sweep many times. Bit-identical to the scratch-free entry point for the
-/// same arguments.
-///
-/// # Panics
-///
-/// Panics if `labels.len()` differs from the grid size or `threads == 0`.
-pub fn colored_sweep_with_scratch<S, L>(
-    mrf: &MarkovRandomField<S>,
-    labels: &mut [Label],
-    sampler: &L,
-    temperature: f64,
-    threads: usize,
-    seed: u64,
-    scratch: &mut SweepScratch,
-) where
-    S: SingletonPotential + Sync,
-    L: LabelSampler + Clone + Send + Sync,
+    S: SingletonPotential,
+    L: LabelSampler + Clone,
 {
     let groups = mrf.independent_groups();
     sweep_groups(
@@ -201,14 +142,13 @@ pub fn colored_sweep_with_scratch<S, L>(
         threads,
         seed,
         &groups,
-        scratch,
+        &mut SweepScratch::new(),
     );
 }
 
 /// # Panics
 ///
-/// Panics if `labels.len()` differs from the grid size or `threads == 0`,
-/// and re-panics when a sweep worker panicked.
+/// Panics if `labels.len()` differs from the grid size or `threads == 0`.
 #[expect(
     clippy::too_many_arguments,
     reason = "the public sweep's parameters plus its phase groups"
@@ -223,59 +163,28 @@ fn sweep_groups<S, L>(
     groups: &[Vec<usize>],
     scratch: &mut SweepScratch,
 ) where
-    S: SingletonPotential + Sync,
-    L: LabelSampler + Clone + Send + Sync,
+    S: SingletonPotential,
+    L: LabelSampler + Clone,
 {
     assert_eq!(
         labels.len(),
         mrf.grid().len(),
         "labeling must cover the grid"
     );
-    assert!(threads > 0, "need at least one thread");
-    for (parity_idx, sites) in groups.iter().enumerate() {
-        // Immutable snapshot for neighbour reads; same-parity sites never
-        // read each other, so reading the pre-sweep labels is exact Gibbs.
-        let snapshot = scratch.refresh(labels);
-        let chunk = sites.len().div_ceil(threads);
-        let mut updates: Vec<Vec<(usize, Label)>> = Vec::new();
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            for (t, chunk_sites) in sites.chunks(chunk.max(1)).enumerate() {
-                let snapshot = &snapshot;
-                let mut local_sampler = sampler.clone();
-                let handle = scope.spawn(move |_| {
-                    let mut rng = StdRng::seed_from_u64(
-                        seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            ^ ((parity_idx as u64) << 32),
-                    );
-                    let m = mrf.space().count();
-                    let mut energies = vec![0.0; m];
-                    let mut out = Vec::with_capacity(chunk_sites.len());
-                    for &site in chunk_sites {
-                        mrf.conditional_energies_into(snapshot, site, &mut energies);
-                        let new = local_sampler.sample_label(
-                            &energies,
-                            temperature,
-                            snapshot[site],
-                            &mut rng,
-                        );
-                        out.push((site, new));
-                    }
-                    out
-                });
-                handles.push(handle);
+    assert!(threads > 0, "need at least one chunk");
+    scratch.energies.resize(mrf.space().count(), 0.0);
+    for (group, sites) in groups.iter().enumerate() {
+        let chunk_len = sites.len().div_ceil(threads).max(1);
+        for (chunk, chunk_sites) in sites.chunks(chunk_len).enumerate() {
+            let mut sampler = sampler.clone();
+            let mut rng = StdRng::seed_from_u64(
+                seed ^ (chunk as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((group as u64) << 32),
+            );
+            for &site in chunk_sites {
+                mrf.conditional_energies_into(labels, site, &mut scratch.energies);
+                labels[site] =
+                    sampler.sample_label(&scratch.energies, temperature, labels[site], &mut rng);
             }
-            updates = handles
-                .into_iter()
-                // Join fails only when the worker panicked; re-panicking
-                // here just propagates it.
-                .map(|h| h.join().expect("sweep worker"))
-                .collect();
-        })
-        // The scope errs only on a worker panic, which this propagates.
-        .expect("scoped threads");
-        for (site, label) in updates.into_iter().flatten() {
-            labels[site] = label;
         }
     }
 }
@@ -305,14 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn sequential_sweep_moves_toward_data() {
+    fn one_chunk_sweep_moves_toward_data() {
         let mrf = test_mrf();
         let mut labels = mrf.uniform_labeling();
-        let mut sampler = SoftmaxGibbs::new();
-        let mut rng = StdRng::seed_from_u64(1);
+        let sampler = SoftmaxGibbs::new();
         let e0 = mrf.total_energy(&labels);
-        for _ in 0..20 {
-            sequential_sweep(&mrf, &mut labels, &mut sampler, 1.0, &mut rng);
+        for i in 0..20 {
+            colored_sweep(&mrf, &mut labels, &sampler, 1.0, 1, sweep_seed(1, i));
         }
         assert!(
             mrf.total_energy(&labels) < e0,
@@ -356,16 +264,15 @@ mod tests {
 
     #[test]
     fn both_sweeps_converge_to_same_segmentation() {
-        // Statistically, both kernels should find the left/right split.
+        // Statistically, both entry points and chunkings should find the
+        // left/right split.
         let mrf = test_mrf();
         let sampler = SoftmaxGibbs::new();
         let mut seq = mrf.uniform_labeling();
         let mut par = mrf.uniform_labeling();
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut s = sampler;
         for i in 0..50 {
-            sequential_sweep(&mrf, &mut seq, &mut s, 0.3, &mut rng);
-            checkerboard_sweep(&mrf, &mut par, &sampler, 0.3, 2, 1000 + i);
+            colored_sweep(&mrf, &mut seq, &sampler, 0.3, 1, sweep_seed(2, i));
+            checkerboard_sweep(&mrf, &mut par, &sampler, 0.3, 2, 1000 + i as u64);
         }
         let agree = |labels: &[Label]| {
             let w = mrf.grid().width();
@@ -378,8 +285,8 @@ mod tests {
                 .count() as f64
                 / mrf.grid().len() as f64
         };
-        assert!(agree(&seq) > 0.9, "sequential accuracy {}", agree(&seq));
-        assert!(agree(&par) > 0.9, "parallel accuracy {}", agree(&par));
+        assert!(agree(&seq) > 0.9, "one-chunk accuracy {}", agree(&seq));
+        assert!(agree(&par) > 0.9, "two-chunk accuracy {}", agree(&par));
     }
 
     #[test]
@@ -439,8 +346,6 @@ mod tests {
     fn wrong_labeling_size_panics() {
         let mrf = test_mrf();
         let mut labels = vec![Label::new(0); 3];
-        let mut sampler = SoftmaxGibbs::new();
-        let mut rng = StdRng::seed_from_u64(0);
-        sequential_sweep(&mrf, &mut labels, &mut sampler, 1.0, &mut rng);
+        colored_sweep(&mrf, &mut labels, &SoftmaxGibbs::new(), 1.0, 1, 0);
     }
 }

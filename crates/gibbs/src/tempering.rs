@@ -8,9 +8,14 @@
 //! distribution, so the coldest replica still samples its Boltzmann
 //! posterior — with far better mixing on multimodal energy landscapes
 //! than the paper's plain fixed-temperature chain.
+//!
+//! Each replica is swept with the serial reference [`colored_sweep`] at
+//! [`CHUNKS`] chunks per colour group, on a stream derived from
+//! `(config.seed, replica, iteration)`; the swap decisions draw from one
+//! ladder RNG seeded with `config.seed`.
 
 use crate::sampler::LabelSampler;
-use crate::sweep::sequential_sweep;
+use crate::sweep::{colored_sweep, sweep_seed};
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Label, MarkovRandomField};
 use rand::rngs::StdRng;
@@ -50,6 +55,9 @@ impl TemperingConfig {
     }
 }
 
+/// Deterministic chunks per colour group in every replica's sweep.
+pub const CHUNKS: usize = 2;
+
 /// A parallel-tempering run over a borrowed field.
 #[derive(Debug)]
 pub struct TemperedChains<'a, S, L> {
@@ -61,13 +69,14 @@ pub struct TemperedChains<'a, S, L> {
     energies: Vec<f64>,
     swaps_attempted: usize,
     swaps_accepted: usize,
+    iteration: usize,
     rng: StdRng,
 }
 
 impl<'a, S, L> TemperedChains<'a, S, L>
 where
-    S: SingletonPotential + Sync,
-    L: LabelSampler + Clone + Send + Sync,
+    S: SingletonPotential,
+    L: LabelSampler + Clone,
 {
     /// Creates the ladder with every replica at the all-zero labeling.
     ///
@@ -96,6 +105,7 @@ where
             energies,
             swaps_attempted: 0,
             swaps_accepted: 0,
+            iteration: 0,
         }
     }
 
@@ -121,9 +131,16 @@ where
     /// One tempering iteration: every replica performs a full Gibbs sweep
     /// at its own temperature, then adjacent replicas attempt state swaps.
     pub fn step(&mut self) {
-        for (replica, &t) in self.replicas.iter_mut().zip(&self.config.temperatures) {
-            sequential_sweep(self.mrf, replica, &mut self.sampler, t, &mut self.rng);
+        for (k, (replica, &t)) in self
+            .replicas
+            .iter_mut()
+            .zip(&self.config.temperatures)
+            .enumerate()
+        {
+            let seed = sweep_seed(self.config.seed.wrapping_add(k as u64), self.iteration);
+            colored_sweep(self.mrf, replica, &self.sampler, t, CHUNKS, seed);
         }
+        self.iteration += 1;
         for (i, e) in self.energies.iter_mut().enumerate() {
             *e = self.mrf.total_energy(&self.replicas[i]);
         }
@@ -187,10 +204,16 @@ mod tests {
         for (i, l) in cold_labels.iter_mut().enumerate() {
             *l = Label::new((i % 4) as u8);
         }
-        let mut sampler = SoftmaxGibbs::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..iterations {
-            sequential_sweep(&mrf, &mut cold_labels, &mut sampler, 0.4, &mut rng);
+        for i in 0..iterations {
+            let seed = sweep_seed(1, i);
+            colored_sweep(
+                &mrf,
+                &mut cold_labels,
+                &SoftmaxGibbs::new(),
+                0.4,
+                CHUNKS,
+                seed,
+            );
         }
         let cold_energy = mrf.total_energy(&cold_labels);
         // Tempered ladder with the same cold temperature.

@@ -1,6 +1,7 @@
 //! The two prototype experiments of §7.
 
 use crate::rig::{PrototypeRig, RigSampler};
+use mogs_engine::Engine;
 use mogs_vision::image::GrayImage;
 use mogs_vision::segmentation::{Segmentation, SegmentationConfig};
 use mogs_vision::synthetic;
@@ -64,7 +65,12 @@ pub struct Fig7Result {
 
 /// Runs the Figure 7 demonstration: a two-label MRF over a 50×67 synthetic
 /// scene, energies computed "on the PC", the prototype RSU-G2 sampling the
-/// output label distribution, sampled for 10 MCMC iterations.
+/// output label distribution, sampled for 10 MCMC iterations on an
+/// engine.
+///
+/// # Panics
+///
+/// Panics if the engine fails the job.
 pub fn segment_demo(rig: PrototypeRig, seed: u64) -> Fig7Result {
     // Figure 7's input is 50 wide × 67 tall.
     let scene = synthetic::region_scene(50, 67, 2, 20.0, seed);
@@ -77,7 +83,8 @@ pub fn segment_demo(rig: PrototypeRig, seed: u64) -> Fig7Result {
             ..SegmentationConfig::default()
         },
     );
-    let result = app.run(RigSampler::new(rig), 10, seed);
+    let engine = Engine::with_default_config();
+    let result = app.run(&engine, RigSampler::new(rig), 10, seed);
     let accuracy = mogs_vision::metrics::label_accuracy(&result.labels, &scene.truth);
     Fig7Result {
         input: scene.image,

@@ -18,7 +18,7 @@
 //! the programmed relative probability — the operation the RSU-G2 performs
 //! per pixel in the Figure 7 segmentation.
 
-use mogs_gibbs::LabelSampler;
+use mogs_gibbs::{LabelSampler, SweepKernel};
 use mogs_mrf::Label;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -203,6 +203,10 @@ impl LabelSampler for RigSampler {
         "rsu-g2-prototype"
     }
 }
+
+/// Chunks draw site by site through [`LabelSampler::sample_label`], so
+/// Figure 7 runs on the engine like every other chain.
+impl SweepKernel for RigSampler {}
 
 fn quantize(t: f64) -> u64 {
     (t / FPGA_RESOLUTION_S) as u64

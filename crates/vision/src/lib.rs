@@ -2,8 +2,10 @@
 //!
 //! The application layer of the `mogs` workspace: the three workloads the
 //! paper evaluates (§8.1), each formulated as first-order MRF inference and
-//! runnable on any [`mogs_gibbs::LabelSampler`] — the exact software Gibbs
-//! sampler or the RSU-G hardware model from `mogs-core`.
+//! runnable on any [`mogs_gibbs::SweepKernel`] — the exact software Gibbs
+//! sampler or the RSU-G hardware model from `mogs-core`. Every application
+//! packages its inference as one engine job (`engine_job`) and runs it on a
+//! [`mogs_engine::Engine`] (`run`).
 //!
 //! * [`segmentation`] — image segmentation: 5 intensity classes per pixel
 //!   (Geman & Geman 1984; Szirányi et al. 2000).
@@ -24,6 +26,7 @@
 //! ## Example: segmenting a noisy two-region scene
 //!
 //! ```
+//! use mogs_engine::Engine;
 //! use mogs_gibbs::SoftmaxGibbs;
 //! use mogs_vision::segmentation::{Segmentation, SegmentationConfig};
 //! use mogs_vision::synthetic;
@@ -33,7 +36,8 @@
 //!     num_labels: 2,
 //!     ..SegmentationConfig::default()
 //! });
-//! let result = app.run(SoftmaxGibbs::new(), 30, 0);
+//! let engine = Engine::with_default_config();
+//! let result = app.run(&engine, SoftmaxGibbs::new(), 30, 0);
 //! let accuracy = mogs_vision::metrics::label_accuracy(
 //!     result.map_estimate.as_ref().unwrap(),
 //!     &scene.truth,
@@ -59,3 +63,57 @@ pub use restoration::{Restoration, RestorationConfig};
 pub use segmentation::{Segmentation, SegmentationConfig};
 pub use stereo::{StereoConfig, StereoMatching};
 pub use texture_model::{TextureConfig, TextureModel};
+
+use mogs_engine::{Engine, InferenceJob};
+use mogs_gibbs::{ChainResult, SweepKernel};
+use mogs_mrf::energy::SingletonPotential;
+
+/// Runs an application's job on `engine` to completion.
+///
+/// # Panics
+///
+/// Panics if the engine refuses the job (shut down, failed admission) or
+/// the job fails.
+fn run_job<S, L>(engine: &Engine, job: InferenceJob<S, L>) -> ChainResult
+where
+    S: SingletonPotential + 'static,
+    L: SweepKernel + Clone + Send + Sync + 'static,
+{
+    engine
+        .submit(job)
+        .expect("the engine accepts the application's job")
+        .wait()
+        .into_chain_result()
+}
+
+/// The serial reference run of an application's job: `colored_sweep`
+/// looped with `sweep_seed` from the job's starting labeling, returning
+/// the final labels and the energy after every sweep. The engine must
+/// return both bit for bit.
+#[cfg(test)]
+fn reference_run<S, L>(job: &InferenceJob<S, L>) -> (Vec<mogs_mrf::Label>, Vec<f64>)
+where
+    S: SingletonPotential,
+    L: mogs_gibbs::LabelSampler + Clone,
+{
+    use mogs_gibbs::sweep::{colored_sweep, sweep_seed};
+    let mut labels = job
+        .initial
+        .clone()
+        .unwrap_or_else(|| job.mrf.uniform_labeling());
+    let mut energy_trace = Vec::with_capacity(job.iterations);
+    for iteration in 0..job.iterations {
+        let temperature = job.schedule.temperature(iteration);
+        let seed = sweep_seed(job.seed, iteration);
+        colored_sweep(
+            &job.mrf,
+            &mut labels,
+            &job.sampler,
+            temperature,
+            job.threads,
+            seed,
+        );
+        energy_trace.push(job.mrf.total_energy(&labels));
+    }
+    (labels, energy_trace)
+}

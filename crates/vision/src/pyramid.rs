@@ -11,8 +11,9 @@
 
 use crate::image::GrayImage;
 use crate::segmentation::{Segmentation, SegmentationConfig};
+use mogs_engine::Engine;
 use mogs_gibbs::chain::ChainResult;
-use mogs_gibbs::sampler::LabelSampler;
+use mogs_gibbs::SweepKernel;
 use mogs_mrf::Label;
 
 /// Downsamples an image by 2× with 2×2 block means (odd trailing
@@ -92,14 +93,16 @@ impl PyramidSchedule {
     }
 }
 
-/// Runs coarse-to-fine segmentation: solve the coarsest level from
-/// scratch, then warm-start each finer level from the upsampled result.
-/// Returns the full-resolution result.
+/// Runs coarse-to-fine segmentation on `engine`: solve the coarsest level
+/// from scratch, then warm-start each finer level's job from the upsampled
+/// result. Returns the full-resolution result.
 ///
 /// # Panics
 ///
-/// Panics if the schedule has no levels.
+/// Panics if the schedule has no levels, or the engine refuses or fails a
+/// level's job.
 pub fn segment_coarse_to_fine<L>(
+    engine: &Engine,
     image: &GrayImage,
     config: &SegmentationConfig,
     sampler: L,
@@ -107,7 +110,7 @@ pub fn segment_coarse_to_fine<L>(
     seed: u64,
 ) -> ChainResult
 where
-    L: LabelSampler + Clone + Send + Sync,
+    L: SweepKernel + Clone + Send + Sync + 'static,
 {
     let levels = schedule.iterations.len();
     // Build the image pyramid, finest first.
@@ -122,18 +125,11 @@ where
     for (level_from_coarse, &iterations) in schedule.iterations.iter().enumerate() {
         let level_image = &pyramid[levels - 1 - level_from_coarse];
         let app = Segmentation::new(level_image.clone(), config.clone());
-        let initial = match carried.take() {
-            Some((labels, cw, ch)) => {
-                upsample_labels(&labels, cw, ch, level_image.width(), level_image.height())
-            }
-            None => vec![Label::new(0); level_image.len()],
-        };
-        let level_result = app.run_from(
-            sampler.clone(),
-            iterations,
-            seed + level_from_coarse as u64,
-            initial,
-        );
+        let mut job = app.engine_job(sampler.clone(), iterations, seed + level_from_coarse as u64);
+        job.initial = carried.take().map(|(labels, cw, ch)| {
+            upsample_labels(&labels, cw, ch, level_image.width(), level_image.height())
+        });
+        let level_result = crate::run_job(engine, job);
         let labels = level_result
             .map_estimate
             .clone()
@@ -188,8 +184,9 @@ mod tests {
         let config = SegmentationConfig::default();
         let fine_iters = 8;
 
+        let engine = Engine::with_default_config();
         let flat_app = Segmentation::new(scene.image.clone(), config.clone());
-        let flat = flat_app.run(SoftmaxGibbs::new(), fine_iters, 1);
+        let flat = flat_app.run(&engine, SoftmaxGibbs::new(), fine_iters, 1);
         let flat_acc = label_accuracy(
             flat.map_estimate.as_ref().unwrap_or(&flat.labels),
             &scene.truth,
@@ -198,8 +195,14 @@ mod tests {
         let schedule = PyramidSchedule {
             iterations: vec![20, 12, fine_iters], // quarter, half, full
         };
-        let pyramid =
-            segment_coarse_to_fine(&scene.image, &config, SoftmaxGibbs::new(), &schedule, 1);
+        let pyramid = segment_coarse_to_fine(
+            &engine,
+            &scene.image,
+            &config,
+            SoftmaxGibbs::new(),
+            &schedule,
+            1,
+        );
         let pyr_acc = label_accuracy(
             pyramid.map_estimate.as_ref().unwrap_or(&pyramid.labels),
             &scene.truth,
@@ -219,10 +222,17 @@ mod tests {
             ..SegmentationConfig::default()
         };
         let schedule = PyramidSchedule::uniform(1, 15);
-        let pyramid =
-            segment_coarse_to_fine(&scene.image, &config, SoftmaxGibbs::new(), &schedule, 2);
+        let engine = Engine::with_default_config();
+        let pyramid = segment_coarse_to_fine(
+            &engine,
+            &scene.image,
+            &config,
+            SoftmaxGibbs::new(),
+            &schedule,
+            2,
+        );
         let app = Segmentation::new(scene.image.clone(), config);
-        let flat = app.run(SoftmaxGibbs::new(), 15, 2);
+        let flat = app.run(&engine, SoftmaxGibbs::new(), 15, 2);
         assert_eq!(
             pyramid.labels, flat.labels,
             "one level must be the flat chain"

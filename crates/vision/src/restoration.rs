@@ -11,9 +11,9 @@
 //! preserves edges.
 
 use crate::image::GrayImage;
-use mogs_gibbs::chain::{ChainConfig, ChainResult, McmcChain};
+use mogs_engine::prelude::*;
+use mogs_gibbs::chain::ChainResult;
 use mogs_gibbs::sampler::LabelSampler;
-use mogs_gibbs::schedule::TemperatureSchedule;
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, Neighborhood, SmoothnessPrior};
 
@@ -35,7 +35,8 @@ pub struct RestorationConfig {
     pub neighborhood: Neighborhood,
     /// Sampling temperature.
     pub temperature: f64,
-    /// Worker threads for the checkerboard sweep.
+    /// Deterministic chunk count per colour group (at least 2 are run):
+    /// it fixes the result bit for bit, whatever the engine's worker count.
     pub threads: usize,
     /// Fraction of iterations treated as burn-in for the marginal MAP.
     pub burn_in_fraction: f64,
@@ -112,30 +113,41 @@ impl Restoration {
         &self.mrf
     }
 
-    /// Runs MCMC for `iterations` full sweeps, starting from the observed
-    /// labels (the natural warm start for restoration).
-    pub fn run<L>(&self, sampler: L, iterations: usize, seed: u64) -> ChainResult
+    /// Packages this restoration as an engine job starting from the
+    /// observed labels (the natural warm start for restoration). Uses at
+    /// least two deterministic chunks.
+    pub fn engine_job<L>(
+        &self,
+        sampler: L,
+        iterations: usize,
+        seed: u64,
+    ) -> InferenceJob<ObservationSingleton, L>
     where
-        L: LabelSampler + Clone + Send + Sync,
+        L: LabelSampler,
     {
-        let config = ChainConfig {
-            schedule: TemperatureSchedule::constant(self.config.temperature),
+        let observed = self.mrf.singleton().observed3.iter();
+        InferenceJob {
+            iterations,
+            threads: self.config.threads.max(2),
+            seed,
             burn_in: (iterations as f64 * self.config.burn_in_fraction) as usize,
             track_modes: true,
-            rao_blackwell: false,
-            threads: self.config.threads,
-            seed,
-        };
-        let initial: Vec<Label> = self
-            .mrf
-            .singleton()
-            .observed3
-            .iter()
-            .map(|&v| Label::new(v))
-            .collect();
-        let mut chain = McmcChain::with_initial(&self.mrf, sampler, config, initial);
-        chain.run(iterations);
-        chain.result()
+            initial: Some(observed.map(|&v| Label::new(v)).collect()),
+            ..InferenceJob::new(self.mrf.clone(), sampler)
+        }
+    }
+
+    /// Runs MCMC for `iterations` full sweeps on `engine` (see
+    /// [`Restoration::engine_job`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine refuses or fails the job.
+    pub fn run<L>(&self, engine: &Engine, sampler: L, iterations: usize, seed: u64) -> ChainResult
+    where
+        L: SweepKernel + Clone + Send + Sync + 'static,
+    {
+        crate::run_job(engine, self.engine_job(sampler, iterations, seed))
     }
 
     /// Renders a labeling back to an 8-bit image (levels spread over the
@@ -200,7 +212,7 @@ mod tests {
     fn restoration_improves_psnr() {
         let (clean, noisy) = noisy_card(1, 25.0);
         let app = Restoration::new(&noisy, RestorationConfig::default());
-        let result = app.run(SoftmaxGibbs::new(), 40, 1);
+        let result = app.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 40, 1);
         let restored = app.labels_to_image(result.map_estimate.as_ref().unwrap());
         let before = Restoration::psnr(&clean, &noisy);
         let after = Restoration::psnr(&clean, &restored);
@@ -214,7 +226,7 @@ mod tests {
     fn truncation_preserves_the_edge() {
         let (_, noisy) = noisy_card(2, 20.0);
         let app = Restoration::new(&noisy, RestorationConfig::default());
-        let result = app.run(SoftmaxGibbs::new(), 40, 2);
+        let result = app.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 40, 2);
         let labels = result.map_estimate.unwrap();
         // The left and right halves should settle on different levels.
         let left = usize::from(labels[16 * 32 + 4].value());
@@ -233,8 +245,8 @@ mod tests {
                 ..RestorationConfig::default()
             },
         );
-        let r_t = truncated.run(SoftmaxGibbs::new(), 40, 3);
-        let r_q = quadratic.run(SoftmaxGibbs::new(), 40, 3);
+        let r_t = truncated.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 40, 3);
+        let r_q = quadratic.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 40, 3);
         let psnr_t = Restoration::psnr(
             &clean,
             &truncated.labels_to_image(r_t.map_estimate.as_ref().unwrap()),
@@ -259,7 +271,7 @@ mod tests {
                 ..RestorationConfig::default()
             },
         );
-        let result = app.run(SoftmaxGibbs::new(), 40, 5);
+        let result = app.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 40, 5);
         let restored = app.labels_to_image(result.map_estimate.as_ref().unwrap());
         let before = Restoration::psnr(&clean, &noisy);
         let after = Restoration::psnr(&clean, &restored);
@@ -279,7 +291,7 @@ mod tests {
     fn warm_start_matches_observation() {
         let (_, noisy) = noisy_card(4, 10.0);
         let app = Restoration::new(&noisy, RestorationConfig::default());
-        let result = app.run(SoftmaxGibbs::new(), 1, 4);
+        let result = app.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 1, 4);
         // After one sweep the labeling is close to the quantized input.
         let matches = result
             .labels

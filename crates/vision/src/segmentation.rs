@@ -13,9 +13,8 @@
 
 use crate::image::GrayImage;
 use mogs_engine::prelude::*;
-use mogs_gibbs::chain::{ChainConfig, ChainResult, McmcChain};
+use mogs_gibbs::chain::ChainResult;
 use mogs_gibbs::sampler::LabelSampler;
-use mogs_gibbs::schedule::TemperatureSchedule;
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior};
 
@@ -32,7 +31,8 @@ pub struct SegmentationConfig {
     pub singleton_weight: f64,
     /// Sampling temperature.
     pub temperature: f64,
-    /// Worker threads for the checkerboard sweep.
+    /// Deterministic chunk count per colour group (at least 2 are run):
+    /// it fixes the result bit for bit, whatever the engine's worker count.
     pub threads: usize,
     /// Fraction of iterations treated as burn-in for the marginal MAP.
     pub burn_in_fraction: f64,
@@ -135,48 +135,11 @@ impl Segmentation {
         self.mrf.singleton().means_6bit()
     }
 
-    /// Runs MCMC for `iterations` full sweeps with the given sampler.
-    pub fn run<L>(&self, sampler: L, iterations: usize, seed: u64) -> ChainResult
-    where
-        L: LabelSampler + Clone + Send + Sync,
-    {
-        let initial = self.mrf.uniform_labeling();
-        self.run_from(sampler, iterations, seed, initial)
-    }
-
-    /// Runs MCMC from an explicit initial labeling (e.g. a coarse-to-fine
-    /// warm start from [`crate::pyramid`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the labeling does not validate against the field.
-    pub fn run_from<L>(
-        &self,
-        sampler: L,
-        iterations: usize,
-        seed: u64,
-        initial: Vec<Label>,
-    ) -> ChainResult
-    where
-        L: LabelSampler + Clone + Send + Sync,
-    {
-        let config = ChainConfig {
-            schedule: TemperatureSchedule::constant(self.config.temperature),
-            burn_in: (iterations as f64 * self.config.burn_in_fraction) as usize,
-            track_modes: true,
-            rao_blackwell: false,
-            threads: self.config.threads,
-            seed,
-        };
-        let mut chain = McmcChain::with_initial(&self.mrf, sampler, config, initial);
-        chain.run(iterations);
-        chain.result()
-    }
-
     /// Packages this segmentation as an engine job (for
-    /// [`mogs_engine::Engine::submit`]). The job uses at least two
-    /// deterministic chunks; for `config.threads >= 2` its result is
-    /// bit-identical to [`Segmentation::run`] with the same arguments.
+    /// [`mogs_engine::Engine::submit`]) starting from the all-zero
+    /// labeling; set [`InferenceJob::initial`] for a warm start (the
+    /// coarse-to-fine levels of [`crate::pyramid`] do). The job uses at
+    /// least two deterministic chunks.
     pub fn engine_job<L>(
         &self,
         sampler: L,
@@ -187,47 +150,26 @@ impl Segmentation {
         L: LabelSampler,
     {
         InferenceJob {
-            mrf: self.mrf.clone(),
-            sampler,
-            schedule: TemperatureSchedule::constant(self.config.temperature),
             iterations,
             threads: self.config.threads.max(2),
             seed,
             burn_in: (iterations as f64 * self.config.burn_in_fraction) as usize,
             track_modes: true,
-            record_energy: true,
-            initial: None,
-            groups: None,
-            sink: None,
-            fault_plan: None,
-            health: None,
-            checkpoint: None,
+            ..InferenceJob::new(self.mrf.clone(), sampler)
         }
     }
 
-    /// Runs the segmentation through a persistent engine instead of
-    /// spawning per-sweep threads. See [`Segmentation::engine_job`] for
-    /// the determinism contract relative to [`Segmentation::run`].
+    /// Runs MCMC for `iterations` full sweeps on `engine` (see
+    /// [`Segmentation::engine_job`]).
     ///
     /// # Panics
     ///
-    /// Panics if the engine rejects the job (already shut down or failed
-    /// admission).
-    pub fn run_on_engine<L>(
-        &self,
-        engine: &Engine,
-        sampler: L,
-        iterations: usize,
-        seed: u64,
-    ) -> ChainResult
+    /// Panics if the engine refuses or fails the job.
+    pub fn run<L>(&self, engine: &Engine, sampler: L, iterations: usize, seed: u64) -> ChainResult
     where
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        engine
-            .submit(self.engine_job(sampler, iterations, seed))
-            .expect("engine accepts segmentation job")
-            .wait()
-            .into_chain_result()
+        crate::run_job(engine, self.engine_job(sampler, iterations, seed))
     }
 
     /// Renders a labeling as an image (each label painted with its class
@@ -268,28 +210,24 @@ mod tests {
                 ..SegmentationConfig::default()
             },
         );
-        let result = app.run(SoftmaxGibbs::new(), 40, 1);
+        let result = app.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 40, 1);
         let acc = label_accuracy(result.map_estimate.as_ref().unwrap(), &scene.truth);
         assert!(acc > 0.9, "accuracy {acc}");
     }
 
     #[test]
     fn engine_path_matches_chain_path_bit_for_bit() {
+        // Default config: one chunk asked for, two run.
         let scene = synthetic::region_scene(16, 16, 3, 8.0, 4);
-        let app = Segmentation::new(
-            scene.image.clone(),
-            SegmentationConfig {
-                num_labels: 3,
-                threads: 2,
-                ..SegmentationConfig::default()
-            },
-        );
-        let reference = app.run(SoftmaxGibbs::new(), 30, 9);
-        let engine = Engine::with_default_config();
-        let result = app.run_on_engine(&engine, SoftmaxGibbs::new(), 30, 9);
+        let app = Segmentation::new(scene.image.clone(), SegmentationConfig::default());
+        let job = app.engine_job(SoftmaxGibbs::new(), 30, 9);
+        assert_eq!(job.threads, 2);
+        let reference = crate::reference_run(&job);
+        let result = app.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 30, 9);
         assert_eq!(
-            result, reference,
-            "engine segmentation must be bit-identical"
+            (result.labels, result.energy_trace),
+            reference,
+            "engine segmentation must be bit-identical to the reference chain"
         );
     }
 
@@ -297,7 +235,7 @@ mod tests {
     fn five_label_scene_converges() {
         let scene = synthetic::region_scene(24, 24, 5, 6.0, 13);
         let app = Segmentation::new(scene.image.clone(), SegmentationConfig::default());
-        let result = app.run(SoftmaxGibbs::new(), 60, 2);
+        let result = app.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 60, 2);
         let acc = label_accuracy(result.map_estimate.as_ref().unwrap(), &scene.truth);
         assert!(acc > 0.8, "accuracy {acc}");
         assert!(result.energy_trace[59] < result.energy_trace[0]);

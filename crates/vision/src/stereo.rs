@@ -8,9 +8,8 @@
 
 use crate::image::GrayImage;
 use mogs_engine::prelude::*;
-use mogs_gibbs::chain::{ChainConfig, ChainResult, McmcChain};
+use mogs_gibbs::chain::ChainResult;
 use mogs_gibbs::sampler::LabelSampler;
-use mogs_gibbs::schedule::TemperatureSchedule;
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior};
 
@@ -26,7 +25,8 @@ pub struct StereoConfig {
     pub singleton_weight: f64,
     /// Sampling temperature.
     pub temperature: f64,
-    /// Worker threads for the checkerboard sweep.
+    /// Deterministic chunk count per colour group (at least 2 are run):
+    /// it fixes the result bit for bit, whatever the engine's worker count.
     pub threads: usize,
     /// Fraction of iterations treated as burn-in for the marginal MAP.
     pub burn_in_fraction: f64,
@@ -108,27 +108,8 @@ impl StereoMatching {
         &self.mrf
     }
 
-    /// Runs MCMC for `iterations` full sweeps.
-    pub fn run<L>(&self, sampler: L, iterations: usize, seed: u64) -> ChainResult
-    where
-        L: LabelSampler + Clone + Send + Sync,
-    {
-        let config = ChainConfig {
-            schedule: TemperatureSchedule::constant(self.config.temperature),
-            burn_in: (iterations as f64 * self.config.burn_in_fraction) as usize,
-            track_modes: true,
-            rao_blackwell: false,
-            threads: self.config.threads,
-            seed,
-        };
-        let mut chain = McmcChain::new(&self.mrf, sampler, config);
-        chain.run(iterations);
-        chain.result()
-    }
-
-    /// Packages this matching as an engine job. Uses at least two
-    /// deterministic chunks; for `config.threads >= 2` the result is
-    /// bit-identical to [`StereoMatching::run`] with the same arguments.
+    /// Packages this matching as an engine job from the all-zero
+    /// labeling. Uses at least two deterministic chunks.
     pub fn engine_job<L>(
         &self,
         sampler: L,
@@ -139,46 +120,26 @@ impl StereoMatching {
         L: LabelSampler,
     {
         InferenceJob {
-            mrf: self.mrf.clone(),
-            sampler,
-            schedule: TemperatureSchedule::constant(self.config.temperature),
             iterations,
             threads: self.config.threads.max(2),
             seed,
             burn_in: (iterations as f64 * self.config.burn_in_fraction) as usize,
             track_modes: true,
-            record_energy: true,
-            initial: None,
-            groups: None,
-            sink: None,
-            fault_plan: None,
-            health: None,
-            checkpoint: None,
+            ..InferenceJob::new(self.mrf.clone(), sampler)
         }
     }
 
-    /// Runs the matching through a persistent engine instead of spawning
-    /// per-sweep threads.
+    /// Runs MCMC for `iterations` full sweeps on `engine` (see
+    /// [`StereoMatching::engine_job`]).
     ///
     /// # Panics
     ///
-    /// Panics if the engine rejects the job (already shut down or failed
-    /// admission).
-    pub fn run_on_engine<L>(
-        &self,
-        engine: &Engine,
-        sampler: L,
-        iterations: usize,
-        seed: u64,
-    ) -> ChainResult
+    /// Panics if the engine refuses or fails the job.
+    pub fn run<L>(&self, engine: &Engine, sampler: L, iterations: usize, seed: u64) -> ChainResult
     where
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        engine
-            .submit(self.engine_job(sampler, iterations, seed))
-            .expect("engine accepts stereo job")
-            .wait()
-            .into_chain_result()
+        crate::run_job(engine, self.engine_job(sampler, iterations, seed))
     }
 
     /// Renders a disparity labeling as an image (disparity stretched over
@@ -208,29 +169,12 @@ mod tests {
     fn recovers_foreground_disparity() {
         let scene = synthetic::stereo_pair(32, 32, 3, 2.0, 31);
         let app = StereoMatching::new(&scene.left, &scene.right, StereoConfig::default());
-        let result = app.run(SoftmaxGibbs::new(), 80, 5);
+        let result = app.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 80, 5);
         let acc = label_accuracy(result.map_estimate.as_ref().unwrap(), &scene.truth);
         // Smooth synthetic texture leaves genuine ambiguity (aperture
         // problem + the occluded band at the foreground edge), so 70% on a
         // 5-way choice is a solid recovery.
         assert!(acc > 0.70, "disparity accuracy {acc}");
-    }
-
-    #[test]
-    fn engine_path_matches_chain_path_bit_for_bit() {
-        let scene = synthetic::stereo_pair(16, 16, 2, 2.0, 17);
-        let app = StereoMatching::new(
-            &scene.left,
-            &scene.right,
-            StereoConfig {
-                threads: 2,
-                ..StereoConfig::default()
-            },
-        );
-        let reference = app.run(SoftmaxGibbs::new(), 20, 7);
-        let engine = mogs_engine::Engine::with_default_config();
-        let result = app.run_on_engine(&engine, SoftmaxGibbs::new(), 20, 7);
-        assert_eq!(result, reference, "engine stereo must be bit-identical");
     }
 
     #[test]
@@ -260,8 +204,29 @@ mod tests {
     fn energy_decreases_over_iterations() {
         let scene = synthetic::stereo_pair(24, 24, 2, 2.0, 34);
         let app = StereoMatching::new(&scene.left, &scene.right, StereoConfig::default());
-        let result = app.run(SoftmaxGibbs::new(), 25, 6);
+        let result = app.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 25, 6);
         assert!(result.energy_trace[24] < result.energy_trace[0]);
+    }
+
+    #[test]
+    fn engine_path_matches_chain_path_bit_for_bit() {
+        let scene = synthetic::stereo_pair(16, 16, 2, 2.0, 17);
+        let app = StereoMatching::new(
+            &scene.left,
+            &scene.right,
+            StereoConfig {
+                threads: 3,
+                ..StereoConfig::default()
+            },
+        );
+        let job = app.engine_job(SoftmaxGibbs::new(), 20, 7);
+        let reference = crate::reference_run(&job);
+        let result = app.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 20, 7);
+        assert_eq!(
+            (result.labels, result.energy_trace),
+            reference,
+            "engine stereo must be bit-identical to the reference chain"
+        );
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! the Potts model's ordering transition).
 
 use crate::image::GrayImage;
-use mogs_gibbs::chain::{ChainConfig, McmcChain};
+use mogs_engine::prelude::*;
+use mogs_gibbs::chain::ChainResult;
 use mogs_gibbs::sampler::LabelSampler;
-use mogs_gibbs::schedule::TemperatureSchedule;
 use mogs_mrf::energy::ZeroSingleton;
 use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior};
 
@@ -25,8 +25,6 @@ pub struct TextureConfig {
     pub prior: SmoothnessPrior,
     /// Sampling temperature.
     pub temperature: f64,
-    /// Gibbs sweeps to run before taking the sample.
-    pub sweeps: usize,
 }
 
 impl Default for TextureConfig {
@@ -35,7 +33,6 @@ impl Default for TextureConfig {
             levels: 8,
             prior: SmoothnessPrior::potts(1.2),
             temperature: 1.0,
-            sweeps: 60,
         }
     }
 }
@@ -66,19 +63,18 @@ impl TextureModel {
         &self.mrf
     }
 
-    /// Draws one texture sample with the given sampler.
-    pub fn sample<L>(&self, sampler: L, seed: u64) -> Vec<Label>
+    /// Packages one texture draw as an engine job: `iterations` sweeps
+    /// from a random start, two deterministic chunks, no mode tracking
+    /// (the sample is the final labeling).
+    pub fn engine_job<L>(
+        &self,
+        sampler: L,
+        iterations: usize,
+        seed: u64,
+    ) -> InferenceJob<ZeroSingleton, L>
     where
-        L: LabelSampler + Clone + Send + Sync,
+        L: LabelSampler,
     {
-        let chain_config = ChainConfig {
-            schedule: TemperatureSchedule::constant(self.config.temperature),
-            burn_in: 0,
-            rao_blackwell: false,
-            track_modes: false,
-            threads: 1,
-            seed,
-        };
         // A random start mixes faster than all-zero for a pure prior:
         // scatter the labels with a cheap LCG keyed to the seed.
         let m = self.mrf.space().count() as u64;
@@ -88,9 +84,25 @@ impl TextureModel {
                 Label::new((h % m) as u8)
             })
             .collect();
-        let mut chain = McmcChain::with_initial(&self.mrf, sampler, chain_config, initial);
-        chain.run(self.config.sweeps);
-        chain.result().labels
+        InferenceJob {
+            iterations,
+            seed,
+            initial: Some(initial),
+            ..InferenceJob::new(self.mrf.clone(), sampler)
+        }
+    }
+
+    /// Draws one texture sample (the result's `labels`) with `iterations`
+    /// sweeps on `engine` (see [`TextureModel::engine_job`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine refuses or fails the job.
+    pub fn run<L>(&self, engine: &Engine, sampler: L, iterations: usize, seed: u64) -> ChainResult
+    where
+        L: SweepKernel + Clone + Send + Sync + 'static,
+    {
+        crate::run_job(engine, self.engine_job(sampler, iterations, seed))
     }
 
     /// Renders a labeling as an image (levels spread over the gray range).
@@ -149,8 +161,10 @@ mod tests {
                 ..TextureConfig::default()
             },
         );
-        let a_weak = weak.neighbor_agreement(&weak.sample(SoftmaxGibbs::new(), 1));
-        let a_strong = strong.neighbor_agreement(&strong.sample(SoftmaxGibbs::new(), 1));
+        let engine = Engine::with_default_config();
+        let a_weak = weak.neighbor_agreement(&weak.run(&engine, SoftmaxGibbs::new(), 60, 1).labels);
+        let a_strong =
+            strong.neighbor_agreement(&strong.run(&engine, SoftmaxGibbs::new(), 60, 1).labels);
         assert!(
             a_strong > a_weak + 0.2,
             "strong coupling {a_strong} vs weak {a_weak}"
@@ -164,11 +178,12 @@ mod tests {
             32,
             TextureConfig {
                 prior: SmoothnessPrior::potts(0.01),
-                sweeps: 20,
                 ..TextureConfig::default()
             },
         );
-        let agreement = model.neighbor_agreement(&model.sample(SoftmaxGibbs::new(), 2));
+        let engine = Engine::with_default_config();
+        let sample = model.run(&engine, SoftmaxGibbs::new(), 20, 2).labels;
+        let agreement = model.neighbor_agreement(&sample);
         // Uniform over 8 labels: agreement ≈ 1/8.
         assert!((agreement - 0.125).abs() < 0.05, "agreement {agreement}");
     }
@@ -185,7 +200,8 @@ mod tests {
                 ..TextureConfig::default()
             },
         );
-        let labels = model.sample(SoftmaxGibbs::new(), 3);
+        let engine = Engine::with_default_config();
+        let labels = model.run(&engine, SoftmaxGibbs::new(), 60, 3).labels;
         let grid = model.mrf().grid();
         let mut small_steps = 0usize;
         let mut disagreements = 0usize;
@@ -216,8 +232,9 @@ mod tests {
     #[test]
     fn samples_are_seed_deterministic() {
         let model = TextureModel::new(16, 16, TextureConfig::default());
-        let a = model.sample(SoftmaxGibbs::new(), 9);
-        let b = model.sample(SoftmaxGibbs::new(), 9);
+        let engine = Engine::with_default_config();
+        let a = model.run(&engine, SoftmaxGibbs::new(), 60, 9).labels;
+        let b = model.run(&engine, SoftmaxGibbs::new(), 60, 9).labels;
         assert_eq!(a, b);
     }
 }

@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release --example convergence`
 
-use mogs_gibbs::chain::{ChainConfig, McmcChain};
+use mogs_engine::{run_chains_on_engine, Engine, InferenceJob};
+use mogs_gibbs::chain::ChainConfig;
 use mogs_gibbs::diagnostics::{effective_sample_size, integrated_autocorrelation_time};
-use mogs_gibbs::multichain::run_chains;
 use mogs_gibbs::schedule::TemperatureSchedule;
 use mogs_gibbs::SoftmaxGibbs;
 use mogs_vision::metrics::label_accuracy;
@@ -16,19 +16,27 @@ use mogs_vision::synthetic;
 fn main() {
     let scene = synthetic::region_scene(32, 32, 5, 7.0, 3);
     let app = Segmentation::new(scene.image.clone(), SegmentationConfig::default());
+    let engine = Engine::with_default_config();
+    let run = |config: ChainConfig, iterations: usize| {
+        let job = InferenceJob::from_chain_config(
+            app.mrf().clone(),
+            SoftmaxGibbs::new(),
+            config,
+            iterations,
+        );
+        engine.submit(job).unwrap().wait().into_chain_result()
+    };
 
     // --- Single-chain view: trace statistics. ------------------------------
-    let mut chain = McmcChain::new(
-        app.mrf(),
-        SoftmaxGibbs::new(),
+    let chain = run(
         ChainConfig {
             burn_in: 20,
             seed: 1,
             ..ChainConfig::default()
         },
+        120,
     );
-    chain.run(120);
-    let trace = &chain.energy_trace()[20..];
+    let trace = &chain.energy_trace[20..];
     println!(
         "single chain: 120 iterations, post-burn-in energy mean {:.0}",
         trace.iter().sum::<f64>() / trace.len() as f64
@@ -49,7 +57,15 @@ fn main() {
             track_modes: false,
             ..ChainConfig::default()
         };
-        let result = run_chains(app.mrf(), &SoftmaxGibbs::new(), config, 4, iterations);
+        let result = run_chains_on_engine(
+            &engine,
+            app.mrf(),
+            &SoftmaxGibbs::new(),
+            config,
+            4,
+            iterations,
+        )
+        .unwrap();
         println!(
             "  {iterations:>3} iterations: R-hat {:.3} ({})",
             result.r_hat,
@@ -62,18 +78,16 @@ fn main() {
     }
 
     // --- Annealing: posterior sampling vs optimization. ---------------------
-    let fixed = app.run(SoftmaxGibbs::new(), 80, 5);
-    let mut annealed = McmcChain::new(
-        app.mrf(),
-        SoftmaxGibbs::new(),
+    let fixed = app.run(&engine, SoftmaxGibbs::new(), 80, 5);
+    let annealed = run(
         ChainConfig {
             schedule: TemperatureSchedule::geometric(4.0, 0.93, 0.2),
             burn_in: 0,
             seed: 5,
             ..ChainConfig::default()
         },
+        80,
     );
-    annealed.run(80);
     println!(
         "\nfixed temperature:   final energy {:.0}, marginal-MAP accuracy {:.1}%",
         fixed.energy_trace.last().unwrap(),
@@ -81,8 +95,8 @@ fn main() {
     );
     println!(
         "geometric annealing: final energy {:.0}, final-sample accuracy {:.1}%",
-        annealed.energy_trace().last().unwrap(),
-        100.0 * label_accuracy(annealed.labels(), &scene.truth),
+        annealed.energy_trace.last().unwrap(),
+        100.0 * label_accuracy(&annealed.labels, &scene.truth),
     );
     println!(
         "\nAnnealing drives the chain toward a single low-energy labeling \

@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example denoising`
 
 use mogs_core::rsu_g::RsuGSampler;
+use mogs_engine::Engine;
 use mogs_gibbs::SoftmaxGibbs;
 use mogs_mrf::precision::EnergyQuantizer;
 use mogs_vision::image::GrayImage;
@@ -35,11 +36,13 @@ fn main() {
     let config = RestorationConfig::default();
     let temperature = config.temperature;
     let app = Restoration::new(&noisy, config);
+    let engine = Engine::with_default_config();
 
-    let software = app.run(SoftmaxGibbs::new(), 50, 1);
+    let software = app.run(&engine, SoftmaxGibbs::new(), 50, 1);
     let restored_sw = app.labels_to_image(software.map_estimate.as_ref().unwrap());
 
     let hardware = app.run(
+        &engine,
         RsuGSampler::new(EnergyQuantizer::new(8.0), temperature),
         50,
         1,

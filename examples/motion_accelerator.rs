@@ -8,6 +8,7 @@ use mogs_arch::accelerator::Accelerator;
 use mogs_arch::gpu::GpuModel;
 use mogs_arch::kernel::KernelVariant;
 use mogs_arch::workload::{ImageSize, Workload};
+use mogs_engine::Engine;
 use mogs_gibbs::SoftmaxGibbs;
 use mogs_vision::metrics::mean_endpoint_error;
 use mogs_vision::motion::{MotionConfig, MotionEstimation};
@@ -17,7 +18,8 @@ fn main() {
     // --- Functional: recover a (2, -1) pixel translation. -----------------
     let scene = synthetic::translated_pair(48, 48, 2, -1, 2.0, 7);
     let app = MotionEstimation::new(&scene.frame1, &scene.frame2, MotionConfig::default());
-    let result = app.run(SoftmaxGibbs::new(), 60, 3);
+    let engine = Engine::with_default_config();
+    let result = app.run(&engine, SoftmaxGibbs::new(), 60, 3);
     let flow = app.flow_field(result.map_estimate.as_ref().unwrap());
     println!(
         "recovered flow for a (2,-1) translation: mean endpoint error {:.3} px",

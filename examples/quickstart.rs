@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use mogs_core::rsu_g::RsuGSampler;
+use mogs_engine::Engine;
 use mogs_gibbs::SoftmaxGibbs;
 use mogs_mrf::precision::EnergyQuantizer;
 use mogs_vision::metrics::label_accuracy;
@@ -19,9 +20,10 @@ fn main() {
     let config = SegmentationConfig::default();
     let temperature = config.temperature;
     let app = Segmentation::new(scene.image.clone(), config);
+    let engine = Engine::with_default_config();
 
     // 1) Exact software Gibbs sampling — the reference.
-    let software = app.run(SoftmaxGibbs::new(), 80, 1);
+    let software = app.run(&engine, SoftmaxGibbs::new(), 80, 1);
     let software_map = software.map_estimate.expect("modes tracked");
     println!(
         "software Gibbs:  accuracy {:.1}%  final energy {:.0}",
@@ -34,6 +36,7 @@ fn main() {
     //    intensity codes → exponential TTFs in an 8-bit register →
     //    first-to-fire).
     let rsu = app.run(
+        &engine,
         RsuGSampler::new(EnergyQuantizer::new(8.0), temperature),
         80,
         1,

@@ -5,12 +5,14 @@
 //!
 //! Run with: `cargo run --release --example texture_synthesis`
 
+use mogs_engine::Engine;
 use mogs_gibbs::SoftmaxGibbs;
 use mogs_mrf::SmoothnessPrior;
 use mogs_vision::texture_model::{TextureConfig, TextureModel};
 
 fn main() {
-    println!("Potts textures at increasing coupling (48x48, 8 labels, 60 sweeps):\n");
+    println!("Potts textures at increasing coupling (48x24, 8 labels, 60 sweeps):\n");
+    let engine = Engine::with_default_config();
     for coupling in [0.2, 0.8, 1.5] {
         let model = TextureModel::new(
             48,
@@ -20,7 +22,7 @@ fn main() {
                 ..TextureConfig::default()
             },
         );
-        let labels = model.sample(SoftmaxGibbs::new(), 7);
+        let labels = model.run(&engine, SoftmaxGibbs::new(), 60, 7).labels;
         println!(
             "coupling {coupling}: neighbour agreement {:.0}% (uniform would be 12.5%)",
             100.0 * model.neighbor_agreement(&labels)

@@ -3,6 +3,7 @@
 //! the hardware model does not meaningfully degrade solution quality.
 
 use mogs_core::rsu_g::RsuGSampler;
+use mogs_engine::Engine;
 use mogs_gibbs::{Metropolis, SoftmaxGibbs};
 use mogs_mrf::precision::EnergyQuantizer;
 use mogs_vision::metrics::{label_accuracy, mean_endpoint_error};
@@ -20,13 +21,14 @@ fn rsu(temperature: f64) -> RsuGSampler {
 
 #[test]
 fn segmentation_software_vs_rsu() {
+    let engine = Engine::with_default_config();
     let scene = synthetic::region_scene(32, 32, 5, 7.0, 100);
     let config = SegmentationConfig::default();
     let t = config.temperature;
     let app = Segmentation::new(scene.image.clone(), config);
 
-    let soft = app.run(SoftmaxGibbs::new(), 60, 1);
-    let hard = app.run(rsu(t), 60, 1);
+    let soft = app.run(&engine, SoftmaxGibbs::new(), 60, 1);
+    let hard = app.run(&engine, rsu(t), 60, 1);
     let acc_soft = label_accuracy(soft.map_estimate.as_ref().unwrap(), &scene.truth);
     let acc_hard = label_accuracy(hard.map_estimate.as_ref().unwrap(), &scene.truth);
     assert!(acc_soft > 0.8, "software accuracy {acc_soft}");
@@ -38,13 +40,14 @@ fn segmentation_software_vs_rsu() {
 
 #[test]
 fn motion_software_vs_rsu() {
+    let engine = Engine::with_default_config();
     let scene = synthetic::translated_pair(28, 28, 2, 1, 2.0, 101);
     let config = MotionConfig::default();
     let t = config.temperature;
     let app = MotionEstimation::new(&scene.frame1, &scene.frame2, config);
 
-    let soft = app.run(SoftmaxGibbs::new(), 50, 2);
-    let hard = app.run(rsu(t), 50, 2);
+    let soft = app.run(&engine, SoftmaxGibbs::new(), 50, 2);
+    let hard = app.run(&engine, rsu(t), 50, 2);
     let epe_soft = mean_endpoint_error(
         &app.flow_field(soft.map_estimate.as_ref().unwrap()),
         scene.flow,
@@ -62,13 +65,14 @@ fn motion_software_vs_rsu() {
 
 #[test]
 fn stereo_software_vs_rsu() {
+    let engine = Engine::with_default_config();
     let scene = synthetic::stereo_pair(32, 32, 3, 2.0, 102);
     let config = StereoConfig::default();
     let t = config.temperature;
     let app = StereoMatching::new(&scene.left, &scene.right, config);
 
-    let soft = app.run(SoftmaxGibbs::new(), 60, 3);
-    let hard = app.run(rsu(t), 60, 3);
+    let soft = app.run(&engine, SoftmaxGibbs::new(), 60, 3);
+    let hard = app.run(&engine, rsu(t), 60, 3);
     let acc_soft = label_accuracy(soft.map_estimate.as_ref().unwrap(), &scene.truth);
     let acc_hard = label_accuracy(hard.map_estimate.as_ref().unwrap(), &scene.truth);
     assert!(acc_soft > 0.65, "software accuracy {acc_soft}");
@@ -80,16 +84,18 @@ fn stereo_software_vs_rsu() {
 
 #[test]
 fn metropolis_converges_slower_but_converges() {
+    let engine = Engine::with_default_config();
     // Metropolis is the alternative MCMC kernel (§4.2); on the same budget
     // it should still reduce energy substantially.
     let scene = synthetic::region_scene(24, 24, 5, 7.0, 103);
     let app = Segmentation::new(scene.image.clone(), SegmentationConfig::default());
-    let result = app.run(Metropolis::new(), 80, 4);
+    let result = app.run(&engine, Metropolis::new(), 80, 4);
     assert!(result.energy_trace[79] < 0.6 * result.energy_trace[0]);
 }
 
 #[test]
 fn parallel_and_sequential_chains_reach_similar_energy() {
+    let engine = Engine::with_default_config();
     let scene = synthetic::region_scene(32, 32, 5, 7.0, 104);
     let seq_app = Segmentation::new(scene.image.clone(), SegmentationConfig::default());
     let par_app = Segmentation::new(
@@ -99,8 +105,8 @@ fn parallel_and_sequential_chains_reach_similar_energy() {
             ..SegmentationConfig::default()
         },
     );
-    let seq = seq_app.run(SoftmaxGibbs::new(), 50, 5);
-    let par = par_app.run(SoftmaxGibbs::new(), 50, 5);
+    let seq = seq_app.run(&engine, SoftmaxGibbs::new(), 50, 5);
+    let par = par_app.run(&engine, SoftmaxGibbs::new(), 50, 5);
     let (e_seq, e_par) = (
         *seq.energy_trace.last().unwrap(),
         *par.energy_trace.last().unwrap(),
@@ -111,6 +117,7 @@ fn parallel_and_sequential_chains_reach_similar_energy() {
 
 #[test]
 fn restoration_runs_on_both_neighborhood_orders() {
+    let engine = Engine::with_default_config();
     use mogs_mrf::Neighborhood;
     use mogs_vision::image::GrayImage;
     use mogs_vision::restoration::{Restoration, RestorationConfig};
@@ -137,7 +144,7 @@ fn restoration_runs_on_both_neighborhood_orders() {
                 ..RestorationConfig::default()
             },
         );
-        let result = app.run(SoftmaxGibbs::new(), 40, 6);
+        let result = app.run(&engine, SoftmaxGibbs::new(), 40, 6);
         let restored = app.labels_to_image(result.map_estimate.as_ref().unwrap());
         let psnr = Restoration::psnr(&clean, &restored);
         assert!(
@@ -157,11 +164,12 @@ fn restoration_runs_on_both_neighborhood_orders() {
 
 #[test]
 fn energy_traces_are_monotone_in_expectation() {
+    let engine = Engine::with_default_config();
     // Not strictly monotone (it is a sampler, not a descent method), but
     // the second-half mean must be far below the first few iterations.
     let scene = synthetic::region_scene(24, 24, 5, 7.0, 105);
     let app = Segmentation::new(scene.image.clone(), SegmentationConfig::default());
-    let result = app.run(SoftmaxGibbs::new(), 60, 6);
+    let result = app.run(&engine, SoftmaxGibbs::new(), 60, 6);
     let early = result.energy_trace[0];
     let late: f64 = result.energy_trace[30..].iter().sum::<f64>() / 30.0;
     assert!(late < 0.8 * early, "early {early} late {late}");
