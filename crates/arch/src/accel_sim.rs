@@ -15,7 +15,6 @@
 use crate::workload::Workload;
 use mogs_core::rsu_g::RsuGSampler;
 use mogs_core::variants::RsuVariant;
-use mogs_gibbs::chain::ChainResult;
 use mogs_gibbs::sampler::LabelSampler;
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::precision::EnergyQuantizer;
@@ -133,7 +132,9 @@ impl AccelSim {
 
     /// Functional simulation: runs `iterations` checkerboard sweeps of the
     /// field on the RSU-G sampler (dispatched exactly as the controller
-    /// would) *and* accounts the cycles of every phase.
+    /// would) *and* accounts the cycles of every phase. Returns the final
+    /// labeling, the total energy after every sweep, and the cycle
+    /// report.
     ///
     /// `t_model` is the application temperature baked into the units'
     /// intensity maps.
@@ -144,7 +145,7 @@ impl AccelSim {
         t_model: f64,
         iterations: usize,
         seed: u64,
-    ) -> (ChainResult, CycleReport)
+    ) -> (Vec<Label>, Vec<f64>, CycleReport)
     where
         S: SingletonPotential,
     {
@@ -188,13 +189,7 @@ impl AccelSim {
             unit_utilization: unit_bound as f64 / cycles.max(1) as f64,
             dram_utilization: dram_bound as f64 / cycles.max(1) as f64,
         };
-        let result = ChainResult {
-            labels,
-            map_estimate: None,
-            energy_trace,
-            iterations,
-        };
-        (result, report)
+        (labels, energy_trace, report)
     }
 }
 
@@ -258,12 +253,9 @@ mod tests {
         let t = config.temperature;
         let app = Segmentation::new(scene.image.clone(), config);
         let sim = AccelSim::new(AccelSimConfig::paper_design());
-        let (result, report) = sim.simulate(app.mrf(), 5.0, t, 30, 1);
-        assert!(
-            result.energy_trace[29] < result.energy_trace[0],
-            "energy must fall"
-        );
-        let accuracy = mogs_vision::metrics::label_accuracy(&result.labels, &scene.truth);
+        let (labels, energy_trace, report) = sim.simulate(app.mrf(), 5.0, t, 30, 1);
+        assert!(energy_trace[29] < energy_trace[0], "energy must fall");
+        let accuracy = mogs_vision::metrics::label_accuracy(&labels, &scene.truth);
         assert!(accuracy > 0.8, "accelerator labeling accuracy {accuracy}");
         assert!(report.cycles > 0);
         assert!((report.unit_utilization + report.dram_utilization - 1.0).abs() < 1e-9);

@@ -10,7 +10,6 @@
 
 use crate::report::render_table;
 use mogs_engine::{Engine, InferenceJob};
-use mogs_gibbs::chain::ChainConfig;
 use mogs_gibbs::schedule::TemperatureSchedule;
 use mogs_gibbs::SoftmaxGibbs;
 use mogs_vision::metrics::label_accuracy;
@@ -59,24 +58,17 @@ pub fn run(iterations: usize, seed: u64) -> Vec<AnnealRow> {
     schedules
         .into_iter()
         .map(|(name, schedule, track_modes)| {
-            let config = ChainConfig {
-                schedule,
-                burn_in: if track_modes { iterations / 4 } else { 0 },
-                track_modes,
-                threads: 2,
-                seed,
-            };
-            let job = InferenceJob::from_chain_config(
-                app.mrf().clone(),
-                SoftmaxGibbs::new(),
-                config,
-                iterations,
-            );
+            let job = InferenceJob::new(app.mrf().clone(), SoftmaxGibbs::new())
+                .schedule(schedule)
+                .iterations(iterations)
+                .burn_in(if track_modes { iterations / 4 } else { 0 })
+                .track_modes(track_modes)
+                .threads(2)
+                .seed(seed);
             let result = engine
                 .submit(job)
                 .expect("engine accepts the schedule's job")
-                .wait()
-                .into_chain_result();
+                .wait();
             let final_energy = *result
                 .energy_trace
                 .last()

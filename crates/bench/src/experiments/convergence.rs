@@ -5,9 +5,8 @@ use crate::report::render_table;
 use mogs_arch::accel_sim::{AccelSim, AccelSimConfig};
 use mogs_arch::accelerator::Accelerator;
 use mogs_arch::workload::{ImageSize, Workload};
-use mogs_engine::{run_chains_on_engine, Engine};
-use mogs_gibbs::chain::ChainConfig;
-use mogs_gibbs::SoftmaxGibbs;
+use mogs_engine::{run_chains_on_engine, Engine, InferenceJob};
+use mogs_gibbs::{SoftmaxGibbs, TemperatureSchedule};
 use mogs_vision::segmentation::{Segmentation, SegmentationConfig};
 use mogs_vision::synthetic;
 
@@ -23,21 +22,12 @@ pub fn render_r_hat(seed: u64) -> String {
     let engine = Engine::with_default_config();
     let mut rows = Vec::new();
     for iterations in [10usize, 20, 40, 80] {
-        let config = ChainConfig {
-            burn_in: iterations / 4,
-            seed,
-            track_modes: false,
-            ..ChainConfig::default()
-        };
-        let result = run_chains_on_engine(
-            &engine,
-            app.mrf(),
-            &SoftmaxGibbs::new(),
-            config,
-            4,
-            iterations,
-        )
-        .expect("well-formed multi-chain run");
+        let job = InferenceJob::new(app.mrf().clone(), SoftmaxGibbs::new())
+            .schedule(TemperatureSchedule::constant(1.0))
+            .iterations(iterations)
+            .burn_in(iterations / 4)
+            .seed(seed);
+        let result = run_chains_on_engine(&engine, job, 4).expect("well-formed multi-chain run");
         rows.push(vec![
             iterations.to_string(),
             format!("{:.3}", result.r_hat),

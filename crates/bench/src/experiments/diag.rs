@@ -24,7 +24,7 @@ use std::time::Instant;
 use crate::report::render_table;
 use mogs_diag::{run_chains_diagnosed, DiagConfig, DiagnosedRun, EarlyStopPolicy};
 use mogs_engine::prelude::*;
-use mogs_gibbs::{ChainConfig, SoftmaxGibbs, TemperatureSchedule};
+use mogs_gibbs::SoftmaxGibbs;
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::MarkovRandomField;
 use mogs_vision::motion::{MotionConfig, MotionEstimation};
@@ -82,32 +82,46 @@ fn policy() -> DiagConfig {
         })
 }
 
+/// A workload's replica template: the field's own temperature held
+/// constant, burn-in 16, [`THREADS`] chunks, no mode tracking.
+fn template<S: SingletonPotential + Clone>(
+    mrf: &MarkovRandomField<S>,
+    budget: usize,
+    seed: u64,
+) -> InferenceJob<S, SoftmaxGibbs> {
+    InferenceJob::new(mrf.clone(), SoftmaxGibbs::new())
+        .iterations(budget)
+        .burn_in(16)
+        .threads(THREADS)
+        .seed(seed)
+}
+
+/// Runs `job`'s replicas twice on one engine: observe-only at the full
+/// budget, then under the early-stop policy.
+///
+/// # Panics
+///
+/// Panics if the engine refuses or fails a replica.
 fn compare<S, L>(
     workload: &str,
-    mrf: &MarkovRandomField<S>,
-    sampler: &L,
-    config: ChainConfig,
-    budget: usize,
+    job: InferenceJob<S, L>,
     out_dir: Option<&Path>,
 ) -> std::io::Result<DiagRow>
 where
     S: SingletonPotential + Clone + 'static,
     L: SweepKernel + Clone + Send + Sync + 'static,
 {
+    let budget = job.iterations;
     let engine = Engine::new(EngineConfig {
         max_active_jobs: REPLICAS.max(4),
         ..EngineConfig::default()
     });
-    let fixed = run_chains_diagnosed(
-        &engine,
-        mrf,
-        sampler,
-        config,
-        REPLICAS,
-        budget,
-        policy().observe_only(),
-    );
-    let stopped = run_chains_diagnosed(&engine, mrf, sampler, config, REPLICAS, budget, policy());
+    let diagnosed = |config| {
+        run_chains_diagnosed(&engine, job.clone(), REPLICAS, config)
+            .expect("the engine runs a well-formed workload's replicas")
+    };
+    let fixed = diagnosed(policy().observe_only());
+    let stopped = diagnosed(policy());
     engine.shutdown();
     let gap = (mean_energy(&stopped) - mean_energy(&fixed)).abs()
         / mean_energy(&fixed).abs().max(1.0)
@@ -154,10 +168,7 @@ pub fn run(out_dir: Option<&Path>, seed: u64) -> std::io::Result<Vec<DiagRow>> {
     );
     rows.push(compare(
         "segmentation",
-        seg.mrf(),
-        &SoftmaxGibbs::new(),
-        chain_config(seg.mrf().temperature(), seed),
-        240,
+        template(seg.mrf(), 240, seed),
         out_dir,
     )?);
 
@@ -173,10 +184,7 @@ pub fn run(out_dir: Option<&Path>, seed: u64) -> std::io::Result<Vec<DiagRow>> {
     );
     rows.push(compare(
         "motion",
-        motion.mrf(),
-        &SoftmaxGibbs::new(),
-        chain_config(motion.mrf().temperature(), seed + 1),
-        200,
+        template(motion.mrf(), 200, seed + 1),
         out_dir,
     )?);
 
@@ -192,10 +200,7 @@ pub fn run(out_dir: Option<&Path>, seed: u64) -> std::io::Result<Vec<DiagRow>> {
     );
     rows.push(compare(
         "stereo",
-        stereo.mrf(),
-        &SoftmaxGibbs::new(),
-        chain_config(stereo.mrf().temperature(), seed + 2),
-        200,
+        template(stereo.mrf(), 200, seed + 2),
         out_dir,
     )?);
 
@@ -204,16 +209,6 @@ pub fn run(out_dir: Option<&Path>, seed: u64) -> std::io::Result<Vec<DiagRow>> {
         std::fs::write(dir.join("diag.json"), serde::json::to_string(&rows))?;
     }
     Ok(rows)
-}
-
-fn chain_config(temperature: f64, seed: u64) -> ChainConfig {
-    ChainConfig {
-        schedule: TemperatureSchedule::constant(temperature),
-        burn_in: 16,
-        track_modes: false,
-        threads: THREADS,
-        seed,
-    }
 }
 
 /// Renders the comparison as the `repro diag` report.

@@ -8,8 +8,8 @@
 
 use crate::report::render_table;
 use mogs_core::rsu_g::RsuGSampler;
-use mogs_engine::Engine;
-use mogs_gibbs::{ChainResult, Metropolis, SoftmaxGibbs};
+use mogs_engine::{Engine, JobOutput};
+use mogs_gibbs::{Metropolis, SoftmaxGibbs};
 use mogs_mrf::precision::EnergyQuantizer;
 use mogs_mrf::Label;
 use mogs_vision::metrics::{label_accuracy, mean_endpoint_error};
@@ -45,7 +45,7 @@ fn rsu_sampler(temperature: f64) -> RsuGSampler {
 /// # Panics
 ///
 /// Panics if the chain ran no sweep (the energy trace is then empty).
-fn map_and_energy(r: ChainResult) -> (Vec<Label>, f64) {
+fn map_and_energy(r: JobOutput) -> (Vec<Label>, f64) {
     let energy = *r
         .energy_trace
         .last()

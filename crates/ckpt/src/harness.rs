@@ -113,9 +113,9 @@ pub fn demo_spec(
     faulted: bool,
     checkpoint: Option<(CheckpointPolicy, Arc<dyn CheckpointWriter>)>,
     sweep_delay: Option<Duration>,
-) -> JobSpec<impl SingletonPotential, BackendSampler> {
+) -> InferenceJob<impl SingletonPotential, BackendSampler> {
     let kernel = BackendSampler::try_new(backend, DEMO_MAX_ENERGY).expect("demo backend is valid");
-    let mut builder = JobSpec::builder(demo_field(), kernel)
+    let mut builder = InferenceJob::new(demo_field(), kernel)
         .iterations(DEMO_SWEEPS)
         .threads(DEMO_THREADS)
         .seed(DEMO_SEED)
@@ -163,7 +163,7 @@ fn demo_engine() -> Engine {
 /// # Panics
 ///
 /// Panics if the job fails to admit or errors mid-run.
-pub fn run_one<S, L>(spec: JobSpec<S, L>) -> JobOutput
+pub fn run_one<S, L>(spec: InferenceJob<S, L>) -> JobOutput
 where
     S: mogs_mrf::energy::SingletonPotential + 'static,
     L: SweepKernel + Clone + Send + Sync + 'static,
@@ -179,7 +179,7 @@ where
 /// # Panics
 ///
 /// Panics if the resume is rejected or the job errors mid-run.
-pub fn resume_one<S, L>(spec: JobSpec<S, L>, state: &JobState) -> JobOutput
+pub fn resume_one<S, L>(spec: InferenceJob<S, L>, state: &JobState) -> JobOutput
 where
     S: mogs_mrf::energy::SingletonPotential + 'static,
     L: SweepKernel + Clone + Send + Sync + 'static,

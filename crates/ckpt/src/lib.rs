@@ -42,7 +42,7 @@
 //! let store = CheckpointStore::open("/var/lib/mogs/ckpt", 3)?;
 //! let writer = store.writer("job-42", "request context".to_string());
 //! // … attach to a spec:
-//! //   JobSpec::builder(field, kernel)
+//! //   InferenceJob::new(field, kernel)
 //! //       .checkpoint(CheckpointPolicy::every(50), writer)
 //! // … and after a restart:
 //! let report = store.scan()?;

@@ -16,10 +16,9 @@
 use std::sync::Arc;
 
 use mogs_engine::prelude::*;
-use mogs_gibbs::ChainConfig;
 use mogs_mrf::energy::SingletonPotential;
-use mogs_mrf::MarkovRandomField;
 
+use crate::marginals::LabelIndexer;
 use crate::policy::DiagConfig;
 use crate::report::DiagReport;
 use crate::sink::MultiChainDiag;
@@ -60,60 +59,50 @@ impl DiagnosedRun {
     }
 }
 
-/// Runs `replicas` chains through `engine` with streaming diagnostics.
+/// Runs `replicas` chains of the template `job` through `engine` with
+/// streaming diagnostics: the replica loop of
+/// [`mogs_engine::run_chains_on_engine`] with
+/// [`MultiChainDiag::sink`]`(k)` attached to replica `k`. Replica `k`
+/// runs at `job.seed + k`, so a diagnosed run is sample-for-sample the
+/// same Markov chain as an undiagnosed one up to the sweep where the
+/// policy stops it.
 ///
-/// Chain `k` uses `config.seed + k`, exactly like
-/// [`mogs_engine::run_chains_on_engine`], so a diagnosed run is
-/// sample-for-sample the same Markov chain as an undiagnosed one up to
-/// the sweep where the policy stops it.
+/// # Errors
+///
+/// Everything [`run_replicas`] reports: fewer than two replicas, fewer
+/// than two post-burn-in sweeps, a template without an energy trace or
+/// already carrying a sink, and any submission or per-replica failure.
 ///
 /// # Panics
 ///
-/// Panics if `replicas` is zero, `iterations <= config.burn_in`, or the
-/// engine shuts down mid-run.
+/// Panics if `diag_config` fails [`DiagConfig::validate`].
 pub fn run_chains_diagnosed<S, L>(
     engine: &Engine,
-    mrf: &MarkovRandomField<S>,
-    sampler: &L,
-    config: ChainConfig,
+    job: InferenceJob<S, L>,
     replicas: usize,
-    iterations: usize,
     diag_config: DiagConfig,
-) -> DiagnosedRun
+) -> Result<DiagnosedRun, EngineError>
 where
     S: SingletonPotential + Clone + 'static,
     L: SweepKernel + Clone + Send + Sync + 'static,
 {
-    assert!(replicas > 0, "need at least one chain");
-    assert!(
-        iterations > config.burn_in,
-        "iterations must exceed burn-in to leave samples to diagnose"
-    );
-    let diag = MultiChainDiag::for_field(mrf, replicas, diag_config);
-    let handles: Vec<_> = (0..replicas)
-        .map(|k| {
-            let chain_config = ChainConfig {
-                seed: config.seed.wrapping_add(k as u64),
-                ..config
-            };
-            let mut job = InferenceJob::from_chain_config(
-                mrf.clone(),
-                sampler.clone(),
-                chain_config,
-                iterations,
-            );
-            job.sink = Some(diag.sink(k));
-            engine.submit(job).expect("engine accepts replica")
-        })
-        .collect();
-    let outputs: Vec<JobOutput> = handles.into_iter().map(|h| h.wait()).collect();
+    // The coordinator is built once the loop has checked the replica
+    // count, so a refused count is a typed error, not its panic.
+    let indexer = LabelIndexer::from_space(job.mrf.space());
+    let mut diag = None;
+    let outputs = run_replicas(engine, job, replicas, |k| {
+        let diag =
+            diag.get_or_insert_with(|| MultiChainDiag::new(replicas, indexer.clone(), diag_config));
+        Some(diag.sink(k) as Arc<dyn DiagSink>)
+    })?;
+    let diag = diag.unwrap_or_else(|| MultiChainDiag::new(replicas, indexer, diag_config));
     let mut report = diag.report();
     report.degraded_chains = outputs.iter().filter(|o| o.degraded.is_some()).count() as u64;
-    DiagnosedRun {
+    Ok(DiagnosedRun {
         outputs,
         report,
         diag,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -122,7 +111,7 @@ mod tests {
     use crate::policy::EarlyStopPolicy;
     use mogs_engine::EngineConfig;
     use mogs_gibbs::{SoftmaxGibbs, TemperatureSchedule};
-    use mogs_mrf::{Grid2D, Label, LabelSpace, SmoothnessPrior};
+    use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior};
 
     #[derive(Debug, Clone)]
     struct Striped;
@@ -144,14 +133,13 @@ mod tests {
             .build()
     }
 
-    fn chain_config() -> ChainConfig {
-        ChainConfig {
-            schedule: TemperatureSchedule::constant(0.8),
-            burn_in: 4,
-            track_modes: false,
-            threads: 2,
-            seed: 33,
-        }
+    /// T = 0.8, burn-in 4, two chunks, seed 33, no mode tracking.
+    fn template(iterations: usize) -> InferenceJob<Striped, SoftmaxGibbs> {
+        InferenceJob::new(easy_mrf(), SoftmaxGibbs::new())
+            .schedule(TemperatureSchedule::constant(0.8))
+            .iterations(iterations)
+            .burn_in(4)
+            .seed(33)
     }
 
     fn diag_config() -> DiagConfig {
@@ -168,33 +156,19 @@ mod tests {
 
     #[test]
     fn easy_field_early_stops_near_the_fixed_budget_energy() {
-        let mrf = easy_mrf();
         let engine = Engine::new(EngineConfig {
             max_active_jobs: 4,
             ..EngineConfig::default()
         });
         let budget = 400;
-        let fixed = run_chains_diagnosed(
-            &engine,
-            &mrf,
-            &SoftmaxGibbs::new(),
-            chain_config(),
-            3,
-            budget,
-            diag_config().observe_only(),
-        );
+        let fixed =
+            run_chains_diagnosed(&engine, template(budget), 3, diag_config().observe_only())
+                .expect("well-formed run");
         assert!(!fixed.early_stopped());
         assert_eq!(fixed.total_sweeps(), 3 * budget);
 
-        let stopped = run_chains_diagnosed(
-            &engine,
-            &mrf,
-            &SoftmaxGibbs::new(),
-            chain_config(),
-            3,
-            budget,
-            diag_config(),
-        );
+        let stopped = run_chains_diagnosed(&engine, template(budget), 3, diag_config())
+            .expect("well-formed run");
         assert!(stopped.early_stopped(), "easy field must converge early");
         assert!(
             stopped.total_sweeps() < fixed.total_sweeps(),
@@ -218,26 +192,12 @@ mod tests {
 
     #[test]
     fn observe_only_matches_undiagnosed_run_exactly() {
-        let mrf = easy_mrf();
         let engine = Engine::with_default_config();
-        let bare = mogs_engine::run_chains_on_engine(
-            &engine,
-            &mrf,
-            &SoftmaxGibbs::new(),
-            chain_config(),
-            2,
-            30,
-        )
-        .expect("well-formed reference run");
-        let diagnosed = run_chains_diagnosed(
-            &engine,
-            &mrf,
-            &SoftmaxGibbs::new(),
-            chain_config(),
-            2,
-            30,
-            diag_config().observe_only(),
-        );
+        let bare = mogs_engine::run_chains_on_engine(&engine, template(30), 2)
+            .expect("well-formed reference run");
+        let diagnosed =
+            run_chains_diagnosed(&engine, template(30), 2, diag_config().observe_only())
+                .expect("well-formed run");
         for (ours, reference) in diagnosed.outputs.iter().zip(&bare.chains) {
             assert_eq!(
                 ours.labels, reference.labels,
@@ -246,6 +206,11 @@ mod tests {
         }
         assert_eq!(diagnosed.report.chains.len(), 2);
         assert!(diagnosed.report.marginal_samples > 0);
+        // The shared replica loop refuses, typed, what it cannot diagnose.
+        for replicas in [0, 1] {
+            let err = run_chains_diagnosed(&engine, template(30), replicas, diag_config());
+            assert_eq!(err.expect_err("refused").variant(), "invalid-spec");
+        }
         engine.shutdown();
     }
 }

@@ -129,9 +129,7 @@ impl MultiChainDiag {
     }
 
     /// The sink handle for chain `k`, to attach via
-    /// [`JobSpecBuilder::sink`](mogs_engine::JobSpecBuilder::sink) (or
-    /// the [`InferenceJob::sink`](mogs_engine::InferenceJob) field on the
-    /// legacy path).
+    /// [`InferenceJob::sink`](mogs_engine::InferenceJob::sink).
     ///
     /// # Panics
     ///

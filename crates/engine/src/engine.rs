@@ -11,8 +11,8 @@
 //! ```
 //!
 //! The scheduler admits jobs (at most `max_active_jobs` concurrently),
-//! dispatches each one's first phase and runs the watchdog; it hears of
-//! a job again only when the job finishes. A sweep runs as the field's
+//! hands each to a worker to start and runs the watchdog; it hears of a
+//! job again only when the job finishes. A sweep runs as the field's
 //! conditionally independent group phases, each fanned out as one task
 //! per chunk. Each job carries its own phase state, and the worker whose
 //! chunk drains a phase advances the job: it closes out the sweep,
@@ -38,11 +38,10 @@ use parking_lot::Mutex;
 
 use crate::ckpt::JobState;
 use crate::error::EngineError;
-use crate::job::{HandleShared, JobHandle, JobId};
+use crate::job::{HandleShared, InferenceJob, JobHandle, JobId};
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::runner::{ErasedJob, TypedJob};
 use crate::sink::SweepDecision;
-use crate::spec::JobSpec;
 
 /// Sizing of an [`Engine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,12 +136,13 @@ impl std::error::Error for TrySubmitError {
     }
 }
 
-/// One chunk of one group phase, executed by a worker.
+/// One chunk of one group phase, executed by a worker; `chunk: None`
+/// starts a just-admitted job instead (see [`start`]).
 struct Task {
     run: Arc<Run>,
     iteration: usize,
     group: usize,
-    chunk: usize,
+    chunk: Option<usize>,
 }
 
 /// A job from submission on: queued, then shared by its tasks in flight.
@@ -253,20 +253,20 @@ impl Engine {
         Engine::new(EngineConfig::default())
     }
 
-    /// Runs admission (the shape's verified schedule, label-space and
-    /// labeling validation) and builds the type-erased job — fresh, or
+    /// Runs admission ([`InferenceJob::validate`], then the shape's
+    /// verified schedule) and builds the type-erased job — fresh, or
     /// continuing from `resume`. A rejection happens before any label
     /// plane exists.
     fn prepare<S, L>(
         &self,
-        spec: JobSpec<S, L>,
+        job: InferenceJob<S, L>,
         resume: Option<&JobState>,
     ) -> Result<Arc<Run>, EngineError>
     where
         S: SingletonPotential + 'static,
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        let (typed, shared) = TypedJob::try_new(spec.into_job(), resume)?;
+        let (typed, shared) = TypedJob::try_new(job, resume)?;
         if shared {
             self.metrics
                 .admissions_shared
@@ -314,14 +314,14 @@ impl Engine {
     /// state does not belong to this spec or cannot be re-seated.
     pub fn resume<S, L>(
         &self,
-        job: impl Into<JobSpec<S, L>>,
+        job: InferenceJob<S, L>,
         state: &JobState,
     ) -> Result<JobHandle, EngineError>
     where
         S: SingletonPotential + 'static,
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        let run = self.prepare(job.into(), Some(state)).inspect_err(|_| {
+        let run = self.prepare(job, Some(state)).inspect_err(|_| {
             self.metrics.jobs_denied.fetch_add(1, Ordering::Relaxed);
         })?;
         let handle = Engine::handle_for(&run);
@@ -341,23 +341,19 @@ impl Engine {
         }
     }
 
-    /// Submits a job, blocking while the queue is full. Accepts a
-    /// validated [`JobSpec`] or (via `Into`) a legacy [`InferenceJob`],
-    /// which is vetted at admission exactly as before.
-    ///
-    /// [`InferenceJob`]: crate::InferenceJob
+    /// Submits a job, blocking while the queue is full.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Schedule`] / [`EngineError::LabelSpace`] /
-    /// [`EngineError::Labeling`] if the job fails the admission audit;
+    /// Everything [`InferenceJob::validate`] reports;
+    /// [`EngineError::Schedule`] if the job fails the admission audit;
     /// [`EngineError::ShutDown`] if the engine has stopped.
-    pub fn submit<S, L>(&self, job: impl Into<JobSpec<S, L>>) -> Result<JobHandle, EngineError>
+    pub fn submit<S, L>(&self, job: InferenceJob<S, L>) -> Result<JobHandle, EngineError>
     where
         S: SingletonPotential + 'static,
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        let run = self.prepare(job.into(), None).inspect_err(|_| {
+        let run = self.prepare(job, None).inspect_err(|_| {
             self.metrics.jobs_denied.fetch_add(1, Ordering::Relaxed);
         })?;
         let handle = Engine::handle_for(&run);
@@ -374,15 +370,12 @@ impl Engine {
     /// [`TrySubmitError::Full`] hands the prepared job back for a later
     /// [`Engine::try_resubmit`]; [`TrySubmitError::Engine`] wraps the
     /// same [`EngineError`]s as [`Engine::submit`].
-    pub fn try_submit<S, L>(
-        &self,
-        job: impl Into<JobSpec<S, L>>,
-    ) -> Result<JobHandle, TrySubmitError>
+    pub fn try_submit<S, L>(&self, job: InferenceJob<S, L>) -> Result<JobHandle, TrySubmitError>
     where
         S: SingletonPotential + 'static,
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
-        let run = self.prepare(job.into(), None).map_err(|err| {
+        let run = self.prepare(job, None).map_err(|err| {
             self.metrics.jobs_denied.fetch_add(1, Ordering::Relaxed);
             TrySubmitError::Engine(err)
         })?;
@@ -504,11 +497,11 @@ enum Advanced {
 /// path never allocates.
 ///
 /// Everything a worker does for a job runs inside one panic-isolation
-/// boundary: the chunk, and the booking that may close out the sweep
-/// (diagnostics sink, checkpoint writer, fault runtime) or finish the job
-/// (the sink's `on_finish`). A panicking chunk is booked against its
-/// phase, which retries it or fails the job; a panic while booking fails
-/// the job at once. Either way the worker lives on and the job's caller
+/// boundary: the job's start, the chunk, and the booking that may close
+/// out the sweep (diagnostics sink, checkpoint writer, fault runtime) or
+/// finish the job (the sink's `on_finish`). A panicking chunk is booked
+/// against its phase, which retries it or fails the job; a panic while
+/// booking (or starting) fails the job at once. Either way the worker lives on and the job's caller
 /// gets [`EngineError::WorkerPanicked`].
 fn worker_loop(task_rx: &Receiver<Option<Task>>, pool: &Pool) {
     let mut arena = KernelArena::new();
@@ -531,10 +524,14 @@ fn worker_loop(task_rx: &Receiver<Option<Task>>, pool: &Pool) {
                       never the worker pool"
         )]
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let Some(chunk) = task.chunk else {
+                booking = true;
+                return start(&task.run, pool);
+            };
             if !booking {
                 task.run
                     .job
-                    .run_chunk(task.iteration, task.group, task.chunk, &mut arena);
+                    .run_chunk(task.iteration, task.group, chunk, &mut arena);
                 booking = true;
             }
             complete(&task.run, chunk_panic, pool)
@@ -726,18 +723,32 @@ fn resolve_panicked_phase(
     })
 }
 
-/// Starts a queued job's clocks and dispatches its first phase, chunk 0
-/// included: the scheduler runs no chunks.
+/// Starts a queued job's clocks and hands the job to a worker to
+/// [`start`]: the scheduler runs no job code, so a job that finishes at
+/// once (cancelled while queued, or resumed at its last sweep) calls its
+/// sink's `on_finish` inside a worker's panic-isolation boundary.
 fn admit(run: &Arc<Run>, pool: &Pool) {
     run.shared.set_running();
     pool.metrics.active_jobs.fetch_add(1, Ordering::Relaxed);
     let mut phase = run.phase.lock();
     let now = Instant::now();
     (phase.started, phase.iteration_started) = (now, now);
+    let task = Task {
+        run: Arc::clone(run),
+        iteration: phase.iteration,
+        group: 0,
+        chunk: None,
+    };
+    drop(phase);
+    let _ = pool.tasks.send(Some(task));
+}
+
+/// Advances a just-admitted job to its first phase, whose chunk 0 the
+/// worker gets back to run, or finishes it.
+fn start(run: &Arc<Run>, pool: &Pool) -> Option<Task> {
+    let mut phase = run.phase.lock();
     let step = advance(run, &mut phase, pool);
-    if let Some(first) = settle(run, &mut phase, step, pool) {
-        let _ = pool.tasks.send(Some(first));
-    }
+    settle(run, &mut phase, step, pool)
 }
 
 /// Fans the job's current (iteration, group) phase out: chunks `1..` to
@@ -752,7 +763,7 @@ fn dispatch_phase(run: &Arc<Run>, phase: &mut Phase, pool: &Pool) -> Advanced {
         run: Arc::clone(run),
         iteration: phase.iteration,
         group: phase.group,
-        chunk,
+        chunk: Some(chunk),
     };
     for chunk in 1..chunks {
         let _ = pool.tasks.send(Some(task(chunk)));

@@ -33,10 +33,10 @@ pub enum EngineError {
     },
     /// The explicit initial labeling does not fit the field.
     Labeling(MrfError),
-    /// A [`JobSpec`](crate::JobSpec) field failed `build()`-time
-    /// validation.
+    /// An [`InferenceJob`](crate::InferenceJob) field, or a request
+    /// built around one, failed validation.
     InvalidSpec {
-        /// The builder field that failed.
+        /// The field that failed.
         field: &'static str,
         /// What was wrong with it.
         reason: String,

@@ -116,8 +116,8 @@ impl FaultPlan {
         self.events.len()
     }
 
-    /// Validates the plan against a `labels`-label space the way
-    /// `JobSpec::build` validates specs.
+    /// Validates the plan against a `labels`-label space (part of
+    /// [`InferenceJob::validate`](crate::InferenceJob::validate)).
     pub(crate) fn validate(&self, labels: usize) -> Result<(), EngineError> {
         check_stuck_labels(self.events.iter().map(|e| e.fault), labels, "fault_plan")
     }
@@ -195,7 +195,8 @@ impl Default for HealthPolicy {
 }
 
 impl HealthPolicy {
-    /// Validates the policy the way `JobSpec::build` validates specs.
+    /// Validates the policy (part of
+    /// [`InferenceJob::validate`](crate::InferenceJob::validate)).
     pub(crate) fn validate(&self) -> Result<(), EngineError> {
         if self.probe_every == 0 {
             return Err(EngineError::InvalidSpec {

@@ -4,18 +4,13 @@
 //! field, a sampler backend, an annealing schedule, an iteration budget,
 //! and a seed — so it can travel through the engine's bounded queue to the
 //! persistent worker pool. Submission returns a [`JobHandle`] for
-//! cancellation and result retrieval; completion yields a [`JobOutput`]
-//! convertible to a [`ChainResult`].
-//!
-//! Jobs are described through the validated [`JobSpec`](crate::JobSpec)
-//! builder (the deprecated `with_*` setters were removed after their one
-//! grace release), or from a [`ChainConfig`] with
-//! [`InferenceJob::from_chain_config`].
+//! cancellation and result retrieval; completion yields a [`JobOutput`].
+//! The chaining setters and the job's one validation live in `spec.rs`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use mogs_gibbs::{ChainConfig, ChainResult, LabelSampler, TemperatureSchedule};
+use mogs_gibbs::{LabelSampler, TemperatureSchedule};
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Label, MarkovRandomField};
 use parking_lot::{Condvar, Mutex};
@@ -85,7 +80,7 @@ pub struct InferenceJob<S: SingletonPotential, L: LabelSampler> {
 }
 
 impl<S: SingletonPotential, L: LabelSampler> InferenceJob<S, L> {
-    /// Creates a job with chain-compatible defaults: the field's own
+    /// Creates a job with the defaults: the field's own
     /// temperature held constant, 100 iterations, 2 chunks, seed 0,
     /// no burn-in, no mode tracking, energy recording on.
     pub fn new(mrf: MarkovRandomField<S>, sampler: L) -> Self {
@@ -99,34 +94,6 @@ impl<S: SingletonPotential, L: LabelSampler> InferenceJob<S, L> {
             seed: 0,
             burn_in: 0,
             track_modes: false,
-            record_energy: true,
-            initial: None,
-            groups: None,
-            sink: None,
-            fault_plan: None,
-            health: None,
-            checkpoint: None,
-        }
-    }
-
-    /// Builds the job that runs the chain `config` describes for
-    /// `iterations` sweeps from the all-zero labeling. A zero chunk
-    /// count is refused, typed, at admission.
-    pub fn from_chain_config(
-        mrf: MarkovRandomField<S>,
-        sampler: L,
-        config: ChainConfig,
-        iterations: usize,
-    ) -> Self {
-        InferenceJob {
-            mrf,
-            sampler,
-            schedule: config.schedule,
-            iterations,
-            threads: config.threads,
-            seed: config.seed,
-            burn_in: config.burn_in,
-            track_modes: config.track_modes,
             record_energy: true,
             initial: None,
             groups: None,
@@ -175,18 +142,6 @@ pub struct JobOutput {
     /// because quarantined RSU units dropped the pool below the health
     /// policy's floor: the job still completed, on degraded hardware.
     pub degraded: Option<crate::Degraded>,
-}
-
-impl JobOutput {
-    /// Repackages the output as a [`ChainResult`].
-    pub fn into_chain_result(self) -> ChainResult {
-        ChainResult {
-            labels: self.labels,
-            map_estimate: self.map_estimate,
-            energy_trace: self.energy_trace,
-            iterations: self.iterations_run,
-        }
-    }
 }
 
 /// Identifies one submitted job for log and metric correlation.

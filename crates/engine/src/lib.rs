@@ -13,12 +13,12 @@
 //!   the long-lived workers, and the worker that drains a phase advances
 //!   the job; phase barriers preserve the reference sweeps's
 //!   blocked-Gibbs semantics exactly.
-//! - [`JobSpec`] describes one inference — field, sampler kernel,
-//!   annealing schedule, iteration budget, seed — through a builder that
-//!   validates at [`build()`](JobSpecBuilder::build). (The older
-//!   [`InferenceJob`] mutating-setter API has been removed; construct
-//!   specs through the builder.) Submission is a bounded queue with
-//!   backpressure
+//! - [`InferenceJob`] describes one inference — field, sampler kernel,
+//!   annealing schedule, iteration budget, seed — and [`JobOutput`] is
+//!   what it returns. Chaining setters build it from
+//!   [`InferenceJob::new`]; [`InferenceJob::validate`] is its one
+//!   structural check, run by [`build()`](InferenceJob::build) and by
+//!   admission alike. Submission is a bounded queue with backpressure
 //!   ([`Engine::submit`] blocks, [`Engine::try_submit`] hands the job
 //!   back); [`JobHandle`] supports cancellation at phase boundaries and
 //!   blocking retrieval.
@@ -48,7 +48,7 @@
 //! Every job is admitted through a `mogs-audit` *schedule certificate*
 //! before any label plane is allocated. The field's sparse interference
 //! topology is colored (greedily, or by an explicit
-//! [`JobSpecBuilder::groups`] override turned into a claimed
+//! [`InferenceJob::groups`] override turned into a claimed
 //! certificate), and the independent `verify_certificate` checker
 //! re-proves the coloring against the raw adjacency: no two neighbours
 //! share a phase, chunks partition each class exactly, and every site
@@ -116,10 +116,10 @@ pub use error::EngineError;
 pub use fault::{Degraded, FaultEvent, FaultPlan, HealthPolicy};
 pub use job::{InferenceJob, JobHandle, JobId, JobOutput, JobStatus};
 pub use metrics::{EngineMetrics, HistogramSnapshot, LatencyHistogram, MetricsSnapshot};
-pub use multichain::{run_chains_on_engine, MultiChainResult};
+pub use multichain::{run_chains_on_engine, run_replicas, MultiChainResult};
 pub use shard::ShardRunner;
 pub use sink::{DiagSink, JobStartInfo, NullSink, SinkNeeds, SweepDecision, SweepObservation};
-pub use spec::{JobSpec, JobSpecBuilder};
+pub use spec::JobSpec;
 
 /// The engine's public surface in one import.
 ///
@@ -141,11 +141,11 @@ pub mod prelude {
     pub use crate::fault::{Degraded, FaultEvent, FaultPlan, HealthPolicy};
     pub use crate::job::{InferenceJob, JobHandle, JobId, JobOutput, JobStatus};
     pub use crate::metrics::{EngineMetrics, MetricsSnapshot};
-    pub use crate::multichain::{run_chains_on_engine, MultiChainResult};
+    pub use crate::multichain::{run_chains_on_engine, run_replicas, MultiChainResult};
     pub use crate::shard::ShardRunner;
     pub use crate::sink::{
         DiagSink, JobStartInfo, NullSink, SinkNeeds, SweepDecision, SweepObservation,
     };
-    pub use crate::spec::{JobSpec, JobSpecBuilder};
+    pub use crate::spec::JobSpec;
     pub use mogs_gibbs::kernel::{KernelArena, KernelScratch, SweepKernel, UnitFault};
 }

@@ -4,26 +4,30 @@
 //! standard practical check runs several independent chains from the same
 //! initialization family and compares their between- and within-chain
 //! variances (Gelman–Rubin R̂, in `mogs_gibbs::diagnostics`).
-//! [`run_chains_on_engine`] submits the replicas as ordinary engine jobs:
-//! they share the persistent worker pool with whatever else the engine is
+//! [`run_replicas`] is the one replica loop: replica `k` is a template
+//! job at `seed + k`, submitted as an ordinary engine job, so replicas
+//! share the persistent worker pool with whatever else the engine is
 //! serving, flow through the same bounded queue, and show up in the
-//! engine's metrics.
+//! engine's metrics. [`run_chains_on_engine`] adds R̂ over the loop's
+//! outputs; `mogs_diag::run_chains_diagnosed` attaches a diagnostics sink
+//! to each replica.
+
+use std::sync::Arc;
 
 use mogs_gibbs::diagnostics::potential_scale_reduction;
 use mogs_gibbs::kernel::SweepKernel;
-use mogs_gibbs::{ChainConfig, ChainResult};
 use mogs_mrf::energy::SingletonPotential;
-use mogs_mrf::MarkovRandomField;
 
 use crate::engine::Engine;
 use crate::error::EngineError;
-use crate::job::{InferenceJob, JobOutput};
+use crate::job::{InferenceJob, JobHandle, JobOutput};
+use crate::sink::DiagSink;
 
 /// Result of a multi-chain run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiChainResult {
-    /// Per-chain results, in seed order.
-    pub chains: Vec<ChainResult>,
+    /// Per-chain outputs, in seed order.
+    pub chains: Vec<JobOutput>,
     /// Gelman–Rubin R̂ over the post-burn-in energy traces.
     pub r_hat: f64,
 }
@@ -36,73 +40,95 @@ impl MultiChainResult {
     }
 }
 
-/// Runs `replicas` independent chains through `engine` and computes
-/// Gelman–Rubin R̂ over their post-burn-in energy traces.
-///
-/// Chain `k` uses `config.seed + k`; all other configuration is shared,
-/// and the `burn_in` prefix of each energy trace is discarded before
-/// computing R̂. Replicas are submitted through the engine's bounded
-/// queue, so a saturated engine applies backpressure here like
-/// everywhere else.
+/// Runs `replicas` independent chains of the template `job` through
+/// `engine` and computes Gelman–Rubin R̂ over their post-burn-in energy
+/// traces (the `burn_in` prefix of each trace is discarded).
 ///
 /// # Errors
 ///
-/// [`EngineError::InvalidSpec`] when `replicas < 2` or
-/// `iterations <= config.burn_in`; any submission or per-replica
-/// failure ([`EngineError::ShutDown`], a worker panic, a watchdog
-/// timeout, an RSU-pool collapse) propagates as its own variant.
+/// Everything [`run_replicas`] reports.
 pub fn run_chains_on_engine<S, L>(
     engine: &Engine,
-    mrf: &MarkovRandomField<S>,
-    sampler: &L,
-    config: ChainConfig,
+    job: InferenceJob<S, L>,
     replicas: usize,
-    iterations: usize,
 ) -> Result<MultiChainResult, EngineError>
 where
     S: SingletonPotential + Clone + 'static,
     L: SweepKernel + Clone + Send + Sync + 'static,
 {
-    if replicas < 2 {
-        return Err(EngineError::InvalidSpec {
-            field: "replicas",
-            reason: format!("convergence assessment needs at least two chains, got {replicas}"),
-        });
-    }
-    if iterations <= config.burn_in {
-        return Err(EngineError::InvalidSpec {
-            field: "iterations",
-            reason: format!(
-                "iterations ({iterations}) must exceed burn-in ({}) to leave samples for R-hat",
-                config.burn_in
-            ),
-        });
-    }
-    let handles: Vec<_> = (0..replicas)
-        .map(|k| {
-            let chain_config = ChainConfig {
-                seed: config.seed.wrapping_add(k as u64),
-                ..config
-            };
-            let job = InferenceJob::from_chain_config(
-                mrf.clone(),
-                sampler.clone(),
-                chain_config,
-                iterations,
-            );
-            engine.submit(job)
-        })
-        .collect::<Result<_, _>>()?;
-    let chains: Vec<ChainResult> = handles
-        .into_iter()
-        .map(|h| h.wait_result().map(JobOutput::into_chain_result))
-        .collect::<Result<_, _>>()?;
+    let burn_in = job.burn_in;
+    let chains = run_replicas(engine, job, replicas, |_| None)?;
     let traces: Vec<Vec<f64>> = chains
         .iter()
-        .map(|r| r.energy_trace[config.burn_in..].to_vec())
+        .map(|out| out.energy_trace[burn_in..].to_vec())
         .collect();
     let r_hat = potential_scale_reduction(&traces);
     Ok(MultiChainResult { chains, r_hat })
+}
+
+/// The replica loop: submits `replicas` copies of the template `job`,
+/// replica `k` at `job.seed.wrapping_add(k)` carrying `sink(k)`, and
+/// waits for their outputs in replica order. Replicas are submitted
+/// through the engine's bounded queue, so a saturated engine applies
+/// backpressure here like everywhere else.
+///
+/// # Errors
+///
+/// [`EngineError::InvalidSpec`] when `replicas < 2` (field
+/// `"replicas"`), when the budget leaves fewer than two post-burn-in
+/// sweeps (`"iterations"`), when the template records no energy trace
+/// (`"record_energy"`: R̂ reads the traces) or already carries a sink
+/// (`"sink"`: the loop attaches one per replica); any submission or
+/// per-replica failure ([`EngineError::ShutDown`], an admission refusal,
+/// a worker panic, a watchdog timeout, an RSU-pool collapse) propagates
+/// as its own variant.
+pub fn run_replicas<S, L>(
+    engine: &Engine,
+    job: InferenceJob<S, L>,
+    replicas: usize,
+    mut sink: impl FnMut(usize) -> Option<Arc<dyn DiagSink>>,
+) -> Result<Vec<JobOutput>, EngineError>
+where
+    S: SingletonPotential + Clone + 'static,
+    L: SweepKernel + Clone + Send + Sync + 'static,
+{
+    let refuse = |field, reason| Err(EngineError::InvalidSpec { field, reason });
+    if replicas < 2 {
+        return refuse(
+            "replicas",
+            format!("convergence assessment needs at least two chains, got {replicas}"),
+        );
+    }
+    if job.iterations.saturating_sub(job.burn_in) < 2 {
+        return refuse(
+            "iterations",
+            format!(
+                "iterations ({}) must exceed burn-in ({}) by at least two sweeps for R-hat",
+                job.iterations, job.burn_in
+            ),
+        );
+    }
+    if !job.record_energy {
+        return refuse(
+            "record_energy",
+            "R-hat reads every replica's energy trace".to_string(),
+        );
+    }
+    if job.sink.is_some() {
+        return refuse(
+            "sink",
+            "the replica loop attaches each replica's sink itself".to_string(),
+        );
+    }
+    let handles: Vec<JobHandle> = (0..replicas)
+        .map(|k| {
+            let mut replica = job.clone();
+            replica.seed = job.seed.wrapping_add(k as u64);
+            replica.sink = sink(k);
+            engine.submit(replica)
+        })
+        .collect::<Result<_, _>>()?;
+    handles.into_iter().map(JobHandle::wait_result).collect()
 }
 
 #[cfg(test)]
@@ -115,7 +141,7 @@ mod tests {
     use super::*;
     use mogs_gibbs::{SoftmaxGibbs, TemperatureSchedule};
     use mogs_mrf::energy::ZeroSingleton;
-    use mogs_mrf::{Grid2D, Label, LabelSpace, SmoothnessPrior};
+    use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior};
 
     #[derive(Debug, Clone)]
     struct Striped;
@@ -138,38 +164,33 @@ mod tests {
             .build()
     }
 
-    fn config(burn_in: usize, seed: u64) -> ChainConfig {
-        ChainConfig {
-            schedule: TemperatureSchedule::constant(1.0),
-            burn_in,
-            track_modes: false,
-            threads: 2,
-            seed,
-        }
+    /// A constant-temperature (T = 1), two-chunk template without mode
+    /// tracking.
+    fn template<S: SingletonPotential>(
+        mrf: MarkovRandomField<S>,
+        iterations: usize,
+        burn_in: usize,
+        seed: u64,
+    ) -> InferenceJob<S, SoftmaxGibbs> {
+        InferenceJob::new(mrf, SoftmaxGibbs::new())
+            .schedule(TemperatureSchedule::constant(1.0))
+            .iterations(iterations)
+            .burn_in(burn_in)
+            .seed(seed)
     }
 
     #[test]
     fn engine_multichain_matches_reference_run_chains() {
-        let mrf = easy_mrf();
-        let config = config(5, 21);
+        let job = template(easy_mrf(), 20, 5, 21);
         let engine = Engine::with_default_config();
-        let ours = run_chains_on_engine(&engine, &mrf, &SoftmaxGibbs::new(), config, 3, 20)
-            .expect("well-formed multi-chain run");
-        let reference: Vec<ChainResult> = (0..3)
-            .map(|k| {
-                let seed = config.seed + k;
-                reference_chain(
-                    &mrf,
-                    &SoftmaxGibbs::new(),
-                    ChainConfig { seed, ..config },
-                    20,
-                )
-            })
+        let ours = run_chains_on_engine(&engine, job.clone(), 3).expect("well-formed run");
+        let reference: Vec<JobOutput> = (0..3)
+            .map(|k| reference_chain(&job.clone().seed(job.seed + k)))
             .collect();
         assert_eq!(ours.chains, reference, "replica k is the chain at seed + k");
         let traces: Vec<Vec<f64>> = reference
             .iter()
-            .map(|r| r.energy_trace[config.burn_in..].to_vec())
+            .map(|r| r.energy_trace[job.burn_in..].to_vec())
             .collect();
         assert_eq!(
             ours.r_hat.to_bits(),
@@ -181,15 +202,8 @@ mod tests {
     #[test]
     fn well_mixed_chains_pass_r_hat() {
         let engine = Engine::with_default_config();
-        let result = run_chains_on_engine(
-            &engine,
-            &easy_mrf(),
-            &SoftmaxGibbs::new(),
-            config(10, 1),
-            4,
-            60,
-        )
-        .expect("well-formed multi-chain run");
+        let result = run_chains_on_engine(&engine, template(easy_mrf(), 60, 10, 1), 4)
+            .expect("well-formed multi-chain run");
         assert_eq!(result.chains.len(), 4);
         assert!(result.converged(1.1), "R-hat {}", result.r_hat);
     }
@@ -197,15 +211,8 @@ mod tests {
     #[test]
     fn chains_differ_by_seed() {
         let engine = Engine::with_default_config();
-        let result = run_chains_on_engine(
-            &engine,
-            &easy_mrf(),
-            &SoftmaxGibbs::new(),
-            config(0, 7),
-            2,
-            5,
-        )
-        .expect("well-formed multi-chain run");
+        let result = run_chains_on_engine(&engine, template(easy_mrf(), 5, 0, 7), 2)
+            .expect("well-formed multi-chain run");
         assert_ne!(
             result.chains[0].energy_trace, result.chains[1].energy_trace,
             "independent chains must explore differently"
@@ -221,14 +228,11 @@ mod tests {
             .prior(SmoothnessPrior::squared_difference(0.02))
             .singleton(ZeroSingleton)
             .build();
-        let config = ChainConfig {
-            schedule: TemperatureSchedule::constant(5.0),
-            ..config(2, 3)
-        };
         let engine = Engine::with_default_config();
         let run = |iterations| {
-            run_chains_on_engine(&engine, &mrf, &SoftmaxGibbs::new(), config, 3, iterations)
-                .expect("well-formed multi-chain run")
+            let job = template(mrf.clone(), iterations, 2, 3)
+                .schedule(TemperatureSchedule::constant(5.0));
+            run_chains_on_engine(&engine, job, 3).expect("well-formed multi-chain run")
         };
         let (short, long) = (run(8), run(120));
         assert!(
@@ -241,35 +245,29 @@ mod tests {
 
     #[test]
     fn degenerate_runs_are_typed_errors_not_panics() {
-        let mrf = easy_mrf();
-        let config = config(5, 7);
         let engine = Engine::with_default_config();
-        let err = run_chains_on_engine(&engine, &mrf, &SoftmaxGibbs::new(), config, 1, 20)
-            .expect_err("one chain cannot support R-hat");
-        let EngineError::InvalidSpec { field, .. } = err else {
-            panic!("wrong variant: {err}");
+        let refused = |job, replicas| {
+            let err = run_chains_on_engine(&engine, job, replicas).expect_err("refused");
+            let EngineError::InvalidSpec { field, .. } = err else {
+                panic!("wrong variant: {err}");
+            };
+            field
         };
-        assert_eq!(field, "replicas");
-        let err = run_chains_on_engine(&engine, &mrf, &SoftmaxGibbs::new(), config, 3, 5)
-            .expect_err("burn-in must leave samples");
-        let EngineError::InvalidSpec { field, .. } = err else {
-            panic!("wrong variant: {err}");
-        };
-        assert_eq!(field, "iterations");
+        assert_eq!(refused(template(easy_mrf(), 20, 5, 7), 1), "replicas");
+        assert_eq!(refused(template(easy_mrf(), 5, 5, 7), 3), "iterations");
+        // One post-burn-in sweep is one sample per chain: too few for R-hat.
+        assert_eq!(refused(template(easy_mrf(), 6, 5, 7), 3), "iterations");
+        let silent = template(easy_mrf(), 20, 5, 7).record_energy(false);
+        assert_eq!(refused(silent, 3), "record_energy");
+        let observed = template(easy_mrf(), 20, 5, 7).sink(Arc::new(crate::NullSink));
+        assert_eq!(refused(observed, 3), "sink");
     }
 
     #[test]
     #[should_panic(expected = "at least two chains")]
     fn single_replica_rejected() {
         let engine = Engine::with_default_config();
-        run_chains_on_engine(
-            &engine,
-            &easy_mrf(),
-            &SoftmaxGibbs::new(),
-            ChainConfig::default(),
-            1,
-            10,
-        )
-        .unwrap_or_else(|err| panic!("{err}"));
+        run_chains_on_engine(&engine, template(easy_mrf(), 10, 0, 0), 1)
+            .unwrap_or_else(|err| panic!("{err}"));
     }
 }

@@ -51,7 +51,6 @@ use mogs_gibbs::sweep::sweep_seed;
 use mogs_gibbs::{LabelSampler, TemperatureSchedule};
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::field::DIAGONAL_WEIGHT;
-use mogs_mrf::label::MAX_LABELS;
 use mogs_mrf::{Grid2D, Label, MarkovRandomField, Neighborhood, Topology};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -302,17 +301,13 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     ///
     /// # Errors
     ///
-    /// [`EngineError::LabelSpace`] if the label space is empty or exceeds
-    /// [`MAX_LABELS`]; [`EngineError::Schedule`] if the sweep schedule
-    /// (derived from the field, or the job's explicit `groups` override)
-    /// fails the `mogs-audit` interference check — including
-    /// `threads == 0`, which the audit reports as a zero-chunk schedule;
-    /// [`EngineError::Labeling`] if the starting labeling does not
-    /// validate against the field; [`EngineError::InvalidSpec`] if an
-    /// attached health policy has an out-of-range field or the fault plan
-    /// sticks a unit on a label outside the label space, or (field
-    /// `"checkpoint"`) when the `resume` state does not belong to this
-    /// spec or is internally misshapen.
+    /// Everything [`InferenceJob::validate`] reports;
+    /// [`EngineError::Schedule`] if the sweep schedule (derived from the
+    /// field, or the job's explicit `groups` override) fails the
+    /// `mogs-audit` interference check; [`EngineError::InvalidSpec`]
+    /// (field `"checkpoint"`) or [`EngineError::Labeling`] when the
+    /// `resume` state does not belong to this spec or is internally
+    /// misshapen.
     pub(crate) fn try_new(
         mut job: InferenceJob<S, L>,
         resume: Option<&JobState>,
@@ -320,19 +315,8 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     where
         L: SweepKernel,
     {
-        if let Some(policy) = &job.health {
-            policy.validate()?;
-        }
+        job.validate()?;
         let m = job.mrf.space().count();
-        if m == 0 || m > usize::from(MAX_LABELS) {
-            return Err(EngineError::LabelSpace {
-                count: m,
-                max: usize::from(MAX_LABELS),
-            });
-        }
-        if let Some(plan) = &job.fault_plan {
-            plan.validate(m)?;
-        }
         let (admission, shared) = Prepared::shared(
             *job.mrf.grid(),
             job.mrf.neighborhood(),
@@ -353,16 +337,17 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
                         ),
                     });
                 }
-                state
+                let labels: Vec<Label> = state
                     .labels
                     .iter()
                     .map(|&value| Label::new(value))
-                    .collect()
+                    .collect();
+                job.mrf
+                    .validate_labeling(&labels)
+                    .map_err(EngineError::Labeling)?;
+                labels
             }
         };
-        job.mrf
-            .validate_labeling(&labels)
-            .map_err(EngineError::Labeling)?;
         Ok((TypedJob::build(job, admission, labels, resume)?, shared))
     }
 

@@ -38,8 +38,8 @@ use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Label, Topology};
 
 use crate::error::EngineError;
+use crate::job::InferenceJob;
 use crate::runner::{ErasedJob, TypedJob};
-use crate::spec::JobSpec;
 
 /// The number of chunks the engine splits a group of `group_len` sites
 /// into for a job with `threads` deterministic chunks. Exposed so the
@@ -87,15 +87,21 @@ where
     ///
     /// Everything [`Engine::submit`](crate::Engine::submit) admission
     /// reports, everything [`pin`](Self::pin) reports, plus
-    /// [`EngineError::InvalidSpec`] (field `"spec"`) when the spec
-    /// carries a sink, fault plan, health policy, or checkpoint writer.
-    pub fn try_new(spec: JobSpec<S, L>, chunks: &[(usize, usize)]) -> Result<Self, EngineError> {
-        let job = spec.into_job();
-        if job.sink.is_some()
+    /// [`EngineError::InvalidSpec`] (field `"spec"`) when an otherwise
+    /// admissible spec carries a sink, fault plan, health policy, or
+    /// checkpoint writer.
+    pub fn try_new(
+        job: InferenceJob<S, L>,
+        chunks: &[(usize, usize)],
+    ) -> Result<Self, EngineError> {
+        let decorated = job.sink.is_some()
             || job.fault_plan.is_some()
             || job.health.is_some()
-            || job.checkpoint.is_some()
-        {
+            || job.checkpoint.is_some();
+        // Admission first, so a malformed spec is refused exactly as
+        // every other door refuses it.
+        let (job, _) = TypedJob::try_new(job, None)?;
+        if decorated {
             return Err(EngineError::InvalidSpec {
                 field: "spec",
                 reason: "shard specs must be plain: sinks, fault plans, health policies, and \
@@ -103,7 +109,6 @@ where
                     .to_string(),
             });
         }
-        let (job, _) = TypedJob::try_new(job, None)?;
         let mut runner = ShardRunner {
             owned: vec![Vec::new(); job.group_count()],
             job,
@@ -344,14 +349,14 @@ mod tests {
     use mogs_gibbs::SoftmaxGibbs;
     use mogs_mrf::{Grid2D, LabelSpace, MarkovRandomField, SmoothnessPrior};
 
-    fn spec(threads: usize) -> JobSpec<impl SingletonPotential + 'static, SoftmaxGibbs> {
+    fn spec(threads: usize) -> InferenceJob<impl SingletonPotential + 'static, SoftmaxGibbs> {
         let mrf = MarkovRandomField::builder(Grid2D::new(6, 4), LabelSpace::scalar(3))
             .prior(SmoothnessPrior::potts(0.7))
             .singleton(|site: usize, label: Label| {
                 ((site * 5 + usize::from(label.value())) % 7) as f64 * 0.21
             })
             .build();
-        JobSpec::builder(mrf, SoftmaxGibbs::new())
+        InferenceJob::new(mrf, SoftmaxGibbs::new())
             .iterations(6)
             .threads(threads)
             .seed(0xF1EE7)
@@ -468,7 +473,7 @@ mod tests {
             .prior(SmoothnessPrior::potts(0.5))
             .singleton(|_s: usize, _l: Label| 0.0)
             .build();
-        let decorated = JobSpec::builder(mrf, SoftmaxGibbs::new())
+        let decorated = InferenceJob::new(mrf, SoftmaxGibbs::new())
             .sink(std::sync::Arc::new(crate::sink::NullSink))
             .build()
             .expect("builds");
@@ -513,7 +518,7 @@ mod tests {
             .singleton(|_s: usize, _l: Label| 0.0)
             .build();
         let neighborhood = mrf.neighborhood();
-        let job = JobSpec::builder(mrf, SoftmaxGibbs::new())
+        let job = InferenceJob::new(mrf, SoftmaxGibbs::new())
             .threads(2)
             .build()
             .expect("builds");

@@ -1,15 +1,15 @@
-//! Validated job descriptions: the [`JobSpec`] builder.
+//! Chaining setters and the one structural validation of an
+//! [`InferenceJob`].
 //!
-//! [`InferenceJob`] grew ten `with_*` setters whose invariants were only
-//! checked at submit time, deep inside admission. [`JobSpec`] moves that
-//! boundary: `JobSpec::builder(mrf, kernel)` collects the same settings,
-//! and [`JobSpecBuilder::build`] validates them *before* anything touches
-//! the engine, returning a typed [`EngineError`] naming the offending
-//! field. A `JobSpec` is therefore evidence of a well-formed request;
-//! [`Engine::submit`](crate::Engine::submit) accepts
-//! `impl Into<JobSpec<_, _>>`, so both specs and legacy `InferenceJob`
-//! values (converted unvalidated, then vetted at admission as before)
-//! flow through the same door.
+//! The fields of an [`InferenceJob`] are public; the by-value setters
+//! here chain from [`InferenceJob::new`]. [`InferenceJob::validate`]
+//! holds every check that needs no site graph, and both
+//! [`InferenceJob::build`] and admission run it, so every door
+//! ([`Engine::submit`](crate::Engine::submit),
+//! [`Engine::try_submit`](crate::Engine::try_submit),
+//! [`Engine::resume`](crate::Engine::resume) and
+//! [`ShardRunner::try_new`](crate::ShardRunner::try_new)) refuses a
+//! malformed job with the same typed error.
 
 use std::sync::Arc;
 
@@ -22,64 +22,21 @@ use crate::error::EngineError;
 use crate::job::InferenceJob;
 use crate::sink::DiagSink;
 
-/// A validated inference request, produced by [`JobSpecBuilder::build`].
-///
-/// Everything an [`InferenceJob`] holds, with the cheap structural
-/// invariants (non-zero iteration budget and chunk count, a label space
-/// the engine's energy buffers can hold, an initial labeling that fits
-/// the field) already checked. The sweep-schedule interference audit
-/// still runs at admission — it needs the full site graph.
-pub struct JobSpec<S: SingletonPotential, L: LabelSampler> {
-    pub(crate) job: InferenceJob<S, L>,
-}
+/// The job description under the name the benchmark harness spells it
+/// (`JobSpec::builder(..)…build()`).
+pub type JobSpec<S, L> = InferenceJob<S, L>;
 
-impl<S: SingletonPotential, L: LabelSampler> JobSpec<S, L> {
-    /// Starts a builder over `mrf` with `kernel` as the sampler backend,
-    /// using the same defaults as [`InferenceJob::new`]: the field's own
-    /// temperature held constant, 100 iterations, 2 chunks, seed 0, no
-    /// burn-in, no mode tracking, energy recording on.
-    pub fn builder(mrf: MarkovRandomField<S>, kernel: L) -> JobSpecBuilder<S, L> {
-        JobSpecBuilder {
-            job: InferenceJob::new(mrf, kernel),
-        }
+impl<S: SingletonPotential, L: LabelSampler> InferenceJob<S, L> {
+    /// The same job as [`InferenceJob::new`], for the
+    /// `JobSpec::builder(..)…build()` spelling.
+    pub fn builder(mrf: MarkovRandomField<S>, kernel: L) -> Self {
+        InferenceJob::new(mrf, kernel)
     }
 
-    /// Read access to the validated request.
-    pub fn job(&self) -> &InferenceJob<S, L> {
-        &self.job
-    }
-
-    /// Unwraps the request for admission.
-    pub(crate) fn into_job(self) -> InferenceJob<S, L> {
-        self.job
-    }
-}
-
-impl<S: SingletonPotential, L: LabelSampler> std::fmt::Debug for JobSpec<S, L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobSpec").field("job", &self.job).finish()
-    }
-}
-
-/// Legacy path: an [`InferenceJob`] converts into an *unvalidated* spec;
-/// admission performs the full check exactly as it always did.
-impl<S: SingletonPotential, L: LabelSampler> From<InferenceJob<S, L>> for JobSpec<S, L> {
-    fn from(job: InferenceJob<S, L>) -> Self {
-        JobSpec { job }
-    }
-}
-
-/// Builder for [`JobSpec`]; validation happens once, in
-/// [`JobSpecBuilder::build`].
-pub struct JobSpecBuilder<S: SingletonPotential, L: LabelSampler> {
-    job: InferenceJob<S, L>,
-}
-
-impl<S: SingletonPotential, L: LabelSampler> JobSpecBuilder<S, L> {
     /// Sets the iteration budget.
     #[must_use]
     pub fn iterations(mut self, iterations: usize) -> Self {
-        self.job.iterations = iterations;
+        self.iterations = iterations;
         self
     }
 
@@ -87,58 +44,56 @@ impl<S: SingletonPotential, L: LabelSampler> JobSpecBuilder<S, L> {
     /// `threads`).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.job.threads = threads;
+        self.threads = threads;
         self
     }
 
     /// Sets the base RNG seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.job.seed = seed;
+        self.seed = seed;
         self
     }
 
     /// Replaces the sampler backend.
     #[must_use]
     pub fn kernel(mut self, kernel: L) -> Self {
-        self.job.sampler = kernel;
+        self.sampler = kernel;
         self
     }
 
     /// Sets the annealing schedule.
     #[must_use]
     pub fn schedule(mut self, schedule: TemperatureSchedule) -> Self {
-        self.job.schedule = schedule;
+        self.schedule = schedule;
         self
     }
 
     /// Sets the burn-in prefix discarded before mode tracking.
     #[must_use]
     pub fn burn_in(mut self, burn_in: usize) -> Self {
-        self.job.burn_in = burn_in;
+        self.burn_in = burn_in;
         self
     }
 
     /// Enables or disables marginal-mode tracking.
     #[must_use]
     pub fn track_modes(mut self, on: bool) -> Self {
-        self.job.track_modes = on;
+        self.track_modes = on;
         self
     }
 
     /// Enables or disables the per-iteration energy trace.
     #[must_use]
     pub fn record_energy(mut self, on: bool) -> Self {
-        self.job.record_energy = on;
+        self.record_energy = on;
         self
     }
 
-    /// Sets an explicit starting labeling (validated at [`build`]).
-    ///
-    /// [`build`]: JobSpecBuilder::build
+    /// Sets an explicit starting labeling.
     #[must_use]
     pub fn initial(mut self, labels: Vec<Label>) -> Self {
-        self.job.initial = Some(labels);
+        self.initial = Some(labels);
         self
     }
 
@@ -146,14 +101,14 @@ impl<S: SingletonPotential, L: LabelSampler> JobSpecBuilder<S, L> {
     /// `mogs-audit` interference check at admission.
     #[must_use]
     pub fn groups(mut self, groups: Vec<Vec<usize>>) -> Self {
-        self.job.groups = Some(groups);
+        self.groups = Some(groups);
         self
     }
 
     /// Attaches a streaming diagnostics sink.
     #[must_use]
     pub fn sink(mut self, sink: Arc<dyn DiagSink>) -> Self {
-        self.job.sink = Some(sink);
+        self.sink = Some(sink);
         self
     }
 
@@ -162,19 +117,16 @@ impl<S: SingletonPotential, L: LabelSampler> JobSpecBuilder<S, L> {
     /// to no plan.
     #[must_use]
     pub fn fault_plan(mut self, plan: crate::FaultPlan) -> Self {
-        self.job.fault_plan = Some(plan);
+        self.fault_plan = Some(plan);
         self
     }
 
-    /// Enables between-sweep unit health monitoring (validated at
-    /// [`build`]): calibration probes, quarantine past the drift
-    /// threshold, rotation rebalancing, and failover to the exact
-    /// backend under the live-unit floor.
-    ///
-    /// [`build`]: JobSpecBuilder::build
+    /// Enables between-sweep unit health monitoring: calibration probes,
+    /// quarantine past the drift threshold, rotation rebalancing, and
+    /// failover to the exact backend under the live-unit floor.
     #[must_use]
     pub fn health(mut self, policy: crate::HealthPolicy) -> Self {
-        self.job.health = Some(policy);
+        self.health = Some(policy);
         self
     }
 
@@ -189,12 +141,12 @@ impl<S: SingletonPotential, L: LabelSampler> JobSpecBuilder<S, L> {
         policy: crate::CheckpointPolicy,
         writer: Arc<dyn crate::CheckpointWriter>,
     ) -> Self {
-        self.job.checkpoint = Some(crate::CheckpointSpec { policy, writer });
+        self.checkpoint = Some(crate::CheckpointSpec { policy, writer });
         self
     }
 
-    /// Validates the collected settings and seals them into a
-    /// [`JobSpec`].
+    /// Checks everything about the job that needs no site graph. The
+    /// sweep-schedule interference audit runs at admission, after this.
     ///
     /// # Errors
     ///
@@ -205,55 +157,54 @@ impl<S: SingletonPotential, L: LabelSampler> JobSpecBuilder<S, L> {
     /// [`EngineError::LabelSpace`] when the field's label space is empty
     /// or exceeds [`MAX_LABELS`]; [`EngineError::Labeling`] when an
     /// explicit initial labeling does not fit the field.
-    pub fn build(self) -> Result<JobSpec<S, L>, EngineError> {
-        let job = self.job;
-        if job.iterations == 0 {
+    pub fn validate(&self) -> Result<(), EngineError> {
+        if self.iterations == 0 {
             return Err(EngineError::InvalidSpec {
                 field: "iterations",
                 reason: "iteration budget must be at least 1".to_string(),
             });
         }
-        if job.threads == 0 {
+        if self.threads == 0 {
             return Err(EngineError::InvalidSpec {
                 field: "threads",
                 reason: "deterministic chunk count must be at least 1".to_string(),
             });
         }
-        let m = job.mrf.space().count();
+        let m = self.mrf.space().count();
         if m == 0 || m > usize::from(MAX_LABELS) {
             return Err(EngineError::LabelSpace {
                 count: m,
                 max: usize::from(MAX_LABELS),
             });
         }
-        if let Some(groups) = &job.groups {
-            if groups.is_empty() {
-                return Err(EngineError::InvalidSpec {
-                    field: "groups",
-                    reason: "explicit phase override must contain at least one group".to_string(),
-                });
-            }
+        if self.groups.as_ref().is_some_and(Vec::is_empty) {
+            return Err(EngineError::InvalidSpec {
+                field: "groups",
+                reason: "explicit phase override must contain at least one group".to_string(),
+            });
         }
-        if let Some(labels) = &job.initial {
-            job.mrf
+        if let Some(labels) = &self.initial {
+            self.mrf
                 .validate_labeling(labels)
                 .map_err(EngineError::Labeling)?;
         }
-        if let Some(policy) = &job.health {
+        if let Some(policy) = &self.health {
             policy.validate()?;
         }
-        if let Some(plan) = &job.fault_plan {
+        if let Some(plan) = &self.fault_plan {
             plan.validate(m)?;
         }
-        Ok(JobSpec { job })
+        Ok(())
     }
-}
 
-impl<S: SingletonPotential, L: LabelSampler> std::fmt::Debug for JobSpecBuilder<S, L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobSpecBuilder")
-            .field("job", &self.job)
-            .finish()
+    /// [`validate`](Self::validate)s the job and hands it back.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`InferenceJob::validate`] reports.
+    pub fn build(self) -> Result<Self, EngineError> {
+        self.validate()?;
+        Ok(self)
     }
 }
 
@@ -272,7 +223,7 @@ mod tests {
 
     #[test]
     fn builder_validates_and_carries_settings() {
-        let spec = JobSpec::builder(field_with(LabelSpace::scalar(3)), SoftmaxGibbs::new())
+        let spec = InferenceJob::new(field_with(LabelSpace::scalar(3)), SoftmaxGibbs::new())
             .iterations(7)
             .threads(3)
             .seed(42)
@@ -281,17 +232,17 @@ mod tests {
             .record_energy(false)
             .build()
             .expect("well-formed spec");
-        assert_eq!(spec.job().iterations, 7);
-        assert_eq!(spec.job().threads, 3);
-        assert_eq!(spec.job().seed, 42);
-        assert_eq!(spec.job().burn_in, 2);
-        assert!(spec.job().track_modes);
-        assert!(!spec.job().record_energy);
+        assert_eq!(spec.iterations, 7);
+        assert_eq!(spec.threads, 3);
+        assert_eq!(spec.seed, 42);
+        assert_eq!(spec.burn_in, 2);
+        assert!(spec.track_modes);
+        assert!(!spec.record_energy);
     }
 
     #[test]
     fn zero_iterations_fail_at_build() {
-        let err = JobSpec::builder(field_with(LabelSpace::scalar(3)), SoftmaxGibbs::new())
+        let err = InferenceJob::new(field_with(LabelSpace::scalar(3)), SoftmaxGibbs::new())
             .iterations(0)
             .build()
             .expect_err("zero iterations must not validate");
@@ -304,7 +255,7 @@ mod tests {
 
     #[test]
     fn zero_threads_fail_at_build() {
-        let err = JobSpec::builder(field_with(LabelSpace::scalar(3)), SoftmaxGibbs::new())
+        let err = InferenceJob::new(field_with(LabelSpace::scalar(3)), SoftmaxGibbs::new())
             .threads(0)
             .build()
             .expect_err("zero chunks must not validate");
@@ -322,7 +273,7 @@ mod tests {
         let degenerate: LabelSpace = serde::json::from_str(r#"{"count":0,"kind":"Scalar"}"#)
             .expect("the JSON stand-in accepts a zero count");
         assert_eq!(degenerate.count(), 0);
-        let err = JobSpec::builder(field_with(degenerate), SoftmaxGibbs::new())
+        let err = InferenceJob::new(field_with(degenerate), SoftmaxGibbs::new())
             .build()
             .expect_err("empty label space must not validate");
         assert_eq!(err.variant(), "label-space");
@@ -335,18 +286,10 @@ mod tests {
 
     #[test]
     fn bad_initial_labeling_fails_at_build() {
-        let err = JobSpec::builder(field_with(LabelSpace::scalar(3)), SoftmaxGibbs::new())
+        let err = InferenceJob::new(field_with(LabelSpace::scalar(3)), SoftmaxGibbs::new())
             .initial(vec![Label::new(0); 3]) // 16-site grid
             .build()
             .expect_err("short labeling must not validate");
         assert_eq!(err.variant(), "labeling");
-    }
-
-    #[test]
-    fn inference_job_converts_unvalidated() {
-        let mut job = InferenceJob::new(field_with(LabelSpace::scalar(2)), SoftmaxGibbs::new());
-        job.iterations = 0; // the legacy path defers checks past conversion
-        let spec: JobSpec<_, _> = job.into();
-        assert_eq!(spec.job().iterations, 0);
     }
 }

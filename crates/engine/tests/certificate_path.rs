@@ -76,7 +76,7 @@ fn explicit_group_override_is_admitted_and_bit_identical() {
     let run = |groups: Option<Vec<Vec<usize>>>| {
         let sampler = BackendSampler::try_new(Backend::Softmax, 2.0).expect("backend");
         let mrf = field(6, 5, Neighborhood::SecondOrder);
-        let mut builder = JobSpec::builder(mrf, sampler)
+        let mut builder = InferenceJob::new(mrf, sampler)
             .threads(2)
             .seed(0x5EED_CAFE)
             .iterations(3)
@@ -107,7 +107,7 @@ fn interfering_override_is_rejected_at_admission() {
     let moved = groups[1].remove(0);
     groups[0].push(moved);
     groups[0].sort_unstable();
-    let spec = JobSpec::builder(mrf, sampler)
+    let spec = InferenceJob::new(mrf, sampler)
         .threads(1)
         .seed(1)
         .iterations(1)

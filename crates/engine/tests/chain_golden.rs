@@ -13,7 +13,7 @@
 mod reference_chain;
 
 use mogs_engine::prelude::*;
-use mogs_gibbs::{ChainConfig, ChainResult, SoftmaxGibbs, TemperatureSchedule};
+use mogs_gibbs::{SoftmaxGibbs, TemperatureSchedule};
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, Neighborhood, SmoothnessPrior};
 use reference_chain::reference_chain;
@@ -39,30 +39,47 @@ fn field(order: Neighborhood) -> MarkovRandomField<impl SingletonPotential + Clo
         .build()
 }
 
-fn cases() -> [(Neighborhood, ChainConfig, usize, u64); 2] {
-    let constant = ChainConfig {
-        schedule: TemperatureSchedule::constant(2.0),
-        burn_in: 4,
-        track_modes: true,
-        threads: 2,
-        seed: 0x5EED,
-    };
-    let annealed = ChainConfig {
-        schedule: TemperatureSchedule::geometric(4.0, 0.8, 0.5),
-        burn_in: 3,
-        track_modes: true,
-        threads: 2,
-        seed: 0x00A7_7EA1,
-    };
+/// One golden case: field order, schedule, sweeps, burn-in, seed and
+/// the recorded hash.
+type Case = (Neighborhood, TemperatureSchedule, usize, usize, u64, u64);
+
+fn cases() -> [Case; 2] {
     [
-        (Neighborhood::FirstOrder, constant, 12, GOLDEN_CONSTANT),
-        (Neighborhood::SecondOrder, annealed, 10, GOLDEN_ANNEALED),
+        (
+            Neighborhood::FirstOrder,
+            TemperatureSchedule::constant(2.0),
+            12,
+            4,
+            0x5EED,
+            GOLDEN_CONSTANT,
+        ),
+        (
+            Neighborhood::SecondOrder,
+            TemperatureSchedule::geometric(4.0, 0.8, 0.5),
+            10,
+            3,
+            0x00A7_7EA1,
+            GOLDEN_ANNEALED,
+        ),
     ]
+}
+
+/// The case's chain: two chunks, modes tracked.
+fn job(
+    (order, schedule, iterations, burn_in, seed, _): Case,
+) -> InferenceJob<impl SingletonPotential + Clone + 'static, SoftmaxGibbs> {
+    InferenceJob::new(field(order), SoftmaxGibbs::new())
+        .schedule(schedule)
+        .iterations(iterations)
+        .burn_in(burn_in)
+        .track_modes(true)
+        .threads(2)
+        .seed(seed)
 }
 
 /// FNV-1a over the final labels, a MAP presence byte and the MAP, the
 /// energy trace's bits and the iteration count.
-fn fnv(result: &ChainResult) -> u64 {
+fn fnv(result: &JobOutput) -> u64 {
     let map = result.map_estimate.as_deref();
     let bytes = (result.labels.iter().map(|l| l.value()))
         .chain(std::iter::once(u8::from(map.is_some())))
@@ -73,7 +90,7 @@ fn fnv(result: &ChainResult) -> u64 {
                 .iter()
                 .flat_map(|e| e.to_bits().to_le_bytes()),
         )
-        .chain((result.iterations as u64).to_le_bytes());
+        .chain((result.iterations_run as u64).to_le_bytes());
     bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
@@ -81,25 +98,22 @@ fn fnv(result: &ChainResult) -> u64 {
 
 #[test]
 fn reference_chain_reproduces_the_retired_threaded_chain() {
-    for (order, config, iterations, golden) in cases() {
-        let result = reference_chain(&field(order), &SoftmaxGibbs::new(), config, iterations);
+    for case in cases() {
+        let result = reference_chain(&job(case));
         assert!(result.map_estimate.is_some());
-        assert_eq!(fnv(&result), golden, "{order:?}: the reference moved");
+        assert_eq!(fnv(&result), case.5, "{:?}: the reference moved", case.0);
     }
 }
 
 #[test]
 fn engine_reproduces_the_retired_threaded_chain() {
     let engine = Engine::with_default_config();
-    for (order, config, iterations, golden) in cases() {
-        let job =
-            InferenceJob::from_chain_config(field(order), SoftmaxGibbs::new(), config, iterations);
+    for case in cases() {
         let result = engine
-            .submit(job)
+            .submit(job(case))
             .expect("engine running")
             .wait_result()
-            .expect("job completes")
-            .into_chain_result();
-        assert_eq!(fnv(&result), golden, "{order:?}: the engine moved");
+            .expect("job completes");
+        assert_eq!(fnv(&result), case.5, "{:?}: the engine moved", case.0);
     }
 }

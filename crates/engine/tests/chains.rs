@@ -1,8 +1,8 @@
 //! One chain on the engine: the energy trace, burn-in and marginal-MAP
-//! mode tracking, and chunk counts, as `ChainConfig` describes them.
+//! mode tracking, and chunk counts.
 
 use mogs_engine::prelude::*;
-use mogs_gibbs::{ChainConfig, ChainResult, SoftmaxGibbs};
+use mogs_gibbs::{SoftmaxGibbs, TemperatureSchedule};
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior};
 
@@ -24,19 +24,25 @@ fn striped_mrf(
         .build()
 }
 
-fn run<S: SingletonPotential + 'static>(
+/// The chain these tests run unless they say otherwise: T = 1, two
+/// chunks, seed 0, no burn-in, modes tracked.
+fn chain<S: SingletonPotential>(
     mrf: MarkovRandomField<S>,
-    config: ChainConfig,
     iterations: usize,
-) -> ChainResult {
+) -> InferenceJob<S, SoftmaxGibbs> {
+    InferenceJob::new(mrf, SoftmaxGibbs::new())
+        .schedule(TemperatureSchedule::constant(1.0))
+        .iterations(iterations)
+        .track_modes(true)
+}
+
+fn run<S: SingletonPotential + 'static>(job: InferenceJob<S, SoftmaxGibbs>) -> JobOutput {
     let engine = Engine::with_default_config();
-    let job = InferenceJob::from_chain_config(mrf, SoftmaxGibbs::new(), config, iterations);
     engine
         .submit(job)
         .expect("engine running")
         .wait_result()
         .expect("job completes")
-        .into_chain_result()
 }
 
 /// Fraction of a 10-wide striped field's labels on the data's side.
@@ -51,7 +57,7 @@ fn accuracy(labels: &[Label]) -> f64 {
 
 #[test]
 fn chain_reduces_energy() {
-    let result = run(striped_mrf(10, 10), ChainConfig::default(), 30);
+    let result = run(chain(striped_mrf(10, 10), 30));
     let trace = &result.energy_trace;
     assert_eq!(trace.len(), 30);
     assert!(trace[29] < trace[0]);
@@ -59,47 +65,33 @@ fn chain_reduces_energy() {
 
 #[test]
 fn map_estimate_beats_single_sample_noise() {
-    let config = ChainConfig {
-        burn_in: 10,
-        seed: 3,
-        ..ChainConfig::default()
-    };
-    let result = run(striped_mrf(10, 10), config, 60);
+    let result = run(chain(striped_mrf(10, 10), 60).burn_in(10).seed(3));
     let map = result.map_estimate.expect("modes tracked");
     assert!(accuracy(&map) > 0.95, "MAP accuracy {}", accuracy(&map));
 }
 
 #[test]
 fn burn_in_defers_mode_tracking() {
-    let config = ChainConfig {
-        burn_in: 5,
-        ..ChainConfig::default()
-    };
     assert!(
-        run(striped_mrf(6, 6), config, 3).map_estimate.is_none(),
+        run(chain(striped_mrf(6, 6), 3).burn_in(5))
+            .map_estimate
+            .is_none(),
         "no samples before burn-in completes"
     );
-    assert!(run(striped_mrf(6, 6), config, 8).map_estimate.is_some());
+    assert!(run(chain(striped_mrf(6, 6), 8).burn_in(5))
+        .map_estimate
+        .is_some());
 }
 
 #[test]
 fn parallel_chain_matches_quality() {
     // Four chunks per group against the default two: same model, both
     // converged, so the energies land in the same band.
-    let four = ChainConfig {
-        threads: 4,
-        seed: 9,
-        ..ChainConfig::default()
-    };
-    let two = ChainConfig {
-        seed: 9,
-        ..ChainConfig::default()
-    };
-    let e_four = *run(striped_mrf(10, 10), four, 40)
+    let e_four = *run(chain(striped_mrf(10, 10), 40).threads(4).seed(9))
         .energy_trace
         .last()
         .unwrap();
-    let e_two = *run(striped_mrf(10, 10), two, 40)
+    let e_two = *run(chain(striped_mrf(10, 10), 40).seed(9))
         .energy_trace
         .last()
         .unwrap();
@@ -108,8 +100,8 @@ fn parallel_chain_matches_quality() {
 
 #[test]
 fn result_captures_everything() {
-    let result = run(striped_mrf(6, 6), ChainConfig::default(), 5);
-    assert_eq!(result.iterations, 5);
+    let result = run(chain(striped_mrf(6, 6), 5));
+    assert_eq!(result.iterations_run, 5);
     assert_eq!(result.energy_trace.len(), 5);
     assert_eq!(result.labels.len(), 36);
     assert!(result.map_estimate.is_some());
@@ -117,9 +109,7 @@ fn result_captures_everything() {
 
 #[test]
 fn disabled_mode_tracking_returns_none() {
-    let config = ChainConfig {
-        track_modes: false,
-        ..ChainConfig::default()
-    };
-    assert!(run(striped_mrf(6, 6), config, 5).map_estimate.is_none());
+    assert!(run(chain(striped_mrf(6, 6), 5).track_modes(false))
+        .map_estimate
+        .is_none());
 }

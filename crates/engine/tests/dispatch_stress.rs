@@ -68,13 +68,13 @@ impl DiagSink for StopAfter {
 fn spec(
     k: u64,
     iterations: Option<usize>,
-) -> JobSpec<impl SingletonPotential + Clone + 'static, SoftmaxGibbs> {
+) -> InferenceJob<impl SingletonPotential + Clone + 'static, SoftmaxGibbs> {
     let budget = if is_cancel_target(k) {
         LONG
     } else {
         3 + (k % 4) as usize
     };
-    let builder = JobSpec::builder(field(order(k)), SoftmaxGibbs::new())
+    let builder = InferenceJob::new(field(order(k)), SoftmaxGibbs::new())
         .threads(1 + (k % 5) as usize)
         .seed(0x5EED ^ k)
         .iterations(iterations.unwrap_or(budget));

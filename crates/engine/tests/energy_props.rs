@@ -67,7 +67,7 @@ where
 {
     // One chunk per group: admission refuses more chunks than a tiny
     // field's groups have sites, and the energy does not depend on it.
-    let spec = JobSpec::builder(mrf.clone(), SoftmaxGibbs::new())
+    let spec = InferenceJob::new(mrf.clone(), SoftmaxGibbs::new())
         .threads(1)
         .build()
         .expect("valid spec");
@@ -111,7 +111,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let mrf = field(width, height, LABEL_COUNTS[m], prior_kind, second_order);
-        let spec = JobSpec::builder(mrf.clone(), SoftmaxGibbs::new())
+        let spec = InferenceJob::new(mrf.clone(), SoftmaxGibbs::new())
             .threads(1)
             .seed(seed)
             .iterations(3)

@@ -10,9 +10,7 @@ mod reference_chain;
 use mogs_audit::Violation;
 use mogs_engine::prelude::*;
 use mogs_gibbs::sweep::sweep_seed;
-use mogs_gibbs::{
-    checkerboard_sweep, colored_sweep, ChainConfig, SoftmaxGibbs, TemperatureSchedule,
-};
+use mogs_gibbs::{checkerboard_sweep, colored_sweep, SoftmaxGibbs, TemperatureSchedule};
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, Neighborhood, SmoothnessPrior};
 use reference_chain::reference_chain;
@@ -54,7 +52,7 @@ fn engine_matches_checkerboard_sweep_bit_for_bit() {
         max_active_jobs: 2,
         ..EngineConfig::default()
     });
-    let spec = JobSpec::builder(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
+    let spec = InferenceJob::new(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
         .threads(threads)
         .seed(seed)
         .iterations(iterations)
@@ -86,7 +84,7 @@ fn engine_matches_colored_sweep_on_second_order_fields() {
         );
     }
     let engine = Engine::with_default_config();
-    let spec = JobSpec::builder(field(Neighborhood::SecondOrder), SoftmaxGibbs::new())
+    let spec = InferenceJob::new(field(Neighborhood::SecondOrder), SoftmaxGibbs::new())
         .threads(threads)
         .seed(seed)
         .iterations(iterations)
@@ -101,29 +99,17 @@ fn engine_matches_colored_sweep_on_second_order_fields() {
 
 #[test]
 fn engine_reproduces_a_multithreaded_chain_including_modes_and_energies() {
-    let config = ChainConfig {
-        schedule: TemperatureSchedule::constant(2.0),
-        burn_in: 3,
-        track_modes: true,
-        threads: 2,
-        seed: 99,
-    };
-    let iterations = 10;
-    let mrf = field(Neighborhood::FirstOrder);
-    let reference = reference_chain(&mrf, &SoftmaxGibbs::new(), config, iterations);
+    let job = InferenceJob::new(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
+        .schedule(TemperatureSchedule::constant(2.0))
+        .iterations(10)
+        .burn_in(3)
+        .track_modes(true)
+        .threads(2)
+        .seed(99);
+    let reference = reference_chain(&job);
 
     let engine = Engine::with_default_config();
-    let job = InferenceJob::from_chain_config(
-        field(Neighborhood::FirstOrder),
-        SoftmaxGibbs::new(),
-        config,
-        iterations,
-    );
-    let result = engine
-        .submit(job)
-        .expect("engine running")
-        .wait()
-        .into_chain_result();
+    let result = engine.submit(job).expect("engine running").wait();
     assert_eq!(
         result, reference,
         "engine must reproduce the chain bit-for-bit"
@@ -138,7 +124,7 @@ fn engine_runs_backend_selected_jobs() {
     let engine = Engine::with_default_config();
     let mrf = field(Neighborhood::FirstOrder);
     let sites = mrf.grid().len();
-    let spec = JobSpec::builder(
+    let spec = InferenceJob::new(
         mrf,
         BackendSampler::try_new(Backend::RsuG { replicas: 4 }, 2.0).expect("valid backend"),
     )
@@ -154,8 +140,8 @@ fn engine_runs_backend_selected_jobs() {
 }
 
 /// A job sized so cancellation lands mid-run.
-fn long_job() -> JobSpec<impl SingletonPotential, SoftmaxGibbs> {
-    JobSpec::builder(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
+fn long_job() -> InferenceJob<impl SingletonPotential, SoftmaxGibbs> {
+    InferenceJob::new(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
         .threads(2)
         .iterations(50_000)
         .record_energy(false)
@@ -251,7 +237,7 @@ fn metrics_account_for_completed_work_exactly() {
     let (jobs, iterations, sites) = (3u64, 7u64, 120u64);
     let handles: Vec<_> = (0..jobs)
         .map(|k| {
-            let spec = JobSpec::builder(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
+            let spec = InferenceJob::new(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
                 .threads(2)
                 .seed(k)
                 .iterations(iterations as usize)
@@ -320,7 +306,7 @@ fn corrupted_schedule_is_rejected_at_admission_before_any_plane_write() {
         .position(|g| g.contains(&0))
         .expect("site 0 is scheduled");
     groups[to].push(1);
-    let spec = JobSpec::builder(mrf, SoftmaxGibbs::new())
+    let spec = InferenceJob::new(mrf, SoftmaxGibbs::new())
         .threads(2)
         .iterations(5)
         .groups(groups)
@@ -346,7 +332,7 @@ fn corrupted_schedule_is_rejected_at_admission_before_any_plane_write() {
     assert_eq!(m.jobs_denied, 1);
     assert_eq!(m.jobs_submitted, 0);
     assert_eq!(m.site_updates, 0, "no plane write may precede rejection");
-    let ok = JobSpec::builder(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
+    let ok = InferenceJob::new(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
         .threads(2)
         .iterations(3)
         .build()
@@ -358,36 +344,25 @@ fn corrupted_schedule_is_rejected_at_admission_before_any_plane_write() {
 
 #[test]
 fn zero_chunk_jobs_are_rejected_not_degraded() {
-    // The builder refuses a zero chunk count outright...
-    let err = JobSpec::builder(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
-        .threads(0)
-        .iterations(3)
-        .build()
-        .expect_err("zero chunks must fail at build()");
+    // `build()` refuses a zero chunk count outright...
+    let job = || {
+        InferenceJob::new(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
+            .threads(0)
+            .iterations(3)
+    };
+    let err = job().build().expect_err("zero chunks must fail at build()");
     assert_eq!(err.variant(), "invalid-spec");
-    // ...and the legacy unvalidated path is still caught at admission,
-    // where the audit reports it as a zero-chunk schedule.
+    // ...and admission runs the same validation, so `submit` refuses it
+    // with the same typed error before the schedule audit runs.
     let engine = Engine::new(EngineConfig {
         workers: 1,
         queue_capacity: 2,
         max_active_jobs: 1,
         ..EngineConfig::default()
     });
-    let mut job = InferenceJob::new(field(Neighborhood::FirstOrder), SoftmaxGibbs::new());
-    job.threads = 0;
-    job.iterations = 3;
-    match engine.submit(job) {
-        Err(EngineError::Schedule(err)) => {
-            assert!(
-                err.report
-                    .violations
-                    .iter()
-                    .any(|v| matches!(v, Violation::ZeroChunks)),
-                "expected a zero-chunk violation, got: {}",
-                err.report
-            );
-        }
-        other => panic!("expected schedule rejection, got {other:?}"),
+    match engine.submit(job()) {
+        Err(EngineError::InvalidSpec { field, .. }) => assert_eq!(field, "threads"),
+        other => panic!("expected an invalid-spec rejection, got {other:?}"),
     }
     engine.shutdown();
 }
@@ -402,7 +377,7 @@ fn shutdown_drains_queued_jobs_before_stopping() {
     });
     let handles: Vec<_> = (0..3)
         .map(|k| {
-            let spec = JobSpec::builder(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
+            let spec = InferenceJob::new(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
                 .threads(2)
                 .seed(k)
                 .iterations(5)
@@ -484,7 +459,7 @@ fn sink_observes_sweeps_and_early_stops_through_the_cancel_path() {
         },
         4,
     ));
-    let spec = JobSpec::builder(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
+    let spec = InferenceJob::new(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
         .threads(3)
         .seed(5)
         .iterations(50)
@@ -516,7 +491,7 @@ fn sink_observes_sweeps_and_early_stops_through_the_cancel_path() {
 #[test]
 fn sink_does_not_perturb_results_and_stop_at_budget_counts_as_completed() {
     let iterations = 6;
-    let bare = JobSpec::builder(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
+    let bare = InferenceJob::new(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
         .threads(4)
         .seed(123)
         .iterations(iterations)
@@ -534,7 +509,7 @@ fn sink_does_not_perturb_results_and_stop_at_budget_counts_as_completed() {
         },
         iterations,
     ));
-    let spec = JobSpec::builder(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
+    let spec = InferenceJob::new(field(Neighborhood::FirstOrder), SoftmaxGibbs::new())
         .threads(4)
         .seed(123)
         .iterations(iterations)
@@ -605,7 +580,7 @@ fn annealed_softmax_job_on_fixed_rows_matches_the_reference_sweep_by_sweep() {
         ..EngineConfig::default()
     });
     let sink = std::sync::Arc::new(SweepLabels::default());
-    let spec = JobSpec::builder(dyadic_field(12), SoftmaxGibbs::new())
+    let spec = InferenceJob::new(dyadic_field(12), SoftmaxGibbs::new())
         .schedule(schedule)
         .threads(threads)
         .seed(seed)
@@ -626,7 +601,7 @@ fn annealed_softmax_job_on_fixed_rows_matches_the_reference_sweep_by_sweep() {
 #[test]
 fn concurrent_softmax_jobs_at_different_temperatures_match_their_solo_runs() {
     let job = |temperature: f64| {
-        JobSpec::builder(dyadic_field(32), SoftmaxGibbs::new())
+        InferenceJob::new(dyadic_field(32), SoftmaxGibbs::new())
             .schedule(TemperatureSchedule::constant(temperature))
             .threads(4)
             .seed(0x7E3)

@@ -40,11 +40,11 @@ fn field() -> MarkovRandomField<impl SingletonPotential + Clone + 'static> {
 }
 
 /// Builds a 6-sweep job over [`field`] on `kernel`.
-fn job_on<L>(kernel: L) -> JobSpec<impl SingletonPotential + Clone + 'static, L>
+fn job_on<L>(kernel: L) -> InferenceJob<impl SingletonPotential + Clone + 'static, L>
 where
     L: LabelSampler,
 {
-    JobSpec::builder(field(), kernel)
+    InferenceJob::new(field(), kernel)
         .threads(2)
         .seed(11)
         .iterations(6)
@@ -325,7 +325,7 @@ fn an_all_dead_pool_with_a_fallback_completes_degraded() {
     let engine = Engine::with_default_config();
     let pool = BackendSampler::try_new(Backend::RsuG { replicas: 4 }, 2.5)
         .expect("fixed positive replica count");
-    let spec = JobSpec::builder(field(), pool)
+    let spec = InferenceJob::new(field(), pool)
         .threads(2)
         .seed(11)
         .iterations(6)
@@ -361,7 +361,7 @@ fn an_all_dead_pool_with_a_fallback_completes_degraded() {
 #[test]
 fn an_all_dead_pool_without_a_fallback_fails_typed() {
     let engine = Engine::with_default_config();
-    let spec = JobSpec::builder(field(), BrittleKernel::with_units(2))
+    let spec = InferenceJob::new(field(), BrittleKernel::with_units(2))
         .threads(2)
         .seed(11)
         .iterations(6)
@@ -506,24 +506,25 @@ fn invalid_field(err: &EngineError) -> &'static str {
 #[test]
 fn a_stuck_label_outside_the_label_space_is_refused_at_build_and_admission() {
     for label in [M as u8, 40] {
-        let err = JobSpec::builder(field(), one_unit_pool())
+        let err = InferenceJob::new(field(), one_unit_pool())
             .fault_plan(stuck_at(label))
             .build()
             .expect_err("a unit stuck outside the label space must not validate");
         assert_eq!(invalid_field(&err), "fault_plan");
     }
-    // A legacy job skips the builder; admission refuses it the same way.
+    // A job submitted without `build()` is refused the same way at
+    // admission.
     let engine = Engine::with_default_config();
-    let mut legacy = InferenceJob::new(field(), one_unit_pool());
-    legacy.fault_plan = Some(stuck_at(M as u8));
+    let mut unbuilt = InferenceJob::new(field(), one_unit_pool());
+    unbuilt.fault_plan = Some(stuck_at(M as u8));
     let err = engine
-        .submit(legacy)
+        .submit(unbuilt)
         .expect_err("admission refuses an out-of-space stuck label");
     assert_eq!(invalid_field(&err), "fault_plan");
     // The top label itself is a fault the job survives.
     let out = engine
         .submit(
-            JobSpec::builder(field(), one_unit_pool())
+            InferenceJob::new(field(), one_unit_pool())
                 .iterations(3)
                 .track_modes(true)
                 .fault_plan(stuck_at(M as u8 - 1))
@@ -554,7 +555,7 @@ impl CheckpointWriter for Captured {
 #[test]
 fn a_checkpointed_stuck_label_outside_the_label_space_is_refused_at_resume() {
     let spec = || {
-        JobSpec::builder(field(), one_unit_pool())
+        InferenceJob::new(field(), one_unit_pool())
             .iterations(4)
             .track_modes(true)
             .fault_plan(FaultPlan::none())
@@ -596,6 +597,90 @@ fn a_checkpointed_stuck_label_outside_the_label_space_is_refused_at_resume() {
     engine.shutdown();
 }
 
+/// The typed refusal's variant and, for `InvalidSpec`, its field.
+fn refusal(err: &EngineError) -> (&'static str, Option<&'static str>) {
+    let field = match err {
+        EngineError::InvalidSpec { field, .. } => Some(*field),
+        _ => None,
+    };
+    (err.variant(), field)
+}
+
+#[test]
+fn every_door_refuses_the_same_malformed_job() {
+    let base = || {
+        InferenceJob::new(field(), one_unit_pool())
+            .iterations(4)
+            .track_modes(true)
+    };
+    let malformed = |row: usize| match row {
+        0 => base().iterations(0),
+        1 => base().threads(0),
+        2 => base().groups(Vec::new()),
+        3 => base().initial(vec![Label::new(0); 3]),
+        4 => base().health(HealthPolicy {
+            probe_every: 0,
+            ..HealthPolicy::default()
+        }),
+        _ => base().fault_plan(stuck_at(M as u8)),
+    };
+    let expected = [
+        ("invalid-spec", Some("iterations")),
+        ("invalid-spec", Some("threads")),
+        ("invalid-spec", Some("groups")),
+        ("labeling", None),
+        ("invalid-spec", Some("health.probe_every")),
+        ("invalid-spec", Some("fault_plan")),
+    ];
+    let engine = Engine::with_default_config();
+    let captured = Arc::new(Captured::default());
+    let writer: Arc<dyn CheckpointWriter> = captured.clone();
+    engine
+        .submit(base().checkpoint(CheckpointPolicy::every(2), writer))
+        .expect("admission accepts the healthy job")
+        .wait_result()
+        .expect("the healthy job completes");
+    let state = captured
+        .0
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .first()
+        .cloned()
+        .expect("a checkpoint at sweep 2");
+    for (row, want) in expected.into_iter().enumerate() {
+        let try_submit = match engine.try_submit(malformed(row)) {
+            Err(TrySubmitError::Engine(err)) => err,
+            Err(TrySubmitError::Full(_)) => panic!("row {row}: queued, not refused"),
+            Ok(handle) => panic!("row {row}: try_submit admitted {}", handle.id()),
+        };
+        let Err(shard) = ShardRunner::try_new(malformed(row), &[]) else {
+            panic!("row {row}: ShardRunner::try_new admitted it");
+        };
+        let doors = [
+            ("build", malformed(row).build().expect_err("build refuses")),
+            (
+                "submit",
+                engine.submit(malformed(row)).expect_err("refused"),
+            ),
+            ("try_submit", try_submit),
+            (
+                "resume",
+                engine.resume(malformed(row), &state).expect_err("refused"),
+            ),
+            ("shard", shard),
+        ];
+        for (door, err) in doors {
+            assert_eq!(refusal(&err), want, "row {row}, door {door}: {err}");
+        }
+    }
+    assert_eq!(
+        engine.metrics().jobs_submitted,
+        1,
+        "no malformed job queued"
+    );
+    engine.shutdown();
+}
+
 /// A diagnostics sink that panics in `on_sweep` once `panic_at_sweep`
 /// sweeps have completed, or in `on_finish`.
 struct PanickySink {
@@ -630,7 +715,7 @@ fn sink_panic_fails_only_its_job(sink: PanickySink, message: &str) {
             workers: 1,
             ..EngineConfig::default()
         });
-        let spec = JobSpec::builder(field(), SoftmaxGibbs::new())
+        let spec = InferenceJob::new(field(), SoftmaxGibbs::new())
             .threads(2)
             .seed(11)
             .iterations(6)
@@ -679,4 +764,52 @@ fn a_sink_panicking_at_finish_fails_its_job_and_spares_the_worker() {
         panic_at_sweep: None,
     };
     sink_panic_fails_only_its_job(sink, "sink panicked at finish");
+}
+
+#[test]
+fn a_sink_panicking_at_finish_of_a_job_cancelled_in_the_queue() {
+    // One worker and one active slot: the sink's job waits in the queue
+    // behind a long job, is cancelled there, and finishes the moment it
+    // is admitted. The engine reports through a channel, so a wedged
+    // scheduler fails this by timeout instead of hanging the suite.
+    let (tx, rx) = mpsc::channel();
+    let owner = std::thread::spawn(move || {
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            max_active_jobs: 1,
+            ..EngineConfig::default()
+        });
+        let ahead = engine
+            .submit(job_on(SoftmaxGibbs::new()).iterations(2_000))
+            .expect("admitted");
+        let sink = Arc::new(PanickySink {
+            panic_at_sweep: None,
+        });
+        let queued = engine
+            .submit(job_on(SoftmaxGibbs::new()).sink(sink))
+            .expect("queued");
+        queued.cancel();
+        let cancelled = queued.wait_result();
+        let ahead = ahead.wait_result();
+        let later = engine
+            .submit(job_on(SoftmaxGibbs::new()))
+            .map(JobHandle::wait_result);
+        let _ = tx.send((cancelled, ahead, later));
+    });
+    let (cancelled, ahead, later) = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a sink panicking at a queued job's finish must not wedge the engine");
+    owner.join().expect("the engine shut down cleanly");
+    match cancelled {
+        Err(EngineError::WorkerPanicked { message, .. }) => {
+            assert!(message.contains("sink panicked at finish"), "{message}");
+        }
+        other => panic!("expected WorkerPanicked, got {other:?}"),
+    }
+    assert_eq!(
+        ahead.expect("the job ahead completes").iterations_run,
+        2_000
+    );
+    let later = later.expect("accepted").expect("a later job completes");
+    assert_eq!(later.iterations_run, 6);
 }

@@ -53,7 +53,7 @@ fn labels_with(
         max_active_jobs: 1,
         ..EngineConfig::default()
     });
-    let mut builder = JobSpec::builder(field(width, height, m), sampler)
+    let mut builder = InferenceJob::new(field(width, height, m), sampler)
         .threads(2)
         .seed(seed)
         .iterations(6)

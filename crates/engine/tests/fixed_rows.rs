@@ -158,7 +158,7 @@ fn assert_matches_reference<S>(
             sweep_seed(seed, iteration),
         );
     }
-    let spec = JobSpec::builder(mrf, BitsKernel)
+    let spec = InferenceJob::new(mrf, BitsKernel)
         .threads(threads)
         .seed(seed)
         .iterations(iterations)

@@ -137,7 +137,7 @@ fn assert_bits_match(
             sweep_seed(seed, iteration),
         );
     }
-    let spec = JobSpec::builder(field(width, height, m, second_order, prior), BitsKernel)
+    let spec = InferenceJob::new(field(width, height, m, second_order, prior), BitsKernel)
         .threads(threads)
         .seed(seed)
         .iterations(iterations)

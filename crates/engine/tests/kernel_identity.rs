@@ -103,7 +103,7 @@ fn assert_engine_matches_reference(
         max_active_jobs: 1,
         ..EngineConfig::default()
     });
-    let spec = JobSpec::builder(field(width, height, m, second_order, dyadic), sampler)
+    let spec = InferenceJob::new(field(width, height, m, second_order, dyadic), sampler)
         .threads(threads)
         .seed(seed)
         .iterations(iterations)

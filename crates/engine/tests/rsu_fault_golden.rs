@@ -49,7 +49,7 @@ fn quarantine_then_failover_motion_job_matches_the_recorded_labels() {
             fault: UnitFault::Stuck(Label::new(7)),
         },
     ]);
-    let spec = JobSpec::builder(mrf, sampler)
+    let spec = InferenceJob::new(mrf, sampler)
         .threads(4)
         .seed(0x5EED_FA17)
         .iterations(9)

@@ -26,7 +26,7 @@ fn rsu_pool_motion_job_matches_the_recorded_labels() {
     assert_eq!(mrf.space().count(), 49);
     let sampler = BackendSampler::try_new(Backend::RsuG { replicas: 4 }, mrf.temperature())
         .expect("valid backend");
-    let spec = JobSpec::builder(mrf, sampler)
+    let spec = InferenceJob::new(mrf, sampler)
         .threads(4)
         .seed(0x5EED_0025)
         .iterations(6)

@@ -43,17 +43,17 @@ fn field(width: usize, height: usize, order: Neighborhood) -> MarkovRandomField<
         .build()
 }
 
-fn builder(mrf: MarkovRandomField<Stripes>, seed: u64) -> JobSpecBuilder<Stripes, BackendSampler> {
+fn builder(mrf: MarkovRandomField<Stripes>, seed: u64) -> InferenceJob<Stripes, BackendSampler> {
     let sampler =
         BackendSampler::try_new(Backend::Softmax, mrf.temperature()).expect("softmax backend");
-    JobSpec::builder(mrf, sampler)
+    InferenceJob::new(mrf, sampler)
         .threads(3)
         .seed(seed)
         .iterations(6)
         .record_energy(true)
 }
 
-fn spec(mrf: MarkovRandomField<Stripes>, seed: u64) -> JobSpec<Stripes, BackendSampler> {
+fn spec(mrf: MarkovRandomField<Stripes>, seed: u64) -> InferenceJob<Stripes, BackendSampler> {
     builder(mrf, seed).build().expect("valid spec")
 }
 
@@ -64,7 +64,7 @@ fn engine() -> Engine {
     })
 }
 
-fn run(engine: &Engine, spec: JobSpec<Stripes, BackendSampler>) -> JobOutput {
+fn run(engine: &Engine, spec: InferenceJob<Stripes, BackendSampler>) -> JobOutput {
     engine
         .submit(spec)
         .expect("admitted")

@@ -27,7 +27,7 @@ fn softmax_segmentation_job_matches_the_recorded_labels() {
     assert!(mrf.fixed_rows().is_some(), "field left the fixed-row path");
     let sampler =
         BackendSampler::try_new(Backend::Softmax, mrf.temperature()).expect("valid backend");
-    let spec = JobSpec::builder(mrf.clone(), sampler)
+    let spec = InferenceJob::new(mrf.clone(), sampler)
         .threads(4)
         .seed(0x5EED_0035)
         .iterations(8)

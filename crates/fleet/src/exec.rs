@@ -12,7 +12,7 @@
 
 use mogs_audit::ScheduleCertificate;
 use mogs_ckpt::harness::DEMO_MAX_ENERGY;
-use mogs_engine::{BackendSampler, Engine, JobOutput, JobSpec, ShardRunner};
+use mogs_engine::{BackendSampler, Engine, InferenceJob, JobOutput, ShardRunner};
 use mogs_gibbs::kernel::SweepKernel;
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior, Topology};
@@ -143,12 +143,12 @@ fn demo_job_spec(
     width: usize,
     height: usize,
     labels: u16,
-) -> FleetResult<JobSpec<impl SingletonPotential + 'static, BackendSampler>> {
+) -> FleetResult<InferenceJob<impl SingletonPotential + 'static, BackendSampler>> {
     let mrf = MarkovRandomField::builder(Grid2D::new(width, height), LabelSpace::scalar(labels))
         .prior(SmoothnessPrior::potts(0.6))
         .singleton(demo_singleton)
         .build();
-    JobSpec::builder(mrf, sampler_for(spec)?)
+    InferenceJob::new(mrf, sampler_for(spec)?)
         .iterations(spec.iterations)
         .threads(spec.threads)
         .seed(spec.seed)
@@ -166,7 +166,7 @@ fn stereo_job_spec(
     disparity: u8,
     noise_sigma: f64,
     scene_seed: u64,
-) -> FleetResult<JobSpec<mogs_vision::stereo::DisparitySingleton, BackendSampler>> {
+) -> FleetResult<InferenceJob<mogs_vision::stereo::DisparitySingleton, BackendSampler>> {
     let scene = synthetic::stereo_pair(width, height, disparity, noise_sigma, scene_seed);
     let app = StereoMatching::new(&scene.left, &scene.right, StereoConfig::default());
     let mut job = app.engine_job(sampler_for(spec)?, spec.iterations, spec.seed);
@@ -174,7 +174,7 @@ fn stereo_job_spec(
     // defaults cover the field itself (weights, temperature, 5 labels).
     job.threads = spec.threads;
     job.burn_in = spec.burn_in;
-    Ok(JobSpec::from(job))
+    Ok(job)
 }
 
 /// Admits `spec` and pins the shard to `cells` — unpinned when `cells`

@@ -21,8 +21,6 @@
 //!   colour-group schedules, each group cut into deterministic chunks
 //!   with their own RNG streams, run serially. The engine
 //!   (`mogs-engine`) is held bit-identical to them.
-//! * [`chain`] — what a chain is asked to do ([`ChainConfig`]) and what
-//!   it returns ([`ChainResult`]); the engine runs every chain.
 //! * [`tempering`] — parallel tempering, a ladder of replicas swept with
 //!   the reference sweep and swapped at every iteration.
 //! * [`schedule`] — temperature schedules (constant, geometric annealing).
@@ -49,7 +47,6 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
 
-pub mod chain;
 pub mod diagnostics;
 pub mod dist;
 pub mod kernel;
@@ -58,7 +55,6 @@ pub mod schedule;
 pub mod sweep;
 pub mod tempering;
 
-pub use chain::{ChainConfig, ChainResult};
 pub use kernel::{KernelArena, KernelScratch, SweepKernel, UnitFault};
 pub use sampler::{LabelSampler, Metropolis, SoftmaxGibbs};
 pub use schedule::TemperatureSchedule;

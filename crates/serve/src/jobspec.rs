@@ -10,10 +10,9 @@
 //! the default budget would be a debugging trap).
 //!
 //! Dispatch monomorphizes per workload: each arm builds the same
-//! [`InferenceJob`](mogs_engine::InferenceJob) the workload's own
-//! `engine_job` constructor produces, revalidates it through
-//! [`JobSpec::builder`](mogs_engine::JobSpec), and admits it via
-//! [`Engine::try_submit`] — so a served job is *bit-identical* to the
+//! [`InferenceJob`] the workload's own `engine_job` constructor
+//! produces and admits it via [`Engine::try_submit`], which validates it
+//! — so a served job is *bit-identical* to the
 //! direct engine path for the same spec, the property the lifecycle
 //! test pins. This construction (scene synthesis + MRF build per
 //! request) is also a large per-job cost on small jobs; the benchmark's
@@ -24,7 +23,7 @@ use std::sync::Arc;
 
 use mogs_diag::{DiagConfig, MultiChainDiag};
 use mogs_engine::{
-    CheckpointPolicy, CheckpointWriter, Engine, InferenceJob, JobHandle, JobSpec,
+    CheckpointPolicy, CheckpointWriter, Engine, InferenceJob, JobHandle,
     JobState as CheckpointState, TrySubmitError,
 };
 use mogs_gibbs::{LabelSampler, SoftmaxGibbs, SweepKernel};
@@ -423,15 +422,14 @@ impl SingletonPotential for TableSingleton {
     }
 }
 
-/// Revalidates an assembled job through [`JobSpec::builder`] (the
-/// engine's structural checks), optionally attaches a fresh diagnostics
-/// coordinator and a checkpoint writer, and admits it via `try_submit`
+/// Optionally attaches a fresh diagnostics coordinator and a checkpoint
+/// writer to an assembled job, and admits it via `try_submit`
 /// — or, on the recovery path, seats the checkpointed state via
 /// [`Engine::resume`] — mapping the failure modes onto the serve
 /// taxonomy.
 fn admit<S, L>(
     engine: &Engine,
-    job: InferenceJob<S, L>,
+    mut job: InferenceJob<S, L>,
     diag: bool,
     retry_after_s: u64,
     checkpoint: Option<(CheckpointPolicy, Arc<dyn CheckpointWriter>)>,
@@ -455,26 +453,14 @@ where
             },
         )
     });
-    let mut builder = JobSpec::builder(job.mrf, job.sampler)
-        .schedule(job.schedule)
-        .iterations(job.iterations)
-        .threads(job.threads)
-        .seed(job.seed)
-        .burn_in(job.burn_in)
-        .track_modes(job.track_modes)
-        .record_energy(job.record_energy);
-    if let Some(initial) = job.initial {
-        builder = builder.initial(initial);
-    }
     if let Some(coordinator) = &coordinator {
-        builder = builder.sink(coordinator.sink(0));
+        job = job.sink(coordinator.sink(0));
     }
     if let Some((policy, writer)) = checkpoint {
-        builder = builder.checkpoint(policy, writer);
+        job = job.checkpoint(policy, writer);
     }
-    let spec = builder.build().map_err(ServeError::from_admission)?;
     match resume {
-        None => match engine.try_submit(spec) {
+        None => match engine.try_submit(job) {
             Ok(handle) => Ok((handle, coordinator)),
             Err(TrySubmitError::Full(_)) => Err(ServeError::Backpressure { retry_after_s }),
             Err(TrySubmitError::Engine(err)) => Err(ServeError::from_admission(err)),
@@ -482,7 +468,7 @@ where
         // Recovery runs before the listener serves traffic, so the
         // blocking `resume` cannot be starved by request load.
         Some(state) => engine
-            .resume(spec, state)
+            .resume(job, state)
             .map(|handle| (handle, coordinator))
             .map_err(ServeError::from_admission),
     }

@@ -64,8 +64,8 @@ pub use segmentation::{Segmentation, SegmentationConfig};
 pub use stereo::{StereoConfig, StereoMatching};
 pub use texture_model::{TextureConfig, TextureModel};
 
-use mogs_engine::{Engine, InferenceJob};
-use mogs_gibbs::{ChainResult, SweepKernel};
+use mogs_engine::{Engine, InferenceJob, JobOutput};
+use mogs_gibbs::SweepKernel;
 use mogs_mrf::energy::SingletonPotential;
 
 /// Runs an application's job on `engine` to completion.
@@ -74,7 +74,7 @@ use mogs_mrf::energy::SingletonPotential;
 ///
 /// Panics if the engine refuses the job (shut down, failed admission) or
 /// the job fails.
-fn run_job<S, L>(engine: &Engine, job: InferenceJob<S, L>) -> ChainResult
+fn run_job<S, L>(engine: &Engine, job: InferenceJob<S, L>) -> JobOutput
 where
     S: SingletonPotential + 'static,
     L: SweepKernel + Clone + Send + Sync + 'static,
@@ -83,37 +83,10 @@ where
         .submit(job)
         .expect("the engine accepts the application's job")
         .wait()
-        .into_chain_result()
 }
 
-/// The serial reference run of an application's job: `colored_sweep`
-/// looped with `sweep_seed` from the job's starting labeling, returning
-/// the final labels and the energy after every sweep. The engine must
-/// return both bit for bit.
+/// The serial reference chain the engine is held to, bit for bit
+/// (pinned across commits by `mogs-engine`'s `chain_golden` test).
 #[cfg(test)]
-fn reference_run<S, L>(job: &InferenceJob<S, L>) -> (Vec<mogs_mrf::Label>, Vec<f64>)
-where
-    S: SingletonPotential,
-    L: mogs_gibbs::LabelSampler + Clone,
-{
-    use mogs_gibbs::sweep::{colored_sweep, sweep_seed};
-    let mut labels = job
-        .initial
-        .clone()
-        .unwrap_or_else(|| job.mrf.uniform_labeling());
-    let mut energy_trace = Vec::with_capacity(job.iterations);
-    for iteration in 0..job.iterations {
-        let temperature = job.schedule.temperature(iteration);
-        let seed = sweep_seed(job.seed, iteration);
-        colored_sweep(
-            &job.mrf,
-            &mut labels,
-            &job.sampler,
-            temperature,
-            job.threads,
-            seed,
-        );
-        energy_trace.push(job.mrf.total_energy(&labels));
-    }
-    (labels, energy_trace)
-}
+#[path = "../../engine/tests/support/reference_chain.rs"]
+mod reference_chain;

@@ -10,7 +10,6 @@
 
 use crate::image::GrayImage;
 use mogs_engine::prelude::*;
-use mogs_gibbs::chain::ChainResult;
 use mogs_gibbs::sampler::LabelSampler;
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior};
@@ -174,7 +173,7 @@ impl MotionEstimation {
     /// # Panics
     ///
     /// Panics if the engine refuses or fails the job.
-    pub fn run<L>(&self, engine: &Engine, sampler: L, iterations: usize, seed: u64) -> ChainResult
+    pub fn run<L>(&self, engine: &Engine, sampler: L, iterations: usize, seed: u64) -> JobOutput
     where
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
@@ -216,11 +215,10 @@ mod tests {
         let scene = synthetic::translated_pair(12, 12, 1, -1, 2.0, 8);
         let app = MotionEstimation::new(&scene.frame1, &scene.frame2, MotionConfig::default());
         let job = app.engine_job(SoftmaxGibbs::new(), 12, 6);
-        let reference = crate::reference_run(&job);
+        let reference = crate::reference_chain::reference_chain(&job);
         let result = app.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 12, 6);
         assert_eq!(
-            (result.labels, result.energy_trace),
-            reference,
+            result, reference,
             "engine motion must be bit-identical to the reference chain"
         );
     }

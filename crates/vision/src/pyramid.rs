@@ -11,8 +11,7 @@
 
 use crate::image::GrayImage;
 use crate::segmentation::{Segmentation, SegmentationConfig};
-use mogs_engine::Engine;
-use mogs_gibbs::chain::ChainResult;
+use mogs_engine::{Engine, JobOutput};
 use mogs_gibbs::SweepKernel;
 use mogs_mrf::Label;
 
@@ -108,7 +107,7 @@ pub fn segment_coarse_to_fine<L>(
     sampler: L,
     schedule: &PyramidSchedule,
     seed: u64,
-) -> ChainResult
+) -> JobOutput
 where
     L: SweepKernel + Clone + Send + Sync + 'static,
 {

@@ -12,7 +12,6 @@
 
 use crate::image::GrayImage;
 use mogs_engine::prelude::*;
-use mogs_gibbs::chain::ChainResult;
 use mogs_gibbs::sampler::LabelSampler;
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, Neighborhood, SmoothnessPrior};
@@ -143,7 +142,7 @@ impl Restoration {
     /// # Panics
     ///
     /// Panics if the engine refuses or fails the job.
-    pub fn run<L>(&self, engine: &Engine, sampler: L, iterations: usize, seed: u64) -> ChainResult
+    pub fn run<L>(&self, engine: &Engine, sampler: L, iterations: usize, seed: u64) -> JobOutput
     where
         L: SweepKernel + Clone + Send + Sync + 'static,
     {

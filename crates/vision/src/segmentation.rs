@@ -13,7 +13,6 @@
 
 use crate::image::GrayImage;
 use mogs_engine::prelude::*;
-use mogs_gibbs::chain::ChainResult;
 use mogs_gibbs::sampler::LabelSampler;
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior};
@@ -165,7 +164,7 @@ impl Segmentation {
     /// # Panics
     ///
     /// Panics if the engine refuses or fails the job.
-    pub fn run<L>(&self, engine: &Engine, sampler: L, iterations: usize, seed: u64) -> ChainResult
+    pub fn run<L>(&self, engine: &Engine, sampler: L, iterations: usize, seed: u64) -> JobOutput
     where
         L: SweepKernel + Clone + Send + Sync + 'static,
     {
@@ -222,11 +221,10 @@ mod tests {
         let app = Segmentation::new(scene.image.clone(), SegmentationConfig::default());
         let job = app.engine_job(SoftmaxGibbs::new(), 30, 9);
         assert_eq!(job.threads, 2);
-        let reference = crate::reference_run(&job);
+        let reference = crate::reference_chain::reference_chain(&job);
         let result = app.run(&Engine::with_default_config(), SoftmaxGibbs::new(), 30, 9);
         assert_eq!(
-            (result.labels, result.energy_trace),
-            reference,
+            result, reference,
             "engine segmentation must be bit-identical to the reference chain"
         );
     }

@@ -5,7 +5,6 @@
 //! Run with: `cargo run --release --example convergence`
 
 use mogs_engine::{run_chains_on_engine, Engine, InferenceJob};
-use mogs_gibbs::chain::ChainConfig;
 use mogs_gibbs::diagnostics::{effective_sample_size, integrated_autocorrelation_time};
 use mogs_gibbs::schedule::TemperatureSchedule;
 use mogs_gibbs::SoftmaxGibbs;
@@ -17,26 +16,18 @@ fn main() {
     let scene = synthetic::region_scene(32, 32, 5, 7.0, 3);
     let app = Segmentation::new(scene.image.clone(), SegmentationConfig::default());
     let engine = Engine::with_default_config();
-    let run = |config: ChainConfig, iterations: usize| {
-        let job = InferenceJob::from_chain_config(
-            app.mrf().clone(),
-            SoftmaxGibbs::new(),
-            config,
-            iterations,
-        );
-        engine.submit(job).unwrap().wait().into_chain_result()
+    // A chain at T = 1 with modes tracked, two chunks, seed 0.
+    let chain = |iterations: usize| {
+        InferenceJob::new(app.mrf().clone(), SoftmaxGibbs::new())
+            .schedule(TemperatureSchedule::constant(1.0))
+            .iterations(iterations)
+            .track_modes(true)
     };
+    let run = |job| engine.submit(job).unwrap().wait();
 
     // --- Single-chain view: trace statistics. ------------------------------
-    let chain = run(
-        ChainConfig {
-            burn_in: 20,
-            seed: 1,
-            ..ChainConfig::default()
-        },
-        120,
-    );
-    let trace = &chain.energy_trace[20..];
+    let chain_out = run(chain(120).burn_in(20).seed(1));
+    let trace = &chain_out.energy_trace[20..];
     println!(
         "single chain: 120 iterations, post-burn-in energy mean {:.0}",
         trace.iter().sum::<f64>() / trace.len() as f64
@@ -51,21 +42,11 @@ fn main() {
     // --- Multi-chain view: R-hat over four replicas. ------------------------
     println!("\nGelman-Rubin R-hat over 4 independent chains:");
     for iterations in [10usize, 20, 40, 80] {
-        let config = ChainConfig {
-            burn_in: iterations / 4,
-            seed: 7,
-            track_modes: false,
-            ..ChainConfig::default()
-        };
-        let result = run_chains_on_engine(
-            &engine,
-            app.mrf(),
-            &SoftmaxGibbs::new(),
-            config,
-            4,
-            iterations,
-        )
-        .unwrap();
+        let job = chain(iterations)
+            .burn_in(iterations / 4)
+            .seed(7)
+            .track_modes(false);
+        let result = run_chains_on_engine(&engine, job, 4).unwrap();
         println!(
             "  {iterations:>3} iterations: R-hat {:.3} ({})",
             result.r_hat,
@@ -79,15 +60,9 @@ fn main() {
 
     // --- Annealing: posterior sampling vs optimization. ---------------------
     let fixed = app.run(&engine, SoftmaxGibbs::new(), 80, 5);
-    let annealed = run(
-        ChainConfig {
-            schedule: TemperatureSchedule::geometric(4.0, 0.93, 0.2),
-            burn_in: 0,
-            seed: 5,
-            ..ChainConfig::default()
-        },
-        80,
-    );
+    let annealed = run(chain(80)
+        .schedule(TemperatureSchedule::geometric(4.0, 0.93, 0.2))
+        .seed(5));
     println!(
         "\nfixed temperature:   final energy {:.0}, marginal-MAP accuracy {:.1}%",
         fixed.energy_trace.last().unwrap(),
