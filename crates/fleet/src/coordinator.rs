@@ -15,8 +15,9 @@
 //!
 //! Bring-up pays admission once per process, all in parallel: workers
 //! admit their launch spec as they connect while the coordinator admits
-//! its unpinned mirror and reads the job's structure off it. Every
-//! `Assign` (digest + cells) goes out before any `AssignOk` is awaited.
+//! its unpinned mirror, reusing a scene and a verified partition it
+//! built before ([`bring_up`]). Every `Assign` (digest + cells) goes
+//! out before any `AssignOk` is awaited.
 //!
 //! # The bit-identity argument
 //!
@@ -50,6 +51,7 @@ use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -58,8 +60,8 @@ use mogs_engine::ckpt::{JobState, StateBinding};
 use mogs_engine::Degraded;
 
 use crate::error::{FleetError, FleetResult};
-use crate::exec::{build_shard, kernel_name, FleetStructure, ShardExec};
-use crate::partition::{partition, Partition};
+use crate::exec::{bring_up, kernel_name, FleetStructure, ShardExec};
+use crate::partition::Partition;
 use crate::spec::FleetSpec;
 use crate::wire::{
     recv_to_coordinator, rpc_ping, send_to_worker, Conn, ToCoordinator, ToWorker, Traffic,
@@ -431,7 +433,7 @@ struct Coordinator {
     spec: FleetSpec,
     config: FleetConfig,
     structure: FleetStructure,
-    partition: Partition,
+    partition: Arc<Partition>,
     /// Unpinned mirror runner: never phases, only seats the merged plane
     /// to price it with the engine's own tables each sweep.
     reference: Box<dyn ShardExec>,
@@ -479,9 +481,7 @@ impl Coordinator {
         let started: Vec<FleetResult<(Listener, Slot)>> = (0..config.workers)
             .map(|shard| Slot::start(config, spec, &[shard]))
             .collect();
-        let reference = build_shard(spec, &[])?;
-        let structure = reference.structure();
-        let partition = partition(&structure, config.workers)?;
+        let (reference, structure, partition) = bring_up(spec, config.workers)?;
         let mirror = reference.snapshot();
         let store = match &config.checkpoint {
             Some(ck) => Some(CheckpointStore::open(&ck.dir, ck.retain)?),

@@ -17,7 +17,9 @@
 //!   (an `Assign` names it by digest).
 //! - [`exec`]: shard construction ([`build_shard`]) on top of
 //!   `mogs_engine::ShardRunner`, plus the in-process reference path
-//!   ([`run_in_process`]) the kill-ladder tests compare against.
+//!   ([`run_in_process`]) the kill-ladder tests compare against, and
+//!   the coordinator's [`bring_up`], which reuses a built scene and
+//!   verified partition across the jobs of one process.
 //! - [`partition`]: chunk-aligned greedy partitioning with halo sets,
 //!   independently re-proved by `mogs_audit::verify_sharding`.
 //! - [`wire`]: the framed message protocol (a one-line JSON head, then
@@ -61,7 +63,7 @@ pub use coordinator::{
     TransportKind, COORD_KEY,
 };
 pub use error::{FleetError, FleetResult};
-pub use exec::{build_shard, run_in_process, FleetStructure, ShardExec};
+pub use exec::{bring_up, build_shard, run_in_process, stereo_scene, FleetStructure, ShardExec};
 pub use partition::{partition, Partition, ShardAssignment};
 pub use spec::{BackendKind, FleetSpec, Workload};
 pub use worker::{maybe_run_worker, worker_main, SPEC_ENV, WORKER_ENV};
