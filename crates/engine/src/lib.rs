@@ -98,6 +98,7 @@ mod error;
 pub mod fault;
 mod health;
 mod job;
+mod memo;
 pub mod metrics;
 mod multichain;
 mod plane;
@@ -115,6 +116,7 @@ pub use engine::{Engine, EngineConfig, PreparedJob, TrySubmitError};
 pub use error::EngineError;
 pub use fault::{Degraded, FaultEvent, FaultPlan, HealthPolicy};
 pub use job::{InferenceJob, JobHandle, JobId, JobOutput, JobStatus};
+pub use memo::Memo;
 pub use metrics::{EngineMetrics, HistogramSnapshot, LatencyHistogram, MetricsSnapshot};
 pub use multichain::{run_chains_on_engine, run_replicas, MultiChainResult};
 pub use shard::ShardRunner;

@@ -64,6 +64,7 @@ use crate::ckpt::{CheckpointSpec, JobState, StateBinding};
 use crate::error::EngineError;
 use crate::health::FaultRuntime;
 use crate::job::{InferenceJob, JobOutput};
+use crate::memo::Memo;
 use crate::plane::LabelPlane;
 use crate::sink::{DiagSink, JobStartInfo, SinkNeeds, SweepDecision, SweepObservation};
 
@@ -83,8 +84,8 @@ const ADMISSION_CACHE_ENTRIES: usize = 4;
 /// is needed to look one up.
 type ShapeKey = (Grid2D, Neighborhood, usize);
 
-/// The admitted shapes, oldest first.
-static ADMISSIONS: Mutex<Vec<(ShapeKey, Arc<Prepared>)>> = Mutex::new(Vec::new());
+/// The admitted shapes.
+static ADMISSIONS: Memo<ShapeKey, Arc<Prepared>> = Memo::new(ADMISSION_CACHE_ENTRIES);
 
 /// What one quiescent sweep boundary decided and did: the diagnostics
 /// sink's continue/stop verdict plus the fault plane's actions (events
@@ -182,18 +183,9 @@ impl Prepared {
                 false,
             ));
         }
-        let key = (grid, neighborhood, threads);
-        if let Some((_, hit)) = ADMISSIONS.lock().iter().find(|(k, _)| *k == key) {
-            return Ok((Arc::clone(hit), true));
-        }
-        let fresh = Arc::new(Self::admit(grid, neighborhood, threads, None)?);
-        let mut cache = ADMISSIONS.lock();
-        cache.retain(|(k, _)| *k != key);
-        if cache.len() == ADMISSION_CACHE_ENTRIES {
-            cache.remove(0);
-        }
-        cache.push((key, Arc::clone(&fresh)));
-        Ok((fresh, false))
+        ADMISSIONS.fetch((grid, neighborhood, threads), || {
+            Self::admit(grid, neighborhood, threads, None).map(Arc::new)
+        })
     }
 
     /// Admission is certificate-based: the shape's interference graph is
