@@ -26,11 +26,17 @@
 //! [`CkptError::Truncated`]), then the checksum (bit rot is
 //! [`CkptError::ChecksumMismatch`], never a confusing shape error), and
 //! only then the state. Section counts are checked against the binding
-//! (`sites`, `shard.owned`, `sites × labels`) and against the bytes
+//! (`sites` labels, `sites × labels` counts) and against the bytes
 //! actually present *before* anything is allocated, so no declared
 //! length can size an allocation beyond the file itself; a disagreement
 //! is [`CkptError::State`]. Any other deviation from the canonical
 //! header is [`CkptError::Malformed`] with the byte offset.
+//!
+//! Every state is whole-plane. A shard-granular fleet state left by an
+//! earlier build (a `shard` object in its binding, only the shard's
+//! owned sites in its label section) has its unknown key skipped and,
+//! unless that shard owned every site, fails the `sites` count as
+//! [`CkptError::State`].
 //!
 //! There is one format and one reader: a v1 file is refused rather than
 //! dual-read, because a checkpoint only ever serves the restart of the
@@ -44,7 +50,7 @@
 //! their raw bit patterns round-trip negative zero, infinities, and NaN
 //! payloads exactly, which bit-identical resume requires.
 
-use mogs_engine::{Degraded, FaultState, JobState, ShardBinding, StateBinding};
+use mogs_engine::{Degraded, FaultState, JobState, StateBinding};
 use mogs_gibbs::kernel::UnitFault;
 use mogs_mrf::{fnv1a, Label};
 use serde::de::{self, Parser};
@@ -288,11 +294,10 @@ impl SectionCounts {
     /// slices the sections into `state`.
     fn seat(&self, sections: &[u8], state: &mut JobState) -> Result<(), CkptError> {
         let binding = &state.binding;
-        let want_labels = binding.shard.map_or(binding.sites, |shard| shard.owned);
-        if self.labels != want_labels {
+        if self.labels != binding.sites {
             return Err(state_error(format!(
-                "label section holds {} sites, the binding covers {want_labels}",
-                self.labels
+                "label section holds {} sites, the binding covers {}",
+                self.labels, binding.sites
             )));
         }
         if let Some(histograms) = self.histograms {
@@ -526,42 +531,7 @@ fn write_binding(binding: &StateBinding, out: &mut String) {
     binding.track_modes.serialize_json(out);
     out.push_str(",\"record_energy\":");
     binding.record_energy.serialize_json(out);
-    if let Some(shard) = &binding.shard {
-        // Emitted only for shard-granular fleet states.
-        out.push_str(",\"shard\":{\"shard\":");
-        shard.shard.serialize_json(out);
-        out.push_str(",\"of\":");
-        shard.of.serialize_json(out);
-        out.push_str(",\"owned\":");
-        shard.owned.serialize_json(out);
-        out.push_str(",\"sites_digest\":");
-        push_hex_u64(out, shard.sites_digest);
-        out.push('}');
-    }
     out.push('}');
-}
-
-fn parse_shard_binding(parser: &mut Parser<'_>) -> Result<ShardBinding, de::Error> {
-    let mut shard: Option<usize> = None;
-    let mut of: Option<usize> = None;
-    let mut owned: Option<usize> = None;
-    let mut sites_digest: Option<u64> = None;
-    parse_object(parser, |key, parser| {
-        match key {
-            "shard" => shard = Some(usize::deserialize_json(parser)?),
-            "of" => of = Some(usize::deserialize_json(parser)?),
-            "owned" => owned = Some(usize::deserialize_json(parser)?),
-            "sites_digest" => sites_digest = Some(parse_hex_u64(parser)?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    })?;
-    Ok(ShardBinding {
-        shard: shard.ok_or_else(|| parser.error("shard binding: shard"))?,
-        of: of.ok_or_else(|| parser.error("shard binding: of"))?,
-        owned: owned.ok_or_else(|| parser.error("shard binding: owned"))?,
-        sites_digest: sites_digest.ok_or_else(|| parser.error("shard binding: sites_digest"))?,
-    })
 }
 
 fn parse_binding(parser: &mut Parser<'_>) -> Result<StateBinding, de::Error> {
@@ -577,7 +547,6 @@ fn parse_binding(parser: &mut Parser<'_>) -> Result<StateBinding, de::Error> {
     let mut kernel: Option<String> = None;
     let mut track_modes: Option<bool> = None;
     let mut record_energy: Option<bool> = None;
-    let mut shard: Option<ShardBinding> = None;
     parse_object(parser, |key, parser| {
         match key {
             "sites" => sites = Some(usize::deserialize_json(parser)?),
@@ -592,7 +561,6 @@ fn parse_binding(parser: &mut Parser<'_>) -> Result<StateBinding, de::Error> {
             "kernel" => kernel = Some(String::deserialize_json(parser)?),
             "track_modes" => track_modes = Some(bool::deserialize_json(parser)?),
             "record_energy" => record_energy = Some(bool::deserialize_json(parser)?),
-            "shard" => shard = Some(parse_shard_binding(parser)?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -610,8 +578,6 @@ fn parse_binding(parser: &mut Parser<'_>) -> Result<StateBinding, de::Error> {
         kernel: kernel.ok_or_else(|| parser.error("binding: kernel"))?,
         track_modes: track_modes.ok_or_else(|| parser.error("binding: track_modes"))?,
         record_energy: record_energy.ok_or_else(|| parser.error("binding: record_energy"))?,
-        // Present only on shard-granular states: default, not required.
-        shard,
     })
 }
 
@@ -745,7 +711,6 @@ mod tests {
                 kernel: "rsu-pool\"escaped\"".to_string(),
                 track_modes: true,
                 record_energy: true,
-                shard: None,
             },
             next_sweep: 4,
             labels: vec![0, 1, 2, 1, 0, 2, 2, 1, 0, 0, 1, 2],

@@ -449,7 +449,6 @@ mod tests {
                 kernel: "softmax-gibbs".to_string(),
                 track_modes: false,
                 record_energy: true,
-                shard: None,
             },
             next_sweep,
             labels: vec![0, 1, 1, 0],

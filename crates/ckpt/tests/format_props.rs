@@ -3,7 +3,8 @@
 //! The claims under test, over randomized job states:
 //!
 //! - encode → decode is the identity (bit-exact for every `f64`, hex-safe
-//!   for every `u64`), for whole-plane and shard-granular states alike;
+//!   for every `u64`), and the encoding of a fully populated state is
+//!   pinned byte for byte;
 //! - arbitrary bytes in — bare or sealed under a valid header — come
 //!   back as a typed error or a valid value, never a panic;
 //! - any proper prefix of a valid file is `Truncated` — never a partial
@@ -15,15 +16,18 @@
 //! - section counts that disagree with the binding or with the bytes
 //!   present are a `State` error, whatever size they claim;
 //! - version bumps, retired v1 envelopes, and binding mismatches each
-//!   surface as their own variant, distinct from corruption.
+//!   surface as their own variant, distinct from corruption, and a
+//!   retired shard-granular fleet state is a `State` error.
 //!
 //! "Never partially restore" holds by construction — [`decode`] returns
 //! a complete [`Checkpoint`] or an error and mutates nothing — so these
 //! properties focus on the never-panic and right-variant halves.
 
-use mogs_ckpt::{decode, encode, open_envelope, seal, verify_binding, Checkpoint, CkptError};
+use mogs_ckpt::{
+    decode, encode, fnv1a, open_envelope, seal, verify_binding, Checkpoint, CkptError,
+};
 use mogs_engine::prelude::UnitFault;
-use mogs_engine::{FaultState, JobState, ShardBinding, StateBinding};
+use mogs_engine::{FaultState, JobState, StateBinding};
 use mogs_mrf::Label;
 use proptest::prelude::*;
 
@@ -34,13 +38,7 @@ fn arb_binding() -> impl Strategy<Value = StateBinding> {
         (0u64..=u64::MAX, 0u64..=u64::MAX),
         (0usize..3),
         prop::bool::ANY,
-        (
-            prop::bool::ANY,
-            (0usize..9),
-            (1usize..9),
-            (0usize..200),
-            0u64..=u64::MAX,
-        ),
+        prop::bool::ANY,
     )
         .prop_map(
             |(
@@ -49,19 +47,11 @@ fn arb_binding() -> impl Strategy<Value = StateBinding> {
                 (seed, fingerprint),
                 kernel_pick,
                 track_modes,
-                (record_energy, shard_pick, of, owned, sites_digest),
+                record_energy,
             )| {
                 let kernel = ["softmax-gibbs", "rsu-pool", "odd \"name\"\twith\nescapes"]
                     [kernel_pick]
                     .to_string();
-                // shard_pick 0 keeps the common whole-plane case well
-                // represented; otherwise derive a valid shard index.
-                let shard = (shard_pick > 0).then(|| ShardBinding {
-                    shard: (shard_pick - 1) % of,
-                    of,
-                    owned,
-                    sites_digest,
-                });
                 StateBinding {
                     sites,
                     width,
@@ -75,7 +65,6 @@ fn arb_binding() -> impl Strategy<Value = StateBinding> {
                     kernel,
                     track_modes,
                     record_energy,
-                    shard,
                 }
             },
         )
@@ -151,8 +140,7 @@ fn arb_state() -> impl Strategy<Value = JobState> {
                     word ^= word << 17;
                     word
                 };
-                let owned = binding.shard.map_or(binding.sites, |shard| shard.owned);
-                let labels = (0..owned).map(|_| (next() % 64) as u8).collect();
+                let labels = (0..binding.sites).map(|_| (next() % 64) as u8).collect();
                 let histograms = hist_present.then(|| {
                     (0..binding.sites * binding.labels)
                         .map(|_| next() as u32)
@@ -394,7 +382,6 @@ fn demo_state() -> JobState {
             kernel: "rsu-pool".to_string(),
             track_modes: true,
             record_energy: true,
-            shard: None,
         },
         next_sweep: 4,
         labels: vec![0, 1, 2, 1, 0, 2, 2, 1, 0, 0, 1, 2],
@@ -438,7 +425,7 @@ fn reseal_with(encoded: &[u8], from: &str, to: &str) -> Vec<u8> {
 }
 
 #[test]
-fn fully_populated_and_shard_states_round_trip_bit_exactly() {
+fn fully_populated_state_round_trips_bit_exactly() {
     // NaN defeats `PartialEq`; byte-identical re-encoding does not.
     let encoded = demo_bytes();
     let decoded = decode(&encoded).expect("decodes");
@@ -447,22 +434,39 @@ fn fully_populated_and_shard_states_round_trip_bit_exactly() {
         |state: &JobState| -> Vec<u64> { state.energy_trace.iter().map(|e| e.to_bits()).collect() };
     assert_eq!(bits(&decoded.state), bits(&demo_state()));
     assert_eq!(decoded.state.histograms, demo_state().histograms);
+}
 
-    let mut shard = demo_state();
-    shard.binding.shard = Some(ShardBinding {
-        shard: 1,
-        of: 3,
-        owned: 4,
-        sites_digest: 0xFEED_FACE_0123_4567,
-    });
-    shard.labels = vec![2, 0, 1, 1];
-    shard.histograms = None;
-    shard.energy_trace = vec![1.5];
-    let original = Checkpoint {
-        meta: String::new(),
-        state: shard,
+/// The bytes of a fully populated whole-plane file, as written before
+/// the fleet's shard-granular states were retired: a whole-plane file
+/// never carried a `shard` key, so retiring them moved no byte.
+#[test]
+fn whole_plane_bytes_are_pinned() {
+    assert_eq!(fnv1a(&demo_bytes()), 0xf644_1fd7_6e39_8a57);
+}
+
+/// A file an earlier fleet coordinator cut for one shard: the binding
+/// carries a `shard` object (skipped whole by the reader, so its fields
+/// are abridged here) and the label section holds only the shard's
+/// owned sites. It is refused as `State`, never seated.
+#[test]
+fn retired_shard_states_are_refused() {
+    let mut state = demo_state();
+    state.labels = vec![2, 0, 1, 1];
+    state.histograms = None;
+    state.energy_trace = vec![1.5];
+    let shard_file = reseal_with(
+        &encode(&Checkpoint {
+            meta: String::new(),
+            state,
+        }),
+        "\"record_energy\":true}",
+        "\"record_energy\":true,\"shard\":{\"shard\":1,\"of\":3,\"owned\":4}}",
+    );
+    let err = decode(&shard_file).expect_err("a shard state is not a whole plane");
+    let CkptError::State { reason } = err else {
+        panic!("expected a state error, got {err}");
     };
-    assert_eq!(decode(&encode(&original)).expect("decodes"), original);
+    assert!(reason.contains("label section holds 4"), "{reason}");
 }
 
 #[test]
@@ -535,20 +539,6 @@ fn section_counts_must_agree_with_the_binding_and_the_bytes() {
         };
         assert!(reason.contains(names), "{from} -> {to}: {reason}");
     }
-    // A shard state's label section is checked against `owned`.
-    let mut state = demo_state();
-    state.binding.shard = Some(ShardBinding {
-        shard: 0,
-        of: 2,
-        owned: 5,
-        sites_digest: 1,
-    });
-    let err = decode(&encode(&Checkpoint {
-        meta: String::new(),
-        state,
-    }))
-    .expect_err("12 labels under owned = 5");
-    assert_eq!(err.variant(), "state");
 }
 
 #[test]

@@ -103,31 +103,6 @@ pub struct StateBinding {
     pub track_modes: bool,
     /// Whether the energy trace is recorded.
     pub record_energy: bool,
-    /// Shard identity, for states that cover one shard of a fleet job
-    /// instead of the whole plane. `None` — the overwhelmingly common
-    /// case — means `labels` spans every site.
-    pub shard: Option<ShardBinding>,
-}
-
-/// The shard facts a shard-granular [`JobState`] is bound to.
-///
-/// A fleet coordinator (`mogs-fleet`) checkpoints each shard of a job
-/// separately: the state's `labels` then hold only the shard's owned
-/// sites, in ascending site order. The binding records which shard of
-/// how many, plus an FNV-1a digest of the owned-site list, so a shard
-/// state can never be seated into the wrong slice of the plane — or
-/// into a fleet partitioned differently — without a typed refusal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardBinding {
-    /// Shard index within the fleet's partition.
-    pub shard: usize,
-    /// Total shards the plane was partitioned into.
-    pub of: usize,
-    /// Sites owned by this shard (the length of the state's `labels`).
-    pub owned: usize,
-    /// FNV-1a digest over the shard's sorted owned-site list, each site
-    /// hashed as 8 little-endian bytes.
-    pub sites_digest: u64,
 }
 
 impl StateBinding {
@@ -165,7 +140,6 @@ impl StateBinding {
         check!(kernel);
         check!(track_modes);
         check!(record_energy);
-        check!(shard);
         Ok(())
     }
 }
@@ -270,27 +244,12 @@ mod tests {
             kernel: "softmax-gibbs".to_string(),
             track_modes: true,
             record_energy: true,
-            shard: None,
         }
     }
 
     #[test]
     fn matching_bindings_agree() {
         assert!(binding().matches(&binding()).is_ok());
-    }
-
-    #[test]
-    fn shard_mismatch_is_named() {
-        let mut sharded = binding();
-        sharded.shard = Some(ShardBinding {
-            shard: 1,
-            of: 4,
-            owned: 3,
-            sites_digest: 0x1234,
-        });
-        let reason = binding().matches(&sharded).expect_err("must mismatch");
-        assert!(reason.contains("shard"), "reason: {reason}");
-        assert!(sharded.matches(&sharded.clone()).is_ok());
     }
 
     #[test]

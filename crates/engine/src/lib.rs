@@ -109,8 +109,7 @@ mod spec;
 
 pub use backend::{Backend, BackendSampler, RsuPool, MAX_REPLICAS};
 pub use ckpt::{
-    CheckpointPolicy, CheckpointSpec, CheckpointWriter, FaultState, JobState, ShardBinding,
-    StateBinding,
+    CheckpointPolicy, CheckpointSpec, CheckpointWriter, FaultState, JobState, StateBinding,
 };
 pub use engine::{Engine, EngineConfig, PreparedJob, TrySubmitError};
 pub use error::EngineError;
@@ -135,8 +134,7 @@ pub use spec::JobSpec;
 pub mod prelude {
     pub use crate::backend::{Backend, BackendSampler, RsuPool};
     pub use crate::ckpt::{
-        CheckpointPolicy, CheckpointSpec, CheckpointWriter, FaultState, JobState, ShardBinding,
-        StateBinding,
+        CheckpointPolicy, CheckpointSpec, CheckpointWriter, FaultState, JobState, StateBinding,
     };
     pub use crate::engine::{Engine, EngineConfig, PreparedJob, TrySubmitError};
     pub use crate::error::EngineError;

@@ -400,7 +400,6 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
             kernel: job.sampler.name().to_string(),
             track_modes: job.track_modes,
             record_energy: job.record_energy,
-            shard: None,
         };
         let sink = job.sink.take();
         if let Some(state) = resume {

@@ -1,5 +1,5 @@
 //! The fleet coordinator: phase-barriered multi-process sweeps with
-//! checkpoint-backed shard migration.
+//! shard migration on worker death and durable, resumable cuts.
 //!
 //! # Execution model
 //!
@@ -55,7 +55,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mogs_ckpt::{verify_binding, Checkpoint, CheckpointStore};
+use mogs_ckpt::{fnv1a, verify_binding, Checkpoint, CheckpointStore};
 use mogs_engine::ckpt::{JobState, StateBinding};
 use mogs_engine::Degraded;
 
@@ -68,14 +68,9 @@ use crate::wire::{
 };
 use crate::worker::{worker_main, SPEC_ENV, WORKER_ENV};
 
-/// Checkpoint key of the coordinator's whole-plane state.
+/// Checkpoint key of the coordinator's whole-plane state — the one
+/// durable record of a fleet job.
 pub const COORD_KEY: &str = "fleet-coord";
-
-/// Checkpoint key of one shard's state.
-#[must_use]
-pub fn shard_key(shard: usize) -> String {
-    format!("fleet-shard-{shard}")
-}
 
 /// How worker processes are brought up.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,14 +117,17 @@ pub struct ChaosPlan {
     pub kills: Vec<KillAt>,
 }
 
-/// Durable checkpointing of the coordinator's sweep boundaries.
+/// Durable checkpointing of the coordinator's sweep boundaries: each
+/// cut is one whole-plane file under [`COORD_KEY`], read back only by a
+/// restarted coordinator ([`FleetConfig::resume`]). Migration never
+/// reads the store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetCheckpoint {
     /// Store directory.
     pub dir: PathBuf,
     /// Cut every `n` completed sweeps (0 disables periodic cuts).
     pub every_sweeps: usize,
-    /// Per-key retention bound.
+    /// Cuts kept: older ones are deleted after each save.
     pub retain: usize,
 }
 
@@ -163,7 +161,8 @@ pub struct FleetConfig {
     /// Pause after this many completed sweeps (requires checkpointing;
     /// the run returns `finished: false` and can be resumed).
     pub stop_after_sweep: Option<usize>,
-    /// Resume from the newest coordinator checkpoint instead of sweep 0.
+    /// Resume from the newest intact coordinator checkpoint instead of
+    /// sweep 0; it must have been cut for this very spec.
     pub resume: bool,
 }
 
@@ -246,7 +245,7 @@ impl FleetOutput {
 ///
 /// Typed [`FleetError`]s: `Spec`/`Partition` before anything launches,
 /// `Spawn` when workers cannot come up, `FleetCollapse` when the
-/// migration budget runs out, `Checkpoint` on store or binding
+/// migration budget runs out, `Checkpoint` on store, spec or binding
 /// failures, `Unsupported` for structurally impossible configurations.
 pub fn run_fleet(spec: &FleetSpec, config: &FleetConfig) -> FleetResult<FleetOutput> {
     // On any failure the coordinator is dropped here, and every slot
@@ -533,8 +532,7 @@ impl Coordinator {
         Ok(coordinator)
     }
 
-    /// The coordinator-level checkpoint binding (whole plane,
-    /// `shard: None`).
+    /// The binding of the coordinator's whole-plane checkpoint.
     fn binding(&self) -> FleetResult<StateBinding> {
         let (width, height) = self.spec.workload.dims();
         Ok(StateBinding {
@@ -550,7 +548,6 @@ impl Coordinator {
             kernel: kernel_name(&self.spec)?,
             track_modes: true,
             record_energy: true,
-            shard: None,
         })
     }
 
@@ -685,44 +682,6 @@ impl Coordinator {
         }
     }
 
-    /// Cross-checks the migrated shards' durable checkpoints (when one
-    /// exists at exactly the boundary sweep) against the coordinator's
-    /// boundary mirror — the store and the mirror must agree bit for
-    /// bit, or the job refuses to continue on either.
-    fn cross_check_boundary(
-        &self,
-        shards: &[usize],
-        boundary: &[u8],
-        resume_sweep: usize,
-    ) -> FleetResult<()> {
-        let Some(store) = &self.store else {
-            return Ok(());
-        };
-        for &shard in shards {
-            let Some((path, checkpoint)) = store.latest(&shard_key(shard))? else {
-                continue;
-            };
-            if checkpoint.state.next_sweep != resume_sweep {
-                continue; // stale cadence; the mirror is the fresher truth
-            }
-            let expected: Vec<u8> = self.partition.shards[shard]
-                .owned
-                .iter()
-                .map(|&site| boundary[site])
-                .collect();
-            if checkpoint.state.labels != expected {
-                return Err(FleetError::Checkpoint {
-                    reason: format!(
-                        "shard {shard} checkpoint {} disagrees with the coordinator's \
-                         sweep-{resume_sweep} boundary",
-                        path.display()
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Migrates everything `failed` owned to a respawned worker or an
     /// adopting survivor, catching the target up to `resume_sweep` with
     /// `replay` (the completed phases of that sweep). Returns the
@@ -742,7 +701,6 @@ impl Coordinator {
                 )));
             }
             let shards = self.reap(failed);
-            self.cross_check_boundary(&shards, boundary, sweep)?;
             let target = if self.config.respawn {
                 self.slots[failed] = Slot::spawn(&self.config, &self.spec, &shards)?;
                 self.workers_spawned += 1;
@@ -954,40 +912,15 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Cuts the durable sweep-boundary checkpoints: one shard-granular
-    /// state per partition shard plus the coordinator's whole-plane
-    /// state (energy trace, histograms) under [`COORD_KEY`].
-    fn cut_checkpoints(&self, next_sweep: usize) -> FleetResult<()> {
+    /// Cuts the durable sweep-boundary checkpoint: the whole plane plus
+    /// the energy trace and mode histograms, under [`COORD_KEY`], with
+    /// the spec's JSON as its meta.
+    fn cut_checkpoint(&self, next_sweep: usize) -> FleetResult<()> {
         let Some(store) = &self.store else {
             return Ok(());
         };
-        let base = self.binding()?;
-        let meta = self.spec.encode();
-        let of = self.partition.len();
-        for (i, shard) in self.partition.shards.iter().enumerate() {
-            let mut binding = base.clone();
-            binding.shard = Some(shard.binding(i, of));
-            let labels: Vec<u8> = shard.owned.iter().map(|&site| self.mirror[site]).collect();
-            let state = JobState {
-                binding,
-                next_sweep,
-                labels,
-                energy_trace: Vec::new(),
-                histograms: None,
-                kernel_faults: Vec::new(),
-                fault: None,
-                sink_state: None,
-            };
-            store.save(
-                &shard_key(i),
-                &Checkpoint {
-                    meta: meta.clone(),
-                    state,
-                },
-            )?;
-        }
         let state = JobState {
-            binding: base,
+            binding: self.binding()?,
             next_sweep,
             labels: self.mirror.clone(),
             energy_trace: self.energy_trace.clone(),
@@ -996,60 +929,37 @@ impl Coordinator {
             fault: None,
             sink_state: None,
         };
+        let meta = self.spec.encode();
         store.save(COORD_KEY, &Checkpoint { meta, state })?;
         Ok(())
     }
 
-    /// Loads the newest coordinator checkpoint, re-verifies every shard
-    /// state against it (binding and bit-exact plane agreement), and
-    /// seeds the mirror, traces, and start sweep from it.
+    /// Loads the newest intact coordinator checkpoint, refuses it unless
+    /// it was cut for this spec (its meta is the spec's JSON, the input
+    /// of the spec digest) and its binding matches, and seeds the
+    /// mirror, traces, and start sweep from it.
     fn load_resume(&mut self) -> FleetResult<()> {
         let Some(store) = &self.store else {
             return Err(FleetError::Unsupported {
                 reason: "resume requires a checkpoint store".to_string(),
             });
         };
-        let Some((_, coord)) = store.latest(COORD_KEY)? else {
+        let Some((path, coord)) = store.latest(COORD_KEY)? else {
             return Err(FleetError::Checkpoint {
                 reason: "no coordinator checkpoint to resume from".to_string(),
             });
         };
-        verify_binding(&coord.state, &self.binding()?)?;
-        let of = self.partition.len();
-        for (i, shard) in self.partition.shards.iter().enumerate() {
-            let key = shard_key(i);
-            let Some((path, ck)) = store.latest(&key)? else {
-                return Err(FleetError::Checkpoint {
-                    reason: format!("shard checkpoint {key} is missing"),
-                });
-            };
-            let mut expected = self.binding()?;
-            expected.shard = Some(shard.binding(i, of));
-            verify_binding(&ck.state, &expected)?;
-            if ck.state.next_sweep != coord.state.next_sweep {
-                return Err(FleetError::Checkpoint {
-                    reason: format!(
-                        "shard checkpoint {} is at sweep {}, coordinator at {}",
-                        path.display(),
-                        ck.state.next_sweep,
-                        coord.state.next_sweep
-                    ),
-                });
-            }
-            let expected_labels: Vec<u8> = shard
-                .owned
-                .iter()
-                .map(|&site| coord.state.labels[site])
-                .collect();
-            if ck.state.labels != expected_labels {
-                return Err(FleetError::Checkpoint {
-                    reason: format!(
-                        "shard checkpoint {} disagrees with the coordinator plane",
-                        path.display()
-                    ),
-                });
-            }
+        if coord.meta != self.spec.encode() {
+            return Err(FleetError::Checkpoint {
+                reason: format!(
+                    "{} was cut for spec digest {:016x}, not this spec's {:016x}",
+                    path.display(),
+                    fnv1a(coord.meta.as_bytes()),
+                    self.spec.digest()
+                ),
+            });
         }
+        verify_binding(&coord.state, &self.binding()?)?;
         self.start_sweep = coord.state.next_sweep;
         self.mirror = coord.state.labels;
         self.energy_trace = coord.state.energy_trace;
@@ -1094,7 +1004,7 @@ impl Coordinator {
                 None => false,
             } || self.config.stop_after_sweep == Some(completed);
             if due {
-                self.cut_checkpoints(completed)?;
+                self.cut_checkpoint(completed)?;
             }
             if self.config.stop_after_sweep == Some(completed) {
                 finished = false;

@@ -70,10 +70,10 @@ pub enum FleetError {
         /// Admission failure, verbatim.
         reason: String,
     },
-    /// A checkpoint could not be cut, loaded, or cross-checked against
-    /// the coordinator's boundary mirror.
+    /// A checkpoint could not be cut or loaded, or was cut for another
+    /// spec.
     Checkpoint {
-        /// The store or binding failure, verbatim.
+        /// The store, spec or binding failure, verbatim.
         reason: String,
     },
     /// The migration budget is exhausted: workers died faster than the

@@ -1,5 +1,5 @@
 //! `mogs-fleet`: an elastic multi-process shard coordinator for MOGS
-//! Gibbs-sampling jobs that survives worker death via checkpoint
+//! Gibbs-sampling jobs that survives worker death via shard
 //! migration.
 //!
 //! The engine (`mogs-engine`) runs one job inside one process. This
@@ -59,7 +59,7 @@ pub mod wire;
 pub mod worker;
 
 pub use coordinator::{
-    run_fleet, shard_key, ChaosPlan, FleetCheckpoint, FleetConfig, FleetOutput, KillAt, Launcher,
+    run_fleet, ChaosPlan, FleetCheckpoint, FleetConfig, FleetOutput, KillAt, Launcher,
     TransportKind, COORD_KEY,
 };
 pub use error::{FleetError, FleetResult};

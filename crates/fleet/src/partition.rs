@@ -14,8 +14,6 @@
 //! divergence three sweeps later.
 
 use mogs_audit::verify_sharding;
-use mogs_ckpt::fnv1a;
-use mogs_engine::ShardBinding;
 
 use crate::error::{FleetError, FleetResult};
 use crate::exec::FleetStructure;
@@ -32,23 +30,6 @@ pub struct ShardAssignment {
     /// Sites this shard reads but does not own — exactly the cross-shard
     /// adjacency of `owned`, ascending.
     pub halo_in: Vec<usize>,
-}
-
-impl ShardAssignment {
-    /// The shard-identity binding checkpoints of this shard carry.
-    #[must_use]
-    pub fn binding(&self, shard: usize, of: usize) -> ShardBinding {
-        let mut bytes = Vec::with_capacity(self.owned.len() * 8);
-        for &site in &self.owned {
-            bytes.extend_from_slice(&(site as u64).to_le_bytes());
-        }
-        ShardBinding {
-            shard,
-            of,
-            owned: self.owned.len(),
-            sites_digest: fnv1a(&bytes),
-        }
-    }
 }
 
 /// A complete, audited partition of one job's plane.
@@ -280,25 +261,6 @@ mod tests {
         assert!(
             max - min <= cell_max,
             "loads {loads:?} spread past one cell"
-        );
-    }
-
-    #[test]
-    fn bindings_pin_the_owned_site_list() {
-        let s = structure();
-        let p = partition(&s, 2).expect("partition");
-        let b0 = p.shards[0].binding(0, 2);
-        let b1 = p.shards[1].binding(1, 2);
-        assert_eq!(b0.of, 2);
-        assert_eq!(b0.owned, p.shards[0].owned.len());
-        assert_ne!(
-            b0.sites_digest, b1.sites_digest,
-            "different site lists must digest differently"
-        );
-        assert_eq!(
-            p.shards[0].binding(0, 2),
-            b0,
-            "digest must be deterministic"
         );
     }
 }

@@ -19,14 +19,18 @@
 //! 5. a kill with the migration budget at zero — the typed
 //!    `FleetCollapse`, never a hang or a wrong answer;
 //! 6. coordinator stop at a sweep boundary, then a *fresh* coordinator
-//!    resuming from the durable checkpoints — the stitched run equals
-//!    the uninterrupted one bit for bit.
+//!    resuming from the durable checkpoint — the stitched run equals
+//!    the uninterrupted one bit for bit;
+//! 7. the same with the newest cut rotted — the resume falls back to
+//!    the previous intact cut, still bit for bit;
+//! 8. a store cut for another scene — a typed `Checkpoint` refusal,
+//!    never a resumed run.
 
 use std::path::PathBuf;
 
 use mogs_fleet::{
     run_fleet, run_in_process, BackendKind, ChaosPlan, FleetCheckpoint, FleetConfig, FleetError,
-    FleetSpec, KillAt, Launcher, TransportKind, Workload,
+    FleetSpec, KillAt, Launcher, TransportKind, Workload, COORD_KEY,
 };
 
 fn worker_bin() -> PathBuf {
@@ -234,12 +238,12 @@ fn coordinator_restart_resumes_from_checkpoints_bit_identically() {
 }
 
 #[test]
-fn kill_during_checkpointed_run_cross_checks_the_store() {
-    // Checkpoints on AND a mid-sweep kill: recovery must cross-check the
-    // boundary against the durable shard checkpoint (they agree here, so
-    // the run proceeds bit-identically).
+fn kill_during_checkpointed_run_stays_bit_identical() {
+    // Checkpoints on AND a mid-sweep kill: migration rebuilds the shard
+    // from the in-memory boundary and phase log, never from the store,
+    // and the cuts around it change no bit.
     let spec = demo_spec();
-    let dir = temp_dir("crosscheck");
+    let dir = temp_dir("kill-ckpt");
     let mut config = config(2);
     config.checkpoint = Some(FleetCheckpoint {
         dir: dir.clone(),
@@ -253,12 +257,129 @@ fn kill_during_checkpointed_run_cross_checks_the_store() {
             worker: 0,
         }],
     };
-    let output = run_fleet(&spec, &config).expect("fleet survives with store cross-check");
+    let output = run_fleet(&spec, &config).expect("fleet survives the kill with cuts on");
     let reference = run_in_process(&spec).expect("engine runs");
     assert_eq!(output.migrations, 1);
     assert!(
         output.bit_identical_to(&reference),
-        "checkpoint-cross-checked migration diverged from the engine"
+        "migration in a checkpointed run diverged from the engine"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupt_newest_cut_falls_back_to_the_previous_one() {
+    let spec = demo_spec();
+    let dir = temp_dir("fallback");
+    let checkpoint = FleetCheckpoint {
+        dir: dir.clone(),
+        every_sweeps: 2,
+        retain: 8,
+    };
+    let mut first = config(3);
+    first.checkpoint = Some(checkpoint.clone());
+    first.stop_after_sweep = Some(4);
+    let paused = run_fleet(&spec, &first).expect("first coordinator runs");
+    assert_eq!(paused.iterations_run, 4);
+
+    // Rot the sweep-4 cut: the store must fall back to the intact
+    // sweep-2 cut, and nothing else may refuse the resume.
+    let newest = dir.join(format!("{COORD_KEY}-00000004.ckpt"));
+    let mut bytes = std::fs::read(&newest).expect("sweep-4 cut exists");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x40;
+    std::fs::write(&newest, bytes).expect("rewrite the cut");
+
+    let mut second = config(3);
+    second.checkpoint = Some(checkpoint);
+    second.resume = true;
+    let resumed = run_fleet(&spec, &second).expect("resumes from the sweep-2 cut");
+    let reference = run_in_process(&spec).expect("engine runs");
+    assert!(resumed.finished);
+    assert_eq!(resumed.iterations_run, spec.iterations);
+    assert!(
+        resumed.bit_identical_to(&reference),
+        "resume from the previous cut diverged from the uninterrupted engine"
+    );
+
+    // A cut is one whole-plane file and nothing else.
+    let files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("store dir")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    assert!(!files.is_empty());
+    assert!(
+        files
+            .iter()
+            .all(|name| name.starts_with(&format!("{COORD_KEY}-"))),
+        "a cut wrote more than the coordinator record: {files:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn stereo_spec(scene_seed: u64) -> FleetSpec {
+    FleetSpec {
+        workload: Workload::Stereo {
+            width: 24,
+            height: 18,
+            disparity: 3,
+            noise_sigma: 4.0,
+            scene_seed,
+        },
+        backend: BackendKind::Softmax,
+        iterations: 6,
+        threads: 2,
+        seed: 0x5CE4E,
+        burn_in: 2,
+    }
+}
+
+#[test]
+fn resume_under_another_scene_is_refused() {
+    // Same grid, labels, sampler seed and budget, so the state binding
+    // agrees; only the rendered scene differs.
+    let cut_for = stereo_spec(1);
+    let other = stereo_spec(2);
+    let dir = temp_dir("scene");
+    let checkpoint = FleetCheckpoint {
+        dir: dir.clone(),
+        every_sweeps: 2,
+        retain: 4,
+    };
+    let mut first = config(2);
+    first.checkpoint = Some(checkpoint.clone());
+    first.stop_after_sweep = Some(2);
+    run_fleet(&cut_for, &first).expect("first coordinator runs");
+
+    let mut second = config(2);
+    second.checkpoint = Some(checkpoint);
+    second.resume = true;
+    match run_fleet(&other, &second) {
+        Err(FleetError::Checkpoint { reason }) => {
+            for digest in [cut_for.digest(), other.digest()] {
+                let digest = format!("{digest:016x}");
+                assert!(reason.contains(&digest), "{digest} not named: {reason}");
+            }
+        }
+        Err(other) => panic!("expected a typed checkpoint refusal, got {other:?}"),
+        Ok(output) => panic!(
+            "another scene's store resumed ({} sweeps, finished: {})",
+            output.iterations_run, output.finished
+        ),
+    }
+
+    // The refusal leaves the store usable by the spec it was cut for.
+    let resumed = run_fleet(&cut_for, &second).expect("the right spec resumes");
+    let reference = run_in_process(&cut_for).expect("engine runs");
+    assert!(
+        resumed.bit_identical_to(&reference),
+        "resume under the spec the store was cut for diverged"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
