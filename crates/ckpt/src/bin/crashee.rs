@@ -2,7 +2,8 @@
 //! checkpoints and deliberately slow sweeps, expecting to be SIGKILLed
 //! by the parent test somewhere mid-flight.
 //!
-//! Usage: `ckpt-crashee <checkpoint-dir> <softmax|rsu> <fault|nofault>`
+//! Usage: `ckpt-crashee <checkpoint-dir> <softmax|rsu> <fault|nofault>
+//! [sweep-delay-µs]` (the delay defaults to 150 ms).
 //!
 //! The process prints nothing and exits 0 if (against the test's plan)
 //! it survives to completion — the parent only cares about the
@@ -19,9 +20,12 @@ use mogs_engine::CheckpointPolicy;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     assert!(
-        args.len() == 4,
-        "usage: ckpt-crashee <checkpoint-dir> <softmax|rsu> <fault|nofault>"
+        matches!(args.len(), 4 | 5),
+        "usage: ckpt-crashee <checkpoint-dir> <softmax|rsu> <fault|nofault> [sweep-delay-us]"
     );
+    let sweep_delay = args.get(4).map_or(Duration::from_millis(150), |us| {
+        Duration::from_micros(us.parse().expect("sweep delay in microseconds"))
+    });
     let store = CheckpointStore::open(&args[1], 4).expect("checkpoint dir opens");
     let faulted = match args[3].as_str() {
         "fault" => true,
@@ -33,7 +37,7 @@ fn main() {
         backend_from_arg(&args[2]),
         faulted,
         Some((CheckpointPolicy::every(1), writer)),
-        Some(Duration::from_millis(150)),
+        Some(sweep_delay),
     );
     let _ = run_one(spec);
 }

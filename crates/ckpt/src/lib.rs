@@ -5,9 +5,9 @@
 //! sweep boundaries (see `mogs_engine::ckpt`); this crate makes those
 //! captures *durable* and *trustworthy*:
 //!
-//! - [`encode`]/[`decode`] define the on-disk format (v2): a one-line
-//!   header carrying the version, the payload length and an FNV-1a
-//!   checksum over the raw payload bytes, then a small JSON head and
+//! - [`encode`]/[`decode`] define the on-disk format (v3): a one-line
+//!   header carrying the version, the payload length and a word-wise
+//!   [`checksum`] over the raw payload bytes, then a small JSON head and
 //!   the bulk state as raw little-endian sections — label plane one
 //!   byte per site, every `f64` as its exact IEEE-754 bit pattern —
 //!   so a capture costs a plane copy and one hash pass, and nothing is
@@ -15,7 +15,7 @@
 //!   at sweep *k* and resumed produces **bit-identical** output to one
 //!   that never stopped. Reads verify version → length → checksum →
 //!   state; there is one format and one reader, so a file from the
-//!   retired v1 format is a typed [`CkptError::VersionMismatch`].
+//!   retired v1 or v2 format is a typed [`CkptError::VersionMismatch`].
 //! - [`CheckpointStore`] files checkpoints in a directory with atomic
 //!   temp-file-then-rename writes, per-key retention bounds, and a
 //!   [`scan`](CheckpointStore::scan) that a restarting service uses to
@@ -64,8 +64,7 @@ pub mod harness;
 
 pub use error::CkptError;
 pub use format::{
-    decode, encode, open_envelope, parse_hex_u64, parse_object, seal, verify_binding, Checkpoint,
-    FORMAT_VERSION,
+    checksum, decode, encode, open_envelope, parse_hex_u64, parse_object, seal, verify_binding,
+    Checkpoint, FORMAT_VERSION,
 };
-pub use mogs_mrf::fnv1a;
 pub use store::{sanitize_key, CheckpointStore, GcReason, GcReport, ScanEntry, ScanReport};

@@ -11,9 +11,11 @@
 //! worst a mid-write kill leaves behind is a `.tmp` orphan, which every
 //! scan ignores and the next successful save of that key sweeps up.
 //!
-//! Retention is bounded per key: after each save the oldest checkpoints
-//! beyond `retain` are deleted, so a long job costs O(retain) disk, not
-//! O(sweeps / cadence).
+//! Retention is bounded per key: a save at cursor `k` supersedes the
+//! key's files past `k` (they were left by an earlier run under the same
+//! key), and then the oldest checkpoints beyond `retain` are deleted, so
+//! a long job costs O(retain) disk, not O(sweeps / cadence), and the
+//! file a save returns is always the key's newest.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -135,7 +137,8 @@ impl CheckpointStore {
     }
 
     /// Persists one checkpoint under `key`, atomically, then prunes the
-    /// key's history past the retention bound. Returns the final path.
+    /// key's history: files past this cursor (an earlier run's) and the
+    /// oldest beyond the retention bound. Returns the final path.
     ///
     /// # Errors
     ///
@@ -156,7 +159,7 @@ impl CheckpointStore {
             .join(format!("{key}-{:08}{TMP_EXT}", state.next_sweep));
         std::fs::write(&tmp, encode_parts(meta, state)).map_err(io_error("write"))?;
         std::fs::rename(&tmp, &path).map_err(io_error("rename"))?;
-        self.prune(key);
+        self.prune(key, &path);
         Ok(path)
     }
 
@@ -346,16 +349,20 @@ impl CheckpointStore {
         Ok(names.into_iter().map(|name| self.dir.join(name)).collect())
     }
 
-    /// Best-effort deletion of the key's oldest files beyond the
-    /// retention bound.
-    fn prune(&self, sanitized_key: &str) {
+    /// Best-effort deletion, after a save to `newest`, of the key's files
+    /// past it — they sort after it, so they hold later cursors of an
+    /// earlier run — and of its oldest files beyond the retention bound.
+    fn prune(&self, sanitized_key: &str, newest: &Path) {
         let Ok(files) = self.files_for(sanitized_key) else {
             return;
         };
-        if files.len() > self.retain {
-            for path in &files[..files.len() - self.retain] {
-                let _ = std::fs::remove_file(path);
-            }
+        let kept = files
+            .iter()
+            .position(|path| path == newest)
+            .map_or(files.len(), |at| at + 1);
+        let evicted = kept.saturating_sub(self.retain);
+        for path in files[..evicted].iter().chain(&files[kept..]) {
+            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -423,7 +430,7 @@ mod tests {
     use super::*;
     use mogs_engine::StateBinding;
 
-    /// What a pre-v2 build left on disk.
+    /// What a v1 build left on disk.
     const V1_ENVELOPE: &str =
         "{\"version\":1,\"payload\":\"{}\",\"checksum\":\"0000000000000000\"}";
 
@@ -508,6 +515,28 @@ mod tests {
             ],
             "only the two newest survive"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_save_supersedes_an_earlier_runs_later_cursors() {
+        let dir = temp_dir("supersede");
+        let store = CheckpointStore::open(&dir, 2).expect("open");
+        // An earlier run under the key got to sweep 29.
+        store.save("job", &ckpt_at(28)).expect("save");
+        store.save("job", &ckpt_at(29)).expect("save");
+        // A new run under the same key starts over.
+        for sweep in 1..=3 {
+            let path = store.save("job", &ckpt_at(sweep)).expect("save");
+            assert!(path.exists(), "sweep {sweep}: the saved file was deleted");
+            let (latest_path, latest) = store
+                .latest("job")
+                .expect("listable")
+                .expect("has checkpoints");
+            assert_eq!(latest_path, path);
+            assert_eq!(latest, ckpt_at(sweep));
+        }
+        assert_eq!(store.files_for("job").expect("listable").len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

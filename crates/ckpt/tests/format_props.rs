@@ -1,4 +1,4 @@
-//! Property tests for the checkpoint wire format (v2).
+//! Property tests for the checkpoint wire format (v3).
 //!
 //! The claims under test, over randomized job states:
 //!
@@ -10,25 +10,29 @@
 //! - any proper prefix of a valid file is `Truncated` — never a partial
 //!   checkpoint;
 //! - any single bit flipped after the header line is `ChecksumMismatch`,
-//!   and any single-byte corruption anywhere is caught by a *typed*
-//!   error (or is provably harmless, e.g. hex case in the checksum
-//!   field: the decode must then still equal the original);
+//!   any single bit flipped anywhere is an error, and any single-byte
+//!   corruption anywhere is caught by a *typed* error (or is provably
+//!   harmless: the decode must then still equal the original);
 //! - section counts that disagree with the binding or with the bytes
 //!   present are a `State` error, whatever size they claim;
-//! - version bumps, retired v1 envelopes, and binding mismatches each
-//!   surface as their own variant, distinct from corruption, and a
-//!   retired shard-granular fleet state is a `State` error.
+//! - version bumps, retired v1 envelopes and v2 files, and binding
+//!   mismatches each surface as their own variant, distinct from
+//!   corruption, and a retired shard-granular fleet state is a `State`
+//!   error;
+//! - the v3 checksum is pinned on inputs shorter than, equal to and
+//!   longer than its 32-byte stride, and the payload v3 seals is the
+//!   one v2 sealed, byte for byte.
 //!
 //! "Never partially restore" holds by construction — [`decode`] returns
 //! a complete [`Checkpoint`] or an error and mutates nothing — so these
 //! properties focus on the never-panic and right-variant halves.
 
 use mogs_ckpt::{
-    decode, encode, fnv1a, open_envelope, seal, verify_binding, Checkpoint, CkptError,
+    checksum, decode, encode, open_envelope, seal, verify_binding, Checkpoint, CkptError,
 };
 use mogs_engine::prelude::UnitFault;
 use mogs_engine::{FaultState, JobState, StateBinding};
-use mogs_mrf::Label;
+use mogs_mrf::{fnv1a, Label};
 use proptest::prelude::*;
 
 fn arb_binding() -> impl Strategy<Value = StateBinding> {
@@ -314,14 +318,25 @@ proptest! {
     #[test]
     fn version_bump_is_always_version_mismatch(
         checkpoint in arb_checkpoint(),
-        version in 3u32..1000,
+        version in 4u32..1000,
     ) {
         let encoded = encode(&checkpoint);
         let mut bumped = format!("{{\"version\":{version}").into_bytes();
-        bumped.extend_from_slice(&encoded[b"{\"version\":2".len()..]);
+        bumped.extend_from_slice(&encoded[b"{\"version\":3".len()..]);
         prop_assert_eq!(
             decode(&bumped),
-            Err(CkptError::VersionMismatch { found: version, supported: 2 })
+            Err(CkptError::VersionMismatch { found: version, supported: 3 })
+        );
+    }
+
+    /// A v2 file — the same header fields and payload, checksummed by
+    /// byte-serial FNV-1a — is refused by version, never checked
+    /// against the v3 checksum or misparsed.
+    #[test]
+    fn a_v2_file_is_always_version_mismatch(checkpoint in arb_checkpoint()) {
+        prop_assert_eq!(
+            decode(&as_v2(&encode(&checkpoint))),
+            Err(CkptError::VersionMismatch { found: 2, supported: 3 })
         );
     }
 
@@ -338,7 +353,7 @@ proptest! {
         );
         prop_assert_eq!(
             decode(v1.as_bytes()),
-            Err(CkptError::VersionMismatch { found: 1, supported: 2 })
+            Err(CkptError::VersionMismatch { found: 1, supported: 3 })
         );
     }
 
@@ -413,6 +428,20 @@ fn demo_bytes() -> Vec<u8> {
     })
 }
 
+/// The v2 file of `encoded`'s payload: the v3 header's fields, with
+/// version 2 and the byte-serial FNV-1a checksum v2 sealed with.
+fn as_v2(encoded: &[u8]) -> Vec<u8> {
+    let payload = &encoded[header_len(encoded)..];
+    let mut v2 = format!(
+        "{{\"version\":2,\"length\":{},\"checksum\":\"{:016x}\"}}\n",
+        payload.len(),
+        fnv1a(payload)
+    )
+    .into_bytes();
+    v2.extend_from_slice(payload);
+    v2
+}
+
 /// Re-seals `encoded`'s payload after a textual edit of its head.
 fn reseal_with(encoded: &[u8], from: &str, to: &str) -> Vec<u8> {
     let payload = open_envelope(encoded).expect("donor opens");
@@ -436,12 +465,71 @@ fn fully_populated_state_round_trips_bit_exactly() {
     assert_eq!(decoded.state.histograms, demo_state().histograms);
 }
 
-/// The bytes of a fully populated whole-plane file, as written before
-/// the fleet's shard-granular states were retired: a whole-plane file
-/// never carried a `shard` key, so retiring them moved no byte.
+/// The bytes of a fully populated whole-plane v3 file. Only the header
+/// line differs from the v2 file (its version digit and checksum
+/// field): `v3_moves_no_payload_byte` pins the rest.
 #[test]
 fn whole_plane_bytes_are_pinned() {
-    assert_eq!(fnv1a(&demo_bytes()), 0xf644_1fd7_6e39_8a57);
+    assert_eq!(fnv1a(&demo_bytes()), 0xb0bb_f57f_140a_a5f6);
+}
+
+/// The payload — every byte after the header line — hashes to what the
+/// v2 build wrote for the same state, so v3 moved no section.
+#[test]
+fn v3_moves_no_payload_byte() {
+    let encoded = demo_bytes();
+    assert_eq!(
+        fnv1a(&encoded[header_len(&encoded)..]),
+        0x84e0_b84f_4777_3aaf
+    );
+}
+
+/// The checksum on the empty input, on a tail alone (shorter than the
+/// 32-byte stride), on exactly one chunk, and on several chunks plus a
+/// tail.
+#[test]
+fn the_checksum_is_pinned() {
+    let bytes: Vec<u8> = (0..=255u8).map(|b| b.wrapping_mul(37) ^ 0x5a).collect();
+    let cases: [(&[u8], u64); 4] = [
+        (b"", 0xfb9d_47a3_0a87_e643),
+        (&bytes[..31], 0xd54a_198f_6876_91d0),
+        (&bytes[..32], 0x9b7e_22d9_25c7_2fc1),
+        (&bytes[..103], 0xc856_7255_a669_fc5a),
+    ];
+    for (input, pinned) in cases {
+        assert_eq!(checksum(input), pinned, "{} bytes", input.len());
+    }
+}
+
+/// Every single-bit flip of a whole file, header included, is refused:
+/// `ChecksumMismatch` after the header line, a header error (version,
+/// length, shape) within it. None decodes.
+#[test]
+fn every_single_bit_flip_of_a_small_file_is_refused() {
+    let encoded = demo_bytes();
+    assert!(decode(&encoded).is_ok());
+    let header = header_len(&encoded);
+    for at in 0..encoded.len() {
+        for bit in 0..8 {
+            let mut flipped = encoded.clone();
+            flipped[at] ^= 1 << bit;
+            let err = decode(&flipped).expect_err("a flipped bit never decodes");
+            let expected: &[&str] = if at < header {
+                &[
+                    "truncated",
+                    "malformed",
+                    "version-mismatch",
+                    "checksum-mismatch",
+                ]
+            } else {
+                &["checksum-mismatch"]
+            };
+            assert!(
+                expected.contains(&err.variant()),
+                "byte {at} bit {bit}: {err}"
+            );
+        }
+    }
 }
 
 /// A file an earlier fleet coordinator cut for one shard: the binding

@@ -55,7 +55,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mogs_ckpt::{fnv1a, verify_binding, Checkpoint, CheckpointStore};
+use mogs_ckpt::{verify_binding, Checkpoint, CheckpointStore};
 use mogs_engine::ckpt::{JobState, StateBinding};
 use mogs_engine::Degraded;
 
@@ -475,6 +475,15 @@ impl Coordinator {
                 reason: "stop/resume requires a checkpoint store".to_string(),
             });
         }
+        let store = match &config.checkpoint {
+            Some(ck) => Some(CheckpointStore::open(&ck.dir, ck.retain)?),
+            None => None,
+        };
+        // A resume the store refuses is refused before any worker starts.
+        let resume = match (&store, config.resume) {
+            (Some(store), true) => Some(Coordinator::load_resume(store, spec)?),
+            _ => None,
+        };
         // Every worker admits the job while the coordinator does. An
         // early return drops the started slots, which reaps them.
         let started: Vec<FleetResult<(Listener, Slot)>> = (0..config.workers)
@@ -482,10 +491,6 @@ impl Coordinator {
             .collect();
         let (reference, structure, partition) = bring_up(spec, config.workers)?;
         let mirror = reference.snapshot();
-        let store = match &config.checkpoint {
-            Some(ck) => Some(CheckpointStore::open(&ck.dir, ck.retain)?),
-            None => None,
-        };
         let mut slots = Vec::with_capacity(config.workers);
         for (shard, started) in started.into_iter().enumerate() {
             let connected = started
@@ -515,8 +520,15 @@ impl Coordinator {
             start_sweep: 0,
             traffic: Traffic::default(),
         };
-        if config.resume {
-            coordinator.load_resume()?;
+        if let Some(coord) = resume {
+            verify_binding(&coord.state, &coordinator.binding()?)?;
+            coordinator.start_sweep = coord.state.next_sweep;
+            coordinator.mirror = coord.state.labels;
+            coordinator.energy_trace = coord.state.energy_trace;
+            if let Some(hist) = coord.state.histograms {
+                coordinator.hist = hist;
+            }
+            coordinator.reference.seat(&coordinator.mirror)?;
         }
         coordinator.rebuild_owner_map();
         // Every Assign goes out before any AssignOk is awaited. A fresh
@@ -934,40 +946,26 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Loads the newest intact coordinator checkpoint, refuses it unless
-    /// it was cut for this spec (its meta is the spec's JSON, the input
-    /// of the spec digest) and its binding matches, and seeds the
-    /// mirror, traces, and start sweep from it.
-    fn load_resume(&mut self) -> FleetResult<()> {
-        let Some(store) = &self.store else {
-            return Err(FleetError::Unsupported {
-                reason: "resume requires a checkpoint store".to_string(),
-            });
-        };
+    /// Loads the newest intact coordinator checkpoint and refuses it
+    /// unless it was cut for `spec` (its meta is the spec's JSON, the
+    /// input of the spec digest).
+    fn load_resume(store: &CheckpointStore, spec: &FleetSpec) -> FleetResult<Checkpoint> {
         let Some((path, coord)) = store.latest(COORD_KEY)? else {
             return Err(FleetError::Checkpoint {
                 reason: "no coordinator checkpoint to resume from".to_string(),
             });
         };
-        if coord.meta != self.spec.encode() {
+        if coord.meta != spec.encode() {
             return Err(FleetError::Checkpoint {
                 reason: format!(
                     "{} was cut for spec digest {:016x}, not this spec's {:016x}",
                     path.display(),
-                    fnv1a(coord.meta.as_bytes()),
-                    self.spec.digest()
+                    mogs_mrf::fnv1a(coord.meta.as_bytes()),
+                    spec.digest()
                 ),
             });
         }
-        verify_binding(&coord.state, &self.binding()?)?;
-        self.start_sweep = coord.state.next_sweep;
-        self.mirror = coord.state.labels;
-        self.energy_trace = coord.state.energy_trace;
-        if let Some(hist) = coord.state.histograms {
-            self.hist = hist;
-        }
-        self.reference.seat(&self.mirror)?;
-        Ok(())
+        Ok(coord)
     }
 
     fn run(&mut self) -> FleetResult<FleetOutput> {

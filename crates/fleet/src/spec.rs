@@ -18,8 +18,8 @@
 //! that parse the same spec build bit-identical MRFs without shipping
 //! pixel planes around.
 
-use mogs_ckpt::{fnv1a, parse_hex_u64, parse_object};
-use mogs_mrf::label::MAX_LABELS;
+use mogs_ckpt::{parse_hex_u64, parse_object};
+use mogs_mrf::{fnv1a, label::MAX_LABELS};
 use serde::de::{self, Parser};
 use serde::{Deserialize, Serialize};
 

@@ -24,7 +24,10 @@
 //! 7. the same with the newest cut rotted — the resume falls back to
 //!    the previous intact cut, still bit for bit;
 //! 8. a store cut for another scene — a typed `Checkpoint` refusal,
-//!    never a resumed run.
+//!    never a resumed run;
+//! 9. a store reused by a second spec — its cuts supersede the first
+//!    job's later ones, and its resume is bit for bit;
+//! 10. a refused resume — refused before any worker is launched.
 
 use std::path::PathBuf;
 
@@ -381,5 +384,65 @@ fn resume_under_another_scene_is_refused() {
         resumed.bit_identical_to(&reference),
         "resume under the spec the store was cut for diverged"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_second_spec_in_a_reused_store_resumes_bit_identically() {
+    let dir = temp_dir("reused");
+    let checkpoint = FleetCheckpoint {
+        dir: dir.clone(),
+        every_sweeps: 2,
+        retain: 2,
+    };
+    // The first job runs to the end and leaves its late cuts behind.
+    let mut first = config(2);
+    first.checkpoint = Some(checkpoint.clone());
+    run_fleet(&demo_spec(), &first).expect("first job runs");
+
+    // A second spec under the same key: its sweep-2 and sweep-4 cuts
+    // must not be pruned in favour of the first job's sweep-6 cut.
+    let spec = FleetSpec {
+        seed: 0x5EC0_ED04,
+        ..demo_spec()
+    };
+    let mut second = config(2);
+    second.checkpoint = Some(checkpoint.clone());
+    second.stop_after_sweep = Some(4);
+    let paused = run_fleet(&spec, &second).expect("second job runs");
+    assert_eq!(paused.iterations_run, 4);
+
+    let mut resumed = config(2);
+    resumed.checkpoint = Some(checkpoint);
+    resumed.resume = true;
+    let resumed = run_fleet(&spec, &resumed).expect("the second spec resumes from its own cut");
+    let reference = run_in_process(&spec).expect("engine runs");
+    assert!(resumed.finished);
+    assert!(
+        resumed.bit_identical_to(&reference),
+        "resume from a reused store diverged from the uninterrupted engine"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_refused_resume_launches_no_worker() {
+    // A launcher that cannot start anything: a resume that got as far as
+    // launching would fail with `Spawn`, after the retry backoff.
+    let dir = temp_dir("refused");
+    let mut config = FleetConfig::new(2);
+    config.launcher = Launcher::Program(dir.join("no-such-worker"));
+    config.checkpoint = Some(FleetCheckpoint {
+        dir: dir.clone(),
+        every_sweeps: 2,
+        retain: 2,
+    });
+    config.resume = true;
+    match run_fleet(&demo_spec(), &config) {
+        Err(FleetError::Checkpoint { reason }) => {
+            assert!(reason.contains("no coordinator checkpoint"), "{reason}");
+        }
+        other => panic!("expected a checkpoint refusal before any launch, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
