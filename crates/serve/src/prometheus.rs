@@ -190,7 +190,7 @@ fn encode_engine(out: &mut String, m: &MetricsSnapshot) {
     histogram(
         out,
         "mogs_engine_checkpoint_write_seconds",
-        "Wall time per checkpoint capture-and-write, on the sweep path.",
+        "Wall time per checkpoint from capture to landed write, on the worker that runs the next sweep's first chunk.",
         &m.checkpoint_write_us,
     );
 }
