@@ -400,8 +400,8 @@ mod tests {
     fn overhead_measurement_produces_sane_timings() {
         // No wall-clock bound here: `cargo test` runs this alongside the
         // whole workspace suite, so timing ratios are contention noise.
-        // The quantitative gates live in `repro diag-overhead` (CI, quiet
-        // runner, 10%) and the `diag_sink` criterion bench (≤2% target).
+        // The quantitative gate lives in `repro diag-overhead` (CI, quiet
+        // runner, 10%).
         let result = overhead(48, 6, 3);
         assert!(result.bare_secs > 0.0);
         assert!(result.null_sink_secs > 0.0);

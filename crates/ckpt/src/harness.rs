@@ -81,21 +81,25 @@ pub fn demo_fault_plan() -> FaultPlan {
     ])
 }
 
-fn demo_field() -> MarkovRandomField<impl SingletonPotential> {
-    MarkovRandomField::builder(
-        Grid2D::new(DEMO_WIDTH, DEMO_HEIGHT),
-        LabelSpace::scalar(DEMO_LABELS),
-    )
-    .prior(SmoothnessPrior::potts(0.6))
-    .singleton(|site: usize, label: Label| {
-        // Synthetic "data" term: a fixed pseudo-random preference per
-        // (site, label), identical in every process that builds it.
-        let mix = site
-            .wrapping_mul(7)
-            .wrapping_add(usize::from(label.value()).wrapping_mul(13));
-        (mix % 11) as f64 * 0.17
-    })
-    .build()
+/// The demo field at any size: a Potts prior over a synthetic
+/// singleton term. The harness runs it at the `DEMO_*` size; the fleet's
+/// `Demo` workload at the size its spec names.
+pub fn demo_field(
+    width: usize,
+    height: usize,
+    labels: u16,
+) -> MarkovRandomField<impl SingletonPotential> {
+    MarkovRandomField::builder(Grid2D::new(width, height), LabelSpace::scalar(labels))
+        .prior(SmoothnessPrior::potts(0.6))
+        .singleton(|site: usize, label: Label| {
+            // Synthetic "data" term: a fixed pseudo-random preference per
+            // (site, label), identical in every process that builds it.
+            let mix = site
+                .wrapping_mul(7)
+                .wrapping_add(usize::from(label.value()).wrapping_mul(13));
+            (mix % 11) as f64 * 0.17
+        })
+        .build()
 }
 
 /// Builds the demo job spec. `checkpoint` attaches a capture policy and
@@ -115,7 +119,7 @@ pub fn demo_spec(
     sweep_delay: Option<Duration>,
 ) -> InferenceJob<impl SingletonPotential, BackendSampler> {
     let kernel = BackendSampler::try_new(backend, DEMO_MAX_ENERGY).expect("demo backend is valid");
-    let mut builder = InferenceJob::new(demo_field(), kernel)
+    let mut builder = InferenceJob::new(demo_field(DEMO_WIDTH, DEMO_HEIGHT, DEMO_LABELS), kernel)
         .iterations(DEMO_SWEEPS)
         .threads(DEMO_THREADS)
         .seed(DEMO_SEED)

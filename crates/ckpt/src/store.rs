@@ -269,6 +269,8 @@ impl CheckpointStore {
     /// Garbage-collects the directory: deletes `.ckpt.tmp` orphans and
     /// loadable-but-never-collected checkpoints older than `max_age`
     /// (by filesystem mtime), plus undecodable `.ckpt` files at any age.
+    /// Files filed under a `live` key — a job running now, whose files
+    /// are its durable record — are left alone whatever their age.
     /// Deletion is best-effort — a file that cannot be removed is simply
     /// not counted — so a concurrent save or resume never turns into an
     /// error here.
@@ -276,8 +278,9 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// [`CkptError::Io`] when the directory itself cannot be listed.
-    pub fn gc(&self, max_age: std::time::Duration) -> Result<GcReport, CkptError> {
+    pub fn gc(&self, max_age: std::time::Duration, live: &[String]) -> Result<GcReport, CkptError> {
         let now = std::time::SystemTime::now();
+        let live: Vec<String> = live.iter().map(|key| sanitize_key(key)).collect();
         let entries = std::fs::read_dir(&self.dir).map_err(io_error("read-dir"))?;
         let mut report = GcReport::default();
         let discard = |path: PathBuf, reason: GcReason, report: &mut GcReport| {
@@ -290,6 +293,10 @@ impl CheckpointStore {
             let Some(name) = entry.file_name().to_str().map(str::to_string) else {
                 continue;
             };
+            let stem = name.strip_suffix(TMP_EXT).unwrap_or(&name);
+            if live.iter().any(|key| key == key_of(stem)) {
+                continue;
+            }
             let path = entry.path();
             // mtime age; an unreadable mtime means "not provably old".
             let expired = entry
@@ -618,7 +625,7 @@ mod tests {
         // A generous age bound: only the unreadable v1 file goes — fresh
         // checkpoints and a possibly in-flight tmp write survive, and
         // non-checkpoint files are never touched.
-        let report = store.gc(Duration::from_secs(3600)).expect("gc");
+        let report = store.gc(Duration::from_secs(3600), &[]).expect("gc");
         assert_eq!(report.total(), 1);
         assert_eq!(report.count(GcReason::Corrupt), 1);
         assert_eq!(report.discarded[0].0, dir.join("job-c-00000009.ckpt"));
@@ -626,7 +633,7 @@ mod tests {
 
         // Zero age: everything checkpoint-shaped is provably old, so the
         // stale checkpoints and the tmp orphan go too.
-        let report = store.gc(Duration::ZERO).expect("gc");
+        let report = store.gc(Duration::ZERO, &[]).expect("gc");
         assert_eq!(report.count(GcReason::Stale), 2);
         assert_eq!(report.count(GcReason::Orphan), 1);
         assert_eq!(report.count(GcReason::Corrupt), 0);
@@ -635,6 +642,24 @@ mod tests {
         assert_eq!(GcReason::Stale.as_str(), "stale");
         assert_eq!(GcReason::Orphan.as_str(), "orphan");
         assert_eq!(GcReason::Corrupt.as_str(), "corrupt");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_spares_live_keys_whatever_their_age() {
+        use std::time::Duration;
+        let dir = temp_dir("gc-live");
+        let store = CheckpointStore::open(&dir, 8).expect("open");
+        store.save("job-1", &ckpt_at(1)).expect("save");
+        store.save("job-2", &ckpt_at(1)).expect("save");
+        std::fs::write(dir.join("job-1-00000002.ckpt.tmp"), "in flight").expect("write tmp");
+        let report = store
+            .gc(Duration::ZERO, &["job-1".to_string()])
+            .expect("gc");
+        assert_eq!(report.total(), 1, "{report:?}");
+        assert_eq!(report.discarded[0].0, dir.join("job-2-00000001.ckpt"));
+        assert!(store.latest("job-1").expect("listable").is_some());
+        assert!(dir.join("job-1-00000002.ckpt.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -45,18 +45,6 @@ impl DiagnosedRun {
     pub fn early_stopped(&self) -> bool {
         self.outputs.iter().any(|o| o.early_stopped)
     }
-
-    /// The lowest final energy across replicas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a replica recorded no energies.
-    pub fn best_final_energy(&self) -> f64 {
-        self.outputs
-            .iter()
-            .map(|o| *o.energy_trace.last().expect("energy trace recorded"))
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 /// Runs `replicas` chains of the template `job` through `engine` with

@@ -21,8 +21,8 @@
 //! stay barriers, so results stay bit-exact, with no thread in between.
 //! Backpressure falls out of the bounded submission channel: once
 //! `queue_capacity` jobs wait and `max_active_jobs` run,
-//! [`Engine::submit`] blocks and [`Engine::try_submit`] returns the job
-//! back. Dropping (or [`Engine::shutdown`]-ing) the engine closes the
+//! [`Engine::submit`] blocks and [`Engine::try_submit`] refuses the
+//! job. Dropping (or [`Engine::shutdown`]-ing) the engine closes the
 //! queue, drains every admitted job, stops the workers, then joins all
 //! threads.
 //!
@@ -88,36 +88,16 @@ impl Default for EngineConfig {
     }
 }
 
-/// A job rejected by [`Engine::try_submit`], resubmittable without
-/// re-preparing its neighbour tables.
-pub struct PreparedJob {
-    run: Arc<Run>,
-}
-
-impl PreparedJob {
-    /// The id the job will keep across resubmission.
-    pub fn id(&self) -> JobId {
-        self.run.id
-    }
-}
-
-impl std::fmt::Debug for PreparedJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PreparedJob")
-            .field("id", &self.run.id)
-            .finish()
-    }
-}
-
 /// Why a non-blocking submission failed.
 ///
 /// Only the backpressure case is specific to `try_submit`: every other
 /// failure is the same [`EngineError`] the blocking path reports.
 #[derive(Debug)]
 pub enum TrySubmitError {
-    /// The queue is at capacity; the prepared job is handed back for a
-    /// later [`Engine::try_resubmit`].
-    Full(PreparedJob),
+    /// The queue is at capacity and the job was dropped; a later
+    /// [`Engine::try_submit`] admits it afresh, on the shape's cached
+    /// admission.
+    Full,
     /// The request failed outright — admission rejection or engine
     /// shutdown; see the wrapped [`EngineError`].
     Engine(EngineError),
@@ -126,9 +106,7 @@ pub enum TrySubmitError {
 impl std::fmt::Display for TrySubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TrySubmitError::Full(job) => {
-                write!(f, "submission queue full; job {} handed back", job.id())
-            }
+            TrySubmitError::Full => write!(f, "submission queue full"),
             TrySubmitError::Engine(err) => write!(f, "{err}"),
         }
     }
@@ -137,7 +115,7 @@ impl std::fmt::Display for TrySubmitError {
 impl std::error::Error for TrySubmitError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TrySubmitError::Full(_) => None,
+            TrySubmitError::Full => None,
             TrySubmitError::Engine(err) => Some(err),
         }
     }
@@ -379,9 +357,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`TrySubmitError::Full`] hands the prepared job back for a later
-    /// [`Engine::try_resubmit`]; [`TrySubmitError::Engine`] wraps the
-    /// same [`EngineError`]s as [`Engine::submit`].
+    /// [`TrySubmitError::Full`] when the queue is at capacity;
+    /// [`TrySubmitError::Engine`] wraps the same [`EngineError`]s as
+    /// [`Engine::submit`].
     pub fn try_submit<S, L>(&self, job: InferenceJob<S, L>) -> Result<JobHandle, TrySubmitError>
     where
         S: SingletonPotential + 'static,
@@ -391,19 +369,6 @@ impl Engine {
             self.metrics.jobs_denied.fetch_add(1, Ordering::Relaxed);
             TrySubmitError::Engine(err)
         })?;
-        self.try_send(run)
-    }
-
-    /// Retries a job bounced by [`Engine::try_submit`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::try_submit`].
-    pub fn try_resubmit(&self, job: PreparedJob) -> Result<JobHandle, TrySubmitError> {
-        self.try_send(job.run)
-    }
-
-    fn try_send(&self, run: Arc<Run>) -> Result<JobHandle, TrySubmitError> {
         let handle = Engine::handle_for(&run);
         let sender = self
             .submissions
@@ -414,9 +379,9 @@ impl Engine {
                 self.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
                 Ok(handle)
             }
-            Err(TrySendError::Full(run)) => {
+            Err(TrySendError::Full(_)) => {
                 self.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-                Err(TrySubmitError::Full(PreparedJob { run }))
+                Err(TrySubmitError::Full)
             }
             Err(TrySendError::Disconnected(_)) => {
                 Err(TrySubmitError::Engine(EngineError::ShutDown))

@@ -19,8 +19,8 @@
 //!   [`InferenceJob::new`]; [`InferenceJob::validate`] is its one
 //!   structural check, run by [`build()`](InferenceJob::build) and by
 //!   admission alike. Submission is a bounded queue with backpressure
-//!   ([`Engine::submit`] blocks, [`Engine::try_submit`] hands the job
-//!   back); [`JobHandle`] supports cancellation at phase boundaries and
+//!   ([`Engine::submit`] blocks, [`Engine::try_submit`] refuses the
+//!   job); [`JobHandle`] supports cancellation at phase boundaries and
 //!   blocking retrieval.
 //! - [`Backend`]/[`BackendSampler`] select between exact software Gibbs
 //!   and an emulated RSU-G pool ([`RsuPool`]) that round-robins draws
@@ -111,7 +111,7 @@ pub use backend::{Backend, BackendSampler, RsuPool, MAX_REPLICAS};
 pub use ckpt::{
     CheckpointPolicy, CheckpointSpec, CheckpointWriter, FaultState, JobState, StateBinding,
 };
-pub use engine::{Engine, EngineConfig, PreparedJob, TrySubmitError};
+pub use engine::{Engine, EngineConfig, TrySubmitError};
 pub use error::EngineError;
 pub use fault::{Degraded, FaultEvent, FaultPlan, HealthPolicy};
 pub use job::{InferenceJob, JobHandle, JobId, JobOutput, JobStatus};
@@ -136,7 +136,7 @@ pub mod prelude {
     pub use crate::ckpt::{
         CheckpointPolicy, CheckpointSpec, CheckpointWriter, FaultState, JobState, StateBinding,
     };
-    pub use crate::engine::{Engine, EngineConfig, PreparedJob, TrySubmitError};
+    pub use crate::engine::{Engine, EngineConfig, TrySubmitError};
     pub use crate::error::EngineError;
     pub use crate::fault::{Degraded, FaultEvent, FaultPlan, HealthPolicy};
     pub use crate::job::{InferenceJob, JobHandle, JobId, JobOutput, JobStatus};

@@ -1,7 +1,7 @@
 //! Type-erased job execution: phase decomposition and the hot chunk loop.
 //!
-//! The scheduler and workers handle jobs through the object-safe
-//! [`ErasedJob`] trait; [`TypedJob`] monomorphizes it per singleton/sampler
+//! The scheduler, the workers and the fleet's shard runners handle jobs
+//! through the object-safe [`ErasedJob`] trait; [`TypedJob`] monomorphizes it per singleton/sampler
 //! pair. A typed job reads from tables what the reference sweep
 //! recomputes per site visit, so the per-update cost is the sampler draw
 //! plus `M` fused table-lookup accumulations. Few of those tables belong
@@ -120,6 +120,35 @@ pub(crate) trait ErasedJob: Send + Sync {
     fn chunks_in_group(&self, group: usize) -> usize;
     /// Total sites in the grid.
     fn site_count(&self) -> usize;
+    /// Labels in the label space.
+    fn label_count(&self) -> usize;
+    /// The sites of one chunk of one group, in the reference split.
+    /// Shared with [`ShardRunner`](crate::shard::ShardRunner), whose
+    /// per-shard phases must walk exactly the chunks the full engine
+    /// would.
+    fn chunk_sites(&self, group: usize, chunk: usize) -> &[usize];
+    /// The shared label plane (shard-runner access; the runner upholds
+    /// the plane's phase discipline through `&mut` exclusivity).
+    fn plane(&self) -> &LabelPlane;
+    /// The shape admission this job runs under (shard-runner access: the
+    /// fleet partitions against its topology and certificate).
+    fn admission(&self) -> &Prepared;
+    /// Total field energy of the current plane, read in place and
+    /// summed from the job's own tables in
+    /// [`MarkovRandomField::total_energy`]'s exact term order — per site
+    /// the singleton, the right and down neighbours, then the
+    /// `DIAGONAL_WEIGHT`ed down-left and down-right ones. The tables hold
+    /// the very f64s `total_energy` would compute, so the sum is the same
+    /// bit for bit; above
+    /// [`SINGLETON_CACHE_CAP`](mogs_mrf::field::SINGLETON_CACHE_CAP) the
+    /// singleton is evaluated directly, as there.
+    ///
+    /// # Safety
+    ///
+    /// The plane must be quiescent — no chunk of this job outstanding —
+    /// as at the engine's sweep boundary or behind a shard runner's
+    /// single ownership.
+    unsafe fn plane_energy(&self) -> f64;
     /// Updates every site of one chunk of one group once, staging the
     /// chunk's energies and labels in the calling worker's `arena`.
     fn run_chunk(&self, iteration: usize, group: usize, chunk: usize, arena: &mut KernelArena);
@@ -340,12 +369,6 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
             }
         };
         Ok((TypedJob::build(job, admission, labels, resume)?, shared))
-    }
-
-    /// The shape admission this job runs under (shard-runner access: the
-    /// fleet partitions against its topology and certificate).
-    pub(crate) fn admission(&self) -> &Prepared {
-        &self.admission
     }
 
     /// The phase groups: the verified certificate's classes.
@@ -615,80 +638,6 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
         self.groups()[group].len().div_ceil(self.threads).max(1)
     }
 
-    /// The sites of one chunk of one group, in the reference split.
-    /// Shared with [`ShardRunner`](crate::shard::ShardRunner), whose
-    /// per-shard phases must walk exactly the chunks the full engine
-    /// would.
-    pub(crate) fn chunk_sites(&self, group: usize, chunk: usize) -> &[usize] {
-        let sites = &self.groups()[group];
-        let size = self.chunk_size(group);
-        let start = chunk * size;
-        &sites[start..(start + size).min(sites.len())]
-    }
-
-    /// The shared label plane (shard-runner access; the runner upholds
-    /// the plane's phase discipline through `&mut` exclusivity).
-    pub(crate) fn plane(&self) -> &LabelPlane {
-        &self.plane
-    }
-
-    /// Label-space size.
-    pub(crate) fn label_count(&self) -> usize {
-        self.mrf.space().count()
-    }
-
-    /// Total field energy of the current plane, read in place and
-    /// summed from the job's own tables in
-    /// [`MarkovRandomField::total_energy`]'s exact term order — per site
-    /// the singleton, the right and down neighbours, then the
-    /// `DIAGONAL_WEIGHT`ed down-left and down-right ones. The tables hold
-    /// the very f64s `total_energy` would compute, so the sum is the same
-    /// bit for bit; above
-    /// [`SINGLETON_CACHE_CAP`](mogs_mrf::field::SINGLETON_CACHE_CAP) the
-    /// singleton is evaluated directly, as there.
-    ///
-    /// # Safety
-    ///
-    /// The plane must be quiescent — no chunk of this job outstanding —
-    /// as at the engine's sweep boundary or behind a shard runner's
-    /// single ownership.
-    pub(crate) unsafe fn plane_energy(&self) -> f64 {
-        let m = self.mrf.space().count();
-        let stab = self.mrf.singleton_table();
-        let Prepared { axis, diag, .. } = &*self.admission;
-        // SAFETY: quiescence (this fn's contract) means no cell is
-        // written while it is read.
-        let at = |site: usize| unsafe { self.plane.read(site) };
-        let prior =
-            |own: usize, n: usize| self.prior_table[(usize::from(at(n).value()) << 6) | own];
-        let mut e = 0.0;
-        for site in 0..self.plane.len() {
-            let label = at(site);
-            let own = usize::from(label.value());
-            e += match stab {
-                Some(table) => table[site * m + own],
-                None => self.mrf.singleton().energy(site, label),
-            };
-            let [_, right, _, down] = axis[site];
-            if right != NO_NEIGHBOR {
-                e += prior(own, right);
-            }
-            if down != NO_NEIGHBOR {
-                e += prior(own, down);
-            }
-            if let Some(diag) = diag {
-                let [_, _, down_left, down_right] = diag[site];
-                if down_left != NO_NEIGHBOR {
-                    e += DIAGONAL_WEIGHT * prior(own, down_left);
-                }
-                if down_right != NO_NEIGHBOR {
-                    e += DIAGONAL_WEIGHT * prior(own, down_right);
-                }
-            }
-        }
-        e
-    }
-
     /// The dynamic read/write-set recorder, for tests that drive phases
     /// by hand and cross-check the static audit verdict.
     #[cfg(all(feature = "shadow-audit", test))]
@@ -730,7 +679,7 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
         current: &mut [Label],
         clock: Clock,
     ) {
-        let gather = match self.label_count() {
+        let gather = match self.mrf.space().count() {
             1 => Self::gather_w::<T, 1>,
             2 => Self::gather_w::<T, 2>,
             3 => Self::gather_w::<T, 3>,
@@ -774,7 +723,7 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     ) {
         #[cfg(not(feature = "shadow-audit"))]
         let () = clock;
-        let w = if W == 0 { self.label_count() } else { W };
+        let w = if W == 0 { self.mrf.space().count() } else { W };
         let (axis, plane) = (&self.admission.axis[..], &self.plane);
         // The prior row a neighbour contributes, masked to the table's
         // 6-bit row index.
@@ -845,6 +794,62 @@ where
 
     fn site_count(&self) -> usize {
         self.plane.len()
+    }
+
+    fn label_count(&self) -> usize {
+        self.mrf.space().count()
+    }
+
+    fn chunk_sites(&self, group: usize, chunk: usize) -> &[usize] {
+        let sites = &self.groups()[group];
+        let size = self.chunk_size(group);
+        let start = chunk * size;
+        &sites[start..(start + size).min(sites.len())]
+    }
+
+    fn plane(&self) -> &LabelPlane {
+        &self.plane
+    }
+
+    fn admission(&self) -> &Prepared {
+        &self.admission
+    }
+
+    unsafe fn plane_energy(&self) -> f64 {
+        let m = self.mrf.space().count();
+        let stab = self.mrf.singleton_table();
+        let Prepared { axis, diag, .. } = &*self.admission;
+        // SAFETY: quiescence (this fn's contract) means no cell is
+        // written while it is read.
+        let at = |site: usize| unsafe { self.plane.read(site) };
+        let prior =
+            |own: usize, n: usize| self.prior_table[(usize::from(at(n).value()) << 6) | own];
+        let mut e = 0.0;
+        for site in 0..self.plane.len() {
+            let label = at(site);
+            let own = usize::from(label.value());
+            e += match stab {
+                Some(table) => table[site * m + own],
+                None => self.mrf.singleton().energy(site, label),
+            };
+            let [_, right, _, down] = axis[site];
+            if right != NO_NEIGHBOR {
+                e += prior(own, right);
+            }
+            if down != NO_NEIGHBOR {
+                e += prior(own, down);
+            }
+            if let Some(diag) = diag {
+                let [_, _, down_left, down_right] = diag[site];
+                if down_left != NO_NEIGHBOR {
+                    e += DIAGONAL_WEIGHT * prior(own, down_left);
+                }
+                if down_right != NO_NEIGHBOR {
+                    e += DIAGONAL_WEIGHT * prior(own, down_right);
+                }
+            }
+        }
+        e
     }
 
     fn run_chunk(&self, iteration: usize, group: usize, chunk: usize, arena: &mut KernelArena) {

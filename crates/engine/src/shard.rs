@@ -3,7 +3,7 @@
 //!
 //! A fleet worker process owns a *shard* of one job: a subset of the
 //! job's deterministic `(group, chunk)` cells, with their original
-//! global indices. [`ShardRunner`] wraps the same [`TypedJob`] the
+//! global indices. [`ShardRunner`] holds the same type-erased job the
 //! engine's scheduler drives — same admission (certificate-verified
 //! schedule), same neighbour tables, same hot chunk loop — but exposes
 //! phase execution one group at a time, restricted to the owned chunks,
@@ -68,18 +68,14 @@ pub fn chunk_count(group_len: usize, threads: usize) -> usize {
 /// sinks, fault plans, health policies, and checkpoint writers are
 /// sweep-boundary machinery owned by the fleet coordinator, not by
 /// shards, and are rejected at construction.
-pub struct ShardRunner<S: SingletonPotential, L: SweepKernel> {
-    job: TypedJob<S, L>,
+pub struct ShardRunner {
+    job: Box<dyn ErasedJob>,
     /// Owned chunk ids per group, sorted ascending.
     owned: Vec<Vec<usize>>,
     arena: KernelArena,
 }
 
-impl<S, L> ShardRunner<S, L>
-where
-    S: SingletonPotential + 'static,
-    L: SweepKernel + Clone + Send + Sync + 'static,
-{
+impl ShardRunner {
     /// Admits `spec` and, unless `chunks` is empty, [`pin`](Self::pin)s
     /// the shard to them.
     ///
@@ -90,10 +86,14 @@ where
     /// [`EngineError::InvalidSpec`] (field `"spec"`) when an otherwise
     /// admissible spec carries a sink, fault plan, health policy, or
     /// checkpoint writer.
-    pub fn try_new(
+    pub fn try_new<S, L>(
         job: InferenceJob<S, L>,
         chunks: &[(usize, usize)],
-    ) -> Result<Self, EngineError> {
+    ) -> Result<Self, EngineError>
+    where
+        S: SingletonPotential + 'static,
+        L: SweepKernel + Clone + Send + Sync + 'static,
+    {
         let decorated = job.sink.is_some()
             || job.fault_plan.is_some()
             || job.health.is_some()
@@ -111,7 +111,7 @@ where
         }
         let mut runner = ShardRunner {
             owned: vec![Vec::new(); job.group_count()],
-            job,
+            job: Box::new(job),
             arena: KernelArena::new(),
         };
         if !chunks.is_empty() {
@@ -267,9 +267,10 @@ where
                 "label {bad} is outside the job's {m}-label space"
             )));
         }
+        let plane = self.job.plane();
         for (site, &value) in labels.iter().enumerate() {
             // SAFETY: `&mut self` — no other thread can touch the plane.
-            unsafe { self.job.plane().write(site, Label::new(value)) };
+            unsafe { plane.write(site, Label::new(value)) };
         }
         Ok(())
     }
@@ -288,6 +289,7 @@ where
     pub fn apply_updates(&mut self, updates: &[(usize, u8)]) -> Result<(), EngineError> {
         let sites = self.site_count();
         let m = self.label_count();
+        let plane = self.job.plane();
         for &(site, value) in updates {
             if site >= sites || usize::from(value) >= m {
                 return Err(EngineError::InvalidSpec {
@@ -298,7 +300,7 @@ where
                 });
             }
             // SAFETY: `&mut self` — no other thread can touch the plane.
-            unsafe { self.job.plane().write(site, Label::new(value)) };
+            unsafe { plane.write(site, Label::new(value)) };
         }
         Ok(())
     }
@@ -312,13 +314,14 @@ where
     /// an input error.
     #[must_use]
     pub fn read_labels(&self, sites: &[usize]) -> Vec<u8> {
+        let (count, plane) = (self.site_count(), self.job.plane());
         sites
             .iter()
             .map(|&site| {
-                assert!(site < self.site_count(), "site {site} outside the plane");
+                assert!(site < count, "site {site} outside the plane");
                 // SAFETY: `&self` with single ownership — reads cannot
                 // race; the one writer path takes `&mut self`.
-                unsafe { self.job.plane().read(site) }.value()
+                unsafe { plane.read(site) }.value()
             })
             .collect()
     }
@@ -335,7 +338,7 @@ where
     }
 }
 
-impl<S: SingletonPotential, L: SweepKernel> std::fmt::Debug for ShardRunner<S, L> {
+impl std::fmt::Debug for ShardRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardRunner")
             .field("owned", &self.owned)
@@ -364,11 +367,7 @@ mod tests {
             .expect("spec is well-formed")
     }
 
-    fn all_cells<S, L>(runner: &ShardRunner<S, L>) -> Vec<(usize, usize)>
-    where
-        S: SingletonPotential + 'static,
-        L: SweepKernel + Clone + Send + Sync + 'static,
-    {
+    fn all_cells(runner: &ShardRunner) -> Vec<(usize, usize)> {
         (0..runner.group_count())
             .flat_map(|g| (0..runner.chunks_in_group(g)).map(move |c| (g, c)))
             .collect()

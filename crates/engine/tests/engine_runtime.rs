@@ -149,18 +149,16 @@ fn long_job() -> InferenceJob<impl SingletonPotential, SoftmaxGibbs> {
         .expect("valid spec")
 }
 
-/// Retries a bounced submission until the queue accepts it.
-fn resubmit_until_accepted(
-    engine: &Engine,
-    mut attempt: Result<JobHandle, TrySubmitError>,
-) -> JobHandle {
+/// Submits fresh copies of a job until the queue accepts one.
+fn submit_until_accepted<S, L>(engine: &Engine, job: impl Fn() -> InferenceJob<S, L>) -> JobHandle
+where
+    S: SingletonPotential + 'static,
+    L: SweepKernel + Clone + Send + Sync + 'static,
+{
     loop {
-        match attempt {
+        match engine.try_submit(job()) {
             Ok(handle) => return handle,
-            Err(TrySubmitError::Full(prepared)) => {
-                std::thread::sleep(Duration::from_millis(2));
-                attempt = engine.try_resubmit(prepared);
-            }
+            Err(TrySubmitError::Full) => std::thread::sleep(Duration::from_millis(2)),
             Err(TrySubmitError::Engine(err)) => panic!("well-formed job failed: {err}"),
         }
     }
@@ -178,19 +176,19 @@ fn full_queue_rejects_then_accepts_after_drain() {
     // in the queue); the second can only be accepted once the first has
     // been admitted, so after this the queue holds exactly the second.
     let first = engine.submit(long_job()).expect("engine running");
-    let second = resubmit_until_accepted(&engine, engine.try_submit(long_job()));
+    let second = submit_until_accepted(&engine, long_job);
     // With one job active for many more sweeps and one queued, the queue
-    // is full: submissions must bounce, handing the job back intact.
-    let bounced = match engine.try_submit(long_job()) {
-        Err(TrySubmitError::Full(prepared)) => prepared,
+    // is full: submissions must bounce.
+    match engine.try_submit(long_job()) {
+        Err(TrySubmitError::Full) => {}
         Ok(handle) => panic!("expected Full, got acceptance as {}", handle.id()),
         Err(TrySubmitError::Engine(err)) => panic!("well-formed job failed: {err}"),
-    };
+    }
     assert!(engine.metrics().jobs_rejected >= 1);
-    // Draining the active job frees the slot; the bounced job then fits.
+    // Draining the active job frees the slot; a later submission fits.
     first.cancel();
     second.cancel();
-    let third = resubmit_until_accepted(&engine, engine.try_resubmit(bounced));
+    let third = submit_until_accepted(&engine, long_job);
     third.cancel();
     assert!(first.wait().cancelled);
     assert!(second.wait().cancelled);

@@ -650,7 +650,7 @@ fn every_door_refuses_the_same_malformed_job() {
     for (row, want) in expected.into_iter().enumerate() {
         let try_submit = match engine.try_submit(malformed(row)) {
             Err(TrySubmitError::Engine(err)) => err,
-            Err(TrySubmitError::Full(_)) => panic!("row {row}: queued, not refused"),
+            Err(TrySubmitError::Full) => panic!("row {row}: queued, not refused"),
             Ok(handle) => panic!("row {row}: try_submit admitted {}", handle.id()),
         };
         let Err(shard) = ShardRunner::try_new(malformed(row), &[]) else {

@@ -57,10 +57,10 @@ use std::time::Duration;
 
 use mogs_ckpt::{verify_binding, Checkpoint, CheckpointStore};
 use mogs_engine::ckpt::{JobState, StateBinding};
-use mogs_engine::Degraded;
+use mogs_engine::{Degraded, ShardRunner};
 
 use crate::error::{FleetError, FleetResult};
-use crate::exec::{bring_up, kernel_name, FleetStructure, ShardExec};
+use crate::exec::{bring_up, kernel_name, FleetStructure};
 use crate::partition::Partition;
 use crate::spec::FleetSpec;
 use crate::wire::{
@@ -71,6 +71,12 @@ use crate::worker::{worker_main, SPEC_ENV, WORKER_ENV};
 /// Checkpoint key of the coordinator's whole-plane state — the one
 /// durable record of a fleet job.
 pub const COORD_KEY: &str = "fleet-coord";
+
+/// Retries of a worker's spawn-and-connect before its slot gives up.
+const SPAWN_RETRIES: u32 = 5;
+
+/// The first pause between spawn retries; each retry doubles it.
+const SPAWN_BACKOFF: Duration = Duration::from_millis(50);
 
 /// How worker processes are brought up.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,10 +156,6 @@ pub struct FleetConfig {
     pub heartbeat: Duration,
     /// Per-RPC deadline (`AssignOk`, `PhaseDone`).
     pub rpc_deadline: Duration,
-    /// Base of the exponential connect/spawn backoff.
-    pub backoff_base: Duration,
-    /// Spawn/accept attempts before giving up.
-    pub max_retries: u32,
     /// Durable sweep-boundary checkpoints.
     pub checkpoint: Option<FleetCheckpoint>,
     /// Scripted failures.
@@ -178,8 +180,6 @@ impl FleetConfig {
             respawn: true,
             heartbeat: Duration::from_secs(2),
             rpc_deadline: Duration::from_secs(20),
-            backoff_base: Duration::from_millis(50),
-            max_retries: 5,
             checkpoint: None,
             chaos: ChaosPlan::default(),
             stop_after_sweep: None,
@@ -398,8 +398,8 @@ impl Slot {
             let spawned = Slot::start(config, spec, shards)
                 .and_then(|(listener, slot)| slot.connect(&listener, config.rpc_deadline));
             match spawned {
-                Err(_) if attempt < config.max_retries => {
-                    std::thread::sleep(config.backoff_base.saturating_mul(1 << attempt.min(16)));
+                Err(_) if attempt < SPAWN_RETRIES => {
+                    std::thread::sleep(SPAWN_BACKOFF.saturating_mul(1 << attempt));
                     attempt += 1;
                 }
                 settled => return settled,
@@ -435,7 +435,7 @@ struct Coordinator {
     partition: Arc<Partition>,
     /// Unpinned mirror runner: never phases, only seats the merged plane
     /// to price it with the engine's own tables each sweep.
-    reference: Box<dyn ShardExec>,
+    reference: ShardRunner,
     mirror: Vec<u8>,
     energy_trace: Vec<f64>,
     hist: Vec<u32>,

@@ -1,24 +1,23 @@
-//! Shard execution behind a type-erased surface.
+//! Shard construction from a fleet spec.
 //!
 //! The engine's job pipeline is generic over the singleton potential and
 //! the sweep kernel; the fleet's wire protocol is not. This module is
 //! the seam: [`build_shard`] turns a parsed [`FleetSpec`] plus a cell
-//! list into a `Box<dyn ShardExec>` — one concrete object per workload
-//! and backend, all driven identically by the worker loop and the
-//! coordinator's mirror — and [`FleetStructure`] captures the job's
-//! phase decomposition (groups, chunks, and the topology and certificate
-//! admission proved) so the partitioner and the sharding audit agree
-//! with the engine about every cell boundary.
+//! list into a [`ShardRunner`] — the engine's one type-erased job, driven
+//! identically by the worker loop and the coordinator's mirror — and
+//! [`FleetStructure`] captures the job's phase decomposition (groups,
+//! chunks, and the topology and certificate admission proved) so the
+//! partitioner and the sharding audit agree with the engine about every
+//! cell boundary.
 
 use std::convert::Infallible;
 use std::sync::Arc;
 
 use mogs_audit::ScheduleCertificate;
-use mogs_ckpt::harness::DEMO_MAX_ENERGY;
+use mogs_ckpt::harness::{demo_field, DEMO_MAX_ENERGY};
 use mogs_engine::{BackendSampler, Engine, InferenceJob, JobOutput, Memo, ShardRunner};
-use mogs_gibbs::kernel::SweepKernel;
 use mogs_mrf::energy::SingletonPotential;
-use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior, Topology};
+use mogs_mrf::{Grid2D, Topology};
 use mogs_vision::stereo::{StereoConfig, StereoMatching};
 use mogs_vision::synthetic;
 
@@ -42,108 +41,8 @@ static SCENES: Memo<Scene, StereoMatching> = Memo::new(BRING_UP_CACHE_ENTRIES);
 /// threads)`, which determines its topology, schedule and cells.
 type Shape = (Grid2D, mogs_mrf::Neighborhood, usize);
 
-type AdmittedShard = (Box<dyn ShardExec>, Shape);
-
 /// Verified partitions by admission shape and shard count.
 static PARTITIONS: Memo<(Shape, usize), Arc<Partition>> = Memo::new(BRING_UP_CACHE_ENTRIES);
-
-/// A shard of one job, type-erased for the worker loop and the
-/// coordinator's mirror. Implemented by
-/// [`ShardRunner`](mogs_engine::ShardRunner) for every
-/// workload/backend combination.
-pub trait ShardExec {
-    /// Number of color groups per sweep.
-    fn group_count(&self) -> usize;
-    /// Total sites in the plane.
-    fn site_count(&self) -> usize;
-    /// Labels in the label space.
-    fn label_count(&self) -> usize;
-    /// The owned sites of one group, in chunk order.
-    fn owned_sites(&self, group: usize) -> Vec<usize>;
-    /// Runs the owned chunks of `group` for sweep `iteration`.
-    fn run_phase(&mut self, iteration: usize, group: usize);
-    /// Re-pins the shard to `cells`, keeping the admitted job.
-    fn pin(&mut self, cells: &[(usize, usize)]) -> FleetResult<()>;
-    /// The job's structure, read off this shard's admission — the
-    /// field's own topology and verified certificate, nothing re-proved.
-    fn structure(&self) -> FleetStructure;
-    /// Seats a full plane of raw labels.
-    fn seat(&mut self, labels: &[u8]) -> FleetResult<()>;
-    /// Imports halo or replay updates.
-    fn apply_updates(&mut self, updates: &[(usize, u8)]) -> FleetResult<()>;
-    /// Reads the current labels of `sites`.
-    fn read_labels(&self, sites: &[usize]) -> Vec<u8>;
-    /// Copies the whole plane out.
-    fn snapshot(&self) -> Vec<u8>;
-    /// Total field energy of the current plane.
-    fn plane_energy(&self) -> f64;
-}
-
-impl<S, L> ShardExec for ShardRunner<S, L>
-where
-    S: SingletonPotential + 'static,
-    L: SweepKernel + Clone + Send + Sync + 'static,
-{
-    fn group_count(&self) -> usize {
-        ShardRunner::group_count(self)
-    }
-    fn site_count(&self) -> usize {
-        ShardRunner::site_count(self)
-    }
-    fn label_count(&self) -> usize {
-        ShardRunner::label_count(self)
-    }
-    fn owned_sites(&self, group: usize) -> Vec<usize> {
-        ShardRunner::owned_sites(self, group)
-    }
-    fn run_phase(&mut self, iteration: usize, group: usize) {
-        ShardRunner::run_phase(self, iteration, group);
-    }
-    fn pin(&mut self, cells: &[(usize, usize)]) -> FleetResult<()> {
-        ShardRunner::pin(self, cells).map_err(FleetError::from)
-    }
-    fn structure(&self) -> FleetStructure {
-        let cells = (0..self.group_count())
-            .map(|g| {
-                (0..self.chunks_in_group(g))
-                    .map(|c| self.cell_sites(g, c).to_vec())
-                    .collect()
-            })
-            .collect();
-        FleetStructure {
-            topology: self.topology().clone(),
-            certificate: self.certificate().clone(),
-            cells,
-            sites: self.site_count(),
-            labels: self.label_count(),
-        }
-    }
-    fn seat(&mut self, labels: &[u8]) -> FleetResult<()> {
-        ShardRunner::seat(self, labels).map_err(FleetError::from)
-    }
-    fn apply_updates(&mut self, updates: &[(usize, u8)]) -> FleetResult<()> {
-        ShardRunner::apply_updates(self, updates).map_err(FleetError::from)
-    }
-    fn read_labels(&self, sites: &[usize]) -> Vec<u8> {
-        ShardRunner::read_labels(self, sites)
-    }
-    fn snapshot(&self) -> Vec<u8> {
-        ShardRunner::snapshot(self)
-    }
-    fn plane_energy(&self) -> f64 {
-        ShardRunner::plane_energy(self)
-    }
-}
-
-/// The demo singleton term, shared verbatim with the `mogs-ckpt` crash
-/// harness: a fixed pseudo-random preference per `(site, label)`,
-/// identical in every process that builds it.
-fn demo_singleton(site: usize, label: Label) -> f64 {
-    let mix = site
-        .wrapping_mul(7)
-        .wrapping_add(usize::from(label.value()).wrapping_mul(13));
-    (mix % 11) as f64 * 0.17
-}
 
 /// The sampler kernel `spec` describes.
 pub(crate) fn sampler_for(spec: &FleetSpec) -> FleetResult<BackendSampler> {
@@ -169,11 +68,7 @@ fn demo_job_spec(
     height: usize,
     labels: u16,
 ) -> FleetResult<InferenceJob<impl SingletonPotential + 'static, BackendSampler>> {
-    let mrf = MarkovRandomField::builder(Grid2D::new(width, height), LabelSpace::scalar(labels))
-        .prior(SmoothnessPrior::potts(0.6))
-        .singleton(demo_singleton)
-        .build();
-    InferenceJob::new(mrf, sampler_for(spec)?)
+    InferenceJob::new(demo_field(width, height, labels), sampler_for(spec)?)
         .iterations(spec.iterations)
         .threads(spec.threads)
         .seed(spec.seed)
@@ -227,18 +122,18 @@ fn stereo_job_spec(
 ///
 /// [`FleetError::Spec`] when the spec is invalid or engine admission
 /// rejects it (which covers out-of-range cells too).
-pub fn build_shard(spec: &FleetSpec, cells: &[(usize, usize)]) -> FleetResult<Box<dyn ShardExec>> {
+pub fn build_shard(spec: &FleetSpec, cells: &[(usize, usize)]) -> FleetResult<ShardRunner> {
     Ok(admit(spec, cells)?.0)
 }
 
 /// [`build_shard`], plus the shape the engine admitted the job under.
-fn admit(spec: &FleetSpec, cells: &[(usize, usize)]) -> FleetResult<AdmittedShard> {
+fn admit(spec: &FleetSpec, cells: &[(usize, usize)]) -> FleetResult<(ShardRunner, Shape)> {
     fn runner<S: SingletonPotential + 'static>(
         job: InferenceJob<S, BackendSampler>,
         cells: &[(usize, usize)],
-    ) -> FleetResult<AdmittedShard> {
+    ) -> FleetResult<(ShardRunner, Shape)> {
         let shape = (*job.mrf.grid(), job.mrf.neighborhood(), job.threads);
-        Ok((Box::new(ShardRunner::try_new(job, cells)?), shape))
+        Ok((ShardRunner::try_new(job, cells)?, shape))
     }
     spec.validate()?;
     match spec.workload {
@@ -270,9 +165,9 @@ fn admit(spec: &FleetSpec, cells: &[(usize, usize)]) -> FleetResult<AdmittedShar
 pub fn bring_up(
     spec: &FleetSpec,
     shards: usize,
-) -> FleetResult<(Box<dyn ShardExec>, FleetStructure, Arc<Partition>)> {
+) -> FleetResult<(ShardRunner, FleetStructure, Arc<Partition>)> {
     let (mirror, shape) = admit(spec, &[])?;
-    let structure = mirror.structure();
+    let structure = FleetStructure::read(&mirror);
     let (partition, _) = PARTITIONS.fetch((shape, shards), || {
         partition(&structure, shards).map(Arc::new)
     })?;
@@ -339,7 +234,26 @@ impl FleetStructure {
     ///
     /// [`FleetError::Spec`] on admission failure.
     pub fn of(spec: &FleetSpec) -> FleetResult<Self> {
-        Ok(build_shard(spec, &[])?.structure())
+        Ok(FleetStructure::read(&build_shard(spec, &[])?))
+    }
+
+    /// The structure read off a runner's admission — the field's own
+    /// topology and verified certificate, nothing re-proved.
+    fn read(runner: &ShardRunner) -> Self {
+        let cells = (0..runner.group_count())
+            .map(|g| {
+                (0..runner.chunks_in_group(g))
+                    .map(|c| runner.cell_sites(g, c).to_vec())
+                    .collect()
+            })
+            .collect();
+        FleetStructure {
+            topology: runner.topology().clone(),
+            certificate: runner.certificate().clone(),
+            cells,
+            sites: runner.site_count(),
+            labels: runner.label_count(),
+        }
     }
 
     /// Number of color groups.
@@ -420,6 +334,34 @@ mod tests {
         // The erased energy hook reproduces the engine's final trace entry.
         let last = reference.energy_trace.last().expect("trace recorded");
         assert!((exec.plane_energy() - last).abs() == 0.0);
+    }
+
+    #[test]
+    fn demo_workload_is_the_crash_harness_field() {
+        use mogs_ckpt::harness::{self, DEMO_BURN_IN, DEMO_LABELS, DEMO_SEED, DEMO_SWEEPS};
+        use mogs_ckpt::harness::{DEMO_HEIGHT, DEMO_THREADS, DEMO_WIDTH};
+        let spec = FleetSpec {
+            workload: Workload::Demo {
+                width: DEMO_WIDTH,
+                height: DEMO_HEIGHT,
+                labels: DEMO_LABELS,
+            },
+            backend: BackendKind::Softmax,
+            iterations: DEMO_SWEEPS,
+            threads: DEMO_THREADS,
+            seed: DEMO_SEED,
+            burn_in: DEMO_BURN_IN,
+        };
+        let fleet = run_in_process(&spec).expect("engine runs");
+        let crash = harness::run_one(harness::demo_spec(
+            mogs_engine::Backend::Softmax,
+            false,
+            None,
+            None,
+        ));
+        assert_eq!(fleet.labels, crash.labels);
+        let bits = |trace: &[f64]| trace.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fleet.energy_trace), bits(&crash.energy_trace));
     }
 
     #[test]

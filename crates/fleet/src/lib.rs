@@ -63,7 +63,7 @@ pub use coordinator::{
     TransportKind, COORD_KEY,
 };
 pub use error::{FleetError, FleetResult};
-pub use exec::{bring_up, build_shard, run_in_process, stereo_scene, FleetStructure, ShardExec};
+pub use exec::{bring_up, build_shard, run_in_process, stereo_scene, FleetStructure};
 pub use partition::{partition, Partition, ShardAssignment};
 pub use spec::{BackendKind, FleetSpec, Workload};
 pub use worker::{maybe_run_worker, worker_main, SPEC_ENV, WORKER_ENV};

@@ -47,11 +47,6 @@ impl Labeling {
         &self.labels
     }
 
-    /// Consumes the labeling into its label vector.
-    pub fn into_labels(self) -> Vec<Label> {
-        self.labels
-    }
-
     /// Fraction of sites where two labelings agree.
     ///
     /// # Panics

@@ -17,8 +17,10 @@
 //! (tenant registered, tenant quota charged) before seating it with
 //! [`Engine::resume`]. A checkpoint that fails any gate — unparseable
 //! key or meta, vanished tenant, binding mismatch — is reported, never
-//! resumed, and left on disk for the operator; recovery must not turn
-//! a corrupt file into a crash or a silently different job.
+//! resumed, and left on disk for the operator (or for the startup GC,
+//! when [`CheckpointSetup::gc_max_age`] is set); recovery must not turn
+//! a corrupt file into a crash or a silently different job. The GC
+//! never touches the keys recovery resumed.
 //!
 //! Deletion is the router's job: when
 //! [`Router::refresh_store`](crate::Router) observes a job reach a
@@ -44,7 +46,7 @@ pub struct CheckpointSetup {
     pub every_sweeps: usize,
     /// Checkpoints retained per job (older ones are pruned).
     pub retain: usize,
-    /// When set, startup recovery first runs
+    /// When set, startup recovery is followed by
     /// [`CheckpointStore::gc`] with this age bound: orphaned temp
     /// files, corrupt envelopes, and never-resumed checkpoints older
     /// than the bound are deleted (and counted per reason on the
@@ -79,7 +81,9 @@ pub struct RecoveryReport {
     /// Serve ids re-admitted from disk, now queued or running again.
     pub resumed: Vec<u64>,
     /// `(store key, reason)` for every checkpoint that could not be
-    /// resumed. The files are left on disk untouched.
+    /// resumed. Recovery leaves the files on disk; with
+    /// [`CheckpointSetup::gc_max_age`] set, the startup GC that follows
+    /// deletes those that are corrupt or older than the bound.
     pub discarded: Vec<(String, String)>,
 }
 

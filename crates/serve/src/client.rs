@@ -77,16 +77,14 @@ pub fn http_request(
 /// request that fails on a *pooled* connection — the server closed it
 /// between requests, which keep-alive makes routine — is retried once
 /// on a fresh connection before the error surfaces.
-/// [`connections_opened`](HttpClient::connections_opened) /
-/// [`requests_sent`](HttpClient::requests_sent) expose the reuse ratio
-/// the bench reports.
+/// [`connections_opened`](HttpClient::connections_opened) counts the
+/// connections it took.
 #[derive(Debug)]
 pub struct HttpClient {
     addr: SocketAddr,
     read_timeout: Duration,
     conn: Option<Conn>,
     connects: u64,
-    requests: u64,
 }
 
 #[derive(Debug)]
@@ -105,7 +103,6 @@ impl HttpClient {
             read_timeout: Duration::from_secs(30),
             conn: None,
             connects: 0,
-            requests: 0,
         }
     }
 
@@ -114,12 +111,6 @@ impl HttpClient {
     #[must_use]
     pub fn connections_opened(&self) -> u64 {
         self.connects
-    }
-
-    /// Requests issued through [`request`](HttpClient::request).
-    #[must_use]
-    pub fn requests_sent(&self) -> u64 {
-        self.requests
     }
 
     /// Sends one request on the pooled connection and reads the full
@@ -136,7 +127,6 @@ impl HttpClient {
         path: &str,
         body: Option<&str>,
     ) -> std::io::Result<ClientResponse> {
-        self.requests += 1;
         let pooled = self.conn.is_some();
         match self.try_request(method, path, body) {
             // A pooled connection can die legitimately between requests

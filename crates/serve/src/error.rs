@@ -165,16 +165,6 @@ impl ServeError {
     /// `Retry-After`, and a JSON body
     /// `{"error": "<kind>", "message": "<detail>"}`.
     pub fn into_response(self) -> Response {
-        self.into_response_with_jitter(0)
-    }
-
-    /// [`into_response`](Self::into_response) with bounded random
-    /// jitter added to the `Retry-After` hint: the header carries
-    /// `base + U(0..=jitter_cap_s)` seconds, so synchronized clients
-    /// whose quota windows opened together don't thundering-herd the
-    /// listener on the exact same tick. A cap of zero reproduces
-    /// `into_response` exactly.
-    pub fn into_response_with_jitter(self, jitter_cap_s: u64) -> Response {
         let body = format!(
             "{{\"error\":{},\"message\":{}}}",
             crate::http::json_string(self.kind()),
@@ -182,8 +172,7 @@ impl ServeError {
         );
         let mut response = Response::json(self.status(), body);
         if let Some(base) = self.retry_after_s() {
-            let secs = base.saturating_add(retry_jitter(jitter_cap_s));
-            response = response.header("Retry-After", &secs.to_string());
+            response = response.header("Retry-After", &base.to_string());
         }
         // An oversized body was never read off the socket; the stream is
         // mid-payload and the connection must not be reused.
@@ -192,21 +181,6 @@ impl ServeError {
         }
         response
     }
-}
-
-/// Draws a uniform jitter in `0..=cap_s` seconds from the standard
-/// library's per-instance hasher entropy — no RNG dependency, no shared
-/// state to contend on, and unpredictable enough that synchronized
-/// clients decorrelate. Zero cap means zero jitter, deterministically.
-pub fn retry_jitter(cap_s: u64) -> u64 {
-    use std::hash::{BuildHasher, Hasher};
-    if cap_s == 0 {
-        return 0;
-    }
-    let draw = std::collections::hash_map::RandomState::new()
-        .build_hasher()
-        .finish();
-    draw % (cap_s + 1)
 }
 
 impl std::fmt::Display for ServeError {
@@ -286,42 +260,6 @@ mod tests {
         assert_eq!(response.header_value("Retry-After"), Some("7"));
         let body = String::from_utf8(response.body.clone()).expect("utf8 body");
         assert!(body.contains("\"error\":\"quota\""), "body: {body}");
-    }
-
-    #[test]
-    fn jittered_retry_after_stays_within_base_plus_cap() {
-        const BASE: u64 = 3;
-        const CAP: u64 = 5;
-        let mut observed = std::collections::BTreeSet::new();
-        for _ in 0..64 {
-            let response = ServeError::Backpressure {
-                retry_after_s: BASE,
-            }
-            .into_response_with_jitter(CAP);
-            assert_eq!(response.status, 503);
-            let header: u64 = response
-                .header_value("Retry-After")
-                .expect("503 must carry Retry-After")
-                .parse()
-                .expect("integer seconds");
-            assert!(
-                (BASE..=BASE + CAP).contains(&header),
-                "Retry-After {header} outside [{BASE}, {}]",
-                BASE + CAP
-            );
-            observed.insert(header);
-        }
-        // 64 draws over 6 values: all-identical means the jitter is not
-        // actually random (probability ~6e-49 under a fair draw).
-        assert!(observed.len() > 1, "jitter never varied: {observed:?}");
-        // A zero cap must reproduce the unjittered header bit for bit.
-        let flat = ServeError::Quota {
-            tenant: "acme".to_string(),
-            reason: "cap".to_string(),
-            retry_after_s: BASE,
-        }
-        .into_response_with_jitter(0);
-        assert_eq!(flat.header_value("Retry-After"), Some("3"));
     }
 
     #[test]

@@ -462,7 +462,7 @@ where
     match resume {
         None => match engine.try_submit(job) {
             Ok(handle) => Ok((handle, coordinator)),
-            Err(TrySubmitError::Full(_)) => Err(ServeError::Backpressure { retry_after_s }),
+            Err(TrySubmitError::Full) => Err(ServeError::Backpressure { retry_after_s }),
             Err(TrySubmitError::Engine(err)) => Err(ServeError::from_admission(err)),
         },
         // Recovery runs before the listener serves traffic, so the

@@ -51,9 +51,6 @@ pub struct Router {
     /// When set, every submission checkpoints under `job-<id>` and
     /// terminal jobs get their checkpoints deleted.
     ckpt: Option<(CheckpointStore, CheckpointPolicy)>,
-    /// Bounded random jitter added to every rendered `Retry-After`
-    /// header, seconds (0 disables).
-    retry_jitter_s: u64,
     /// The optional fleet backend behind `/v1/fleet/jobs`.
     fleet: Option<FleetRunner>,
 }
@@ -76,17 +73,8 @@ impl Router {
             retry_after_s,
             batch_queue_ceiling,
             ckpt: None,
-            retry_jitter_s: 0,
             fleet: None,
         }
-    }
-
-    /// Adds bounded random jitter to every `Retry-After` header this
-    /// router renders: the hint becomes `base + U(0..=jitter)` seconds.
-    #[must_use]
-    pub fn with_retry_jitter(mut self, jitter_s: u64) -> Self {
-        self.retry_jitter_s = jitter_s;
-        self
     }
 
     /// Enables the fleet backend: `POST /v1/fleet/jobs` and
@@ -160,7 +148,7 @@ impl Router {
                 what: request.path.clone(),
             }),
         };
-        result.unwrap_or_else(|err| err.into_response_with_jitter(self.retry_jitter_s))
+        result.unwrap_or_else(ServeError::into_response)
     }
 
     /// The fleet runner, or 404 when the backend is not enabled.

@@ -34,7 +34,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use mogs_ckpt::CheckpointStore;
 use mogs_engine::Engine;
 
-use crate::ckpt::{recover, CheckpointSetup, RecoveryReport};
+use crate::ckpt::{job_key, recover, CheckpointSetup, RecoveryReport};
 use crate::fleet::{FleetRunner, FleetSetup};
 use crate::http::{read_request, Limits, Response};
 use crate::metrics::ServeMetrics;
@@ -55,11 +55,6 @@ pub struct ServeConfig {
     pub max_header_bytes: usize,
     /// `Retry-After` hint on 429/503 responses, seconds.
     pub retry_after_s: u64,
-    /// Bounded random jitter added on top of `retry_after_s` in the
-    /// rendered header — each 429/503 carries
-    /// `retry_after_s + U(0..=retry_jitter_s)` so synchronized clients
-    /// decorrelate their retries. Zero (the default) disables jitter.
-    pub retry_jitter_s: u64,
     /// Batch-priority jobs are refused once the engine queue depth
     /// reaches this, reserving headroom for interactive tenants.
     pub batch_queue_ceiling: u64,
@@ -90,7 +85,6 @@ impl Default for ServeConfig {
             max_body_bytes: 1024 * 1024,
             max_header_bytes: 16 * 1024,
             retry_after_s: 1,
-            retry_jitter_s: 0,
             batch_queue_ceiling: 8,
             max_terminal_retained: 256,
             read_timeout: Duration::from_secs(2),
@@ -146,8 +140,7 @@ impl Server {
             Arc::clone(&metrics),
             config.retry_after_s,
             config.batch_queue_ceiling,
-        )
-        .with_retry_jitter(config.retry_jitter_s);
+        );
         if let Some(setup) = &config.fleet {
             router = router.with_fleet(FleetRunner::new(
                 setup.clone(),
@@ -163,21 +156,24 @@ impl Server {
             let ckpt_store = CheckpointStore::open(&setup.dir, setup.retain)
                 .map_err(|e| std::io::Error::other(format!("checkpoint dir: {e}")))?;
             let policy = setup.policy();
-            recovery = Some(recover(
+            let report = recover(
                 &ckpt_store,
                 policy,
                 &engine,
                 router.tenants(),
                 router.store(),
                 config.retry_after_s,
-            ));
-            // GC after recovery: anything resumable was just resumed, so
-            // the age bound only ever deletes leftovers.
+            );
+            // GC after recovery, sparing the keys it resumed: their files
+            // are those jobs' only durable record until the next capture,
+            // however old they are.
             if let Some(age) = setup.gc_max_age {
-                if let Ok(report) = ckpt_store.gc(age) {
-                    metrics.record_gc(&report);
+                let live: Vec<String> = report.resumed.iter().map(|&id| job_key(id)).collect();
+                if let Ok(gc) = ckpt_store.gc(age, &live) {
+                    metrics.record_gc(&gc);
                 }
             }
+            recovery = Some(report);
             router = router.with_checkpoints(ckpt_store, policy);
         }
         let router = Arc::new(router);

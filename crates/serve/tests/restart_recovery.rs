@@ -258,3 +258,49 @@ fn unknown_tenant_checkpoints_are_discarded_not_resumed() {
     server2.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn the_startup_gc_spares_the_checkpoint_a_job_resumed_from() {
+    let dir = temp_dir("gc");
+    let spec_json = r#"{"tenant":"acme","workload":"segmentation",
+        "width":16,"height":16,"iterations":40,"seed":9,"threads":2}"#;
+
+    // Process 1 checkpoints every sweep; its drain leaves the newest
+    // checkpoint at cursor 39, one sweep before the end, so the resumed
+    // job writes no further checkpoint and the file it resumed from is
+    // its only durable record.
+    let engine1 = engine();
+    let server1 = Server::bind(
+        "127.0.0.1:0",
+        config(&dir),
+        Arc::clone(&engine1),
+        registry("acme"),
+    )
+    .expect("bind first server");
+    let submitted =
+        http_request(server1.local_addr(), "POST", "/v1/jobs", Some(spec_json)).expect("POST");
+    assert_eq!(submitted.status, 201, "{}", submitted.body_text());
+    let id = extract_id(&submitted.body_text());
+    wait_for_checkpoint(&dir, &job_key(id));
+    server1.shutdown();
+    drop(engine1);
+
+    // Process 2 runs the GC with a zero age bound, so every file on disk
+    // has expired: the resumed job's must survive it all the same.
+    let mut config = config(&dir);
+    if let Some(setup) = &mut config.checkpoint {
+        setup.gc_max_age = Some(Duration::ZERO);
+    }
+    let server2 = Server::bind("127.0.0.1:0", config, engine(), registry("acme"))
+        .expect("bind second server");
+    let report = server2.recovery().expect("checkpointing on");
+    assert_eq!(report.resumed, vec![id], "{report:?}");
+    let store = CheckpointStore::open(&dir, RETAIN).expect("open checkpoint dir");
+    assert!(
+        store.latest(&job_key(id)).expect("read latest").is_some(),
+        "the startup GC deleted the checkpoint job {id} resumed from"
+    );
+    assert_eq!(wait_terminal(server2.local_addr(), id), "done");
+    server2.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
