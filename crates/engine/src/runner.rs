@@ -133,15 +133,8 @@ pub(crate) trait ErasedJob: Send + Sync {
     /// The shape admission this job runs under (shard-runner access: the
     /// fleet partitions against its topology and certificate).
     fn admission(&self) -> &Prepared;
-    /// Total field energy of the current plane, read in place and
-    /// summed from the job's own tables in
-    /// [`MarkovRandomField::total_energy`]'s exact term order — per site
-    /// the singleton, the right and down neighbours, then the
-    /// `DIAGONAL_WEIGHT`ed down-left and down-right ones. The tables hold
-    /// the very f64s `total_energy` would compute, so the sum is the same
-    /// bit for bit; above
-    /// [`SINGLETON_CACHE_CAP`](mogs_mrf::field::SINGLETON_CACHE_CAP) the
-    /// singleton is evaluated directly, as there.
+    /// Total field energy of the current plane, read in place
+    /// ([`TypedJob::energy_of`]).
     ///
     /// # Safety
     ///
@@ -149,6 +142,9 @@ pub(crate) trait ErasedJob: Send + Sync {
     /// as at the engine's sweep boundary or behind a shard runner's
     /// single ownership.
     unsafe fn plane_energy(&self) -> f64;
+    /// Total field energy of `labels`, one in-space raw label per site
+    /// (the caller checks both), priced like the job's own plane.
+    fn price(&self, labels: &[u8]) -> f64;
     /// Updates every site of one chunk of one group once, staging the
     /// chunk's energies and labels in the calling worker's `arena`.
     fn run_chunk(&self, iteration: usize, group: usize, chunk: usize, arena: &mut KernelArena);
@@ -447,10 +443,11 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
         }
         // Both energy terms are pure functions of their arguments, so the
         // cached values are the exact f64s the reference computes in place.
-        // The field's shared singleton table is filled here, on the
-        // admitting thread, so no sweep phase pays for it.
+        // The field's shared singleton table, and its fixed-point form
+        // when the kernel or the energy trace reads it, are filled here,
+        // on the admitting thread, so no sweep phase pays for them.
         job.mrf.singleton_table();
-        if job.sampler.wants_fixed_rows() {
+        if job.sampler.wants_fixed_rows() || job.record_energy {
             job.mrf.fixed_rows();
         }
         let prior_table = job.mrf.prior_table();
@@ -638,6 +635,75 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
         self.groups()[group].len().div_ceil(self.threads).max(1)
     }
 
+    /// Total field energy of the labels `at` reads, bit for bit the
+    /// field's [`MarkovRandomField::total_energy`]. On [`FixedRows`]
+    /// (DESIGN §11) every term is an exact multiple of `2^-shift`, so
+    /// the f64 chain's partial sums are all exact and its total is the
+    /// integer sum of units scaled once. Otherwise the sum runs from the
+    /// job's own tables in `total_energy`'s term order — per site the
+    /// singleton, the right and down neighbours, then the
+    /// `DIAGONAL_WEIGHT`ed down-left and down-right ones — and above
+    /// [`SINGLETON_CACHE_CAP`](mogs_mrf::field::SINGLETON_CACHE_CAP) the
+    /// singleton is evaluated directly, as there.
+    ///
+    /// [`FixedRows`]: mogs_mrf::field::FixedRows
+    fn energy_of(&self, at: impl Fn(usize) -> u8) -> f64 {
+        let m = self.mrf.space().count();
+        let Prepared { axis, diag, .. } = &*self.admission;
+        if let Some(fixed) = self.mrf.fixed_rows() {
+            // First order only: no diagonals. A site's terms total at
+            // most i16::MAX units and the singleton cache caps the plane
+            // at 2^22 sites, so neither the sum nor its f64 conversion
+            // rounds.
+            let prior =
+                |own: usize, n: usize| i64::from(fixed.prior[(usize::from(at(n)) << 6) | own]);
+            let mut units = 0i64;
+            for (site, &[_, right, _, down]) in axis.iter().enumerate() {
+                let own = usize::from(at(site));
+                units += i64::from(fixed.singleton[site * m + own]);
+                if right != NO_NEIGHBOR {
+                    units += prior(own, right);
+                }
+                if down != NO_NEIGHBOR {
+                    units += prior(own, down);
+                }
+            }
+            #[expect(
+                clippy::as_conversions,
+                reason = "i64 -> f64 has no From path; |units| < 2^53, so it is exact"
+            )]
+            let total = units as f64;
+            return total / f64::from(1u32 << fixed.shift);
+        }
+        let stab = self.mrf.singleton_table();
+        let prior = |own: usize, n: usize| self.prior_table[(usize::from(at(n)) << 6) | own];
+        let mut e = 0.0;
+        for (site, &[_, right, _, down]) in axis.iter().enumerate() {
+            let label = at(site);
+            let own = usize::from(label);
+            e += match stab {
+                Some(table) => table[site * m + own],
+                None => self.mrf.singleton().energy(site, Label::new(label)),
+            };
+            if right != NO_NEIGHBOR {
+                e += prior(own, right);
+            }
+            if down != NO_NEIGHBOR {
+                e += prior(own, down);
+            }
+            if let Some(diag) = diag {
+                let [_, _, down_left, down_right] = diag[site];
+                if down_left != NO_NEIGHBOR {
+                    e += DIAGONAL_WEIGHT * prior(own, down_left);
+                }
+                if down_right != NO_NEIGHBOR {
+                    e += DIAGONAL_WEIGHT * prior(own, down_right);
+                }
+            }
+        }
+        e
+    }
+
     /// The dynamic read/write-set recorder, for tests that drive phases
     /// by hand and cross-check the static audit verdict.
     #[cfg(all(feature = "shadow-audit", test))]
@@ -816,40 +882,13 @@ where
     }
 
     unsafe fn plane_energy(&self) -> f64 {
-        let m = self.mrf.space().count();
-        let stab = self.mrf.singleton_table();
-        let Prepared { axis, diag, .. } = &*self.admission;
         // SAFETY: quiescence (this fn's contract) means no cell is
         // written while it is read.
-        let at = |site: usize| unsafe { self.plane.read(site) };
-        let prior =
-            |own: usize, n: usize| self.prior_table[(usize::from(at(n).value()) << 6) | own];
-        let mut e = 0.0;
-        for site in 0..self.plane.len() {
-            let label = at(site);
-            let own = usize::from(label.value());
-            e += match stab {
-                Some(table) => table[site * m + own],
-                None => self.mrf.singleton().energy(site, label),
-            };
-            let [_, right, _, down] = axis[site];
-            if right != NO_NEIGHBOR {
-                e += prior(own, right);
-            }
-            if down != NO_NEIGHBOR {
-                e += prior(own, down);
-            }
-            if let Some(diag) = diag {
-                let [_, _, down_left, down_right] = diag[site];
-                if down_left != NO_NEIGHBOR {
-                    e += DIAGONAL_WEIGHT * prior(own, down_left);
-                }
-                if down_right != NO_NEIGHBOR {
-                    e += DIAGONAL_WEIGHT * prior(own, down_right);
-                }
-            }
-        }
-        e
+        self.energy_of(|site| unsafe { self.plane.read(site) }.value())
+    }
+
+    fn price(&self, labels: &[u8]) -> f64 {
+        self.energy_of(|site| labels[site])
     }
 
     fn run_chunk(&self, iteration: usize, group: usize, chunk: usize, arena: &mut KernelArena) {

@@ -63,11 +63,11 @@ pub fn chunk_count(group_len: usize, threads: usize) -> usize {
 /// [`pin`](Self::pin) selects the owned `(group, chunk)` cells — and
 /// may be called again, which is how an adopting worker takes on a
 /// second shard without re-admitting the job. An unpinned runner owns
-/// nothing: it phases no chunks but seats, reads and prices whole
-/// planes (the fleet coordinator's mirror). The spec must be *plain*:
-/// sinks, fault plans, health policies, and checkpoint writers are
-/// sweep-boundary machinery owned by the fleet coordinator, not by
-/// shards, and are rejected at construction.
+/// nothing: it phases no chunks but prices whole planes in place
+/// ([`price`](Self::price), the fleet coordinator's mirror). The spec
+/// must be *plain*: sinks, fault plans, health policies, and checkpoint
+/// writers are sweep-boundary machinery owned by the fleet coordinator,
+/// not by shards, and are rejected at construction.
 pub struct ShardRunner {
     job: Box<dyn ErasedJob>,
     /// Owned chunk ids per group, sorted ascending.
@@ -220,15 +220,18 @@ impl ShardRunner {
         self.job.chunk_sites(group, chunk)
     }
 
-    /// Total field energy of the current plane — what the engine appends
-    /// to the energy trace at each sweep boundary, from the same tables
-    /// and bit for bit the field's `total_energy`. The fleet coordinator
-    /// calls this on its mirror runner after seating the merged plane.
-    #[must_use]
-    pub fn plane_energy(&self) -> f64 {
-        // SAFETY: `&self` with single ownership — quiescent by
-        // construction.
-        unsafe { self.job.plane_energy() }
+    /// Total field energy of a full raw plane (one label per site) —
+    /// what the engine appends to the energy trace at each sweep
+    /// boundary, from the same tables and bit for bit the field's
+    /// `total_energy`. The fleet coordinator prices its mirror in place.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidSpec`] (field `"plane"`) on a length or
+    /// label-range mismatch, as [`seat`](Self::seat) reports it.
+    pub fn price(&self, labels: &[u8]) -> Result<f64, EngineError> {
+        self.check_plane(labels)?;
+        Ok(self.job.price(labels))
     }
 
     /// Runs the owned chunks of `group` for sweep `iteration`, in
@@ -250,6 +253,18 @@ impl ShardRunner {
     /// [`EngineError::InvalidSpec`] (field `"plane"`) on a length or
     /// label-range mismatch; the plane is untouched on error.
     pub fn seat(&mut self, labels: &[u8]) -> Result<(), EngineError> {
+        self.check_plane(labels)?;
+        let plane = self.job.plane();
+        for (site, &value) in labels.iter().enumerate() {
+            // SAFETY: `&mut self` — no other thread can touch the plane.
+            unsafe { plane.write(site, Label::new(value)) };
+        }
+        Ok(())
+    }
+
+    /// Refuses a plane with a label count other than the site count or a
+    /// label outside the space.
+    fn check_plane(&self, labels: &[u8]) -> Result<(), EngineError> {
         let invalid = |reason: String| EngineError::InvalidSpec {
             field: "plane",
             reason,
@@ -266,11 +281,6 @@ impl ShardRunner {
             return Err(invalid(format!(
                 "label {bad} is outside the job's {m}-label space"
             )));
-        }
-        let plane = self.job.plane();
-        for (site, &value) in labels.iter().enumerate() {
-            // SAFETY: `&mut self` — no other thread can touch the plane.
-            unsafe { plane.write(site, Label::new(value)) };
         }
         Ok(())
     }
@@ -548,9 +558,7 @@ mod tests {
             }
         }
         assert_eq!(runner.snapshot(), fresh.snapshot());
-        assert_eq!(
-            runner.plane_energy().to_bits(),
-            fresh.plane_energy().to_bits()
-        );
+        let price = |r: &ShardRunner| r.price(&r.snapshot()).expect("own plane fits");
+        assert_eq!(price(&runner).to_bits(), price(&fresh).to_bits());
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! The coordinator drives all workers through one color phase at a
 //! time: `Phase` out, `PhaseDone` (every owned site of the group) back,
-//! merged into the coordinator's **mirror plane**, then each worker is
+//! written into the coordinator's **mirror plane**, then each worker is
 //! sent, as `Halo`, the labels of exactly the sites of that color in
 //! its shards' audited `halo_in` sets — read from the mirror — so every
 //! shard's plane holds the labels the next phase's gathers read.
@@ -29,17 +29,17 @@
 //!    adjacency, so a shard's plane holds the same neighbour labels the
 //!    engine's plane would at every phase boundary;
 //! 3. migration re-pins a shard as a pure function of (boundary plane,
-//!    phase replay log) — both already bit-exact — and re-runs the
-//!    interrupted phase from its own streams.
+//!    phase replay log) — both already bit-exact, the log read off the
+//!    mirror — and re-runs the interrupted phase from its own streams.
 //!
 //! Draws depend on nothing else, so kill-and-migrate cannot change a
 //! single label. `tests/fleet_e2e.rs` checks this end to end.
 //!
 //! # Failure handling
 //!
-//! Liveness is observed three ways: a failed send, a missed `PhaseDone`
-//! deadline, and a missed sweep-boundary heartbeat. Any of them condemns
-//! the worker: its stream is never resynchronized, its shard is
+//! Liveness is observed two ways: a failed send and a missed `PhaseDone`
+//! deadline ([`FleetConfig::rpc_deadline`]). Either condemns the worker:
+//! its stream is never resynchronized, its shard is
 //! migrated — to a respawned process ([`FleetConfig::respawn`]) or,
 //! with no spare capacity, *adopted* by the least-loaded survivor and
 //! the job finishes [`Degraded`]. Each migration spends one unit of
@@ -63,9 +63,7 @@ use crate::error::{FleetError, FleetResult};
 use crate::exec::{bring_up, kernel_name, FleetStructure};
 use crate::partition::Partition;
 use crate::spec::FleetSpec;
-use crate::wire::{
-    recv_to_coordinator, rpc_ping, send_to_worker, Conn, ToCoordinator, ToWorker, Traffic,
-};
+use crate::wire::{recv_to_coordinator, send_to_worker, Conn, ToCoordinator, ToWorker, Traffic};
 use crate::worker::{worker_main, SPEC_ENV, WORKER_ENV};
 
 /// Checkpoint key of the coordinator's whole-plane state — the one
@@ -104,8 +102,8 @@ pub enum TransportKind {
 }
 
 /// One scripted worker kill, executed by the coordinator immediately
-/// after dispatching `Phase{sweep, group}` — deterministic mid-phase
-/// death for the kill-ladder tests.
+/// before dispatching `Phase{sweep, group}` — a death that surfaces in
+/// that phase, deterministically, for the kill-ladder tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillAt {
     /// Sweep index of the kill.
@@ -152,9 +150,9 @@ pub struct FleetConfig {
     /// survivors adopt the orphaned shard and the job completes
     /// [`Degraded`].
     pub respawn: bool,
-    /// Deadline of the sweep-boundary liveness probe.
-    pub heartbeat: Duration,
-    /// Per-RPC deadline (`AssignOk`, `PhaseDone`).
+    /// Per-RPC deadline (`AssignOk`, `PhaseDone`) — the one liveness
+    /// deadline: a worker hung between phases or sweeps is condemned
+    /// when its next `PhaseDone` misses it.
     pub rpc_deadline: Duration,
     /// Durable sweep-boundary checkpoints.
     pub checkpoint: Option<FleetCheckpoint>,
@@ -178,7 +176,6 @@ impl FleetConfig {
             launcher: Launcher::InProcess,
             max_migrations: 4,
             respawn: true,
-            heartbeat: Duration::from_secs(2),
             rpc_deadline: Duration::from_secs(20),
             checkpoint: None,
             chaos: ChaosPlan::default(),
@@ -433,8 +430,8 @@ struct Coordinator {
     config: FleetConfig,
     structure: FleetStructure,
     partition: Arc<Partition>,
-    /// Unpinned mirror runner: never phases, only seats the merged plane
-    /// to price it with the engine's own tables each sweep.
+    /// Unpinned mirror runner: never phases, only prices the mirror in
+    /// place with the engine's own tables each sweep.
     reference: ShardRunner,
     mirror: Vec<u8>,
     energy_trace: Vec<f64>,
@@ -450,7 +447,6 @@ struct Coordinator {
     migrations: usize,
     workers_spawned: usize,
     degraded: Option<Degraded>,
-    nonce: u64,
     start_sweep: usize,
     /// Traffic of streams already closed; live ones are added on reap.
     traffic: Traffic,
@@ -516,7 +512,6 @@ impl Coordinator {
             migrations: 0,
             workers_spawned: config.workers,
             degraded: None,
-            nonce: 0,
             start_sweep: 0,
             traffic: Traffic::default(),
         };
@@ -528,7 +523,9 @@ impl Coordinator {
             if let Some(hist) = coord.state.histograms {
                 coordinator.hist = hist;
             }
-            coordinator.reference.seat(&coordinator.mirror)?;
+            // The decoder checks the label count, not the range: refuse
+            // a cut holding a label outside the space before any Assign.
+            coordinator.reference.price(&coordinator.mirror)?;
         }
         coordinator.rebuild_owner_map();
         // Every Assign goes out before any AssignOk is awaited. A fresh
@@ -635,7 +632,7 @@ impl Coordinator {
                 }
                 // Stale from a superseded phase exchange: the worker
                 // sent these before it processed the Assign.
-                ToCoordinator::PhaseDone { .. } | ToCoordinator::Pong { .. } => continue,
+                ToCoordinator::PhaseDone { .. } => continue,
                 ToCoordinator::Fault { reason } => {
                     return Err(FleetError::WorkerLost { slot: idx, reason })
                 }
@@ -696,15 +693,16 @@ impl Coordinator {
 
     /// Migrates everything `failed` owned to a respawned worker or an
     /// adopting survivor, catching the target up to `resume_sweep` with
-    /// `replay` (the completed phases of that sweep). Returns the
+    /// the replay of that sweep's first `completed` phases. Returns the
     /// target slot, ready for the next `Phase`.
     fn recover(
         &mut self,
         mut failed: usize,
         sweep: usize,
         boundary: &[u8],
-        replay: &[Vec<(usize, u8)>],
+        completed: usize,
     ) -> FleetResult<usize> {
+        let replay = self.replay(completed);
         loop {
             self.migrations += 1;
             if self.migrations > self.config.max_migrations {
@@ -736,7 +734,7 @@ impl Coordinator {
             };
             self.rebuild_owner_map();
             let assigned = self
-                .send_assign(target, Some(boundary), sweep, replay)
+                .send_assign(target, Some(boundary), sweep, &replay)
                 .and_then(|()| self.await_assign_ok(target));
             match assigned {
                 Ok(()) => return Ok(target),
@@ -748,27 +746,38 @@ impl Coordinator {
         }
     }
 
-    /// Dispatches and collects one color phase across the fleet,
-    /// surviving worker deaths mid-phase, and merges the replies into
-    /// the mirror. Returns the phase's log entry: every site of the
-    /// group with its new label, exactly once.
-    fn run_group(
-        &mut self,
-        sweep: usize,
-        group: usize,
-        boundary: &[u8],
-        phase_log: &[Vec<(usize, u8)>],
-    ) -> FleetResult<Vec<(usize, u8)>> {
-        // Scripted chaos: SIGKILL right after dispatch, so death lands
-        // mid-phase deterministically.
-        let kills: Vec<usize> = self
-            .config
-            .chaos
-            .kills
+    /// The replay log of the current sweep's first `completed` phases,
+    /// read off the mirror: every site of each completed group with its
+    /// label, which that group's phase wrote exactly once and nothing
+    /// has written since.
+    fn replay(&self, completed: usize) -> Vec<Vec<(usize, u8)>> {
+        self.structure.cells[..completed]
             .iter()
-            .filter(|k| k.sweep == sweep && k.group == group)
-            .map(|k| k.worker)
-            .collect();
+            .map(|cells| {
+                cells
+                    .iter()
+                    .flatten()
+                    .map(|&site| (site, self.mirror[site]))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Dispatches and collects one color phase across the fleet,
+    /// surviving worker deaths mid-phase, and writes every site of the
+    /// group into the mirror.
+    fn run_group(&mut self, sweep: usize, group: usize, boundary: &[u8]) -> FleetResult<()> {
+        // Scripted chaos: SIGKILL (and reap) before dispatch, so the
+        // worker never answers this phase and its death surfaces in it,
+        // however fast it would have replied.
+        for kill in &self.config.chaos.kills {
+            if (kill.sweep, kill.group) == (sweep, group) {
+                if let Some(child) = self.slots[kill.worker].child.as_mut() {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                }
+            }
+        }
         let phase = ToWorker::Phase { sweep, group };
         let mut pending: VecDeque<usize> = VecDeque::new();
         let mut dead_on_send: Vec<usize> = Vec::new();
@@ -779,32 +788,26 @@ impl Coordinator {
                 Err(e) => return Err(e),
             }
         }
-        for idx in kills {
-            if let Some(child) = self.slots[idx].child.as_mut() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-        }
         for idx in dead_on_send {
             if !self.slots[idx].alive {
                 continue; // already migrated as collateral of another recovery
             }
-            let target = self.recover(idx, sweep, boundary, phase_log)?;
+            let target = self.recover(idx, sweep, boundary, group)?;
             self.send_slot(target, &phase)?;
             pending.retain(|&x| x != target);
             pending.push_back(target);
         }
-        // One reply per slot. A slot that answers again after adopting
-        // a shard covers the union of its shards, replacing its entry.
-        let mut replies: Vec<Option<Vec<(usize, u8)>>> = vec![None; self.slots.len()];
+        // Every reply is the cells' deterministic draws, so a slot that
+        // answered and was reaped afterwards wrote the same labels its
+        // shards' new owner reports again.
         while let Some(idx) = pending.pop_front() {
             if !self.slots[idx].alive {
                 continue;
             }
             match self.recv_phase_done(idx, sweep, group) {
-                Ok(updates) => replies[idx] = Some(updates),
+                Ok(()) => {}
                 Err(e) if e.is_migratable() => {
-                    let target = self.recover(idx, sweep, boundary, phase_log)?;
+                    let target = self.recover(idx, sweep, boundary, group)?;
                     self.send_slot(target, &phase)?;
                     pending.retain(|&x| x != target);
                     pending.push_back(target);
@@ -812,30 +815,13 @@ impl Coordinator {
                 Err(e) => return Err(e),
             }
         }
-        let mut merged = Vec::with_capacity(replies.iter().flatten().map(Vec::len).sum());
-        for (idx, updates) in replies.into_iter().enumerate() {
-            // A slot that replied and was reaped afterwards is covered
-            // by whoever took its shards over.
-            let Some(updates) = updates.filter(|_| self.slots[idx].alive) else {
-                continue;
-            };
-            for &(site, label) in &updates {
-                self.mirror[site] = label;
-            }
-            merged.extend(updates);
-        }
-        Ok(merged)
+        Ok(())
     }
 
-    /// Receives slot `idx`'s reply to `Phase{sweep, group}`, checked
-    /// against the plane: every site must be one the slot owns, every
-    /// label inside the space.
-    fn recv_phase_done(
-        &mut self,
-        idx: usize,
-        sweep: usize,
-        group: usize,
-    ) -> FleetResult<Vec<(usize, u8)>> {
+    /// Receives slot `idx`'s reply to `Phase{sweep, group}` into the
+    /// mirror, checked against the plane: every site must be one the
+    /// slot owns, every label inside the space.
+    fn recv_phase_done(&mut self, idx: usize, sweep: usize, group: usize) -> FleetResult<()> {
         loop {
             match self.recv_slot(idx, "phase")? {
                 ToCoordinator::PhaseDone {
@@ -844,21 +830,21 @@ impl Coordinator {
                     updates,
                 } if (s, g) == (sweep, group) => {
                     let labels = self.structure.labels;
-                    let foreign = updates.iter().find(|&&(site, label)| {
-                        self.owner_slot.get(site) != Some(&idx) || usize::from(label) >= labels
-                    });
-                    if let Some((site, label)) = foreign {
-                        return Err(FleetError::Protocol {
-                            reason: format!(
-                                "slot {idx} reported ({site}, {label}), which is not a site \
-                                 it owns or not a label of the {labels}-label space"
-                            ),
-                        });
+                    for (site, label) in updates {
+                        if self.owner_slot.get(site) != Some(&idx) || usize::from(label) >= labels {
+                            return Err(FleetError::Protocol {
+                                reason: format!(
+                                    "slot {idx} reported ({site}, {label}), which is not a site \
+                                     it owns or not a label of the {labels}-label space"
+                                ),
+                            });
+                        }
+                        self.mirror[site] = label;
                     }
-                    return Ok(updates);
+                    return Ok(());
                 }
                 // Replies from a superseded exchange; drop them.
-                ToCoordinator::PhaseDone { .. } | ToCoordinator::Pong { .. } => continue,
+                ToCoordinator::PhaseDone { .. } => continue,
                 ToCoordinator::Fault { reason } => {
                     return Err(FleetError::WorkerLost { slot: idx, reason })
                 }
@@ -874,15 +860,9 @@ impl Coordinator {
     /// Sends every live slot the freshly merged labels of its halo sites
     /// of color `group` — nothing at all when it has none. A failed send
     /// condemns the slot like any other death — its replacement is
-    /// rebuilt from the boundary with the full log (including this
-    /// phase), so nothing is lost.
-    fn send_halos(
-        &mut self,
-        sweep: usize,
-        group: usize,
-        boundary: &[u8],
-        phase_log: &[Vec<(usize, u8)>],
-    ) -> FleetResult<()> {
+    /// rebuilt from the boundary with the replay through this phase, so
+    /// nothing is lost.
+    fn send_halos(&mut self, sweep: usize, group: usize, boundary: &[u8]) -> FleetResult<()> {
         for idx in self.live_slots() {
             let updates: Vec<(usize, u8)> = self.halo_sites[idx][group]
                 .iter()
@@ -894,29 +874,7 @@ impl Coordinator {
             match self.send_slot(idx, &ToWorker::Halo { updates }) {
                 Ok(()) => {}
                 Err(e) if e.is_migratable() => {
-                    self.recover(idx, sweep, boundary, phase_log)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// Sweep-boundary heartbeat: one ping round; a missed pong condemns
-    /// the slot and migrates its shard from the (post-sweep) boundary.
-    fn heartbeat_round(&mut self, next_sweep: usize) -> FleetResult<()> {
-        let boundary = self.mirror.clone();
-        for idx in self.live_slots() {
-            self.nonce += 1;
-            let nonce = self.nonce;
-            let deadline = self.config.heartbeat;
-            match self
-                .conn(idx)
-                .and_then(|conn| rpc_ping(conn, nonce, deadline))
-            {
-                Ok(()) => {}
-                Err(e) if e.is_migratable() => {
-                    self.recover(idx, next_sweep, &boundary, &[])?;
+                    self.recover(idx, sweep, boundary, group + 1)?;
                 }
                 Err(e) => return Err(e),
             }
@@ -975,24 +933,22 @@ impl Coordinator {
         let mut completed = self.start_sweep;
         for sweep in self.start_sweep..iterations {
             let boundary = self.mirror.clone();
-            let mut phase_log: Vec<Vec<(usize, u8)>> = Vec::with_capacity(groups);
             for group in 0..groups {
-                let merged = self.run_group(sweep, group, &boundary, &phase_log)?;
-                phase_log.push(merged);
-                self.send_halos(sweep, group, &boundary, &phase_log)?;
+                self.run_group(sweep, group, &boundary)?;
+                self.send_halos(sweep, group, &boundary)?;
             }
             completed = sweep + 1;
             // The engine's sweep-boundary bookkeeping, replicated on the
-            // merged mirror: energy trace, then mode histograms.
-            self.reference.seat(&self.mirror)?;
-            self.energy_trace.push(self.reference.plane_energy());
+            // mirror: energy trace, then mode histograms. Every live
+            // slot's last `PhaseDone` proved it alive; one that dies
+            // now is caught by the next sweep's `Phase` or its deadline.
+            self.energy_trace.push(self.reference.price(&self.mirror)?);
             if completed > self.spec.burn_in {
                 let m = self.structure.labels;
                 for (site, &label) in self.mirror.iter().enumerate() {
                     self.hist[site * m + usize::from(label)] += 1;
                 }
             }
-            self.heartbeat_round(completed)?;
             let due = match &self.config.checkpoint {
                 Some(ck) => {
                     ck.every_sweeps > 0
@@ -1037,17 +993,21 @@ impl Coordinator {
         })
     }
 
-    /// Orderly shutdown: `Finish`/`Bye` with every live worker, then
-    /// reap. Failures here are ignored — the job's results are already
-    /// on the coordinator.
+    /// Orderly shutdown: `Finish` to every live worker, then each one's
+    /// `Bye`, then reap. Failures here are ignored — the job's results
+    /// are already on the coordinator.
     fn finish_workers(&mut self) {
-        for idx in self.live_slots() {
-            if self.send_slot(idx, &ToWorker::Finish).is_ok() {
-                loop {
-                    match self.recv_slot(idx, "finish") {
-                        Ok(ToCoordinator::Bye) => break,
-                        Ok(_) => continue,
-                        Err(_) => break,
+        let live = self.live_slots();
+        let told: Vec<bool> = live
+            .iter()
+            .map(|&idx| self.send_slot(idx, &ToWorker::Finish).is_ok())
+            .collect();
+        for (idx, told) in live.into_iter().zip(told) {
+            if told {
+                // Stale replies are skipped; any error ends the wait.
+                while let Ok(reply) = self.recv_slot(idx, "finish") {
+                    if reply == ToCoordinator::Bye {
+                        break;
                     }
                 }
             }

@@ -331,9 +331,9 @@ mod tests {
             reference_labels,
             "erased path must stay bit-identical"
         );
-        // The erased energy hook reproduces the engine's final trace entry.
         let last = reference.energy_trace.last().expect("trace recorded");
-        assert!((exec.plane_energy() - last).abs() == 0.0);
+        let priced = exec.price(&exec.snapshot()).expect("own plane fits");
+        assert_eq!(priced.to_bits(), last.to_bits());
     }
 
     #[test]

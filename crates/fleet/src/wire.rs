@@ -190,11 +190,6 @@ pub enum ToWorker {
         /// `(site, label)` updates.
         updates: Vec<(usize, u8)>,
     },
-    /// Liveness probe.
-    Ping {
-        /// Echoed verbatim in the `Pong`.
-        nonce: u64,
-    },
     /// Orderly shutdown; the worker replies `Bye` and exits.
     Finish,
 }
@@ -216,11 +211,6 @@ pub enum ToCoordinator {
         group: usize,
         /// `(site, label)` for each owned site of the group.
         updates: Vec<(usize, u8)>,
-    },
-    /// Liveness reply.
-    Pong {
-        /// The probe's nonce.
-        nonce: u64,
     },
     /// The worker hit a fatal error and is about to exit (best-effort
     /// courtesy; the coordinator treats the death itself as truth).
@@ -385,11 +375,6 @@ pub fn encode_to_worker(msg: &ToWorker) -> Vec<u8> {
             push_updates(&mut out, updates);
             out
         }
-        ToWorker::Ping { nonce } => {
-            let mut h = head("ping");
-            field(&mut h, "nonce", &format!("{nonce:016x}"));
-            seal(h)
-        }
         ToWorker::Finish => seal(head("finish")),
     }
 }
@@ -416,11 +401,6 @@ pub fn encode_to_coordinator(msg: &ToCoordinator) -> Vec<u8> {
             push_updates(&mut out, updates);
             out
         }
-        ToCoordinator::Pong { nonce } => {
-            let mut h = head("pong");
-            field(&mut h, "nonce", &format!("{nonce:016x}"));
-            seal(h)
-        }
         ToCoordinator::Fault { reason } => {
             let mut h = head("fault");
             field(&mut h, "reason", &reason.len());
@@ -439,7 +419,6 @@ struct Head {
     sweep: Option<usize>,
     group: Option<usize>,
     updates: Option<usize>,
-    nonce: Option<u64>,
     owned: Option<usize>,
     reason: Option<usize>,
     digest: Option<u64>,
@@ -523,7 +502,6 @@ fn open_payload(payload: &[u8]) -> FleetResult<(Head, Sections<'_>)> {
             "sweep" => head.sweep = Some(usize::deserialize_json(parser)?),
             "group" => head.group = Some(usize::deserialize_json(parser)?),
             "updates" => head.updates = Some(usize::deserialize_json(parser)?),
-            "nonce" => head.nonce = Some(parse_hex_u64(parser)?),
             "owned" => head.owned = Some(usize::deserialize_json(parser)?),
             "reason" => head.reason = Some(usize::deserialize_json(parser)?),
             "digest" => head.digest = Some(parse_hex_u64(parser)?),
@@ -584,9 +562,6 @@ pub fn parse_to_worker(payload: &[u8]) -> FleetResult<ToWorker> {
         "halo" => ToWorker::Halo {
             updates: sections.updates(need(head.updates, "updates")?)?,
         },
-        "ping" => ToWorker::Ping {
-            nonce: need(head.nonce, "nonce")?,
-        },
         "finish" => ToWorker::Finish,
         other => {
             return Err(FleetError::Protocol {
@@ -613,9 +588,6 @@ pub fn parse_to_coordinator(payload: &[u8]) -> FleetResult<ToCoordinator> {
             sweep: need(head.sweep, "sweep")?,
             group: need(head.group, "group")?,
             updates: sections.updates(need(head.updates, "updates")?)?,
-        },
-        "pong" => ToCoordinator::Pong {
-            nonce: need(head.nonce, "nonce")?,
         },
         "fault" => {
             let text = sections.take(need(head.reason, "reason")?, 1)?;
@@ -672,32 +644,4 @@ pub fn recv_to_coordinator(
     rpc: &'static str,
 ) -> FleetResult<ToCoordinator> {
     parse_to_coordinator(&recv_frame(conn, deadline, rpc)?)
-}
-
-/// Round-trip liveness probe: sends `Ping` and waits for the matching
-/// `Pong`, discarding any stale `PhaseDone` still queued from a
-/// superseded phase exchange.
-///
-/// # Errors
-///
-/// [`FleetError::Deadline`] when the pong misses the deadline,
-/// [`FleetError::Protocol`] on a mismatched nonce or unexpected reply.
-pub fn rpc_ping(conn: &mut Conn, nonce: u64, deadline: Duration) -> FleetResult<()> {
-    send_to_worker(conn, &ToWorker::Ping { nonce })?;
-    loop {
-        match recv_to_coordinator(conn, Some(deadline), "ping")? {
-            ToCoordinator::Pong { nonce: echoed } if echoed == nonce => return Ok(()),
-            ToCoordinator::Pong { nonce: echoed } => {
-                return Err(FleetError::Protocol {
-                    reason: format!("pong nonce {echoed:#x} does not match ping {nonce:#x}"),
-                })
-            }
-            ToCoordinator::PhaseDone { .. } => continue,
-            other => {
-                return Err(FleetError::Protocol {
-                    reason: format!("expected pong, got {other:?}"),
-                })
-            }
-        }
-    }
 }

@@ -10,9 +10,9 @@
 //!
 //! Then `Phase` runs the owned chunks of one color and answers with its
 //! owned sites of that color (listed once, at `Assign`); `Halo` imports
-//! the foreign labels this shard's gathers read; `Ping` echoes. A `Halo`
-//! site or label out of range fails the worker with the engine's typed
-//! `apply_updates` error.
+//! the foreign labels this shard's gathers read. A `Halo` site or label
+//! out of range fails the worker with the engine's typed `apply_updates`
+//! error.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -153,9 +153,6 @@ fn drive(conn: &mut Conn, spec: &str) -> FleetResult<()> {
                 owned.as_ref().ok_or_else(|| unassigned("halo"))?;
                 exec.apply_updates(&updates)?;
             }
-            ToWorker::Ping { nonce } => {
-                send_to_coordinator(conn, &ToCoordinator::Pong { nonce })?;
-            }
             ToWorker::Finish => {
                 send_to_coordinator(conn, &ToCoordinator::Bye)?;
                 return Ok(());
@@ -253,8 +250,7 @@ mod tests {
         let reply = recv_to_coordinator(&mut conn, deadline, "assign").expect("assign ok");
         assert_eq!(reply, ToCoordinator::AssignOk { owned: 24 });
 
-        // Ping, then one full sweep of phases.
-        crate::wire::rpc_ping(&mut conn, 7, Duration::from_secs(10)).expect("ping");
+        // One full sweep of phases.
         let mut plane = vec![0u8; 24];
         for group in 0..structure.group_count() {
             send_to_worker(&mut conn, &ToWorker::Phase { sweep: 0, group }).expect("phase");

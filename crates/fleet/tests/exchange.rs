@@ -247,9 +247,9 @@ fn socket_bytes_per_phase_track_owned_plus_halo_sites() {
         "{per_phase} B per phase on the socket, bound {bound}"
     );
     // Per worker and phase: Phase out, PhaseDone back, at most one Halo;
-    // per worker and sweep: one Ping/Pong pair.
+    // nothing else crosses a sweep boundary.
     let per_sweep = (frames_b - frames_a) / (long - short) as u64;
-    assert_eq!(per_sweep, (2 * (3 * groups + 2)) as u64);
+    assert_eq!(per_sweep, (2 * 3 * groups) as u64);
 }
 
 /// A worker that answers `Phase` with a label outside the space, or a

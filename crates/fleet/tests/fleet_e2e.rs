@@ -27,13 +27,18 @@
 //!    never a resumed run;
 //! 9. a store reused by a second spec — its cuts supersede the first
 //!    job's later ones, and its resume is bit for bit;
-//! 10. a refused resume — refused before any worker is launched.
+//! 10. a refused resume — refused before any worker is launched;
+//! 11. a cut whose plane holds a label outside the space, under a valid
+//!     checksum — a typed refusal before any shard is assigned;
+//! 12. a stereo worker killed in the sweep's last phase, respawned and
+//!     adopted — the longest replay, read off the mirror, still bit for
+//!     bit.
 
 use std::path::PathBuf;
 
 use mogs_fleet::{
     run_fleet, run_in_process, BackendKind, ChaosPlan, FleetCheckpoint, FleetConfig, FleetError,
-    FleetSpec, KillAt, Launcher, TransportKind, Workload, COORD_KEY,
+    FleetSpec, FleetStructure, KillAt, Launcher, TransportKind, Workload, COORD_KEY,
 };
 
 fn worker_bin() -> PathBuf {
@@ -445,4 +450,77 @@ fn a_refused_resume_launches_no_worker() {
         other => panic!("expected a checkpoint refusal before any launch, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_resumed_cut_with_a_label_outside_the_space_is_refused() {
+    let spec = demo_spec();
+    let dir = temp_dir("range");
+    let checkpoint = FleetCheckpoint {
+        dir: dir.clone(),
+        every_sweeps: 2,
+        retain: 4,
+    };
+    let mut first = config(2);
+    first.checkpoint = Some(checkpoint.clone());
+    first.stop_after_sweep = Some(2);
+    run_fleet(&spec, &first).expect("first coordinator runs");
+
+    // Rewrite the cut with one label past the 4-label space, re-sealed
+    // so the store's checksum and decoder accept it.
+    let path = dir.join(format!("{COORD_KEY}-00000002.ckpt"));
+    let mut cut = mogs_ckpt::decode(&std::fs::read(&path).expect("sweep-2 cut")).expect("intact");
+    cut.state.labels[17] = 4;
+    let bytes = mogs_ckpt::encode(&cut);
+    assert!(
+        mogs_ckpt::decode(&bytes).is_ok(),
+        "the decoder checks no label range"
+    );
+    std::fs::write(&path, bytes).expect("rewrite the cut");
+
+    let mut second = config(2);
+    second.checkpoint = Some(checkpoint);
+    second.resume = true;
+    match run_fleet(&spec, &second) {
+        Err(FleetError::Spec { reason }) => {
+            assert!(reason.contains("label 4"), "{reason}");
+        }
+        Err(other) => panic!("expected a typed spec refusal, got {other:?}"),
+        Ok(output) => panic!(
+            "a cut with a label outside the space resumed ({} sweeps)",
+            output.iterations_run
+        ),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_kill_in_the_last_phase_replays_every_completed_group() {
+    let spec = stereo_spec(3);
+    let groups = FleetStructure::of(&spec).expect("structure").group_count();
+    let reference = run_in_process(&spec).expect("engine runs");
+    for respawn in [true, false] {
+        let mut config = config(3);
+        config.respawn = respawn;
+        config.chaos = ChaosPlan {
+            kills: vec![KillAt {
+                sweep: 3,
+                group: groups - 1,
+                worker: 1,
+            }],
+        };
+        let output = run_fleet(&spec, &config).expect("fleet survives the kill");
+        assert_eq!(output.migrations, 1, "respawn {respawn}");
+        match output.degraded {
+            None => assert!(respawn, "adoption must report degradation"),
+            Some(degraded) => {
+                assert!(!respawn, "a respawned fleet is not degraded");
+                assert_eq!((degraded.failed_over_at, degraded.units_lost), (3, 1));
+            }
+        }
+        assert!(
+            output.bit_identical_to(&reference),
+            "a last-phase kill diverged from the engine (respawn {respawn})"
+        );
+    }
 }

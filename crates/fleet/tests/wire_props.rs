@@ -4,7 +4,7 @@
 //!
 //! - every message round-trips through `encode_to_*` / `parse_to_*`,
 //!   including empty update lists, lists past 2¹⁶ entries, `plane: None`
-//!   and `u64::MAX` digests and nonces;
+//!   and `u64::MAX` digests;
 //! - every `FleetSpec` that passes `validate` survives `encode` →
 //!   `parse` with its digest — the `Assign` check depends on it — and
 //!   every other is refused as `Spec`;
@@ -28,8 +28,8 @@ use std::time::Duration;
 
 use mogs_fleet::wire::{
     encode_to_coordinator, encode_to_worker, parse_to_coordinator, parse_to_worker, recv_frame,
-    recv_to_coordinator, rpc_ping, send_frame, send_to_coordinator, send_to_worker, Conn,
-    ToCoordinator, ToWorker, FRAME_LIMIT, HEAD_LIMIT,
+    recv_to_coordinator, send_frame, send_to_worker, Conn, ToCoordinator, ToWorker, FRAME_LIMIT,
+    HEAD_LIMIT,
 };
 use mogs_fleet::{worker_main, BackendKind, FleetError, FleetSpec, FleetStructure, Workload};
 use proptest::prelude::*;
@@ -96,21 +96,15 @@ fn arb_updates(max: usize) -> impl Strategy<Value = Vec<(usize, u8)>> {
 
 fn arb_to_worker() -> impl Strategy<Value = ToWorker> {
     (
-        0usize..5,
+        0usize..4,
         arb_spec(),
         prop::collection::vec(((0usize..40), (0usize..40)), 0..12),
         (prop::bool::ANY, prop::collection::vec(0u8..=255, 0..400)),
         prop::collection::vec(arb_updates(60), 0..4),
-        (
-            (0usize..1_000_000),
-            (0usize..9),
-            arb_updates(200),
-            0u64..=u64::MAX,
-        ),
+        ((0usize..1_000_000), (0usize..9), arb_updates(200)),
     )
         .prop_map(
-            |(kind, spec, cells, (seat, plane), replay, (sweep, group, updates, nonce))| match kind
-            {
+            |(kind, spec, cells, (seat, plane), replay, (sweep, group, updates))| match kind {
                 0 => ToWorker::Assign {
                     digest: spec.digest(),
                     cells,
@@ -120,7 +114,6 @@ fn arb_to_worker() -> impl Strategy<Value = ToWorker> {
                 },
                 1 => ToWorker::Phase { sweep, group },
                 2 => ToWorker::Halo { updates },
-                3 => ToWorker::Ping { nonce },
                 _ => ToWorker::Finish,
             },
         )
@@ -128,20 +121,18 @@ fn arb_to_worker() -> impl Strategy<Value = ToWorker> {
 
 fn arb_to_coordinator() -> impl Strategy<Value = ToCoordinator> {
     (
-        0usize..5,
+        0usize..4,
         ((0usize..1_000_000), (0usize..9), arb_updates(200)),
-        0u64..=u64::MAX,
         prop::collection::vec(0u8..=127, 0..80),
     )
-        .prop_map(|(kind, (sweep, group, updates), nonce, text)| match kind {
+        .prop_map(|(kind, (sweep, group, updates), text)| match kind {
             0 => ToCoordinator::AssignOk { owned: sweep },
             1 => ToCoordinator::PhaseDone {
                 sweep,
                 group,
                 updates,
             },
-            2 => ToCoordinator::Pong { nonce },
-            3 => ToCoordinator::Fault {
+            2 => ToCoordinator::Fault {
                 reason: String::from_utf8_lossy(&text).into_owned(),
             },
             _ => ToCoordinator::Bye,
@@ -290,8 +281,6 @@ fn edge_shapes_round_trip() {
         ToWorker::Halo {
             updates: long.clone(),
         },
-        ToWorker::Ping { nonce: u64::MAX },
-        ToWorker::Ping { nonce: 0 },
     ];
     for msg in down {
         assert_eq!(
@@ -310,7 +299,6 @@ fn edge_shapes_round_trip() {
             group: 7,
             updates: long,
         },
-        ToCoordinator::Pong { nonce: u64::MAX },
         ToCoordinator::Fault {
             reason: "unit \"q\" died\n\ton line two — naïvely".to_string(),
         },
@@ -345,7 +333,7 @@ fn malformed_heads_are_typed() {
     typed(parse_to_worker(b"{\"t\":\"warp\"}\n")).expect("unknown tag");
     typed(parse_to_worker(b"{\"sweep\":1,\"group\":0}\n")).expect("no tag");
     typed(parse_to_worker(b"{\"t\":\"phase\",\"sweep\":1}\n")).expect("missing field");
-    typed(parse_to_worker(b"{\"t\":\"ping\",\"nonce\":\"ff\"}\n")).expect("short hex nonce");
+    typed(parse_to_worker(b"{\"t\":\"assign\",\"digest\":\"ff\"}\n")).expect("short hex digest");
     typed(parse_to_worker(b"{\"t\":\"finish\"} trailing\n")).expect("junk after the head");
     typed(parse_to_worker(b"")).expect("empty payload");
 
@@ -445,26 +433,6 @@ fn silent_stalled_and_closed_peers_are_typed() {
     drop(client);
     let err = recv_frame(&mut server, PATIENT, "probe").expect_err("closed");
     assert_eq!(err.variant(), "frame");
-}
-
-#[test]
-fn ping_discards_stale_phase_done() {
-    let (client, mut coord) = pair();
-    let mut worker = Conn::tcp(client);
-    // A stale PhaseDone sits in the queue ahead of the pong; rpc_ping's
-    // own Ping is ignored by this fake worker, the queued replies
-    // satisfy it.
-    let stale = ToCoordinator::PhaseDone {
-        sweep: 0,
-        group: 0,
-        updates: vec![(1, 1)],
-    };
-    send_to_coordinator(&mut worker, &stale).expect("stale send");
-    send_to_coordinator(&mut worker, &ToCoordinator::Pong { nonce: 42 }).expect("pong send");
-    rpc_ping(&mut coord, 42, Duration::from_secs(5)).expect("ping survives stale traffic");
-    send_to_coordinator(&mut worker, &ToCoordinator::Pong { nonce: 7 }).expect("pong send");
-    let err = rpc_ping(&mut coord, 8, Duration::from_secs(5)).expect_err("wrong nonce");
-    assert_eq!(err.variant(), "protocol");
 }
 
 /// The codec carries any `u32` site and any byte label; the worker is
