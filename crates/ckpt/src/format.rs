@@ -71,6 +71,14 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Bytes after the checksum's 16 hex digits: `"}` and the newline.
 const HEADER_TAIL: usize = 3;
 
+/// Upper bound on a payload's JSON head line; a head that runs past it
+/// is [`CkptError::State`] before it is UTF-8-checked or parsed. The
+/// head grows with the job: it carries the caller's meta (serve's
+/// request body, 1 MiB by default) and a diagnostics sink's marginal
+/// counts, up to 7 bytes for each of 2²⁰ sites × 64 labels under
+/// serve's default quota (448 MiB). The bound leaves twice that.
+pub const HEAD_LIMIT: usize = 1 << 30;
+
 /// The v3 payload checksum: FNV-1a-style steps over little-endian `u64`
 /// words in four interleaved lanes (word `i` of every 32-byte chunk
 /// feeds lane `i`), each step `lane = rotl((lane ^ word) * prime, 29)`,
@@ -328,17 +336,27 @@ fn state_error(reason: impl ToString) -> CkptError {
 }
 
 fn parse_payload(payload: &[u8]) -> Result<Checkpoint, CkptError> {
-    let split = payload
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| state_error("payload has no head line"))?;
-    let head = std::str::from_utf8(&payload[..split])
-        .map_err(|_| state_error("payload head is not UTF-8"))?;
+    let (head, sections) = split_head(payload, HEAD_LIMIT)?;
     let mut parser = Parser::new(head);
     let (mut checkpoint, counts) = parse_head(&mut parser).map_err(state_error)?;
     parser.expect_end().map_err(state_error)?;
-    counts.seat(&payload[split + 1..], &mut checkpoint.state)?;
+    counts.seat(sections, &mut checkpoint.state)?;
     Ok(checkpoint)
+}
+
+/// Splits a payload into its head line, at most `limit` bytes long,
+/// and the raw sections after its newline.
+fn split_head(payload: &[u8], limit: usize) -> Result<(&str, &[u8]), CkptError> {
+    let Some(split) = payload.iter().take(limit + 1).position(|&b| b == b'\n') else {
+        return Err(state_error(if payload.len() > limit {
+            format!("payload head runs past {limit} bytes")
+        } else {
+            "payload has no head line".to_string()
+        }));
+    };
+    let head = std::str::from_utf8(&payload[..split])
+        .map_err(|_| state_error("payload head is not UTF-8"))?;
+    Ok((head, &payload[split + 1..]))
 }
 
 /// Element counts of the raw sections, as declared by the head.
@@ -913,6 +931,22 @@ mod tests {
                 decode(&seal(payload)).expect_err("garbage").variant(),
                 "state"
             );
+        }
+    }
+
+    #[test]
+    fn a_head_past_the_limit_is_refused_before_it_is_read() {
+        let (head, sections) = split_head(b"{\"a\":1}\nrest", 7).expect("a 7-byte head fits");
+        assert_eq!((head, sections), ("{\"a\":1}", &b"rest"[..]));
+        for payload in [
+            &b"{\"ab\":1}\nrest"[..],
+            b"\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\n",
+        ] {
+            let err = split_head(payload, 7).expect_err("an 8-byte head");
+            let CkptError::State { reason } = err else {
+                panic!("expected a state error, got {err}");
+            };
+            assert!(reason.contains("runs past 7 bytes"), "{reason}");
         }
     }
 

@@ -65,6 +65,6 @@ pub mod harness;
 pub use error::CkptError;
 pub use format::{
     checksum, decode, encode, open_envelope, parse_hex_u64, parse_object, seal, verify_binding,
-    Checkpoint, FORMAT_VERSION,
+    Checkpoint, FORMAT_VERSION, HEAD_LIMIT,
 };
 pub use store::{sanitize_key, CheckpointStore, GcReason, GcReport, ScanEntry, ScanReport};

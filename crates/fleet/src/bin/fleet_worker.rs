@@ -1,7 +1,7 @@
-//! `fleet-worker <addr> <spec>`: connects to a coordinator (`tcp:host:port`
-//! or `unix:/path`), admits `spec` (`FleetSpec::encode` text) and speaks the
-//! shard protocol until told to finish. Spawned by `Launcher::Program`; exits
-//! nonzero on any protocol or shard failure so process supervisors see it.
+//! `fleet-worker <addr> <spec>`: connects to a coordinator (`tcp:host:port`),
+//! admits `spec` (`FleetSpec::encode` text) and speaks the shard protocol
+//! until told to finish. Spawned by `Launcher::Program`; exits nonzero on any
+//! protocol or shard failure so process supervisors see it.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
 
@@ -13,7 +13,7 @@ fn main() -> ExitCode {
     let Some(addr) = args.next() else {
         let _ = writeln!(
             std::io::stderr(),
-            "usage: fleet-worker <tcp:host:port | unix:/path> <spec>"
+            "usage: fleet-worker <tcp:host:port> <spec>"
         );
         return ExitCode::from(2);
     };

@@ -48,7 +48,6 @@
 
 use std::collections::VecDeque;
 use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -92,13 +91,13 @@ pub enum Launcher {
     InProcess,
 }
 
-/// Which socket family carries the control plane.
+/// Which socket family carries the control plane. Loopback TCP is the
+/// only one; the type and [`FleetConfig::transport`] remain because the
+/// benchmark still assigns them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
     /// Loopback TCP.
     Tcp,
-    /// Unix-domain socket in the system temp directory.
-    Unix,
 }
 
 /// One scripted worker kill, executed by the coordinator immediately
@@ -140,7 +139,7 @@ pub struct FleetCheckpoint {
 pub struct FleetConfig {
     /// Worker processes at launch (and shards in the partition).
     pub workers: usize,
-    /// Socket family.
+    /// Socket family (loopback TCP, the only one).
     pub transport: TransportKind,
     /// How workers come up.
     pub launcher: Launcher,
@@ -250,79 +249,45 @@ pub fn run_fleet(spec: &FleetSpec, config: &FleetConfig) -> FleetResult<FleetOut
     Coordinator::launch(spec, config)?.run()
 }
 
-/// The listening socket one worker is launched against. Every launch
-/// binds its own, so the connection it accepts provably belongs to the
-/// process it spawned — which lets a whole fleet boot concurrently.
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener, PathBuf),
+/// Binds the non-blocking loopback listener one worker is launched
+/// against and returns it with its address in
+/// [`crate::worker::connect`]'s format. Every launch binds its own, so
+/// the connection it accepts provably belongs to the process it spawned
+/// — which lets a whole fleet boot concurrently.
+fn listen() -> FleetResult<(TcpListener, String)> {
+    let listener = TcpListener::bind("127.0.0.1:0")
+        .map_err(|e| FleetError::io("binding loopback listener", e))?;
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| FleetError::io("configuring listener", e))?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| FleetError::io("reading listener address", e))?;
+    Ok((listener, format!("tcp:{addr}")))
 }
 
-impl Listener {
-    /// Binds a non-blocking listener and returns it with its address in
-    /// [`crate::worker::connect`]'s format.
-    fn bind(kind: TransportKind) -> FleetResult<(Self, String)> {
-        let configured = |e| FleetError::io("configuring listener", e);
-        match kind {
-            TransportKind::Tcp => {
-                let listener = TcpListener::bind("127.0.0.1:0")
-                    .map_err(|e| FleetError::io("binding loopback listener", e))?;
-                listener.set_nonblocking(true).map_err(configured)?;
-                let addr = listener
-                    .local_addr()
-                    .map_err(|e| FleetError::io("reading listener address", e))?;
-                Ok((Listener::Tcp(listener), format!("tcp:{addr}")))
-            }
-            TransportKind::Unix => {
-                static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-                let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let path = std::env::temp_dir()
-                    .join(format!("mogs-fleet-{}-{n}.sock", std::process::id()));
-                let _ = std::fs::remove_file(&path);
-                let listener = UnixListener::bind(&path)
-                    .map_err(|e| FleetError::io("binding unix listener", e))?;
-                listener.set_nonblocking(true).map_err(configured)?;
-                let addr = format!("unix:{}", path.display());
-                Ok((Listener::Unix(listener, path), addr))
-            }
-        }
-    }
-
-    /// Accepts the worker's connection within `deadline`, polling with a
-    /// doubling back-off (100 µs up to 5 ms) so a worker that is already
-    /// there costs no sleep quantum.
-    fn accept(&self, deadline: Duration) -> FleetResult<Conn> {
-        let start = std::time::Instant::now();
-        let mut pause = Duration::from_micros(100);
-        loop {
-            let accepted = match self {
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::tcp(s)),
-                Listener::Unix(l, _) => l.accept().map(|(s, _)| Conn::unix(s)),
-            };
-            match accepted {
-                Ok(conn) => return Ok(conn),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if start.elapsed() > deadline {
-                        return Err(FleetError::Spawn {
-                            reason: format!(
-                                "worker did not connect within {} ms",
-                                deadline.as_millis()
-                            ),
-                        });
-                    }
-                    std::thread::sleep(pause);
-                    pause = (pause * 2).min(Duration::from_millis(5));
+/// Accepts the worker's connection within `deadline`, polling with a
+/// doubling back-off (100 µs up to 5 ms) so a worker that is already
+/// there costs no sleep quantum.
+fn accept(listener: &TcpListener, deadline: Duration) -> FleetResult<Conn> {
+    let start = std::time::Instant::now();
+    let mut pause = Duration::from_micros(100);
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => return Ok(Conn::tcp(stream)),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                if start.elapsed() > deadline {
+                    return Err(FleetError::Spawn {
+                        reason: format!(
+                            "worker did not connect within {} ms",
+                            deadline.as_millis()
+                        ),
+                    });
                 }
-                Err(e) => return Err(FleetError::io("accepting worker connection", e)),
+                std::thread::sleep(pause);
+                pause = (pause * 2).min(Duration::from_millis(5));
             }
-        }
-    }
-}
-
-impl Drop for Listener {
-    fn drop(&mut self) {
-        if let Listener::Unix(_, path) = self {
-            let _ = std::fs::remove_file(path);
+            Err(e) => return Err(FleetError::io("accepting worker connection", e)),
         }
     }
 }
@@ -342,8 +307,8 @@ impl Slot {
         config: &FleetConfig,
         spec: &FleetSpec,
         shards: &[usize],
-    ) -> FleetResult<(Listener, Slot)> {
-        let (listener, addr) = Listener::bind(config.transport)?;
+    ) -> FleetResult<(TcpListener, Slot)> {
+        let (listener, addr) = listen()?;
         let spec = spec.encode();
         let failed = |e: std::io::Error| FleetError::Spawn {
             reason: format!("launching a {:?} worker: {e}", config.launcher),
@@ -382,8 +347,8 @@ impl Slot {
     }
 
     /// Waits for the launched worker's connection.
-    fn connect(mut self, listener: &Listener, deadline: Duration) -> FleetResult<Slot> {
-        self.conn = Some(listener.accept(deadline)?);
+    fn connect(mut self, listener: &TcpListener, deadline: Duration) -> FleetResult<Slot> {
+        self.conn = Some(accept(listener, deadline)?);
         Ok(self)
     }
 
@@ -482,7 +447,7 @@ impl Coordinator {
         };
         // Every worker admits the job while the coordinator does. An
         // early return drops the started slots, which reaps them.
-        let started: Vec<FleetResult<(Listener, Slot)>> = (0..config.workers)
+        let started: Vec<FleetResult<(TcpListener, Slot)>> = (0..config.workers)
             .map(|shard| Slot::start(config, spec, &[shard]))
             .collect();
         let (reference, structure, partition) = bring_up(spec, config.workers)?;
@@ -1050,18 +1015,14 @@ mod tests {
     }
 
     #[test]
-    fn three_worker_fleet_matches_engine_over_tcp_and_unix() {
+    fn three_worker_fleet_matches_engine_over_tcp() {
         let reference = crate::exec::run_in_process(&spec()).expect("engine runs");
-        for transport in [TransportKind::Tcp, TransportKind::Unix] {
-            let mut config = FleetConfig::new(3);
-            config.transport = transport;
-            let output = run_fleet(&spec(), &config).expect("fleet runs");
-            assert_eq!(output.workers_spawned, 3);
-            assert!(
-                output.bit_identical_to(&reference),
-                "3-worker fleet must be bit-identical over {transport:?}"
-            );
-        }
+        let output = run_fleet(&spec(), &FleetConfig::new(3)).expect("fleet runs");
+        assert_eq!(output.workers_spawned, 3);
+        assert!(
+            output.bit_identical_to(&reference),
+            "3-worker fleet must be bit-identical to the engine"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! crate runs the same job across *processes*: a coordinator
 //! partitions the plane into chunk-aligned shards (audited by
 //! `mogs-audit`), drives N spawned workers over length-prefixed
-//! TCP/Unix-socket framing, and — the point of the crate — keeps the
+//! loopback-TCP framing, and — the point of the crate — keeps the
 //! job's output **bit-identical** to a single-process engine run no
 //! matter how many workers die along the way.
 //!

@@ -1,5 +1,4 @@
-//! Length-prefixed message framing (format v2) over TCP or Unix-domain
-//! sockets.
+//! Length-prefixed message framing (format v2) over loopback TCP.
 //!
 //! ```text
 //! <8 hex digits: payload length><head JSON>\n<raw little-endian sections>
@@ -48,7 +47,6 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
 use mogs_ckpt::{parse_hex_u64, parse_object};
@@ -87,27 +85,10 @@ impl Traffic {
     }
 }
 
-/// What a [`Conn`] needs of a socket; both families provide it.
-trait Socket: Read + Write + Send + std::fmt::Debug {
-    fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
-}
-
-impl Socket for TcpStream {
-    fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-}
-
-impl Socket for UnixStream {
-    fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-}
-
 /// One established coordinator↔worker stream.
 #[derive(Debug)]
 pub struct Conn {
-    stream: Box<dyn Socket>,
+    stream: TcpStream,
     /// The read timeout the socket currently has, once one was applied.
     read_timeout: Option<Option<Duration>>,
     traffic: Traffic,
@@ -120,16 +101,6 @@ impl Conn {
     #[must_use]
     pub fn tcp(stream: TcpStream) -> Self {
         let _ = stream.set_nodelay(true);
-        Self::new(Box::new(stream))
-    }
-
-    /// Wraps a Unix-domain stream.
-    #[must_use]
-    pub fn unix(stream: UnixStream) -> Self {
-        Self::new(Box::new(stream))
-    }
-
-    fn new(stream: Box<dyn Socket>) -> Self {
         Conn {
             stream,
             read_timeout: None,
@@ -148,7 +119,7 @@ impl Conn {
     fn set_read_timeout(&mut self, timeout: Option<Duration>) -> FleetResult<()> {
         if self.read_timeout != Some(timeout) {
             self.stream
-                .set_timeout(timeout)
+                .set_read_timeout(timeout)
                 .map_err(|e| FleetError::io("setting read timeout", e))?;
             self.read_timeout = Some(timeout);
         }

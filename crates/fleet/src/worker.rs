@@ -16,7 +16,6 @@
 
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
 use crate::error::{FleetError, FleetResult};
@@ -38,27 +37,21 @@ pub const SPEC_ENV: &str = "MOGS_FLEET_SPEC";
 /// an orphaned process, not a slow sweep.
 pub const WORKER_IDLE: Duration = Duration::from_secs(120);
 
-/// Connects to a coordinator address: `tcp:<host>:<port>` or
-/// `unix:<path>`.
+/// Connects to a coordinator address: `tcp:<host>:<port>`.
 ///
 /// # Errors
 ///
 /// [`FleetError::Protocol`] for an unrecognized scheme,
 /// [`FleetError::Io`] when the connection fails.
 pub fn connect(addr: &str) -> FleetResult<Conn> {
-    if let Some(tcp) = addr.strip_prefix("tcp:") {
-        return TcpStream::connect(tcp)
-            .map(Conn::tcp)
-            .map_err(|e| FleetError::io(format!("connecting to {tcp}"), e));
-    }
-    if let Some(path) = addr.strip_prefix("unix:") {
-        return UnixStream::connect(path)
-            .map(Conn::unix)
-            .map_err(|e| FleetError::io(format!("connecting to {path}"), e));
-    }
-    Err(FleetError::Protocol {
-        reason: format!("worker address {addr:?} has no tcp:/unix: scheme"),
-    })
+    let Some(tcp) = addr.strip_prefix("tcp:") else {
+        return Err(FleetError::Protocol {
+            reason: format!("worker address {addr:?} has no tcp: scheme"),
+        });
+    };
+    TcpStream::connect(tcp)
+        .map(Conn::tcp)
+        .map_err(|e| FleetError::io(format!("connecting to {tcp}"), e))
 }
 
 /// Admits the job `spec` describes (its [`FleetSpec::encode`] text),
@@ -316,8 +309,14 @@ mod tests {
             "protocol"
         );
         assert_eq!(
-            connect("unix:/nonexistent/socket/path")
-                .expect_err("no socket")
+            connect("unix:/tmp/fleet.sock")
+                .expect_err("a retired scheme")
+                .variant(),
+            "protocol"
+        );
+        assert_eq!(
+            connect("tcp:not-an-address")
+                .expect_err("no such host")
                 .variant(),
             "io"
         );

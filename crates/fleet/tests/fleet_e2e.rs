@@ -38,7 +38,7 @@ use std::path::PathBuf;
 
 use mogs_fleet::{
     run_fleet, run_in_process, BackendKind, ChaosPlan, FleetCheckpoint, FleetConfig, FleetError,
-    FleetSpec, FleetStructure, KillAt, Launcher, TransportKind, Workload, COORD_KEY,
+    FleetSpec, FleetStructure, KillAt, Launcher, Workload, COORD_KEY,
 };
 
 fn worker_bin() -> PathBuf {
@@ -81,20 +81,15 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn clean_three_process_run_is_bit_identical() {
-    for (spec, transport) in [
-        (demo_spec(), TransportKind::Tcp),
-        (rsu_spec(), TransportKind::Unix),
-    ] {
-        let mut config = config(3);
-        config.transport = transport;
-        let output = run_fleet(&spec, &config).expect("fleet runs");
+    for spec in [demo_spec(), rsu_spec()] {
+        let output = run_fleet(&spec, &config(3)).expect("fleet runs");
         let reference = run_in_process(&spec).expect("engine runs");
         assert_eq!(output.workers_spawned, 3);
         assert_eq!(output.migrations, 0);
         assert!(output.degraded.is_none());
         assert!(
             output.bit_identical_to(&reference),
-            "clean 3-process run diverged from the engine over {transport:?}"
+            "clean 3-process run diverged from the engine: {spec:?}"
         );
     }
 }

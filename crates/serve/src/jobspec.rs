@@ -62,8 +62,7 @@ impl Workload {
     }
 }
 
-/// The largest sweep budget either job route accepts (`POST /v1/jobs`
-/// and `POST /v1/fleet/jobs`, which has no cancel).
+/// The largest sweep budget `POST /v1/jobs` accepts.
 pub const MAX_ITERATIONS: usize = 1 << 20;
 
 /// One parsed and sanity-checked job request.

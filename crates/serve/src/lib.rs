@@ -20,8 +20,6 @@
 //! | `GET /v1/jobs/{id}/result` | Label map (+ marginal/entropy maps)    |
 //! | `DELETE /v1/jobs/{id}`   | Request cancellation                     |
 //! | `GET /metrics`           | Prometheus text: engine + serve series   |
-//! | `POST /v1/fleet/jobs`    | Submit to the fleet backend (if enabled) |
-//! | `GET /v1/fleet/jobs/{id}` | Poll a fleet job; terminal replies carry labels |
 //!
 //! # The two admission gates
 //!
@@ -63,7 +61,6 @@
 pub mod ckpt;
 pub mod client;
 pub mod error;
-pub mod fleet;
 pub mod http;
 pub mod jobspec;
 pub mod metrics;
@@ -76,7 +73,6 @@ pub mod tenant;
 pub use ckpt::{job_key, CheckpointSetup, RecoveryReport};
 pub use client::{http_request, ClientResponse, HttpClient};
 pub use error::ServeError;
-pub use fleet::{FleetRunner, FleetSetup};
 pub use http::{Limits, Request, Response};
 pub use jobspec::{JobRequest, Workload};
 pub use metrics::{ServeMetrics, ServeMetricsSnapshot};

@@ -29,7 +29,6 @@ use mogs_engine::{CheckpointPolicy, Engine};
 
 use crate::ckpt::job_key;
 use crate::error::ServeError;
-use crate::fleet::FleetRunner;
 use crate::http::{json_string, Request, Response};
 use crate::jobspec::JobRequest;
 use crate::metrics::ServeMetrics;
@@ -51,8 +50,6 @@ pub struct Router {
     /// When set, every submission checkpoints under `job-<id>` and
     /// terminal jobs get their checkpoints deleted.
     ckpt: Option<(CheckpointStore, CheckpointPolicy)>,
-    /// The optional fleet backend behind `/v1/fleet/jobs`.
-    fleet: Option<FleetRunner>,
 }
 
 impl Router {
@@ -73,16 +70,7 @@ impl Router {
             retry_after_s,
             batch_queue_ceiling,
             ckpt: None,
-            fleet: None,
         }
-    }
-
-    /// Enables the fleet backend: `POST /v1/fleet/jobs` and
-    /// `GET /v1/fleet/jobs/{id}` route to `runner`.
-    #[must_use]
-    pub fn with_fleet(mut self, runner: FleetRunner) -> Self {
-        self.fleet = Some(runner);
-        self
     }
 
     /// Enables durable checkpointing: every submission gets a
@@ -130,44 +118,17 @@ impl Router {
             ("GET", ["v1", "jobs", id]) => self.handle_status(id),
             ("GET", ["v1", "jobs", id, "result"]) => self.handle_result(id),
             ("DELETE", ["v1", "jobs", id]) => self.handle_cancel(id),
-            ("POST", ["v1", "fleet", "jobs"]) => self.handle_fleet_submit(request),
-            ("GET", ["v1", "fleet", "jobs", id]) => self.handle_fleet_status(id),
             ("GET", ["metrics"]) => self.handle_metrics(),
-            (
-                _,
-                ["v1", "jobs"]
-                | ["v1", "jobs", _]
-                | ["v1", "jobs", _, "result"]
-                | ["v1", "fleet", "jobs"]
-                | ["v1", "fleet", "jobs", _]
-                | ["metrics"],
-            ) => Err(ServeError::MethodNotAllowed {
-                method: request.method.clone(),
-            }),
+            (_, ["v1", "jobs"] | ["v1", "jobs", _] | ["v1", "jobs", _, "result"] | ["metrics"]) => {
+                Err(ServeError::MethodNotAllowed {
+                    method: request.method.clone(),
+                })
+            }
             _ => Err(ServeError::NotFound {
                 what: request.path.clone(),
             }),
         };
         result.unwrap_or_else(ServeError::into_response)
-    }
-
-    /// The fleet runner, or 404 when the backend is not enabled.
-    fn fleet(&self) -> Result<&FleetRunner, ServeError> {
-        self.fleet.as_ref().ok_or_else(|| ServeError::NotFound {
-            what: "fleet backend (not enabled on this server)".to_string(),
-        })
-    }
-
-    /// `POST /v1/fleet/jobs`: hand the body to the fleet backend.
-    fn handle_fleet_submit(&self, request: &Request) -> Result<Response, ServeError> {
-        let body = request.body_utf8()?;
-        self.fleet()?.submit(body, self.retry_after_s)
-    }
-
-    /// `GET /v1/fleet/jobs/{id}`: fleet job state.
-    fn handle_fleet_status(&self, id: &str) -> Result<Response, ServeError> {
-        let id = parse_id(id)?;
-        self.fleet()?.status(id)
     }
 
     /// `POST /v1/jobs`: parse, admit, submit, store.
@@ -494,129 +455,16 @@ mod tests {
     #[test]
     fn unknown_routes_and_methods_are_typed() {
         let router = test_router(8);
-        assert_eq!(router.handle(&request("GET", "/nope", "")).status, 404);
+        // The retired fleet route is an unknown path like any other.
+        let fleet = ["/v1", "/fleet/jobs"].concat();
+        let fleet_job = format!("{fleet}/1");
+        for path in ["/nope", fleet.as_str(), fleet_job.as_str()] {
+            for method in ["GET", "POST"] {
+                assert_eq!(router.handle(&request(method, path, "{}")).status, 404);
+            }
+        }
         assert_eq!(router.handle(&request("PUT", "/v1/jobs", "")).status, 405);
         assert_eq!(router.handle(&request("POST", "/metrics", "")).status, 405);
-    }
-
-    #[test]
-    fn fleet_routes_404_when_disabled_and_work_when_enabled() {
-        let router = test_router(8);
-        // Backend off: typed 404, and the method gate still answers 405.
-        assert_eq!(
-            router
-                .handle(&request("POST", "/v1/fleet/jobs", "{}"))
-                .status,
-            404
-        );
-        assert_eq!(
-            router
-                .handle(&request("DELETE", "/v1/fleet/jobs", ""))
-                .status,
-            405
-        );
-        // Backend on: submit, poll to terminal, read the labels back.
-        let router = test_router(8).with_fleet(crate::fleet::FleetRunner::new(
-            crate::fleet::FleetSetup::default(),
-            8,
-        ));
-        let spec = mogs_fleet::FleetSpec {
-            workload: mogs_fleet::Workload::Demo {
-                width: 6,
-                height: 4,
-                labels: 3,
-            },
-            backend: mogs_fleet::BackendKind::Softmax,
-            iterations: 3,
-            threads: 2,
-            seed: 17,
-            burn_in: 1,
-        };
-        let accepted = router.handle(&request("POST", "/v1/fleet/jobs", &spec.encode()));
-        assert_eq!(accepted.status, 202, "{}", body_text(&accepted));
-        let mut done = String::new();
-        for _ in 0..1000 {
-            let poll = router.handle(&request("GET", "/v1/fleet/jobs/1", ""));
-            assert_eq!(poll.status, 200, "{}", body_text(&poll));
-            done = body_text(&poll);
-            if !done.contains("\"running\"") {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert!(done.contains("\"state\":\"done\""), "{done}");
-        assert!(done.contains("\"labels\":["), "{done}");
-        assert_eq!(
-            router
-                .handle(&request("GET", "/v1/fleet/jobs/99", ""))
-                .status,
-            404
-        );
-    }
-
-    #[test]
-    fn fleet_route_refuses_overflowing_grids_and_unbounded_sweeps_and_stays_free() {
-        let router = test_router(8).with_fleet(crate::fleet::FleetRunner::new(
-            crate::fleet::FleetSetup::default(),
-            8,
-        ));
-        let spec = |width: usize, height: usize, iterations: usize| mogs_fleet::FleetSpec {
-            workload: mogs_fleet::Workload::Demo {
-                width,
-                height,
-                labels: 3,
-            },
-            backend: mogs_fleet::BackendKind::Softmax,
-            iterations,
-            threads: 2,
-            seed: 17,
-            burn_in: 1,
-        };
-        // 2^33 x 2^31 overflows the site count; 274177 x 67280421310721
-        // is 2^64 + 1, which a wrapping product reads as one site; 2^52
-        // sweeps would hold the single-flight slot indefinitely.
-        for bad in [
-            spec(1 << 33, 1 << 31, 3),
-            spec(274_177, 67_280_421_310_721, 3),
-            spec(6, 4, 1 << 52),
-        ] {
-            let refused = router.handle(&request("POST", "/v1/fleet/jobs", &bad.encode()));
-            assert_eq!(refused.status, 400, "{}", body_text(&refused));
-        }
-        // Nothing was admitted: the slot takes the next job.
-        let accepted = router.handle(&request("POST", "/v1/fleet/jobs", &spec(6, 4, 3).encode()));
-        assert_eq!(accepted.status, 202, "{}", body_text(&accepted));
-        assert!(body_text(&accepted).contains("\"id\":1"));
-    }
-
-    #[test]
-    fn fleet_route_refuses_unbounded_rsu_pools_and_stays_free() {
-        let router = test_router(8).with_fleet(crate::fleet::FleetRunner::new(
-            crate::fleet::FleetSetup::default(),
-            8,
-        ));
-        let spec = |replicas: usize| mogs_fleet::FleetSpec {
-            workload: mogs_fleet::Workload::Demo {
-                width: 6,
-                height: 4,
-                labels: 3,
-            },
-            backend: mogs_fleet::BackendKind::Rsu { replicas },
-            iterations: 3,
-            threads: 2,
-            seed: 17,
-            burn_in: 1,
-        };
-        // 2^40 units would abort the process allocating the pool, and
-        // usize::MAX would overflow its capacity.
-        for replicas in [0, mogs_engine::MAX_REPLICAS + 1, 1 << 40, usize::MAX] {
-            let refused =
-                router.handle(&request("POST", "/v1/fleet/jobs", &spec(replicas).encode()));
-            assert_eq!(refused.status, 400, "{}", body_text(&refused));
-        }
-        let accepted = router.handle(&request("POST", "/v1/fleet/jobs", &spec(2).encode()));
-        assert_eq!(accepted.status, 202, "{}", body_text(&accepted));
-        assert!(body_text(&accepted).contains("\"id\":1"));
     }
 
     #[test]

@@ -35,7 +35,6 @@ use mogs_ckpt::CheckpointStore;
 use mogs_engine::Engine;
 
 use crate::ckpt::{job_key, recover, CheckpointSetup, RecoveryReport};
-use crate::fleet::{FleetRunner, FleetSetup};
 use crate::http::{read_request, Limits, Response};
 use crate::metrics::ServeMetrics;
 use crate::router::Router;
@@ -72,10 +71,6 @@ pub struct ServeConfig {
     /// found in the directory before serving traffic. `None` disables
     /// checkpointing (the default).
     pub checkpoint: Option<CheckpointSetup>,
-    /// Optional multi-process fleet backend: when set, `/v1/fleet/jobs`
-    /// routes submissions through the `mogs-fleet` coordinator. `None`
-    /// (the default) leaves the fleet routes answering 404.
-    pub fleet: Option<FleetSetup>,
 }
 
 impl Default for ServeConfig {
@@ -90,7 +85,6 @@ impl Default for ServeConfig {
             read_timeout: Duration::from_secs(2),
             keep_alive_max_requests: 256,
             checkpoint: None,
-            fleet: None,
         }
     }
 }
@@ -141,12 +135,6 @@ impl Server {
             config.retry_after_s,
             config.batch_queue_ceiling,
         );
-        if let Some(setup) = &config.fleet {
-            router = router.with_fleet(FleetRunner::new(
-                setup.clone(),
-                config.max_terminal_retained,
-            ));
-        }
         // Recovery runs before the first connection worker spawns, so
         // every resumed job is re-admitted (and its serve id reclaimed)
         // before any request can race it. Accepted connections simply

@@ -1,6 +1,5 @@
 //! Byte-boundary tests for the serve front door: the HTTP/1.1 request
-//! reader, the `POST /v1/jobs` JSON body and the `POST /v1/fleet/jobs`
-//! spec.
+//! reader and the `POST /v1/jobs` JSON body.
 //!
 //! The claims under test:
 //!
@@ -14,22 +13,12 @@
 //!   byte is read;
 //! - `JobRequest::parse` on arbitrary strings — bare, or spliced into a
 //!   valid request — returns a request or a typed `BadRequest`, never a
-//!   panic;
-//! - `FleetSpec::parse` on arbitrary strings returns a spec or an error,
-//!   and `FleetRunner::submit` on them, or on a spec with any `u64`
-//!   width, height, sweep budget and RSU pool size, answers a typed
-//!   `BadRequest` or `Backpressure` (the single-flight slot is held),
-//!   never a panic or an abort — `Backpressure` exactly when the spec
-//!   is within the site cap, the sweep bound and the replica bound.
+//!   panic.
 
 use std::io::Cursor;
-use std::sync::OnceLock;
 
-use mogs_engine::MAX_REPLICAS;
-use mogs_fleet::{BackendKind, FleetError, FleetSpec, Workload};
 use mogs_serve::http::read_request;
-use mogs_serve::jobspec::MAX_ITERATIONS;
-use mogs_serve::{FleetRunner, FleetSetup, JobRequest, Limits, ServeError};
+use mogs_serve::{JobRequest, Limits, ServeError};
 use proptest::prelude::*;
 
 /// A well-formed POST with a JSON body.
@@ -116,99 +105,6 @@ fn arb_text() -> impl Strategy<Value = String> {
     )
 }
 
-/// Fragments of fleet specs, whitespace-separated, spliced at random by
-/// [`arb_fleet_text`].
-const FLEET_TOKENS: &str = r#"{ } : , " "workload" "kind" "demo" "stereo" "width" "height"
-    "labels" "disparity" "noise_sigma" "scene_seed" "backend" "softmax" "rsu" "replicas"
-    "iterations" "threads" "seed" "burn_in" "0000000000000011" 0 3 -1 1e309 8589934592
-    67280421310721 4503599627370496 18446744073709551615"#;
-
-/// Strings drawn from [`FLEET_TOKENS`], with a valid spec's text mixed in.
-fn arb_fleet_text() -> impl Strategy<Value = String> {
-    let valid = fleet_spec(6, 4, 3).encode();
-    let tokens: Vec<&str> = FLEET_TOKENS.split_whitespace().collect();
-    let parts = (0u8..3, 0usize..tokens.len(), 0usize..valid.len());
-    prop::collection::vec(parts, 0..48).prop_map(move |parts| {
-        parts
-            .into_iter()
-            .map(|(kind, token, cut)| match kind {
-                0 => &valid[..cut],
-                _ => tokens[token],
-            })
-            .collect()
-    })
-}
-
-/// A `u64` that is often an edge: arbitrary, small, near 2^32, or a
-/// power of two.
-fn arb_edge_u64() -> impl Strategy<Value = u64> {
-    (0u8..4, 0u64..=u64::MAX).prop_map(|(kind, bits)| match kind {
-        0 => bits,
-        1 => bits % 65,
-        2 => (1u64 << 32) - 2 + bits % 5,
-        _ => 1u64 << (bits % 64),
-    })
-}
-
-fn fleet_spec(width: usize, height: usize, iterations: usize) -> FleetSpec {
-    FleetSpec {
-        workload: Workload::Demo {
-            width,
-            height,
-            labels: 3,
-        },
-        backend: BackendKind::Softmax,
-        iterations,
-        threads: 2,
-        seed: 17,
-        burn_in: 1,
-    }
-}
-
-fn rsu_fleet_spec(width: usize, height: usize, iterations: usize, replicas: usize) -> FleetSpec {
-    FleetSpec {
-        workload: Workload::Demo {
-            width,
-            height,
-            labels: 3,
-        },
-        backend: BackendKind::Rsu { replicas },
-        iterations,
-        threads: 2,
-        seed: 17,
-        burn_in: 1,
-    }
-}
-
-const FLEET_MAX_SITES: usize = 1 << 16;
-
-/// One process-wide runner whose single-flight slot is held by a job
-/// with the largest admissible sweep budget, so every spec that passes
-/// validation meets `Backpressure` instead of launching.
-fn busy_fleet() -> &'static FleetRunner {
-    static RUNNER: OnceLock<FleetRunner> = OnceLock::new();
-    RUNNER.get_or_init(|| {
-        let runner = FleetRunner::new(
-            FleetSetup {
-                workers: 1,
-                max_sites: FLEET_MAX_SITES,
-            },
-            1,
-        );
-        let slow = fleet_spec(6, 4, MAX_ITERATIONS).encode();
-        runner.submit(&slow, 1).expect("the slot starts free");
-        runner
-    })
-}
-
-/// The typed outcomes a busy fleet route may report.
-fn is_fleet_typed(err: &ServeError) -> bool {
-    matches!(
-        err,
-        ServeError::BadRequest { .. } | ServeError::Backpressure { .. }
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
@@ -267,62 +163,6 @@ proptest! {
         let json = format!(r#"{{"tenant":"t","workload":"raw",{}:{value}}}"#, TOKENS[key]);
         if let Err(err) = JobRequest::parse(&json) {
             prop_assert!(matches!(err, ServeError::BadRequest { .. }), "{json}: {err:?}");
-        }
-    }
-
-    #[test]
-    fn arbitrary_strings_never_panic_the_fleet_spec_parser(text in arb_fleet_text()) {
-        let _ = FleetSpec::parse(&text);
-        match busy_fleet().submit(&text, 1) {
-            Ok(response) => prop_assert!(false, "{text:?} launched: {}", response.status),
-            Err(err) => prop_assert!(is_fleet_typed(&err), "{text:?}: {err:?}"),
-        }
-    }
-
-    #[test]
-    fn any_u64_dimensions_and_budget_through_fleet_submit_are_typed(
-        width in arb_edge_u64(),
-        height in arb_edge_u64(),
-        iterations in arb_edge_u64(),
-        rsu in prop::bool::ANY,
-        replicas in arb_edge_u64(),
-    ) {
-        let [w, h, n] = [width, height, iterations].map(|v| usize::try_from(v).unwrap_or(usize::MAX));
-        let r = rsu.then(|| usize::try_from(replicas).unwrap_or(usize::MAX));
-        let body = match r {
-            None => fleet_spec(w, h, n).encode(),
-            Some(r) => rsu_fleet_spec(w, h, n, r).encode(),
-        };
-        let pool_ok = r.is_none_or(|r| (1..=MAX_REPLICAS).contains(&r));
-        if !pool_ok {
-            prop_assert!(
-                matches!(FleetSpec::parse(&body), Err(FleetError::Spec { .. })),
-                "{}", body
-            );
-        }
-        let sites = w.checked_mul(h);
-        if sites.is_none_or(|s| s > 1 << 32) {
-            // Overflowing, or past what a u32 site index can name.
-            prop_assert!(
-                matches!(FleetSpec::parse(&body), Err(FleetError::Spec { .. })),
-                "{}", body
-            );
-        }
-        let admissible = sites.is_some_and(|s| (1..=FLEET_MAX_SITES).contains(&s))
-            && (1..=MAX_ITERATIONS).contains(&n)
-            && pool_ok;
-        match busy_fleet().submit(&body, 1) {
-            Ok(response) => prop_assert!(false, "{body} launched: {}", response.status),
-            Err(err) => {
-                prop_assert!(is_fleet_typed(&err), "{body}: {err:?}");
-                prop_assert_eq!(
-                    matches!(err, ServeError::Backpressure { .. }),
-                    admissible,
-                    "{}: {:?}",
-                    body,
-                    err
-                );
-            }
         }
     }
 }
