@@ -6,6 +6,8 @@
 //! never partially restores: a decode either yields a complete
 //! [`Checkpoint`](crate::Checkpoint) or one of these.
 
+use crate::envelope::SectionError;
+
 /// Why a checkpoint could not be written, read, or trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CkptError {
@@ -110,6 +112,14 @@ impl std::fmt::Display for CkptError {
 }
 
 impl std::error::Error for CkptError {}
+
+/// A payload whose head line or sections cannot be read is a state the
+/// decoder refuses.
+impl From<SectionError> for CkptError {
+    fn from(err: SectionError) -> Self {
+        CkptError::State { reason: err.reason }
+    }
+}
 
 #[cfg(test)]
 mod tests {

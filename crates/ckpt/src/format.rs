@@ -1,39 +1,48 @@
-//! The on-disk checkpoint format (v3): header line, checksum, raw
-//! sections.
+//! The on-disk checkpoint format (v4): header line, checksum, a JSON
+//! head of scalars, raw sections.
 //!
 //! A checkpoint file is a one-line canonical *header* followed by exactly
 //! `length` payload bytes:
 //!
 //! ```text
-//! {"version":3,"length":<decimal>,"checksum":"<16 hex digits>"}\n
-//! <head JSON>\n<labels><energy trace><histograms>
+//! {"version":4,"length":<decimal>,"checksum":"<16 hex digits>"}\n
+//! <head JSON>\n<labels><energy trace><histograms><meta>
+//! <sink words><sink samples><sink counts>
 //! ```
 //!
 //! The checksum is [`checksum`] over the payload bytes as they sit in
 //! the file — nothing is escaped, so sealing and opening are one hash
-//! pass each. The payload is a small one-line JSON *head* (caller meta,
-//! [`StateBinding`], sweep cursor, kernel faults, fault-runtime record,
-//! sink state, and the element count of each section) and then the bulk
-//! state as raw little-endian sections in fixed order: the label plane
-//! at one byte per site, the energy trace as 8-byte IEEE-754 bit
-//! patterns, the mode histograms as 4-byte counts. Encoding writes the
-//! header, head and sections into one buffer and patches the checksum
-//! into the header's fixed-width field; decoding is bounds-checked
-//! slicing.
+//! pass each. The payload is the workspace's one envelope (see
+//! [`crate::envelope`]): a small one-line JSON *head* of scalars
+//! ([`StateBinding`], sweep cursor, kernel faults, fault-runtime record,
+//! and the element count of every section), then the bulk state as raw
+//! little-endian sections in fixed order: the label plane at one byte
+//! per site, the energy trace as 8-byte IEEE-754 bit patterns, the mode
+//! histograms as 4-byte counts, the caller's meta as UTF-8 bytes, and
+//! the diagnostics sink's [`SinkState`] as its `u64` words, its `f64`
+//! samples as bit patterns and its `u32` counts. The head's `sections`
+//! object declares the first three, as in v3, so those bytes are v3's;
+//! its `meta` and `sink_state` keys declare the rest. Encoding writes
+//! the header, head and sections into one buffer and patches the
+//! checksum into the header's fixed-width field; decoding is
+//! [`Sections::take`](crate::Sections::take) front to back.
 //!
 //! Reads verify in trust order. The version comes first (any other
 //! format — including the retired v1 envelope, which also opens with
-//! `{"version":`, and the v2 file, whose checksum was byte-serial
-//! FNV-1a — is [`CkptError::VersionMismatch`], never misparsed), then
+//! `{"version":`, the v2 file, whose checksum was byte-serial FNV-1a,
+//! and the v3 file, whose head carried meta and sink state as JSON
+//! strings — is [`CkptError::VersionMismatch`], never misparsed), then
 //! the declared length against the bytes present (a short file is
 //! [`CkptError::Truncated`]), then the checksum (bit rot is
-//! [`CkptError::ChecksumMismatch`], never a confusing shape error), and
-//! only then the state. Section counts are checked against the binding
-//! (`sites` labels, `sites × labels` counts) and against the bytes
-//! actually present *before* anything is allocated, so no declared
-//! length can size an allocation beyond the file itself; a disagreement
-//! is [`CkptError::State`]. Any other deviation from the canonical
-//! header is [`CkptError::Malformed`] with the byte offset.
+//! [`CkptError::ChecksumMismatch`], never a confusing shape error), then
+//! the head's length against [`HEAD_LIMIT`], and only then the state.
+//! Section counts are checked against the binding (`sites` labels,
+//! `sites × labels` counts) and against the bytes actually present
+//! *before* anything is allocated, so no declared length can size an
+//! allocation beyond the file itself; a disagreement, like a meta
+//! section that is not UTF-8, is [`CkptError::State`]. Any other
+//! deviation from the canonical header is [`CkptError::Malformed`] with
+//! the byte offset.
 //!
 //! Every state is whole-plane. A shard-granular fleet state left by an
 //! earlier build (a `shard` object in its binding, only the shard's
@@ -41,7 +50,7 @@
 //! unless that shard owned every site, fails the `sites` count as
 //! [`CkptError::State`].
 //!
-//! There is one format and one reader: a v1 or v2 file is refused
+//! There is one format and one reader: a v1, v2 or v3 file is refused
 //! rather than dual-read, because a checkpoint only ever serves the
 //! restart of the build that wrote it, and a second decoder would be a
 //! second trust boundary to fuzz for a file nobody can still need.
@@ -49,20 +58,22 @@
 //! Inside the head, `u64` seeds and fingerprints (and the one `f64`
 //! fault rate) travel as 16-digit hex strings: the vendored serde routes
 //! every JSON number through `f64` (see `third_party/serde/src/lib.rs`),
-//! which corrupts integers above 2⁵³. Energies never touch JSON at all —
-//! their raw bit patterns round-trip negative zero, infinities, and NaN
-//! payloads exactly, which bit-identical resume requires.
+//! which corrupts integers above 2⁵³. Energies and sink samples never
+//! touch JSON at all — their raw bit patterns round-trip negative zero,
+//! infinities, and NaN payloads exactly, which bit-identical resume
+//! requires.
 
-use mogs_engine::{Degraded, FaultState, JobState, StateBinding};
+use mogs_engine::{FaultState, JobState, SinkState, StateBinding, MAX_REPLICAS};
 use mogs_gibbs::kernel::UnitFault;
 use mogs_mrf::Label;
 use serde::de::{self, Parser};
 use serde::{Deserialize, Serialize};
 
+use crate::envelope::{parse_hex_u64, parse_object, split_head};
 use crate::error::CkptError;
 
 /// The one format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The FNV-1a-64 offset basis every checksum lane starts from.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -71,17 +82,21 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Bytes after the checksum's 16 hex digits: `"}` and the newline.
 const HEADER_TAIL: usize = 3;
 
-/// Upper bound on a payload's JSON head line; a head that runs past it
-/// is [`CkptError::State`] before it is UTF-8-checked or parsed. The
-/// head grows with the job: it carries the caller's meta (serve's
-/// request body, 1 MiB by default) and a diagnostics sink's marginal
-/// counts, up to 7 bytes for each of 2²⁰ sites × 64 labels under
-/// serve's default quota (448 MiB). The bound leaves twice that.
-pub const HEAD_LIMIT: usize = 1 << 30;
+/// Upper bound on a payload's head line, its newline included; a head
+/// that runs past it is [`CkptError::State`] before it is UTF-8-checked
+/// or parsed. A v4 head carries scalars only, and what grows is the
+/// fault record: per RSU unit, at most [`MAX_REPLICAS`] (1,024) of them,
+/// a kernel-fault entry — at its widest a dark-count fault,
+/// `{"kind":"dark","rate":"<16 hex>"},`, 42 bytes — and a quarantine
+/// flag, `false,`, 6 bytes. The binding, cursor, degraded record and
+/// section counts take under 1 KiB with every number at 20 digits, and
+/// get 4 KiB: 1,024 × 48 + 4,096 = 53,248 bytes.
+pub const HEAD_LIMIT: usize = MAX_REPLICAS * 48 + (4 << 10);
 
-/// The v3 payload checksum: FNV-1a-style steps over little-endian `u64`
-/// words in four interleaved lanes (word `i` of every 32-byte chunk
-/// feeds lane `i`), each step `lane = rotl((lane ^ word) * prime, 29)`,
+/// The payload checksum (unchanged since v3): FNV-1a-style steps over
+/// little-endian `u64` words in four interleaved lanes (word `i` of
+/// every 32-byte chunk feeds lane `i`), each step
+/// `lane = rotl((lane ^ word) * prime, 29)`,
 /// the lanes folded as `hash = rotl(hash, 17) ^ lane`, then the tail
 /// bytes folded in one FNV-1a step each. Every step and fold is a
 /// bijection, so inputs of one length that differ in one flipped bit
@@ -129,24 +144,43 @@ pub fn encode(checkpoint: &Checkpoint) -> Vec<u8> {
 /// header last.
 pub(crate) fn encode_parts(meta: &str, state: &JobState) -> Vec<u8> {
     let histograms = state.histograms.as_deref().unwrap_or(&[]);
-    let mut head = String::with_capacity(512 + meta.len());
-    write_head(meta, state, &mut head);
-    let length =
-        head.len() + 1 + state.labels.len() + 8 * state.energy_trace.len() + 4 * histograms.len();
+    let no_sink = SinkState::default();
+    let sink = state.sink_state.as_ref().unwrap_or(&no_sink);
+    let mut head = String::with_capacity(512);
+    write_head(meta.len(), state, &mut head);
+    let length = head.len()
+        + 1
+        + state.labels.len()
+        + meta.len()
+        + 8 * (state.energy_trace.len() + sink.words.len() + sink.samples.len())
+        + 4 * (histograms.len() + sink.counts.len());
     let mut out = header(length);
     let payload_start = out.len();
     out.reserve_exact(length);
     out.extend_from_slice(head.as_bytes());
     out.push(b'\n');
     out.extend_from_slice(&state.labels);
-    for energy in &state.energy_trace {
-        out.extend_from_slice(&energy.to_bits().to_le_bytes());
-    }
-    for count in histograms {
-        out.extend_from_slice(&count.to_le_bytes());
-    }
+    push_le(&mut out, &state.energy_trace, |e| e.to_bits().to_le_bytes());
+    push_le(&mut out, histograms, u32::to_le_bytes);
+    out.extend_from_slice(meta.as_bytes());
+    push_le(&mut out, &sink.words, u64::to_le_bytes);
+    push_le(&mut out, &sink.samples, |s| s.to_bits().to_le_bytes());
+    push_le(&mut out, &sink.counts, u32::to_le_bytes);
     patch_checksum(&mut out, payload_start);
     out
+}
+
+/// Appends each value as its `N` little-endian bytes.
+fn push_le<T: Copy, const N: usize>(out: &mut Vec<u8>, values: &[T], bytes: impl Fn(T) -> [u8; N]) {
+    for &value in values {
+        out.extend_from_slice(&bytes(value));
+    }
+}
+
+/// Reads a section back into values of `N` little-endian bytes each.
+fn read_le<T, const N: usize>(section: &[u8], value: impl Fn([u8; N]) -> T) -> Vec<T> {
+    let words = section.as_chunks::<N>().0;
+    words.iter().map(|&bytes| value(bytes)).collect()
 }
 
 /// Prefixes arbitrary payload bytes with the versioned, checksummed
@@ -336,145 +370,81 @@ fn state_error(reason: impl ToString) -> CkptError {
 }
 
 fn parse_payload(payload: &[u8]) -> Result<Checkpoint, CkptError> {
-    let (head, sections) = split_head(payload, HEAD_LIMIT)?;
-    let mut parser = Parser::new(head);
-    let (mut checkpoint, counts) = parse_head(&mut parser).map_err(state_error)?;
+    let (text, mut sections) = split_head(payload, HEAD_LIMIT)?;
+    let mut parser = Parser::new(text);
+    let head = parse_head(&mut parser).map_err(state_error)?;
     parser.expect_end().map_err(state_error)?;
-    counts.seat(sections, &mut checkpoint.state)?;
-    Ok(checkpoint)
-}
-
-/// Splits a payload into its head line, at most `limit` bytes long,
-/// and the raw sections after its newline.
-fn split_head(payload: &[u8], limit: usize) -> Result<(&str, &[u8]), CkptError> {
-    let Some(split) = payload.iter().take(limit + 1).position(|&b| b == b'\n') else {
-        return Err(state_error(if payload.len() > limit {
-            format!("payload head runs past {limit} bytes")
-        } else {
-            "payload has no head line".to_string()
-        }));
+    let binding = &head.binding;
+    // The plane-shaped counts answer to the binding before any section
+    // is taken.
+    if head.labels != binding.sites {
+        return Err(state_error(format!(
+            "label section holds {} sites, the binding covers {}",
+            head.labels, binding.sites
+        )));
+    }
+    if let Some(histograms) = head.histograms {
+        if Some(histograms) != binding.sites.checked_mul(binding.labels) {
+            return Err(state_error(format!(
+                "histogram section holds {histograms} counts, the binding has {} sites x {} labels",
+                binding.sites, binding.labels
+            )));
+        }
+    }
+    let labels = sections.take(head.labels, 1)?;
+    let energies = sections.take(head.energy_trace, 8)?;
+    let histograms = head.histograms.map(|n| sections.take(n, 4)).transpose()?;
+    let meta = sections.take(head.meta, 1)?;
+    let sink = match head.sink_state {
+        Some([words, samples, counts]) => Some([
+            sections.take(words, 8)?,
+            sections.take(samples, 8)?,
+            sections.take(counts, 4)?,
+        ]),
+        None => None,
     };
-    let head = std::str::from_utf8(&payload[..split])
-        .map_err(|_| state_error("payload head is not UTF-8"))?;
-    Ok((head, &payload[split + 1..]))
+    sections.finish()?;
+    let meta =
+        std::str::from_utf8(meta).map_err(|_| state_error("the meta section is not UTF-8"))?;
+    let f64_bits = |bytes: [u8; 8]| f64::from_bits(u64::from_le_bytes(bytes));
+    Ok(Checkpoint {
+        meta: meta.to_string(),
+        state: JobState {
+            binding: head.binding,
+            next_sweep: head.next_sweep,
+            labels: labels.to_vec(),
+            energy_trace: read_le(energies, f64_bits),
+            histograms: histograms.map(|section| read_le(section, u32::from_le_bytes)),
+            kernel_faults: head.kernel_faults,
+            fault: head.fault,
+            sink_state: sink.map(|[words, samples, counts]| SinkState {
+                words: read_le(words, u64::from_le_bytes),
+                samples: read_le(samples, f64_bits),
+                counts: read_le(counts, u32::from_le_bytes),
+            }),
+        },
+    })
 }
 
-/// Element counts of the raw sections, as declared by the head.
-struct SectionCounts {
+/// Everything a head declares: the state's scalar fields and the
+/// element count of every section.
+struct Head {
+    binding: StateBinding,
+    next_sweep: usize,
+    kernel_faults: Vec<Option<UnitFault>>,
+    fault: Option<FaultState>,
     labels: usize,
     energy_trace: usize,
     histograms: Option<usize>,
-}
-
-impl SectionCounts {
-    /// Checks the declared counts against the binding and against the
-    /// bytes actually present — before allocating anything — then
-    /// slices the sections into `state`.
-    fn seat(&self, sections: &[u8], state: &mut JobState) -> Result<(), CkptError> {
-        let binding = &state.binding;
-        if self.labels != binding.sites {
-            return Err(state_error(format!(
-                "label section holds {} sites, the binding covers {}",
-                self.labels, binding.sites
-            )));
-        }
-        if let Some(histograms) = self.histograms {
-            if Some(histograms) != binding.sites.checked_mul(binding.labels) {
-                return Err(state_error(format!(
-                    "histogram section holds {histograms} counts, the binding has {} sites x {} labels",
-                    binding.sites, binding.labels
-                )));
-            }
-        }
-        let energy_bytes = self.energy_trace.checked_mul(8);
-        let histogram_bytes = self.histograms.unwrap_or(0).checked_mul(4);
-        let declared = energy_bytes
-            .zip(histogram_bytes)
-            .and_then(|(e, h)| self.labels.checked_add(e)?.checked_add(h));
-        if declared != Some(sections.len()) {
-            return Err(state_error(format!(
-                "sections declare {} labels + {} energies + {:?} counts, the payload carries {} bytes",
-                self.labels,
-                self.energy_trace,
-                self.histograms,
-                sections.len()
-            )));
-        }
-        let (labels, rest) = sections.split_at(self.labels);
-        let (energies, counts) = rest.split_at(self.energy_trace * 8);
-        state.labels = labels.to_vec();
-        state.energy_trace = energies
-            .as_chunks::<8>()
-            .0
-            .iter()
-            .map(|word| f64::from_bits(u64::from_le_bytes(*word)))
-            .collect();
-        state.histograms = self.histograms.map(|_| {
-            let words = counts.as_chunks::<4>().0;
-            words.iter().map(|word| u32::from_le_bytes(*word)).collect()
-        });
-        Ok(())
-    }
+    meta: usize,
+    /// `[words, samples, counts]` of the sink state, when there is one.
+    sink_state: Option<[usize; 3]>,
 }
 
 fn push_hex_u64(out: &mut String, value: u64) {
     out.push('"');
     out.push_str(&format!("{value:016x}"));
     out.push('"');
-}
-
-/// Parses a `u64` carried as a 16-digit hex string — the workspace's one
-/// reader for integers the vendored JSON layer cannot carry as numbers.
-///
-/// # Errors
-///
-/// A parse error unless the next value is a string of exactly 16 hex
-/// digits.
-pub fn parse_hex_u64(parser: &mut Parser<'_>) -> Result<u64, de::Error> {
-    let hex = parser.parse_string()?;
-    if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(parser.error("expected a 16-digit hex string"));
-    }
-    u64::from_str_radix(&hex, 16).map_err(|_| parser.error("expected a 16-digit hex string"))
-}
-
-/// Walks one JSON object, handing each key to `field` with the parser
-/// positioned at its value. Keys `field` declines (returns `false`) are
-/// skipped, so a reader tolerates head fields it does not know.
-///
-/// # Errors
-///
-/// A parse error on malformed JSON, or whatever `field` returns.
-pub fn parse_object(
-    parser: &mut Parser<'_>,
-    mut field: impl FnMut(&str, &mut Parser<'_>) -> Result<bool, de::Error>,
-) -> Result<(), de::Error> {
-    parser.expect_char('{')?;
-    if parser.consume_char('}') {
-        return Ok(());
-    }
-    loop {
-        let key = parser.parse_string()?;
-        parser.expect_char(':')?;
-        if !field(&key, parser)? {
-            parser.skip_value()?;
-        }
-        if !parser.consume_char(',') {
-            return parser.expect_char('}');
-        }
-    }
-}
-
-/// `null`, or whatever `parse` reads.
-fn parse_nullable<T>(
-    parser: &mut Parser<'_>,
-    parse: impl FnOnce(&mut Parser<'_>) -> Result<T, de::Error>,
-) -> Result<Option<T>, de::Error> {
-    if parser.consume_literal("null") {
-        Ok(None)
-    } else {
-        parse(parser).map(Some)
-    }
 }
 
 fn parse_array<T>(
@@ -495,10 +465,8 @@ fn parse_array<T>(
     }
 }
 
-fn write_head(meta: &str, state: &JobState, out: &mut String) {
-    out.push_str("{\"meta\":");
-    meta.serialize_json(out);
-    out.push_str(",\"binding\":");
+fn write_head(meta_bytes: usize, state: &JobState, out: &mut String) {
+    out.push_str("{\"binding\":");
     write_binding(&state.binding, out);
     out.push_str(",\"next_sweep\":");
     state.next_sweep.serialize_json(out);
@@ -510,77 +478,69 @@ fn write_head(meta: &str, state: &JobState, out: &mut String) {
         write_fault(out, fault.as_ref());
     }
     out.push_str("],\"fault\":");
-    match &state.fault {
-        None => out.push_str("null"),
-        Some(fault) => write_fault_state(fault, out),
-    }
-    out.push_str(",\"sink_state\":");
-    state.sink_state.serialize_json(out);
+    state.fault.serialize_json(out);
     out.push_str(",\"sections\":{\"labels\":");
     state.labels.len().serialize_json(out);
     out.push_str(",\"energy_trace\":");
     state.energy_trace.len().serialize_json(out);
     out.push_str(",\"histograms\":");
     state.histograms.as_ref().map(Vec::len).serialize_json(out);
-    out.push_str("}}");
+    out.push_str("},\"meta\":");
+    meta_bytes.serialize_json(out);
+    out.push_str(",\"sink_state\":");
+    let sink = state.sink_state.as_ref();
+    sink.map(|s| vec![s.words.len(), s.samples.len(), s.counts.len()])
+        .serialize_json(out);
+    out.push('}');
 }
 
-/// Parses the head into a checkpoint whose bulk fields (`labels`,
-/// `energy_trace`, `histograms`) are still empty, plus the section
-/// counts [`SectionCounts::seat`] fills them from.
-fn parse_head(parser: &mut Parser<'_>) -> Result<(Checkpoint, SectionCounts), de::Error> {
-    let mut meta: Option<String> = None;
+/// Parses the head: the state's scalar fields and every section count.
+fn parse_head(parser: &mut Parser<'_>) -> Result<Head, de::Error> {
     let mut binding: Option<StateBinding> = None;
     let mut next_sweep: Option<usize> = None;
     let mut kernel_faults: Option<Vec<Option<UnitFault>>> = None;
     let mut fault: Option<Option<FaultState>> = None;
-    let mut sink_state: Option<Option<String>> = None;
-    let mut sections: Option<SectionCounts> = None;
-    parse_object(parser, |key, parser| {
-        match key {
-            "meta" => meta = Some(parser.parse_string()?),
-            "binding" => binding = Some(parse_binding(parser)?),
-            "next_sweep" => next_sweep = Some(usize::deserialize_json(parser)?),
-            "kernel_faults" => kernel_faults = Some(parse_array(parser, parse_fault)?),
-            "fault" => fault = Some(parse_nullable(parser, parse_fault_state)?),
-            "sink_state" => sink_state = Some(Option::deserialize_json(parser)?),
-            "sections" => sections = Some(parse_sections(parser)?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    })?;
-    let state = JobState {
-        binding: binding.ok_or_else(|| parser.error("head: binding"))?,
-        next_sweep: next_sweep.ok_or_else(|| parser.error("head: next_sweep"))?,
-        labels: Vec::new(),
-        energy_trace: Vec::new(),
-        histograms: None,
-        kernel_faults: kernel_faults.ok_or_else(|| parser.error("head: kernel_faults"))?,
-        fault: fault.ok_or_else(|| parser.error("head: fault"))?,
-        sink_state: sink_state.ok_or_else(|| parser.error("head: sink_state"))?,
-    };
-    let meta = meta.ok_or_else(|| parser.error("head: meta"))?;
-    let sections = sections.ok_or_else(|| parser.error("head: sections"))?;
-    Ok((Checkpoint { meta, state }, sections))
-}
-
-fn parse_sections(parser: &mut Parser<'_>) -> Result<SectionCounts, de::Error> {
     let mut labels: Option<usize> = None;
     let mut energy_trace: Option<usize> = None;
     let mut histograms: Option<Option<usize>> = None;
+    let mut meta: Option<usize> = None;
+    let mut sink_state: Option<Option<Vec<usize>>> = None;
     parse_object(parser, |key, parser| {
         match key {
-            "labels" => labels = Some(usize::deserialize_json(parser)?),
-            "energy_trace" => energy_trace = Some(usize::deserialize_json(parser)?),
-            "histograms" => histograms = Some(Option::deserialize_json(parser)?),
+            "binding" => binding = Some(parse_binding(parser)?),
+            "next_sweep" => next_sweep = Some(usize::deserialize_json(parser)?),
+            "kernel_faults" => kernel_faults = Some(parse_array(parser, parse_fault)?),
+            "fault" => fault = Some(Option::deserialize_json(parser)?),
+            "sections" => parse_object(parser, |key, parser| {
+                match key {
+                    "labels" => labels = Some(usize::deserialize_json(parser)?),
+                    "energy_trace" => energy_trace = Some(usize::deserialize_json(parser)?),
+                    "histograms" => histograms = Some(Option::deserialize_json(parser)?),
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            })?,
+            "meta" => meta = Some(usize::deserialize_json(parser)?),
+            "sink_state" => sink_state = Some(Option::deserialize_json(parser)?),
             _ => return Ok(false),
         }
         Ok(true)
     })?;
-    Ok(SectionCounts {
+    let binding = binding.ok_or_else(|| parser.error("head: binding"))?;
+    let sink_state = sink_state.ok_or_else(|| parser.error("head: sink_state"))?;
+    Ok(Head {
+        binding,
+        next_sweep: next_sweep.ok_or_else(|| parser.error("head: next_sweep"))?,
+        kernel_faults: kernel_faults.ok_or_else(|| parser.error("head: kernel_faults"))?,
+        fault: fault.ok_or_else(|| parser.error("head: fault"))?,
         labels: labels.ok_or_else(|| parser.error("sections: labels"))?,
         energy_trace: energy_trace.ok_or_else(|| parser.error("sections: energy_trace"))?,
         histograms: histograms.ok_or_else(|| parser.error("sections: histograms"))?,
+        meta: meta.ok_or_else(|| parser.error("head: meta"))?,
+        sink_state: sink_state
+            .map(<[usize; 3]>::try_from)
+            .transpose()
+            .map_err(|_| parser.error("sink_state: three section counts"))?,
     })
 }
 
@@ -708,67 +668,6 @@ fn parse_fault(parser: &mut Parser<'_>) -> Result<Option<UnitFault>, de::Error> 
     }
 }
 
-fn write_fault_state(fault: &FaultState, out: &mut String) {
-    out.push_str("{\"cursor\":");
-    fault.cursor.serialize_json(out);
-    out.push_str(",\"quarantined\":");
-    fault.quarantined.serialize_json(out);
-    out.push_str(",\"degraded\":");
-    match &fault.degraded {
-        None => out.push_str("null"),
-        Some(degraded) => {
-            out.push_str("{\"failed_over_at\":");
-            degraded.failed_over_at.serialize_json(out);
-            out.push_str(",\"units_lost\":");
-            degraded.units_lost.serialize_json(out);
-            out.push('}');
-        }
-    }
-    out.push_str(",\"poisoned\":");
-    fault.poisoned.serialize_json(out);
-    out.push('}');
-}
-
-fn parse_fault_state(parser: &mut Parser<'_>) -> Result<FaultState, de::Error> {
-    let mut cursor: Option<usize> = None;
-    let mut quarantined: Option<Vec<bool>> = None;
-    let mut degraded: Option<Option<Degraded>> = None;
-    let mut poisoned: Option<bool> = None;
-    parse_object(parser, |key, parser| {
-        match key {
-            "cursor" => cursor = Some(usize::deserialize_json(parser)?),
-            "quarantined" => quarantined = Some(Vec::deserialize_json(parser)?),
-            "degraded" => degraded = Some(parse_nullable(parser, parse_degraded)?),
-            "poisoned" => poisoned = Some(bool::deserialize_json(parser)?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    })?;
-    Ok(FaultState {
-        cursor: cursor.ok_or_else(|| parser.error("fault state: cursor"))?,
-        quarantined: quarantined.ok_or_else(|| parser.error("fault state: quarantined"))?,
-        degraded: degraded.ok_or_else(|| parser.error("fault state: degraded"))?,
-        poisoned: poisoned.ok_or_else(|| parser.error("fault state: poisoned"))?,
-    })
-}
-
-fn parse_degraded(parser: &mut Parser<'_>) -> Result<Degraded, de::Error> {
-    let mut failed_over_at: Option<usize> = None;
-    let mut units_lost: Option<usize> = None;
-    parse_object(parser, |key, parser| {
-        match key {
-            "failed_over_at" => failed_over_at = Some(usize::deserialize_json(parser)?),
-            "units_lost" => units_lost = Some(usize::deserialize_json(parser)?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    })?;
-    Ok(Degraded {
-        failed_over_at: failed_over_at.ok_or_else(|| parser.error("degraded: failed_over_at"))?,
-        units_lost: units_lost.ok_or_else(|| parser.error("degraded: units_lost"))?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -803,13 +702,17 @@ mod tests {
             fault: Some(FaultState {
                 cursor: 3,
                 quarantined: vec![false, true, false, false],
-                degraded: Some(Degraded {
+                degraded: Some(mogs_engine::Degraded {
                     failed_over_at: 3,
                     units_lost: 2,
                 }),
                 poisoned: false,
             }),
-            sink_state: Some("v=1;ring=\n3ff0000000000000".to_string()),
+            sink_state: Some(SinkState {
+                words: vec![2, 0x0a0a_0a0a_0a0a_0a0a, u64::MAX],
+                samples: vec![f64::MIN_POSITIVE, -1.5],
+                counts: vec![0, 10, u32::MAX],
+            }),
         }
     }
 
@@ -832,7 +735,11 @@ mod tests {
         // Header line, head line, then exactly the raw sections.
         let payload = open_envelope(&encoded).expect("opens");
         let head_len = payload.iter().position(|&b| b == b'\n').expect("head") + 1;
-        assert_eq!(payload.len() - head_len, 12 + 4 * 8 + 36 * 4);
+        let meta = original.meta.len();
+        assert_eq!(
+            payload.len() - head_len,
+            12 + 4 * 8 + 36 * 4 + meta + 3 * 8 + 2 * 8 + 3 * 4
+        );
     }
 
     #[test]
@@ -865,14 +772,14 @@ mod tests {
         // checksum are now both wrong, but the reader must report the
         // version, not either of them.
         let mut bumped = demo_bytes();
-        assert_eq!(bumped[11], b'3');
-        bumped[11] = b'4';
+        assert_eq!(bumped[11], b'4');
+        bumped[11] = b'5';
         bumped.truncate(bumped.len() / 2);
         assert_eq!(
             decode(&bumped).expect_err("future version is rejected"),
             CkptError::VersionMismatch {
-                found: 4,
-                supported: 3
+                found: 5,
+                supported: 4
             }
         );
     }
@@ -918,7 +825,7 @@ mod tests {
         // A valid header around a payload that is not a checkpoint: the
         // header layer must pass and the payload layer must name the
         // problem.
-        let err = decode(&seal(b"{\"meta\":\"x\"}\n")).expect_err("incomplete head");
+        let err = decode(&seal(b"{\"meta\":0}\n")).expect_err("incomplete head");
         let CkptError::State { reason } = err else {
             panic!("expected a state error, got {err}");
         };
@@ -936,17 +843,18 @@ mod tests {
 
     #[test]
     fn a_head_past_the_limit_is_refused_before_it_is_read() {
-        let (head, sections) = split_head(b"{\"a\":1}\nrest", 7).expect("a 7-byte head fits");
-        assert_eq!((head, sections), ("{\"a\":1}", &b"rest"[..]));
+        let (head, mut sections) = split_head(b"{\"a\":1}\nrest", 8).expect("a 7-byte head fits");
+        assert_eq!(head, "{\"a\":1}");
+        assert_eq!(sections.take(4, 1), Ok(&b"rest"[..]));
         for payload in [
             &b"{\"ab\":1}\nrest"[..],
             b"\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\n",
         ] {
-            let err = split_head(payload, 7).expect_err("an 8-byte head");
+            let err = CkptError::from(split_head(payload, 8).expect_err("an 8-byte head"));
             let CkptError::State { reason } = err else {
                 panic!("expected a state error, got {err}");
             };
-            assert!(reason.contains("runs past 7 bytes"), "{reason}");
+            assert!(reason.contains("runs past 8 bytes"), "{reason}");
         }
     }
 

@@ -5,17 +5,26 @@
 //! sweep boundaries (see `mogs_engine::ckpt`); this crate makes those
 //! captures *durable* and *trustworthy*:
 //!
-//! - [`encode`]/[`decode`] define the on-disk format (v3): a one-line
+//! - [`encode`]/[`decode`] define the on-disk format (v4): a one-line
 //!   header carrying the version, the payload length and a word-wise
-//!   [`checksum`] over the raw payload bytes, then a small JSON head and
-//!   the bulk state as raw little-endian sections — label plane one
-//!   byte per site, every `f64` as its exact IEEE-754 bit pattern —
-//!   so a capture costs a plane copy and one hash pass, and nothing is
+//!   [`checksum`] over the raw payload bytes, then a small JSON head of
+//!   scalars and the bulk state as raw little-endian sections — label
+//!   plane one byte per site, every `f64` as its exact IEEE-754 bit
+//!   pattern, the caller's meta and the diagnostics sink's
+//!   [`SinkState`](mogs_engine::SinkState) as sections too — so a
+//!   capture costs a plane copy and one hash pass, and nothing is
 //!   allowed to round, because the contract is that a job interrupted
 //!   at sweep *k* and resumed produces **bit-identical** output to one
 //!   that never stopped. Reads verify version → length → checksum →
-//!   state; there is one format and one reader, so a file from the
-//!   retired v1 or v2 format is a typed [`CkptError::VersionMismatch`].
+//!   head length ([`HEAD_LIMIT`], derived from
+//!   [`MAX_REPLICAS`](mogs_engine::MAX_REPLICAS)) → state; there is one
+//!   format and one reader, so a file from the retired v1, v2 or v3
+//!   format is a typed [`CkptError::VersionMismatch`].
+//! - [`split_head`] and [`Sections`] are the workspace's one reader for
+//!   "a JSON head of scalars, then raw sections", shared with the fleet
+//!   wire's frames; each caller maps its [`SectionError`] to its own
+//!   error type. [`parse_object`] and [`parse_hex_u64`] are the head's
+//!   JSON helpers.
 //! - [`CheckpointStore`] files checkpoints in a directory with atomic
 //!   temp-file-then-rename writes, per-key retention bounds, and a
 //!   [`scan`](CheckpointStore::scan) that a restarting service uses to
@@ -55,6 +64,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
 
+mod envelope;
 mod error;
 mod format;
 mod store;
@@ -62,9 +72,10 @@ mod store;
 #[doc(hidden)]
 pub mod harness;
 
+pub use envelope::{parse_hex_u64, parse_object, split_head, SectionError, Sections};
 pub use error::CkptError;
 pub use format::{
-    checksum, decode, encode, open_envelope, parse_hex_u64, parse_object, seal, verify_binding,
-    Checkpoint, FORMAT_VERSION, HEAD_LIMIT,
+    checksum, decode, encode, open_envelope, seal, verify_binding, Checkpoint, FORMAT_VERSION,
+    HEAD_LIMIT,
 };
 pub use store::{sanitize_key, CheckpointStore, GcReason, GcReport, ScanEntry, ScanReport};

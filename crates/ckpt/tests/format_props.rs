@@ -1,4 +1,4 @@
-//! Property tests for the checkpoint wire format (v3).
+//! Property tests for the checkpoint wire format (v4).
 //!
 //! The claims under test, over randomized job states:
 //!
@@ -19,9 +19,9 @@
 //!   mismatches each surface as their own variant, distinct from
 //!   corruption, and a retired shard-granular fleet state is a `State`
 //!   error;
-//! - the v3 checksum is pinned on inputs shorter than, equal to and
-//!   longer than its 32-byte stride, and the payload v3 seals is the
-//!   one v2 sealed, byte for byte.
+//! - the checksum is pinned on inputs shorter than, equal to and
+//!   longer than its 32-byte stride, and v4 writes the label,
+//!   energy-trace and histogram sections v3 wrote, byte for byte.
 //!
 //! "Never partially restore" holds by construction — [`decode`] returns
 //! a complete [`Checkpoint`] or an error and mutates nothing — so these
@@ -31,7 +31,7 @@ use mogs_ckpt::{
     checksum, decode, encode, open_envelope, seal, verify_binding, Checkpoint, CkptError,
 };
 use mogs_engine::prelude::UnitFault;
-use mogs_engine::{FaultState, JobState, StateBinding};
+use mogs_engine::{FaultState, JobState, SinkState, StateBinding};
 use mogs_mrf::{fnv1a, Label};
 use proptest::prelude::*;
 
@@ -116,7 +116,12 @@ fn arb_state() -> impl Strategy<Value = JobState> {
         prop::bool::ANY,
         prop::collection::vec(arb_fault(), 0..6),
         arb_fault_state(),
-        ((0usize..2), (0usize..3)),
+        (
+            prop::bool::ANY,
+            prop::collection::vec(0u64..=u64::MAX, 0..16),
+            prop::collection::vec(-1e300f64..1e300, 0..8),
+            prop::collection::vec(0u32..=u32::MAX, 0..24),
+        ),
     )
         .prop_map(
             |(
@@ -125,15 +130,12 @@ fn arb_state() -> impl Strategy<Value = JobState> {
                 hist_present,
                 kernel_faults,
                 fault,
-                (sink_present, sink_pick),
+                (sink_present, words, samples, counts),
             )| {
-                let sink_state = (sink_present == 1).then(|| {
-                    [
-                        "",
-                        "v=1;ring=3ff0000000000000",
-                        "blob with \"quotes\"\nand\tescapes",
-                    ][sink_pick]
-                        .to_string()
+                let sink_state = sink_present.then_some(SinkState {
+                    words,
+                    samples,
+                    counts,
                 });
                 // Cheap deterministic filler: the bulk bytes only need to
                 // vary, including through every byte value (0x0a too).
@@ -318,25 +320,25 @@ proptest! {
     #[test]
     fn version_bump_is_always_version_mismatch(
         checkpoint in arb_checkpoint(),
-        version in 4u32..1000,
+        version in 5u32..1000,
     ) {
         let encoded = encode(&checkpoint);
         let mut bumped = format!("{{\"version\":{version}").into_bytes();
-        bumped.extend_from_slice(&encoded[b"{\"version\":3".len()..]);
+        bumped.extend_from_slice(&encoded[b"{\"version\":4".len()..]);
         prop_assert_eq!(
             decode(&bumped),
-            Err(CkptError::VersionMismatch { found: version, supported: 3 })
+            Err(CkptError::VersionMismatch { found: version, supported: 4 })
         );
     }
 
     /// A v2 file — the same header fields and payload, checksummed by
     /// byte-serial FNV-1a — is refused by version, never checked
-    /// against the v3 checksum or misparsed.
+    /// against the current checksum or misparsed.
     #[test]
     fn a_v2_file_is_always_version_mismatch(checkpoint in arb_checkpoint()) {
         prop_assert_eq!(
             decode(&as_v2(&encode(&checkpoint))),
-            Err(CkptError::VersionMismatch { found: 2, supported: 3 })
+            Err(CkptError::VersionMismatch { found: 2, supported: 4 })
         );
     }
 
@@ -353,7 +355,7 @@ proptest! {
         );
         prop_assert_eq!(
             decode(v1.as_bytes()),
-            Err(CkptError::VersionMismatch { found: 1, supported: 3 })
+            Err(CkptError::VersionMismatch { found: 1, supported: 4 })
         );
     }
 
@@ -417,7 +419,11 @@ fn demo_state() -> JobState {
             }),
             poisoned: false,
         }),
-        sink_state: Some("v=1;ring=\n3ff0000000000000".to_string()),
+        sink_state: Some(SinkState {
+            words: vec![2, 0x3ff0_0000_0000_0000],
+            samples: vec![1.0],
+            counts: vec![0x0a0a_0a0a],
+        }),
     }
 }
 
@@ -428,7 +434,7 @@ fn demo_bytes() -> Vec<u8> {
     })
 }
 
-/// The v2 file of `encoded`'s payload: the v3 header's fields, with
+/// The v2 file of `encoded`'s payload: the v4 header's fields, with
 /// version 2 and the byte-serial FNV-1a checksum v2 sealed with.
 fn as_v2(encoded: &[u8]) -> Vec<u8> {
     let payload = &encoded[header_len(encoded)..];
@@ -465,22 +471,40 @@ fn fully_populated_state_round_trips_bit_exactly() {
     assert_eq!(decoded.state.histograms, demo_state().histograms);
 }
 
-/// The bytes of a fully populated whole-plane v3 file. Only the header
-/// line differs from the v2 file (its version digit and checksum
-/// field): `v3_moves_no_payload_byte` pins the rest.
+/// The bytes of a fully populated whole-plane v4 file. Its label,
+/// energy-trace and histogram sections are v3's:
+/// `v4_keeps_the_v3_bulk_section_bytes` pins them.
 #[test]
 fn whole_plane_bytes_are_pinned() {
-    assert_eq!(fnv1a(&demo_bytes()), 0xb0bb_f57f_140a_a5f6);
+    assert_eq!(fnv1a(&demo_bytes()), 0x5fa3_08a5_0b44_64ed);
 }
 
-/// The payload — every byte after the header line — hashes to what the
-/// v2 build wrote for the same state, so v3 moved no section.
+/// The 188 bytes after the head line — 12 labels, 4 energies, 36
+/// histogram counts — hash to the bulk sections the v3 build wrote for
+/// the same state (everything after its head line), so v4 moved none of
+/// them; meta and sink state follow them.
 #[test]
-fn v3_moves_no_payload_byte() {
+fn v4_keeps_the_v3_bulk_section_bytes() {
     let encoded = demo_bytes();
+    let payload = &encoded[header_len(&encoded)..];
+    let bulk = &payload[header_len(payload)..][..12 + 4 * 8 + 36 * 4];
+    assert_eq!(fnv1a(bulk), 0x57e7_9684_a48e_7310);
+}
+
+/// A v3 file — the retired format whose head carried meta and sink
+/// state as JSON strings — is refused by version, before its length or
+/// checksum is read.
+#[test]
+fn a_v3_file_is_a_version_mismatch() {
+    let encoded = demo_bytes();
+    let mut v3 = b"{\"version\":3".to_vec();
+    v3.extend_from_slice(&encoded[b"{\"version\":4".len()..]);
     assert_eq!(
-        fnv1a(&encoded[header_len(&encoded)..]),
-        0x84e0_b84f_4777_3aaf
+        decode(&v3),
+        Err(CkptError::VersionMismatch {
+            found: 3,
+            supported: 4
+        })
     );
 }
 

@@ -399,212 +399,110 @@ impl DiagSink for ChainDiagSink {
         self.shared.observe(self.chain, observation)
     }
 
-    fn export_state(&self) -> Option<String> {
-        use std::fmt::Write as _;
+    fn export_state(&self) -> Option<SinkState> {
         let st = self.shared.states[self.chain].lock();
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "v=1;sweeps={};burn_in={};width={};height={};labels={}",
-            st.sweeps, st.burn_in, st.width, st.height, st.labels
-        );
-        let _ = write!(
-            out,
-            ";ring_cap={};ring_pushed={};ring=",
-            st.ring.capacity(),
-            st.ring.total_pushed()
-        );
-        for (i, x) in st.ring.samples().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{:016x}", x.to_bits());
-        }
-        let (count, mean, m2) = st.stats.state();
-        let _ = write!(
-            out,
-            ";w_count={count};w_mean={:016x};w_m2={:016x}",
-            mean.to_bits(),
-            m2.to_bits()
-        );
-        if let Some(m) = st.marginals.as_ref() {
-            let _ = write!(
-                out,
-                ";marg_sites={};marg_labels={};marg_samples={};marg=",
-                m.sites(),
-                m.labels(),
-                m.samples()
-            );
-            for (i, c) in m.counts().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{c:x}");
-            }
-        }
-        Some(out)
+        let (w_count, w_mean, w_m2) = st.stats.state();
+        let mut words = vec![
+            STATE_VERSION,
+            word(st.sweeps),
+            word(st.burn_in),
+            word(st.width),
+            word(st.height),
+            word(st.labels),
+            word(st.ring.capacity()),
+            st.ring.total_pushed(),
+            w_count,
+            w_mean.to_bits(),
+            w_m2.to_bits(),
+        ];
+        let counts = st.marginals.as_ref().map_or_else(Vec::new, |m| {
+            words.extend([word(m.sites()), word(m.labels()), m.samples()]);
+            m.counts().to_vec()
+        });
+        Some(SinkState {
+            words,
+            samples: st.ring.samples(),
+            counts,
+        })
     }
 
-    fn restore_state(&self, state: &str) -> Result<(), String> {
-        let blob = ChainStateBlob::parse(state)?;
+    fn restore_state(&self, state: &SinkState) -> Result<(), String> {
+        let Some((chain, marginal)) = state.words.split_first_chunk::<11>() else {
+            return Err(format!(
+                "chain state holds {} words, a chain exports at least 11",
+                state.words.len()
+            ));
+        };
+        let [version, sweeps, burn_in, width, height, labels, cap, pushed, count, mean, m2] = chain;
+        if *version != STATE_VERSION {
+            return Err(format!("unsupported chain-state version {version}"));
+        }
+        let sweeps = usize::try_from(*sweeps)
+            .map_err(|_| format!("chain state's {sweeps} sweeps overflow"))?;
         let mut st = self.shared.states[self.chain].lock();
         // `on_start` has already seated the resumed job's geometry; the
-        // blob must describe the same chain or the statistics would be
+        // state must describe the same chain or the statistics would be
         // silently mismatched.
-        if (blob.burn_in, blob.width, blob.height, blob.labels)
-            != (st.burn_in, st.width, st.height, st.labels)
-        {
+        let geometry = [*burn_in, *width, *height, *labels];
+        let job = [st.burn_in, st.width, st.height, st.labels].map(word);
+        if geometry != job {
             return Err(format!(
-                "chain geometry mismatch: state is {}x{} with {} labels (burn-in {}), job is \
-                 {}x{} with {} labels (burn-in {})",
-                blob.width,
-                blob.height,
-                blob.labels,
-                blob.burn_in,
-                st.width,
-                st.height,
-                st.labels,
-                st.burn_in
+                "chain geometry mismatch: burn-in, width, height and labels are {geometry:?} in \
+                 the state, {job:?} in the job"
             ));
         }
-        if blob.ring_cap != st.ring.capacity() {
+        if *cap != word(st.ring.capacity()) {
             return Err(format!(
-                "energy window mismatch: state holds {}, config asks {}",
-                blob.ring_cap,
+                "energy window mismatch: state holds {cap}, config asks {}",
                 st.ring.capacity()
             ));
         }
-        let marginals = match (st.marginals.as_ref(), blob.marginals) {
-            (Some(current), Some((sites, labels, samples, counts))) => {
-                if (sites, labels) != (current.sites(), current.labels()) {
+        let marginals = match (st.marginals.as_ref(), marginal) {
+            (Some(current), &[sites, labels, samples]) => {
+                let shape = [current.sites(), current.labels()];
+                if [sites, labels] != shape.map(word) {
                     return Err(format!(
                         "marginal shape mismatch: state is {sites}x{labels}, job is {}x{}",
-                        current.sites(),
-                        current.labels()
+                        shape[0], shape[1]
                     ));
                 }
+                let counts = state.counts.clone();
                 Some(MarginalAccumulator::restore(
-                    sites, labels, counts, samples,
+                    shape[0], shape[1], counts, samples,
                 )?)
             }
-            (None, None) => None,
-            (Some(_), None) => {
-                return Err("job collects label marginals but the state has none".to_string())
-            }
-            (None, Some(_)) => {
-                return Err(
-                    "state carries label marginals but the job does not collect them".to_string(),
-                )
+            (None, []) if state.counts.is_empty() => None,
+            (collecting, words) => {
+                return Err(format!(
+                    "chain state holds {} marginal words and {} counts, but the job {} label \
+                     marginals",
+                    words.len(),
+                    state.counts.len(),
+                    if collecting.is_some() {
+                        "collects"
+                    } else {
+                        "does not collect"
+                    }
+                ))
             }
         };
-        st.ring = RingBuffer::restore(blob.ring_cap, &blob.ring, blob.ring_pushed)?;
-        st.stats = Welford::restore(blob.w_count, blob.w_mean, blob.w_m2);
+        st.ring = RingBuffer::restore(st.ring.capacity(), &state.samples, *pushed)?;
+        st.stats = Welford::restore(*count, f64::from_bits(*mean), f64::from_bits(*m2));
         st.marginals = marginals;
-        st.sweeps = blob.sweeps;
+        st.sweeps = sweeps;
         Ok(())
     }
 }
 
-/// Parsed form of one chain's exported state blob: `key=value` pairs
-/// separated by `;`, f64s as 16-hex-digit IEEE-754 bit patterns so the
-/// round trip is bit-exact, counts as hex lists.
-struct ChainStateBlob {
-    sweeps: usize,
-    burn_in: usize,
-    width: usize,
-    height: usize,
-    labels: usize,
-    ring_cap: usize,
-    ring_pushed: u64,
-    ring: Vec<f64>,
-    w_count: u64,
-    w_mean: f64,
-    w_m2: f64,
-    marginals: Option<(usize, usize, u64, Vec<u32>)>,
-}
+/// Layout version of a chain's exported [`SinkState`]: `words` holds the
+/// version, then `sweeps, burn_in, width, height, labels, ring capacity,
+/// ring pushes, Welford count, mean bits, m2 bits`, then — when the
+/// chain collects marginals — `sites, labels, samples`; `samples` is
+/// the energy window oldest first; `counts` the marginal tallies.
+const STATE_VERSION: u64 = 2;
 
-impl ChainStateBlob {
-    fn parse(s: &str) -> Result<Self, String> {
-        let mut map = std::collections::HashMap::new();
-        for pair in s.split(';') {
-            let (k, v) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("malformed chain-state field {pair:?}"))?;
-            map.insert(k, v);
-        }
-        let get = |k: &str| -> Result<&str, String> {
-            map.get(k)
-                .copied()
-                .ok_or_else(|| format!("chain state is missing field {k:?}"))
-        };
-        let num = |k: &str| -> Result<usize, String> {
-            get(k)?
-                .parse()
-                .map_err(|e| format!("chain-state field {k:?}: {e}"))
-        };
-        let num64 = |k: &str| -> Result<u64, String> {
-            get(k)?
-                .parse()
-                .map_err(|e| format!("chain-state field {k:?}: {e}"))
-        };
-        let f64bits = |k: &str| -> Result<f64, String> {
-            u64::from_str_radix(get(k)?, 16)
-                .map(f64::from_bits)
-                .map_err(|e| format!("chain-state field {k:?}: {e}"))
-        };
-        let version = get("v")?;
-        if version != "1" {
-            return Err(format!("unsupported chain-state version {version:?}"));
-        }
-        let ring = {
-            let raw = get("ring")?;
-            if raw.is_empty() {
-                Vec::new()
-            } else {
-                raw.split(',')
-                    .map(|t| {
-                        u64::from_str_radix(t, 16)
-                            .map(f64::from_bits)
-                            .map_err(|e| format!("ring sample {t:?}: {e}"))
-                    })
-                    .collect::<Result<Vec<f64>, String>>()?
-            }
-        };
-        let marginals = if map.contains_key("marg_sites") {
-            let raw = get("marg")?;
-            let counts = if raw.is_empty() {
-                Vec::new()
-            } else {
-                raw.split(',')
-                    .map(|t| {
-                        u32::from_str_radix(t, 16).map_err(|e| format!("marginal count {t:?}: {e}"))
-                    })
-                    .collect::<Result<Vec<u32>, String>>()?
-            };
-            Some((
-                num("marg_sites")?,
-                num("marg_labels")?,
-                num64("marg_samples")?,
-                counts,
-            ))
-        } else {
-            None
-        };
-        Ok(ChainStateBlob {
-            sweeps: num("sweeps")?,
-            burn_in: num("burn_in")?,
-            width: num("width")?,
-            height: num("height")?,
-            labels: num("labels")?,
-            ring_cap: num("ring_cap")?,
-            ring_pushed: num64("ring_pushed")?,
-            ring,
-            w_count: num64("w_count")?,
-            w_mean: f64bits("w_mean")?,
-            w_m2: f64bits("w_m2")?,
-            marginals,
-        })
-    }
+fn word(value: usize) -> u64 {
+    u64::try_from(value).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -778,16 +676,21 @@ mod tests {
         for it in 0..7 {
             drive(&diag, 0, it, 90.0 + f64::from(it as u8) * 0.125, Some(&a));
         }
-        let blob = diag.sink(0).export_state().expect("chain sinks export");
+        let state = diag.sink(0).export_state().expect("chain sinks export");
 
-        // A fresh coordinator restored from the blob reports the same
+        // A fresh coordinator restored from the state reports the same
         // statistics and continues the trace identically.
         let restored = MultiChainDiag::new(1, LabelIndexer::identity(2), fast_config());
         restored.sink(0).on_start(&info(4, 2));
         restored
             .sink(0)
-            .restore_state(&blob)
+            .restore_state(&state)
             .expect("same geometry");
+        assert_eq!(
+            restored.sink(0).export_state(),
+            Some(state),
+            "the restored chain exports what it was given"
+        );
         let (a_report, b_report) = (diag.report(), restored.report());
         assert_eq!(a_report.chains[0].sweeps, b_report.chains[0].sweeps);
         assert_eq!(
@@ -823,25 +726,40 @@ mod tests {
         for it in 0..3 {
             drive(&diag, 0, it, 50.0, None);
         }
-        let blob = diag.sink(0).export_state().expect("exports");
+        let state = diag.sink(0).export_state().expect("exports");
 
         // Different grid geometry is refused.
         let other = MultiChainDiag::new(1, LabelIndexer::identity(2), fast_config());
         other.sink(0).on_start(&info(8, 0));
-        assert!(other.sink(0).restore_state(&blob).is_err());
+        assert!(other.sink(0).restore_state(&state).is_err());
 
-        // Garbage and truncated blobs are refused, never panic.
+        // Garbage and truncated states are refused, never panic.
         let fresh = MultiChainDiag::new(1, LabelIndexer::identity(2), fast_config());
         fresh.sink(0).on_start(&info(4, 0));
-        assert!(fresh.sink(0).restore_state("not a blob").is_err());
-        assert!(fresh
-            .sink(0)
-            .restore_state(&blob[..blob.len() / 2])
-            .is_err());
-        let bumped = blob.replacen("v=1", "v=9", 1);
+        assert!(fresh.sink(0).restore_state(&SinkState::default()).is_err());
+        let mut truncated = state.clone();
+        truncated.words.truncate(state.words.len() / 2);
+        assert!(fresh.sink(0).restore_state(&truncated).is_err());
+        let mut bumped = state.clone();
+        bumped.words[0] = 9;
         assert!(fresh.sink(0).restore_state(&bumped).is_err());
-        // The untampered blob still restores.
-        assert!(fresh.sink(0).restore_state(&blob).is_ok());
+        let mut short_counts = state.clone();
+        short_counts.counts.pop();
+        assert!(fresh.sink(0).restore_state(&short_counts).is_err());
+        let mut overfull = state.clone();
+        overfull.samples = vec![50.0; 33];
+        assert!(fresh.sink(0).restore_state(&overfull).is_err());
+        // The untampered state still restores.
+        assert!(fresh.sink(0).restore_state(&state).is_ok());
+        // A chain that collects no marginals refuses a state that has
+        // them.
+        let blind = MultiChainDiag::new(
+            1,
+            LabelIndexer::identity(2),
+            fast_config().with_label_stride(0),
+        );
+        blind.sink(0).on_start(&info(4, 0));
+        assert!(blind.sink(0).restore_state(&state).is_err());
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! - the kernel's per-unit device-fault state and the fault runtime's
 //!   cursor/quarantine/degradation record (baselines are re-probed from
 //!   the pristine kernel at restore, exactly as at original admission),
-//! - the diagnostics sink's exported state, as an opaque blob.
+//! - the diagnostics sink's exported [`SinkState`], opaque to the
+//!   engine.
 //!
 //! The state is bound to its producing spec by a [`StateBinding`] —
 //! dimensions, seed, budget, chunking, the sparse topology fingerprint
@@ -36,8 +37,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mogs_gibbs::kernel::UnitFault;
+use serde::{Deserialize, Serialize};
 
 use crate::fault::Degraded;
+use crate::sink::SinkState;
 
 /// When the engine captures a checkpoint for a job.
 ///
@@ -155,7 +158,7 @@ impl StateBinding {
 /// kernel at restore, before any persisted fault is re-injected, which
 /// reproduces exactly what `FaultRuntime::new` captured at the original
 /// admission.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultState {
     /// Plan events with index `< cursor` have been injected.
     pub cursor: usize,
@@ -192,7 +195,7 @@ pub struct JobState {
     /// fault plan or health policy.
     pub fault: Option<FaultState>,
     /// The diagnostics sink's exported state, opaque to the engine.
-    pub sink_state: Option<String>,
+    pub sink_state: Option<SinkState>,
 }
 
 /// Where the engine hands captured [`JobState`]s.

@@ -18,6 +18,7 @@
 use crate::error::EngineError;
 use mogs_gibbs::kernel::UnitFault;
 use mogs_ret::wearout::EnsembleWearout;
+use serde::{Deserialize, Serialize};
 
 /// One scheduled device fault: before sweep `sweep` begins, `fault` is
 /// injected into pool unit `unit`.
@@ -149,7 +150,7 @@ pub(crate) fn check_stuck_labels(
 /// A job that survived backend failover: the RSU pool fell below the
 /// health policy's live-unit floor mid-flight, and the job completed on
 /// the exact softmax backend instead of dying.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Degraded {
     /// Sweep index at whose start the failover took effect (the first
     /// sweep sampled by the exact backend).

@@ -119,7 +119,9 @@ pub use memo::Memo;
 pub use metrics::{EngineMetrics, HistogramSnapshot, LatencyHistogram, MetricsSnapshot};
 pub use multichain::{run_chains_on_engine, run_replicas, MultiChainResult};
 pub use shard::ShardRunner;
-pub use sink::{DiagSink, JobStartInfo, NullSink, SinkNeeds, SweepDecision, SweepObservation};
+pub use sink::{
+    DiagSink, JobStartInfo, NullSink, SinkNeeds, SinkState, SweepDecision, SweepObservation,
+};
 pub use spec::JobSpec;
 
 /// The engine's public surface in one import.
@@ -144,7 +146,7 @@ pub mod prelude {
     pub use crate::multichain::{run_chains_on_engine, run_replicas, MultiChainResult};
     pub use crate::shard::ShardRunner;
     pub use crate::sink::{
-        DiagSink, JobStartInfo, NullSink, SinkNeeds, SweepDecision, SweepObservation,
+        DiagSink, JobStartInfo, NullSink, SinkNeeds, SinkState, SweepDecision, SweepObservation,
     };
     pub use crate::spec::JobSpec;
     pub use mogs_gibbs::kernel::{KernelArena, KernelScratch, SweepKernel, UnitFault};

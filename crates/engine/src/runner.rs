@@ -434,8 +434,8 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
                 burn_in: job.burn_in,
             });
         }
-        if let (Some(sink), Some(blob)) = (&sink, resume.and_then(|s| s.sink_state.as_ref())) {
-            sink.restore_state(blob)
+        if let (Some(sink), Some(state)) = (&sink, resume.and_then(|s| s.sink_state.as_ref())) {
+            sink.restore_state(state)
                 .map_err(|reason| EngineError::InvalidSpec {
                     field: "checkpoint",
                     reason: format!("diagnostics sink rejected its checkpointed state: {reason}"),
@@ -600,7 +600,7 @@ impl<S: SingletonPotential, L: LabelSampler> TypedJob<S, L> {
     /// from. Everything a sweep can read is captured: the label plane,
     /// the bookkeeping accumulators, the pristine sampler's device
     /// faults, the fault runtime's record, and the diagnostics sink's
-    /// exported blob. The RNG needs no record — chunk streams are
+    /// exported state. The RNG needs no record — chunk streams are
     /// derived fresh from `(seed, iteration)` every phase (see the
     /// module docs of [`crate::ckpt`]).
     fn capture(&self, next_sweep: usize) -> JobState

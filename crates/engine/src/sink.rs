@@ -23,7 +23,7 @@
 //!
 //! [`NullSink`] is the do-nothing implementation used to measure the
 //! observer plumbing itself; it must benchmark within noise of a job
-//! with no sink at all (`benches/diag_sink.rs` checks this).
+//! with no sink at all (`repro diag-overhead` checks this).
 
 use mogs_mrf::Label;
 
@@ -132,12 +132,12 @@ pub trait DiagSink: Send + Sync {
         let _ = output;
     }
 
-    /// Exports the sink's accumulated state for a checkpoint, as an
-    /// opaque blob the engine stores verbatim. Called at the same
+    /// Exports the sink's accumulated state for a checkpoint, as a
+    /// [`SinkState`] the engine stores verbatim. Called at the same
     /// quiescent sweep boundary as `on_sweep`. The default — for sinks
     /// with no state worth persisting — returns `None`, and restore
     /// never calls `restore_state` for such checkpoints.
-    fn export_state(&self) -> Option<String> {
+    fn export_state(&self) -> Option<SinkState> {
         None
     }
 
@@ -149,13 +149,27 @@ pub trait DiagSink: Send + Sync {
     ///
     /// # Errors
     ///
-    /// A human-readable reason when the blob cannot be re-seated; the
+    /// A human-readable reason when the state cannot be re-seated; the
     /// engine fails the resume with it rather than continuing with
     /// diverged diagnostics.
-    fn restore_state(&self, state: &str) -> Result<(), String> {
+    fn restore_state(&self, state: &SinkState) -> Result<(), String> {
         let _ = state;
         Err("this sink does not support checkpoint restore".to_string())
     }
+}
+
+/// A sink's checkpointed state: three raw vectors whose layout belongs
+/// to the sink (which checks it by position on restore), and which the
+/// checkpoint codec writes as raw little-endian sections. Every `f64`
+/// travels as its bit pattern, so a restore is bit-exact.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SinkState {
+    /// Scalars and counters, a version word first by convention.
+    pub words: Vec<u64>,
+    /// Floating-point samples (an energy window, say).
+    pub samples: Vec<f64>,
+    /// Small counts (per-site label tallies, say).
+    pub counts: Vec<u32>,
 }
 
 /// The do-nothing sink: every hook is a default no-op and

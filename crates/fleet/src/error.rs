@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use mogs_ckpt::CkptError;
+use mogs_ckpt::{CkptError, SectionError};
 use mogs_engine::EngineError;
 
 /// Alias every fallible fleet function returns.
@@ -189,6 +189,14 @@ impl From<CkptError> for FleetError {
         FleetError::Checkpoint {
             reason: err.to_string(),
         }
+    }
+}
+
+/// A frame payload whose head line or sections cannot be read is a
+/// protocol violation.
+impl From<SectionError> for FleetError {
+    fn from(err: SectionError) -> Self {
+        FleetError::Protocol { reason: err.reason }
     }
 }
 

@@ -19,21 +19,22 @@
 //! planes and fault text are raw bytes, `(group, chunk)` cells are `u32`
 //! pairs, and a replay log is one update list per completed group. A
 //! site index fits `u32` because a plane has to fit one frame. Encoding
-//! is the head plus `extend_from_slice`; decoding is bounds-checked
-//! slicing. Inside the head the workspace envelope discipline holds
-//! (see [`crate::spec`]): `u64` as 16-digit hex, plain numbers only for
-//! provably-small integers.
+//! is the head plus `extend_from_slice`; decoding is the workspace's one
+//! envelope reader, `mogs_ckpt::split_head` and `mogs_ckpt::Sections`,
+//! which checkpoints read through too. Inside the head the workspace
+//! envelope discipline holds (see [`crate::spec`]): `u64` as 16-digit
+//! hex, plain numbers only for provably-small integers.
 //!
 //! A reader verifies in trust order: the **length** prefix against
 //! [`FRAME_LIMIT`] before the payload buffer exists; the **head** line,
-//! which must end within [`HEAD_LIMIT`] bytes (bounding the JSON
-//! parser's recursion) and be UTF-8; every declared **count** against
-//! the bytes actually present — overflow-checked, before anything is
-//! allocated, with trailing bytes refused — and only then the
-//! **values**, whose range checks (site inside the plane, label inside
-//! the space) belong to whoever applies them. A frame-level violation
-//! is [`FleetError::Frame`], everything inside the payload
-//! [`FleetError::Protocol`].
+//! which must end within [`HEAD_LIMIT`] bytes (so parsing it costs time
+//! and memory bounded by the cap, not by the frame) and be UTF-8; every
+//! declared **count** against the bytes actually present —
+//! overflow-checked, before anything is allocated, with trailing bytes
+//! refused — and only then the **values**, whose range checks (site
+//! inside the plane, label inside the space) belong to whoever applies
+//! them. A frame-level violation is [`FleetError::Frame`], everything
+//! inside the payload [`FleetError::Protocol`].
 //!
 //! There is one format and one reader. The v1 hex/JSON frames are
 //! refused like any other garbage rather than dual-read: both ends of a
@@ -49,7 +50,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use mogs_ckpt::{parse_hex_u64, parse_object};
+use mogs_ckpt::{parse_hex_u64, parse_object, split_head, Sections};
 use serde::de::Parser;
 use serde::{Deserialize, Serialize};
 
@@ -60,9 +61,12 @@ use crate::spec::protocol;
 /// workspace samples; anything larger is a corrupt prefix.
 pub const FRAME_LIMIT: usize = 64 << 20;
 
-/// Upper bound on a payload's JSON head line. Heads carry a tag, a
-/// digest, and a handful of counts — a few hundred bytes; the bound keeps
-/// the recursive JSON parser's depth independent of the frame size.
+/// Upper bound on a payload's JSON head line, its newline included.
+/// Heads carry a tag, a digest, and a handful of counts — a few hundred
+/// bytes; the bound keeps the time and memory a head's parse can take
+/// independent of the frame size. (Nesting depth is bounded apart from
+/// it, by `serde::de::MAX_DEPTH`, and skipping an unknown value does
+/// not recurse.)
 pub const HEAD_LIMIT: usize = 4096;
 
 /// Frames and bytes one stream has moved, length prefixes included.
@@ -405,47 +409,18 @@ fn need<T>(value: Option<T>, what: &str) -> FleetResult<T> {
     })
 }
 
-/// The raw sections after the head line, consumed front to back.
-struct Sections<'a>(&'a [u8]);
-
-impl<'a> Sections<'a> {
-    /// Takes `count` elements of `width` bytes. The declared count is
-    /// only ever compared against the bytes present, never allocated.
-    fn take(&mut self, count: usize, width: usize) -> FleetResult<&'a [u8]> {
-        let bytes = count
-            .checked_mul(width)
-            .filter(|&bytes| bytes <= self.0.len())
-            .ok_or_else(|| FleetError::Protocol {
-                reason: format!(
-                    "a section declares {count} x {width} bytes, the payload has {} left",
-                    self.0.len()
-                ),
-            })?;
-        let (section, rest) = self.0.split_at(bytes);
-        self.0 = rest;
-        Ok(section)
-    }
-
-    fn updates(&mut self, count: usize) -> FleetResult<Vec<(usize, u8)>> {
-        let sites = self.take(count, 4)?;
-        let labels = self.take(count, 1)?;
-        Ok(sites
-            .as_chunks::<4>()
-            .0
-            .iter()
-            .zip(labels)
-            .map(|(site, &label)| (u32::from_le_bytes(*site) as usize, label))
-            .collect())
-    }
-
-    fn finish(self) -> FleetResult<()> {
-        if self.0.is_empty() {
-            return Ok(());
-        }
-        Err(FleetError::Protocol {
-            reason: format!("{} trailing bytes after the last section", self.0.len()),
-        })
-    }
+/// Takes an update list — `count` `u32` sites, then `count` labels —
+/// off the front of the sections.
+fn updates(sections: &mut Sections<'_>, count: usize) -> FleetResult<Vec<(usize, u8)>> {
+    let sites = sections.take(count, 4)?;
+    let labels = sections.take(count, 1)?;
+    Ok(sites
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .zip(labels)
+        .map(|(site, &label)| (u32::from_le_bytes(*site) as usize, label))
+        .collect())
 }
 
 /// Splits a payload into its parsed head and its raw sections.
@@ -455,16 +430,7 @@ fn open_payload(payload: &[u8]) -> FleetResult<(Head, Sections<'_>)> {
             reason: format!("payload of {} bytes exceeds the frame limit", payload.len()),
         });
     }
-    let window = &payload[..payload.len().min(HEAD_LIMIT)];
-    let split = window
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| FleetError::Protocol {
-            reason: format!("payload has no head line within {HEAD_LIMIT} bytes"),
-        })?;
-    let text = std::str::from_utf8(&payload[..split]).map_err(|_| FleetError::Protocol {
-        reason: "payload head is not UTF-8".to_string(),
-    })?;
+    let (text, sections) = split_head(payload, HEAD_LIMIT)?;
     let mut parser = Parser::new(text);
     let mut head = Head::default();
     parse_object(&mut parser, |key, parser| {
@@ -486,7 +452,7 @@ fn open_payload(payload: &[u8]) -> FleetResult<(Head, Sections<'_>)> {
     })
     .and_then(|()| parser.expect_end())
     .map_err(protocol)?;
-    Ok((head, Sections(&payload[split + 1..])))
+    Ok((head, sections))
 }
 
 /// Parses a coordinator → worker frame payload.
@@ -516,7 +482,7 @@ pub fn parse_to_worker(payload: &[u8]) -> FleetResult<ToWorker> {
             };
             let replay = need(head.replay, "replay")?
                 .into_iter()
-                .map(|count| sections.updates(count))
+                .map(|count| updates(&mut sections, count))
                 .collect::<FleetResult<_>>()?;
             ToWorker::Assign {
                 digest: need(head.digest, "digest")?,
@@ -531,7 +497,7 @@ pub fn parse_to_worker(payload: &[u8]) -> FleetResult<ToWorker> {
             group: need(head.group, "group")?,
         },
         "halo" => ToWorker::Halo {
-            updates: sections.updates(need(head.updates, "updates")?)?,
+            updates: updates(&mut sections, need(head.updates, "updates")?)?,
         },
         "finish" => ToWorker::Finish,
         other => {
@@ -558,7 +524,7 @@ pub fn parse_to_coordinator(payload: &[u8]) -> FleetResult<ToCoordinator> {
         "phase_done" => ToCoordinator::PhaseDone {
             sweep: need(head.sweep, "sweep")?,
             group: need(head.group, "group")?,
-            updates: sections.updates(need(head.updates, "updates")?)?,
+            updates: updates(&mut sections, need(head.updates, "updates")?)?,
         },
         "fault" => {
             let text = sections.take(need(head.reason, "reason")?, 1)?;

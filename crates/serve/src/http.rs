@@ -165,12 +165,20 @@ pub fn read_request<R: BufRead>(
     }
     let mut request = request;
     if declared > 0 {
-        let mut body = vec![0u8; declared];
-        stream
-            .read_exact(&mut body)
+        // The buffer grows with the bytes that arrive, so a length the
+        // client declares but never sends sizes nothing past 64 KiB.
+        let mut body = Vec::with_capacity(declared.min(64 << 10));
+        let read = stream
+            .take(u64::try_from(declared).unwrap_or(u64::MAX))
+            .read_to_end(&mut body)
             .map_err(|e| ServeError::BadRequest {
                 reason: format!("body shorter than its Content-Length: {e}"),
             })?;
+        if read < declared {
+            return Err(ServeError::BadRequest {
+                reason: format!("body shorter than its Content-Length: {read} of {declared} bytes"),
+            });
+        }
         request.body = body;
     }
     Ok(Some(request))

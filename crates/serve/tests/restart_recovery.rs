@@ -16,7 +16,12 @@
 //! * delete the checkpoints once the terminal state is observed, and
 //!   hand out fresh ids *after* the recovered one.
 //!
-//! A second test pins the discard path: a checkpoint whose tenant is
+//! The same holds for a job with `"diag":true`: its served marginal map
+//! and entropy — accumulated by a diagnostics sink whose state crossed
+//! the restart inside the checkpoint — equal those of the same request
+//! run uninterrupted, bit for bit.
+//!
+//! A further test pins the discard path: a checkpoint whose tenant is
 //! unknown to the new process is reported, not resumed — and left on
 //! disk for the operator.
 
@@ -120,6 +125,17 @@ fn json_int_array(body: &str, key: &str) -> Vec<u8> {
         .collect()
 }
 
+/// The raw text of the JSON array under `key` in `body`.
+fn json_array_text<'a>(body: &'a str, key: &str) -> &'a str {
+    let marker = format!("\"{key}\":[");
+    let start = body
+        .find(&marker)
+        .unwrap_or_else(|| panic!("`{key}` in {body}"))
+        + marker.len();
+    let end = body[start..].find(']').expect("closing bracket") + start;
+    &body[start..end]
+}
+
 /// Waits until at least one checkpoint for `key` is on disk.
 fn wait_for_checkpoint(dir: &std::path::Path, key: &str) {
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -217,6 +233,79 @@ fn job_survives_a_server_restart_bit_identically() {
     assert_eq!(next.status, 201, "{}", next.body_text());
     assert_eq!(extract_id(&next.body_text()), id + 1);
     server2.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_diag_job_survives_a_server_restart_bit_identically() {
+    let dir = temp_dir("diag");
+    let spec_json = r#"{"tenant":"acme","workload":"segmentation",
+        "width":16,"height":16,"iterations":12,"seed":42,"threads":2,"diag":true}"#;
+
+    // Process 1 checkpoints every sweep and is torn down unobserved.
+    let engine1 = engine();
+    let server1 = Server::bind(
+        "127.0.0.1:0",
+        config(&dir),
+        Arc::clone(&engine1),
+        registry("acme"),
+    )
+    .expect("bind first server");
+    let submitted =
+        http_request(server1.local_addr(), "POST", "/v1/jobs", Some(spec_json)).expect("POST");
+    assert_eq!(submitted.status, 201, "{}", submitted.body_text());
+    let id = extract_id(&submitted.body_text());
+    wait_for_checkpoint(&dir, &job_key(id));
+    server1.shutdown();
+    match Arc::try_unwrap(engine1) {
+        Ok(engine) => engine.shutdown(),
+        Err(_) => panic!("server shutdown must release its engine handle"),
+    }
+    let store = CheckpointStore::open(&dir, RETAIN).expect("open checkpoint dir");
+    let (_, cut) = store
+        .latest(&job_key(id))
+        .expect("read latest")
+        .expect("a checkpoint survives the teardown");
+    let sink = cut
+        .state
+        .sink_state
+        .expect("the cut carries the sink's state");
+    assert!(!sink.counts.is_empty(), "the marginal tallies crossed");
+
+    // Process 2 resumes the job from that cut.
+    let server2 = Server::bind("127.0.0.1:0", config(&dir), engine(), registry("acme"))
+        .expect("bind second server");
+    let report = server2.recovery().expect("checkpointing on");
+    assert_eq!(report.resumed, vec![id], "{report:?}");
+    assert_eq!(wait_terminal(server2.local_addr(), id), "done");
+    let resumed = get(server2.local_addr(), &format!("/v1/jobs/{id}/result")).body_text();
+    server2.shutdown();
+
+    // The same request, uninterrupted, on a fresh engine.
+    let fresh = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig::default(),
+        engine(),
+        registry("acme"),
+    )
+    .expect("bind an uncheckpointed server");
+    let submitted =
+        http_request(fresh.local_addr(), "POST", "/v1/jobs", Some(spec_json)).expect("POST");
+    assert_eq!(submitted.status, 201, "{}", submitted.body_text());
+    let direct_id = extract_id(&submitted.body_text());
+    assert_eq!(wait_terminal(fresh.local_addr(), direct_id), "done");
+    let direct = get(fresh.local_addr(), &format!("/v1/jobs/{direct_id}/result")).body_text();
+    fresh.shutdown();
+
+    // Every finite f64 is served as its shortest round-trip decimal, so
+    // equal text is equal bits.
+    for key in ["labels", "marginal_map", "entropy"] {
+        assert_eq!(
+            json_array_text(&resumed, key),
+            json_array_text(&direct, key),
+            "`{key}` of the resumed diag job differs from the uninterrupted run"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
