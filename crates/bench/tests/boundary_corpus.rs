@@ -4,7 +4,7 @@
 //! The decoders are the HTTP request reader (`read_request`, head and
 //! body), the job request (`JobRequest::parse`), fleet frames both ways
 //! (`parse_to_worker`, `parse_to_coordinator`), the fleet launch spec
-//! (`FleetSpec::parse`), checkpoint envelopes (`mogs_ckpt::decode`) and
+//! (`JobDescription::parse`), checkpoint envelopes (`mogs_ckpt::decode`) and
 //! schedule certificates (`ScheduleCertificate::from_json`). Each gets
 //! deep nesting, huge declared counts and lengths, long numbers,
 //! invalid UTF-8 and every truncation of one valid input; checkpoints
@@ -23,15 +23,16 @@ use std::time::{Duration, Instant};
 use mogs_audit::{color_schedule, ScheduleCertificate};
 use mogs_ckpt::{decode, encode, open_envelope, seal, Checkpoint, HEAD_LIMIT};
 use mogs_engine::prelude::UnitFault;
-use mogs_engine::{Degraded, FaultState, JobState, SinkState, StateBinding};
+use mogs_engine::{Backend, Degraded, FaultState, JobState, SinkState, StateBinding};
 use mogs_fleet::wire::{
     encode_to_coordinator, encode_to_worker, parse_to_coordinator, parse_to_worker, ToCoordinator,
     ToWorker,
 };
-use mogs_fleet::{BackendKind, FleetSpec, Workload};
+use mogs_fleet::FleetError;
 use mogs_mrf::{Grid2D, Label, Neighborhood, Topology};
 use mogs_serve::http::read_request;
 use mogs_serve::{JobRequest, Limits};
+use mogs_vision::job::{JobDescription, Workload};
 
 // ---------------------------------------------------------------------
 // A per-thread counting allocator.
@@ -115,22 +116,30 @@ fn default_bound(input: usize) -> usize {
     4 * input + FIXED
 }
 
-/// Decoders that materialize JSON arrays as `Vec`s (the job request's
-/// `unaries`, a certificate's `classes` and `ranges`): an array of
-/// arrays costs a 24-byte `Vec` per row for at least 3 input bytes
-/// (`[],`), a number 8 bytes for at least 2 (`0,`), so the value holds
-/// at most 8 bytes per input byte; a growing `Vec` holds up to twice its
-/// length and, while reallocating, its old buffer too: 3 × 8 = 24×.
+/// Decoders that materialize JSON arrays as `Vec`s (a certificate's
+/// `classes` and `ranges`): an array of arrays costs a 24-byte `Vec` per
+/// row for at least 3 input bytes (`[],`), a number 8 bytes for at least
+/// 2 (`0,`), so the value holds at most 8 bytes per input byte; a growing
+/// `Vec` holds up to twice its length and, while reallocating, its old
+/// buffer too: 3 × 8 = 24×.
 fn json_array_bound(input: usize) -> usize {
     24 * input + FIXED
 }
 
-/// The HTTP reader holds the body once, and the header block — capped
-/// at `max_header_bytes` — as `(name, value)` string pairs: 48 bytes a
-/// pair plus its two strings for at least 4 input bytes (`a:\r\n`), at
-/// most 13 bytes per header byte, 3× for `Vec` growth as above.
+/// The HTTP reader holds one head line at a time (each under the
+/// 16 KiB head cap), the three headers it keeps and the body, whose
+/// buffer is sized from the declared length before a byte arrives, up
+/// to 64 KiB: the default bound plus that buffer.
 fn http_bound(input: usize) -> usize {
-    default_bound(input) + 39 * Limits::default().max_header_bytes
+    default_bound(input) + (64 << 10)
+}
+
+/// The job request reads its `unaries` rows into one flat `Vec<f64>`
+/// and refuses an empty row as it closes, so a row costs no `Vec`: a
+/// number costs 8 bytes for at least 2 input bytes (`0,`), 4 bytes per
+/// input byte, and growth as above triples that: 3 × 4 = 12×.
+fn flat_array_bound(input: usize) -> usize {
+    12 * input + FIXED
 }
 
 /// Runs `decode` on `input` on the current thread, counting; returns
@@ -315,7 +324,7 @@ static JOB_REQUEST: Decoder = Decoder {
             .map(drop)
             .map_err(|err| format!("{}", err.status()))
     },
-    bound: json_array_bound,
+    bound: flat_array_bound,
 };
 
 #[test]
@@ -455,24 +464,24 @@ fn fleet_frames_refuse_hostile_payloads_within_budget() {
 }
 
 static FLEET_SPEC: Decoder = Decoder {
-    name: "FleetSpec::parse",
+    name: "JobDescription::parse",
     decode: |input| {
-        FleetSpec::parse(text(input)?)
+        JobDescription::parse(text(input)?)
             .map(drop)
-            .map_err(|err| err.variant().to_string())
+            .map_err(|err| FleetError::from(err).variant().to_string())
     },
     bound: default_bound,
 };
 
 #[test]
 fn the_fleet_spec_refuses_hostile_text_within_budget() {
-    let spec = FleetSpec {
+    let spec = JobDescription {
         workload: Workload::Demo {
             width: 6,
             height: 4,
             labels: 3,
         },
-        backend: BackendKind::Rsu { replicas: 4 },
+        backend: Backend::RsuG { replicas: 4 },
         iterations: 5,
         threads: 2,
         seed: u64::MAX,

@@ -14,9 +14,10 @@
 //! the caller's cap before it is UTF-8-checked or parsed — and
 //! [`Sections`] hands out the raw sections front to back, comparing each
 //! declared count against the bytes present before anything is sized by
-//! it. [`parse_object`] and [`parse_hex_u64`] are the head's two JSON
-//! helpers. Every failure is a [`SectionError`], which each caller maps
-//! to its own type (`CkptError::State`, `FleetError::Protocol`).
+//! it. [`parse_hex_u64`] reads the head's 64-bit values, and
+//! `serde::de::Parser::parse_object` walks its objects. Every failure
+//! is a [`SectionError`], which each caller maps to its own type
+//! (`CkptError::State`, `FleetError::Protocol`).
 
 use serde::de::{self, Parser};
 
@@ -96,8 +97,8 @@ impl<'a> Sections<'a> {
     }
 }
 
-/// Parses a `u64` carried as a 16-digit hex string — the workspace's one
-/// reader for integers the vendored JSON layer cannot carry as numbers.
+/// Parses a `u64` carried as a 16-digit hex string, the form checkpoint
+/// and frame heads give their 64-bit values.
 ///
 /// # Errors
 ///
@@ -109,31 +110,4 @@ pub fn parse_hex_u64(parser: &mut Parser<'_>) -> Result<u64, de::Error> {
         return Err(parser.error("expected a 16-digit hex string"));
     }
     u64::from_str_radix(&hex, 16).map_err(|_| parser.error("expected a 16-digit hex string"))
-}
-
-/// Walks one JSON object, handing each key to `field` with the parser
-/// positioned at its value. Keys `field` declines (returns `false`) are
-/// skipped, so a reader tolerates head fields it does not know.
-///
-/// # Errors
-///
-/// A parse error on malformed JSON, or whatever `field` returns.
-pub fn parse_object(
-    parser: &mut Parser<'_>,
-    mut field: impl FnMut(&str, &mut Parser<'_>) -> Result<bool, de::Error>,
-) -> Result<(), de::Error> {
-    parser.expect_char('{')?;
-    if parser.consume_char('}') {
-        return Ok(());
-    }
-    loop {
-        let key = parser.parse_string()?;
-        parser.expect_char(':')?;
-        if !field(&key, parser)? {
-            parser.skip_value()?;
-        }
-        if !parser.consume_char(',') {
-            return parser.expect_char('}');
-        }
-    }
 }

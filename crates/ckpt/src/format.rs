@@ -69,7 +69,7 @@ use mogs_mrf::Label;
 use serde::de::{self, Parser};
 use serde::{Deserialize, Serialize};
 
-use crate::envelope::{parse_hex_u64, parse_object, split_head};
+use crate::envelope::{parse_hex_u64, split_head};
 use crate::error::CkptError;
 
 /// The one format version this build writes and reads.
@@ -505,13 +505,13 @@ fn parse_head(parser: &mut Parser<'_>) -> Result<Head, de::Error> {
     let mut histograms: Option<Option<usize>> = None;
     let mut meta: Option<usize> = None;
     let mut sink_state: Option<Option<Vec<usize>>> = None;
-    parse_object(parser, |key, parser| {
+    parser.parse_object(|key, parser| {
         match key {
             "binding" => binding = Some(parse_binding(parser)?),
             "next_sweep" => next_sweep = Some(usize::deserialize_json(parser)?),
             "kernel_faults" => kernel_faults = Some(parse_array(parser, parse_fault)?),
             "fault" => fault = Some(Option::deserialize_json(parser)?),
-            "sections" => parse_object(parser, |key, parser| {
+            "sections" => parser.parse_object(|key, parser| {
                 match key {
                     "labels" => labels = Some(usize::deserialize_json(parser)?),
                     "energy_trace" => energy_trace = Some(usize::deserialize_json(parser)?),
@@ -585,7 +585,7 @@ fn parse_binding(parser: &mut Parser<'_>) -> Result<StateBinding, de::Error> {
     let mut kernel: Option<String> = None;
     let mut track_modes: Option<bool> = None;
     let mut record_energy: Option<bool> = None;
-    parse_object(parser, |key, parser| {
+    parser.parse_object(|key, parser| {
         match key {
             "sites" => sites = Some(usize::deserialize_json(parser)?),
             "width" => width = Some(usize::deserialize_json(parser)?),
@@ -643,7 +643,7 @@ fn parse_fault(parser: &mut Parser<'_>) -> Result<Option<UnitFault>, de::Error> 
     let mut kind: Option<String> = None;
     let mut label: Option<u8> = None;
     let mut rate: Option<f64> = None;
-    parse_object(parser, |key, parser| {
+    parser.parse_object(|key, parser| {
         match key {
             "kind" => kind = Some(String::deserialize_json(parser)?),
             "label" => label = Some(u8::deserialize_json(parser)?),

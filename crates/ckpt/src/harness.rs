@@ -17,7 +17,8 @@ use std::time::Duration;
 
 use mogs_engine::prelude::*;
 use mogs_mrf::energy::SingletonPotential;
-use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior};
+use mogs_mrf::Label;
+use mogs_vision::synthetic::{demo_field, DEMO_MAX_ENERGY};
 
 /// Grid width of the demo field.
 pub const DEMO_WIDTH: usize = 12;
@@ -35,8 +36,6 @@ pub const DEMO_BURN_IN: usize = 6;
 pub const DEMO_SEED: u64 = 0x5EED_0C0A;
 /// RSU pool replica count.
 pub const DEMO_REPLICAS: usize = 4;
-/// Energy bound handed to the RSU backend's intensity coding.
-pub const DEMO_MAX_ENERGY: f64 = 8.0;
 /// The store key the crashee files its checkpoints under.
 pub const DEMO_KEY: &str = "crash-demo";
 
@@ -79,27 +78,6 @@ pub fn demo_fault_plan() -> FaultPlan {
             fault: UnitFault::DarkCount { rate_per_ns: 0.35 },
         },
     ])
-}
-
-/// The demo field at any size: a Potts prior over a synthetic
-/// singleton term. The harness runs it at the `DEMO_*` size; the fleet's
-/// `Demo` workload at the size its spec names.
-pub fn demo_field(
-    width: usize,
-    height: usize,
-    labels: u16,
-) -> MarkovRandomField<impl SingletonPotential> {
-    MarkovRandomField::builder(Grid2D::new(width, height), LabelSpace::scalar(labels))
-        .prior(SmoothnessPrior::potts(0.6))
-        .singleton(|site: usize, label: Label| {
-            // Synthetic "data" term: a fixed pseudo-random preference per
-            // (site, label), identical in every process that builds it.
-            let mix = site
-                .wrapping_mul(7)
-                .wrapping_add(usize::from(label.value()).wrapping_mul(13));
-            (mix % 11) as f64 * 0.17
-        })
-        .build()
 }
 
 /// Builds the demo job spec. `checkpoint` attaches a capture policy and

@@ -23,8 +23,7 @@
 //! - [`split_head`] and [`Sections`] are the workspace's one reader for
 //!   "a JSON head of scalars, then raw sections", shared with the fleet
 //!   wire's frames; each caller maps its [`SectionError`] to its own
-//!   error type. [`parse_object`] and [`parse_hex_u64`] are the head's
-//!   JSON helpers.
+//!   error type. [`parse_hex_u64`] reads the head's 64-bit values.
 //! - [`CheckpointStore`] files checkpoints in a directory with atomic
 //!   temp-file-then-rename writes, per-key retention bounds, and a
 //!   [`scan`](CheckpointStore::scan) that a restarting service uses to
@@ -72,7 +71,7 @@ mod store;
 #[doc(hidden)]
 pub mod harness;
 
-pub use envelope::{parse_hex_u64, parse_object, split_head, SectionError, Sections};
+pub use envelope::{parse_hex_u64, split_head, SectionError, Sections};
 pub use error::CkptError;
 pub use format::{
     checksum, decode, encode, open_envelope, seal, verify_binding, Checkpoint, FORMAT_VERSION,

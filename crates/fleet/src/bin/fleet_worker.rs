@@ -1,5 +1,5 @@
 //! `fleet-worker <addr> <spec>`: connects to a coordinator (`tcp:host:port`),
-//! admits `spec` (`FleetSpec::encode` text) and speaks the shard protocol
+//! admits `spec` (`JobDescription::encode` text) and speaks the shard protocol
 //! until told to finish. Spawned by `Launcher::Program`; exits nonzero on any
 //! protocol or shard failure so process supervisors see it.
 

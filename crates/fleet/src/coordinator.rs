@@ -57,11 +57,13 @@ use std::time::Duration;
 use mogs_ckpt::{verify_binding, Checkpoint, CheckpointStore};
 use mogs_engine::ckpt::{JobState, StateBinding};
 use mogs_engine::{Degraded, ShardRunner};
+use mogs_gibbs::sampler::LabelSampler;
+use mogs_vision::job::JobDescription;
 
 use crate::error::{FleetError, FleetResult};
-use crate::exec::{bring_up, kernel_name, FleetStructure};
+use crate::exec::{bring_up, FleetStructure};
 use crate::partition::Partition;
-use crate::spec::FleetSpec;
+use crate::spec::check_launch;
 use crate::wire::{recv_to_coordinator, send_to_worker, Conn, ToCoordinator, ToWorker, Traffic};
 use crate::worker::{worker_main, SPEC_ENV, WORKER_ENV};
 
@@ -243,7 +245,7 @@ impl FleetOutput {
 /// `Spawn` when workers cannot come up, `FleetCollapse` when the
 /// migration budget runs out, `Checkpoint` on store, spec or binding
 /// failures, `Unsupported` for structurally impossible configurations.
-pub fn run_fleet(spec: &FleetSpec, config: &FleetConfig) -> FleetResult<FleetOutput> {
+pub fn run_fleet(spec: &JobDescription, config: &FleetConfig) -> FleetResult<FleetOutput> {
     // On any failure the coordinator is dropped here, and every slot
     // reaps its worker on drop.
     Coordinator::launch(spec, config)?.run()
@@ -305,7 +307,7 @@ impl Slot {
     /// slot has no connection until [`Slot::connect`] accepts it.
     fn start(
         config: &FleetConfig,
-        spec: &FleetSpec,
+        spec: &JobDescription,
         shards: &[usize],
     ) -> FleetResult<(TcpListener, Slot)> {
         let (listener, addr) = listen()?;
@@ -354,7 +356,7 @@ impl Slot {
 
     /// Launches one worker and waits for its connection, retrying with
     /// exponential backoff.
-    fn spawn(config: &FleetConfig, spec: &FleetSpec, shards: &[usize]) -> FleetResult<Slot> {
+    fn spawn(config: &FleetConfig, spec: &JobDescription, shards: &[usize]) -> FleetResult<Slot> {
         let mut attempt = 0u32;
         loop {
             let spawned = Slot::start(config, spec, shards)
@@ -391,7 +393,7 @@ impl Drop for Slot {
 }
 
 struct Coordinator {
-    spec: FleetSpec,
+    spec: JobDescription,
     config: FleetConfig,
     structure: FleetStructure,
     partition: Arc<Partition>,
@@ -418,8 +420,8 @@ struct Coordinator {
 }
 
 impl Coordinator {
-    fn launch(spec: &FleetSpec, config: &FleetConfig) -> FleetResult<Self> {
-        spec.validate()?;
+    fn launch(spec: &JobDescription, config: &FleetConfig) -> FleetResult<Self> {
+        check_launch(spec)?;
         if config.workers == 0 {
             return Err(FleetError::Spec {
                 reason: "a fleet needs at least one worker".to_string(),
@@ -519,7 +521,7 @@ impl Coordinator {
             threads: self.spec.threads,
             seed: self.spec.seed,
             fingerprint: self.structure.topology.fingerprint(),
-            kernel: kernel_name(&self.spec)?,
+            kernel: self.spec.kernel()?.name().to_string(),
             track_modes: true,
             record_energy: true,
         })
@@ -872,7 +874,7 @@ impl Coordinator {
     /// Loads the newest intact coordinator checkpoint and refuses it
     /// unless it was cut for `spec` (its meta is the spec's JSON, the
     /// input of the spec digest).
-    fn load_resume(store: &CheckpointStore, spec: &FleetSpec) -> FleetResult<Checkpoint> {
+    fn load_resume(store: &CheckpointStore, spec: &JobDescription) -> FleetResult<Checkpoint> {
         let Some((path, coord)) = store.latest(COORD_KEY)? else {
             return Err(FleetError::Checkpoint {
                 reason: "no coordinator checkpoint to resume from".to_string(),
@@ -984,16 +986,17 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BackendKind, Workload};
+    use mogs_engine::Backend;
+    use mogs_vision::job::Workload;
 
-    fn spec() -> FleetSpec {
-        FleetSpec {
+    fn spec() -> JobDescription {
+        JobDescription {
             workload: Workload::Demo {
                 width: 8,
                 height: 6,
                 labels: 3,
             },
-            backend: BackendKind::Softmax,
+            backend: Backend::Softmax,
             iterations: 6,
             threads: 3,
             seed: 0xC0FFEE,

@@ -12,6 +12,7 @@ use std::fmt;
 
 use mogs_ckpt::{CkptError, SectionError};
 use mogs_engine::EngineError;
+use mogs_vision::job::JobError;
 
 /// Alias every fallible fleet function returns.
 pub type FleetResult<T> = Result<T, FleetError>;
@@ -180,6 +181,17 @@ impl From<EngineError> for FleetError {
     fn from(err: EngineError) -> Self {
         FleetError::Spec {
             reason: err.to_string(),
+        }
+    }
+}
+
+/// Spec text that is no job description is a protocol violation; a
+/// description with a value out of range is an invalid spec.
+impl From<JobError> for FleetError {
+    fn from(err: JobError) -> Self {
+        match err {
+            JobError::Malformed(reason) => FleetError::Protocol { reason },
+            JobError::Invalid(reason) => FleetError::Spec { reason },
         }
     }
 }

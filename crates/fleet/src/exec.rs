@@ -2,7 +2,7 @@
 //!
 //! The engine's job pipeline is generic over the singleton potential and
 //! the sweep kernel; the fleet's wire protocol is not. This module is
-//! the seam: [`build_shard`] turns a parsed [`FleetSpec`] plus a cell
+//! the seam: [`build_shard`] turns a [`JobDescription`] plus a cell
 //! list into a [`ShardRunner`] — the engine's one type-erased job, driven
 //! identically by the worker loop and the coordinator's mirror — and
 //! [`FleetStructure`] captures the job's phase decomposition (groups,
@@ -14,16 +14,16 @@ use std::convert::Infallible;
 use std::sync::Arc;
 
 use mogs_audit::ScheduleCertificate;
-use mogs_ckpt::harness::{demo_field, DEMO_MAX_ENERGY};
-use mogs_engine::{BackendSampler, Engine, InferenceJob, JobOutput, Memo, ShardRunner};
+use mogs_engine::{
+    BackendSampler, Engine, EngineError, InferenceJob, JobHandle, JobOutput, Memo, ShardRunner,
+};
 use mogs_mrf::energy::SingletonPotential;
 use mogs_mrf::{Grid2D, Topology};
-use mogs_vision::stereo::{StereoConfig, StereoMatching};
-use mogs_vision::synthetic;
+use mogs_vision::job::{stereo_field, JobDescription, JobVisitor, StereoScene};
+use mogs_vision::stereo::StereoMatching;
 
-use crate::error::{FleetError, FleetResult};
+use crate::error::FleetResult;
 use crate::partition::{partition, Partition};
-use crate::spec::{FleetSpec, Workload};
 
 /// Entries each of this process's bring-up caches (scenes, partitions)
 /// holds, oldest evicted first. A scene keeps its singleton table (2 MB
@@ -44,41 +44,6 @@ type Shape = (Grid2D, mogs_mrf::Neighborhood, usize);
 /// Verified partitions by admission shape and shard count.
 static PARTITIONS: Memo<(Shape, usize), Arc<Partition>> = Memo::new(BRING_UP_CACHE_ENTRIES);
 
-/// The sampler kernel `spec` describes.
-pub(crate) fn sampler_for(spec: &FleetSpec) -> FleetResult<BackendSampler> {
-    // The unit-model temperature matches each workload's established
-    // setup: the crash harness hands the RSU pool its energy bound, the
-    // stereo experiments the paper's sampling temperature.
-    let temperature = match spec.workload {
-        Workload::Demo { .. } => DEMO_MAX_ENERGY,
-        Workload::Stereo { .. } => StereoConfig::default().temperature,
-    };
-    BackendSampler::try_new(spec.backend.to_engine(), temperature).map_err(FleetError::from)
-}
-
-/// The kernel name a checkpoint binding records for `spec`.
-pub(crate) fn kernel_name(spec: &FleetSpec) -> FleetResult<String> {
-    use mogs_gibbs::sampler::LabelSampler;
-    Ok(sampler_for(spec)?.name().to_string())
-}
-
-fn demo_job_spec(
-    spec: &FleetSpec,
-    width: usize,
-    height: usize,
-    labels: u16,
-) -> FleetResult<InferenceJob<impl SingletonPotential + 'static, BackendSampler>> {
-    InferenceJob::new(demo_field(width, height, labels), sampler_for(spec)?)
-        .iterations(spec.iterations)
-        .threads(spec.threads)
-        .seed(spec.seed)
-        .burn_in(spec.burn_in)
-        .track_modes(true)
-        .record_energy(true)
-        .build()
-        .map_err(FleetError::from)
-}
-
 /// The stereo field of a synthetic scene (paper §8.1). A scene this
 /// process built before comes from its bring-up cache, as a clone that
 /// shares the singleton table the first admission filled.
@@ -90,28 +55,49 @@ pub fn stereo_scene(
     noise_sigma: f64,
     scene_seed: u64,
 ) -> StereoMatching {
+    let scene = (width, height, disparity, noise_sigma, scene_seed);
     let key = (width, height, disparity, noise_sigma.to_bits(), scene_seed);
-    let Ok((app, _)) = SCENES.fetch(key, || Ok::<_, Infallible>(synthesize(key)));
+    let Ok((app, _)) = SCENES.fetch(key, || Ok::<_, Infallible>(stereo_field(scene)));
     app
 }
 
-/// Builds the stereo field of a synthetic scene, bypassing the cache.
-fn synthesize((width, height, disparity, noise_bits, scene_seed): Scene) -> StereoMatching {
-    let noise_sigma = f64::from_bits(noise_bits);
-    let scene = synthetic::stereo_pair(width, height, disparity, noise_sigma, scene_seed);
-    StereoMatching::new(&scene.left, &scene.right, StereoConfig::default())
+/// Admits a built job as a shard pinned to `cells`, taking a stereo
+/// scene from the bring-up cache.
+struct Admit<'a> {
+    cells: &'a [(usize, usize)],
 }
 
-fn stereo_job_spec(
-    spec: &FleetSpec,
-    app: &StereoMatching,
-) -> FleetResult<InferenceJob<mogs_vision::stereo::DisparitySingleton, BackendSampler>> {
-    let mut job = app.engine_job(sampler_for(spec)?, spec.iterations, spec.seed);
-    // The fleet spec owns the chunking and burn-in; the stereo config's
-    // defaults cover the field itself (weights, temperature, 5 labels).
-    job.threads = spec.threads;
-    job.burn_in = spec.burn_in;
-    Ok(job)
+impl JobVisitor for Admit<'_> {
+    type Output = FleetResult<(ShardRunner, Shape)>;
+
+    fn stereo(
+        &mut self,
+        (width, height, disparity, noise_sigma, scene_seed): StereoScene,
+    ) -> StereoMatching {
+        stereo_scene(width, height, disparity, noise_sigma, scene_seed)
+    }
+
+    fn visit<S: SingletonPotential + 'static>(
+        self,
+        job: InferenceJob<S, BackendSampler>,
+    ) -> Self::Output {
+        let shape = (*job.mrf.grid(), job.mrf.neighborhood(), job.threads);
+        Ok((ShardRunner::try_new(job, self.cells)?, shape))
+    }
+}
+
+/// Submits a built job to an engine, its stereo field built fresh.
+struct Submit<'a>(&'a Engine);
+
+impl JobVisitor for Submit<'_> {
+    type Output = Result<JobHandle, EngineError>;
+
+    fn visit<S: SingletonPotential + 'static>(
+        self,
+        job: InferenceJob<S, BackendSampler>,
+    ) -> Self::Output {
+        self.0.submit(job)
+    }
 }
 
 /// Admits `spec` and pins the shard to `cells` — unpinned when `cells`
@@ -120,39 +106,16 @@ fn stereo_job_spec(
 ///
 /// # Errors
 ///
-/// [`FleetError::Spec`] when the spec is invalid or engine admission
-/// rejects it (which covers out-of-range cells too).
-pub fn build_shard(spec: &FleetSpec, cells: &[(usize, usize)]) -> FleetResult<ShardRunner> {
+/// [`FleetError::Spec`](crate::FleetError::Spec) when the spec is
+/// invalid or engine admission rejects it (which covers out-of-range
+/// cells too).
+pub fn build_shard(spec: &JobDescription, cells: &[(usize, usize)]) -> FleetResult<ShardRunner> {
     Ok(admit(spec, cells)?.0)
 }
 
 /// [`build_shard`], plus the shape the engine admitted the job under.
-fn admit(spec: &FleetSpec, cells: &[(usize, usize)]) -> FleetResult<(ShardRunner, Shape)> {
-    fn runner<S: SingletonPotential + 'static>(
-        job: InferenceJob<S, BackendSampler>,
-        cells: &[(usize, usize)],
-    ) -> FleetResult<(ShardRunner, Shape)> {
-        let shape = (*job.mrf.grid(), job.mrf.neighborhood(), job.threads);
-        Ok((ShardRunner::try_new(job, cells)?, shape))
-    }
-    spec.validate()?;
-    match spec.workload {
-        Workload::Demo {
-            width,
-            height,
-            labels,
-        } => runner(demo_job_spec(spec, width, height, labels)?, cells),
-        Workload::Stereo {
-            width,
-            height,
-            disparity,
-            noise_sigma,
-            scene_seed,
-        } => {
-            let app = stereo_scene(width, height, disparity, noise_sigma, scene_seed);
-            runner(stereo_job_spec(spec, &app)?, cells)
-        }
-    }
+fn admit(spec: &JobDescription, cells: &[(usize, usize)]) -> FleetResult<(ShardRunner, Shape)> {
+    spec.build(Admit { cells })?
 }
 
 /// A coordinator's unpinned mirror of `spec`, its structure, and its
@@ -163,7 +126,7 @@ fn admit(spec: &FleetSpec, cells: &[(usize, usize)]) -> FleetResult<(ShardRunner
 ///
 /// What [`build_shard`] and [`partition`] report.
 pub fn bring_up(
-    spec: &FleetSpec,
+    spec: &JobDescription,
     shards: usize,
 ) -> FleetResult<(ShardRunner, FleetStructure, Arc<Partition>)> {
     let (mirror, shape) = admit(spec, &[])?;
@@ -180,31 +143,11 @@ pub fn bring_up(
 ///
 /// # Errors
 ///
-/// [`FleetError::Spec`] on admission failure or an engine-side error.
-pub fn run_in_process(spec: &FleetSpec) -> FleetResult<JobOutput> {
-    spec.validate()?;
+/// [`FleetError::Spec`](crate::FleetError::Spec) on admission failure
+/// or an engine-side error.
+pub fn run_in_process(spec: &JobDescription) -> FleetResult<JobOutput> {
     let engine = Engine::with_default_config();
-    let handle = match spec.workload {
-        Workload::Demo {
-            width,
-            height,
-            labels,
-        } => engine.submit(demo_job_spec(spec, width, height, labels)?),
-        Workload::Stereo {
-            width,
-            height,
-            disparity,
-            noise_sigma,
-            scene_seed,
-        } => {
-            let app = synthesize((width, height, disparity, noise_sigma.to_bits(), scene_seed));
-            engine.submit(stereo_job_spec(spec, &app)?)
-        }
-    };
-    let output = handle
-        .map_err(FleetError::from)?
-        .wait_result()
-        .map_err(FleetError::from)?;
+    let output = spec.build(Submit(&engine))??.wait_result()?;
     engine.shutdown();
     Ok(output)
 }
@@ -232,8 +175,8 @@ impl FleetStructure {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Spec`] on admission failure.
-    pub fn of(spec: &FleetSpec) -> FleetResult<Self> {
+    /// [`FleetError::Spec`](crate::FleetError::Spec) on admission failure.
+    pub fn of(spec: &JobDescription) -> FleetResult<Self> {
         Ok(FleetStructure::read(&build_shard(spec, &[])?))
     }
 
@@ -272,17 +215,20 @@ impl FleetStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::BackendKind;
+    use mogs_engine::Backend;
     use mogs_mrf::Neighborhood;
+    use mogs_vision::job::Workload;
+    use mogs_vision::stereo::StereoConfig;
+    use mogs_vision::synthetic;
 
-    fn demo_spec() -> FleetSpec {
-        FleetSpec {
+    fn demo_spec() -> JobDescription {
+        JobDescription {
             workload: Workload::Demo {
                 width: 8,
                 height: 6,
                 labels: 3,
             },
-            backend: BackendKind::Softmax,
+            backend: Backend::Softmax,
             iterations: 4,
             threads: 3,
             seed: 0xABCD,
@@ -340,13 +286,13 @@ mod tests {
     fn demo_workload_is_the_crash_harness_field() {
         use mogs_ckpt::harness::{self, DEMO_BURN_IN, DEMO_LABELS, DEMO_SEED, DEMO_SWEEPS};
         use mogs_ckpt::harness::{DEMO_HEIGHT, DEMO_THREADS, DEMO_WIDTH};
-        let spec = FleetSpec {
+        let spec = JobDescription {
             workload: Workload::Demo {
                 width: DEMO_WIDTH,
                 height: DEMO_HEIGHT,
                 labels: DEMO_LABELS,
             },
-            backend: BackendKind::Softmax,
+            backend: Backend::Softmax,
             iterations: DEMO_SWEEPS,
             threads: DEMO_THREADS,
             seed: DEMO_SEED,
@@ -366,7 +312,7 @@ mod tests {
 
     #[test]
     fn stereo_workload_builds_and_runs() {
-        let spec = FleetSpec {
+        let spec = JobDescription {
             workload: Workload::Stereo {
                 width: 12,
                 height: 10,
@@ -374,7 +320,7 @@ mod tests {
                 noise_sigma: 2.0,
                 scene_seed: 17,
             },
-            backend: BackendKind::Rsu { replicas: 2 },
+            backend: Backend::RsuG { replicas: 2 },
             iterations: 3,
             threads: 2,
             seed: 7,

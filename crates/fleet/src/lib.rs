@@ -12,9 +12,11 @@
 //!
 //! # Layers
 //!
-//! - [`spec`]: the process-portable job description ([`FleetSpec`]) —
-//!   everything a worker needs to admit the job, handed over at launch
-//!   (an `Assign` names it by digest).
+//! - [`spec`]: the fleet's side of the workspace's one job description
+//!   ([`mogs_vision::job::JobDescription`]) — everything a worker needs
+//!   to admit the job, handed over at launch within
+//!   [`LAUNCH_SPEC_LIMIT`](spec::LAUNCH_SPEC_LIMIT) bytes (an `Assign`
+//!   names it by digest).
 //! - [`exec`]: shard construction ([`build_shard`]) on top of
 //!   `mogs_engine::ShardRunner`, plus the in-process reference path
 //!   ([`run_in_process`]) the kill-ladder tests compare against, and
@@ -33,11 +35,13 @@
 //! # Quick start
 //!
 //! ```
-//! use mogs_fleet::{run_fleet, FleetConfig, FleetSpec, Workload, BackendKind};
+//! use mogs_engine::Backend;
+//! use mogs_fleet::{run_fleet, FleetConfig};
+//! use mogs_vision::job::{JobDescription, Workload};
 //!
-//! let spec = FleetSpec {
+//! let spec = JobDescription {
 //!     workload: Workload::Demo { width: 6, height: 4, labels: 3 },
-//!     backend: BackendKind::Softmax,
+//!     backend: Backend::Softmax,
 //!     iterations: 4,
 //!     threads: 2,
 //!     seed: 0xF1EE7,
@@ -65,5 +69,8 @@ pub use coordinator::{
 pub use error::{FleetError, FleetResult};
 pub use exec::{bring_up, build_shard, run_in_process, stereo_scene, FleetStructure};
 pub use partition::{partition, Partition, ShardAssignment};
-pub use spec::{BackendKind, FleetSpec, Workload};
+// The names the frozen benchmark spells; new code names the job
+// `mogs_vision::job::JobDescription` and its backend `mogs_engine::Backend`.
+pub use mogs_engine::Backend as BackendKind;
+pub use mogs_vision::job::{JobDescription as FleetSpec, Workload};
 pub use worker::{maybe_run_worker, worker_main, SPEC_ENV, WORKER_ENV};

@@ -174,16 +174,17 @@ pub fn partition(structure: &FleetStructure, shards: usize) -> FleetResult<Parti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BackendKind, FleetSpec, Workload};
+    use mogs_engine::Backend;
+    use mogs_vision::job::{JobDescription, Workload};
 
     fn structure() -> FleetStructure {
-        FleetStructure::of(&FleetSpec {
+        FleetStructure::of(&JobDescription {
             workload: Workload::Demo {
                 width: 8,
                 height: 6,
                 labels: 3,
             },
-            backend: BackendKind::Softmax,
+            backend: Backend::Softmax,
             iterations: 4,
             threads: 3,
             seed: 1,

@@ -50,12 +50,11 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use mogs_ckpt::{parse_hex_u64, parse_object, split_head, Sections};
+use mogs_ckpt::{parse_hex_u64, split_head, Sections};
 use serde::de::Parser;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{FleetError, FleetResult};
-use crate::spec::protocol;
 
 /// Upper bound on one frame's payload, far above any plane this
 /// workspace samples; anything larger is a corrupt prefix.
@@ -433,25 +432,28 @@ fn open_payload(payload: &[u8]) -> FleetResult<(Head, Sections<'_>)> {
     let (text, sections) = split_head(payload, HEAD_LIMIT)?;
     let mut parser = Parser::new(text);
     let mut head = Head::default();
-    parse_object(&mut parser, |key, parser| {
-        match key {
-            "t" => head.tag = Some(parser.parse_string()?),
-            "sweep" => head.sweep = Some(usize::deserialize_json(parser)?),
-            "group" => head.group = Some(usize::deserialize_json(parser)?),
-            "updates" => head.updates = Some(usize::deserialize_json(parser)?),
-            "owned" => head.owned = Some(usize::deserialize_json(parser)?),
-            "reason" => head.reason = Some(usize::deserialize_json(parser)?),
-            "digest" => head.digest = Some(parse_hex_u64(parser)?),
-            "resume_sweep" => head.resume_sweep = Some(usize::deserialize_json(parser)?),
-            "cells" => head.cells = Some(usize::deserialize_json(parser)?),
-            "plane" => head.plane = Some(Option::deserialize_json(parser)?),
-            "replay" => head.replay = Some(Vec::deserialize_json(parser)?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    })
-    .and_then(|()| parser.expect_end())
-    .map_err(protocol)?;
+    parser
+        .parse_object(|key, parser| {
+            match key {
+                "t" => head.tag = Some(parser.parse_string()?),
+                "sweep" => head.sweep = Some(usize::deserialize_json(parser)?),
+                "group" => head.group = Some(usize::deserialize_json(parser)?),
+                "updates" => head.updates = Some(usize::deserialize_json(parser)?),
+                "owned" => head.owned = Some(usize::deserialize_json(parser)?),
+                "reason" => head.reason = Some(usize::deserialize_json(parser)?),
+                "digest" => head.digest = Some(parse_hex_u64(parser)?),
+                "resume_sweep" => head.resume_sweep = Some(usize::deserialize_json(parser)?),
+                "cells" => head.cells = Some(usize::deserialize_json(parser)?),
+                "plane" => head.plane = Some(Option::deserialize_json(parser)?),
+                "replay" => head.replay = Some(Vec::deserialize_json(parser)?),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })
+        .and_then(|()| parser.expect_end())
+        .map_err(|err| FleetError::Protocol {
+            reason: err.to_string(),
+        })?;
     Ok((head, sections))
 }
 

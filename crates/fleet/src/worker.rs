@@ -18,9 +18,10 @@ use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::Duration;
 
+use mogs_vision::job::JobDescription;
+
 use crate::error::{FleetError, FleetResult};
 use crate::exec::build_shard;
-use crate::spec::FleetSpec;
 use crate::wire::{recv_to_worker, send_to_coordinator, Conn, ToCoordinator, ToWorker};
 
 /// Environment variable the self-exec launcher sets: when present, the
@@ -28,7 +29,7 @@ use crate::wire::{recv_to_worker, send_to_coordinator, Conn, ToCoordinator, ToWo
 /// [`connect`]'s format) instead of running its own `main`.
 pub const WORKER_ENV: &str = "MOGS_FLEET_WORKER";
 
-/// The self-exec launcher's second variable: the job, as [`FleetSpec::encode`] text.
+/// The self-exec launcher's second variable: the job, as [`JobDescription::encode`] text.
 pub const SPEC_ENV: &str = "MOGS_FLEET_SPEC";
 
 /// How long a worker waits for the next coordinator message before
@@ -54,7 +55,7 @@ pub fn connect(addr: &str) -> FleetResult<Conn> {
         .map_err(|e| FleetError::io(format!("connecting to {tcp}"), e))
 }
 
-/// Admits the job `spec` describes (its [`FleetSpec::encode`] text),
+/// Admits the job `spec` describes (its [`JobDescription::encode`] text),
 /// then runs the worker protocol over an established connection until
 /// the coordinator says `Finish` (or the stream dies).
 ///
@@ -81,7 +82,7 @@ pub fn run_worker(conn: &mut Conn, spec: &str) -> FleetResult<()> {
 }
 
 fn drive(conn: &mut Conn, spec: &str) -> FleetResult<()> {
-    let spec = FleetSpec::parse(spec)?;
+    let spec = JobDescription::parse(spec)?;
     let digest = spec.digest();
     let mut exec = build_shard(&spec, &[])?;
     // Owned sites per group, in chunk order; `None` until an `Assign`.
@@ -194,18 +195,19 @@ pub fn maybe_run_worker() -> FleetResult<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BackendKind, FleetSpec, Workload};
     use crate::wire::{recv_to_coordinator, send_to_worker};
+    use mogs_engine::Backend;
+    use mogs_vision::job::{JobDescription, Workload};
     use std::net::TcpListener;
 
-    fn spec() -> FleetSpec {
-        FleetSpec {
+    fn spec() -> JobDescription {
+        JobDescription {
             workload: Workload::Demo {
                 width: 6,
                 height: 4,
                 labels: 3,
             },
-            backend: BackendKind::Softmax,
+            backend: Backend::Softmax,
             iterations: 4,
             threads: 2,
             seed: 0xBEE,

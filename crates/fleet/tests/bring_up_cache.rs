@@ -9,11 +9,12 @@
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use mogs_engine::Backend;
 use mogs_fleet::exec::BRING_UP_CACHE_ENTRIES;
 use mogs_fleet::{
-    bring_up, partition, run_fleet, run_in_process, stereo_scene, BackendKind, FleetConfig,
-    FleetSpec, Launcher, Workload,
+    bring_up, partition, run_fleet, run_in_process, stereo_scene, FleetConfig, Launcher,
 };
+use mogs_vision::job::{JobDescription, Workload};
 use mogs_vision::stereo::StereoMatching;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -24,8 +25,8 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn stereo(scene_seed: u64, threads: usize, seed: u64) -> FleetSpec {
-    FleetSpec {
+fn stereo(scene_seed: u64, threads: usize, seed: u64) -> JobDescription {
+    JobDescription {
         workload: Workload::Stereo {
             width: 24,
             height: 18,
@@ -33,7 +34,7 @@ fn stereo(scene_seed: u64, threads: usize, seed: u64) -> FleetSpec {
             noise_sigma: 2.0,
             scene_seed,
         },
-        backend: BackendKind::Softmax,
+        backend: Backend::Softmax,
         iterations: 6,
         threads,
         seed,
@@ -56,7 +57,7 @@ fn table(app: &StereoMatching) -> *const f64 {
 fn a_second_job_on_a_cached_scene_equals_run_in_process_bit_for_bit() {
     let _serial = serial();
     let first = stereo(0xC0FF_EE01, 4, 11);
-    let second = FleetSpec {
+    let second = JobDescription {
         seed: 12,
         ..first.clone()
     };
@@ -82,7 +83,7 @@ fn a_partition_hit_equals_a_fresh_partition_and_each_key_input_misses() {
     let _serial = serial();
     let spec = stereo(0xC0FF_EE02, 4, 1);
     let (_, structure, cached) = bring_up(&spec, 2).expect("brings up");
-    let again = FleetSpec {
+    let again = JobDescription {
         seed: 2,
         ..spec.clone()
     };
@@ -142,7 +143,7 @@ fn the_bound_evicts_the_oldest_entry() {
         "the oldest scene was evicted"
     );
 
-    let demo = |threads| FleetSpec {
+    let demo = |threads| JobDescription {
         workload: Workload::Demo {
             width: 9,
             height: 7,

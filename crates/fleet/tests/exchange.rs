@@ -25,23 +25,25 @@ use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use mogs_engine::Backend;
 use mogs_fleet::wire::{recv_to_coordinator, send_to_worker, Conn, ToCoordinator, ToWorker};
 use mogs_fleet::{
-    build_shard, partition, run_fleet, run_in_process, worker_main, BackendKind, ChaosPlan,
-    FleetConfig, FleetResult, FleetSpec, FleetStructure, KillAt, Launcher, Partition, Workload,
+    build_shard, partition, run_fleet, run_in_process, worker_main, ChaosPlan, FleetConfig,
+    FleetResult, FleetStructure, KillAt, Launcher, Partition,
 };
 use mogs_mrf::{Grid2D, Neighborhood, Topology};
+use mogs_vision::job::{JobDescription, Workload};
 
 const PATIENT: Option<Duration> = Some(Duration::from_secs(10));
 
-fn demo_spec() -> FleetSpec {
-    FleetSpec {
+fn demo_spec() -> JobDescription {
+    JobDescription {
         workload: Workload::Demo {
             width: 14,
             height: 9,
             labels: 4,
         },
-        backend: BackendKind::Softmax,
+        backend: Backend::Softmax,
         iterations: 6,
         threads: 4,
         seed: 0xE8C4_A46E,
@@ -49,8 +51,8 @@ fn demo_spec() -> FleetSpec {
     }
 }
 
-fn stereo_spec(width: usize, height: usize, iterations: usize) -> FleetSpec {
-    FleetSpec {
+fn stereo_spec(width: usize, height: usize, iterations: usize) -> JobDescription {
+    JobDescription {
         workload: Workload::Stereo {
             width,
             height,
@@ -58,7 +60,7 @@ fn stereo_spec(width: usize, height: usize, iterations: usize) -> FleetSpec {
             noise_sigma: 4.0,
             scene_seed: 7,
         },
-        backend: BackendKind::Softmax,
+        backend: Backend::Softmax,
         iterations,
         threads: 4,
         seed: 0x5EED_F1EE,

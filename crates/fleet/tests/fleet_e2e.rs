@@ -32,27 +32,32 @@
 //!     checksum — a typed refusal before any shard is assigned;
 //! 12. a stereo worker killed in the sweep's last phase, respawned and
 //!     adopted — the longest replay, read off the mirror, still bit for
-//!     bit.
+//!     bit;
+//! 13. a raw description whose text runs past the launch bound — a
+//!     typed `Spec` refusal before any worker is launched.
 
 use std::path::PathBuf;
 
+use mogs_engine::Backend;
+use mogs_fleet::spec::LAUNCH_SPEC_LIMIT;
 use mogs_fleet::{
-    run_fleet, run_in_process, BackendKind, ChaosPlan, FleetCheckpoint, FleetConfig, FleetError,
-    FleetSpec, FleetStructure, KillAt, Launcher, Workload, COORD_KEY,
+    run_fleet, run_in_process, ChaosPlan, FleetCheckpoint, FleetConfig, FleetError, FleetStructure,
+    KillAt, Launcher, COORD_KEY,
 };
+use mogs_vision::job::{JobDescription, Workload};
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_fleet-worker"))
 }
 
-fn demo_spec() -> FleetSpec {
-    FleetSpec {
+fn demo_spec() -> JobDescription {
+    JobDescription {
         workload: Workload::Demo {
             width: 10,
             height: 8,
             labels: 4,
         },
-        backend: BackendKind::Softmax,
+        backend: Backend::Softmax,
         iterations: 8,
         threads: 2,
         seed: 0xFEE7_F1EE,
@@ -60,9 +65,9 @@ fn demo_spec() -> FleetSpec {
     }
 }
 
-fn rsu_spec() -> FleetSpec {
-    FleetSpec {
-        backend: BackendKind::Rsu { replicas: 4 },
+fn rsu_spec() -> JobDescription {
+    JobDescription {
+        backend: Backend::RsuG { replicas: 4 },
         ..demo_spec()
     }
 }
@@ -326,8 +331,8 @@ fn corrupt_newest_cut_falls_back_to_the_previous_one() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn stereo_spec(scene_seed: u64) -> FleetSpec {
-    FleetSpec {
+fn stereo_spec(scene_seed: u64) -> JobDescription {
+    JobDescription {
         workload: Workload::Stereo {
             width: 24,
             height: 18,
@@ -335,7 +340,7 @@ fn stereo_spec(scene_seed: u64) -> FleetSpec {
             noise_sigma: 4.0,
             scene_seed,
         },
-        backend: BackendKind::Softmax,
+        backend: Backend::Softmax,
         iterations: 6,
         threads: 2,
         seed: 0x5CE4E,
@@ -402,7 +407,7 @@ fn a_second_spec_in_a_reused_store_resumes_bit_identically() {
 
     // A second spec under the same key: its sweep-2 and sweep-4 cuts
     // must not be pruned in favour of the first job's sweep-6 cut.
-    let spec = FleetSpec {
+    let spec = JobDescription {
         seed: 0x5EC0_ED04,
         ..demo_spec()
     };
@@ -445,6 +450,31 @@ fn a_refused_resume_launches_no_worker() {
         other => panic!("expected a checkpoint refusal before any launch, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_description_past_the_launch_bound_launches_no_worker() {
+    // A launcher that cannot start anything: a run that got as far as
+    // launching would fail with `Spawn`, after the retry backoff.
+    let (width, height, labels) = (128, 64, 4);
+    let spec = JobDescription {
+        workload: Workload::Raw {
+            width,
+            height,
+            labels,
+            unaries: (0..width * height * usize::from(labels))
+                .map(|i| (i % 97) as f64 * 0.125)
+                .collect(),
+        },
+        ..demo_spec()
+    };
+    assert!(spec.encode().len() > LAUNCH_SPEC_LIMIT);
+    let mut config = FleetConfig::new(2);
+    config.launcher = Launcher::Program(temp_dir("launch-bound").join("no-such-worker"));
+    match run_fleet(&spec, &config) {
+        Err(FleetError::Spec { reason }) => assert!(reason.contains("launch bound"), "{reason}"),
+        other => panic!("expected a launch-bound refusal before any launch, got {other:?}"),
+    }
 }
 
 #[test]

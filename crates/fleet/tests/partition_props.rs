@@ -20,10 +20,9 @@
 
 use std::collections::BTreeSet;
 
-use mogs_fleet::{
-    partition, run_fleet, run_in_process, BackendKind, FleetConfig, FleetSpec, FleetStructure,
-    Workload,
-};
+use mogs_engine::Backend;
+use mogs_fleet::{partition, run_fleet, run_in_process, FleetConfig, FleetStructure};
+use mogs_vision::job::{JobDescription, Workload};
 use proptest::prelude::*;
 
 /// Whether every checkerboard colour group of a `width × height` grid
@@ -38,7 +37,7 @@ fn threads_feasible(width: usize, height: usize, threads: usize) -> bool {
     })
 }
 
-fn arb_spec() -> impl Strategy<Value = FleetSpec> {
+fn arb_spec() -> impl Strategy<Value = JobDescription> {
     (
         ((2usize..14), (2usize..10), (2u16..6)),
         (0usize..16),
@@ -49,13 +48,13 @@ fn arb_spec() -> impl Strategy<Value = FleetSpec> {
                 .filter(|&t| threads_feasible(width, height, t))
                 .collect();
             let threads = feasible[thread_pick % feasible.len()];
-            FleetSpec {
+            JobDescription {
                 workload: Workload::Demo {
                     width,
                     height,
                     labels,
                 },
-                backend: BackendKind::Softmax,
+                backend: Backend::Softmax,
                 iterations: 3,
                 threads,
                 seed,

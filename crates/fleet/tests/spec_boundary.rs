@@ -3,23 +3,26 @@
 //!
 //! The claims under test:
 //!
-//! - `FleetSpec::parse` on arbitrary strings returns a spec or a typed
+//! - `JobDescription::parse` on arbitrary strings returns a spec or a typed
 //!   `Protocol`/`Spec` error, never a panic, and a spec it returns gets
 //!   through `FleetStructure::of` (shard admission) with a typed
 //!   outcome;
 //! - a spec with any `u64` width, height, sweep budget and RSU pool size
-//!   parses exactly when its grid names 1 to 2³² sites, its budget is at
-//!   least one sweep and its pool holds `1..=MAX_REPLICAS` units, and is
-//!   otherwise a typed `Spec` error — never an overflow (a product that
-//!   wraps to one site included) or an abort allocating the pool;
+//!   parses exactly when each side is `1..=MAX_SIDE`, its budget is
+//!   `1..=MAX_ITERATIONS` sweeps and its pool holds `1..=MAX_REPLICAS`
+//!   units, and is otherwise a typed `Spec` error — never an overflow (a
+//!   product that wraps to one site included) or an abort allocating the
+//!   pool;
 //! - 100,000 levels of nesting under an unknown key are a typed
-//!   `Protocol` error, not a stack overflow, and the parser's nesting
-//!   bound sits well above the deepest spec or frame head the fleet
-//!   writes.
+//!   `Protocol` error, refused at the key before its value is read, and
+//!   the parser's nesting bound sits well above the deepest spec or
+//!   frame head the fleet writes.
 
+use mogs_engine::Backend;
 use mogs_engine::MAX_REPLICAS;
 use mogs_fleet::wire::{encode_to_coordinator, encode_to_worker, ToCoordinator, ToWorker};
-use mogs_fleet::{BackendKind, FleetError, FleetSpec, FleetStructure, Workload};
+use mogs_fleet::{FleetError, FleetStructure};
+use mogs_vision::job::{JobDescription, Workload, MAX_ITERATIONS, MAX_SIDE};
 use proptest::prelude::*;
 
 /// Fragments of fleet specs, whitespace-separated, spliced at random by
@@ -57,16 +60,14 @@ fn arb_edge_u64() -> impl Strategy<Value = u64> {
 }
 
 /// A demo spec; `replicas` picks the RSU backend.
-fn spec(width: usize, height: usize, iterations: usize, replicas: Option<usize>) -> FleetSpec {
-    FleetSpec {
+fn spec(width: usize, height: usize, iterations: usize, replicas: Option<usize>) -> JobDescription {
+    JobDescription {
         workload: Workload::Demo {
             width,
             height,
             labels: 3,
         },
-        backend: replicas.map_or(BackendKind::Softmax, |replicas| BackendKind::Rsu {
-            replicas,
-        }),
+        backend: replicas.map_or(Backend::Softmax, |replicas| Backend::RsuG { replicas }),
         iterations,
         threads: 2,
         seed: 17,
@@ -80,7 +81,7 @@ const ADMIT_MAX_SITES: usize = 1 << 16;
 /// Parses (and so validates) `text`, then admits what parses when its
 /// plane is small.
 fn parse_and_admit(text: &str) -> Result<(), FleetError> {
-    let spec = FleetSpec::parse(text)?;
+    let spec = JobDescription::parse(text).map_err(FleetError::from)?;
     if spec.workload.sites() <= ADMIT_MAX_SITES {
         FleetStructure::of(&spec)?;
     }
@@ -108,11 +109,11 @@ proptest! {
         let [w, h, n] = [width, height, iterations].map(|v| usize::try_from(v).unwrap_or(usize::MAX));
         let r = rsu.then(|| usize::try_from(replicas).unwrap_or(usize::MAX));
         let text = spec(w, h, n, r).encode();
-        // Overflowing, or past what a u32 site index can name.
-        let grid_ok = w.checked_mul(h).is_some_and(|s| (1..=1 << 32).contains(&s));
+        // A side past `MAX_SIDE`, which also keeps the product from overflowing.
+        let grid_ok = (1..=MAX_SIDE).contains(&w) && (1..=MAX_SIDE).contains(&h);
         let pool_ok = r.is_none_or(|r| (1..=MAX_REPLICAS).contains(&r));
-        let admissible = grid_ok && n >= 1 && pool_ok;
-        match FleetSpec::parse(&text) {
+        let admissible = grid_ok && (1..=MAX_ITERATIONS).contains(&n) && pool_ok;
+        match JobDescription::parse(&text).map_err(FleetError::from) {
             Ok(_) => prop_assert!(admissible, "{}", text),
             Err(err) => {
                 prop_assert!(!admissible, "{}: {:?}", text, err);
@@ -132,7 +133,8 @@ fn overflowing_grids_are_typed_spec_errors() {
     // 2^33 x 2^31 overflows the site count, and 274177 x 67280421310721
     // is 2^64 + 1, which a wrapping product reads as one site.
     for (width, height) in [(1 << 33, 1 << 31), (274_177, 67_280_421_310_721)] {
-        let err = FleetSpec::parse(&spec(width, height, 3, None).encode())
+        let err = JobDescription::parse(&spec(width, height, 3, None).encode())
+            .map_err(FleetError::from)
             .expect_err("grid out of range");
         assert_eq!(err.variant(), "spec", "{width}x{height}: {err}");
     }
@@ -144,7 +146,8 @@ fn unbounded_rsu_pools_are_typed_spec_errors() {
     // 2^40 units would abort the process allocating the pool, and
     // usize::MAX would overflow its capacity.
     for replicas in [0, MAX_REPLICAS + 1, 1 << 40, usize::MAX] {
-        let err = FleetSpec::parse(&spec(6, 4, 3, Some(replicas)).encode())
+        let err = JobDescription::parse(&spec(6, 4, 3, Some(replicas)).encode())
+            .map_err(FleetError::from)
             .expect_err("pool out of range");
         assert_eq!(err.variant(), "spec", "{replicas}: {err}");
     }
@@ -197,15 +200,15 @@ fn a_spec_nested_100000_deep_under_an_unknown_key_is_a_typed_protocol_error() {
     );
     let err = std::thread::Builder::new()
         .stack_size(256 << 10)
-        .spawn(move || FleetSpec::parse(&deep))
+        .spawn(move || JobDescription::parse(&deep).map_err(FleetError::from))
         .expect("spawn the parsing thread")
         .join()
         .expect("the parse returns instead of overflowing its stack")
-        .expect_err("nesting past the bound");
+        .expect_err("an unknown key");
     let FleetError::Protocol { reason } = err else {
         panic!("expected a typed Protocol error, got {err:?}");
     };
-    assert!(reason.contains("nested deeper than"), "{reason}");
+    assert!(reason.contains("unknown key `future`"), "{reason}");
 }
 
 #[test]
@@ -235,5 +238,5 @@ fn the_nesting_bound_sits_well_above_every_fleet_head() {
     let deepest = heads.iter().map(|h| nesting(h)).max().unwrap_or(0);
     assert_eq!(deepest, 2, "{heads:?}");
     assert!(8 * deepest <= serde::de::MAX_DEPTH);
-    FleetSpec::parse(&rsu).expect("the spec parses");
+    JobDescription::parse(&rsu).expect("the spec parses");
 }

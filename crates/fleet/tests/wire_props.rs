@@ -5,7 +5,7 @@
 //! - every message round-trips through `encode_to_*` / `parse_to_*`,
 //!   including empty update lists, lists past 2¹⁶ entries, `plane: None`
 //!   and `u64::MAX` digests;
-//! - every `FleetSpec` that passes `validate` survives `encode` →
+//! - every `JobDescription` that passes `validate` survives `encode` →
 //!   `parse` with its digest — the `Assign` check depends on it — and
 //!   every other is refused as `Spec`;
 //! - arbitrary bytes in — bare, or behind a genuine head — come back as
@@ -26,23 +26,26 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
+use mogs_engine::Backend;
 use mogs_fleet::wire::{
     encode_to_coordinator, encode_to_worker, parse_to_coordinator, parse_to_worker, recv_frame,
     recv_to_coordinator, send_frame, send_to_worker, Conn, ToCoordinator, ToWorker, FRAME_LIMIT,
     HEAD_LIMIT,
 };
-use mogs_fleet::{worker_main, BackendKind, FleetError, FleetSpec, FleetStructure, Workload};
+use mogs_fleet::{worker_main, FleetError, FleetStructure};
+use mogs_vision::job::{JobDescription, Workload};
 use proptest::prelude::*;
 
 /// The variants a byte-level violation may surface as.
 const TYPED: [&str; 2] = ["frame", "protocol"];
 
-/// Specs on both sides of `validate`: zero counts, label spaces and
-/// disparities out of range, and `noise_sigma` either a plain value or
-/// arbitrary IEEE-754 bits (NaN, infinities, −0.0, subnormals).
-fn arb_spec() -> impl Strategy<Value = FleetSpec> {
+/// Specs of every workload on both sides of `validate`: zero counts,
+/// label spaces, shifts and disparities out of range, unaries a row
+/// short or long, and `noise_sigma` and the unaries either plain values
+/// or arbitrary IEEE-754 bits (NaN, infinities, −0.0, subnormals).
+fn arb_spec() -> impl Strategy<Value = JobDescription> {
     (
-        prop::bool::ANY,
+        0u8..5,
         ((0usize..300), (1usize..300), (0u16..72)),
         (
             (0u8..6),
@@ -54,36 +57,75 @@ fn arb_spec() -> impl Strategy<Value = FleetSpec> {
     )
         .prop_map(
             |(
-                stereo,
+                kind,
                 (width, height, labels),
                 (disparity, (raw, sigma, bits), scene_seed),
                 (iterations, threads, burn_in, replicas),
                 seed,
-            )| FleetSpec {
-                workload: if stereo {
-                    Workload::Stereo {
-                        width,
-                        height,
-                        disparity,
-                        noise_sigma: if raw { f64::from_bits(bits) } else { sigma },
-                        scene_seed,
-                    }
-                } else {
-                    Workload::Demo {
+            )| {
+                let noise_sigma = if raw { f64::from_bits(bits) } else { sigma };
+                let workload = match kind {
+                    0 => Workload::Demo {
                         width,
                         height,
                         labels,
+                    },
+                    1 => Workload::Segmentation {
+                        width,
+                        height,
+                        labels,
+                        noise_sigma,
+                        scene_seed,
+                    },
+                    2 => Workload::Motion {
+                        width,
+                        height,
+                        dx: i32::from(disparity) - 3,
+                        dy: i32::from(labels % 9) - 4,
+                        noise_sigma,
+                        scene_seed,
+                    },
+                    3 => Workload::Stereo {
+                        width,
+                        height,
+                        disparity,
+                        noise_sigma,
+                        scene_seed,
+                    },
+                    _ => {
+                        // A small grid of whole rows: the codec writes
+                        // `labels` energies a row.
+                        let (width, height, labels) = (width % 5, height % 4, labels % 5);
+                        let rows = (width * height + usize::from(disparity % 3)).saturating_sub(1);
+                        let unaries = (0..rows * usize::from(labels.max(1)))
+                            .map(|i| {
+                                if raw {
+                                    f64::from_bits(bits.rotate_left(i as u32))
+                                } else {
+                                    sigma * i as f64
+                                }
+                            })
+                            .collect();
+                        Workload::Raw {
+                            width,
+                            height,
+                            labels,
+                            unaries,
+                        }
                     }
-                },
-                backend: if replicas == 1 {
-                    BackendKind::Softmax
-                } else {
-                    BackendKind::Rsu { replicas }
-                },
-                iterations,
-                threads,
-                seed,
-                burn_in,
+                };
+                JobDescription {
+                    workload,
+                    backend: if replicas == 1 {
+                        Backend::Softmax
+                    } else {
+                        Backend::RsuG { replicas }
+                    },
+                    iterations,
+                    threads,
+                    seed,
+                    burn_in,
+                }
             },
         )
 }
@@ -167,7 +209,7 @@ proptest! {
     /// would fail every `Assign`); any other is refused as `Spec`.
     #[test]
     fn every_spec_round_trips_with_its_digest(spec in arb_spec()) {
-        let parsed = FleetSpec::parse(&spec.encode());
+        let parsed = JobDescription::parse(&spec.encode()).map_err(FleetError::from);
         if spec.validate().is_ok() {
             let parsed = parsed.map_err(|e| e.to_string())?;
             prop_assert_eq!(parsed.digest(), spec.digest());
@@ -242,8 +284,8 @@ proptest! {
     }
 }
 
-fn sample_spec() -> FleetSpec {
-    FleetSpec {
+fn sample_spec() -> JobDescription {
+    JobDescription {
         workload: Workload::Stereo {
             width: 12,
             height: 9,
@@ -251,7 +293,7 @@ fn sample_spec() -> FleetSpec {
             noise_sigma: 0.1 + 0.2,
             scene_seed: u64::MAX,
         },
-        backend: BackendKind::Rsu { replicas: 3 },
+        backend: Backend::RsuG { replicas: 3 },
         iterations: 8,
         threads: 3,
         seed: u64::MAX,
@@ -439,13 +481,13 @@ fn silent_stalled_and_closed_peers_are_typed() {
 /// where an out-of-plane `Halo` dies, with the engine's typed error.
 #[test]
 fn out_of_range_halo_fails_the_worker_typed() {
-    let spec = FleetSpec {
+    let spec = JobDescription {
         workload: Workload::Demo {
             width: 6,
             height: 4,
             labels: 3,
         },
-        backend: BackendKind::Softmax,
+        backend: Backend::Softmax,
         iterations: 4,
         threads: 2,
         seed: 0xBEE,

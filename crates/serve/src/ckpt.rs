@@ -160,18 +160,9 @@ fn resume_entry(
         .map_err(|err| format!("tenant gate refused the resume: {err}"))?;
     // The resumed job keeps checkpointing under its old key and meta.
     let writer = ckpt_store.writer(key, meta.to_string());
-    match request.resume(engine, retry_after_s, state, Some((policy, writer))) {
+    match request.admit(engine, retry_after_s, Some((policy, writer)), Some(state)) {
         Ok((handle, diag)) => {
-            jobs.insert_recovered(
-                id,
-                &request.tenant,
-                request.workload.name(),
-                request.width,
-                request.height,
-                handle,
-                diag,
-            );
-            Ok(id)
+            Ok(jobs.insert(Some(id), &request.tenant, &request.job, handle, diag))
         }
         Err(err) => {
             tenants.release(&request.tenant);

@@ -20,6 +20,7 @@
 //! response exactly once.
 
 use mogs_engine::EngineError;
+use mogs_vision::job::JobError;
 
 use crate::http::Response;
 
@@ -212,6 +213,15 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// A body that is no valid job description is the client's error.
+impl From<JobError> for ServeError {
+    fn from(err: JobError) -> Self {
+        ServeError::BadRequest {
+            reason: err.to_string(),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

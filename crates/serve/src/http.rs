@@ -49,7 +49,9 @@ pub struct Request {
     pub method: String,
     /// The path component of the request target (query string stripped).
     pub path: String,
-    /// Headers in arrival order, names lowercased.
+    /// The headers the server acts on — `content-length`,
+    /// `transfer-encoding` and `connection` — each at its first value,
+    /// names lowercased; [`read_request`] keeps no other.
     pub headers: Vec<(String, String)>,
     /// The `Content-Length`-framed body (empty when none was declared).
     pub body: Vec<u8>,
@@ -82,6 +84,9 @@ impl Request {
         })
     }
 }
+
+/// The headers [`read_request`] keeps.
+const READ_HEADERS: [&str; 3] = ["content-length", "transfer-encoding", "connection"];
 
 /// Reads one request off `stream`.
 ///
@@ -134,7 +139,11 @@ pub fn read_request<R: BufRead>(
                 reason: format!("header line `{line}` has no colon"),
             });
         };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        // Every other header is read, charged to the cap and dropped.
+        let name = name.trim().to_ascii_lowercase();
+        if READ_HEADERS.contains(&name.as_str()) && !headers.iter().any(|(n, _)| *n == name) {
+            headers.push((name, value.trim().to_string()));
+        }
     }
     let request = Request {
         method: method.to_string(),
@@ -367,7 +376,12 @@ mod tests {
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/jobs");
         assert_eq!(req.body, b"{\"\"}");
-        assert_eq!(req.header_value("host"), Some("x"));
+        assert_eq!(req.header_value("content-length"), Some("4"));
+        assert_eq!(
+            req.header_value("host"),
+            None,
+            "a header the server never reads"
+        );
         assert!(!req.wants_close());
     }
 

@@ -49,10 +49,11 @@
 //! request. See the [`ckpt`] module docs for the recovery gates.
 //!
 //! Served results are **bit-identical** to the direct engine path for
-//! the same spec: dispatch reconstructs exactly the job the workload's
-//! own `engine_job` constructor produces (same seed, same deterministic
-//! chunk count), and the engine's determinism contract does the rest.
-//! The `serve_lifecycle` integration test pins this.
+//! the same spec: a request body is a tenant plus one
+//! [`JobDescription`](mogs_vision::job::JobDescription), built through
+//! the same `build` the fleet's workers run (same seed, same
+//! deterministic chunk count), and the engine's determinism contract
+//! does the rest. The `serve_lifecycle` integration test pins this.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,7 +75,7 @@ pub use ckpt::{job_key, CheckpointSetup, RecoveryReport};
 pub use client::{http_request, ClientResponse, HttpClient};
 pub use error::ServeError;
 pub use http::{Limits, Request, Response};
-pub use jobspec::{JobRequest, Workload};
+pub use jobspec::JobRequest;
 pub use metrics::{ServeMetrics, ServeMetricsSnapshot};
 pub use prometheus::{encode_metrics, validate_exposition};
 pub use router::Router;

@@ -163,36 +163,12 @@ impl Router {
             }
             None => (None, None),
         };
-        let submitted = match checkpoint {
-            Some(checkpoint) => {
-                spec.submit_with_checkpoint(&self.engine, self.retry_after_s, Some(checkpoint))
-            }
-            None => spec.submit(&self.engine, self.retry_after_s),
-        };
+        let submitted = spec.admit(&self.engine, self.retry_after_s, checkpoint, None);
         match submitted {
             Ok((handle, diag)) => {
-                let id = match reserved_id {
-                    Some(id) => {
-                        self.store.insert_reserved(
-                            id,
-                            &spec.tenant,
-                            spec.workload.name(),
-                            spec.width,
-                            spec.height,
-                            handle,
-                            diag,
-                        );
-                        id
-                    }
-                    None => self.store.insert(
-                        &spec.tenant,
-                        spec.workload.name(),
-                        spec.width,
-                        spec.height,
-                        handle,
-                        diag,
-                    ),
-                };
+                let id = self
+                    .store
+                    .insert(reserved_id, &spec.tenant, &spec.job, handle, diag);
                 Ok(Response::json(
                     201,
                     format!(

@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use mogs_diag::MultiChainDiag;
 use mogs_engine::{EngineError, JobHandle, JobOutput, JobStatus};
+use mogs_vision::job::JobDescription;
 use parking_lot::Mutex;
 
 use crate::error::ServeError;
@@ -160,21 +161,6 @@ impl JobStore {
         }
     }
 
-    /// Registers an admitted job and returns its serve-level id.
-    pub fn insert(
-        &self,
-        tenant: &str,
-        workload: &str,
-        width: usize,
-        height: usize,
-        handle: JobHandle,
-        diag: Option<Arc<MultiChainDiag>>,
-    ) -> u64 {
-        let id = self.reserve();
-        self.insert_reserved(id, tenant, workload, width, height, handle, diag);
-        id
-    }
-
     /// Allocates the next serve-level id *before* the job is admitted —
     /// the checkpointing path needs the id on the submission itself (the
     /// checkpoint store key is derived from it), so the id must exist
@@ -187,23 +173,19 @@ impl JobStore {
         id
     }
 
-    /// Registers an admitted job under an id from [`reserve`].
-    ///
-    /// [`reserve`]: JobStore::reserve
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one parameter per stored-job field"
-    )]
-    pub fn insert_reserved(
+    /// Registers an admitted job and returns its serve-level id: `id`
+    /// when it was [`reserve`](JobStore::reserve)d or recovered from a
+    /// checkpoint a previous process cut, else a fresh one.
+    pub fn insert(
         &self,
-        id: u64,
+        id: Option<u64>,
         tenant: &str,
-        workload: &str,
-        width: usize,
-        height: usize,
+        job: &JobDescription,
         handle: JobHandle,
         diag: Option<Arc<MultiChainDiag>>,
-    ) {
+    ) -> u64 {
+        let id = id.unwrap_or_else(|| self.reserve());
+        let (width, height) = job.workload.dims();
         let mut inner = self.inner.lock();
         // Recovery inserts ids minted by a previous process; keep the
         // counter ahead of them so fresh submissions never collide.
@@ -212,7 +194,7 @@ impl JobStore {
             id,
             StoredJob {
                 tenant: tenant.to_string(),
-                workload: workload.to_string(),
+                workload: job.workload.name().to_string(),
                 width,
                 height,
                 state: JobState::Queued,
@@ -221,25 +203,7 @@ impl JobStore {
                 outcome: None,
             },
         );
-    }
-
-    /// Registers a job re-admitted from a checkpoint under its original
-    /// serve id, bumping the id counter past it.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one parameter per stored-job field"
-    )]
-    pub fn insert_recovered(
-        &self,
-        id: u64,
-        tenant: &str,
-        workload: &str,
-        width: usize,
-        height: usize,
-        handle: JobHandle,
-        diag: Option<Arc<MultiChainDiag>>,
-    ) {
-        self.insert_reserved(id, tenant, workload, width, height, handle, diag);
+        id
     }
 
     /// Polls every live job's handle and advances its state, releasing

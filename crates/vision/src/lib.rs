@@ -16,6 +16,10 @@
 //! * [`restoration`] — image restoration/denoising on 8 gray levels, the
 //!   original Gibbs-sampling application (Geman & Geman 1984).
 //!
+//! [`job`] is the one job description the serving front-end and the
+//! fleet share: a workload, a backend and a budget, with one JSON codec,
+//! one validation and one build into an engine job.
+//!
 //! Because the paper's test content is not available, [`synthetic`]
 //! generates deterministic scenes **with ground truth** (piecewise-constant
 //! regions under noise, translated texture frames, disparity-shifted
@@ -48,6 +52,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::missing_panics_doc))]
 
 pub mod image;
+pub mod job;
 pub mod metrics;
 pub mod motion;
 pub mod pyramid;

@@ -8,7 +8,8 @@
 //! rather than by eye. All generators are seeded and deterministic.
 
 use crate::image::GrayImage;
-use mogs_mrf::Label;
+use mogs_mrf::energy::SingletonPotential;
+use mogs_mrf::{Grid2D, Label, LabelSpace, MarkovRandomField, SmoothnessPrior};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -295,6 +296,30 @@ pub fn stereo_pair(
         (f64::from(v) + gaussian(&mut rng) * noise_sigma).clamp(0.0, 255.0) as u8
     });
     StereoScene { left, right, truth }
+}
+
+/// Energy bound handed to the RSU backend's intensity coding when it
+/// samples the [`demo_field`].
+pub const DEMO_MAX_ENERGY: f64 = 8.0;
+
+/// The demo field at any size: a Potts prior over a synthetic singleton
+/// term, a fixed pseudo-random preference per `(site, label)` identical
+/// in every process that builds it. The `mogs-ckpt` crash harness runs
+/// it at its `DEMO_*` size; the `Demo` job workload at the size it names.
+pub fn demo_field(
+    width: usize,
+    height: usize,
+    labels: u16,
+) -> MarkovRandomField<impl SingletonPotential> {
+    MarkovRandomField::builder(Grid2D::new(width, height), LabelSpace::scalar(labels))
+        .prior(SmoothnessPrior::potts(0.6))
+        .singleton(|site: usize, label: Label| {
+            let mix = site
+                .wrapping_mul(7)
+                .wrapping_add(usize::from(label.value()).wrapping_mul(13));
+            (mix % 11) as f64 * 0.17
+        })
+        .build()
 }
 
 fn gaussian(rng: &mut StdRng) -> f64 {
